@@ -15,14 +15,17 @@
 //! memory during the merge, exactly like the original (Table 2: "semi-disk-
 //! based", string access random, requires `S` in memory).
 
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 
 use era::{ConstructionReport, EraResult};
 use era_string_store::StringStore;
+use era_suffix_tree::serialize::{read_flat_tree, write_flat_tree};
 use era_suffix_tree::{
-    assemble::assemble_from_sa_lcp, naive::insert_suffix, Partition, PartitionedSuffixTree,
-    SuffixTree,
+    assemble::assemble_from_sa_lcp, naive::insert_suffix, FlatTree, Partition,
+    PartitionedSuffixTree, SuffixTree,
 };
 
 /// Configuration of the TRELLIS baseline.
@@ -99,7 +102,9 @@ pub fn trellis_construct(
                 insert_suffix(&mut tree, &text, s);
             }
             let path = spill_dir.join(format!("part{p:04}-sym{symbol:03}.st"));
-            tree.save(&path)?;
+            let mut spill = BufWriter::new(File::create(&path)?);
+            write_flat_tree(&mut spill, &FlatTree::freeze(&tree))?;
+            spill.flush()?;
             spill_bytes_written += std::fs::metadata(&path)?.len();
             spill_files.push((symbol, path));
         }
@@ -122,7 +127,7 @@ pub fn trellis_construct(
                 continue;
             }
             spill_bytes_read += std::fs::metadata(path)?.len();
-            let tree = SuffixTree::load(path)?;
+            let tree = read_flat_tree(&mut BufReader::new(File::open(path)?))?;
             leaves.extend(tree.lexicographic_suffixes());
         }
         // Merge by re-sorting the combined leaves against the in-memory string

@@ -12,10 +12,11 @@
 //!    `K`, under both crash modes (un-synced writes dropped entirely, or a
 //!    torn trailing sector) — plus once with the save completing and the
 //!    crash striking immediately after;
-//! 3. materializes the post-crash durable state into a real directory,
-//!    reopens it with the production loader, fscks it, and asserts the
-//!    result is *byte-identically* the old generation's query answers or the
-//!    new generation's — fsck-clean, never a panic, never a mix.
+//! 3. writes the post-crash durable bytes of the catalog to a real file,
+//!    reopens it with the production loader — deep-verifying — in both open
+//!    modes (text materialized, text left on disk), and asserts the result
+//!    is *byte-identically* the old generation's query answers or the new
+//!    generation's — fsck-clean, never a panic, never a mix.
 //!
 //! The harness then proves it has teeth: the same sweep over the seeded-bug
 //! [`CommitProtocol::TocBeforeSegmentSync`] (the catalog name published
@@ -28,12 +29,10 @@
 //! synthesized from fixed recurrences, and no wall clock or RNG is involved.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use era::{CommitProtocol, EraError, SuffixIndex};
+use era::{CommitProtocol, EraConfig, EraError, SuffixIndex};
 use era_string_store::{CrashMode, FaultVfs};
-
-use crate::fsck::{fsck_dir, FsckOptions};
 
 /// One text/encoding combination the matrix sweeps.
 struct Workload {
@@ -53,6 +52,9 @@ const WORKLOADS: [Workload; 6] = [
     Workload { name: "english-raw", packed: false, symbols: b"abcdefghijklmnopqrstuvwxyz" },
     Workload { name: "english-packed", packed: true, symbols: b"abcdefghijklmnopqrstuvwxyz" },
 ];
+
+/// Where the recorded saves write the catalog inside the [`FaultVfs`].
+const VIRTUAL_CATALOG: &str = "/crash-matrix/index.eracat";
 
 /// The old and new generation numbers the sweep distinguishes by.
 const OLD_GEN: u64 = 1;
@@ -156,80 +158,83 @@ fn build_generations(w: &Workload) -> Result<(SuffixIndex, SuffixIndex), EraErro
     Ok((old, new))
 }
 
-/// Replays one fault point: old catalog committed, new save crashed before
-/// operation `k` (or completed, for `k == total`, with the crash striking
-/// right after), durable state materialized and reopened.
-#[allow(clippy::too_many_arguments)]
-fn replay_fault_point(
-    w: &Workload,
-    old: &SuffixIndex,
-    new: &SuffixIndex,
-    protocol: CommitProtocol,
-    k: u64,
+/// What every replay of one workload's sweep shares.
+struct Sweep<'a> {
+    w: &'a Workload,
+    old: &'a SuffixIndex,
+    new: &'a SuffixIndex,
+    /// Durable operations of the recorded new-generation save.
     total: u64,
-    mode: CrashMode,
-    scratch: &Path,
-    patterns: &[Vec<u8>],
-    expected: &[Answers],
-) -> Result<u64, String> {
-    let vdir = Path::new("/crash-matrix");
-    let catalog = vdir.join("index.eracat");
-    let vfs = FaultVfs::new();
-    old.save_to_file_with(&catalog, &vfs, CommitProtocol::Sound)
-        .map_err(|e| format!("{}: committing the old generation failed: {e}", w.name))?;
-    if k < total {
-        vfs.plan_crash(k, mode);
-        if new.save_to_file_with(&catalog, &vfs, protocol).is_ok() {
-            return Err(format!(
-                "{}: crash planned at op {k}/{total} but the save reported success",
-                w.name
-            ));
-        }
-    } else {
-        vfs.record();
-        new.save_to_file_with(&catalog, &vfs, protocol)
-            .map_err(|e| format!("{}: uncrashed save failed: {e}", w.name))?;
-        vfs.crash_now(mode);
-    }
-
-    let dst = scratch.join(format!("{}-{k}-{mode:?}", w.name));
-    let _ = std::fs::remove_dir_all(&dst);
-    vfs.materialize(&dst)
-        .map_err(|e| format!("{}: materializing the durable state failed: {e}", w.name))?;
-    let outcome = reopen_and_classify(&dst, patterns, expected)
-        .map_err(|e| format!("{}: crash at op {k}/{total} ({mode:?}): {e}", w.name));
-    let _ = std::fs::remove_dir_all(&dst);
-    outcome
+    /// The real file each replay writes its post-crash catalog to.
+    scratch: &'a Path,
+    patterns: &'a [Vec<u8>],
+    /// The old and the new generation's answers to `patterns`.
+    expected: &'a [Answers],
 }
 
-/// Reopens a materialized post-crash directory and returns which generation
-/// it is — failing if it is neither, mixes answers, or flunks fsck.
+impl Sweep<'_> {
+    /// Replays one fault point: old catalog committed, new save crashed
+    /// before operation `k` (or completed, for `k == total`, with the crash
+    /// striking right after), durable catalog written out and reopened.
+    fn replay(&self, protocol: CommitProtocol, k: u64, mode: CrashMode) -> Result<u64, String> {
+        let name = self.w.name;
+        let total = self.total;
+        let catalog = Path::new(VIRTUAL_CATALOG);
+        let vfs = FaultVfs::new();
+        self.old
+            .save_to_file_with(catalog, &vfs, CommitProtocol::Sound)
+            .map_err(|e| format!("{name}: committing the old generation failed: {e}"))?;
+        if k < total {
+            vfs.plan_crash(k, mode);
+            if self.new.save_to_file_with(catalog, &vfs, protocol).is_ok() {
+                return Err(format!(
+                    "{name}: crash planned at op {k}/{total} but the save reported success"
+                ));
+            }
+        } else {
+            vfs.record();
+            self.new
+                .save_to_file_with(catalog, &vfs, protocol)
+                .map_err(|e| format!("{name}: uncrashed save failed: {e}"))?;
+            vfs.crash_now(mode);
+        }
+
+        let durable = vfs.durable_bytes(catalog).unwrap_or_default();
+        std::fs::write(self.scratch, durable)
+            .map_err(|e| format!("{name}: writing out the durable catalog failed: {e}"))?;
+        reopen_and_classify(self.scratch, self.patterns, self.expected)
+            .map_err(|e| format!("{name}: crash at op {k}/{total} ({mode:?}): {e}"))
+    }
+}
+
+/// Reopens the post-crash catalog in both open modes — paranoid, so each is
+/// a deep fsck too — and returns which generation it is, failing if it is
+/// neither or mixes answers.
 fn reopen_and_classify(
-    dst: &Path,
+    catalog: &Path,
     patterns: &[Vec<u8>],
     expected: &[Answers],
 ) -> Result<u64, String> {
-    let fsck = fsck_dir(dst, FsckOptions { deep: true });
-    if !fsck.passed() {
-        let first = &fsck.errors[0];
-        return Err(format!("fsck found {} defect(s): {first}", fsck.errors.len()));
-    }
-    let reopened = SuffixIndex::load_from_dir(dst)
-        .map_err(|e| format!("reopening the durable state failed: {e}"))?;
-    let generation = reopened.generation();
-    let Some(want) = expected.iter().find(|a| a.generation == generation) else {
-        return Err(format!("reopened generation {generation} is neither the old nor the new"));
-    };
-    for (i, pattern) in patterns.iter().enumerate() {
-        let locate = reopened.find_all(pattern);
-        let count = reopened.count(pattern);
-        if locate != want.locates[i] || count != want.counts[i] {
-            return Err(format!(
-                "generation {generation} reopened with diverging answers for pattern {i} \
-                 ({} vs {} hits): a third state",
-                locate.len(),
-                want.locates[i].len()
-            ));
+    let mut generation = 0;
+    for memory_budget in [EraConfig::default().memory_budget, 1] {
+        let config = EraConfig { memory_budget, paranoid: true, ..EraConfig::default() };
+        let reopened = SuffixIndex::open_file_with(catalog, &config)
+            .map_err(|e| format!("reopening the durable state failed: {e}"))?;
+        generation = reopened.generation();
+        let Some(want) = expected.iter().find(|a| a.generation == generation) else {
+            return Err(format!("reopened generation {generation} is neither the old nor the new"));
+        };
+        for (i, pattern) in patterns.iter().enumerate() {
+            let locate = reopened.find_all(pattern);
+            let count = reopened.count(pattern);
+            if locate != want.locates[i] || count != want.counts[i] {
+                return Err(format!(
+                    "generation {generation} reopened with diverging answers for pattern {i} \
+                     ({} vs {} hits): a third state",
+                    locate.len(),
+                    want.locates[i].len()
+                ));
+            }
         }
     }
     Ok(generation)
@@ -239,7 +244,7 @@ fn reopen_and_classify(
 /// workload × mode (CI uses a bounded sweep; tests run exhaustively).
 pub fn run_crash_matrix(limit: Option<usize>) -> CrashMatrixReport {
     let mut report = CrashMatrixReport { seeded_bug_caught: true, ..CrashMatrixReport::default() };
-    let scratch = scratch_dir();
+    let scratch = std::env::temp_dir().join(format!("era-crash-{}.eracat", std::process::id()));
     for w in &WORKLOADS {
         report.workloads += 1;
         let (old, new) = match build_generations(w) {
@@ -263,36 +268,33 @@ pub fn run_crash_matrix(limit: Option<usize>) -> CrashMatrixReport {
         let expected = [answers_of(&old, &patterns), answers_of(&new, &patterns)];
 
         // Record the sound save to size the sweep.
-        let vdir = Path::new("/crash-matrix");
-        let catalog = vdir.join("index.eracat");
+        let catalog = Path::new(VIRTUAL_CATALOG);
         let probe = FaultVfs::new();
-        if let Err(e) = old.save_to_file_with(&catalog, &probe, CommitProtocol::Sound) {
+        if let Err(e) = old.save_to_file_with(catalog, &probe, CommitProtocol::Sound) {
             report.errors.push(format!("{}: probe save (old) failed: {e}", w.name));
             continue;
         }
         probe.record();
-        if let Err(e) = new.save_to_file_with(&catalog, &probe, CommitProtocol::Sound) {
+        if let Err(e) = new.save_to_file_with(catalog, &probe, CommitProtocol::Sound) {
             report.errors.push(format!("{}: probe save (new) failed: {e}", w.name));
             continue;
         }
-        let total = probe.op_count();
+        let sweep = Sweep {
+            w,
+            old: &old,
+            new: &new,
+            total: probe.op_count(),
+            scratch: &scratch,
+            patterns: &patterns,
+            expected: &expected,
+        };
+        let points = fault_schedule(sweep.total, limit);
 
         // The sound protocol: every fault point must land old or new.
         for mode in [CrashMode::DropUnsynced, CrashMode::TornSector] {
-            for k in fault_schedule(total, limit) {
+            for &k in &points {
                 report.fault_points += 1;
-                match replay_fault_point(
-                    w,
-                    &old,
-                    &new,
-                    CommitProtocol::Sound,
-                    k,
-                    total,
-                    mode,
-                    &scratch,
-                    &patterns,
-                    &expected,
-                ) {
+                match sweep.replay(CommitProtocol::Sound, k, mode) {
                     Ok(gen) if gen == OLD_GEN => report.reopened_old += 1,
                     Ok(_) => report.reopened_new += 1,
                     Err(e) => report.errors.push(e),
@@ -302,26 +304,9 @@ pub fn run_crash_matrix(limit: Option<usize>) -> CrashMatrixReport {
 
         // The seeded bug: the same sweep must catch TocBeforeSegmentSync —
         // if every fault point still reopens clean, the harness is blind.
-        let mut caught = false;
-        for k in fault_schedule(total, limit) {
-            if replay_fault_point(
-                w,
-                &old,
-                &new,
-                CommitProtocol::TocBeforeSegmentSync,
-                k,
-                total,
-                CrashMode::DropUnsynced,
-                &scratch,
-                &patterns,
-                &expected,
-            )
-            .is_err()
-            {
-                caught = true;
-                break;
-            }
-        }
+        let caught = points.iter().any(|&k| {
+            sweep.replay(CommitProtocol::TocBeforeSegmentSync, k, CrashMode::DropUnsynced).is_err()
+        });
         if !caught {
             report.seeded_bug_caught = false;
             report.errors.push(format!(
@@ -331,12 +316,8 @@ pub fn run_crash_matrix(limit: Option<usize>) -> CrashMatrixReport {
             ));
         }
     }
-    let _ = std::fs::remove_dir_all(&scratch);
+    let _ = std::fs::remove_file(&scratch);
     report
-}
-
-fn scratch_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("era-crash-matrix-{}", std::process::id()))
 }
 
 #[cfg(test)]

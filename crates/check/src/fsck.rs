@@ -1,566 +1,115 @@
-//! Deep verification of on-disk index artifacts (`era-check fsck`).
+//! Deep verification of a persisted index (`era-check fsck`).
 //!
-//! Two on-disk layouts are verified:
-//!
-//! **The single-file catalog** (`index.eracat`, `ERACAT1`) written by
-//! `SuffixIndex::save_to_dir`/`save_to_file`: the parser itself re-derives
-//! the whole format — header magic/version, footer-located checksummed TOC,
-//! per-segment checksums, strict segment contiguity (no unaccounted byte
-//! anywhere in the file) — so fsck runs it and reports its findings as
-//! diagnostics; any legacy scattered artifact next to a catalog is flagged
-//! as stale. With [`FsckOptions::deep`] the catalog's text is materialized
-//! and its tree validated against it exactly like the scattered layout.
-//!
-//! **The scattered layout** (`SuffixIndex::save_to_dir_scattered`) holds a
-//! `manifest.era` (`ERAPART1`), one `part-NNNNN.st` flat tree (`ERAFLAT1`,
-//! or legacy `ERASTRE1`) per partition, and the text in one of its two
-//! encodings (`text.era` raw + `text.alphabet` sidecar, or `text.erap`
-//! packed). `fsck` re-derives every structural invariant of those artifacts
-//! from the bytes:
-//!
-//! * manifest magic, prefix table coherence, no trailing bytes;
-//! * per part file: magic, exact file length (truncation *and* trailing
-//!   garbage are distinct findings), then the full structural pass of
-//!   [`era_suffix_tree::validate_flat_structure`] — child-range bounds and
-//!   non-overlap, reachability from the root, sibling `first_char` ordering,
-//!   leaf/meta-word consistency — plus text-length agreement with the
-//!   manifest;
-//! * text artifact: a packed `text.erap` must parse its `ERAP` header
-//!   (magic, version, bits-per-symbol vs symbol table, exact payload length
-//!   — enforced by `PackedDiskStore::open`), a raw `text.era` must be
-//!   terminated and match the manifest length, with a parseable alphabet
-//!   sidecar when present;
-//! * with [`FsckOptions::deep`]: the text is materialized and every
-//!   partition is validated against it (edge labels, leaf suffixes, prefix
-//!   membership), and across partitions the leaves must cover exactly the
-//!   suffixes `0..text_len` — the same pass `EraConfig::paranoid` runs at
-//!   load time.
-//!
-//! Every defect is reported as a diagnostic [`FsckError`] — never a panic,
-//! never a silently wrong answer.
+//! An index persists as one `ERACAT1` catalog file, and opening one already
+//! re-derives the whole format from the bytes — header, footer-located
+//! checksummed TOC, per-segment checksums, strict segment contiguity (no
+//! unaccounted byte anywhere in the file), and the full structural pass of
+//! [`era_suffix_tree::validate_flat_structure`] over every group segment.
+//! fsck has no parser or validator of its own: it runs the product's open
+//! path and reports what that finds. Deep mode opens paranoid
+//! ([`EraConfig::paranoid`]): every partition is validated against the
+//! materialized text, and the leaves must cover exactly `0..text_len`.
 
-use std::fmt;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use era_string_store::{Alphabet, PackedCodec, PackedDiskStore, StringStore, TERMINAL};
-use era_suffix_tree::catalog::{Catalog, CatalogText};
-use era_suffix_tree::{validate_partitioned, FlatTree, PartitionedSuffixTree};
+use era::{EraConfig, SuffixIndex};
 
-/// Options for one fsck run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FsckOptions {
-    /// Also run the text-backed deep validation (costs O(text × depth) and
-    /// materializes the text).
-    pub deep: bool,
-}
-
-/// One verification failure, attributed to the artifact it was found in.
-#[derive(Debug, Clone)]
-pub struct FsckError {
-    /// The offending file.
-    pub artifact: PathBuf,
-    /// What is wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for FsckError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.artifact.display(), self.message)
-    }
-}
-
-/// The result of verifying one index directory.
-#[derive(Debug, Default)]
-pub struct FsckReport {
-    /// Artifacts examined (manifest, part files, text files).
-    pub artifacts: usize,
-    /// Flat-tree nodes structurally verified across all partitions.
-    pub nodes_checked: usize,
-    /// Whether the deep (text-backed) pass ran.
-    pub deep: bool,
-    /// Every defect found.
-    pub errors: Vec<FsckError>,
-}
-
-impl FsckReport {
-    /// Whether the directory verified clean.
-    pub fn passed(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    fn fail(&mut self, artifact: &Path, message: impl Into<String>) {
-        self.errors.push(FsckError { artifact: artifact.to_path_buf(), message: message.into() });
-    }
-}
-
-const CATALOG: &str = "index.eracat";
-const MANIFEST: &str = "manifest.era";
-const TEXT_FILE: &str = "text.era";
-const PACKED_TEXT_FILE: &str = "text.erap";
-const ALPHABET_FILE: &str = "text.alphabet";
-const PART_MAGIC: &[u8; 8] = b"ERAPART1";
-const FLAT_MAGIC: &[u8; 8] = b"ERAFLAT1";
-const TREE_MAGIC: &[u8; 8] = b"ERASTRE1";
-
-fn read_u32(bytes: &[u8], off: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(bytes.get(off..off + 4)?.try_into().ok()?))
-}
-
-/// The manifest as fsck parsed it.
-struct Manifest {
-    text_len: u32,
-    prefixes: Vec<Vec<u8>>,
-}
-
-fn check_manifest(path: &Path, report: &mut FsckReport) -> Option<Manifest> {
-    report.artifacts += 1;
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            report.fail(path, format!("unreadable manifest: {e}"));
-            return None;
-        }
-    };
-    if bytes.len() < 16 || &bytes[..8] != PART_MAGIC {
-        report.fail(path, "missing or wrong ERAPART1 magic");
-        return None;
-    }
-    let text_len = read_u32(&bytes, 8)?;
-    let count = read_u32(&bytes, 12)? as usize;
-    let mut off = 16usize;
-    let mut prefixes = Vec::with_capacity(count);
-    for i in 0..count {
-        let Some(plen) = read_u32(&bytes, off) else {
-            report.fail(path, format!("manifest truncated in the prefix table (entry {i})"));
-            return None;
-        };
-        off += 4;
-        let Some(prefix) = bytes.get(off..off + plen as usize) else {
-            report.fail(path, format!("manifest truncated inside prefix {i} ({plen} bytes)"));
-            return None;
-        };
-        prefixes.push(prefix.to_vec());
-        off += plen as usize;
-    }
-    if off != bytes.len() {
-        report.fail(path, format!("{} trailing bytes after the prefix table", bytes.len() - off));
-        return None;
-    }
-    Some(Manifest { text_len, prefixes })
-}
-
-/// Verifies one partition file, returning the parsed tree when it is sound.
-fn check_part(path: &Path, manifest_text_len: u32, report: &mut FsckReport) -> Option<FlatTree> {
-    report.artifacts += 1;
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            report.fail(path, format!("unreadable partition file: {e}"));
-            return None;
-        }
-    };
-    if bytes.len() < 16 {
-        report.fail(path, "too short to hold a tree header");
-        return None;
-    }
-    match &bytes[..8] {
-        m if m == FLAT_MAGIC => {
-            // Exact-length check first: the node records are fixed-size, so
-            // both truncation and trailing garbage are detectable from the
-            // header alone — `read_exact`-based loading would accept trailing
-            // bytes silently.
-            let node_count = read_u32(&bytes, 12)? as usize;
-            // u64 arithmetic: a hostile node count must not overflow here.
-            let expected = 16 + node_count as u64 * 16;
-            if (bytes.len() as u64) < expected {
-                report.fail(
-                    path,
-                    format!(
-                        "truncated: header claims {node_count} nodes ({expected} bytes), file \
-                         holds {}",
-                        bytes.len()
-                    ),
-                );
-                return None;
-            }
-            if bytes.len() as u64 > expected {
-                report.fail(
-                    path,
-                    format!(
-                        "{} trailing bytes after the node records",
-                        bytes.len() as u64 - expected
-                    ),
-                );
-                return None;
-            }
-        }
-        m if m == TREE_MAGIC => {
-            // Legacy construction-form records are variable-length; the
-            // loader's own read_exact sequencing detects truncation.
-        }
-        _ => {
-            report.fail(path, "missing or wrong tree magic (expected ERAFLAT1 or ERASTRE1)");
-            return None;
-        }
-    }
-    // The loader runs the full structural pass (bounds, overlap,
-    // reachability, ordering, leaf/meta consistency) on ERAFLAT1 bytes.
-    let tree = match FlatTree::load(path) {
-        Ok(t) => t,
-        Err(e) => {
-            report.fail(path, e.to_string());
-            return None;
-        }
-    };
-    if tree.text_len() as u32 != manifest_text_len {
-        report.fail(
-            path,
-            format!(
-                "tree records text length {} but the manifest says {manifest_text_len}",
-                tree.text_len()
-            ),
-        );
-        return None;
-    }
-    report.nodes_checked += tree.node_count();
-    Some(tree)
-}
-
-/// Verifies the persisted text, returning the materialized bytes when they
-/// are needed (deep mode) and sound.
-fn check_text(
-    dir: &Path,
-    manifest_text_len: u32,
-    deep: bool,
-    report: &mut FsckReport,
-) -> Option<Vec<u8>> {
-    let packed_path = dir.join(PACKED_TEXT_FILE);
-    let raw_path = dir.join(TEXT_FILE);
-    if packed_path.exists() {
-        report.artifacts += 1;
-        // `open` re-validates the whole ERAP header: magic, version,
-        // bits-per-symbol vs symbol-table size, strictly ascending symbols,
-        // and that the file length matches the packed payload exactly.
-        let store = match PackedDiskStore::open(&packed_path, 64 << 10) {
-            Ok(s) => s,
-            Err(e) => {
-                report.fail(&packed_path, e.to_string());
-                return None;
-            }
-        };
-        if store.len() != manifest_text_len as usize {
-            report.fail(
-                &packed_path,
-                format!(
-                    "packed text decodes to {} symbols but the manifest says {manifest_text_len}",
-                    store.len()
-                ),
-            );
-            return None;
-        }
-        if !deep {
-            return None;
-        }
-        return match store.read_all() {
-            Ok(text) => Some(text),
-            Err(e) => {
-                report.fail(&packed_path, format!("packed text failed to decode: {e}"));
-                None
-            }
-        };
-    }
-    if raw_path.exists() {
-        report.artifacts += 1;
-        let text = match fs::read(&raw_path) {
-            Ok(t) => t,
-            Err(e) => {
-                report.fail(&raw_path, format!("unreadable text: {e}"));
-                return None;
-            }
-        };
-        if text.len() != manifest_text_len as usize {
-            report.fail(
-                &raw_path,
-                format!(
-                    "text holds {} bytes but the manifest says {manifest_text_len}",
-                    text.len()
-                ),
-            );
-            return None;
-        }
-        if text.last() != Some(&TERMINAL) {
-            report.fail(&raw_path, "text is not terminated with the terminal symbol");
-            return None;
-        }
-        let sidecar = dir.join(ALPHABET_FILE);
-        if sidecar.exists() {
-            report.artifacts += 1;
-            match fs::read(&sidecar) {
-                Ok(symbols) => {
-                    if let Err(e) = Alphabet::custom(&symbols) {
-                        report.fail(&sidecar, format!("alphabet sidecar does not parse: {e}"));
-                    }
-                }
-                Err(e) => report.fail(&sidecar, format!("unreadable alphabet sidecar: {e}")),
-            }
-        }
-        return deep.then_some(text);
-    }
-    report.fail(&raw_path, "no persisted text (neither text.era nor text.erap)");
-    None
-}
-
-/// Verifies an `ERACAT1` catalog file: full parse (header, checksummed TOC,
-/// segment contiguity, per-segment checksums, structural tree validation)
-/// and, in deep mode, the text-backed validation of every group.
-fn check_catalog(path: &Path, deep: bool, report: &mut FsckReport) {
-    report.artifacts += 1;
-    let catalog = match Catalog::open(path) {
-        Ok(c) => c,
-        Err(e) => {
-            report.fail(path, e.to_string());
-            return;
-        }
-    };
-    for group in &catalog.groups {
-        report.nodes_checked += group.tree.node_count();
-    }
-    if !deep {
-        return;
-    }
-    let text = match &catalog.text {
-        CatalogText::Raw(t) => t.clone(),
-        CatalogText::Packed(payload) => {
-            let mut body = vec![0u8; catalog.text_len - 1];
-            PackedCodec::new(&catalog.alphabet).unpack(payload, 0, catalog.text_len - 1, &mut body);
-            body.push(TERMINAL);
-            body
-        }
-    };
-    let tree = catalog.into_tree();
-    if let Err(e) = validate_partitioned(&tree, &text) {
-        report.fail(path, format!("deep validation failed: {e}"));
-    }
-}
-
-/// Verifies the index directory `dir`.
-///
-/// A directory holding an `index.eracat` catalog is verified through the
-/// catalog path (with any leftover scattered artifact flagged as stale);
-/// otherwise the scattered layout is verified artifact by artifact.
-///
-/// Always runs the byte-level and structural checks; with
-/// [`FsckOptions::deep`] additionally validates every tree against the
-/// materialized text. All defects are collected (one per artifact at most —
-/// an artifact's first defect masks its later ones), never panicking on
-/// corrupt input.
-pub fn fsck_dir(dir: &Path, options: FsckOptions) -> FsckReport {
-    let mut report = FsckReport { deep: options.deep, ..FsckReport::default() };
-    let catalog_path = dir.join(CATALOG);
-    if catalog_path.exists() {
-        check_catalog(&catalog_path, options.deep, &mut report);
-        // A committed catalog supersedes every scattered artifact; any left
-        // behind means the retire sequence did not complete — they are
-        // ignored by the loader (the catalog wins) but the directory does
-        // not round-trip, so flag them.
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let scattered = name == MANIFEST
-                    || name == TEXT_FILE
-                    || name == PACKED_TEXT_FILE
-                    || name == ALPHABET_FILE
-                    || (name.starts_with("part-") && name.ends_with(".st"));
-                if scattered {
-                    report.fail(
-                        &entry.path(),
-                        "stale scattered artifact: superseded by the index.eracat catalog",
-                    );
-                }
-            }
-        }
-        return report;
-    }
-    let manifest_path = dir.join(MANIFEST);
-    let Some(manifest) = check_manifest(&manifest_path, &mut report) else {
-        return report;
-    };
-
-    let mut all_parts_ok = true;
-    for i in 0..manifest.prefixes.len() {
-        let part_path = dir.join(format!("part-{i:05}.st"));
-        if check_part(&part_path, manifest.text_len, &mut report).is_none() {
-            all_parts_ok = false;
-        }
-    }
-
-    // Stale partition files (a re-save with fewer partitions leaves them
-    // behind): they are ignored by the loader, but their presence means the
-    // directory does not round-trip byte-for-byte, so flag them.
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(idx) = name
-                .strip_prefix("part-")
-                .and_then(|r| r.strip_suffix(".st"))
-                .and_then(|n| n.parse::<usize>().ok())
-            {
-                if idx >= manifest.prefixes.len() {
-                    report.fail(
-                        &entry.path(),
-                        format!(
-                            "stale partition file: manifest lists only {} partitions",
-                            manifest.prefixes.len()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    let text = check_text(dir, manifest.text_len, options.deep, &mut report);
-
-    if options.deep && all_parts_ok {
-        if let Some(text) = text {
-            // Reuse the serving loader (structural checks included) and the
-            // full text-backed validator: edge labels, leaf suffixes, prefix
-            // membership, exact suffix coverage across partitions.
-            match PartitionedSuffixTree::load_from_dir(dir) {
-                Ok(tree) => {
-                    if let Err(e) = validate_partitioned(&tree, &text) {
-                        report.fail(dir, format!("deep validation failed: {e}"));
-                    }
-                }
-                Err(e) => report.fail(dir, format!("index failed to load: {e}")),
-            }
-        }
-    }
-    report
+/// Verifies the `ERACAT1` catalog file at `path`, returning the number of
+/// flat-tree nodes verified or the first defect as a diagnostic — never a
+/// panic, never a silently wrong answer. `deep` adds the text-backed
+/// validation (O(text × depth), materializes the text).
+pub fn fsck_file(path: &Path, deep: bool) -> Result<usize, String> {
+    let config = EraConfig { paranoid: deep, ..EraConfig::default() };
+    let index = SuffixIndex::open_file_with(path, &config)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(index.tree().partitions().iter().map(|p| p.tree.node_count()).sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use era::SuffixIndex;
+    use std::fs;
+    use std::path::PathBuf;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("era-fsck-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn temp_catalog(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("era-fsck-{name}-{}.eracat", std::process::id()))
     }
 
-    fn save_index(dir: &Path, packed: bool) {
+    fn save_catalog_index(path: &Path, packed: bool) {
         SuffixIndex::builder()
             .packed(packed)
             .build_from_bytes(b"GATTACAGATTACAGGATCCGATTACA")
             .unwrap()
-            .save_to_dir_scattered(dir)
+            .save_to_file(path)
             .unwrap();
     }
 
-    fn save_catalog_index(dir: &Path, packed: bool) {
-        SuffixIndex::builder()
-            .packed(packed)
-            .build_from_bytes(b"GATTACAGATTACAGGATCCGATTACA")
-            .unwrap()
-            .save_to_dir(dir)
-            .unwrap();
-    }
-
-    #[test]
-    fn clean_index_passes_shallow_and_deep() {
-        for packed in [false, true] {
-            let dir = temp_dir(if packed { "clean-packed" } else { "clean-raw" });
-            save_index(&dir, packed);
-            let shallow = fsck_dir(&dir, FsckOptions::default());
-            assert!(shallow.passed(), "{:?}", shallow.errors);
-            assert!(shallow.nodes_checked > 0);
-            let deep = fsck_dir(&dir, FsckOptions { deep: true });
-            assert!(deep.passed(), "{:?}", deep.errors);
-            fs::remove_dir_all(&dir).unwrap();
-        }
+    fn assert_clean(path: &Path) {
+        assert!(fsck_file(path, false).unwrap() > 0);
+        assert!(fsck_file(path, true).unwrap() > 0);
     }
 
     #[test]
     fn clean_catalog_passes_shallow_and_deep() {
         for packed in [false, true] {
-            let dir = temp_dir(if packed { "cat-clean-packed" } else { "cat-clean-raw" });
-            save_catalog_index(&dir, packed);
-            assert!(dir.join(CATALOG).exists());
-            let shallow = fsck_dir(&dir, FsckOptions::default());
-            assert!(shallow.passed(), "{:?}", shallow.errors);
-            assert!(shallow.nodes_checked > 0);
-            let deep = fsck_dir(&dir, FsckOptions { deep: true });
-            assert!(deep.passed(), "{:?}", deep.errors);
-            fs::remove_dir_all(&dir).unwrap();
+            let path = temp_catalog(if packed { "clean-packed" } else { "clean-raw" });
+            save_catalog_index(&path, packed);
+            assert_clean(&path);
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn clean_index_passes_shallow_and_deep() {
+        // An index reopened with its text left on disk re-saves (through the
+        // region store) to a catalog that verifies clean.
+        for packed in [false, true] {
+            let path = temp_catalog(if packed { "resave-packed" } else { "resave-raw" });
+            save_catalog_index(&path, packed);
+            let on_disk = EraConfig { memory_budget: 1, ..EraConfig::default() };
+            let reopened = SuffixIndex::open_file_with(&path, &on_disk).unwrap();
+            assert!(reopened.store().is_some());
+            let resaved = temp_catalog(if packed { "resaved-packed" } else { "resaved-raw" });
+            reopened.save_to_file(&resaved).unwrap();
+            assert_eq!(fs::read(&resaved).unwrap(), fs::read(&path).unwrap());
+            assert_clean(&resaved);
+            fs::remove_file(&path).unwrap();
+            fs::remove_file(&resaved).unwrap();
         }
     }
 
     #[test]
     fn corrupted_catalog_is_a_diagnostic() {
-        let dir = temp_dir("cat-corrupt");
-        save_catalog_index(&dir, false);
-        let path = dir.join(CATALOG);
+        let path = temp_catalog("corrupt");
+        save_catalog_index(&path, false);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         fs::write(&path, &bytes).unwrap();
-        let report = fsck_dir(&dir, FsckOptions::default());
-        assert!(!report.passed(), "a flipped catalog byte must be detected");
-        assert!(report.errors[0].artifact.ends_with(CATALOG));
-        fs::remove_dir_all(&dir).unwrap();
+        let diagnostic = fsck_file(&path, false).expect_err("a flipped byte must be detected");
+        assert!(diagnostic.starts_with(&path.display().to_string()), "{diagnostic}");
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn scattered_leftovers_next_to_a_catalog_are_flagged() {
-        let dir = temp_dir("cat-stale");
-        save_catalog_index(&dir, false);
-        fs::write(dir.join(MANIFEST), b"left behind").unwrap();
-        fs::write(dir.join("part-00000.st"), b"left behind").unwrap();
-        let report = fsck_dir(&dir, FsckOptions::default());
-        assert_eq!(
-            report.errors.iter().filter(|e| e.message.contains("stale scattered")).count(),
-            2,
-            "{:?}",
-            report.errors
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_manifest_is_a_diagnostic() {
-        let dir = temp_dir("no-manifest");
-        let report = fsck_dir(&dir, FsckOptions::default());
-        assert_eq!(report.errors.len(), 1);
-        assert!(report.errors[0].message.contains("unreadable manifest"));
-        fs::remove_dir_all(&dir).unwrap();
+    fn missing_catalog_is_a_diagnostic() {
+        assert!(fsck_file(&temp_catalog("missing"), false).is_err());
     }
 
     #[test]
     fn flipped_child_range_byte_fails_fsck() {
-        let dir = temp_dir("bitflip");
-        save_index(&dir, false);
-        let part = dir.join("part-00000.st");
-        let mut bytes = fs::read(&part).unwrap();
-        // Node records start at offset 16; word 2 (offset +8) of each record
-        // is the child-range start. Flip a bit in the root's.
-        bytes[16 + 8] ^= 0x40;
-        fs::write(&part, &bytes).unwrap();
-        let report = fsck_dir(&dir, FsckOptions::default());
-        assert!(!report.passed(), "a flipped child-range byte must be detected");
-        assert!(report.errors[0].artifact.ends_with("part-00000.st"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_partition_file_is_flagged() {
-        let dir = temp_dir("stale");
-        save_index(&dir, false);
-        fs::copy(dir.join("part-00000.st"), dir.join("part-00007.st")).unwrap();
-        let report = fsck_dir(&dir, FsckOptions::default());
-        assert!(report.errors.iter().any(|e| e.message.contains("stale partition file")));
-        fs::remove_dir_all(&dir).unwrap();
+        let path = temp_catalog("bitflip");
+        save_catalog_index(&path, false);
+        let mut bytes = fs::read(&path).unwrap();
+        // The first group segment follows the 16-byte header and the 28-byte
+        // raw text; its node records start 16 bytes in, and word 2 (offset
+        // +8) of each record is the child-range start. Flip a bit in the
+        // root's.
+        let segment = 16 + 28;
+        assert_eq!(&bytes[segment..segment + 8], b"ERAFLAT1");
+        bytes[segment + 16 + 8] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        assert!(fsck_file(&path, false).is_err(), "a flipped child-range byte must be detected");
+        fs::remove_file(&path).unwrap();
     }
 }

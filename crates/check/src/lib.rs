@@ -27,17 +27,16 @@
 //!   header-sized allocation, or a direct index. The static complement of
 //!   [`fsck`]: fsck proves the artifacts honest, taint proves the parsers
 //!   safe against the dishonest ones.
-//! - [`fsck`] — deep verification of on-disk index artifacts (the `ERACAT1`
-//!   single-file catalog, plus the scattered layout's `ERAFLAT1` part files,
-//!   `ERAPART1` manifests and `ERAP` packed text), reusing the
-//!   `era-suffix-tree` validators so a corrupted artifact is rejected with a
-//!   diagnostic instead of serving wrong answers.
+//! - [`fsck`] — deep verification of a persisted index (the `ERACAT1`
+//!   single-file catalog), reusing the `era-suffix-tree` catalog parser and
+//!   validators so a corrupted catalog is rejected with a diagnostic instead
+//!   of serving wrong answers.
 //! - [`crash`] — the deterministic crash-matrix harness: every fault point
 //!   of a recorded catalog save is replayed through a fault-injecting
 //!   [`FaultVfs`](era_string_store::FaultVfs), the post-crash durable state
-//!   reopened and fscked, and the result must be byte-identically the old or
-//!   the new generation; the seeded broken commit protocol must be caught,
-//!   or the harness fails itself.
+//!   fscked and reopened in both open modes, and the result must be
+//!   byte-identically the old or the new generation; the seeded broken
+//!   commit protocol must be caught, or the harness fails itself.
 //! - [`real`] (with the `shim-sync` feature) — the *real* concurrent code of
 //!   the workspace, exhaustively interleaved: `era-string-store` and `era`
 //!   compile their sync primitives against the vendored loom-style shims

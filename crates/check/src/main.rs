@@ -3,10 +3,10 @@
 //! ```text
 //! era-check lint [--format=github|json] [workspace-root]   # semantic source lints
 //! era-check taint [--format=github|json] [workspace-root]  # untrusted-input dataflow
-//! era-check fsck [--deep] <index-dir>                      # verify on-disk index artifacts
+//! era-check fsck [--deep] <catalog-file>                   # verify a persisted index catalog
 //! era-check interleave                                     # real code under every interleaving
 //! era-check crash-matrix [--limit=N]                       # every-fault-point catalog crash sweep
-//! era-check demo-index <dir>                               # build a small index (CI fsck prey)
+//! era-check demo-index <catalog-file>                     # build a small index (CI fsck prey)
 //! era-check all [workspace-root]                           # lint + taint + interleave
 //! ```
 //!
@@ -27,7 +27,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use era_check::fsck::{fsck_dir, FsckOptions};
+use era_check::fsck::fsck_file;
 use era_check::lint::{find_workspace_root, lint_workspace};
 use era_check::taint::taint_workspace;
 
@@ -69,17 +69,17 @@ fn main() -> ExitCode {
         }
         Some("fsck") => {
             let mut deep = false;
-            let mut dir = None;
+            let mut path = None;
             for arg in args {
                 match arg {
                     "--deep" => deep = true,
-                    other if dir.is_none() => dir = Some(PathBuf::from(other)),
+                    other if path.is_none() => path = Some(PathBuf::from(other)),
                     other => return usage(&format!("unexpected argument {other:?}")),
                 }
             }
-            match dir {
-                Some(dir) => run_fsck(&dir, deep),
-                None => usage("fsck needs an index directory"),
+            match path {
+                Some(path) => run_fsck(&path, deep),
+                None => usage("fsck needs a catalog file"),
             }
         }
         Some("interleave") => run_interleave(),
@@ -94,8 +94,8 @@ fn main() -> ExitCode {
             run_crash_matrix(limit)
         }
         Some("demo-index") => match args.next() {
-            Some(dir) => run_demo_index(Path::new(dir)),
-            None => usage("demo-index needs a target directory"),
+            Some(path) => run_demo_index(Path::new(path)),
+            None => usage("demo-index needs a target catalog file"),
         },
         Some("all") => {
             let root = args.next().map(PathBuf::from);
@@ -118,8 +118,8 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("era-check: {problem}");
     eprintln!(
         "usage: era-check lint [--format=github|json] [root] | \
-         taint [--format=github|json] [root] | fsck [--deep] <dir> | interleave | \
-         crash-matrix [--limit=N] | demo-index <dir> | all [root]"
+         taint [--format=github|json] [root] | fsck [--deep] <catalog> | interleave | \
+         crash-matrix [--limit=N] | demo-index <catalog> | all [root]"
     );
     ExitCode::FAILURE
 }
@@ -307,22 +307,18 @@ fn run_taint(root: Option<PathBuf>, format: LintFormat) -> ExitCode {
     }
 }
 
-fn run_fsck(dir: &Path, deep: bool) -> ExitCode {
-    let report = fsck_dir(dir, FsckOptions { deep });
-    for error in &report.errors {
-        println!("{error}");
-    }
-    println!(
-        "era-check fsck: {} artifact(s), {} node(s){}, {} error(s)",
-        report.artifacts,
-        report.nodes_checked,
-        if report.deep { ", deep" } else { "" },
-        report.errors.len()
-    );
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+fn run_fsck(path: &Path, deep: bool) -> ExitCode {
+    let mode = if deep { ", deep" } else { "" };
+    match fsck_file(path, deep) {
+        Ok(nodes) => {
+            println!("era-check fsck: {nodes} node(s){mode}, 0 error(s)");
+            ExitCode::SUCCESS
+        }
+        Err(diagnostic) => {
+            println!("{diagnostic}");
+            println!("era-check fsck: 1 error(s){mode}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -378,7 +374,7 @@ fn run_crash_matrix(limit: Option<usize>) -> ExitCode {
     }
 }
 
-fn run_demo_index(dir: &Path) -> ExitCode {
+fn run_demo_index(path: &Path) -> ExitCode {
     // A small deterministic DNA-like text with repeats, so the index has
     // multiple partitions and non-trivial structure for fsck to chew on.
     let mut body = Vec::new();
@@ -389,10 +385,10 @@ fn run_demo_index(dir: &Path) -> ExitCode {
         .memory_budget(1 << 20)
         .packed(true)
         .build_from_bytes(&body)
-        .and_then(|index| index.save_to_dir(dir));
+        .and_then(|index| index.save_to_file(path));
     match result {
         Ok(()) => {
-            println!("era-check demo-index: wrote a packed demo index to {}", dir.display());
+            println!("era-check demo-index: wrote a packed demo catalog to {}", path.display());
             ExitCode::SUCCESS
         }
         Err(e) => {

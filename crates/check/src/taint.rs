@@ -1,7 +1,7 @@
 //! Untrusted-input taint tracking over the workspace call graph.
 //!
-//! The artifact formats (`ERAP` packed text, `ERAFLAT1` arenas, `ERAPART1`
-//! manifests) are parsed from hostile bytes. [`crate::fsck`] verifies the
+//! The artifact formats (`ERAP` packed text, `ERAFLAT1` arenas, the `ERACAT1`
+//! catalog) are parsed from hostile bytes. [`crate::fsck`] verifies the
 //! artifacts themselves; this pass verifies the *code that reads them*: no
 //! value derived from untrusted input may reach unchecked arithmetic, a
 //! truncating cast, an allocation size, or a slice index without passing
@@ -9,7 +9,7 @@
 //!
 //! | | |
 //! |---|---|
-//! | **Sources** | byte-slice parameters and `read_exact`/`read_at`/`read`-filled buffers of *parser functions* (fns named `parse_*`/`open`/`open_*`/`load_*`/`deserialize*`, or carrying `// era-check: source`); `uNN::from_le_bytes`-family results in parser fns; single bytes read out of a tainted buffer; calls to fns whose return is tainted (interprocedural summaries). |
+//! | **Sources** | byte-slice parameters and `read_exact`/`read_at`/`read`-filled buffers of *parser functions* (fns named `parse_*`/`open`/`open_*`/`load_*`/`deserialize*`, or carrying `// era-check: source`); `uNN::from_le_bytes`-family results in parser fns, and in *any* fn that applies them to one of its own byte-slice parameters and hands the value out through `return`, `Some(..)` or `Ok(..)`; single bytes read out of a tainted buffer; calls to fns whose return is tainted (interprocedural summaries). |
 //! | **Sinks** | `taint-arith`: bare `+`/`-`/`*`/`<<` (incl. compound assigns) with a tainted operand of width ≥ 32; `taint-cast`: `as` casts that narrow a tainted value (`usize` counts as 32-bit when a target, so `u64 as usize` is flagged and `u32 as usize` is not); `taint-alloc`: `Vec::with_capacity`/`.with_capacity`/`.reserve`/`vec![_; n]` sized by a tainted value of width ≥ 32; `taint-index`: `x[i]` where `i` is tainted with width ≥ 16 (u8 indexes into 256-entry tables are the standard safe idiom). |
 //! | **Sanitizers** | `.try_into()`/`T::try_from(..)`, `.checked_*`/`.saturating_*` chains, `.min(..)`/`.clamp(..)`, widening `as u128`/`as i128`, an *ordered* comparison (`<`/`<=`/`>`/`>=`) with the value (equality against a constant does **not** bound a value and sanitizes nothing), and a reasoned `// era-check: sanitized(taint): why` directive. |
 //! | **Suppression** | the shared allow machinery: `// era-check: allow(taint-*): why` on the sink line, the preceding line, or the fn declaration. |
@@ -363,6 +363,9 @@ struct FnPass<'a> {
     tainted: HashMap<String, Taint>,
     /// Tainted byte buffers (filled from outside the trust boundary).
     buffers: std::collections::HashSet<String>,
+    /// The fn's `&[u8]`-ish parameters, parser or not: decoding one with
+    /// `from_le_bytes` and handing the value out makes any fn a source.
+    slice_params: std::collections::HashSet<String>,
     /// Taint of the expression currently being read, left to right.
     reg: Option<Taint>,
     /// Call-summary taints to apply once the walk passes the call's `)`.
@@ -402,6 +405,7 @@ impl<'a> FnPass<'a> {
             collect,
             tainted: HashMap::new(),
             buffers: std::collections::HashSet::new(),
+            slice_params: std::collections::HashSet::new(),
             reg: None,
             pending: Vec::new(),
             stmt_taint: None,
@@ -414,14 +418,16 @@ impl<'a> FnPass<'a> {
             findings: Vec::new(),
             allows_used: 0,
         };
+        pass.collect_byte_slice_params();
         if pass.parser {
-            pass.seed_byte_slice_params();
+            pass.buffers = pass.slice_params.clone();
         }
         pass
     }
 
-    /// Marks every `&[u8]`-ish parameter of a parser fn as a tainted buffer.
-    fn seed_byte_slice_params(&mut self) {
+    /// Records every `&[u8]`-ish parameter of the fn; in a parser fn they
+    /// are tainted buffers.
+    fn collect_byte_slice_params(&mut self) {
         let (ss, se) = self.info.sig;
         let toks = &self.toks[ss..se.min(self.toks.len())];
         // Find the parameter parens.
@@ -476,7 +482,7 @@ impl<'a> FnPass<'a> {
     fn finish_param(&mut self, name: Option<&str>, ty: &[&str], ty_has_bracket: bool) {
         if let Some(n) = name {
             if ty_has_bracket && ty.contains(&"u8") {
-                self.buffers.insert(n.to_string());
+                self.slice_params.insert(n.to_string());
             }
         }
     }
@@ -560,7 +566,16 @@ impl<'a> FnPass<'a> {
         let mut k = 0usize;
         while k < slice.len() {
             if let Some(id) = slice[k].ident() {
-                if FROM_BYTES.contains(&id) && self.parser {
+                // A source in a parser fn — and in *any* fn when it decodes
+                // one of the fn's own byte-slice parameters: a helper like
+                // `fn read_u32(bytes: &[u8], off) -> Option<u32>` hands a
+                // header field to its callers whatever it is named.
+                let decodes_param = || {
+                    let args =
+                        &slice[(k + 1).min(slice.len())..group_end(slice, k + 1).min(slice.len())];
+                    args.iter().any(|t| t.ident().is_some_and(|a| self.slice_params.contains(a)))
+                };
+                if FROM_BYTES.contains(&id) && (self.parser || decodes_param()) {
                     // The qualifier sits before the `::` pair: `u32 : : id`.
                     let qual = (k >= 3 && slice[k - 1].is_punct(':') && slice[k - 2].is_punct(':'))
                         .then(|| slice[k - 3].ident())

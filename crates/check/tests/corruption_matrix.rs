@@ -1,27 +1,26 @@
 //! Corruption matrix: systematic single-bit-flip, truncation and
-//! trailing-garbage mutations over every on-disk artifact, asserting that
-//! `era-check fsck --deep` rejects **every** mutation with a diagnostic —
-//! never a panic, never a silent pass.
+//! trailing-garbage mutations over every on-disk format, asserting that
+//! **every** mutation is rejected with a diagnostic — never a panic, never a
+//! silent pass, never a header-sized allocation (CI runs this suite under an
+//! address-space limit).
 //!
 //! The matrix is exhaustive where the format makes exhaustiveness possible:
 //!
-//! * `manifest.era` — every bit of every byte;
-//! * `part-NNNNN.st` (`ERAFLAT1`) — every bit of every byte. The flat record
-//!   format was deliberately tightened so this holds: reserved meta bits and
-//!   the root's unused fields must be zero, every other field is re-derived
-//!   from the text by the deep pass;
-//! * `text.erap` (`ERAP`) — every bit of the fixed header and symbol table.
-//!   Payload bits are **excluded**: the packed format carries no checksum, so
-//!   an interior symbol flip is only detectable where the tree disagrees with
-//!   the decoded text. (Symbol-*table* flips corrupt every occurrence of a
-//!   symbol at once, which the deep pass always sees.)
-//! * truncations at a spread of lengths and appended trailing garbage, for
-//!   each artifact;
-//! * `index.eracat` (`ERACAT1`) — every bit of every byte (header, text
-//!   segment, tree segments, TOC and footer: the per-segment checksums and
-//!   strict contiguity make the *whole file* load-bearing), truncation at
-//!   every possible length, and adversarial TOC values behind a recomputed
-//!   checksum.
+//! * `ERACAT1` catalog — every bit of every byte (the per-segment checksums
+//!   and strict contiguity make the *whole file* load-bearing), truncation at
+//!   every length, and adversarial TOC values behind a recomputed checksum.
+//!   Each mutation must be rejected by **both** open modes: the whole-image
+//!   one (`era-check fsck --deep`) and the streaming one that leaves the text
+//!   on disk (`open_file_with` under a budget below the text segment).
+//! * `ERAFLAT1` segment — every bit of every byte of a bare segment, without
+//!   a checksum in front of it. The flat record format was deliberately
+//!   tightened so this holds: reserved meta bits and the root's unused fields
+//!   must be zero, every other field is re-derived from the text by the deep
+//!   pass.
+//! * `ERAP` packed text file (a build input) — every bit of the fixed header
+//!   and symbol table, and every truncation. Payload bits are **excluded**:
+//!   the standalone format has no checksum (a catalog's segment checksum
+//!   covers them).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -29,284 +28,100 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use era::SuffixIndex;
-use era_check::fsck::{fsck_dir, FsckOptions};
+use era::{EraConfig, SuffixIndex};
+use era_check::fsck::fsck_file;
+use era_string_store::{Alphabet, PackedDiskStore, StringStore};
+use era_suffix_tree::serialize::{read_flat_tree, write_flat_tree};
+use era_suffix_tree::{validate_partitioned, FlatPartition, PartitionedSuffixTree};
 
 const TEXT: &[u8] = b"GATTACAGATTACAGGATCCGATTACA";
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("era-matrix-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("era-matrix-{name}-{}", std::process::id()))
 }
 
-fn build_index(dir: &Path, packed: bool) {
+fn build_catalog(path: &Path, packed: bool) {
     SuffixIndex::builder()
         .packed(packed)
         .build_from_bytes(TEXT)
         .unwrap()
-        .save_to_dir_scattered(dir)
+        .save_to_file(path)
         .unwrap();
 }
 
-fn build_catalog_index(dir: &Path, packed: bool) {
-    SuffixIndex::builder().packed(packed).build_from_bytes(TEXT).unwrap().save_to_dir(dir).unwrap();
+/// The budget under which `open_file_with` leaves any text segment on disk.
+fn on_disk() -> EraConfig {
+    EraConfig { memory_budget: 1, ..EraConfig::default() }
 }
 
-fn assert_clean(dir: &Path) {
-    let report = fsck_dir(dir, FsckOptions { deep: true });
-    assert!(report.passed(), "pristine index must verify clean: {:?}", report.errors);
+fn assert_clean(path: &Path) {
+    fsck_file(path, true).expect("pristine catalog must verify clean");
+    assert!(SuffixIndex::open_file_with(path, &on_disk()).unwrap().store().is_some());
 }
 
-/// Flips every bit of `file` within `byte_range` (one at a time), running a
-/// deep fsck after each flip and restoring the pristine bytes afterwards.
-fn flip_matrix(dir: &Path, file: &str, byte_range: std::ops::Range<usize>) {
-    let path = dir.join(file);
-    let pristine = fs::read(&path).unwrap();
-    for offset in byte_range {
-        for bit in 0..8u8 {
-            let mut bytes = pristine.clone();
-            bytes[offset] ^= 1 << bit;
-            fs::write(&path, &bytes).unwrap();
-            let report = fsck_dir(dir, FsckOptions { deep: true });
-            assert!(
-                !report.passed(),
-                "{file}: flipping bit {bit} of byte {offset} went undetected"
-            );
-            assert!(
-                report.errors.iter().all(|e| !e.message.is_empty()),
-                "{file}: byte {offset} bit {bit} produced an empty diagnostic"
-            );
-        }
-    }
-    fs::write(&path, &pristine).unwrap();
-}
-
-/// Truncates `file` to a spread of shorter lengths (every boundary-ish
-/// length plus a coarse stride through the middle) and appends trailing
-/// garbage, running a deep fsck after each mutation.
-fn length_matrix(dir: &Path, file: &str) {
-    let path = dir.join(file);
-    let pristine = fs::read(&path).unwrap();
-    let len = pristine.len();
-    let mut cuts: Vec<usize> = vec![0, 1, 7, 8, 15, 16, len.saturating_sub(1)];
-    let stride = (len / 13).max(1);
-    cuts.extend((0..len).step_by(stride));
-    cuts.retain(|&c| c < len);
-    cuts.sort_unstable();
-    cuts.dedup();
-    for cut in cuts {
-        fs::write(&path, &pristine[..cut]).unwrap();
-        let report = fsck_dir(dir, FsckOptions { deep: true });
-        assert!(!report.passed(), "{file}: truncation to {cut} of {len} bytes went undetected");
-    }
-    for extra in [1usize, 7] {
-        let mut bytes = pristine.clone();
-        bytes.extend(std::iter::repeat_n(0xAA, extra));
-        fs::write(&path, &bytes).unwrap();
-        let report = fsck_dir(dir, FsckOptions { deep: true });
-        assert!(!report.passed(), "{file}: {extra} trailing garbage bytes went undetected");
-    }
-    fs::write(&path, &pristine).unwrap();
-}
-
-fn part_files(dir: &Path) -> Vec<String> {
-    let mut parts: Vec<String> = fs::read_dir(dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("part-") && n.ends_with(".st"))
-        .collect();
-    parts.sort();
-    assert!(!parts.is_empty());
-    parts
-}
-
-#[test]
-fn every_bit_of_every_flat_tree_record_is_load_bearing() {
-    let dir = temp_dir("flat-bits");
-    build_index(&dir, false);
-    assert_clean(&dir);
-    for part in part_files(&dir) {
-        let len = fs::read(dir.join(&part)).unwrap().len();
-        flip_matrix(&dir, &part, 0..len);
-        assert_clean(&dir);
-    }
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn every_bit_of_the_manifest_is_load_bearing() {
-    let dir = temp_dir("manifest-bits");
-    build_index(&dir, false);
-    assert_clean(&dir);
-    let len = fs::read(dir.join("manifest.era")).unwrap().len();
-    flip_matrix(&dir, "manifest.era", 0..len);
-    assert_clean(&dir);
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn every_bit_of_the_packed_text_header_and_symbol_table_is_load_bearing() {
-    let dir = temp_dir("erap-bits");
-    build_index(&dir, true);
-    assert_clean(&dir);
-    // ERAP layout: 4 magic + 2 version + 1 bits + 1 table-len + 8 text-len,
-    // then the symbol table (its length sits in header byte 7).
-    let header_fixed = 16usize;
-    let table_len = fs::read(dir.join("text.erap")).unwrap()[7] as usize;
-    assert!(table_len > 0);
-    flip_matrix(&dir, "text.erap", 0..header_fixed + table_len);
-    assert_clean(&dir);
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn truncations_and_trailing_garbage_are_rejected_on_every_artifact() {
-    let dir = temp_dir("lengths");
-    build_index(&dir, true);
-    assert_clean(&dir);
-    length_matrix(&dir, "manifest.era");
-    length_matrix(&dir, "text.erap");
-    for part in part_files(&dir) {
-        length_matrix(&dir, &part);
-    }
-    assert_clean(&dir);
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn raw_text_length_and_terminator_mutations_are_rejected() {
-    // The raw text has no checksum, so interior content flips are only
-    // detectable through tree disagreement (not guaranteed for every bit);
-    // the *length* and the terminal byte are always enforced.
-    let dir = temp_dir("raw-text");
-    build_index(&dir, false);
-    assert_clean(&dir);
-    let path = dir.join("text.era");
-    let pristine = fs::read(&path).unwrap();
-
-    for bit in 0..8u8 {
-        let mut bytes = pristine.clone();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1 << bit;
-        fs::write(&path, &bytes).unwrap();
-        let report = fsck_dir(&dir, FsckOptions { deep: true });
-        assert!(!report.passed(), "flipped terminal byte (bit {bit}) went undetected");
-    }
-    fs::write(&path, &pristine).unwrap();
-
-    length_matrix(&dir, "text.era");
-    assert_clean(&dir);
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Hostile-header fixtures: not random corruption but *adversarial* values —
-/// maxed-out counts and lengths that would truncate under a 32-bit `as`
-/// cast or request multi-GB reservations if the parsers trusted them. These
-/// are the dynamic twins of the `era-check taint` sinks: every case must
-/// come back as a diagnostic `Err`, never a panic, never a huge allocation.
-#[test]
-fn hostile_header_lengths_are_rejected_without_panics() {
-    use era_string_store::PackedDiskStore;
-    use era_suffix_tree::{FlatTree, PartitionedSuffixTree};
-
-    let dir = temp_dir("hostile-headers");
-
-    // ERAFLAT1 claiming u32::MAX nodes, with no records behind the claim:
-    // the clamped preallocation stays small and the record loop hits EOF.
-    let part = dir.join("part-00000.st");
-    let mut bytes = b"ERAFLAT1".to_vec();
-    bytes.extend(27u32.to_le_bytes()); // text_len
-    bytes.extend(u32::MAX.to_le_bytes()); // node_count
-    fs::write(&part, &bytes).unwrap();
-    let err = FlatTree::load(&part).expect_err("u32::MAX node count must be rejected");
-    assert!(!err.to_string().is_empty());
-
-    // Manifest claiming a u32::MAX-byte partition prefix: rejected by the
-    // explicit bound, with the hostile value named in the diagnostic.
-    let manifest = dir.join("manifest.era");
-    let mut bytes = b"ERAPART1".to_vec();
-    bytes.extend(27u32.to_le_bytes()); // text_len
-    bytes.extend(1u32.to_le_bytes()); // partition count
-    bytes.extend(u32::MAX.to_le_bytes()); // prefix length
-    fs::write(&manifest, &bytes).unwrap();
-    let err = PartitionedSuffixTree::load_from_dir(&dir)
-        .expect_err("u32::MAX prefix length must be rejected");
-    assert!(err.to_string().contains("prefix"), "unexpected diagnostic: {err}");
-
-    // Manifest claiming u32::MAX partitions: the clamped preallocation stays
-    // small and the first missing partition record errors out.
-    let mut bytes = b"ERAPART1".to_vec();
-    bytes.extend(27u32.to_le_bytes());
-    bytes.extend(u32::MAX.to_le_bytes());
-    fs::write(&manifest, &bytes).unwrap();
-    let err = PartitionedSuffixTree::load_from_dir(&dir)
-        .expect_err("u32::MAX partition count must be rejected");
-    assert!(!err.to_string().is_empty());
-    fs::remove_dir_all(&dir).unwrap();
-
-    // ERAP claiming a u64::MAX text length: on 32-bit targets the usize
-    // conversion rejects it; on 64-bit the exact file-length equation does.
-    // Either way it is a diagnostic, not a truncated cast.
-    let dir = temp_dir("hostile-erap");
-    build_index(&dir, true);
-    let erap = dir.join("text.erap");
-    let mut bytes = fs::read(&erap).unwrap();
-    bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    fs::write(&erap, &bytes).unwrap();
+/// Asserts the (mutated) catalog at `path` is rejected with a diagnostic by
+/// both open modes.
+fn assert_rejected(path: &Path, what: &str) {
+    let whole_image = fsck_file(path, true);
+    let err = whole_image.expect_err(&format!("{what} went undetected by the whole-image open"));
+    assert!(!err.is_empty(), "{what} produced an empty diagnostic");
+    let streamed = SuffixIndex::open_file_with(path, &on_disk());
     let err =
-        PackedDiskStore::open(&erap, 4096).expect_err("u64::MAX packed length must be rejected");
-    assert!(!err.to_string().is_empty());
-    fs::remove_dir_all(&dir).unwrap();
+        streamed.err().unwrap_or_else(|| panic!("{what} went undetected by the on-disk open"));
+    assert!(!err.to_string().is_empty(), "{what} produced an empty diagnostic");
 }
 
-const CATALOG: &str = "index.eracat";
+/// Every single-bit mutation of `pristine[..len]`, with a label for
+/// diagnostics.
+fn bit_flips(pristine: &[u8], len: usize) -> impl Iterator<Item = (Vec<u8>, String)> + '_ {
+    (0..len * 8).map(|i| {
+        let mut bytes = pristine.to_vec();
+        bytes[i / 8] ^= 1 << (i % 8);
+        (bytes, format!("flipping bit {} of byte {}", i % 8, i / 8))
+    })
+}
+
+/// Every truncation of `pristine`, and `pristine` with trailing garbage.
+fn length_mutations(pristine: &[u8]) -> impl Iterator<Item = (Vec<u8>, String)> + '_ {
+    let cuts = (0..pristine.len()).map(|cut| (pristine[..cut].to_vec(), format!("cut to {cut}")));
+    cuts.chain([1usize, 7, 512].into_iter().map(|extra| {
+        let garbage = std::iter::repeat_n(0xAA, extra);
+        (pristine.iter().copied().chain(garbage).collect(), format!("{extra} trailing bytes"))
+    }))
+}
 
 #[test]
 fn every_bit_of_the_catalog_is_load_bearing() {
-    // Unlike the scattered layout (where raw-text content flips are only
-    // detectable through tree disagreement), the catalog checksums its text
-    // and tree segments and pins every region contiguously — so the matrix
-    // covers the *entire file*, both encodings.
+    // The catalog checksums its text and tree segments and pins every region
+    // contiguously — so the matrix covers the *entire file*, both encodings.
     for packed in [false, true] {
-        let dir = temp_dir(if packed { "cat-bits-packed" } else { "cat-bits-raw" });
-        build_catalog_index(&dir, packed);
-        assert_clean(&dir);
-        let len = fs::read(dir.join(CATALOG)).unwrap().len();
-        flip_matrix(&dir, CATALOG, 0..len);
-        assert_clean(&dir);
-        fs::remove_dir_all(&dir).unwrap();
+        let path = temp_path(if packed { "cat-bits-packed" } else { "cat-bits-raw" });
+        build_catalog(&path, packed);
+        assert_clean(&path);
+        let pristine = fs::read(&path).unwrap();
+        for (bytes, what) in bit_flips(&pristine, pristine.len()) {
+            fs::write(&path, &bytes).unwrap();
+            assert_rejected(&path, &what);
+        }
+        fs::write(&path, &pristine).unwrap();
+        assert_clean(&path);
+        fs::remove_file(&path).unwrap();
     }
 }
 
 #[test]
 fn every_truncation_of_the_catalog_is_rejected() {
-    let dir = temp_dir("cat-lengths");
-    build_catalog_index(&dir, true);
-    assert_clean(&dir);
-    let path = dir.join(CATALOG);
+    let path = temp_path("cat-lengths");
+    build_catalog(&path, true);
+    assert_clean(&path);
     let pristine = fs::read(&path).unwrap();
-    for cut in 0..pristine.len() {
-        fs::write(&path, &pristine[..cut]).unwrap();
-        let report = fsck_dir(&dir, FsckOptions { deep: true });
-        assert!(
-            !report.passed(),
-            "catalog truncated to {cut} of {} went undetected",
-            pristine.len()
-        );
-    }
-    for extra in [1usize, 7, 512] {
-        let mut bytes = pristine.clone();
-        bytes.extend(std::iter::repeat_n(0xAA, extra));
+    for (bytes, what) in length_mutations(&pristine) {
         fs::write(&path, &bytes).unwrap();
-        let report = fsck_dir(&dir, FsckOptions { deep: true });
-        assert!(!report.passed(), "catalog with {extra} trailing bytes went undetected");
+        assert_rejected(&path, &what);
     }
     fs::write(&path, &pristine).unwrap();
-    assert_clean(&dir);
-    fs::remove_dir_all(&dir).unwrap();
+    assert_clean(&path);
+    fs::remove_file(&path).unwrap();
 }
 
 /// FNV-1a 64, re-implemented locally so adversarial TOC values can be hidden
@@ -321,12 +136,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Hostile-TOC fixtures: not random corruption but *adversarial* values —
+/// maxed-out counts and lengths that would truncate under a 32-bit `as` cast
+/// or request multi-GB reservations if the parser trusted them. These are
+/// the dynamic twins of the `era-check taint` sinks: every case must come
+/// back as a diagnostic, never a panic, never a huge allocation.
 #[test]
 fn hostile_catalog_toc_values_are_rejected_without_panics_or_allocation() {
-    let dir = temp_dir("cat-hostile");
-    build_catalog_index(&dir, false);
-    assert_clean(&dir);
-    let path = dir.join(CATALOG);
+    let path = temp_path("cat-hostile");
+    build_catalog(&path, false);
+    assert_clean(&path);
     let pristine = fs::read(&path).unwrap();
     let footer_at = pristine.len() - 32;
     let toc_offset =
@@ -335,13 +154,15 @@ fn hostile_catalog_toc_values_are_rejected_without_panics_or_allocation() {
         u64::from_le_bytes(pristine[footer_at + 8..footer_at + 16].try_into().unwrap()) as usize;
 
     // TOC layout: generation u64, text_len u64, flags u8, alphabet_len u8,
-    // reserved u16, group_count u32, ... — plant maxed-out values at each
-    // wide field and recompute the TOC checksum so the parser must reject
-    // the *value*, not the hash.
-    let hostile: [(usize, Vec<u8>); 3] = [
+    // reserved u16, group_count u32, alphabet (4 symbols), text_offset u64,
+    // text_bytes u64, ... — plant maxed-out values at each wide field and
+    // recompute the TOC checksum so the parser must reject the *value*, not
+    // the hash.
+    let hostile: [(usize, Vec<u8>); 4] = [
         (toc_offset + 8, u64::MAX.to_le_bytes().to_vec()), // text_len
         (toc_offset + 20, u32::MAX.to_le_bytes().to_vec()), // group_count
         (toc_offset + 17, vec![0xFF]),                     // alphabet_len > 255 symbols on file
+        (toc_offset + 36, u64::MAX.to_le_bytes().to_vec()), // text_bytes
     ];
     for (at, value) in hostile {
         let mut bytes = pristine.clone();
@@ -349,11 +170,108 @@ fn hostile_catalog_toc_values_are_rejected_without_panics_or_allocation() {
         let checksum = fnv1a64(&bytes[toc_offset..toc_offset + toc_len]);
         bytes[footer_at + 16..footer_at + 24].copy_from_slice(&checksum.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        let report = fsck_dir(&dir, FsckOptions { deep: true });
-        assert!(!report.passed(), "hostile TOC value at {at} went undetected");
-        assert!(report.errors.iter().all(|e| !e.message.is_empty()));
+        assert_rejected(&path, &format!("hostile TOC value at {at}"));
     }
+    // A footer claiming a u64::MAX-byte TOC: rejected before anything is
+    // allocated for it.
+    let mut bytes = pristine.clone();
+    bytes[footer_at + 8..footer_at + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    assert_rejected(&path, "hostile footer TOC length");
+
     fs::write(&path, &pristine).unwrap();
-    assert_clean(&dir);
-    fs::remove_dir_all(&dir).unwrap();
+    assert_clean(&path);
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn every_bit_of_every_flat_tree_record_is_load_bearing() {
+    // A bare ERAFLAT1 segment, with no catalog checksum in front of it: each
+    // flip must be caught by the segment reader's structural pass or, where
+    // the flipped field is only meaningful against the text, by the deep
+    // validation.
+    let index = SuffixIndex::builder().build_from_bytes(TEXT).unwrap();
+    let text = index.text();
+    let partitions = index.tree().partitions();
+    validate_partitioned(index.tree(), text).unwrap();
+    for (p, part) in partitions.iter().enumerate() {
+        let mut pristine = Vec::new();
+        write_flat_tree(&mut pristine, &part.tree).unwrap();
+        for (bytes, what) in bit_flips(&pristine, pristine.len()) {
+            let Ok(tree) = read_flat_tree(&mut bytes.as_slice()) else { continue };
+            if tree.text_len() != text.len() {
+                continue; // the catalog holds every group to its TOC's text length
+            }
+            let mut mutated = partitions.to_vec();
+            mutated[p] = FlatPartition { prefix: part.prefix.clone(), tree };
+            let mutated = PartitionedSuffixTree::from_flat(text.len(), mutated);
+            assert!(
+                validate_partitioned(&mutated, text).is_err(),
+                "partition {p}: {what} went undetected"
+            );
+        }
+        // Truncations and a hostile node count: a clamped preallocation and
+        // an EOF, never a header-sized allocation.
+        for cut in 0..pristine.len() {
+            assert!(read_flat_tree(&mut &pristine[..cut]).is_err(), "truncation to {cut}");
+        }
+    }
+    let mut bytes = b"ERAFLAT1".to_vec();
+    bytes.extend(27u32.to_le_bytes()); // text_len
+    bytes.extend(u32::MAX.to_le_bytes()); // node_count, with no records behind the claim
+    let err = read_flat_tree(&mut bytes.as_slice()).expect_err("u32::MAX node count");
+    assert!(!err.to_string().is_empty());
+}
+
+/// Writes TEXT as a standalone `ERAP` packed file (the build-input format)
+/// and returns its bytes.
+fn packed_text_file(path: &Path) -> Vec<u8> {
+    let _keep =
+        PackedDiskStore::create(path, TEXT, Alphabet::dna(), 4096).unwrap().cleanup_on_drop(false);
+    fs::read(path).unwrap()
+}
+
+/// Whether the packed file at `path` opens and still decodes to TEXT.
+fn packed_file_is_intact(path: &Path) -> bool {
+    PackedDiskStore::open(path, 4096)
+        .and_then(|store| store.read_all())
+        .is_ok_and(|text| text[..text.len() - 1] == *TEXT)
+}
+
+#[test]
+fn every_bit_of_the_packed_text_header_and_symbol_table_is_load_bearing() {
+    let path = temp_path("erap-bits");
+    let pristine = packed_text_file(&path);
+    assert!(packed_file_is_intact(&path));
+    // ERAP layout: 4 magic + 2 version + 1 bits + 1 table-len + 8 text-len,
+    // then the symbol table (its length sits in header byte 7). A flip is
+    // either rejected by `open` or decodes to a different text (symbol-table
+    // flips re-map every occurrence of a symbol).
+    let table_len = pristine[7] as usize;
+    assert!(table_len > 0);
+    for (bytes, what) in bit_flips(&pristine, 16 + table_len) {
+        fs::write(&path, &bytes).unwrap();
+        assert!(!packed_file_is_intact(&path), "ERAP: {what} went undetected");
+    }
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn packed_text_truncations_garbage_and_hostile_lengths_are_rejected() {
+    let path = temp_path("erap-lengths");
+    let pristine = packed_text_file(&path);
+    for (bytes, what) in length_mutations(&pristine) {
+        fs::write(&path, &bytes).unwrap();
+        assert!(PackedDiskStore::open(&path, 4096).is_err(), "ERAP {what} went undetected");
+    }
+    // An all-ones text length: on 32-bit targets the usize conversion
+    // rejects it; on 64-bit the exact file-length equation does. Either way
+    // it is a diagnostic, not a truncated cast.
+    let mut bytes = pristine.clone();
+    bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    let err =
+        PackedDiskStore::open(&path, 4096).expect_err("u64::MAX packed length must be rejected");
+    assert!(!err.to_string().is_empty());
+    fs::remove_file(&path).unwrap();
 }

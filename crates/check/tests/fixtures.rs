@@ -131,6 +131,25 @@ fn taint_deny_fixtures_fire_only_their_own_rule() {
     }
 }
 
+/// The source rule for helpers that are not parser-named: a fn that decodes
+/// its own byte-slice parameter with `from_le_bytes` and hands the value out
+/// through `Some(..)`/`Ok(..)` taints its callers. The deny fixture (the
+/// parser that slipped through before the rule existed) must trip both sinks
+/// it contains, its sanitized twin none.
+const WRAPPED_SOURCE: &str = "taint_wrapped_source";
+
+#[test]
+fn option_wrapped_helper_is_a_source_and_its_sanitized_twin_is_clean() {
+    let findings = taint_fixture(&format!("deny_{WRAPPED_SOURCE}.rs"));
+    for rule in [TaintRule::Alloc, TaintRule::Arith] {
+        let hit = findings.iter().find(|f| f.rule == rule);
+        let hit = hit.unwrap_or_else(|| panic!("{} missed: {findings:?}", rule.name()));
+        assert!(hit.message.contains("read_u32"), "chain must name the helper: {}", hit.message);
+    }
+    let twin = taint_fixture(&format!("allow_{WRAPPED_SOURCE}.rs"));
+    assert!(twin.is_empty(), "sanitized twin should pass clean but was flagged: {twin:?}");
+}
+
 #[test]
 fn corpus_has_no_orphan_fixtures() {
     // Every file in the corpus must belong to a known rule — an orphan is
@@ -142,6 +161,7 @@ fn corpus_has_no_orphan_fixtures() {
         .chain(TaintRule::ALL.iter().flat_map(|&r| {
             [format!("deny_{}.rs", taint_slug(r)), format!("allow_{}.rs", taint_slug(r))]
         }))
+        .chain([format!("deny_{WRAPPED_SOURCE}.rs"), format!("allow_{WRAPPED_SOURCE}.rs")])
         .collect();
     let mut on_disk = BTreeSet::new();
     for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir must exist") {

@@ -55,7 +55,10 @@ pub enum SchedulerKind {
 /// Complete configuration of a construction run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EraConfig {
-    /// Total memory budget in bytes (the paper's "available memory").
+    /// Total memory budget in bytes (the paper's "available memory"). On the
+    /// serving side it is also the size above which
+    /// [`crate::SuffixIndex::open_file_with`] leaves a catalog's text segment
+    /// on disk instead of materializing it.
     pub memory_budget: usize,
     /// Size of the read-ahead buffer `R` in bytes. `None` picks a default
     /// based on the alphabet size, mirroring Fig. 8 (small alphabets need a

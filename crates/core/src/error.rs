@@ -62,8 +62,14 @@ impl std::error::Error for EraError {
 }
 
 impl From<StoreError> for EraError {
+    /// A file-system failure beneath a store (EIO, a short read, a file
+    /// truncated underfoot) is an I/O error of the index, not a storage-layer
+    /// usage error.
     fn from(e: StoreError) -> Self {
-        EraError::Store(e)
+        match e {
+            StoreError::Io(io) => EraError::Io(io),
+            other => EraError::Store(other),
+        }
     }
 }
 
@@ -83,6 +89,8 @@ mod tests {
         assert!(EraError::input("oops").to_string().contains("oops"));
         let store_err: EraError = StoreError::InvalidText("x".into()).into();
         assert!(store_err.to_string().contains("storage"));
+        let read_err: EraError = StoreError::Io(std::io::Error::other("short read")).into();
+        assert!(matches!(read_err, EraError::Io(_)), "{read_err:?}");
         let io_err: EraError = std::io::Error::other("disk").into();
         assert!(io_err.to_string().contains("disk"));
     }

@@ -12,14 +12,16 @@
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
+use era_string_store::disk::DEFAULT_DISK_BLOCK;
 use era_string_store::{
-    encode_packed_file, Alphabet, BlockCache, DiskStore, InMemoryStore, PackedCodec,
-    PackedDiskStore, PackedMemoryStore, StdVfs, StringStore, Vfs, TERMINAL,
+    Alphabet, BlockCache, DiskStore, InMemoryStore, PackedCodec, PackedDiskStore,
+    PackedMemoryStore, StdVfs, StoreError, StringStore, Vfs, TERMINAL,
 };
 use era_suffix_tree::catalog::{
-    save_catalog, write_file_durable, Catalog, CatalogText, TextSegment,
+    commit_catalog, encode_catalog, groups_into_tree, Catalog, CatalogFile, CatalogText,
+    TextSegment, HEADER_LEN,
 };
-use era_suffix_tree::{CommitProtocol, FlatPartition, PartitionedSuffixTree};
+use era_suffix_tree::{CommitProtocol, PartitionedSuffixTree};
 
 use crate::config::{EraConfig, HorizontalMethod, RangePolicy, SchedulerKind};
 use crate::error::{EraError, EraResult};
@@ -27,20 +29,6 @@ use crate::parallel_sm::construct_parallel_sm;
 use crate::query::{QueryBatch, QueryEngine, QueryResponse};
 use crate::report::ConstructionReport;
 use crate::serial::construct_serial;
-
-/// File name of the raw persisted text inside an index directory.
-const TEXT_FILE: &str = "text.era";
-/// File name of the packed persisted text inside an index directory.
-const PACKED_TEXT_FILE: &str = "text.erap";
-/// Sidecar recording the alphabet symbols of a raw persisted text, so
-/// store-backed opens don't have to scan the text to recover it.
-const ALPHABET_FILE: &str = "text.alphabet";
-/// File name of the single-file `ERACAT1` catalog inside an index directory —
-/// what [`SuffixIndex::save_to_dir`] writes and [`SuffixIndex::load_from_dir`]
-/// prefers over the scattered legacy artifacts.
-pub const CATALOG_FILE: &str = "index.eracat";
-/// File name of the scattered layout's manifest.
-const MANIFEST_FILE: &str = "manifest.era";
 
 /// How a [`SuffixIndex`] resolves the text its tree's edge labels point into.
 #[derive(Clone)]
@@ -104,18 +92,28 @@ impl SuffixIndex {
 
     /// The indexed text, including the trailing terminal symbol.
     ///
-    /// For store-backed indexes ([`Self::open_mmapless`], packed
-    /// [`Self::load_from_dir`]) the text is materialized from the store on
-    /// first call and cached; that read panics on I/O failure. Queries do
-    /// *not* need this — [`Self::engine`] and the query wrappers resolve edge
+    /// For store-backed indexes (packed or larger-than-budget
+    /// [`Self::open_file`]s) the text is materialized from the store on first
+    /// call and cached; that read panics on I/O failure. Queries do *not*
+    /// need this — [`Self::engine`] and the query wrappers resolve edge
     /// labels straight from the store.
     pub fn text(&self) -> &[u8] {
+        // era-check: allow(unwrap): panicking convenience accessor; the index's own callers use try_text
+        self.try_text().expect("materializing the text from its store failed")
+    }
+
+    /// [`Self::text`], with a failed store read (short read, EIO, a file
+    /// truncated after open) surfaced as an error.
+    fn try_text(&self) -> EraResult<&[u8]> {
         match &self.backing {
-            TextBacking::Memory(t) => t,
-            TextBacking::Store { store, cache } => cache.get_or_init(|| {
-                // era-check: allow(unwrap): the builder just wrote this store
-                Arc::new(store.read_all().expect("materializing the text from its store failed"))
-            }),
+            TextBacking::Memory(t) => Ok(t),
+            TextBacking::Store { store, cache } => {
+                if let Some(text) = cache.get() {
+                    return Ok(text);
+                }
+                let text = store.read_all()?;
+                Ok(cache.get_or_init(|| Arc::new(text)))
+            }
         }
     }
 
@@ -244,7 +242,7 @@ impl SuffixIndex {
                 "longest_common_substring requires a generalized index over exactly two strings",
             ));
         };
-        let text = self.text();
+        let text = self.try_text()?;
         let merged = self.tree.to_single_tree(text);
         Ok(match merged.longest_common_substring(text, sep) {
             Some((off, len)) => text[off as usize..(off + len) as usize].to_vec(),
@@ -268,15 +266,15 @@ impl SuffixIndex {
     /// serving path. The cheap structural subset runs unconditionally
     /// whenever a flat tree is deserialized.
     pub fn verify(&self) -> EraResult<()> {
-        era_suffix_tree::validate_partitioned(&self.tree, self.text())
+        era_suffix_tree::validate_partitioned(&self.tree, self.try_text()?)
             .map_err(|e| EraError::corrupt(e.to_string()))
     }
 
     /// The generation number [`Self::save_to_file`] stamps into the catalog.
     ///
-    /// Fresh builds start at 0; [`Self::open_file`]/[`Self::load_from_dir`]
-    /// restore the saved value, so a reopen-and-resave naturally carries the
-    /// generation forward (bump it with [`Self::with_generation`]).
+    /// Fresh builds start at 0; [`Self::open_file`] restores the saved value,
+    /// so a reopen-and-resave naturally carries the generation forward (bump
+    /// it with [`Self::with_generation`]).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -306,49 +304,64 @@ impl SuffixIndex {
         vfs: &dyn Vfs,
         protocol: CommitProtocol,
     ) -> EraResult<()> {
-        let path = path.as_ref();
-        let text = self.text();
-        if self.packed {
-            let payload = PackedCodec::new(&self.alphabet).pack_body(&text[..text.len() - 1])?;
-            save_catalog(
-                path,
-                vfs,
-                protocol,
-                self.generation,
-                TextSegment::Packed { payload: &payload, text_len: text.len() },
-                &self.alphabet,
-                &self.tree,
-            )?;
+        let text = self.try_text()?;
+        let payload;
+        let segment = if self.packed {
+            payload = PackedCodec::new(&self.alphabet).pack_body(&text[..text.len() - 1])?;
+            TextSegment::Packed { payload: &payload, text_len: text.len() }
         } else {
-            save_catalog(
-                path,
-                vfs,
-                protocol,
-                self.generation,
-                TextSegment::Raw(text),
-                &self.alphabet,
-                &self.tree,
-            )?;
-        }
+            TextSegment::Raw(text)
+        };
+        let encoded = encode_catalog(self.generation, segment, &self.alphabet, &self.tree)?;
+        commit_catalog(path.as_ref(), vfs, protocol, &encoded)?;
         Ok(())
     }
 
-    /// Opens a single-file catalog written by [`Self::save_to_file`].
-    ///
-    /// The text segment is restored in its saved encoding: raw catalogs hold
-    /// the text in memory, packed catalogs serve from a
-    /// [`PackedMemoryStore`] (queries decode block-wise; [`Self::text`]
-    /// materializes lazily).
+    /// Opens a single-file catalog written by [`Self::save_to_file`] under
+    /// the default configuration (see [`Self::open_file_with`]).
     pub fn open_file(path: impl AsRef<Path>) -> EraResult<SuffixIndex> {
         Self::open_file_with(path, &EraConfig::default())
     }
 
-    /// [`Self::open_file`] under an explicit configuration (cache sizing via
-    /// [`EraConfig::cache_bytes`]; [`EraConfig::paranoid`] deep-verifies the
-    /// opened index before returning).
+    /// Opens a catalog under an explicit configuration.
+    ///
+    /// The footer and TOC are read first. A text segment that fits
+    /// [`EraConfig::memory_budget`] is materialized in one sequential read of
+    /// the file (raw texts in memory, packed ones in a [`PackedMemoryStore`]).
+    /// A larger one *stays on disk*: its checksum is verified in a
+    /// bounded-buffer streaming pass, only the group segments are loaded, and
+    /// queries read the text block-wise from a [`DiskStore`]/
+    /// [`PackedDiskStore`] over the file's text segment, with the I/O of every
+    /// batch in [`QueryResponse::stats`]. That bounds the text's share of
+    /// memory; the group trees (~30 bytes per symbol, against ≤ 1 for the
+    /// text) are still loaded whole.
+    ///
+    /// [`EraConfig::cache_bytes`] sizes the serving cache;
+    /// [`EraConfig::paranoid`] deep-verifies the opened index before
+    /// returning (materializing an on-disk text once).
     pub fn open_file_with(path: impl AsRef<Path>, config: &EraConfig) -> EraResult<SuffixIndex> {
-        let catalog = Catalog::open(path.as_ref()).map_err(catalog_error)?;
-        let Catalog { generation, text_len, alphabet, text, groups } = catalog;
+        let mut file = CatalogFile::open(path).map_err(catalog_error)?;
+        if file.toc().text_bytes > config.memory_budget {
+            let groups = file.load_groups().map_err(catalog_error)?;
+            let (file, toc) = file.into_parts();
+            let text_at = HEADER_LEN as u64;
+            let alphabet = toc.alphabet.clone();
+            let block = DEFAULT_DISK_BLOCK;
+            let store: Arc<dyn StringStore> = if toc.packed {
+                let region =
+                    PackedDiskStore::open_region(file, text_at, toc.text_len, alphabet, block);
+                Arc::new(region.map_err(region_error)?)
+            } else {
+                let region =
+                    DiskStore::open_region(file, text_at, toc.text_bytes as u64, alphabet, block);
+                Arc::new(region.map_err(region_error)?)
+            };
+            let backing = TextBacking::Store { store, cache: OnceLock::new() };
+            let tree = groups_into_tree(toc.text_len, groups);
+            return assemble(backing, tree, toc.alphabet, toc.packed, toc.generation, config);
+        }
+        let Catalog { generation, text_len, alphabet, text, groups } =
+            file.load_all().map_err(catalog_error)?;
         let packed = matches!(text, CatalogText::Packed(_));
         let backing = match text {
             CatalogText::Raw(t) => TextBacking::Memory(Arc::new(t)),
@@ -359,232 +372,12 @@ impl SuffixIndex {
                 TextBacking::Store { store: Arc::new(store), cache: OnceLock::new() }
             }
         };
-        let partitions =
-            groups.into_iter().map(|g| FlatPartition { prefix: g.prefix, tree: g.tree }).collect();
-        let tree = PartitionedSuffixTree::from_flat(text_len, partitions);
-        assemble(backing, tree, alphabet, packed, generation, config)
-    }
-
-    /// Saves the index (tree + text) into a directory — since the catalog
-    /// refactor, as the single-file `ERACAT1` catalog `index.eracat`, with
-    /// any scattered legacy artifacts (`manifest.era`, `part-*.st`, text
-    /// files) retired as part of the committed sequence.
-    ///
-    /// The text is persisted in the encoding the index was built with (raw
-    /// or the §6.1 packed format). [`Self::load_from_dir`] auto-detects both
-    /// the catalog and the scattered legacy layout; writers that need the
-    /// scattered layout (e.g. for [`Self::open_mmapless`]) use
-    /// [`Self::save_to_dir_scattered`].
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> EraResult<()> {
-        std::fs::create_dir_all(dir.as_ref())?;
-        self.save_to_dir_with(dir, &StdVfs, CommitProtocol::Sound)
-    }
-
-    /// [`Self::save_to_dir`] through an explicit durability seam (the
-    /// directory must already exist).
-    pub fn save_to_dir_with(
-        &self,
-        dir: impl AsRef<Path>,
-        vfs: &dyn Vfs,
-        protocol: CommitProtocol,
-    ) -> EraResult<()> {
-        let dir = dir.as_ref();
-        self.save_to_file_with(dir.join(CATALOG_FILE), vfs, protocol)?;
-        // The committed catalog is the sole authority now; retire scattered
-        // artifacts from earlier layouts inside the same durable sequence so
-        // stale bytes cannot shadow it (fsck flags any that a crash strands).
-        for name in [MANIFEST_FILE, TEXT_FILE, PACKED_TEXT_FILE, ALPHABET_FILE] {
-            remove_if_present(vfs, &dir.join(name))?;
-        }
-        for i in 0.. {
-            if !remove_if_present(vfs, &dir.join(format!("part-{i:05}.st")))? {
-                break;
-            }
-        }
-        vfs.sync_dir(dir)?;
-        Ok(())
-    }
-
-    /// Saves the index in the *scattered* directory layout: `manifest.era`
-    /// plus one `part-*.st` per partition group and the text (raw `text.era`
-    /// + alphabet sidecar, or packed `text.erap`).
-    ///
-    /// This is the layout [`Self::open_mmapless`] serves from disk. Unlike
-    /// the catalog it cannot be replaced atomically across a text change,
-    /// but every artifact is individually committed (write temp → fsync →
-    /// rename, text before trees, manifest last, stale files removed, one
-    /// directory fsync at the end) and [`Self::load_from_dir`] refuses
-    /// mismatched text/tree combinations instead of serving wrong answers.
-    pub fn save_to_dir_scattered(&self, dir: impl AsRef<Path>) -> EraResult<()> {
-        std::fs::create_dir_all(dir.as_ref())?;
-        self.save_to_dir_scattered_with(dir, &StdVfs)
-    }
-
-    /// [`Self::save_to_dir_scattered`] through an explicit durability seam
-    /// (the directory must already exist).
-    pub fn save_to_dir_scattered_with(
-        &self,
-        dir: impl AsRef<Path>,
-        vfs: &dyn Vfs,
-    ) -> EraResult<()> {
-        let dir = dir.as_ref();
-        let text = self.text();
-        // Text before trees: a crash between the two leaves an old tree over
-        // a new text, which the load-time length check refuses loudly —
-        // the reverse order could pair a new tree with an old text of the
-        // same length and serve silently wrong answers.
-        if self.packed {
-            let image = encode_packed_file(&text[..text.len() - 1], &self.alphabet)?;
-            write_file_durable(vfs, &dir.join(PACKED_TEXT_FILE), &image)?;
-        } else {
-            write_file_durable(vfs, &dir.join(TEXT_FILE), text)?;
-            write_file_durable(vfs, &dir.join(ALPHABET_FILE), self.alphabet.symbols())?;
-        }
-        self.tree.save_to_dir_with(dir, vfs)?;
-        // Stale artifacts — the other text encoding, partition files beyond
-        // the new count, a catalog this scattered save supersedes — are
-        // retired inside the committed sequence, before the one directory
-        // fsync that lands the whole batch.
-        let stale: &[&str] = if self.packed {
-            &[TEXT_FILE, ALPHABET_FILE, CATALOG_FILE]
-        } else {
-            &[PACKED_TEXT_FILE, CATALOG_FILE]
-        };
-        for name in stale {
-            remove_if_present(vfs, &dir.join(name))?;
-        }
-        for i in self.tree.partitions().len().. {
-            if !remove_if_present(vfs, &dir.join(format!("part-{i:05}.st")))? {
-                break;
-            }
-        }
-        vfs.sync_dir(dir)?;
-        Ok(())
-    }
-
-    /// Loads an index previously written by [`Self::save_to_dir`] (the
-    /// single-file catalog) or [`Self::save_to_dir_scattered`] — the catalog
-    /// is preferred when both are present.
-    ///
-    /// A raw text is read into memory (as before); a packed text is served
-    /// from its store — queries decode only the blocks they touch, and the
-    /// full text is materialized lazily only if [`Self::text`] is called.
-    pub fn load_from_dir(dir: impl AsRef<Path>) -> EraResult<SuffixIndex> {
-        Self::load_from_dir_with(dir, &EraConfig::default())
-    }
-
-    /// [`Self::load_from_dir`] under an explicit configuration: the serving
-    /// cache is sized by [`EraConfig::cache_bytes`], and with
-    /// [`EraConfig::paranoid`] the loaded index is deep-verified against the
-    /// text ([`Self::verify`]) before it is returned.
-    pub fn load_from_dir_with(dir: impl AsRef<Path>, config: &EraConfig) -> EraResult<SuffixIndex> {
-        let dir = dir.as_ref();
-        let catalog_path = dir.join(CATALOG_FILE);
-        if catalog_path.exists() {
-            return Self::open_file_with(&catalog_path, config);
-        }
-        let tree = PartitionedSuffixTree::load_from_dir(dir)?;
-        let want = tree.text_len();
-        // Candidate matching: a crash-interrupted scattered save can leave
-        // both text encodings (or a text whose length no longer matches the
-        // tree) behind. Serve the encoding that agrees with the tree and
-        // refuse loudly when none does — silently wrong answers are the one
-        // forbidden outcome.
-        let packed_path = dir.join(PACKED_TEXT_FILE);
-        if packed_path.exists() {
-            let store = PackedDiskStore::open(&packed_path, 64 << 10)?;
-            if store.len() == want {
-                let alphabet = store.alphabet().clone();
-                let backing = TextBacking::Store { store: Arc::new(store), cache: OnceLock::new() };
-                return assemble(backing, tree, alphabet, true, 0, config);
-            }
-            let mismatch = store.len();
-            drop(store);
-            let raw_path = dir.join(TEXT_FILE);
-            if raw_path.exists() {
-                let text = std::fs::read(&raw_path)?;
-                if text.len() == want {
-                    let alphabet = load_alphabet(dir, &text)?;
-                    let backing = TextBacking::Memory(Arc::new(text));
-                    return assemble(backing, tree, alphabet, false, 0, config);
-                }
-            }
-            return Err(EraError::corrupt(format!(
-                "index tree covers {want} symbols but the packed text holds {mismatch} \
-                 (and no matching raw text exists): refusing to serve a mismatched index"
-            )));
-        }
-        let text = std::fs::read(dir.join(TEXT_FILE))?;
-        if text.len() != want {
-            return Err(EraError::corrupt(format!(
-                "index tree covers {want} symbols but the raw text holds {}: refusing to \
-                 serve a mismatched index",
-                text.len()
-            )));
-        }
-        let alphabet = load_alphabet(dir, &text)?;
-        assemble(TextBacking::Memory(Arc::new(text)), tree, alphabet, false, 0, config)
-    }
-
-    /// Opens a saved index *without materializing the text*: the tree loads
-    /// into memory (it is small next to the text), and the text stays in a
-    /// [`DiskStore`]/[`PackedDiskStore`] that queries read block-wise through
-    /// the [`QueryEngine`].
-    ///
-    /// This is the serving-path counterpart of disk-based construction: an
-    /// index over a text far larger than RAM can answer `contains`/`count`/
-    /// `locate` batches touching only the blocks the traversals need, with
-    /// the I/O visible in [`QueryResponse::stats`]. It serves the scattered
-    /// layout ([`Self::save_to_dir_scattered`]); serving block-wise straight
-    /// out of a catalog file is a roadmap item.
-    pub fn open_mmapless(dir: impl AsRef<Path>) -> EraResult<SuffixIndex> {
-        Self::open_mmapless_with(dir, &EraConfig::default())
-    }
-
-    /// [`Self::open_mmapless`] under an explicit configuration (cache sizing
-    /// via [`EraConfig::cache_bytes`]; [`EraConfig::paranoid`] deep-verifies
-    /// the opened index — which materializes the text once — before
-    /// returning).
-    pub fn open_mmapless_with(dir: impl AsRef<Path>, config: &EraConfig) -> EraResult<SuffixIndex> {
-        let dir = dir.as_ref();
-        if !dir.join(MANIFEST_FILE).exists() && dir.join(CATALOG_FILE).exists() {
-            return Err(EraError::config(format!(
-                "{} holds a single-file catalog ({CATALOG_FILE}); open_mmapless serves the \
-                 scattered layout — open the catalog with load_from_dir/open_file, or save it \
-                 with save_to_dir_scattered first",
-                dir.display()
-            )));
-        }
-        let tree = PartitionedSuffixTree::load_from_dir(dir)?;
-        let want = tree.text_len();
-        let packed_path = dir.join(PACKED_TEXT_FILE);
-        let (store, alphabet, packed): (Arc<dyn StringStore>, Alphabet, bool) =
-            if packed_path.exists() {
-                let store = PackedDiskStore::open(&packed_path, 64 << 10)?;
-                let alphabet = store.alphabet().clone();
-                (Arc::new(store), alphabet, true)
-            } else {
-                let text_path = dir.join(TEXT_FILE);
-                let alphabet = load_alphabet_sidecar(dir)
-                    .map(Ok)
-                    .unwrap_or_else(|| infer_alphabet_streaming(&text_path))?;
-                let store = DiskStore::open(&text_path, alphabet.clone(), 64 << 10)?;
-                (Arc::new(store), alphabet, false)
-            };
-        if store.len() != want {
-            return Err(EraError::corrupt(format!(
-                "index tree covers {want} symbols but the text store holds {}: refusing to \
-                 serve a mismatched index",
-                store.len()
-            )));
-        }
-        let backing = TextBacking::Store { store, cache: OnceLock::new() };
-        assemble(backing, tree, alphabet, packed, 0, config)
+        assemble(backing, groups_into_tree(text_len, groups), alphabet, packed, generation, config)
     }
 }
 
-/// Finishes constructing a loaded/opened index: wires the serving cache and
-/// runs the paranoid deep verification when configured.
+/// Finishes constructing a built or opened index: wires the serving cache
+/// and runs the paranoid deep verification when configured.
 fn assemble(
     backing: TextBacking,
     tree: PartitionedSuffixTree,
@@ -621,51 +414,14 @@ fn catalog_error(e: std::io::Error) -> EraError {
     }
 }
 
-/// Removes `path` through the durability seam, treating "not there" as
-/// success. Returns whether the file existed.
-fn remove_if_present(vfs: &dyn Vfs, path: &Path) -> EraResult<bool> {
-    match vfs.remove_file(path) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(e.into()),
+/// Maps a region-store failure of the on-disk open: a text segment the
+/// verified TOC promised but the file cannot serve is corruption, like every
+/// other bad catalog; file-system failures stay I/O errors.
+fn region_error(e: StoreError) -> EraError {
+    match e {
+        StoreError::Io(io) => EraError::Io(io),
+        other => EraError::corrupt(other.to_string()),
     }
-}
-
-/// The alphabet of a raw persisted text: the sidecar when present, otherwise
-/// inferred from the already-loaded text.
-fn load_alphabet(dir: &Path, text: &[u8]) -> EraResult<Alphabet> {
-    match load_alphabet_sidecar(dir) {
-        Some(alphabet) => Ok(alphabet),
-        None => Ok(Alphabet::infer(text)?),
-    }
-}
-
-/// Reads the alphabet sidecar, if one exists and parses.
-fn load_alphabet_sidecar(dir: &Path) -> Option<Alphabet> {
-    let symbols = std::fs::read(dir.join(ALPHABET_FILE)).ok()?;
-    Alphabet::custom(&symbols).ok()
-}
-
-/// Infers the alphabet of a raw text file in one streaming pass (bounded
-/// memory — the mmapless open must not materialize the text just to learn
-/// its symbols).
-fn infer_alphabet_streaming(path: &Path) -> EraResult<Alphabet> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let mut seen = [false; 256];
-    let mut buf = vec![0u8; 64 << 10];
-    loop {
-        let got = file.read(&mut buf)?;
-        if got == 0 {
-            break;
-        }
-        for &b in &buf[..got] {
-            seen[b as usize] = true;
-        }
-    }
-    let symbols: Vec<u8> =
-        (1u16..256).map(|b| b as u8).filter(|&b| b != TERMINAL && seen[b as usize]).collect();
-    Ok(Alphabet::custom(&symbols)?)
 }
 
 /// Builder for [`SuffixIndex`].
@@ -878,22 +634,11 @@ impl SuffixIndexBuilder {
             // concrete kinds.
             SchedulerKind::Auto | SchedulerKind::Serial => construct_serial(store, &self.config)?,
         };
-        let text = store.read_all()?;
-        let index = SuffixIndex {
-            backing: TextBacking::Memory(Arc::new(text)),
-            tree,
-            report,
-            separators,
-            alphabet: store.alphabet().clone(),
-            packed: store.is_packed(),
-            cache_bytes: 0,
-            block_cache: None,
-            generation: 0,
-        }
-        .with_cache_bytes(self.config.cache_bytes);
-        if self.config.paranoid {
-            index.verify()?;
-        }
+        let backing = TextBacking::Memory(Arc::new(store.read_all()?));
+        let alphabet = store.alphabet().clone();
+        let mut index = assemble(backing, tree, alphabet, store.is_packed(), 0, &self.config)?;
+        index.report = report;
+        index.separators = separators;
         Ok(index)
     }
 }
@@ -901,7 +646,7 @@ impl SuffixIndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Query, QueryAnswer, QueryBatch};
+    use crate::query::{Query, QueryBatch};
 
     #[test]
     fn quickstart_queries() {
@@ -958,79 +703,72 @@ mod tests {
         assert!(idx.longest_common_substring().is_err());
     }
 
+    fn temp_catalog(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("era-index-{name}-{}.eracat", std::process::id()))
+    }
+
+    /// A configuration whose memory budget no text segment fits, so
+    /// `open_file_with` leaves the text on disk.
+    fn on_disk() -> EraConfig {
+        EraConfig { memory_budget: 1, ..EraConfig::default() }
+    }
+
     #[test]
     fn save_and_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("era-index-{}", std::process::id()));
+        let path = temp_catalog("roundtrip");
         let index = SuffixIndex::builder().build_from_bytes(b"abracadabra").unwrap();
-        index.save_to_dir(&dir).unwrap();
-        let loaded = SuffixIndex::load_from_dir(&dir).unwrap();
+        index.save_to_file(&path).unwrap();
+        let loaded = SuffixIndex::open_file(&path).unwrap();
+        assert!(loaded.store().is_none(), "a raw text within the budget is held in memory");
         assert_eq!(loaded.find_all(b"abra"), index.find_all(b"abra"));
         assert_eq!(loaded.count(b"a"), index.count(b"a"));
         assert_eq!(loaded.alphabet().symbols(), index.alphabet().symbols());
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn paranoid_load_rejects_text_inconsistent_index() {
-        // A flipped leaf suffix is structurally valid (the cheap always-on
-        // pass cannot see it), so the default load accepts it — only the
-        // paranoid deep verification catches the lie against the text.
-        let dir = std::env::temp_dir().join(format!("era-index-paranoid-{}", std::process::id()));
+        // A catalog pairing a tree with a *different* text of the same length
+        // is structurally valid and checksums clean (the cheap always-on pass
+        // cannot see it), so the default open accepts it — only the paranoid
+        // deep verification catches the lie against the text, in both open
+        // modes.
+        let path = temp_catalog("paranoid");
         let index = SuffixIndex::builder()
             .paranoid(true) // deep-verifies the fresh build too
             .build_from_bytes(b"GATTACAGATTACA")
             .unwrap();
-        index.save_to_dir_scattered(&dir).unwrap();
+        let wrong_text = TextSegment::Raw(b"GATTACAGATTACC\0");
+        let encoded = encode_catalog(0, wrong_text, index.alphabet(), index.tree()).unwrap();
+        commit_catalog(&path, &StdVfs, CommitProtocol::Sound, &encoded).unwrap();
 
-        let text_len = index.text().len() as u32;
-        let mut flipped = false;
-        'parts: for i in 0.. {
-            let part = dir.join(format!("part-{i:05}.st"));
-            if !part.exists() {
-                break;
-            }
-            let mut bytes = std::fs::read(&part).unwrap();
-            if &bytes[..8] != b"ERAFLAT1" {
-                continue;
-            }
-            for rec in (16..bytes.len()).step_by(16) {
-                let meta = u32::from_le_bytes(bytes[rec + 12..rec + 16].try_into().unwrap());
-                let payload = u32::from_le_bytes(bytes[rec + 8..rec + 12].try_into().unwrap());
-                if meta & (1 << 31) != 0 && payload ^ 1 < text_len {
-                    bytes[rec + 8] ^= 1; // leaf now claims a neighboring suffix
-                    std::fs::write(&part, &bytes).unwrap();
-                    flipped = true;
-                    break 'parts;
-                }
+        for config in [EraConfig::default(), on_disk()] {
+            assert!(
+                SuffixIndex::open_file_with(&path, &config).is_ok(),
+                "shallow open must still accept it"
+            );
+            match SuffixIndex::open_file_with(&path, &EraConfig { paranoid: true, ..config }) {
+                Err(EraError::Corrupt(_)) => {}
+                other => panic!("paranoid open must report corruption, got {other:?}"),
             }
         }
-        assert!(flipped, "no mutable leaf record found");
-
-        assert!(SuffixIndex::load_from_dir(&dir).is_ok(), "shallow load must still accept it");
-        let config = EraConfig { paranoid: true, ..EraConfig::default() };
-        match SuffixIndex::load_from_dir_with(&dir, &config) {
-            Err(EraError::Corrupt(_)) => {}
-            other => panic!("paranoid load must report corruption, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn packed_save_load_roundtrip_keeps_the_encoding() {
-        // Regression: save_to_dir used to discard the packed encoding and
-        // write the text raw. A packed-built index must persist packed and be
-        // detected on load, serving queries from the packed store.
-        let dir = std::env::temp_dir().join(format!("era-index-packed-{}", std::process::id()));
+        // Regression: saving used to discard the packed encoding and write
+        // the text raw. A packed-built index must persist packed and be
+        // detected on open, serving queries from the packed store.
+        let path = temp_catalog("packed");
         let body = b"GATTACAGATTACAGGATCCGATTACA";
         let index = SuffixIndex::builder().packed(true).build_from_bytes(body).unwrap();
         assert!(index.is_packed());
-        index.save_to_dir_scattered(&dir).unwrap();
-        assert!(dir.join(PACKED_TEXT_FILE).exists());
-        assert!(!dir.join(TEXT_FILE).exists());
+        index.save_to_file(&path).unwrap();
 
-        let loaded = SuffixIndex::load_from_dir(&dir).unwrap();
+        let loaded = SuffixIndex::open_file(&path).unwrap();
         assert!(loaded.is_packed());
-        let store = loaded.store().expect("packed load serves from the store");
+        let store = loaded.store().expect("packed open serves from the store");
         assert!(store.is_packed());
         assert_eq!(loaded.find_all(b"GATTACA"), index.find_all(b"GATTACA"));
         assert_eq!(loaded.count(b"AT"), index.count(b"AT"));
@@ -1038,48 +776,23 @@ mod tests {
         // The text cache materializes lazily and matches.
         assert_eq!(loaded.text(), index.text());
 
-        // Re-saving raw over the same dir replaces the packed file.
+        // Re-saving raw over the same path replaces the packed catalog.
         let raw = SuffixIndex::builder().build_from_bytes(body).unwrap();
-        raw.save_to_dir_scattered(&dir).unwrap();
-        assert!(!dir.join(PACKED_TEXT_FILE).exists());
-        let reloaded = SuffixIndex::load_from_dir(&dir).unwrap();
+        raw.save_to_file(&path).unwrap();
+        let reloaded = SuffixIndex::open_file(&path).unwrap();
         assert!(!reloaded.is_packed());
         assert_eq!(reloaded.find_all(b"GATTACA"), index.find_all(b"GATTACA"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_mmapless_serves_queries_from_disk() {
-        let dir = std::env::temp_dir().join(format!("era-index-mmapless-{}", std::process::id()));
-        let body = b"TGGTGGTGGTGCGGTGATGGTGC";
-        for packed in [false, true] {
-            let built = SuffixIndex::builder().packed(packed).build_from_bytes(body).unwrap();
-            built.save_to_dir_scattered(&dir).unwrap();
-            let served = SuffixIndex::open_mmapless(&dir).unwrap();
-            assert_eq!(served.is_packed(), packed);
-            let store = served.store().expect("mmapless index is store-backed");
-            let batch = QueryBatch::new()
-                .push(Query::locate(&b"TG"[..]))
-                .push(Query::count(&b"TGC"[..]))
-                .push(Query::contains(&b"GGTGATG"[..]));
-            let response = served.query_batch(&batch).unwrap();
-            assert_eq!(response.results[0], QueryAnswer::Locate(vec![0, 3, 6, 9, 14, 17, 20]));
-            assert_eq!(response.results[1], QueryAnswer::Count(2));
-            assert_eq!(response.results[2], QueryAnswer::Contains(true));
-            assert!(response.stats.io.bytes_read > 0, "packed={packed}");
-            assert_eq!(store.len(), body.len() + 1);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mmapless_engines_share_the_index_block_cache() {
-        let dir = std::env::temp_dir().join(format!("era-index-cache-{}", std::process::id()));
+        let path = temp_catalog("cache");
         let body = b"GATTACAGATTACAGGATCCGATTACAGATTACA";
         let built = SuffixIndex::builder().packed(true).build_from_bytes(body).unwrap();
         assert!(built.block_cache().is_none(), "in-memory indexes serve without a cache");
-        built.save_to_dir_scattered(&dir).unwrap();
-        let served = SuffixIndex::open_mmapless(&dir).unwrap();
+        built.save_to_file(&path).unwrap();
+        let served = SuffixIndex::open_file_with(&path, &on_disk()).unwrap();
 
         let batch =
             QueryBatch::new().push(Query::locate(&b"GATTACA"[..])).push(Query::count(&b"AT"[..]));
@@ -1105,21 +818,7 @@ mod tests {
         assert_eq!(replay.results, cold.results);
         assert!(replay.stats.io.bytes_read > 0);
         assert_eq!(replay.stats.cache, era_string_store::CacheSnapshot::default());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_mmapless_infers_alphabet_without_sidecar() {
-        // Directories saved before the sidecar existed only hold text.era;
-        // the streaming inference must recover a usable alphabet.
-        let dir = std::env::temp_dir().join(format!("era-index-legacy-{}", std::process::id()));
-        let index = SuffixIndex::builder().build_from_bytes(b"abracadabra").unwrap();
-        index.save_to_dir_scattered(&dir).unwrap();
-        std::fs::remove_file(dir.join(ALPHABET_FILE)).unwrap();
-        let served = SuffixIndex::open_mmapless(&dir).unwrap();
-        assert_eq!(served.find_all(b"abra"), index.find_all(b"abra"));
-        assert_eq!(served.alphabet().symbols(), index.alphabet().symbols());
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1223,95 +922,5 @@ mod tests {
             SuffixIndex::open_file_with(&path, &config).unwrap();
         }
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn save_to_dir_writes_catalog_and_retires_scattered_artifacts() {
-        let dir = std::env::temp_dir().join(format!("era-index-retire-{}", std::process::id()));
-        let index = SuffixIndex::builder().build_from_bytes(b"abracadabra").unwrap();
-        // Start from the scattered layout, then save the catalog on top.
-        index.save_to_dir_scattered(&dir).unwrap();
-        assert!(dir.join(MANIFEST_FILE).exists());
-        index.save_to_dir(&dir).unwrap();
-        assert!(dir.join(CATALOG_FILE).exists());
-        for stale in [MANIFEST_FILE, TEXT_FILE, PACKED_TEXT_FILE, ALPHABET_FILE, "part-00000.st"] {
-            assert!(!dir.join(stale).exists(), "{stale} must be retired by the catalog save");
-        }
-        let loaded = SuffixIndex::load_from_dir(&dir).unwrap();
-        assert_eq!(loaded.find_all(b"abra"), index.find_all(b"abra"));
-        // And the other direction: a scattered save retires the catalog.
-        index.save_to_dir_scattered(&dir).unwrap();
-        assert!(!dir.join(CATALOG_FILE).exists());
-        assert!(dir.join(MANIFEST_FILE).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn open_mmapless_refuses_catalog_only_directories() {
-        let dir = std::env::temp_dir().join(format!("era-index-catonly-{}", std::process::id()));
-        let index = SuffixIndex::builder().build_from_bytes(b"abracadabra").unwrap();
-        index.save_to_dir(&dir).unwrap();
-        match SuffixIndex::open_mmapless(&dir) {
-            Err(EraError::Config(msg)) => {
-                assert!(msg.contains("save_to_dir_scattered"), "actionable message, got: {msg}")
-            }
-            other => panic!("expected a config error pointing at the catalog, got {other:?}"),
-        }
-        // load_from_dir serves the same directory fine.
-        assert!(SuffixIndex::load_from_dir(&dir).is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scattered_save_crash_points_leave_old_new_or_refused_state() {
-        // Satellite regression for the save ordering fix: crash a scattered
-        // re-save (old index on disk, new index being written) at *every*
-        // fault point. The reopened state must be the old answers, the new
-        // answers, or a clean refusal — never a panic and never a silent
-        // mix (e.g. the old tree served over the new text).
-        use era_string_store::{CrashMode, FaultVfs};
-        let vdir = Path::new("/era-crash-regression");
-        let old_body: &[u8] = b"GATTACAGATTACA";
-        let new_body: &[u8] = b"TGGTGGTGGTGCGGTGATGGTGC";
-        let old = SuffixIndex::builder().build_from_bytes(old_body).unwrap();
-        let new = SuffixIndex::builder().build_from_bytes(new_body).unwrap();
-        let pattern: &[u8] = b"GAT";
-        let (old_hits, new_hits) = (old.find_all(pattern), new.find_all(pattern));
-        assert_ne!(old_hits, new_hits, "the two generations must be distinguishable");
-
-        // Record how many durable operations the re-save needs.
-        let probe = FaultVfs::new();
-        old.save_to_dir_scattered_with(vdir, &probe).unwrap();
-        probe.record();
-        new.save_to_dir_scattered_with(vdir, &probe).unwrap();
-        let total = probe.op_count();
-        assert!(total > 0);
-
-        for mode in [CrashMode::DropUnsynced, CrashMode::TornSector] {
-            for k in 0..total {
-                let vfs = FaultVfs::new();
-                old.save_to_dir_scattered_with(vdir, &vfs).unwrap();
-                vfs.plan_crash(k, mode);
-                let err = new.save_to_dir_scattered_with(vdir, &vfs);
-                assert!(err.is_err(), "crash at op {k} must surface as an error");
-
-                let dst = std::env::temp_dir()
-                    .join(format!("era-crash-reg-{}-{k}-{mode:?}", std::process::id()));
-                vfs.materialize(&dst).unwrap();
-                match SuffixIndex::load_from_dir(&dst) {
-                    Ok(reopened) => {
-                        let hits = reopened.find_all(pattern);
-                        assert!(
-                            (hits == old_hits && reopened.text() == old.text())
-                                || (hits == new_hits && reopened.text() == new.text()),
-                            "crash at op {k} ({mode:?}) served a third state"
-                        );
-                    }
-                    Err(EraError::Corrupt(_)) | Err(EraError::Io(_)) => {}
-                    Err(other) => panic!("crash at op {k} ({mode:?}): unexpected {other:?}"),
-                }
-                std::fs::remove_dir_all(&dst).unwrap();
-            }
-        }
     }
 }

@@ -67,12 +67,12 @@
 //! construction schedulers, each worker resolving edge labels through a
 //! `TextSource` — the materialized text when available, or a reused window
 //! over any raw/packed `StringStore` otherwise. [`SuffixIndex::engine`] and
-//! [`SuffixIndex::query_batch`] are the entry points;
-//! [`SuffixIndex::open_mmapless`] serves a saved index straight from its
-//! `DiskStore`/`PackedDiskStore` without ever materializing the text, with
-//! the I/O of every batch reported in [`QueryStats`] — attributed per
-//! worker, so concurrent engines on one shared store never see each other's
-//! traffic. The classic
+//! [`SuffixIndex::query_batch`] are the entry points; a catalog whose text
+//! segment exceeds the memory budget is served by [`SuffixIndex::open_file`]
+//! straight from a `DiskStore`/`PackedDiskStore` over that segment without
+//! ever materializing the text, with the I/O of every batch reported in
+//! [`QueryStats`] — attributed per worker, so concurrent engines on one
+//! shared store never see each other's traffic. The classic
 //! [`SuffixIndex::contains`]/[`SuffixIndex::count`]/[`SuffixIndex::find_all`]
 //! remain as thin single-query wrappers.
 //!
@@ -88,22 +88,27 @@
 //! `QueryEngine::with_cache`. Per-batch hit/miss/eviction/decoded-byte
 //! counters ride in [`QueryStats`] next to the I/O snapshot.
 //!
-//! ## Persistence: the crash-safe catalog
+//! ## Persistence: one format, one open path
 //!
 //! A built index persists as a single-file `ERACAT1` **catalog**
-//! ([`SuffixIndex::save_to_file`] / [`SuffixIndex::open_file`], and
-//! [`SuffixIndex::save_to_dir`] which writes `index.eracat` into a
-//! directory): text segment, contiguous flat-tree group segments and a
-//! checksummed footer/TOC, committed atomically — write temp, fsync the
-//! segments, fsync the TOC, rename, fsync the directory — through the
-//! [`Vfs`] durability seam. A crash at any point leaves exactly the old or
-//! the new catalog, a property the `era-check crash-matrix` harness proves
-//! by enumerating every fault point of a recorded save under a
-//! deterministic [`FaultVfs`]. The scattered layout
-//! ([`SuffixIndex::save_to_dir_scattered`]) remains for
-//! [`SuffixIndex::open_mmapless`] disk serving, with each artifact
-//! individually committed and mismatched text/tree combinations refused at
-//! load time.
+//! ([`SuffixIndex::save_to_file`] / [`SuffixIndex::open_file`] and their
+//! `_with` forms — the whole persistence surface): text segment, contiguous
+//! flat-tree (`ERAFLAT1`) group segments and a checksummed footer/TOC,
+//! committed atomically — write temp, fsync the segments, fsync the TOC,
+//! rename, fsync the directory — through the [`Vfs`] durability seam. A
+//! crash at any point leaves exactly the old or the new catalog, a property
+//! the `era-check crash-matrix` harness proves by enumerating every fault
+//! point of a recorded save under a deterministic [`FaultVfs`].
+//!
+//! Opening reads the footer and TOC first and picks the mode from an input
+//! it already has: a text segment within [`EraConfig::memory_budget`] is
+//! materialized (one sequential read of the file); a larger one stays on
+//! disk — checksum verified in a bounded-buffer streaming pass, served
+//! block-wise through a region store over the catalog file. That saves the
+//! text's share of memory: 1 byte per symbol raw, 0.25–0.63 packed. The group
+//! trees, at ~30 bytes per symbol the bulk of a catalog, are still loaded
+//! whole; loading them lazily per group (the TOC already keys them) is the
+//! follow-up that bounds the rest.
 //!
 //! ## Hot-path layout: flat serving trees and the SWAR scan
 //!
@@ -111,8 +116,8 @@
 //! moment a sub-tree is finished the pipeline *freezes* it into a
 //! `FlatTree` — one contiguous arena of 16-byte node records with each
 //! node's children packed adjacently in `first_char` order — and everything
-//! downstream ([`SuffixIndex`], [`QueryEngine`], `save_to_dir`/
-//! `load_from_dir`) serves from that form: descents binary-search adjacent
+//! downstream ([`SuffixIndex`], [`QueryEngine`], the catalog's group
+//! segments) serves from that form: descents binary-search adjacent
 //! cache lines instead of chasing per-node child vectors, subtree
 //! enumeration walks contiguous id ranges, and the arena costs ~1/3 of the
 //! construction form's bytes per node ([`ConstructionReport::bytes_per_node`]
@@ -165,7 +170,7 @@ pub mod work_queue;
 
 pub use config::{EraConfig, HorizontalMethod, MemoryLayout, RangePolicy, SchedulerKind};
 pub use error::{EraError, EraResult};
-pub use index::{SuffixIndex, SuffixIndexBuilder, CATALOG_FILE};
+pub use index::{SuffixIndex, SuffixIndexBuilder};
 pub use parallel_sm::construct_parallel_sm;
 pub use parallel_sn::{construct_shared_nothing, SharedNothingOptions};
 pub use pipeline::{

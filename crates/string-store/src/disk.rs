@@ -28,6 +28,8 @@ pub const DEFAULT_DISK_BLOCK: usize = 64 * 1024;
 pub struct DiskStore {
     file: Mutex<File>,
     path: PathBuf,
+    /// Offset of the text inside the file (non-zero for a region store).
+    base: u64,
     len: usize,
     alphabet: Alphabet,
     block_size: usize,
@@ -43,18 +45,39 @@ impl DiskStore {
         alphabet: Alphabet,
         block_size: usize,
     ) -> StoreResult<Self> {
+        let file = File::open(path.as_ref())?;
+        let len = file.metadata()?.len();
+        let mut store = Self::open_region(file, 0, len, alphabet, block_size)?;
+        store.path = path.as_ref().to_path_buf();
+        Ok(store)
+    }
+
+    /// Serves the `len` bytes at `offset` of the already-open `file` as a
+    /// terminated string — a text embedded in a larger container (the text
+    /// segment of a catalog file). Positions of the store are relative to
+    /// `offset`. Taking the open handle rather than a path keeps the store
+    /// on the file the caller verified even if its path is atomically
+    /// replaced meanwhile; [`Self::path`] of such a store is empty.
+    pub fn open_region(
+        mut file: File,
+        offset: u64,
+        len: u64,
+        alphabet: Alphabet,
+        block_size: usize,
+    ) -> StoreResult<Self> {
         if block_size == 0 {
             return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
         }
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let len = file.metadata()?.len() as usize;
+        let end = region_end(offset, len, file.metadata()?.len())?;
+        let len = usize::try_from(len).map_err(|_| {
+            StoreError::InvalidText(format!("text of {len} bytes overflows this platform's usize"))
+        })?;
         if len == 0 {
             return Err(StoreError::InvalidText("file is empty".into()));
         }
         // Validate only the final byte here; full validation would require a
         // complete scan which callers can do explicitly via `read_all`.
-        file.seek(SeekFrom::End(-1))?;
+        file.seek(SeekFrom::Start(end - 1))?;
         let mut last = [0u8; 1];
         file.read_exact(&mut last)?;
         if last[0] != crate::alphabet::TERMINAL {
@@ -64,7 +87,8 @@ impl DiskStore {
         }
         Ok(DiskStore {
             file: Mutex::new(file),
-            path,
+            path: PathBuf::new(),
+            base: offset,
             len,
             alphabet,
             block_size,
@@ -114,6 +138,18 @@ impl DiskStore {
     }
 }
 
+/// The exclusive end of the region `[offset, offset + len)`, which must lie
+/// inside a file of `file_len` bytes — shared by both disk stores' region
+/// constructors, whose offsets and lengths come from a container's header.
+pub(crate) fn region_end(offset: u64, len: u64, file_len: u64) -> StoreResult<u64> {
+    match offset.checked_add(len) {
+        Some(end) if end <= file_len => Ok(end),
+        _ => Err(StoreError::InvalidText(format!(
+            "region of {len} bytes at offset {offset} overruns the {file_len}-byte file"
+        ))),
+    }
+}
+
 impl Drop for DiskStore {
     fn drop(&mut self) {
         if self.owns_file {
@@ -151,7 +187,7 @@ impl StringStore for DiskStore {
         {
             // era-check: allow(unwrap): poisoned lock is unrecoverable
             let mut file = self.file.lock().expect("disk store file lock poisoned");
-            file.seek(SeekFrom::Start(pos as u64))?;
+            file.seek(SeekFrom::Start(self.base + pos as u64))?;
             file.read_exact(&mut buf[..take])?;
         }
         self.stats.record_access(&self.last_end, pos, take);
@@ -223,6 +259,30 @@ mod tests {
         let path = dir.join("bad.era");
         std::fs::write(&path, b"ACGT").unwrap();
         assert!(DiskStore::open(&path, Alphabet::dna(), 1024).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn region_store_reads_a_text_embedded_in_a_larger_file() {
+        let dir = temp_dir();
+        let path = dir.join("region.bin");
+        std::fs::write(&path, b"HEADERxxGATTACA\0trailing").unwrap();
+        let open = |offset, len| {
+            DiskStore::open_region(File::open(&path).unwrap(), offset, len, Alphabet::dna(), 4)
+        };
+        let store = open(8, 8).unwrap();
+        assert_eq!(store.read_all().unwrap(), b"GATTACA\0");
+        let mut buf = [0u8; 3];
+        assert_eq!(store.read_at(6, &mut buf).unwrap(), 2, "reads stop at the region end");
+        assert_eq!(&buf[..2], b"A\0");
+        // The region must lie inside the file, end on the terminal, and its
+        // bounds must not overflow.
+        assert!(open(8, 7).is_err());
+        assert!(open(8, 1 << 20).is_err());
+        assert!(open(u64::MAX, 8).is_err());
+        // A file shrinking underfoot is a read error, not a short answer.
+        std::fs::write(&path, b"HEADERxxGATT").unwrap();
+        assert!(store.read_all().is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -79,7 +79,7 @@ pub use disk::DiskStore;
 pub use error::{StoreError, StoreResult};
 pub use memory::InMemoryStore;
 pub use packed::{PackedCodec, PackedText};
-pub use packed_store::{builtin_or_custom, encode_packed_file, PackedDiskStore, PackedMemoryStore};
+pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore};
 pub use scanner::{ScanRequest, SequentialScanner};
 pub use stats::{IoSnapshot, IoStats};
 pub use store::StringStore;

@@ -341,13 +341,38 @@ impl PackedDiskStore {
     /// Opens an existing packed string file, recovering the alphabet from the
     /// header.
     pub fn open(path: impl AsRef<Path>, block_bytes: usize) -> StoreResult<Self> {
-        if block_bytes == 0 {
-            return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
-        }
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         let header = parse_header(&mut file, file_len)?;
+        Self::over(file, path, header, block_bytes)
+    }
+
+    /// Serves a bare packed payload embedded in a larger container (the text
+    /// segment of a catalog file) out of the already-open `file`: `text_len`
+    /// symbols under `alphabet`, packed from byte `payload_offset` on. The
+    /// caller supplies what an `ERAP` header would have carried; the payload
+    /// must lie inside the file. [`Self::path`] of such a store is empty.
+    pub fn open_region(
+        file: File,
+        payload_offset: u64,
+        text_len: usize,
+        alphabet: Alphabet,
+        block_bytes: usize,
+    ) -> StoreResult<Self> {
+        if text_len == 0 {
+            return Err(StoreError::InvalidText("packed region holds an empty string".into()));
+        }
+        let payload = packed_size(text_len - 1, alphabet.bits_per_symbol()) as u64;
+        crate::disk::region_end(payload_offset, payload, file.metadata()?.len())?;
+        let header = ParsedHeader { alphabet, len: text_len, payload_offset };
+        Self::over(file, PathBuf::new(), header, block_bytes)
+    }
+
+    fn over(file: File, path: PathBuf, header: ParsedHeader, block: usize) -> StoreResult<Self> {
+        if block == 0 {
+            return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
+        }
         Ok(PackedDiskStore {
             file: Mutex::new(file),
             path,
@@ -355,7 +380,7 @@ impl PackedDiskStore {
             payload_offset: header.payload_offset,
             codec: PackedCodec::new(&header.alphabet),
             alphabet: header.alphabet,
-            block_bytes,
+            block_bytes: block,
             stats: IoStats::new(),
             last_end: AtomicU64::new(0),
             owns_file: false,
@@ -472,18 +497,6 @@ impl PackedDiskStore {
         Self::open(path, block_bytes).map(Some)
     }
 
-    /// Whether `path` holds a complete, valid packed header (see
-    /// [`Self::open_if_packed`]).
-    pub fn is_packed_file(path: impl AsRef<Path>) -> bool {
-        let check = |path: &Path| -> StoreResult<()> {
-            let mut file = File::open(path)?;
-            let file_len = file.metadata()?.len();
-            parse_header(&mut file, file_len)?;
-            Ok(())
-        };
-        check(path.as_ref()).is_ok()
-    }
-
     /// Chooses whether the backing file is deleted when the store is dropped
     /// (stores returned by [`Self::create`] delete it by default; stores from
     /// [`Self::open`] and [`Self::pack_store`] keep it).
@@ -523,24 +536,6 @@ fn write_header<W: Write>(out: &mut W, alphabet: &Alphabet, text_len: usize) -> 
     out.write_all(&fixed)?;
     out.write_all(alphabet.symbols())?;
     Ok(())
-}
-
-/// Encodes `body` (the text *without* its terminal) as a complete `ERAP`
-/// packed-file image — header, symbol table, packed payload — in memory.
-///
-/// This is the buffer-building counterpart of [`PackedDiskStore::create`],
-/// for writers that route their bytes through a durability seam (the
-/// [`crate::vfs::Vfs`] commit protocols) instead of `std::fs` directly. An
-/// image written verbatim to a file opens with [`PackedDiskStore::open`].
-pub fn encode_packed_file(body: &[u8], alphabet: &Alphabet) -> StoreResult<Vec<u8>> {
-    let codec = PackedCodec::new(alphabet);
-    let mut out = Vec::with_capacity(
-        HEADER_FIXED + alphabet.len() + packed_size(body.len() + 1, codec.bits()),
-    );
-    write_header(&mut out, alphabet, body.len() + 1)?;
-    let payload = codec.pack_body(body)?;
-    out.extend_from_slice(&payload);
-    Ok(out)
 }
 
 /// Reconstructs an alphabet from a stored symbol table, preserving the
@@ -716,7 +711,37 @@ mod tests {
         // Re-open the same file explicitly and compare.
         let reopened = PackedDiskStore::open(store.path(), 1024).unwrap();
         assert_eq!(reopened.read_all().unwrap(), all);
-        assert!(PackedDiskStore::is_packed_file(store.path()));
+    }
+
+    #[test]
+    fn region_store_decodes_a_bare_payload_inside_a_larger_file() {
+        let dir = temp_dir();
+        let body: Vec<u8> = (0..3000).map(|i| b"ACGT"[(i * 7 + i / 11) % 4]).collect();
+        let payload = PackedCodec::new(&Alphabet::dna()).pack_body(&body).unwrap();
+        let mut image = b"CONTAINER-HEADER".to_vec();
+        image.extend_from_slice(&payload);
+        image.extend_from_slice(b"segments that follow");
+        let path = dir.join("region.bin");
+        std::fs::write(&path, &image).unwrap();
+
+        let len = body.len() + 1;
+        let open = |offset, len| {
+            let file = File::open(&path).unwrap();
+            PackedDiskStore::open_region(file, offset, len, Alphabet::dna(), 64)
+        };
+        let store = open(16, len).unwrap();
+        assert_eq!(store.len(), len);
+        let mut expect = body.clone();
+        expect.push(TERMINAL);
+        assert_eq!(store.read_all().unwrap(), expect);
+        // The payload must lie inside the file; bounds must not overflow.
+        assert!(open(16, 100 * image.len()).is_err());
+        assert!(open(u64::MAX, len).is_err());
+        assert!(open(16, 0).is_err());
+        // A file shrinking underfoot is a read error, not a short answer.
+        std::fs::write(&path, &image[..16 + payload.len() / 2]).unwrap();
+        assert!(store.read_all().is_err());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -813,7 +838,6 @@ mod tests {
         let bad = dir.join("unsorted.erap");
         std::fs::write(&bad, &bytes).unwrap();
         assert!(PackedDiskStore::open(&bad, 1024).is_err());
-        assert!(!PackedDiskStore::is_packed_file(&bad));
         std::fs::remove_file(&bad).unwrap();
     }
 
@@ -854,7 +878,7 @@ mod tests {
         let mut text = b"ERAPKLMNERAPKLMNERAPKLMN".to_vec();
         text.push(TERMINAL);
         std::fs::write(&path, &text).unwrap();
-        assert!(!PackedDiskStore::is_packed_file(&path));
+        assert!(PackedDiskStore::open_if_packed(&path, 1024).unwrap().is_none());
         assert!(PackedDiskStore::open(&path, 1024).is_err());
         // The raw store opens it fine.
         assert!(DiskStore::open(&path, Alphabet::protein(), 1024).is_ok());
@@ -932,7 +956,7 @@ mod tests {
         assert!(PackedDiskStore::open(&bad, 1024).is_err());
         std::fs::write(&bad, b"ERAPxxxxxxxxxxxxxxxx").unwrap();
         assert!(PackedDiskStore::open(&bad, 1024).is_err());
-        assert!(!PackedDiskStore::is_packed_file(dir.join("missing.erap")));
+        assert!(PackedDiskStore::open(dir.join("missing.erap"), 1024).is_err());
         std::fs::remove_file(&bad).unwrap();
     }
 

@@ -13,8 +13,9 @@
 //!   back to its **durable** state — un-synced writes are dropped, renames,
 //!   creates and removes that were never followed by a [`Vfs::sync_dir`]
 //!   un-happen, and (optionally) the last un-synced sector of a file tears.
-//!   [`FaultVfs::materialize`] then writes the durable state into a real
-//!   directory so the untouched production *read* path can try to reopen it.
+//!   [`FaultVfs::durable_bytes`] then hands out what survived, for the
+//!   harness to write to a real file the untouched production *read* path
+//!   can try to reopen.
 //!
 //! The model's durability rules are the conservative POSIX ones:
 //!
@@ -48,9 +49,9 @@ pub trait VfsFile {
 
 /// The write-path file-system operations a crash-safe commit protocol needs.
 ///
-/// Read paths deliberately stay on `std::fs`: the harness materializes a
-/// [`FaultVfs`]'s durable state into a real directory and reopens it with the
-/// exact production readers.
+/// Read paths deliberately stay on `std::fs`: the harness writes a
+/// [`FaultVfs`]'s durable bytes to a real file and reopens it with the exact
+/// production readers.
 pub trait Vfs {
     /// Creates (or truncates) the file at `path` for writing.
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
@@ -204,8 +205,8 @@ impl FaultState {
 ///    [`FaultVfs::op_count`] — this is `N`, the number of fault points;
 /// 3. for every `K in 0..N`: repeat step 1 on a fresh `FaultVfs`, arm
 ///    [`FaultVfs::plan_crash`]`(K, mode)`, run the new save (it errors),
-///    [`FaultVfs::materialize`] the durable wreckage into a real directory
-///    and assert the production readers see exactly the old or the new
+///    write the [`FaultVfs::durable_bytes`] wreckage to a real file and
+///    assert the production readers see exactly the old or the new
 ///    generation.
 #[derive(Debug, Default, Clone)]
 pub struct FaultVfs {
@@ -283,20 +284,6 @@ impl FaultVfs {
             .filter_map(|p| p.file_name())
             .map(|n| n.to_string_lossy().into_owned())
             .collect()
-    }
-
-    /// Writes the durable state into the real directory `dst` (by file name —
-    /// the model is intended for single-directory commit protocols), so the
-    /// production read path can try to reopen the post-crash state.
-    pub fn materialize(&self, dst: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dst)?;
-        let s = lock(&self.state);
-        for (path, id) in &s.durable_view {
-            let Some(name) = path.file_name() else { continue };
-            let Some(node) = s.files.get(id) else { continue };
-            std::fs::write(dst.join(name), &node.durable)?;
-        }
-        Ok(())
     }
 }
 
@@ -532,22 +519,6 @@ mod tests {
         assert!(vfs.crashed());
         assert!(vfs.create(&dir().join("y")).is_err());
         assert!(vfs.sync_dir(&dir()).is_err());
-    }
-
-    #[test]
-    fn materialize_writes_only_durable_files() {
-        let real = std::env::temp_dir().join(format!("era-vfs-mat-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&real);
-        let vfs = FaultVfs::new();
-        commit(&vfs, &dir().join("kept.bin"), b"kept").unwrap();
-        let mut f = vfs.create(&dir().join("pending.bin")).unwrap();
-        f.write_all(b"never synced").unwrap();
-        drop(f);
-        vfs.crash_now(CrashMode::DropUnsynced);
-        vfs.materialize(&real).unwrap();
-        assert_eq!(std::fs::read(real.join("kept.bin")).unwrap(), b"kept");
-        assert!(!real.join("pending.bin").exists());
-        std::fs::remove_dir_all(&real).unwrap();
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! One file holds everything a serving index needs: the text (raw or
 //! bit-packed), every partition-group's flat (`ERAFLAT1`) tree, and a
 //! checksummed table of contents that is the *commit point* of the whole
-//! catalog. The scattered directory layout (`manifest.era` + `part-*.st` +
-//! text sidecars) stays readable, but it cannot be replaced atomically; the
-//! catalog can.
+//! catalog. It is the only persisted index format, read through one
+//! footer/TOC parser in two ways: [`parse_catalog`] verifies a whole in-memory
+//! image, while a [`CatalogFile`] reads the footer and TOC and then either
+//! the whole file in one sequential pass, handed to [`parse_catalog`]
+//! ([`CatalogFile::load_all`]), or only the group segments
+//! ([`CatalogFile::load_groups`]) — the text segment's checksum is verified
+//! in a bounded-buffer streaming pass and the text stays on disk, for a
+//! region store to serve block-wise.
 //!
 //! # On-disk format (all integers little-endian)
 //!
@@ -75,7 +80,8 @@
 //! the data sync, so a crash in between leaves a durable catalog whose
 //! bytes were never fsynced.
 
-use std::io::{self, Read};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use era_string_store::packed::packed_size;
@@ -105,7 +111,13 @@ const COMMIT_CHUNK: usize = 4096;
 /// FNV-1a 64-bit over `bytes` — dependency-free, deterministic, and fast
 /// enough for commit-time whole-segment checksums at this scale.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64 hash `h` over `bytes` (the streaming form).
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
@@ -179,28 +191,11 @@ pub struct Catalog {
     pub groups: Vec<CatalogGroup>,
 }
 
-impl Catalog {
-    /// Reads and fully verifies the catalog file at `path`.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Catalog> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        parse_catalog(&bytes)
-    }
-
-    /// Whether the text segment is packed.
-    pub fn is_packed(&self) -> bool {
-        matches!(self.text, CatalogText::Packed(_))
-    }
-
-    /// Consumes the groups into a serving tree.
-    pub fn into_tree(self) -> PartitionedSuffixTree {
-        let partitions = self
-            .groups
-            .into_iter()
-            .map(|g| FlatPartition { prefix: g.prefix, tree: g.tree })
-            .collect();
-        PartitionedSuffixTree::from_flat(self.text_len, partitions)
-    }
+/// Assembles verified catalog groups into the serving tree.
+pub fn groups_into_tree(text_len: usize, groups: Vec<CatalogGroup>) -> PartitionedSuffixTree {
+    let partitions =
+        groups.into_iter().map(|g| FlatPartition { prefix: g.prefix, tree: g.tree }).collect();
+    PartitionedSuffixTree::from_flat(text_len, partitions)
 }
 
 /// Builds the complete `ERACAT1` image for `tree` + `text` in memory.
@@ -331,26 +326,6 @@ fn write_chunked(f: &mut dyn era_string_store::VfsFile, bytes: &[u8]) -> io::Res
     Ok(())
 }
 
-/// Writes `bytes` to `path` through `vfs` with the per-file half of the
-/// commit protocol: unique temp sibling → chunked writes → `sync_data` →
-/// rename. The caller batches the directory fsync that makes the rename
-/// durable ([`Vfs::sync_dir`]); on failure the temp sibling is removed on a
-/// best-effort basis and `path` is untouched.
-pub fn write_file_durable(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = unique_sibling(path, "tmp");
-    let result = (|| {
-        let mut f = vfs.create(&tmp)?;
-        write_chunked(f.as_mut(), bytes)?;
-        f.sync_data()?;
-        drop(f);
-        vfs.rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = vfs.remove_file(&tmp);
-    }
-    result
-}
-
 /// Commits an encoded catalog image to `path` through `vfs`.
 ///
 /// The target is only ever replaced atomically (write temp → fsync →
@@ -394,20 +369,6 @@ pub fn commit_catalog(
     result
 }
 
-/// Encodes and commits `tree` + `text` as a catalog at `path` in one call.
-pub fn save_catalog(
-    path: &Path,
-    vfs: &dyn Vfs,
-    protocol: CommitProtocol,
-    generation: u64,
-    text: TextSegment<'_>,
-    alphabet: &Alphabet,
-    tree: &PartitionedSuffixTree,
-) -> io::Result<()> {
-    let enc = encode_catalog(generation, text, alphabet, tree)?;
-    commit_catalog(path, vfs, protocol, &enc)
-}
-
 /// A bounds-checked subslice; `what` names the field for diagnostics.
 fn field<'a>(bytes: &'a [u8], at: usize, len: usize, what: &str) -> io::Result<&'a [u8]> {
     let end =
@@ -436,41 +397,66 @@ fn to_usize(v: u64, what: &str) -> io::Result<usize> {
         .map_err(|_| corrupt(format!("catalog {what}: {v} does not fit this platform")))
 }
 
-/// Parses and fully verifies an `ERACAT1` image.
-///
-/// Verification is exhaustive by construction: the footer fixes the TOC, the
-/// TOC's checksum covers every offset/length/checksum it declares, the
-/// per-segment checksums cover the text and every group, and the contiguity
-/// checks (text at [`HEADER_LEN`], groups adjacent, TOC ending exactly at
-/// the footer) mean no byte of the file is outside some verified region.
-/// Hostile lengths never drive allocation: every count is bounds-checked
-/// against the real file before use.
-pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
-    if bytes.len() < HEADER_LEN + FOOTER_LEN {
-        return Err(corrupt(format!(
-            "catalog of {} bytes is shorter than header + footer",
-            bytes.len()
-        )));
-    }
-    if field(bytes, 0, 8, "header magic")? != CATALOG_MAGIC {
+/// One partition group as the TOC declares it.
+#[derive(Debug, Clone)]
+struct TocGroup {
+    generation: u64,
+    prefix: Vec<u8>,
+    /// Absolute offset of the group's `ERAFLAT1` segment.
+    offset: usize,
+    /// Segment length in bytes.
+    len: usize,
+    /// FNV-1a 64 of the segment bytes.
+    checksum: u64,
+}
+
+/// The layout a catalog's footer and TOC declare, validated against the file
+/// length: the text segment starts at [`HEADER_LEN`], the group segments
+/// follow contiguously and end exactly where the TOC begins. No segment byte
+/// has been read or verified yet.
+#[derive(Debug, Clone)]
+pub struct CatalogToc {
+    /// Catalog generation number.
+    pub generation: u64,
+    /// Terminated text length in symbols.
+    pub text_len: usize,
+    /// The alphabet recorded at save time (built-in kinds preserved).
+    pub alphabet: Alphabet,
+    /// Whether the text segment holds a packed payload.
+    pub packed: bool,
+    /// Length in bytes of the text segment, which starts at [`HEADER_LEN`].
+    pub text_bytes: usize,
+    text_checksum: u64,
+    groups: Vec<TocGroup>,
+}
+
+fn parse_header(header: &[u8]) -> io::Result<()> {
+    if field(header, 0, 8, "header magic")? != CATALOG_MAGIC {
         return Err(corrupt("not an ERACAT1 catalog (bad header magic)".into()));
     }
-    let version = read_u32_at(bytes, 8, "version")?;
+    let version = read_u32_at(header, 8, "version")?;
     if version != CATALOG_VERSION {
         return Err(corrupt(format!("unsupported catalog version {version}")));
     }
-    if read_u32_at(bytes, 12, "header reserved")? != 0 {
+    if read_u32_at(header, 12, "header reserved")? != 0 {
         return Err(corrupt("catalog header reserved field must be zero".into()));
     }
+    Ok(())
+}
 
-    // Footer: locates and authenticates the TOC.
-    let footer_at = bytes.len() - FOOTER_LEN;
-    if field(bytes, footer_at + 24, 8, "footer magic")? != FOOTER_MAGIC {
+/// Parses the footer of a `file_len`-byte catalog into the TOC's
+/// `(offset, length, checksum)`; the TOC must end exactly at the footer.
+fn parse_footer(footer: &[u8], file_len: usize) -> io::Result<(usize, usize, u64)> {
+    let footer_at =
+        file_len.checked_sub(FOOTER_LEN).filter(|&at| at >= HEADER_LEN).ok_or_else(|| {
+            corrupt(format!("catalog of {file_len} bytes is shorter than header + footer"))
+        })?;
+    if field(footer, 24, 8, "footer magic")? != FOOTER_MAGIC {
         return Err(corrupt("catalog footer magic missing (truncated or torn file)".into()));
     }
-    let toc_offset = to_usize(read_u64_at(bytes, footer_at, "toc offset")?, "toc offset")?;
-    let toc_len = to_usize(read_u64_at(bytes, footer_at + 8, "toc length")?, "toc length")?;
-    let toc_checksum = read_u64_at(bytes, footer_at + 16, "toc checksum")?;
+    let toc_offset = to_usize(read_u64_at(footer, 0, "toc offset")?, "toc offset")?;
+    let toc_len = to_usize(read_u64_at(footer, 8, "toc length")?, "toc length")?;
+    let toc_checksum = read_u64_at(footer, 16, "toc checksum")?;
     let toc_end = toc_offset
         .checked_add(toc_len)
         .ok_or_else(|| corrupt("catalog toc bounds overflow".into()))?;
@@ -479,19 +465,24 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
             "catalog toc [{toc_offset}, {toc_end}) must end exactly at the footer ({footer_at})"
         )));
     }
-    let toc = field(bytes, toc_offset, toc_len, "toc")?;
+    Ok((toc_offset, toc_len, toc_checksum))
+}
+
+/// Parses and validates the TOC bytes of a catalog whose TOC starts at
+/// `toc_offset` — the one TOC parser behind [`parse_catalog`],
+/// [`CatalogFile`] and `era-check fsck`.
+///
+/// Hostile lengths never drive allocation: every count is bounds-checked
+/// against the real TOC bytes before use.
+fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<CatalogToc> {
     if fnv1a64(toc) != toc_checksum {
         return Err(corrupt("catalog toc checksum mismatch".into()));
     }
-
-    // TOC fixed part.
     let generation = read_u64_at(toc, 0, "generation")?;
-    let text_len_raw = read_u64_at(toc, 8, "text length")?;
-    let text_len = to_usize(text_len_raw, "text length")?;
+    let text_len = to_usize(read_u64_at(toc, 8, "text length")?, "text length")?;
     let flags = *field(toc, 16, 1, "flags")?.first().unwrap_or(&0);
     let alen = usize::from(*field(toc, 17, 1, "alphabet length")?.first().unwrap_or(&0));
-    let reserved = field(toc, 18, 2, "toc reserved")?;
-    if reserved != [0, 0] {
+    if field(toc, 18, 2, "toc reserved")? != [0, 0] {
         return Err(corrupt("catalog toc reserved field must be zero".into()));
     }
     let group_count = to_usize(u64::from(read_u32_at(toc, 20, "group count")?), "group count")?;
@@ -508,15 +499,14 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
     if text_len == 0 {
         return Err(corrupt("catalog text length is zero (must include the terminal)".into()));
     }
-    let symbols = field(toc, 24, alen, "alphabet")?;
-    let alphabet = builtin_or_custom(symbols)
+    let alphabet = builtin_or_custom(field(toc, 24, alen, "alphabet")?)
         .map_err(|e| corrupt(format!("catalog alphabet invalid: {e}")))?;
 
     // Text segment: pinned to HEADER_LEN, inside [HEADER_LEN, toc_offset).
     let after_alpha =
         24usize.checked_add(alen).ok_or_else(|| corrupt("catalog toc alphabet overflow".into()))?;
     let text_offset = to_usize(read_u64_at(toc, after_alpha, "text offset")?, "text offset")?;
-    let text_bytes_len = to_usize(read_u64_at(toc, after_alpha + 8, "text bytes")?, "text bytes")?;
+    let text_bytes = to_usize(read_u64_at(toc, after_alpha + 8, "text bytes")?, "text bytes")?;
     let text_checksum = read_u64_at(toc, after_alpha + 16, "text checksum")?;
     if text_offset != HEADER_LEN {
         return Err(corrupt(format!(
@@ -524,33 +514,20 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
         )));
     }
     let text_end = text_offset
-        .checked_add(text_bytes_len)
+        .checked_add(text_bytes)
         .ok_or_else(|| corrupt("catalog text bounds overflow".into()))?;
     if text_end > toc_offset {
         return Err(corrupt(format!(
             "catalog text segment [{text_offset}, {text_end}) overruns the toc at {toc_offset}"
         )));
     }
-    let text_seg = field(bytes, text_offset, text_bytes_len, "text segment")?;
-    if fnv1a64(text_seg) != text_checksum {
-        return Err(corrupt("catalog text segment checksum mismatch".into()));
-    }
-    if packed {
-        let want = packed_size(text_len - 1, alphabet.bits_per_symbol());
-        if text_bytes_len != want {
-            return Err(corrupt(format!(
-                "packed text segment is {text_bytes_len} bytes, text length {text_len} needs {want}"
-            )));
-        }
-    } else {
-        if text_bytes_len != text_len {
-            return Err(corrupt(format!(
-                "raw text segment is {text_bytes_len} bytes but claims {text_len} symbols"
-            )));
-        }
-        if text_seg.last() != Some(&era_string_store::TERMINAL) {
-            return Err(corrupt("raw catalog text does not end with the terminal".into()));
-        }
+    let want =
+        if packed { packed_size(text_len - 1, alphabet.bits_per_symbol()) } else { text_len };
+    if text_bytes != want {
+        return Err(corrupt(format!(
+            "text segment is {text_bytes} bytes, a {} text of {text_len} symbols needs {want}",
+            if packed { "packed" } else { "raw" }
+        )));
     }
 
     // Group segments: strictly contiguous from the text end to the TOC.
@@ -586,25 +563,7 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
                 "group {i} segment [{offset}, {end}) overruns the toc at {toc_offset}"
             )));
         }
-        let seg = field(bytes, offset, len, "group segment")?;
-        if fnv1a64(seg) != checksum {
-            return Err(corrupt(format!("group {i} segment checksum mismatch")));
-        }
-        let tree = read_flat_tree(&mut &seg[..])
-            .map_err(|e| corrupt(format!("group {i} tree invalid: {e}")))?;
-        if tree.serialized_size() != len {
-            return Err(corrupt(format!(
-                "group {i} segment has {} trailing bytes",
-                len - tree.serialized_size().min(len)
-            )));
-        }
-        if tree.text_len() != text_len {
-            return Err(corrupt(format!(
-                "group {i} tree covers a {}-symbol text, catalog says {text_len}",
-                tree.text_len()
-            )));
-        }
-        groups.push(CatalogGroup { generation, prefix, tree });
+        groups.push(TocGroup { generation, prefix, offset, len, checksum });
         cursor = end;
     }
     if cursor != toc_offset {
@@ -613,19 +572,176 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
             toc_offset - cursor.min(toc_offset)
         )));
     }
-    if toc_at != toc_len {
+    if toc_at != toc.len() {
         return Err(corrupt(format!(
             "catalog toc has {} trailing bytes",
-            toc_len - toc_at.min(toc_len)
+            toc.len() - toc_at.min(toc.len())
         )));
     }
+    Ok(CatalogToc { generation, text_len, alphabet, packed, text_bytes, text_checksum, groups })
+}
 
-    let text = if packed {
-        CatalogText::Packed(text_seg.to_vec())
-    } else {
-        CatalogText::Raw(text_seg.to_vec())
-    };
+/// Verifies one group segment against its TOC entry and parses its tree
+/// (structural validation included).
+fn load_group(i: usize, entry: &TocGroup, seg: &[u8], text_len: usize) -> io::Result<CatalogGroup> {
+    if fnv1a64(seg) != entry.checksum {
+        return Err(corrupt(format!("group {i} segment checksum mismatch")));
+    }
+    let tree = read_flat_tree(&mut &seg[..])
+        .map_err(|e| corrupt(format!("group {i} tree invalid: {e}")))?;
+    if tree.serialized_size() != seg.len() {
+        return Err(corrupt(format!(
+            "group {i} segment has {} trailing bytes",
+            seg.len().saturating_sub(tree.serialized_size())
+        )));
+    }
+    if tree.text_len() != text_len {
+        return Err(corrupt(format!(
+            "group {i} tree covers a {}-symbol text, catalog says {text_len}",
+            tree.text_len()
+        )));
+    }
+    Ok(CatalogGroup { generation: entry.generation, prefix: entry.prefix.clone(), tree })
+}
+
+/// Holds the text segment's hash and last byte to what the TOC promises.
+fn check_text(toc: &CatalogToc, hash: u64, last: Option<u8>) -> io::Result<()> {
+    if hash != toc.text_checksum {
+        return Err(corrupt("catalog text segment checksum mismatch".into()));
+    }
+    if !toc.packed && last != Some(era_string_store::TERMINAL) {
+        return Err(corrupt("raw catalog text does not end with the terminal".into()));
+    }
+    Ok(())
+}
+
+/// Parses and fully verifies an `ERACAT1` image.
+///
+/// Verification is exhaustive by construction: the footer fixes the TOC, the
+/// TOC's checksum covers every offset/length/checksum it declares, the
+/// per-segment checksums cover the text and every group, and the contiguity
+/// checks (text at [`HEADER_LEN`], groups adjacent, TOC ending exactly at
+/// the footer) mean no byte of the file is outside some verified region.
+pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
+    let footer_at = bytes.len().saturating_sub(FOOTER_LEN);
+    let (toc_offset, toc_len, toc_checksum) =
+        parse_footer(field(bytes, footer_at, bytes.len() - footer_at, "footer")?, bytes.len())?;
+    parse_header(field(bytes, 0, HEADER_LEN, "header")?)?;
+    let toc = parse_toc(field(bytes, toc_offset, toc_len, "toc")?, toc_offset, toc_checksum)?;
+    let text_seg = field(bytes, HEADER_LEN, toc.text_bytes, "text segment")?;
+    check_text(&toc, fnv1a64(text_seg), text_seg.last().copied())?;
+    let mut groups = Vec::with_capacity(toc.groups.len());
+    for (i, entry) in toc.groups.iter().enumerate() {
+        let seg = field(bytes, entry.offset, entry.len, "group segment")?;
+        groups.push(load_group(i, entry, seg, toc.text_len)?);
+    }
+    let text_seg = text_seg.to_vec();
+    let text = if toc.packed { CatalogText::Packed(text_seg) } else { CatalogText::Raw(text_seg) };
+    let CatalogToc { generation, text_len, alphabet, .. } = toc;
     Ok(Catalog { generation, text_len, alphabet, text, groups })
+}
+
+/// Buffer of the streaming text-checksum pass of [`CatalogFile::load_groups`].
+const STREAM_CHUNK: usize = 64 << 10;
+
+/// An open catalog file whose header, footer and TOC have been read and
+/// validated; no segment has been read yet. The caller picks how to load the
+/// rest from [`Self::toc`]: [`Self::load_all`] materializes everything,
+/// [`Self::load_groups`] leaves the text segment on disk.
+#[derive(Debug)]
+pub struct CatalogFile {
+    file: File,
+    toc: CatalogToc,
+    bytes_read: u64,
+}
+
+/// Fills `buf` from the cursor of `file`, adding what was read to `count`.
+fn read_counted(file: &mut File, count: &mut u64, buf: &mut [u8]) -> io::Result<()> {
+    file.read_exact(buf)?;
+    *count += buf.len() as u64;
+    Ok(())
+}
+
+impl CatalogFile {
+    /// Opens `path` and reads its header, footer and TOC.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<CatalogFile> {
+        let mut file = File::open(path)?;
+        let mut bytes_read = 0;
+        let file_len = to_usize(file.metadata()?.len(), "file length")?;
+        let mut footer = [0u8; FOOTER_LEN];
+        let footer_at = file_len.saturating_sub(FOOTER_LEN);
+        file.seek(SeekFrom::Start(footer_at as u64))?;
+        read_counted(&mut file, &mut bytes_read, &mut footer[..file_len - footer_at])?;
+        let (toc_offset, toc_len, toc_checksum) = parse_footer(&footer, file_len)?;
+        let mut header = [0u8; HEADER_LEN];
+        file.seek(SeekFrom::Start(0))?;
+        read_counted(&mut file, &mut bytes_read, &mut header)?;
+        parse_header(&header)?;
+        // `toc_len` is bounded by the real file length (the TOC ends at the
+        // footer), so this allocation is never larger than the file.
+        let mut toc_bytes = vec![0u8; toc_len];
+        file.seek(SeekFrom::Start(toc_offset as u64))?;
+        read_counted(&mut file, &mut bytes_read, &mut toc_bytes)?;
+        let toc = parse_toc(&toc_bytes, toc_offset, toc_checksum)?;
+        Ok(CatalogFile { file, toc, bytes_read })
+    }
+
+    /// The validated layout.
+    pub fn toc(&self) -> &CatalogToc {
+        &self.toc
+    }
+
+    /// Bytes read from the file so far, counted where they are read: header,
+    /// footer and TOC, plus what [`Self::load_groups`] read.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// Reads the file in one sequential pass and verifies that image with
+    /// [`parse_catalog`]: the materializing open.
+    pub fn load_all(mut self) -> io::Result<Catalog> {
+        let mut image = Vec::new();
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.read_to_end(&mut image)?;
+        parse_catalog(&image)
+    }
+
+    /// Verifies the text segment's checksum in one streaming pass through a
+    /// [`STREAM_CHUNK`]-byte buffer — the text is never held in memory — and
+    /// loads the group segments.
+    pub fn load_groups(&mut self) -> io::Result<Vec<CatalogGroup>> {
+        let toc = &self.toc;
+        self.file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        let mut buf = vec![0u8; STREAM_CHUNK.min(toc.text_bytes)];
+        let mut hash = FNV_OFFSET;
+        let mut last = None;
+        let mut left = toc.text_bytes;
+        while left > 0 {
+            let chunk = &mut buf[..left.min(STREAM_CHUNK)];
+            read_counted(&mut self.file, &mut self.bytes_read, chunk)?;
+            hash = fnv1a64_extend(hash, chunk);
+            last = chunk.last().copied();
+            left -= chunk.len();
+        }
+        check_text(toc, hash, last)?;
+        // Groups follow the text contiguously, so the file cursor is already
+        // at the first one; each buffer is bounded by the real file length.
+        let mut groups = Vec::with_capacity(toc.groups.len());
+        let mut seg = Vec::new();
+        for (i, entry) in toc.groups.iter().enumerate() {
+            seg.resize(entry.len, 0);
+            read_counted(&mut self.file, &mut self.bytes_read, &mut seg)?;
+            groups.push(load_group(i, entry, &seg, toc.text_len)?);
+        }
+        Ok(groups)
+    }
+
+    /// The open file and its layout, for a region store to serve the text
+    /// segment from — the very file that was verified, even if its path is
+    /// replaced meanwhile.
+    pub fn into_parts(self) -> (File, CatalogToc) {
+        (self.file, self.toc)
+    }
 }
 
 #[cfg(test)]
@@ -654,12 +770,11 @@ mod tests {
         let cat = parse_catalog(&enc.bytes).unwrap();
         assert_eq!(cat.generation, 7);
         assert_eq!(cat.text_len, text.len());
-        assert!(!cat.is_packed());
         assert_eq!(cat.text, CatalogText::Raw(text.clone()));
         assert_eq!(cat.alphabet.symbols(), alpha.symbols());
         assert_eq!(cat.groups.len(), 1);
         assert_eq!(cat.groups[0].generation, 7);
-        let back = cat.into_tree();
+        let back = groups_into_tree(cat.text_len, cat.groups);
         assert_eq!(back, tree);
         assert_eq!(back.find_all(&text, b"GATTACA"), tree.find_all(&text, b"GATTACA"));
     }
@@ -677,38 +792,41 @@ mod tests {
         )
         .unwrap();
         let cat = parse_catalog(&enc.bytes).unwrap();
-        assert!(cat.is_packed());
         assert_eq!(cat.text, CatalogText::Packed(payload));
         assert_eq!(cat.alphabet.kind(), alpha.kind());
-        assert_eq!(cat.into_tree(), tree);
+        assert_eq!(groups_into_tree(cat.text_len, cat.groups), tree);
     }
 
     #[test]
     fn commit_and_open_through_std_vfs() {
         let (text, tree) = sample_tree();
-        let path = temp_path("std");
-        save_catalog(
-            &path,
-            &StdVfs,
-            CommitProtocol::Sound,
-            3,
-            TextSegment::Raw(&text),
-            &Alphabet::dna(),
-            &tree,
-        )
-        .unwrap();
-        let cat = Catalog::open(&path).unwrap();
-        assert_eq!(cat.generation, 3);
-        assert_eq!(cat.into_tree(), tree);
-        // The temp sibling is gone.
-        let dir = path.parent().unwrap();
-        let stray: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name() != "index.eracat")
-            .collect();
-        assert!(stray.is_empty(), "{stray:?}");
-        std::fs::remove_dir_all(dir).unwrap();
+        let alpha = Alphabet::dna();
+        let payload = PackedCodec::new(&alpha).pack_body(&text[..text.len() - 1]).unwrap();
+        let packed = TextSegment::Packed { payload: &payload, text_len: text.len() };
+        for (name, segment) in [("std-raw", TextSegment::Raw(&text)), ("std-packed", packed)] {
+            let path = temp_path(name);
+            let enc = encode_catalog(3, segment, &alpha, &tree).unwrap();
+            commit_catalog(&path, &StdVfs, CommitProtocol::Sound, &enc).unwrap();
+            let cat = CatalogFile::open(&path).unwrap().load_all().unwrap();
+            assert_eq!(cat.generation, 3);
+            // The streamed open verifies the same groups, leaves the text on
+            // disk and reads each byte of the file exactly once: header,
+            // text, groups, TOC and footer tile it.
+            let mut file = CatalogFile::open(&path).unwrap();
+            assert_eq!(file.toc().packed, matches!(cat.text, CatalogText::Packed(_)));
+            assert_eq!(file.load_groups().unwrap(), cat.groups);
+            assert_eq!(file.bytes_read(), enc.bytes.len() as u64);
+            assert_eq!(groups_into_tree(cat.text_len, cat.groups), tree);
+            // The temp sibling is gone.
+            let dir = path.parent().unwrap();
+            let stray: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name() != "index.eracat")
+                .collect();
+            assert!(stray.is_empty(), "{stray:?}");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

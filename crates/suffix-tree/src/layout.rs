@@ -222,7 +222,7 @@ impl FlatTree {
             if id == 0 {
                 *tree.node_mut(0) = raw;
             } else {
-                tree.push_raw(raw);
+                tree.push_node_for_deserialization(raw);
             }
         }
         tree

@@ -33,16 +33,19 @@
 //!   the variable-length S-prefixes with one frozen sub-tree per prefix
 //!   (Fig. 3).
 //! * [`validate`] — structural invariant checking used by tests and examples.
-//! * [`serialize`] — a compact little-endian binary format for storing
-//!   sub-trees on disk: `ERAFLAT1` (16 bytes/node, the serving default) plus
-//!   the legacy `ERASTRE1` construction-form layout, which still loads.
-//! * [`catalog`] — the `ERACAT1` single-file index container: text segment,
-//!   contiguous `ERAFLAT1` group segments and a checksummed footer/TOC,
-//!   committed atomically (write temp → fsync → fsync TOC → rename → dir
-//!   fsync) through the [`Vfs`](era_string_store::Vfs) durability seam, with
-//!   per-group generation numbers as the seam for group-granular incremental
-//!   replace. The crash-matrix harness in `era-check` proves every fault
-//!   point of a save yields exactly the old or the new generation.
+//! * [`serialize`] — `ERAFLAT1`, the compact little-endian binary form of a
+//!   flat sub-tree (16 bytes/node, written verbatim, structurally validated
+//!   on read): the segment format of the catalog and the only tree format.
+//! * [`catalog`] — the `ERACAT1` single-file index container, the one
+//!   persisted index format: text segment (raw or packed), contiguous
+//!   `ERAFLAT1` group segments and a checksummed footer/TOC, committed
+//!   atomically (write temp → fsync → fsync TOC → rename → dir fsync) through
+//!   the [`Vfs`](era_string_store::Vfs) durability seam, with per-group
+//!   generation numbers as the seam for group-granular incremental replace.
+//!   One footer/TOC parser serves both ways of reading it — a whole image
+//!   ([`parse_catalog`]) or a file whose text segment stays on disk
+//!   ([`CatalogFile`]). The crash-matrix harness in `era-check` proves every
+//!   fault point of a save yields exactly the old or the new generation.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -63,8 +66,8 @@ pub mod validate;
 
 pub use assemble::assemble_from_sorted;
 pub use catalog::{
-    commit_catalog, encode_catalog, parse_catalog, save_catalog, write_file_durable, Catalog,
-    CatalogGroup, CatalogText, CommitProtocol, EncodedCatalog, TextSegment,
+    commit_catalog, encode_catalog, parse_catalog, Catalog, CatalogFile, CatalogGroup, CatalogText,
+    CatalogToc, CommitProtocol, EncodedCatalog, TextSegment,
 };
 pub use layout::{FlatNode, FlatPartition, FlatTree, FLAT_NODE_BYTES};
 pub use naive::naive_suffix_tree;

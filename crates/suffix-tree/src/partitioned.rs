@@ -16,7 +16,6 @@ use era_string_store::{StoreResult, TextSource};
 
 use crate::assemble::assemble_from_sa_lcp;
 use crate::layout::{FlatPartition, FlatTree};
-use crate::query::MatchResult;
 use crate::stats::TreeStats;
 use crate::tree::SuffixTree;
 
@@ -366,28 +365,6 @@ impl PartitionedSuffixTree {
     /// output type).
     pub fn single(text_len: usize, tree: SuffixTree) -> Self {
         PartitionedSuffixTree::new(text_len, vec![Partition { prefix: Vec::new(), tree }])
-    }
-
-    /// Match a pattern against every candidate partition of any
-    /// [`TextSource`], reporting the sub-tree node(s).
-    pub fn try_match_in_partitions<T: TextSource + ?Sized>(
-        &self,
-        text: &T,
-        pattern: &[u8],
-    ) -> StoreResult<Vec<(usize, MatchResult)>> {
-        let mut out = Vec::new();
-        for p in self.trie.candidates(pattern) {
-            let r = self.partitions[p as usize].tree.try_match_pattern(text, pattern)?;
-            out.push((p as usize, r));
-        }
-        Ok(out)
-    }
-
-    /// Match a pattern and report the sub-tree node(s); mostly useful for
-    /// diagnostics and tests.
-    pub fn match_in_partitions(&self, text: &[u8], pattern: &[u8]) -> Vec<(usize, MatchResult)> {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_match_in_partitions(text, pattern).expect("byte-slice text sources cannot fail")
     }
 }
 

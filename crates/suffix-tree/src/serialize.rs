@@ -1,37 +1,19 @@
-//! Compact binary serialization of suffix (sub-)trees.
+//! Compact binary serialization of flat suffix (sub-)trees.
 //!
 //! ERA and the disk-based baselines write finished sub-trees to disk as they
 //! are produced (the human-genome tree is ~26× the input, so it cannot stay in
-//! memory). The format is a simple little-endian layout with a magic header —
-//! no external codec dependencies.
-//!
-//! Two tree formats exist:
-//!
-//! * `ERAFLAT1` — the flat serving layout ([`FlatTree`]): a fixed 16-byte
-//!   record per node, written verbatim. This is what
-//!   [`PartitionedSuffixTree::save_to_dir`] produces; loading is a single
-//!   bulk read with no per-node pointer rebuilding.
-//! * `ERASTRE1` — the legacy construction-form layout ([`SuffixTree`]) with
-//!   explicit parent pointers and child lists. Still written by
-//!   [`write_tree`] for construction-side tooling, and still accepted by
-//!   [`PartitionedSuffixTree::load_from_dir`] (legacy partitions are frozen
-//!   on load).
+//! memory). The one tree format is `ERAFLAT1` — the flat serving layout
+//! ([`FlatTree`]): a little-endian header (magic, text length, node count)
+//! and a fixed 16-byte record per node, written verbatim, so loading is a
+//! bulk read with no per-node pointer rebuilding. It is the segment format
+//! of the [`crate::catalog`] container and the spill format of the baselines;
+//! construction-form [`SuffixTree`](crate::SuffixTree)s are frozen first.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
 
-use era_string_store::Vfs;
+use crate::layout::{FlatNode, FlatTree};
 
-use crate::catalog::write_file_durable;
-use crate::layout::{FlatNode, FlatPartition, FlatTree};
-use crate::node::{Node, NodeData, NodeId};
-use crate::partitioned::PartitionedSuffixTree;
-use crate::tree::SuffixTree;
-
-const TREE_MAGIC: &[u8; 8] = b"ERASTRE1";
 const FLAT_MAGIC: &[u8; 8] = b"ERAFLAT1";
-const PART_MAGIC: &[u8; 8] = b"ERAPART1";
 
 fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -44,17 +26,6 @@ fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     Ok(u32::from_le_bytes(b))
 }
 
-fn write_u8<W: Write>(w: &mut W, v: u8) -> io::Result<()> {
-    w.write_all(&[v])
-}
-
-// era-check: source
-fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
 /// Ceiling on speculative preallocation from header-declared counts. A
 /// hostile 8-byte header may *claim* any element count, but it only gets the
 /// memory as the corresponding bytes actually arrive — `Vec::push` grows
@@ -62,80 +33,10 @@ fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
 /// long before.
 pub(crate) const MAX_PREALLOC: usize = 1 << 20;
 
-/// Ceiling on a manifest partition-prefix length. Partition prefixes are a
-/// handful of symbols by construction; a manifest claiming more is hostile
+/// Ceiling on a catalog TOC's partition-prefix length. Partition prefixes
+/// are a handful of symbols by construction; a TOC claiming more is hostile
 /// or corrupt and is rejected rather than allocated.
 pub(crate) const MAX_PREFIX_LEN: usize = 1 << 10;
-
-/// Writes a construction-form tree to any writer (`ERASTRE1`).
-pub fn write_tree<W: Write>(w: &mut W, tree: &SuffixTree) -> io::Result<()> {
-    w.write_all(TREE_MAGIC)?;
-    write_u32(w, tree.text_len() as u32)?;
-    write_u32(w, tree.node_count() as u32)?;
-    for id in tree.node_ids() {
-        let n = tree.node(id);
-        write_u32(w, n.start)?;
-        write_u32(w, n.end)?;
-        write_u32(w, n.parent)?;
-        write_u8(w, n.first_char)?;
-        match &n.data {
-            NodeData::Leaf { suffix } => {
-                write_u8(w, 1)?;
-                write_u32(w, *suffix)?;
-            }
-            NodeData::Internal { children } => {
-                write_u8(w, 0)?;
-                write_u32(w, children.len() as u32)?;
-                for &c in children {
-                    write_u32(w, c)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Reads a construction-form tree previously written with [`write_tree`].
-pub fn read_tree<R: Read>(r: &mut R) -> io::Result<SuffixTree> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != TREE_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an ERA suffix tree file"));
-    }
-    read_tree_body(r)
-}
-
-/// Reads the `ERASTRE1` body after the magic has been consumed.
-fn read_tree_body<R: Read>(r: &mut R) -> io::Result<SuffixTree> {
-    let text_len = read_u32(r)? as usize;
-    let node_count = read_u32(r)? as usize;
-    let mut tree =
-        SuffixTree::with_capacity(text_len.min(MAX_PREALLOC), node_count.min(MAX_PREALLOC));
-    for id in 0..node_count as NodeId {
-        let start = read_u32(r)?;
-        let end = read_u32(r)?;
-        let parent = read_u32(r)?;
-        let first_char = read_u8(r)?;
-        let tag = read_u8(r)?;
-        let data = if tag == 1 {
-            NodeData::Leaf { suffix: read_u32(r)? }
-        } else {
-            let len = read_u32(r)? as usize;
-            let mut children = Vec::with_capacity(len.min(MAX_PREALLOC));
-            for _ in 0..len {
-                children.push(read_u32(r)?);
-            }
-            NodeData::Internal { children }
-        };
-        let node = Node { start, end, parent, first_char, data };
-        if id == 0 {
-            *tree.node_mut(0) = node;
-        } else {
-            tree.push_raw(node);
-        }
-    }
-    Ok(tree)
-}
 
 /// Writes a flat serving-layout tree to any writer (`ERAFLAT1`): the magic,
 /// the text length, the node count, then the fixed 16-byte records verbatim.
@@ -163,11 +64,6 @@ pub fn read_flat_tree<R: Read>(r: &mut R) -> io::Result<FlatTree> {
     if &magic != FLAT_MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "not an ERA flat tree file"));
     }
-    read_flat_tree_body(r)
-}
-
-/// Reads the `ERAFLAT1` body after the magic has been consumed.
-fn read_flat_tree_body<R: Read>(r: &mut R) -> io::Result<FlatTree> {
     let text_len = read_u32(r)?;
     let node_count = read_u32(r)? as usize;
     if node_count == 0 {
@@ -183,7 +79,7 @@ fn read_flat_tree_body<R: Read>(r: &mut R) -> io::Result<FlatTree> {
     }
     let tree = FlatTree::from_raw_parts(text_len, nodes);
     // The cheap structural subset of `validate_flat_tree` is always on for
-    // untrusted bytes: a corrupt part file must error at load time, not
+    // untrusted bytes: a corrupt segment must error at load time, not
     // serve wrong answers (or panic) at query time. The text-backed deep
     // checks stay behind `EraConfig::paranoid` / `era-check fsck --deep`.
     crate::validate::validate_flat_structure(&tree).map_err(|e| {
@@ -192,156 +88,11 @@ fn read_flat_tree_body<R: Read>(r: &mut R) -> io::Result<FlatTree> {
     Ok(tree)
 }
 
-impl SuffixTree {
-    /// Appends a fully specified node without linking it to a parent —
-    /// only used by deserialization, which restores links verbatim.
-    pub(crate) fn push_raw(&mut self, node: Node) -> NodeId {
-        let id = self.node_count() as NodeId;
-        self.push_node_for_deserialization(node);
-        id
-    }
-
-    /// Saves the tree to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        write_tree(&mut w, self)?;
-        w.flush()
-    }
-
-    /// Loads a tree from a file.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<SuffixTree> {
-        let mut r = BufReader::new(File::open(path)?);
-        read_tree(&mut r)
-    }
-
-    /// Serialized size in bytes (without writing anywhere).
-    pub fn serialized_size(&self) -> usize {
-        let mut counter = CountingWriter::default();
-        // era-check: allow(unwrap): counting writer never errors
-        write_tree(&mut counter, self).expect("counting writer cannot fail");
-        counter.bytes
-    }
-}
-
 impl FlatTree {
-    /// Saves the flat tree to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        write_flat_tree(&mut w, self)?;
-        w.flush()
-    }
-
-    /// Loads a flat tree from a file. Accepts both formats: `ERAFLAT1` is
-    /// read verbatim, a legacy `ERASTRE1` file is frozen on load.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<FlatTree> {
-        let mut r = BufReader::new(File::open(path)?);
-        read_any_tree(&mut r)
-    }
-
     /// Serialized size in bytes (without writing anywhere): a fixed header
     /// plus 16 bytes per node.
     pub fn serialized_size(&self) -> usize {
         8 + 4 + 4 + self.node_count() * 16
-    }
-}
-
-/// Reads a tree in either format, returning the flat serving form: an
-/// `ERAFLAT1` payload verbatim, an `ERASTRE1` payload frozen after loading.
-fn read_any_tree<R: Read>(r: &mut R) -> io::Result<FlatTree> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    match &magic {
-        m if m == FLAT_MAGIC => read_flat_tree_body(r),
-        m if m == TREE_MAGIC => Ok(FlatTree::freeze(&read_tree_body(r)?)),
-        _ => Err(io::Error::new(io::ErrorKind::InvalidData, "not an ERA tree file")),
-    }
-}
-
-#[derive(Default)]
-struct CountingWriter {
-    bytes: usize,
-}
-
-impl Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.bytes += buf.len();
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl PartitionedSuffixTree {
-    /// Saves the whole index into `dir`: a manifest plus one flat
-    /// (`ERAFLAT1`) file per partition sub-tree.
-    ///
-    /// Every file is committed with write-temp → fsync → rename and the
-    /// directory is fsynced at the end, so a crash mid-save never leaves a
-    /// half-written artifact under a final name. For whole-index atomicity
-    /// use the single-file catalog ([`crate::catalog`]) instead.
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let vfs = era_string_store::StdVfs;
-        self.save_to_dir_with(dir, &vfs)?;
-        era_string_store::Vfs::sync_dir(&vfs, dir)
-    }
-
-    /// [`Self::save_to_dir`] through an explicit [`Vfs`] seam: partition
-    /// files first, the manifest — the scattered layout's commit point —
-    /// last. The caller owns the final [`Vfs::sync_dir`] (and, with
-    /// `StdVfs`, must have created `dir`), so several artifacts can share
-    /// one directory fsync.
-    pub fn save_to_dir_with(&self, dir: &Path, vfs: &dyn Vfs) -> io::Result<()> {
-        for (i, part) in self.partitions().iter().enumerate() {
-            let mut seg = Vec::with_capacity(part.tree.serialized_size());
-            write_flat_tree(&mut seg, &part.tree)?;
-            write_file_durable(vfs, &dir.join(format!("part-{i:05}.st")), &seg)?;
-        }
-        let mut manifest = Vec::new();
-        manifest.extend_from_slice(PART_MAGIC);
-        write_u32(&mut manifest, self.text_len() as u32)?;
-        write_u32(&mut manifest, self.partitions().len() as u32)?;
-        for part in self.partitions() {
-            write_u32(&mut manifest, part.prefix.len() as u32)?;
-            manifest.extend_from_slice(&part.prefix);
-        }
-        write_file_durable(vfs, &dir.join("manifest.era"), &manifest)
-    }
-
-    /// Loads an index previously written by [`Self::save_to_dir`].
-    ///
-    /// Partition files written by older versions in the construction-form
-    /// (`ERASTRE1`) layout load transparently — they are frozen into the flat
-    /// serving form as they are read.
-    pub fn load_from_dir(dir: impl AsRef<Path>) -> io::Result<PartitionedSuffixTree> {
-        let dir = dir.as_ref();
-        let mut manifest = BufReader::new(File::open(dir.join("manifest.era"))?);
-        let mut magic = [0u8; 8];
-        manifest.read_exact(&mut magic)?;
-        if &magic != PART_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "not an ERA index manifest"));
-        }
-        let text_len = read_u32(&mut manifest)? as usize;
-        let count = read_u32(&mut manifest)? as usize;
-        let mut partitions = Vec::with_capacity(count.min(MAX_PREALLOC));
-        for i in 0..count {
-            let plen = read_u32(&mut manifest)? as usize;
-            if plen > MAX_PREFIX_LEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "manifest claims a {plen}-byte partition prefix (max {MAX_PREFIX_LEN})"
-                    ),
-                ));
-            }
-            let mut prefix = vec![0u8; plen];
-            manifest.read_exact(&mut prefix)?;
-            let tree = FlatTree::load(dir.join(format!("part-{i:05}.st")))?;
-            partitions.push(FlatPartition { prefix, tree });
-        }
-        Ok(PartitionedSuffixTree::from_flat(text_len, partitions))
     }
 }
 
@@ -350,25 +101,6 @@ mod tests {
     use super::*;
     use crate::naive::naive_suffix_tree;
     use crate::validate::validate_suffix_tree;
-
-    fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("era-serialize-{}-{}", name, std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn tree_roundtrip_in_memory() {
-        let text = b"mississippi\0";
-        let tree = naive_suffix_tree(text);
-        let mut buf = Vec::new();
-        write_tree(&mut buf, &tree).unwrap();
-        let back = read_tree(&mut buf.as_slice()).unwrap();
-        assert_eq!(tree, back);
-        validate_suffix_tree(&back, text, Some(text.len())).unwrap();
-        assert_eq!(tree.serialized_size(), buf.len());
-    }
 
     #[test]
     fn flat_tree_roundtrip_in_memory() {
@@ -383,35 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_roundtrip_on_disk() {
-        let dir = temp_dir("tree");
-        let text = b"abracadabra\0";
-        let tree = naive_suffix_tree(text);
-        let path = dir.join("tree.st");
-        tree.save(&path).unwrap();
-        let back = SuffixTree::load(&path).unwrap();
-        assert_eq!(tree, back);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn flat_load_accepts_legacy_format() {
-        let dir = temp_dir("flat-legacy");
-        let text = b"abracadabra\0";
-        let tree = naive_suffix_tree(text);
-        let path = dir.join("legacy.st");
-        tree.save(&path).unwrap(); // construction-form ERASTRE1 bytes
-        let back = FlatTree::load(&path).unwrap();
-        assert_eq!(back, FlatTree::freeze(&tree));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
     fn rejects_bad_magic() {
         let data = b"NOTATREExxxxxxxxxxxx".to_vec();
-        assert!(read_tree(&mut data.as_slice()).is_err());
         assert!(read_flat_tree(&mut data.as_slice()).is_err());
-        assert!(read_any_tree(&mut data.as_slice()).is_err());
     }
 
     #[test]
@@ -424,34 +130,5 @@ mod tests {
         let meta_off = 8 + 4 + 4 + 12;
         buf[meta_off..meta_off + 4].copy_from_slice(&1000u32.to_le_bytes());
         assert!(read_flat_tree(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn partitioned_roundtrip() {
-        let text = b"GATTACAGATTACA\0";
-        let full = naive_suffix_tree(text);
-        let index = PartitionedSuffixTree::single(text.len(), full);
-        let dir = temp_dir("part");
-        index.save_to_dir(&dir).unwrap();
-        let back = PartitionedSuffixTree::load_from_dir(&dir).unwrap();
-        assert_eq!(index, back);
-        assert_eq!(index.leaf_count(), back.leaf_count());
-        assert_eq!(index.find_all(text, b"GATTACA"), back.find_all(text, b"GATTACA"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn partitioned_load_accepts_legacy_partition_files() {
-        // Simulate an index saved by an older version: same manifest, but the
-        // partition files carry construction-form ERASTRE1 bytes.
-        let text = b"GATTACAGATTACA\0";
-        let full = naive_suffix_tree(text);
-        let index = PartitionedSuffixTree::single(text.len(), full.clone());
-        let dir = temp_dir("part-legacy");
-        index.save_to_dir(&dir).unwrap();
-        full.save(dir.join("part-00000.st")).unwrap();
-        let back = PartitionedSuffixTree::load_from_dir(&dir).unwrap();
-        assert_eq!(index, back);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -160,7 +160,7 @@ impl SuffixTree {
     }
 
     /// Appends a fully specified node without attaching it to a parent.
-    /// Only used by deserialization, which restores all links verbatim.
+    /// Only used by `FlatTree::thaw`, which restores all links verbatim.
     pub(crate) fn push_node_for_deserialization(&mut self, node: Node) {
         self.nodes.push(node);
     }

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use era::{Query, QueryBatch, QueryResponse, SuffixIndex};
+use era::{EraConfig, Query, QueryBatch, QueryResponse, SuffixIndex};
 use era_workloads::genome_like;
 
 fn print_stats(label: &str, response: &QueryResponse) {
@@ -27,7 +27,8 @@ fn print_stats(label: &str, response: &QueryResponse) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A genome-like sequence, indexed once and saved in both encodings.
     let body = genome_like(256 << 10, 17);
-    let dir = std::env::temp_dir().join(format!("era-batched-queries-{}", std::process::id()));
+    let catalog =
+        std::env::temp_dir().join(format!("era-batched-queries-{}.eracat", std::process::id()));
 
     println!("== batched queries ==");
     println!("sequence: {} KiB genome-like DNA", body.len() >> 10);
@@ -49,19 +50,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let encoding = if packed { "packed (2-bit)" } else { "raw (1 byte/symbol)" };
         println!("-- {encoding} --");
 
-        // Build + save in the scattered layout open_mmapless serves from;
-        // the packed build persists the §6.1 packed file.
+        // Build + save as a catalog; the packed build persists the §6.1
+        // packed payload as its text segment.
         let index =
             SuffixIndex::builder().memory_budget(4 << 20).packed(packed).build_from_bytes(&body)?;
-        index.save_to_dir_scattered(&dir)?;
+        index.save_to_file(&catalog)?;
 
-        // Serve without materializing the text: the tree loads into memory,
-        // edge labels resolve block-wise from the store. Every engine of the
+        // Open under a memory budget neither encoding of the text fits: the
+        // text segment stays on disk, the trees load into memory, and edge
+        // labels resolve block-wise from the catalog file. Every engine of the
         // index shares its decoded-block cache, so the first batch runs cold
         // (filling the cache from the store) and every later batch —
         // single- or multi-threaded, even from a fresh `engine()` — replays
         // the overlapping blocks with zero store I/O.
-        let served = SuffixIndex::open_mmapless(&dir)?;
+        let budget = EraConfig { memory_budget: body.len() / 16, ..EraConfig::default() };
+        let served = SuffixIndex::open_file_with(&catalog, &budget)?;
         assert!(served.store().is_some());
         assert!(served.block_cache().is_some());
 
@@ -87,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    std::fs::remove_dir_all(&dir)?;
+    std::fs::remove_file(&catalog)?;
     println!("(the packed rows fetch ~4x fewer bytes for the same answers,");
     println!(" and warm batches are served from the shared decoded-block cache)");
     Ok(())

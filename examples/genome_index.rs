@@ -2,8 +2,9 @@
 //!
 //! This mirrors the paper's headline scenario: the string lives in a file, the
 //! memory budget is a fraction of the string size, and construction proceeds
-//! through strictly sequential scans. The finished index is persisted to a
-//! directory and re-loaded for querying.
+//! through strictly sequential scans. The finished index is persisted as a
+//! catalog file and reopened for querying under the same memory budget, so
+//! the text stays on disk on the serving side too.
 //!
 //! ```text
 //! cargo run --release -p era-examples --bin genome_index -- [length_kib] [memory_kib]
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2b. Build again over the bit-packed store (§6.1: 2-bit DNA). The tree
     // is identical; every sequential scan fetches ~4x fewer bytes.
     let packed = SuffixIndex::builder()
-        .config(config)
+        .config(config.clone())
         .packed(true)
         .build_from_path(&genome_path, Alphabet::dna())?;
     assert_eq!(packed.suffix_array(), index.suffix_array());
@@ -73,13 +74,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
 
-    // 4. Persist the index (as a crash-safe single-file catalog) and load
-    //    it back.
-    let index_dir = dir.join("index");
-    index.save_to_dir(&index_dir)?;
-    let loaded = SuffixIndex::load_from_dir(&index_dir)?;
+    // 4. Persist the index (as a crash-safe single-file catalog) and reopen
+    //    it under the build's budget: the text is larger, so it is served
+    //    block-wise from the catalog file instead of being read into memory.
+    let catalog = dir.join("index.eracat");
+    index.save_to_file(&catalog)?;
+    let loaded = SuffixIndex::open_file_with(&catalog, &config)?;
+    assert_eq!(loaded.store().is_some(), terminated.len() > config.memory_budget);
     assert_eq!(loaded.count(b"GATTACA"), index.count(b"GATTACA"));
-    println!("index persisted to {} and reloaded successfully", index_dir.display());
+    println!("index persisted to {} and reloaded successfully", catalog.display());
 
     std::fs::remove_dir_all(&dir)?;
     Ok(())

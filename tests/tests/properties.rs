@@ -128,16 +128,6 @@ proptest! {
     }
 
     #[test]
-    fn tree_serialization_roundtrips(body in body_strategy()) {
-        let text = terminated(&body);
-        let tree = era_suffix_tree::naive_suffix_tree(&text);
-        let mut buf = Vec::new();
-        era_suffix_tree::serialize::write_tree(&mut buf, &tree).unwrap();
-        let back = era_suffix_tree::serialize::read_tree(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(tree, back);
-    }
-
-    #[test]
     fn longest_repeated_substring_is_correct(body in body_strategy()) {
         let text = terminated(&body);
         let store = InMemoryStore::from_body_inferred(&body).unwrap();
