@@ -6,6 +6,31 @@
 //! grouping (Fig. 9(a)), the disk-seek optimisation (Fig. 12(b)), the
 //! horizontal-partitioning variant (Fig. 7) and the number of workers
 //! (Fig. 12, Table 3, Fig. 13).
+//!
+//! # The budget is spent phase by phase
+//!
+//! Fig. 6 of the paper draws the budget as areas side by side: `R`, the input
+//! buffer, the trie, the sub-tree area (`MTS`) and the processing area. The
+//! areas are not all live at once. A virtual tree passes through four phases,
+//! and [`MemoryLayout`] states the bound of each area *in the phase that uses
+//! it*:
+//!
+//! 1. **occurrence scan** — one pass collects the leaves `L` of every
+//!    sub-tree of the group: input buffer + `L`;
+//! 2. **prepare** (`SubTreePrepare`) — `R` plus the processing area
+//!    (`L`/`B`/`I`/`A`/`P`). No tree node exists yet, so `R` also occupies
+//!    the idle sub-tree area: [`MemoryLayout::r_bytes`] is the dedicated
+//!    read-ahead buffer *plus* [`MemoryLayout::tree_area`];
+//! 3. **build** (`BuildSubTree`) — `R` is dead; the tree grows in the
+//!    sub-tree area from `L`/`B`;
+//! 4. **freeze and release** — each sub-tree is frozen into its flat serving
+//!    form, and its construction form, `L` and `B` dropped, before the next
+//!    one is assembled; a finished group leaves only its flat arenas behind.
+//!
+//! ERA-str ([`HorizontalMethod::StringOnly`]) has no such separation — it
+//! grows the tree *during* the scans — so there `R` stays the dedicated
+//! buffer. `FM`, and with it the grouping and every byte of the index, depends
+//! on `tree_area` alone and is the same under both readings.
 
 use era_string_store::Alphabet;
 
@@ -60,9 +85,10 @@ pub struct EraConfig {
     /// [`crate::SuffixIndex::open_file_with`] leaves a catalog's text segment
     /// on disk instead of materializing it.
     pub memory_budget: usize,
-    /// Size of the read-ahead buffer `R` in bytes. `None` picks a default
-    /// based on the alphabet size, mirroring Fig. 8 (small alphabets need a
-    /// smaller `R`).
+    /// Size of the dedicated read-ahead buffer `R` in bytes. `None` picks a
+    /// default based on the alphabet size, mirroring Fig. 8 (small alphabets
+    /// need a smaller `R`). What `R` can hold during `SubTreePrepare` is
+    /// [`MemoryLayout::r_bytes`], which adds the then-idle sub-tree area.
     pub r_buffer_size: Option<usize>,
     /// Size of the input buffer `BS` in bytes (block-sized streaming buffer).
     pub input_buffer_size: usize,
@@ -134,47 +160,61 @@ impl Default for EraConfig {
 }
 
 /// The concrete memory layout derived from a configuration and an alphabet
-/// (Fig. 6 of the paper).
+/// (Fig. 6 of the paper), each area sized for the phase that uses it — see
+/// the [module documentation](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryLayout {
-    /// Bytes for the read-ahead buffer `R`.
+    /// Bytes the read-ahead buffer `R` can hold while it is live, i.e. during
+    /// the scans of the horizontal phase. For
+    /// [`HorizontalMethod::StringAndMemory`] that is the dedicated buffer
+    /// plus [`Self::tree_area`] (idle until `BuildSubTree`, by which time `R`
+    /// is dead); for [`HorizontalMethod::StringOnly`], whose tree grows
+    /// during the scans, the dedicated buffer alone.
     pub r_bytes: usize,
     /// Bytes for the input buffer `BS`.
     pub input_buffer: usize,
     /// Bytes reserved for the trie connecting sub-trees.
     pub trie_area: usize,
-    /// Bytes for the sub-tree area (`MTS`, ~60 % of what remains).
+    /// Bytes for the sub-tree area (`MTS`, ~60 % of what remains): the
+    /// construction-form tree during `BuildSubTree`, part of `R` before it.
     pub tree_area: usize,
-    /// Bytes for the processing area (arrays `L` and `B`, ~40 % of the rest).
+    /// Bytes for the processing area (arrays `L` and `B`, and `I`/`A`/`P`
+    /// while `SubTreePrepare` runs; ~40 % of the rest).
     pub processing_area: usize,
     /// The maximum sub-tree frequency `FM = MTS / (2 · node size)`.
     pub fm: usize,
 }
 
 impl EraConfig {
-    /// Derives the memory layout for a given alphabet.
+    /// Derives the memory layout for a given alphabet — the one place that
+    /// decides how much of the budget each phase may use.
     ///
-    /// Per §4.4/§6.1: `R` is sized by the alphabet (1/32 of the budget for
-    /// 4-symbol alphabets, 1/4 for larger ones, unless overridden), 1 input
-    /// buffer and a small trie area are carved out, then 60 % of the remainder
-    /// goes to the sub-tree area and 40 % to the processing area.
+    /// Per §4.4/§6.1: the dedicated `R` is sized by the alphabet (1/32 of the
+    /// budget for 4-symbol alphabets, 1/4 for larger ones, unless overridden),
+    /// 1 input buffer and a small trie area are carved out, then 60 % of the
+    /// remainder goes to the sub-tree area and 40 % to the processing area.
+    /// `FM` follows from the sub-tree area alone. The reported
+    /// [`MemoryLayout::r_bytes`] is what `R` has while it is live: with
+    /// [`HorizontalMethod::StringAndMemory`] the sub-tree area is still empty
+    /// then and `R` borrows it, which is what lets the first elastic range be
+    /// `(R + MTS) / FM` symbols (≈ 100 for DNA) instead of `R / FM` (≈ 5).
     pub fn memory_layout(&self, alphabet: &Alphabet) -> EraResult<MemoryLayout> {
         if self.memory_budget == 0 {
             return Err(EraError::config("memory budget must be non-zero"));
         }
-        let r_bytes = match self.r_buffer_size {
+        let dedicated_r = match self.r_buffer_size {
             Some(r) => r,
             None => {
                 let divisor = if alphabet.len() <= 4 { 32 } else { 4 };
                 (self.memory_budget / divisor).max(4 << 10)
             }
         };
-        let fixed = r_bytes + self.input_buffer_size + self.trie_area;
+        let fixed = dedicated_r + self.input_buffer_size + self.trie_area;
         let remaining = self.memory_budget.saturating_sub(fixed);
         if remaining < 4 * self.tree_node_size {
             return Err(EraError::config(format!(
                 "memory budget {} is too small for R = {} plus buffers",
-                self.memory_budget, r_bytes
+                self.memory_budget, dedicated_r
             )));
         }
         let tree_area = remaining * 60 / 100;
@@ -183,6 +223,10 @@ impl EraConfig {
         if fm == 0 {
             return Err(EraError::config("memory budget leaves no room for any sub-tree"));
         }
+        let r_bytes = match self.horizontal {
+            HorizontalMethod::StringAndMemory => dedicated_r + tree_area,
+            HorizontalMethod::StringOnly => dedicated_r,
+        };
         Ok(MemoryLayout {
             r_bytes,
             input_buffer: self.input_buffer_size,
@@ -230,16 +274,46 @@ impl EraConfig {
 mod tests {
     use super::*;
 
+    fn dna_layout(budget: usize, horizontal: HorizontalMethod) -> MemoryLayout {
+        EraConfig { memory_budget: budget, horizontal, ..EraConfig::default() }
+            .memory_layout(&Alphabet::dna())
+            .unwrap()
+    }
+
     #[test]
     fn default_layout_dna() {
         let cfg = EraConfig::default();
         let layout = cfg.memory_layout(&Alphabet::dna()).unwrap();
-        assert_eq!(layout.r_bytes, (64 << 20) / 32);
+        // The dedicated buffer is 1/32 of the budget; during SubTreePrepare R
+        // also holds the sub-tree area, which nothing else uses yet.
+        assert_eq!(layout.r_bytes, (64 << 20) / 32 + layout.tree_area);
         assert!(layout.tree_area > layout.processing_area);
         assert!(layout.fm > 0);
         // 60/40 split of the remainder.
         let remainder = layout.tree_area + layout.processing_area;
         assert!((layout.tree_area as f64 / remainder as f64 - 0.6).abs() < 0.01);
+        assert_eq!(remainder, (64 << 20) - (64 << 20) / 32 - (16 << 10) - (16 << 10));
+    }
+
+    #[test]
+    fn r_borrows_the_tree_area_only_when_the_tree_is_built_after_the_scans() {
+        for (budget, fm) in [(512 << 10, 2_969), (4 << 20, 25_190)] {
+            let mem = dna_layout(budget, HorizontalMethod::StringAndMemory);
+            let str_only = dna_layout(budget, HorizontalMethod::StringOnly);
+            let dedicated = (budget / 32).max(4 << 10);
+            assert_eq!(str_only.r_bytes, dedicated);
+            assert_eq!(mem.r_bytes, dedicated + mem.tree_area);
+            // Everything but `r_bytes` — FM above all — is independent of the
+            // horizontal method, and FM is the parent's `MTS / (2 · node)`.
+            assert_eq!(MemoryLayout { r_bytes: dedicated, ..mem }, str_only);
+            let remaining = budget - dedicated - (16 << 10) - (16 << 10);
+            assert_eq!(mem.tree_area, remaining * 60 / 100);
+            assert_eq!(mem.fm, mem.tree_area / (2 * 48));
+            assert_eq!(mem.fm, fm);
+            // The first elastic range of a full group: ~100 symbols, not ~5.
+            assert!(mem.r_bytes / mem.fm >= 96);
+            assert!(str_only.r_bytes / str_only.fm <= 6);
+        }
     }
 
     #[test]
@@ -255,7 +329,15 @@ mod tests {
     fn explicit_r_overrides_default() {
         let cfg = EraConfig { r_buffer_size: Some(123 << 10), ..EraConfig::default() };
         let layout = cfg.memory_layout(&Alphabet::dna()).unwrap();
-        assert_eq!(layout.r_bytes, 123 << 10);
+        assert_eq!(layout.r_bytes, (123 << 10) + layout.tree_area);
+        // The override sizes the dedicated buffer, and with it what is left
+        // for the other areas.
+        let remainder = layout.tree_area + layout.processing_area;
+        assert_eq!(remainder, (64 << 20) - (123 << 10) - (16 << 10) - (16 << 10));
+        let str_only = EraConfig { horizontal: HorizontalMethod::StringOnly, ..cfg }
+            .memory_layout(&Alphabet::dna())
+            .unwrap();
+        assert_eq!(str_only.r_bytes, 123 << 10);
     }
 
     #[test]

@@ -12,8 +12,22 @@
 //! grows as suffixes become inactive). Sub-trees grouped into the same
 //! virtual tree share each pass: their read requests are merged into a single
 //! ascending stream so the I/O cost is amortised (§4.1).
+//!
+//! # Memory of the phase
+//!
+//! While this module runs, no tree node of the group exists yet, so `R` is
+//! what [`MemoryLayout::r_bytes`](crate::config::MemoryLayout::r_bytes) says
+//! it is — the dedicated read-ahead buffer plus the idle sub-tree area — and
+//! it is held as exactly that: one flat byte arena per virtual tree,
+//! allocated once, cut into `active` records of `range` symbols each round.
+//! Record `k` holds the symbols of the `k`-th read request of the pass (in
+//! string order), copied once out of the [`BlockCursor`] window; `R[slot]`
+//! of the paper is the 4-byte number of the slot's record. Next to `R` live
+//! the arrays of the processing area (`L`, `B`, `I`, `A`, `P`) and the pass's
+//! request list; all of it is dropped when the group's `L`/`B` are handed to
+//! `BuildSubTree`, which then has the sub-tree area to itself.
 
-use era_string_store::{ScanRequest, SequentialScanner, StoreResult, StringStore};
+use era_string_store::{BlockCursor, StoreResult, StringStore};
 use era_suffix_tree::assemble::Branching;
 
 use super::HorizontalParams;
@@ -34,6 +48,31 @@ pub struct PreparedSubTree {
     pub branching: Vec<Branching>,
 }
 
+/// The read-ahead buffer `R` of one virtual tree: a flat arena cut, every
+/// round anew, into one `range`-symbol record per read request.
+///
+/// A request that is clamped at the end of the string fills only the front of
+/// its record. What follows (older rounds' symbols, or zeros) never decides a
+/// comparison: such a record ends with the terminal, which is unique, so any
+/// two records of one active area differ inside the part both have read.
+#[derive(Default)]
+struct ReadAhead {
+    bytes: Vec<u8>,
+    /// Symbols per record in the current round.
+    range: usize,
+}
+
+impl ReadAhead {
+    fn record(&self, k: u32) -> &[u8] {
+        let at = k as usize * self.range;
+        &self.bytes[at..at + self.range]
+    }
+}
+
+/// `(R, P, L)` of the slots of one active area while it is being sorted;
+/// reused across areas, prefixes and rounds.
+type AreaScratch = Vec<(u32, u32, u32)>;
+
 /// Mutable state of `SubTreePrepare` for one S-prefix (the arrays
 /// `L`, `B`, `I`, `A`, `R`, `P` of the paper).
 struct PrepareState {
@@ -49,8 +88,10 @@ struct PrepareState {
     a: Vec<u32>,
     /// `P[slot]` — which string-order occurrence sits at `slot`.
     p: Vec<u32>,
-    /// `R[slot]` — symbols read for `slot` in the current iteration.
-    r: Vec<Vec<u8>>,
+    /// `R[slot]` — the record of the group's [`ReadAhead`] arena holding the
+    /// symbols read for `slot` in the current iteration (meaningless once the
+    /// slot is done).
+    r: Vec<u32>,
     /// Symbols of the suffix consumed so far (`start` in the paper; begins at
     /// `|p|`).
     start: u32,
@@ -73,7 +114,7 @@ impl PrepareState {
             i_idx: (0..n as u32).collect(),
             a: vec![0; n],
             p: (0..n as u32).collect(),
-            r: vec![Vec::new(); n],
+            r: vec![0; n],
             next_area: 1,
             active: n,
             undefined_b: n.saturating_sub(1),
@@ -89,22 +130,21 @@ impl PrepareState {
             self.a[slot] = DONE;
             self.i_idx[self.p[slot] as usize] = DONE;
             self.active -= 1;
-            self.r[slot] = Vec::new();
         }
     }
 
     /// Emits the pending read requests `(position, slot)` of this prefix for
     /// the current iteration, in ascending string order.
-    fn pending_reads(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    fn pending_reads(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.i_idx.iter().filter(|&&slot| slot != DONE).map(move |&slot| {
             let pos = self.l[slot as usize] as usize + self.start as usize;
-            (pos, slot as usize)
+            (pos, slot)
         })
     }
 
     /// One round of reordering + `B` computation after `R` has been filled
-    /// with `range` symbols per active slot (lines 13–24 of the paper).
-    fn process_round(&mut self, range: usize) {
+    /// with `r.range` symbols per active slot (lines 13–24 of the paper).
+    fn process_round(&mut self, r: &ReadAhead, scratch: &mut AreaScratch, text_len: usize) {
         let n = self.l.len();
         // --- Lines 13-15: sort every active area and split equal runs. ---
         let mut slot = 0usize;
@@ -118,8 +158,8 @@ impl PrepareState {
             while end < n && self.a[end] == area {
                 end += 1;
             }
-            self.sort_area(slot, end);
-            self.split_area(slot, end);
+            self.sort_area(slot, end, r, scratch);
+            self.split_area(slot, end, r);
             slot = end;
         }
 
@@ -128,16 +168,18 @@ impl PrepareState {
             if self.b[i].is_some() {
                 continue;
             }
-            let cs = common_prefix_len(&self.r[i - 1], &self.r[i]);
-            if cs < range as u32 {
+            let (left, right) = (r.record(self.r[i - 1]), r.record(self.r[i]));
+            let cs = common_prefix_len(left, right);
+            if cs < r.range {
                 debug_assert!(
-                    (cs as usize) < self.r[i - 1].len() && (cs as usize) < self.r[i].len(),
+                    cs < self.symbols_read(i - 1, r.range, text_len)
+                        && cs < self.symbols_read(i, r.range, text_len),
                     "divergence must be observable: the terminal is unique"
                 );
                 self.b[i] = Some(Branching {
-                    left_char: self.r[i - 1][cs as usize],
-                    right_char: self.r[i][cs as usize],
-                    lcp: self.start + cs,
+                    left_char: left[cs],
+                    right_char: right[cs],
+                    lcp: self.start + cs as u32,
                 });
                 self.undefined_b -= 1;
                 if i == 1 || self.b[i - 1].is_some() {
@@ -149,36 +191,37 @@ impl PrepareState {
             }
         }
 
-        self.start += range as u32;
+        self.start += r.range as u32;
+    }
+
+    /// How many symbols this round's read of `slot` returned: `range`, or
+    /// what was left of the string.
+    fn symbols_read(&self, slot: usize, range: usize, text_len: usize) -> usize {
+        text_len.saturating_sub(self.l[slot] as usize + self.start as usize).min(range)
     }
 
     /// Sorts slots `[lo, hi)` (one active area) so that `R` is
     /// lexicographically ordered, reordering `R`, `P`, `L` together and
-    /// updating `I`.
-    fn sort_area(&mut self, lo: usize, hi: usize) {
-        let mut order: Vec<usize> = (lo..hi).collect();
-        order.sort_by(|&x, &y| self.r[x].cmp(&self.r[y]));
-        if order.iter().enumerate().all(|(k, &o)| o == lo + k) {
-            return; // already sorted
-        }
-        let r_new: Vec<Vec<u8>> = order.iter().map(|&o| std::mem::take(&mut self.r[o])).collect();
-        let p_new: Vec<u32> = order.iter().map(|&o| self.p[o]).collect();
-        let l_new: Vec<u32> = order.iter().map(|&o| self.l[o]).collect();
-        for (k, r_val) in r_new.into_iter().enumerate() {
-            let slot = lo + k;
-            self.r[slot] = r_val;
-            self.p[slot] = p_new[k];
-            self.l[slot] = l_new[k];
-            self.i_idx[p_new[k] as usize] = slot as u32;
+    /// updating `I`. Suffixes with equal records stay one area and are told
+    /// apart in a later round, so their order here is immaterial.
+    fn sort_area(&mut self, lo: usize, hi: usize, r: &ReadAhead, scratch: &mut AreaScratch) {
+        scratch.clear();
+        scratch.extend((lo..hi).map(|slot| (self.r[slot], self.p[slot], self.l[slot])));
+        scratch.sort_unstable_by(|x, y| r.record(x.0).cmp(r.record(y.0)));
+        for (slot, &(record, occurrence, position)) in (lo..hi).zip(scratch.iter()) {
+            self.r[slot] = record;
+            self.p[slot] = occurrence;
+            self.l[slot] = position;
+            self.i_idx[occurrence as usize] = slot as u32;
         }
     }
 
     /// Splits an area `[lo, hi)` (already sorted) into new active areas for
     /// runs of equal `R` values (line 15).
-    fn split_area(&mut self, lo: usize, hi: usize) {
+    fn split_area(&mut self, lo: usize, hi: usize, r: &ReadAhead) {
         let mut run_start = lo;
         for i in lo + 1..=hi {
-            let boundary = i == hi || self.r[i] != self.r[run_start];
+            let boundary = i == hi || r.record(self.r[i]) != r.record(self.r[run_start]);
             if boundary {
                 if i - run_start >= 2 {
                     let area = self.next_area;
@@ -202,8 +245,8 @@ impl PrepareState {
     }
 }
 
-fn common_prefix_len(a: &[u8], b: &[u8]) -> u32 {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count() as u32
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 /// Runs `SubTreePrepare` for every prefix of a virtual tree, sharing each
@@ -217,42 +260,52 @@ pub fn prepare_group(
     params: &HorizontalParams,
 ) -> StoreResult<Vec<PreparedSubTree>> {
     assert_eq!(prefixes.len(), occurrences.len());
+    let text_len = store.len();
     let mut states: Vec<PrepareState> = prefixes
         .iter()
         .zip(occurrences.iter())
         .map(|(p, occ)| PrepareState::new(p.clone(), occ))
         .collect();
+    let mut r = ReadAhead::default();
+    let mut requests: Vec<(usize, u32, u32)> = Vec::new(); // (pos, state idx, slot)
+    let mut scratch = AreaScratch::new();
 
-    loop {
-        let active_total: usize = states.iter().filter(|s| !s.finished()).map(|s| s.active).sum();
-        if states.iter().all(|s| s.finished()) {
-            break;
+    while !states.iter().all(|s| s.finished()) {
+        let active: usize = states.iter().filter(|s| !s.finished()).map(|s| s.active).sum();
+        // No suffix is longer than the string, whatever a fixed range or a
+        // roomy R would allow.
+        r.range = params.range_for(active).min(text_len);
+        if r.bytes.is_empty() {
+            // `R` as the layout grants it; more only where `min_range` or a
+            // fixed range ask for more than that. The number of active
+            // suffixes never grows, so the first round's need bounds them all.
+            r.bytes = vec![0; params.r_capacity.max(active * r.range)];
         }
-        let range = params.range_for(active_total);
+        #[cfg(feature = "paranoid")]
+        assert!(
+            active * r.range <= r.bytes.len(),
+            "{active} records of {} symbols overflow an R of {} bytes",
+            r.range,
+            r.bytes.len()
+        );
 
         // Merge the read requests of all unfinished prefixes into one
         // ascending stream and serve them with a single sequential scan.
-        let mut requests: Vec<(usize, usize, usize)> = Vec::new(); // (pos, state idx, slot)
-        for (si, state) in states.iter().enumerate() {
-            if state.finished() {
-                continue;
-            }
-            for (pos, slot) in state.pending_reads() {
-                requests.push((pos, si, slot));
-            }
+        requests.clear();
+        for (si, state) in states.iter().enumerate().filter(|(_, s)| !s.finished()) {
+            requests.extend(state.pending_reads().map(|(pos, slot)| (pos, si as u32, slot)));
         }
         requests.sort_unstable_by_key(|&(pos, _, _)| pos);
 
-        let mut scanner = SequentialScanner::new(store, params.seek_optimization);
-        let mut buf = Vec::with_capacity(range);
-        for (pos, si, slot) in requests {
-            scanner.read(ScanRequest { pos, len: range }, &mut buf)?;
-            states[si].r[slot].clear();
-            states[si].r[slot].extend_from_slice(&buf);
+        let mut cursor = BlockCursor::new(store, params.seek_optimization);
+        for (k, &(pos, si, slot)) in requests.iter().enumerate() {
+            let symbols = cursor.slice(pos, r.range)?;
+            r.bytes[k * r.range..][..symbols.len()].copy_from_slice(symbols);
+            states[si as usize].r[slot as usize] = k as u32;
         }
 
         for state in states.iter_mut().filter(|s| !s.finished()) {
-            state.process_round(range);
+            state.process_round(&r, &mut scratch, text_len);
         }
     }
 

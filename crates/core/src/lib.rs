@@ -46,6 +46,18 @@
 //! * [`pipeline::SharedNothingScheduler`] — one private store per simulated
 //!   cluster node, longest-processing-time group assignment, no merge phase.
 //!
+//! Whoever runs it, a virtual tree spends the memory budget phase by phase
+//! rather than area by area ([`config`] has the accounting). The occurrence
+//! scan yields the leaves `L`. `SubTreePrepare` holds the read-ahead buffer
+//! `R` as one flat arena that also occupies the sub-tree area — idle until
+//! `BuildSubTree` — so the first elastic range is `(R + MTS) / FM ≈ 100`
+//! symbols rather than `R / FM ≈ 5`, and a group costs a handful of passes
+//! over the string instead of dozens. `BuildSubTree` then has that area for
+//! the tree, and every sub-tree is frozen into its flat serving form, and its
+//! construction form dropped, before the next one is assembled: what a build
+//! keeps resident is the flat arenas finished so far plus one group in
+//! flight.
+//!
 //! [`construct_serial`], [`construct_parallel_sm`] and
 //! [`construct_shared_nothing`] are thin wrappers that pick a scheduler;
 //! [`SuffixIndexBuilder::threads`] routes through
@@ -134,7 +146,8 @@
 //! * [`config`] — every knob the paper evaluates (memory budget, `|R|`,
 //!   elastic vs static range, grouping, seek optimisation, threads, packed
 //!   symbol encoding) plus the [`config::SchedulerKind`] selection.
-//! * [`vertical`] — variable-length prefix partitioning + virtual trees (§4.1).
+//! * [`vertical`] — variable-length prefix partitioning + virtual trees
+//!   (§4.1), each round counted by descending a trie of the working set.
 //! * [`horizontal`] — `SubTreePrepare`/`BuildSubTree` and the ERA-str variant
 //!   (§4.2), including the elastic range (§4.4).
 //! * [`pipeline`] — the unified [`pipeline::ConstructionPipeline`] and the

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use era_string_store::{IoSnapshot, StringStore};
-use era_suffix_tree::{Partition, PartitionedSuffixTree};
+use era_suffix_tree::{FlatPartition, Partition, PartitionedSuffixTree};
 
 use crate::config::{EraConfig, HorizontalMethod, MemoryLayout};
 use crate::error::{EraError, EraResult};
@@ -36,12 +36,19 @@ use crate::vertical::{vertical_partition, VirtualTree};
 
 /// Builds every sub-tree of one virtual tree — the unit of work every
 /// scheduler executes, against whichever store its worker owns.
+///
+/// The group's memory is scoped to its phases (see [`crate::config`]): the
+/// occurrence lists become `L`, `SubTreePrepare` releases `R` and `I`/`A`/`P`
+/// when it returns `L`/`B`, and each sub-tree is frozen into its flat serving
+/// form the moment `BuildSubTree` hands it over — the `Vec`-node construction
+/// form and the `L`/`B` it was assembled from never outlive that step, so
+/// what a finished group leaves behind is its arenas and nothing else.
 pub fn build_group(
     store: &dyn StringStore,
     group: &VirtualTree,
     params: &HorizontalParams,
     method: HorizontalMethod,
-) -> EraResult<Vec<Partition>> {
+) -> EraResult<Vec<FlatPartition>> {
     let prefixes: Vec<Vec<u8>> = group.prefixes.iter().map(|p| p.prefix.clone()).collect();
     // One sequential scan collects the occurrence lists of every prefix in the
     // group (the leaves of each sub-tree, in string order).
@@ -50,14 +57,18 @@ pub fn build_group(
         HorizontalMethod::StringAndMemory => {
             let prepared = prepare_group(store, &prefixes, &occurrences, params)?;
             Ok(prepared
-                .iter()
+                .into_iter()
                 .filter(|p| !p.leaves.is_empty())
-                .map(|p| build_partition(store.len(), p))
+                .map(|p| build_partition(store.len(), &p).freeze())
                 .collect())
         }
         HorizontalMethod::StringOnly => {
             let parts = compute_group_str(store, &prefixes, &occurrences, params)?;
-            Ok(parts.into_iter().filter(|p| p.tree.leaf_count() > 0).collect())
+            Ok(parts
+                .into_iter()
+                .filter(|p| p.tree.leaf_count() > 0)
+                .map(Partition::freeze)
+                .collect())
         }
     }
 }
@@ -65,11 +76,15 @@ pub fn build_group(
 /// What a scheduler produced for the horizontal phase.
 #[derive(Debug, Default)]
 pub struct ScheduleOutcome {
-    /// Every built sub-tree, in any order (the partitioned tree sorts them).
-    pub partitions: Vec<Partition>,
+    /// Every built sub-tree, already frozen, in any order (the partitioned
+    /// tree sorts them).
+    pub partitions: Vec<FlatPartition>,
     /// Per-worker / per-node breakdown (empty for the serial scheduler).
     pub per_node: Vec<NodeReport>,
 }
+
+/// What one worker or node hands back: its frozen sub-trees and its report.
+type WorkerOutput = (Vec<FlatPartition>, NodeReport);
 
 /// The scheduling seam of the pipeline: decides *who* runs each virtual tree.
 ///
@@ -154,7 +169,7 @@ impl<'a> ConstructionPipeline<'a> {
         let horizontal_time = t1.elapsed();
 
         let io = scheduler.total_io(&outcome);
-        let tree = PartitionedSuffixTree::new(master.len(), outcome.partitions);
+        let tree = PartitionedSuffixTree::from_flat(master.len(), outcome.partitions);
         let report = ConstructionReport {
             algorithm: scheduler.algorithm().to_string(),
             text_len: master.len(),
@@ -270,14 +285,14 @@ impl GroupScheduler for SharedMemoryScheduler<'_> {
         // even if another worker spawns first and pulls fast, and load still
         // balances across unevenly sized virtual trees.
         let next_group = AtomicUsize::new(self.threads);
-        let results: Vec<EraResult<(Vec<Partition>, NodeReport)>> = std::thread::scope(|scope| {
+        let results: Vec<EraResult<WorkerOutput>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.threads)
                 .map(|worker| {
                     let next_group = &next_group;
                     let store = self.store;
                     scope.spawn(move || {
                         let worker_start = Instant::now();
-                        let mut built: Vec<Partition> = Vec::new();
+                        let mut built: Vec<FlatPartition> = Vec::new();
                         let mut groups_done = 0usize;
                         let mut idx = worker;
                         while let Some(group) = groups.get(idx) {
@@ -407,7 +422,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
         let nodes = self.node_stores.len();
         let assignments = self.assign(groups);
 
-        let run_node = |node: usize| -> EraResult<(Vec<Partition>, NodeReport)> {
+        let run_node = |node: usize| -> EraResult<WorkerOutput> {
             let node_start = Instant::now();
             let store = self.node_stores[node];
             let mut built = Vec::new();
@@ -424,9 +439,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
             Ok((built, report))
         };
 
-        let results: Vec<EraResult<(Vec<Partition>, NodeReport)>> = if self.options.concurrent
-            && nodes > 1
-        {
+        let results: Vec<EraResult<WorkerOutput>> = if self.options.concurrent && nodes > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> =
                     (0..nodes).map(|node| scope.spawn(move || run_node(node))).collect();

@@ -2,11 +2,11 @@
 //!
 //! Vertical partitioning (§4.1) and the occurrence-collection step of
 //! horizontal partitioning both need one strictly sequential pass over `S`
-//! looking at a sliding window of a few symbols. Both helpers run on the
-//! zero-copy [`BlockCursor`] of `era-string-store`: the pass is served as
-//! borrowed slices out of one reused window buffer, so it is I/O-accounted,
-//! never holds more than a few blocks in memory, and allocates nothing per
-//! fetch.
+//! looking at a sliding window of a few symbols. Both run on
+//! [`for_each_stretch`], a block-sized walk of the zero-copy [`BlockCursor`]
+//! of `era-string-store`: the pass is served as borrowed slices out of one
+//! reused window buffer, so it is I/O-accounted, never holds more than a few
+//! blocks in memory, and allocates nothing per fetch.
 //!
 //! The multi-pattern scan is vectorized without `core::simd`: candidate
 //! positions are found eight at a time with a SWAR (SIMD-within-a-register)
@@ -18,18 +18,25 @@
 
 use era_string_store::{BlockCursor, StoreResult, StringStore};
 
-/// Calls `f(position, window)` for every position `0..store.len()`, where
-/// `window` is the next `window_len` symbols starting at `position` (clamped
-/// at the end of the string). Performs exactly one sequential scan.
-pub fn for_each_window<F>(store: &dyn StringStore, window_len: usize, mut f: F) -> StoreResult<()>
+/// Walks the string once in block-sized stretches, calling
+/// `f(base, stretch, positions)` for each: `stretch` starts at text position
+/// `base` and holds `positions` window starts followed by `lookahead` more
+/// symbols (fewer where the string ends), so a window of `lookahead + 1`
+/// symbols starting in a stretch's first `positions` bytes never straddles
+/// its end and every window has exactly one home stretch. Performs exactly
+/// one sequential scan, one [`BlockCursor::slice`] per stretch.
+pub fn for_each_stretch<F>(store: &dyn StringStore, lookahead: usize, mut f: F) -> StoreResult<()>
 where
-    F: FnMut(usize, &[u8]),
+    F: FnMut(usize, &[u8], usize),
 {
-    assert!(window_len > 0, "window length must be positive");
     let len = store.len();
     let mut cursor = BlockCursor::new(store, false);
-    for pos in 0..len {
-        f(pos, cursor.slice(pos, window_len)?);
+    let stride = store.block_size().max(lookahead + 1).max(64);
+    let mut pos = 0usize;
+    while pos < len {
+        let positions = stride.min(len - pos);
+        f(pos, cursor.slice(pos, positions + lookahead)?, positions);
+        pos += positions;
     }
     Ok(())
 }
@@ -223,10 +230,9 @@ impl<'p> MultiPatternMatcher<'p> {
     }
 }
 
-/// Shared driver for both scan flavors: one sequential pass in block-sized
-/// stretches, each extended by `max_len - 1` lookahead bytes so windows that
-/// straddle a stretch boundary are matched exactly once, in their home
-/// stretch.
+/// Shared driver for both scan flavors: one pass of [`for_each_stretch`] with
+/// `max_len - 1` lookahead bytes, so windows that straddle a stretch boundary
+/// are matched exactly once, in their home stretch.
 fn collect_with(
     store: &dyn StringStore,
     patterns: &[Vec<u8>],
@@ -237,20 +243,13 @@ fn collect_with(
     if matcher.max_len == 0 {
         return Ok(out);
     }
-    let len = store.len();
-    let mut cursor = BlockCursor::new(store, false);
-    let stride = store.block_size().max(matcher.max_len).max(64);
-    let mut pos = 0usize;
-    while pos < len {
-        let positions = stride.min(len - pos);
-        let stretch = cursor.slice(pos, positions + matcher.max_len - 1)?;
+    for_each_stretch(store, matcher.max_len - 1, |base, stretch, positions| {
         if vectorized {
-            matcher.scan_stretch(pos, stretch, positions, &mut out);
+            matcher.scan_stretch(base, stretch, positions, &mut out);
         } else {
-            matcher.scan_stretch_scalar(pos, stretch, positions, &mut out);
+            matcher.scan_stretch_scalar(base, stretch, positions, &mut out);
         }
-        pos += positions;
-    }
+    })?;
     Ok(out)
 }
 
@@ -289,11 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn windows_cover_whole_string() {
+    fn stretches_cover_whole_string() {
         let body = b"abcdefghijklmnopqrstuvwxyz";
         let s = store(body);
         let mut seen = Vec::new();
-        for_each_window(&s, 3, |pos, w| seen.push((pos, w.to_vec()))).unwrap();
+        for_each_stretch(&s, 2, |base, stretch, positions| {
+            for i in 0..positions {
+                seen.push((base + i, stretch[i..stretch.len().min(i + 3)].to_vec()));
+            }
+        })
+        .unwrap();
         assert_eq!(seen.len(), 27); // including terminal position
         assert_eq!(seen[0], (0, b"abc".to_vec()));
         assert_eq!(seen[24], (24, vec![b'y', b'z', 0]));
@@ -305,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_pass_stays_within_one_pass_of_io() {
+    fn stretched_pass_stays_within_one_pass_of_io() {
         // Regression test for the old per-fetch `vec![0u8; …]` +
         // `buf.drain(..)` implementation: a windowed pass must read every
         // byte exactly once, regardless of window length and block size.
@@ -316,7 +320,11 @@ mod tests {
             let s =
                 InMemoryStore::from_body_inferred(&body).unwrap().with_block_size(block).unwrap();
             let mut count = 0usize;
-            for_each_window(&s, window_len, |_, _| count += 1).unwrap();
+            for_each_stretch(&s, window_len - 1, |_, stretch, positions| {
+                assert!(stretch.len() >= positions && stretch.len() < positions + window_len);
+                count += positions;
+            })
+            .unwrap();
             assert_eq!(count, body_len + 1);
             let snap = s.stats().snapshot();
             assert_eq!(snap.full_scans, 1);

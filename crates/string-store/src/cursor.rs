@@ -3,13 +3,14 @@
 //!
 //! [`BlockCursor`] is the I/O primitive underneath every sequential pass in
 //! the workspace — the windowed scans of vertical partitioning, the
-//! occurrence-collection scan of horizontal partitioning, and the
-//! [`SequentialScanner`](crate::SequentialScanner) used by
-//! `SubTreePrepare`/`BranchEdge`. It maintains a sliding block-aligned window
-//! of the string in **one reused buffer**: blocks are read from the store
-//! directly into the buffer's tail (no per-fetch allocation), consumed bytes
-//! are compacted in place, and callers borrow `&[u8]` slices straight out of
-//! the buffer instead of copying into their own vectors.
+//! occurrence-collection scan of horizontal partitioning, the read-ahead
+//! fills of `SubTreePrepare`, and the
+//! [`SequentialScanner`](crate::SequentialScanner) used by `BranchEdge`. It
+//! maintains a sliding block-aligned window of the string in **one reused
+//! buffer**: blocks are read from the store directly into the buffer's tail
+//! (no per-fetch allocation), consumed bytes are compacted in place, and
+//! callers borrow `&[u8]` slices straight out of the buffer instead of
+//! copying into their own vectors.
 
 use crate::error::{StoreError, StoreResult};
 use crate::store::StringStore;

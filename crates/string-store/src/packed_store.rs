@@ -899,11 +899,12 @@ mod tests {
         assert!(PackedDiskStore::create(&path, b"AXGT", Alphabet::dna(), 1024).is_err());
         let reopened = PackedDiskStore::open(&path, 1024).unwrap();
         assert_eq!(reopened.read_all().unwrap(), b"ACGT\0");
-        // No temp siblings left behind either.
+        // No temp siblings of *this* file left behind either (the directory
+        // is shared with the module's other tests, which may be mid-create).
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp."))
+            .filter(|n| n.starts_with("precious.erap.tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files must be cleaned up: {leftovers:?}");
         std::fs::remove_file(&path).unwrap();

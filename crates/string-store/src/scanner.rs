@@ -1,11 +1,12 @@
 //! One sequential pass over the string with optional block skipping.
 //!
-//! [`SequentialScanner`] is the I/O primitive behind `SubTreePrepare` (§4.2.2)
-//! and the iterative `BranchEdge` (§4.2.1): during one iteration every active
-//! suffix requests the next `range` symbols, the requests are served in
-//! ascending position order, and — with the disk-seek optimisation of §4.4 —
-//! whole blocks that contain no requested symbol are skipped with a short
-//! forward seek instead of being read.
+//! [`SequentialScanner`] is the I/O primitive behind the iterative
+//! `BranchEdge` (§4.2.1; `SubTreePrepare`, §4.2.2, issues the same requests
+//! to the [`BlockCursor`](crate::BlockCursor) directly): during one iteration
+//! every active suffix requests the next `range` symbols, the requests are
+//! served in ascending position order, and — with the disk-seek optimisation
+//! of §4.4 — whole blocks that contain no requested symbol are skipped with a
+//! short forward seek instead of being read.
 //!
 //! The block window itself lives in [`BlockCursor`](crate::BlockCursor); the
 //! scanner is a thin copy-out adapter for callers that want the bytes in

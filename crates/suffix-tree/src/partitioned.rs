@@ -6,11 +6,12 @@
 //! in the order of KB"). This module provides that representation together
 //! with queries that are equivalent to querying the full tree.
 //!
-//! Construction hands over mutable [`Partition`]s (`Vec`-node
-//! [`SuffixTree`]s); [`PartitionedSuffixTree::new`] immediately freezes each
-//! one into a [`FlatPartition`] (a cache-conscious [`FlatTree`] arena — see
-//! [`crate::layout`]), so everything downstream — the query engine, the
-//! serializer, the index — serves from the flat form.
+//! Construction builds mutable [`Partition`]s (`Vec`-node [`SuffixTree`]s)
+//! and freezes each one ([`Partition::freeze`]) into a [`FlatPartition`] (a
+//! cache-conscious [`FlatTree`] arena — see [`crate::layout`]) as soon as it
+//! is finished, so the construction form of a sub-tree never outlives its
+//! group and everything downstream — the query engine, the serializer, the
+//! index — serves from the flat form.
 
 use era_string_store::{StoreResult, TextSource};
 
@@ -27,6 +28,14 @@ pub struct Partition {
     pub prefix: Vec<u8>,
     /// The sub-tree over the suffixes starting with `prefix`.
     pub tree: SuffixTree,
+}
+
+impl Partition {
+    /// Freezes the sub-tree into the flat serving layout, dropping the
+    /// construction form.
+    pub fn freeze(self) -> FlatPartition {
+        FlatPartition { tree: FlatTree::freeze(&self.tree), prefix: self.prefix }
+    }
 }
 
 /// A small trie over the partition prefixes, used to route queries to the
@@ -180,21 +189,18 @@ pub struct PartitionedSuffixTree {
 }
 
 impl PartitionedSuffixTree {
-    /// Builds the index from construction-form partitions: sorts them by
-    /// prefix, freezes every sub-tree into the flat serving layout and builds
-    /// the routing trie. The prefixes must be prefix-free (which vertical
-    /// partitioning guarantees).
-    pub fn new(text_len: usize, mut partitions: Vec<Partition>) -> Self {
-        partitions.sort_by(|a, b| a.prefix.cmp(&b.prefix));
-        let flat: Vec<FlatPartition> = partitions
-            .into_iter()
-            .map(|p| FlatPartition { tree: FlatTree::freeze(&p.tree), prefix: p.prefix })
-            .collect();
-        Self::from_flat(text_len, flat)
+    /// Builds the index from construction-form partitions, freezing every
+    /// sub-tree on the way — for callers that hold all their sub-trees at once
+    /// (tests, the in-memory baselines). The prefixes must be prefix-free.
+    pub fn new(text_len: usize, partitions: Vec<Partition>) -> Self {
+        Self::from_flat(text_len, partitions.into_iter().map(Partition::freeze).collect())
     }
 
-    /// Builds the index from already-frozen partitions (the deserialization
-    /// path; [`Self::new`] is the construction path).
+    /// Builds the index from already-frozen partitions — what the
+    /// construction pipeline (which freezes each group as it finishes) and
+    /// deserialization hand over: sorts them by prefix and builds the routing
+    /// trie. The prefixes must be prefix-free (which vertical partitioning
+    /// guarantees).
     pub fn from_flat(text_len: usize, mut partitions: Vec<FlatPartition>) -> Self {
         partitions.sort_by(|a, b| a.prefix.cmp(&b.prefix));
         let prefixes: Vec<Vec<u8>> = partitions.iter().map(|p| p.prefix.clone()).collect();
