@@ -211,7 +211,7 @@ mod tests {
             t.push(0);
             t
         };
-        assert_eq!(tree.find_all(&text, b"GATTACA"), vec![0, 7]);
+        assert_eq!(tree.try_find_all(&text, b"GATTACA").unwrap(), vec![0, 7]);
     }
 
     #[test]

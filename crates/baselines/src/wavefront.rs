@@ -279,7 +279,7 @@ mod tests {
             trie_area: 256,
             ..era::EraConfig::default()
         };
-        let (_t1, era_report) = era::construct_serial(&era_store, &era_cfg).unwrap();
+        let (_t1, era_report) = era::construct(&era_store, &era_cfg).unwrap();
         let (_t2, wf_report) = wavefront_construct(&wf_store, &config(budget)).unwrap();
         assert!(
             wf_report.io.bytes_read > era_report.io.bytes_read,

@@ -9,16 +9,14 @@
 use std::time::Duration;
 
 use era::{
-    construct_shared_nothing, ConstructionReport, EraConfig, HorizontalMethod, RangePolicy,
-    SharedNothingOptions,
+    construct_shared_nothing, ConstructionPipeline, ConstructionReport, EraConfig, RangePolicy,
+    SharedMemoryScheduler, SharedNothingOptions,
 };
-use era_baselines::{wavefront_construct, wavefront_construct_parallel, WaveFrontConfig};
-use era_string_store::{DiskStore, StringStore};
+use era_baselines::{wavefront_construct_parallel, WaveFrontConfig};
+use era_string_store::DiskStore;
 use era_workloads::{alphabet_for, generate, DatasetKind, DatasetSpec};
 
-use crate::runner::{
-    bench_dir, era_config, make_disk_store, make_packed_disk_store, run_algorithm, Algorithm,
-};
+use crate::runner::{bench_dir, era_config, make_disk_store, run_algorithm, Algorithm};
 
 /// Scaling of the experiments: `base` is the reference string length in bytes
 /// (the paper's figures use GBps; the ratios to memory are preserved).
@@ -115,7 +113,7 @@ fn kb(bytes: usize) -> String {
 pub fn all_experiments() -> Vec<&'static str> {
     vec![
         "table2", "fig7a", "fig7b", "fig8a", "fig8b", "fig9a", "fig9b", "fig10a", "fig10b",
-        "fig11", "fig12a", "fig12b", "table3", "fig13", "packed", "query", "layout",
+        "fig11", "fig12a", "fig12b", "table3", "fig13",
     ]
 }
 
@@ -136,9 +134,6 @@ pub fn run_experiment(id: &str, scale: &Scale) -> Option<ExperimentResult> {
         "fig12b" => Some(fig12(scale, DatasetKind::UniformDna, "fig12b", true)),
         "table3" => Some(table3(scale)),
         "fig13" => Some(fig13(scale)),
-        "packed" => Some(packed_encoding(scale)),
-        "query" => Some(query_serving(scale)),
-        "layout" => Some(layout_serving(scale)),
         _ => None,
     }
 }
@@ -246,7 +241,7 @@ fn fig8(scale: &Scale, kind: DatasetKind, id: &str) -> ExperimentResult {
         let r = r.max(2 << 10);
         let store = make_disk_store(&spec);
         let config = EraConfig { r_buffer_size: Some(r), ..era_config(budget) };
-        let (_, report) = era::construct_serial(&store, &config).expect("construction succeeds");
+        let (_, report) = era::construct(&store, &config).expect("construction succeeds");
         rows.push(row("ERA", &format!("R={}", kb(r)), &report, String::new()));
     }
     ExperimentResult {
@@ -272,8 +267,7 @@ fn fig9a(scale: &Scale) -> ExperimentResult {
         for (label, grouping) in [("With grouping", true), ("Without grouping", false)] {
             let store = make_disk_store(&spec);
             let config = EraConfig { group_virtual_trees: grouping, ..era_config(budget) };
-            let (_, report) =
-                era::construct_serial(&store, &config).expect("construction succeeds");
+            let (_, report) = era::construct(&store, &config).expect("construction succeeds");
             rows.push(row(label, &kb(size), &report, format!("{} groups", report.virtual_trees)));
         }
     }
@@ -300,8 +294,7 @@ fn fig9b(scale: &Scale) -> ExperimentResult {
         ] {
             let store = make_disk_store(&spec);
             let config = EraConfig { range_policy: policy, ..era_config(budget) };
-            let (_, report) =
-                era::construct_serial(&store, &config).expect("construction succeeds");
+            let (_, report) = era::construct(&store, &config).expect("construction succeeds");
             rows.push(row(label, &kb(size), &report, String::new()));
         }
     }
@@ -409,6 +402,15 @@ fn fig11(scale: &Scale) -> ExperimentResult {
 // Figure 12 — shared-memory / shared-disk scalability.
 // ---------------------------------------------------------------------------
 
+/// One shared-memory run with `config.threads` workers. The scheduler is named
+/// through the pipeline so that the one-core baseline row runs the same
+/// scheduler as the rows it is compared with (`era::construct` would pick the
+/// serial one for a single thread).
+fn construct_sm(store: &DiskStore, config: &EraConfig) -> ConstructionReport {
+    let scheduler = SharedMemoryScheduler::new(store, config.threads);
+    ConstructionPipeline::new(config).run(&scheduler).expect("construction").1
+}
+
 fn fig12(scale: &Scale, kind: DatasetKind, id: &str, vary_seek: bool) -> ExperimentResult {
     let size = scale.base;
     let budget = (size / 2).max(32 << 10);
@@ -420,7 +422,7 @@ fn fig12(scale: &Scale, kind: DatasetKind, id: &str, vary_seek: bool) -> Experim
         // ERA (seek optimisation on unless this is the seek-comparison figure).
         let store = make_disk_store(&spec);
         let config = EraConfig { threads: t, seek_optimization: !vary_seek, ..era_config(budget) };
-        let (_, report) = era::construct_parallel_sm(&store, &config).expect("construction");
+        let report = construct_sm(&store, &config);
         if t == 1 {
             era_base = Some(report.elapsed);
         }
@@ -432,7 +434,7 @@ fn fig12(scale: &Scale, kind: DatasetKind, id: &str, vary_seek: bool) -> Experim
         if vary_seek {
             let store = make_disk_store(&spec);
             let config = EraConfig { threads: t, seek_optimization: true, ..era_config(budget) };
-            let (_, report) = era::construct_parallel_sm(&store, &config).expect("construction");
+            let report = construct_sm(&store, &config);
             rows.push(row("ERA-With Seek", &format!("{t} cores"), &report, String::new()));
         }
 
@@ -582,409 +584,6 @@ fn fig13(scale: &Scale) -> ExperimentResult {
             .into(),
         rows,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Packed symbol encoding (§6.1) — raw vs packed DiskStore.
-// ---------------------------------------------------------------------------
-
-fn packed_encoding(scale: &Scale) -> ExperimentResult {
-    let size = scale.base / 2;
-    let budget = (size / 4).max(16 << 10);
-    let kinds = [
-        (DatasetKind::UniformDna, "DNA"),
-        (DatasetKind::Protein, "Protein"),
-        (DatasetKind::English, "English"),
-    ];
-    let mut rows = Vec::new();
-    for &(kind, name) in &kinds {
-        let spec = DatasetSpec::new(kind, size, 41);
-        let store = make_disk_store(&spec);
-        let (_, raw) = era::construct_serial(&store, &era_config(budget)).expect("construction");
-        rows.push(row(&format!("ERA raw {name}"), &kb(size), &raw, String::new()));
-
-        let store = make_packed_disk_store(&store);
-        let (_, packed) = era::construct_serial(&store, &era_config(budget)).expect("construction");
-        let ratio = raw.io.bytes_read as f64 / packed.io.bytes_read.max(1) as f64;
-        rows.push(row(
-            &format!("ERA packed {name}"),
-            &kb(size),
-            &packed,
-            format!("{ratio:.2}x fewer bytes"),
-        ));
-    }
-    ExperimentResult {
-        id: "packed".into(),
-        title: "Packed symbol encoding: bytes read per construction, raw vs packed store".into(),
-        expectation: "Packing cuts the bytes fetched per scan by 8/bits — ~4x for 2-bit DNA, \
-                      ~1.6x for 5-bit protein and English — without changing the constructed \
-                      tree."
-            .into(),
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Query serving — batched QueryEngine vs one-by-one, raw vs packed store.
-// ---------------------------------------------------------------------------
-
-/// Deterministic query workload: substrings sampled across the text at mixed
-/// lengths, plus an empty pattern, a terminal-adjacent suffix and a handful
-/// of absent patterns.
-fn query_patterns(text: &[u8], count: usize) -> Vec<Vec<u8>> {
-    let body_len = text.len() - 1;
-    let mut patterns: Vec<Vec<u8>> = Vec::with_capacity(count);
-    patterns.push(Vec::new());
-    patterns.push(text[body_len.saturating_sub(3)..].to_vec());
-    patterns.push(b"ZQXJZQXJ".to_vec());
-    while patterns.len() < count {
-        let i = patterns.len();
-        let len = 4 + (i * 7) % 17;
-        let start = (i * 2654435761) % body_len.max(1);
-        let end = (start + len).min(body_len);
-        patterns.push(text[start..end].to_vec());
-    }
-    patterns
-}
-
-fn query_serving(scale: &Scale) -> ExperimentResult {
-    use era::{Query, QueryBatch, QueryEngine};
-    use std::time::Instant;
-
-    let size = scale.base / 2;
-    let budget = (size / 4).max(16 << 10);
-    let spec = DatasetSpec::new(DatasetKind::UniformDna, size, 43);
-    let store = make_disk_store(&spec);
-    let (tree, _) = era::construct_serial(&store, &era_config(budget)).expect("construction");
-    let text = store.read_all().expect("read text");
-    let patterns = query_patterns(&text, 256);
-    let batch: QueryBatch = patterns.iter().map(|p| Query::locate(p.clone())).collect();
-    let packed = make_packed_disk_store(&store);
-
-    let mut rows = Vec::new();
-    for (name, qstore) in
-        [("raw", &store as &dyn era_string_store::StringStore), ("packed", &packed)]
-    {
-        // One engine pass per pattern: every query pays a cold window.
-        let engine = QueryEngine::over_store(&tree, qstore);
-        let before = qstore.stats().snapshot();
-        let start = Instant::now();
-        for p in &patterns {
-            engine.find_all(p).expect("query succeeds");
-        }
-        let elapsed = start.elapsed();
-        let io = qstore.stats().snapshot().since(&before);
-        rows.push(Row {
-            series: format!("one-by-one {name}"),
-            x: format!("{} patterns", patterns.len()),
-            seconds: elapsed.as_secs_f64(),
-            mb_read: io.bytes_read as f64 / (1 << 20) as f64,
-            scans: io.full_scans,
-            partitions: tree.partitions().len(),
-            note: format!("{:.0} patterns/s", patterns.len() as f64 / elapsed.as_secs_f64()),
-        });
-
-        // One batched pass: patterns grouped by partition, windows reused.
-        // The x1 row isolates the batching effect (same thread count as the
-        // one-by-one baseline); the x4 row adds the worker pool on top.
-        for threads in [1usize, 4] {
-            let response = QueryEngine::over_store(&tree, qstore)
-                .threads(threads)
-                .run(&batch)
-                .expect("batch succeeds");
-            rows.push(Row {
-                series: format!("batched x{threads} {name}"),
-                x: format!("{} patterns", patterns.len()),
-                seconds: response.stats.elapsed.as_secs_f64(),
-                mb_read: response.stats.io.bytes_read as f64 / (1 << 20) as f64,
-                scans: response.stats.io.full_scans,
-                partitions: tree.partitions().len(),
-                note: format!("{:.0} patterns/s", response.stats.queries_per_second()),
-            });
-        }
-
-        // Warm vs cold through the shared decoded-block cache: one cached
-        // engine, the identical batch twice. The cold pass pays the store
-        // reads (and, packed, the decode) while filling the cache; the warm
-        // pass must replay with ~zero store bytes and a ~100% hit rate —
-        // the repro counterpart of the >=10x CI assertion in
-        // tests/tests/query_equivalence.rs.
-        let engine = QueryEngine::over_store(&tree, qstore).cache(32 << 20);
-        let mut cold_bytes = 0u64;
-        for pass in ["cold", "warm"] {
-            let response = engine.run(&batch).expect("cached batch succeeds");
-            let cache = response.stats.cache;
-            let io_bytes = response.stats.io.bytes_read;
-            let note = if pass == "cold" {
-                cold_bytes = io_bytes;
-                format!(
-                    "{:.0} patterns/s, hit rate {:.0}%, {} blocks decoded",
-                    response.stats.queries_per_second(),
-                    100.0 * cache.hit_rate(),
-                    cache.insertions,
-                )
-            } else {
-                format!(
-                    "{:.0} patterns/s, hit rate {:.0}%, {:.0}x fewer bytes than cold",
-                    response.stats.queries_per_second(),
-                    100.0 * cache.hit_rate(),
-                    cold_bytes as f64 / io_bytes.max(1) as f64,
-                )
-            };
-            rows.push(Row {
-                series: format!("batched x1 {name} cache {pass}"),
-                x: format!("{} patterns", patterns.len()),
-                seconds: response.stats.elapsed.as_secs_f64(),
-                mb_read: io_bytes as f64 / (1 << 20) as f64,
-                scans: response.stats.io.full_scans,
-                partitions: tree.partitions().len(),
-                note,
-            });
-        }
-    }
-    ExperimentResult {
-        id: "query".into(),
-        title: "Query serving: batched QueryEngine vs one-by-one, raw vs packed DiskStore, \
-                cold vs warm block cache"
-            .into(),
-        expectation: "Batching groups patterns per sub-tree and reuses each worker's text window, \
-                      so the batched rows read fewer bytes and serve more patterns/sec than \
-                      one-by-one; the packed store cuts the bytes read by ~bits/8 again (~4x for \
-                      2-bit DNA) at equal answers; and re-running the batch against the warm \
-                      decoded-block cache reads ~no store bytes at a ~100% hit rate."
-            .into(),
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flat layout — cache-conscious serving form vs the Vec-node construction
-// form, and the SWAR occurrence scan vs the scalar reference.
-// ---------------------------------------------------------------------------
-
-/// Serializes every flat partition (prefix + `ERAFLAT1` arena) into one byte
-/// string; two partitioned trees are byte-identical iff these are equal.
-fn flat_tree_bytes(tree: &era_suffix_tree::PartitionedSuffixTree) -> Vec<u8> {
-    let mut out = Vec::new();
-    for part in tree.partitions() {
-        out.extend_from_slice(&(part.prefix.len() as u64).to_le_bytes());
-        out.extend_from_slice(&part.prefix);
-        era_suffix_tree::serialize::write_flat_tree(&mut out, &part.tree).expect("serialize");
-    }
-    out
-}
-
-fn layout_serving(scale: &Scale) -> ExperimentResult {
-    use era_string_store::InMemoryStore;
-    use std::time::Instant;
-
-    let size = scale.base / 2;
-    let budget = (size / 4).max(16 << 10);
-    let spec = DatasetSpec::new(DatasetKind::UniformDna, size, 47);
-    let store = make_disk_store(&spec);
-    let (tree, report) = era::construct_serial(&store, &era_config(budget)).expect("construction");
-    let text = store.read_all().expect("read text");
-    let body = &text[..text.len() - 1];
-    let partitions = tree.partitions().len();
-    let mut rows = Vec::new();
-
-    // Freeze determinism: all three schedulers must produce byte-identical
-    // flat arenas (same prefixes, same node order, same child blocks).
-    let serial_bytes = flat_tree_bytes(&tree);
-    let sm_cfg = EraConfig { threads: 4, ..era_config(budget) };
-    let (sm_tree, _) = era::construct_parallel_sm(&store, &sm_cfg).expect("sm construction");
-    let node_stores: Vec<InMemoryStore> = (0..2)
-        .map(|_| InMemoryStore::from_body(body, alphabet_for(spec.kind)).expect("node store"))
-        .collect();
-    let (sn_tree, _) = construct_shared_nothing(
-        &node_stores,
-        &era_config(budget),
-        &SharedNothingOptions::default(),
-    )
-    .expect("sn construction");
-    assert_eq!(flat_tree_bytes(&sm_tree), serial_bytes, "shared-memory arena differs from serial");
-    assert_eq!(flat_tree_bytes(&sn_tree), serial_bytes, "shared-nothing arena differs from serial");
-    rows.push(Row {
-        series: "freeze determinism".into(),
-        x: kb(size),
-        seconds: 0.0,
-        mb_read: 0.0,
-        scans: 0,
-        partitions,
-        note: "serial, shared-memory and shared-nothing arenas byte-identical".into(),
-    });
-
-    // Memory density: flat 16-byte records vs the Vec-node construction form.
-    let thawed: Vec<era_suffix_tree::SuffixTree> =
-        tree.partitions().iter().map(|p| p.tree.thaw()).collect();
-    let vec_bytes: usize = thawed.iter().map(|t| t.approx_bytes()).sum();
-    let nodes_total = report.tree.nodes.max(1);
-    let flat_bpn = report.bytes_per_node();
-    let vec_bpn = vec_bytes as f64 / nodes_total as f64;
-    for (series, bpn, note) in [
-        ("bytes/node vec-node", vec_bpn, String::new()),
-        (
-            "bytes/node flat",
-            flat_bpn,
-            format!("{:.0}% smaller than vec-node", 100.0 * (1.0 - flat_bpn / vec_bpn)),
-        ),
-    ] {
-        rows.push(Row {
-            series: format!("{series} ({bpn:.1} B)"),
-            x: kb(size),
-            seconds: 0.0,
-            mb_read: (bpn * nodes_total as f64) / (1 << 20) as f64,
-            scans: 0,
-            partitions,
-            note,
-        });
-    }
-
-    // Warm-cache descent throughput on the real serving path: route each
-    // pattern through the prefix trie, then count occurrences in the
-    // candidate sub-tree — flat arena vs the thawed Vec-node form. The trie
-    // routing is identical on both sides; only the descent differs. One
-    // untimed pass warms each form and records the expected answer.
-    let patterns = query_patterns(&text, 256);
-    let routed: Vec<(&Vec<u8>, Vec<u32>)> =
-        patterns.iter().filter(|p| !p.is_empty()).map(|p| (p, tree.trie().candidates(p))).collect();
-    let reps = ((32 << 20) / size.max(1)).clamp(4, 128);
-    let count_all_vec = || -> u64 {
-        let mut hits = 0u64;
-        for (p, candidates) in &routed {
-            for &c in candidates {
-                hits += thawed[c as usize].count(&text, p) as u64;
-            }
-        }
-        hits
-    };
-    let count_all_flat = || -> u64 {
-        let parts = tree.partitions();
-        let mut hits = 0u64;
-        for (p, candidates) in &routed {
-            for &c in candidates {
-                hits += parts[c as usize].tree.count(&text, p) as u64;
-            }
-        }
-        hits
-    };
-    let vec_hits = count_all_vec();
-    let start = Instant::now();
-    for _ in 0..reps {
-        assert_eq!(count_all_vec(), vec_hits, "unstable answers");
-    }
-    let vec_elapsed = start.elapsed();
-    let flat_hits = count_all_flat();
-    let start = Instant::now();
-    for _ in 0..reps {
-        assert_eq!(count_all_flat(), flat_hits, "unstable answers");
-    }
-    let flat_elapsed = start.elapsed();
-    assert_eq!(flat_hits, vec_hits, "flat and vec-node descents must count the same occurrences");
-    let descents = (reps * routed.len()) as f64;
-    for (series, elapsed, note) in [
-        ("descent vec-node", vec_elapsed, String::new()),
-        (
-            "descent flat",
-            flat_elapsed,
-            format!("{:.2}x vs vec-node", vec_elapsed.as_secs_f64() / flat_elapsed.as_secs_f64()),
-        ),
-    ] {
-        rows.push(Row {
-            series: series.into(),
-            x: format!("{} queries", descents as u64),
-            seconds: elapsed.as_secs_f64(),
-            mb_read: 0.0,
-            scans: 0,
-            partitions,
-            note: format!("{:.0} queries/s {note}", descents / elapsed.as_secs_f64()),
-        });
-    }
-
-    // Occurrence collection: SWAR first-byte filter vs the scalar reference,
-    // over the in-memory store so the comparison is compute-bound. Distinct
-    // short prefixes, as vertical partitioning produces them.
-    let prefixes: Vec<Vec<u8>> = {
-        let mut distinct: std::collections::BTreeSet<Vec<u8>> = std::collections::BTreeSet::new();
-        for p in patterns.iter().filter(|p| !p.is_empty()) {
-            distinct.insert(p[..p.len().min(8)].to_vec());
-            if distinct.len() >= 16 {
-                break;
-            }
-        }
-        distinct.into_iter().collect()
-    };
-    let scan_store = &node_stores[0];
-    let scan = |vectorized: bool| {
-        let collect = if vectorized {
-            era::scan::collect_occurrences
-        } else {
-            era::scan::collect_occurrences_scalar
-        };
-        let warm: usize = collect(scan_store, &prefixes).expect("scan").iter().map(Vec::len).sum();
-        let start = Instant::now();
-        for _ in 0..reps {
-            let occ: usize =
-                collect(scan_store, &prefixes).expect("scan").iter().map(Vec::len).sum();
-            assert_eq!(occ, warm, "unstable scan");
-        }
-        (warm, start.elapsed())
-    };
-    let (scalar_occ, scalar_elapsed) = scan(false);
-    let (swar_occ, swar_elapsed) = scan(true);
-    assert_eq!(swar_occ, scalar_occ, "SWAR and scalar scans must agree");
-    let scanned_mb = (reps * scan_store.len()) as f64 / (1 << 20) as f64;
-    for (series, elapsed, note) in [
-        ("scan scalar", scalar_elapsed, String::new()),
-        (
-            "scan swar",
-            swar_elapsed,
-            format!("{:.2}x vs scalar", scalar_elapsed.as_secs_f64() / swar_elapsed.as_secs_f64()),
-        ),
-    ] {
-        rows.push(Row {
-            series: series.into(),
-            x: format!("{} prefixes", prefixes.len()),
-            seconds: elapsed.as_secs_f64(),
-            mb_read: scanned_mb,
-            scans: reps as u64,
-            partitions,
-            note: format!("{:.0} MB/s {note}", scanned_mb / elapsed.as_secs_f64()),
-        });
-    }
-
-    ExperimentResult {
-        id: "layout".into(),
-        title: "Flat cache-conscious layout: descent throughput, bytes/node and SWAR scan vs \
-                the Vec-node construction form"
-            .into(),
-        expectation: "All three schedulers freeze byte-identical flat arenas. The flat form \
-                      serves warm-cache descents >=1.5x faster and needs >=30% fewer bytes per \
-                      node than the Vec-node form; the SWAR first-byte filter collects \
-                      occurrences >=2x faster than the scalar reference at identical answers."
-            .into(),
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Misc helpers used by the WaveFront rows above.
-// ---------------------------------------------------------------------------
-
-#[allow(dead_code)]
-fn wavefront_serial_row(spec: &DatasetSpec, budget: usize, x: &str) -> Row {
-    let store = make_disk_store(spec);
-    let (_, report) = wavefront_construct(
-        &store,
-        &WaveFrontConfig { memory_budget: budget, ..WaveFrontConfig::default() },
-    )
-    .expect("construction");
-    row("WaveFront", x, &report, String::new())
-}
-
-#[allow(dead_code)]
-fn era_str_only(budget: usize) -> EraConfig {
-    EraConfig { horizontal: HorizontalMethod::StringOnly, ..era_config(budget) }
 }
 
 #[cfg(test)]

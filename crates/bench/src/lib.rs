@@ -10,12 +10,11 @@
 //! paper; the *shape* — which algorithm wins, by roughly what factor, where
 //! lines cross — is what `EXPERIMENTS.md` records and compares.
 //!
-//! Two entry points:
-//!
-//! * the `repro` binary (`cargo run --release -p era-bench --bin repro -- all`)
-//!   prints one Markdown table per experiment;
-//! * the Criterion benches (`cargo bench`) cover the same comparisons at
-//!   smaller sizes for regression tracking.
+//! The entry point is the `repro` binary
+//! (`cargo run --release -p era-bench --bin repro -- all`), which prints one
+//! Markdown table per experiment. `repro` reproduces the paper; measuring the
+//! system itself — serving, layout, packed I/O, regressions — is the job of
+//! the standalone `benchmark/` crate.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -7,7 +7,7 @@ use era_baselines::{
     b2st_construct, trellis_construct, ukkonen_construct, wavefront_construct,
     wavefront_construct_parallel, B2stConfig, TrellisConfig, WaveFrontConfig,
 };
-use era_string_store::{DiskStore, PackedDiskStore, StringStore};
+use era_string_store::{DiskStore, StringStore};
 use era_suffix_tree::PartitionedSuffixTree;
 use era_workloads::{alphabet_for, generate, DatasetSpec};
 
@@ -72,16 +72,6 @@ pub fn make_disk_store(spec: &DatasetSpec) -> DiskStore {
     DiskStore::create(path, &body, alphabet, BENCH_BLOCK).expect("create dataset file")
 }
 
-/// Converts an existing raw benchmark store into the bit-packed on-disk
-/// format (§6.1) next to it — `foo.era` becomes `foo.erap` — with one
-/// streaming scan, so the dataset is not synthesised a second time. Every
-/// scan of the returned store fetches `bits/8` of the raw bytes.
-pub fn make_packed_disk_store(raw: &DiskStore) -> PackedDiskStore {
-    let mut path = raw.path().as_os_str().to_os_string();
-    path.push("p");
-    PackedDiskStore::pack_store(&raw, PathBuf::from(path), BENCH_BLOCK).expect("pack dataset")
-}
-
 /// An ERA configuration scaled for a given memory budget (keeps the paper's
 /// memory-layout rules, shrinks the fixed buffers to laptop scale).
 pub fn era_config(memory_budget: usize) -> EraConfig {
@@ -100,17 +90,17 @@ pub fn run_algorithm(
     memory_budget: usize,
 ) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
     match algorithm {
-        Algorithm::Era => era::construct_serial(store, &era_config(memory_budget)),
+        Algorithm::Era => era::construct(store, &era_config(memory_budget)),
         Algorithm::EraStr => {
             let config = EraConfig {
                 horizontal: era::HorizontalMethod::StringOnly,
                 ..era_config(memory_budget)
             };
-            era::construct_serial(store, &config)
+            era::construct(store, &config)
         }
         Algorithm::EraParallel(threads) => {
             let config = EraConfig { threads, ..era_config(memory_budget) };
-            era::construct_parallel_sm(store, &config)
+            era::construct(store, &config)
         }
         Algorithm::WaveFront => wavefront_construct(
             store,

@@ -59,24 +59,6 @@ pub enum HorizontalMethod {
     StringAndMemory,
 }
 
-/// Which [`GroupScheduler`](crate::pipeline::GroupScheduler) executes the
-/// horizontal phase of the [`ConstructionPipeline`](crate::pipeline::ConstructionPipeline).
-///
-/// The shared-nothing scheduler is not listed here because it needs one
-/// private store per node and therefore has its own entry point
-/// ([`crate::construct_shared_nothing`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Pick automatically from [`EraConfig::threads`]: serial for one thread,
-    /// shared-memory otherwise.
-    #[default]
-    Auto,
-    /// Run every virtual tree on the calling thread (§4).
-    Serial,
-    /// Thread pool over one shared store (§5.1).
-    SharedMemory,
-}
-
 /// Complete configuration of a construction run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EraConfig {
@@ -105,12 +87,10 @@ pub struct EraConfig {
     pub group_virtual_trees: bool,
     /// Whether to skip blocks that contain no needed symbol (§4.4).
     pub seek_optimization: bool,
-    /// Number of worker threads for the shared-memory parallel driver
-    /// (1 = serial).
+    /// Number of worker threads. This is what picks the scheduler of
+    /// [`crate::construct`]: one thread runs every virtual tree on the
+    /// calling thread (§4), more than one a pool over the shared store (§5.1).
     pub threads: usize,
-    /// Which scheduler executes the horizontal phase. The default,
-    /// [`SchedulerKind::Auto`], derives the choice from [`Self::threads`].
-    pub scheduler: SchedulerKind,
     /// Lower bound for the elastic range (symbols fetched per active suffix
     /// and iteration).
     pub min_range: usize,
@@ -150,7 +130,6 @@ impl Default for EraConfig {
             group_virtual_trees: true,
             seek_optimization: true,
             threads: 1,
-            scheduler: SchedulerKind::Auto,
             min_range: 4,
             packed: false,
             cache_bytes: 16 << 20, // 16 MiB of decoded blocks
@@ -235,21 +214,6 @@ impl EraConfig {
             processing_area,
             fm,
         })
-    }
-
-    /// Resolves [`Self::scheduler`]: `Auto` becomes [`SchedulerKind::Serial`]
-    /// for one thread and [`SchedulerKind::SharedMemory`] otherwise.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self.scheduler {
-            SchedulerKind::Auto => {
-                if self.threads > 1 {
-                    SchedulerKind::SharedMemory
-                } else {
-                    SchedulerKind::Serial
-                }
-            }
-            explicit => explicit,
-        }
     }
 
     /// Validates cross-field constraints.

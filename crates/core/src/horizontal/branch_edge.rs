@@ -15,7 +15,7 @@
 //! than a single one (2), and all sub-trees of a virtual tree share the scan
 //! (3).
 
-use era_string_store::{ScanRequest, SequentialScanner, StoreResult, StringStore};
+use era_string_store::{BlockCursor, StoreResult, StringStore};
 use era_suffix_tree::{NodeId, Partition, SuffixTree};
 
 use super::HorizontalParams;
@@ -118,11 +118,9 @@ pub fn compute_group_str(
         requests.sort_unstable_by_key(|&(pos, _, _)| pos);
 
         // One sequential pass serves every request.
-        let mut scanner = SequentialScanner::new(store, params.seek_optimization);
-        let mut tmp = Vec::with_capacity(range);
+        let mut cursor = BlockCursor::new(store, params.seek_optimization);
         for (pos, si, slot) in requests {
-            scanner.read(ScanRequest { pos, len: range }, &mut tmp)?;
-            buffers[si][slot] = tmp.clone();
+            buffers[si][slot] = cursor.slice(pos, range)?.to_vec();
         }
 
         // Consume the buffered symbols, updating each tree.
@@ -227,7 +225,7 @@ mod tests {
     use super::*;
     use crate::config::RangePolicy;
     use era_string_store::{Alphabet, InMemoryStore};
-    use era_suffix_tree::{naive_suffix_tree, validate_suffix_tree};
+    use era_suffix_tree::{validate_suffix_tree, FlatTree};
 
     fn params(policy: RangePolicy) -> HorizontalParams {
         HorizontalParams {
@@ -262,16 +260,18 @@ mod tests {
             .unwrap();
             let tree = &parts[0].tree;
             validate_suffix_tree(tree, &text, Some(7)).unwrap();
-            let reference = naive_suffix_tree(&text);
             let mut expected: Vec<u32> = occ.clone();
             expected.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
             assert_eq!(tree.lexicographic_suffixes(), expected, "policy {policy:?}");
+            let frozen = FlatTree::freeze(tree);
             for pattern in [&b"TGG"[..], b"TGC", b"TGA", b"TGGTGC"] {
-                let mut a = tree.find_all(&text, pattern);
-                let mut b = reference.find_all(&text, pattern);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "pattern {pattern:?} policy {policy:?}");
+                let mut got = frozen.try_find_all(&text, pattern).unwrap();
+                got.sort_unstable();
+                assert_eq!(
+                    got,
+                    occurrences_of(&text, pattern),
+                    "pattern {pattern:?} policy {policy:?}"
+                );
             }
         }
     }

@@ -21,14 +21,13 @@ use era_suffix_tree::catalog::{
     commit_catalog, encode_catalog, groups_into_tree, Catalog, CatalogFile, CatalogText,
     TextSegment, HEADER_LEN,
 };
-use era_suffix_tree::{CommitProtocol, PartitionedSuffixTree};
+use era_suffix_tree::{CommitProtocol, FlatTree, PartitionedSuffixTree};
 
-use crate::config::{EraConfig, HorizontalMethod, RangePolicy, SchedulerKind};
+use crate::config::{EraConfig, HorizontalMethod, RangePolicy};
 use crate::error::{EraError, EraResult};
-use crate::parallel_sm::construct_parallel_sm;
+use crate::pipeline::construct;
 use crate::query::{QueryBatch, QueryEngine, QueryResponse};
 use crate::report::ConstructionReport;
-use crate::serial::construct_serial;
 
 /// How a [`SuffixIndex`] resolves the text its tree's edge labels point into.
 #[derive(Clone)]
@@ -243,8 +242,8 @@ impl SuffixIndex {
             ));
         };
         let text = self.try_text()?;
-        let merged = self.tree.to_single_tree(text);
-        Ok(match merged.longest_common_substring(text, sep) {
+        let merged = FlatTree::freeze(&self.tree.to_single_tree(text));
+        Ok(match merged.longest_common_substring(sep) {
             Some((off, len)) => text[off as usize..(off + len) as usize].to_vec(),
             None => Vec::new(),
         })
@@ -443,19 +442,11 @@ impl SuffixIndexBuilder {
         self
     }
 
-    /// Sets the number of worker threads (1 = serial). With the default
-    /// [`SchedulerKind::Auto`] this is what picks the scheduler: one thread
-    /// builds with the [`crate::SerialScheduler`], more than one with the
-    /// [`crate::SharedMemoryScheduler`].
+    /// Sets the number of worker threads (1 = serial). This is what picks
+    /// the scheduler: one thread builds with the [`crate::SerialScheduler`],
+    /// more than one with the [`crate::SharedMemoryScheduler`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Forces a specific scheduler instead of deriving it from
-    /// [`Self::threads`].
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.config.scheduler = kind;
         self
     }
 
@@ -628,12 +619,7 @@ impl SuffixIndexBuilder {
         store: &S,
         separators: Vec<usize>,
     ) -> EraResult<SuffixIndex> {
-        let (tree, report) = match self.config.scheduler_kind() {
-            SchedulerKind::SharedMemory => construct_parallel_sm(store, &self.config)?,
-            // `scheduler_kind` never returns `Auto`; it resolves to one of the
-            // concrete kinds.
-            SchedulerKind::Auto | SchedulerKind::Serial => construct_serial(store, &self.config)?,
-        };
+        let (tree, report) = construct(store, &self.config)?;
         let backing = TextBacking::Memory(Arc::new(store.read_all()?));
         let alphabet = store.alphabet().clone();
         let mut index = assemble(backing, tree, alphabet, store.is_packed(), 0, &self.config)?;

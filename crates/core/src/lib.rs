@@ -40,11 +40,11 @@
 //! report assembly, and delegates group execution to a
 //! [`pipeline::GroupScheduler`]:
 //!
-//! * [`pipeline::SerialScheduler`] — every group on the calling thread;
-//! * [`pipeline::SharedMemoryScheduler`] — a worker pool pulling groups from
-//!   a shared queue against one store;
-//! * [`pipeline::SharedNothingScheduler`] — one private store per simulated
-//!   cluster node, longest-processing-time group assignment, no merge phase.
+//! * [`SerialScheduler`] — every group on the calling thread;
+//! * [`SharedMemoryScheduler`] — a worker pool pulling groups from a shared
+//!   queue against one store;
+//! * [`SharedNothingScheduler`] — one private store per simulated cluster
+//!   node, longest-processing-time group assignment, no merge phase.
 //!
 //! Whoever runs it, a virtual tree spends the memory budget phase by phase
 //! rather than area by area ([`config`] has the accounting). The occurrence
@@ -58,12 +58,13 @@
 //! keeps resident is the flat arenas finished so far plus one group in
 //! flight.
 //!
-//! [`construct_serial`], [`construct_parallel_sm`] and
-//! [`construct_shared_nothing`] are thin wrappers that pick a scheduler;
-//! [`SuffixIndexBuilder::threads`] routes through
-//! [`config::SchedulerKind`] so the right scheduler is chosen automatically.
-//! The scheduler trait is the seam future backends (async-I/O stores,
-//! distributed workers) plug into without touching the pipeline.
+//! [`construct`] is the driver entry point over one store — the thread count
+//! ([`EraConfig::threads`], [`SuffixIndexBuilder::threads`]) alone picks the
+//! serial or the shared-memory scheduler — and [`construct_shared_nothing`]
+//! the one over a store per node; anything else names its scheduler through
+//! [`ConstructionPipeline::run`]. The scheduler trait is the seam future
+//! backends (async-I/O stores, distributed workers) plug into without
+//! touching the pipeline.
 //! Orthogonally, [`SuffixIndexBuilder::packed`] swaps the raw string stores
 //! for the bit-packed backends of `era-string-store` (§6.1: 2-bit DNA, 5-bit
 //! protein/English), cutting the bytes fetched by every construction scan by
@@ -139,26 +140,25 @@
 //! SWAR first-byte broadcast (eight bytes per `u64`, no `core::simd`) and
 //! verifies word-sized patterns with masked compares;
 //! [`scan::collect_occurrences_scalar`] keeps the per-position reference the
-//! vectorized path is tested and benchmarked against.
+//! vectorized path is tested against.
 //!
 //! ## Crate layout
 //!
 //! * [`config`] — every knob the paper evaluates (memory budget, `|R|`,
 //!   elastic vs static range, grouping, seek optimisation, threads, packed
-//!   symbol encoding) plus the [`config::SchedulerKind`] selection.
+//!   symbol encoding).
 //! * [`vertical`] — variable-length prefix partitioning + virtual trees
 //!   (§4.1), each round counted by descending a trie of the working set.
 //! * [`horizontal`] — `SubTreePrepare`/`BuildSubTree` and the ERA-str variant
 //!   (§4.2), including the elastic range (§4.4).
-//! * [`pipeline`] — the unified [`pipeline::ConstructionPipeline`] and the
-//!   three [`pipeline::GroupScheduler`] implementations.
+//! * [`pipeline`] — the unified [`ConstructionPipeline`], the three
+//!   [`GroupScheduler`] implementations and the driver entry points
+//!   [`construct`] / [`construct_shared_nothing`].
 //! * [`scan`] — sequential multi-pattern occurrence scans over the
 //!   zero-copy block cursor of `era-string-store`, SWAR-vectorized with a
 //!   scalar reference implementation.
 //! * [`query`] — the batched [`QueryEngine`], typed [`Query`] requests and
 //!   [`QueryStats`] I/O accounting over in-memory or store-backed texts.
-//! * [`serial`], [`parallel_sm`], [`parallel_sn`] — the public driver entry
-//!   points of §4/§5, now thin wrappers over the pipeline.
 //! * [`SuffixIndex`] — the user-facing API combining construction and queries.
 
 #![forbid(unsafe_code)]
@@ -170,29 +170,32 @@ pub mod config;
 pub mod error;
 pub mod horizontal;
 pub mod index;
-pub mod parallel_sm;
-pub mod parallel_sn;
 pub mod pipeline;
 pub mod query;
 pub mod report;
 pub mod scan;
-pub mod serial;
 pub mod sync;
 pub mod vertical;
 pub mod work_queue;
 
-pub use config::{EraConfig, HorizontalMethod, MemoryLayout, RangePolicy, SchedulerKind};
+// Unit tests of the three drivers in `pipeline`, kept under the module paths
+// the tier-1 test floor names them by.
+#[cfg(test)]
+mod parallel_sm;
+#[cfg(test)]
+mod parallel_sn;
+#[cfg(test)]
+mod serial;
+
+pub use config::{EraConfig, HorizontalMethod, MemoryLayout, RangePolicy};
 pub use error::{EraError, EraResult};
 pub use index::{SuffixIndex, SuffixIndexBuilder};
-pub use parallel_sm::construct_parallel_sm;
-pub use parallel_sn::{construct_shared_nothing, SharedNothingOptions};
 pub use pipeline::{
-    ConstructionPipeline, GroupScheduler, ScheduleOutcome, SerialScheduler, SharedMemoryScheduler,
-    SharedNothingScheduler,
+    construct, construct_shared_nothing, ConstructionPipeline, GroupScheduler, ScheduleOutcome,
+    SerialScheduler, SharedMemoryScheduler, SharedNothingOptions, SharedNothingScheduler,
 };
 pub use query::{Query, QueryAnswer, QueryBatch, QueryEngine, QueryResponse, QueryStats};
 pub use report::{ConstructionReport, NodeReport};
-pub use serial::construct_serial;
 pub use vertical::{vertical_partition, PrefixFrequency, VerticalPartitioning, VirtualTree};
 pub use work_queue::WorkQueue;
 

@@ -1,35 +1,10 @@
-//! Shared-memory / shared-disk parallel construction (§5) — a thin wrapper
-//! binding the [`ConstructionPipeline`](crate::pipeline::ConstructionPipeline)
-//! to a [`SharedMemoryScheduler`](crate::pipeline::SharedMemoryScheduler).
-//!
-//! This is the paper's multicore variant: a master performs vertical
-//! partitioning, then the virtual trees are distributed over worker threads
-//! that all read the *same* store (same disk, same memory bus). There is no
-//! merge phase — every virtual tree is an independent unit of work — so the
-//! only scalability limits are the shared I/O path and memory bus, exactly as
-//! discussed for Figure 12. The worker pool itself lives in
-//! [`crate::pipeline`]; this module only selects the scheduler.
-
-use era_string_store::StringStore;
-use era_suffix_tree::PartitionedSuffixTree;
-
-use crate::config::EraConfig;
-use crate::error::EraResult;
-use crate::pipeline::{ConstructionPipeline, SharedMemoryScheduler};
-use crate::report::ConstructionReport;
-
-/// Builds the suffix tree using `config.threads` worker threads sharing one
-/// store.
-pub fn construct_parallel_sm(
-    store: &dyn StringStore,
-    config: &EraConfig,
-) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
-    ConstructionPipeline::new(config).run(&SharedMemoryScheduler::new(store, config.threads))
-}
+//! Unit tests of the shared-memory scheduler (§5.1): the tree equals the
+//! serial one for any worker count, and the work spreads over the workers.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::EraConfig;
+    use crate::pipeline::{construct, ConstructionPipeline, SharedMemoryScheduler};
     use era_string_store::{Alphabet, InMemoryStore};
     use era_suffix_tree::{naive_suffix_tree, validate_partitioned};
 
@@ -55,18 +30,20 @@ mod tests {
         let reference = naive_suffix_tree(&text);
         for threads in [1usize, 2, 4, 8] {
             let store = InMemoryStore::from_body(body, Alphabet::dna()).unwrap();
-            let (tree, report) = construct_parallel_sm(&store, &config(threads)).unwrap();
+            // Named through the pipeline so that one thread, too, runs the
+            // shared-memory scheduler (`construct` would pick the serial one).
+            let cfg = config(threads);
+            let scheduler = SharedMemoryScheduler::new(&store, threads);
+            let (tree, report) = ConstructionPipeline::new(&cfg).run(&scheduler).unwrap();
             validate_partitioned(&tree, &text).unwrap();
             assert_eq!(
                 tree.lexicographic_suffixes(),
                 reference.lexicographic_suffixes(),
                 "threads {threads}"
             );
-            if threads > 1 {
-                assert_eq!(report.per_node.len(), threads);
-                let total_groups: usize = report.per_node.iter().map(|n| n.virtual_trees).sum();
-                assert_eq!(total_groups, report.virtual_trees);
-            }
+            assert_eq!(report.per_node.len(), threads);
+            let total_groups: usize = report.per_node.iter().map(|n| n.virtual_trees).sum();
+            assert_eq!(total_groups, report.virtual_trees);
         }
     }
 
@@ -82,7 +59,7 @@ mod tests {
         let store = InMemoryStore::from_body(&body, Alphabet::dna()).unwrap();
         let mut cfg = config(4);
         cfg.memory_budget = 6 << 10;
-        let (_tree, report) = construct_parallel_sm(&store, &cfg).unwrap();
+        let (_tree, report) = construct(&store, &cfg).unwrap();
         let busy_workers = report.per_node.iter().filter(|n| n.virtual_trees > 0).count();
         assert!(busy_workers >= 2, "expected at least two busy workers, got {busy_workers}");
     }

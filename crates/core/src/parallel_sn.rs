@@ -1,51 +1,13 @@
-//! Shared-nothing parallel construction (§5) — a thin wrapper binding the
-//! [`ConstructionPipeline`](crate::pipeline::ConstructionPipeline) to a
-//! [`SharedNothingScheduler`](crate::pipeline::SharedNothingScheduler).
-//!
-//! In the paper this version runs on a cluster: every node has its own disk
-//! and memory, the master broadcasts the input string and then assigns groups
-//! of variable-length prefixes to the nodes; each node builds its sub-trees
-//! completely independently (no merge phase).
-//!
-//! Here the cluster is *simulated*: the caller provides one [`StringStore`]
-//! per node (its private copy of the string, with its own I/O counters), the
-//! nodes run as threads, and the string broadcast is modelled with a
-//! configurable bandwidth. This preserves exactly what the paper's
-//! shared-nothing experiments measure — per-node work, load balance,
-//! makespan, speed-up and the transfer overhead (Table 3, Figure 13) — while
-//! running on a single machine. The node topology and group assignment live
-//! in [`crate::pipeline`]; this module only selects the scheduler.
-
-use era_string_store::StringStore;
-use era_suffix_tree::PartitionedSuffixTree;
-
-use crate::config::EraConfig;
-use crate::error::EraResult;
-use crate::pipeline::{ConstructionPipeline, SharedNothingScheduler};
-use crate::report::ConstructionReport;
-
-pub use crate::pipeline::SharedNothingOptions;
-
-/// Builds the suffix tree on a simulated shared-nothing cluster.
-///
-/// `node_stores` holds one private store per node, all containing the *same*
-/// string. Vertical partitioning runs on node 0 (the master); the groups are
-/// then assigned to nodes in round-robin order of decreasing size, which is
-/// the "divide equally" strategy of the paper with a simple load-balancing
-/// refinement.
-pub fn construct_shared_nothing<S: StringStore>(
-    node_stores: &[S],
-    config: &EraConfig,
-    options: &SharedNothingOptions,
-) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
-    let scheduler = SharedNothingScheduler::new(node_stores, *options)?;
-    ConstructionPipeline::new(config).run(&scheduler)
-}
+//! Unit tests of the shared-nothing driver (§5.2): the tree equals the serial
+//! one for any node count, every node reads its own store, the transfer-time
+//! model, and rejection of mismatched store sets.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use std::time::Duration;
+
+    use crate::config::EraConfig;
+    use crate::pipeline::{construct_shared_nothing, SharedNothingOptions};
 
     use era_string_store::{Alphabet, InMemoryStore};
     use era_suffix_tree::{naive_suffix_tree, validate_partitioned};

@@ -17,6 +17,13 @@
 //! [`SharedNothingScheduler`] — and the same seam is where future backends
 //! (async I/O stores, distributed workers, batched query builds) plug in
 //! without touching the pipeline again.
+//!
+//! [`construct`] is the driver entry point over one store: `config.threads`
+//! alone decides between the serial and the shared-memory scheduler. A
+//! shared-nothing run needs one store per node and therefore has its own,
+//! [`construct_shared_nothing`]. Anything else — a one-thread shared-memory
+//! run, a custom scheduler — names its scheduler through
+//! [`ConstructionPipeline::run`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -188,6 +195,37 @@ impl<'a> ConstructionPipeline<'a> {
         };
         Ok((tree, report))
     }
+}
+
+/// Builds the suffix tree of the string in `store`: serially (§4) for
+/// `config.threads == 1`, with that many workers sharing the store (§5.1)
+/// otherwise.
+pub fn construct(
+    store: &dyn StringStore,
+    config: &EraConfig,
+) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
+    let pipeline = ConstructionPipeline::new(config);
+    if config.threads > 1 {
+        pipeline.run(&SharedMemoryScheduler::new(store, config.threads))
+    } else {
+        pipeline.run(&SerialScheduler::new(store))
+    }
+}
+
+/// Builds the suffix tree on a simulated shared-nothing cluster (§5.2).
+///
+/// `node_stores` holds one private store per node, all containing the *same*
+/// string. Vertical partitioning runs on node 0 (the master); the groups are
+/// then assigned to nodes in round-robin order of decreasing size, which is
+/// the "divide equally" strategy of the paper with a simple load-balancing
+/// refinement.
+pub fn construct_shared_nothing<S: StringStore>(
+    node_stores: &[S],
+    config: &EraConfig,
+    options: &SharedNothingOptions,
+) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
+    let scheduler = SharedNothingScheduler::new(node_stores, *options)?;
+    ConstructionPipeline::new(config).run(&scheduler)
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +515,6 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchedulerKind;
     use era_string_store::{Alphabet, InMemoryStore};
     use era_suffix_tree::validate_partitioned;
 
@@ -525,11 +562,15 @@ mod tests {
 
     #[test]
     fn scheduler_kind_resolves_from_threads() {
-        assert_eq!(config().scheduler_kind(), SchedulerKind::Serial);
-        let parallel = EraConfig { threads: 4, ..config() };
-        assert_eq!(parallel.scheduler_kind(), SchedulerKind::SharedMemory);
-        let forced = EraConfig { scheduler: SchedulerKind::Serial, threads: 4, ..config() };
-        assert_eq!(forced.scheduler_kind(), SchedulerKind::Serial);
+        let body = b"GATTACAGATTACAGGATCCGATTACATTTTACAGAGATTACCAGATTACA";
+        let store = InMemoryStore::from_body(body, Alphabet::dna()).unwrap();
+        let (serial_tree, serial) = construct(&store, &config()).unwrap();
+        assert_eq!(serial.algorithm, "era");
+        assert!(serial.per_node.is_empty());
+        let (sm_tree, sm) = construct(&store, &EraConfig { threads: 4, ..config() }).unwrap();
+        assert_eq!(sm.algorithm, "era-parallel-sm");
+        assert_eq!(sm.per_node.len(), 4);
+        assert_eq!(sm_tree, serial_tree);
     }
 
     #[test]

@@ -584,8 +584,9 @@ fn run_work_items(
                     Partial::Contains(matches!(m, MatchResult::Complete { .. }))
                 }
                 (Query::Count { .. }, MatchResult::Complete { node }) => {
-                    // Allocation-free: counting must not materialize every
-                    // occurrence position just to measure the vector.
+                    // No position vector: counting must not materialize
+                    // every occurrence just to measure it (the walk's node
+                    // stack is the only allocation).
                     Partial::Count(subtree.leaf_count_below(node))
                 }
                 (Query::Count { .. }, MatchResult::NoMatch) => Partial::Count(0),

@@ -1,34 +1,11 @@
-//! The serial construction driver (§4) — a thin wrapper binding the
-//! [`ConstructionPipeline`](crate::pipeline::ConstructionPipeline) to a
-//! [`SerialScheduler`](crate::pipeline::SerialScheduler).
-//!
-//! Pipeline: vertical partitioning → for every virtual tree: collect the
-//! occurrences of its prefixes (one scan), run horizontal partitioning
-//! (`SubTreePrepare` + `BuildSubTree`, or the ERA-str variant), and collect
-//! the finished sub-trees into a [`PartitionedSuffixTree`]. All of that lives
-//! in [`crate::pipeline`]; this module only selects the scheduler.
-
-use era_string_store::StringStore;
-use era_suffix_tree::PartitionedSuffixTree;
-
-use crate::config::EraConfig;
-use crate::error::EraResult;
-use crate::pipeline::{ConstructionPipeline, SerialScheduler};
-use crate::report::ConstructionReport;
-
-/// Builds the suffix tree of the string in `store` with the serial version of
-/// ERA, returning the partitioned tree and a construction report.
-pub fn construct_serial(
-    store: &dyn StringStore,
-    config: &EraConfig,
-) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
-    ConstructionPipeline::new(config).run(&SerialScheduler::new(store))
-}
+//! Unit tests of the serial driver (§4): [`construct`](crate::construct) with
+//! one thread, across horizontal methods, range policies, grouping and
+//! alphabets, each checked against the naive reference tree.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::{HorizontalMethod, RangePolicy};
+    use crate::config::{EraConfig, HorizontalMethod, RangePolicy};
+    use crate::pipeline::construct;
     use era_string_store::{Alphabet, InMemoryStore};
     use era_suffix_tree::{naive_suffix_tree, validate_partitioned};
 
@@ -51,7 +28,7 @@ mod tests {
             t.push(0);
             t
         };
-        let (tree, report) = construct_serial(&store, config).unwrap();
+        let (tree, report) = construct(&store, config).unwrap();
         validate_partitioned(&tree, &text).unwrap();
         let reference = naive_suffix_tree(&text);
         assert_eq!(tree.lexicographic_suffixes(), reference.lexicographic_suffixes());
@@ -60,11 +37,10 @@ mod tests {
         assert!(report.virtual_trees <= report.partitions);
         assert!(report.io.bytes_read > 0);
         for pattern in [&b"GAT"[..], b"TTA", b"A", b"CAG", b"zzz"] {
-            let mut got = tree.find_all(&text, pattern);
-            let mut expected = reference.find_all(&text, pattern);
-            got.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(got, expected, "pattern {pattern:?}");
+            let expected: Vec<u32> = (0..text.len() as u32)
+                .filter(|&i| text[i as usize..].starts_with(pattern))
+                .collect();
+            assert_eq!(tree.try_find_all(&text, pattern).unwrap(), expected, "pattern {pattern:?}");
         }
     }
 
@@ -99,8 +75,8 @@ mod tests {
         let store_off = InMemoryStore::from_body(body, Alphabet::dna()).unwrap();
         let config_on = tiny_config(6 << 10);
         let config_off = EraConfig { group_virtual_trees: false, ..config_on.clone() };
-        let (tree_on, rep_on) = construct_serial(&store_on, &config_on).unwrap();
-        let (tree_off, rep_off) = construct_serial(&store_off, &config_off).unwrap();
+        let (tree_on, rep_on) = construct(&store_on, &config_on).unwrap();
+        let (tree_off, rep_off) = construct(&store_off, &config_off).unwrap();
         assert_eq!(tree_on.lexicographic_suffixes(), tree_off.lexicographic_suffixes());
         assert!(rep_on.virtual_trees < rep_off.virtual_trees);
         assert!(

@@ -4,13 +4,14 @@
 //! [`BlockCursor`] is the I/O primitive underneath every sequential pass in
 //! the workspace — the windowed scans of vertical partitioning, the
 //! occurrence-collection scan of horizontal partitioning, the read-ahead
-//! fills of `SubTreePrepare`, and the
-//! [`SequentialScanner`](crate::SequentialScanner) used by `BranchEdge`. It
+//! fills of `SubTreePrepare` and the per-suffix range reads of the iterative
+//! `BranchEdge` (§4.2.1): during one pass every active suffix requests its
+//! next symbols, and the requests are served in ascending position order. It
 //! maintains a sliding block-aligned window of the string in **one reused
 //! buffer**: blocks are read from the store directly into the buffer's tail
 //! (no per-fetch allocation), consumed bytes are compacted in place, and
-//! callers borrow `&[u8]` slices straight out of the buffer instead of
-//! copying into their own vectors.
+//! callers borrow `&[u8]` slices straight out of the buffer — copying out
+//! only what they keep across requests.
 
 use crate::error::{StoreError, StoreResult};
 use crate::store::StringStore;
@@ -199,6 +200,23 @@ mod tests {
         let mut cursor = BlockCursor::new(&store, false);
         cursor.slice(4, 2).unwrap();
         assert!(cursor.slice(1, 2).is_err());
+    }
+
+    #[test]
+    fn overlapping_requests_within_window() {
+        let body: Vec<u8> = (0..100).map(|i| b'a' + (i % 26) as u8).collect();
+        let store = store_with_block(&body, 8);
+        let mut cursor = BlockCursor::new(&store, false);
+        assert_eq!(cursor.slice(10, 30).unwrap(), &body[10..40]);
+        assert_eq!(cursor.slice(12, 30).unwrap(), &body[12..42]);
+    }
+
+    #[test]
+    fn scan_counter_increments_per_cursor() {
+        let store = store_with_block(b"abcabc", 4);
+        let _c1 = BlockCursor::new(&store, false);
+        let _c2 = BlockCursor::new(&store, true);
+        assert_eq!(store.stats().snapshot().full_scans, 2);
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //!   served as borrowed slices out of a single reused window buffer (no
 //!   per-fetch allocation), optionally skipping blocks that contain no
 //!   requested symbol.
-//! * [`SequentialScanner`] — a copy-out adapter over [`BlockCursor`] for
-//!   callers that keep the requested bytes in their own buffers.
 //! * [`TextSource`] / [`StoreTextSource`] — the *random-access* counterpart
 //!   of [`BlockCursor`] for query serving: the two operations a suffix-tree
 //!   walk needs (symbol at a position, common prefix of an edge label and a
@@ -65,7 +63,6 @@ pub mod error;
 pub mod memory;
 pub mod packed;
 pub mod packed_store;
-pub mod scanner;
 pub mod stats;
 pub mod store;
 pub mod sync;
@@ -80,7 +77,6 @@ pub use error::{StoreError, StoreResult};
 pub use memory::InMemoryStore;
 pub use packed::{PackedCodec, PackedText};
 pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore};
-pub use scanner::{ScanRequest, SequentialScanner};
 pub use stats::{IoSnapshot, IoStats};
 pub use store::StringStore;
 pub use text_source::{StoreTextSource, TextSource, DEFAULT_WINDOW_SYMBOLS};

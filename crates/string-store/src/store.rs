@@ -2,7 +2,6 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::{StoreError, StoreResult};
-use crate::scanner::SequentialScanner;
 use crate::stats::IoStats;
 
 /// Read-only access to the input string `S` (terminated by the terminal
@@ -99,18 +98,6 @@ pub trait StringStore: Send + Sync {
     fn read_all(&self) -> StoreResult<Vec<u8>> {
         self.stats().add_full_scan();
         self.read_range(0, self.len())
-    }
-
-    /// Starts one sequential pass over the string.
-    ///
-    /// `skip_blocks` enables the paper's disk-seek optimisation: blocks that
-    /// contain no requested symbol are skipped with a forward seek instead of
-    /// being read.
-    fn scanner(&self, skip_blocks: bool) -> SequentialScanner<'_>
-    where
-        Self: Sized,
-    {
-        SequentialScanner::new(self, skip_blocks)
     }
 }
 

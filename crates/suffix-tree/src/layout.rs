@@ -25,10 +25,7 @@
 //! same index) carry over to the serving form unchanged. [`FlatTree::thaw`]
 //! converts back for the rare consumers that need the mutable form.
 
-use era_string_store::{StoreResult, TextSource};
-
 use crate::node::{Node, NodeData, NodeId, NO_NODE};
-use crate::query::MatchResult;
 use crate::stats::TreeStats;
 use crate::tree::SuffixTree;
 
@@ -37,7 +34,7 @@ pub const FLAT_NODE_BYTES: usize = std::mem::size_of::<FlatNode>();
 
 const LEAF_BIT: u32 = 1 << 31;
 const CHILDREN_LEN_MASK: u32 = 0xFFFF;
-const FIRST_CHAR_SHIFT: u32 = 16;
+pub(crate) const FIRST_CHAR_SHIFT: u32 = 16;
 /// Meta-word bits not covered by the leaf tag, the packed first character, or
 /// the child count. The writer never sets them and validation requires them to
 /// be zero, so single-bit corruption cannot hide in slack bits.
@@ -197,8 +194,8 @@ impl FlatTree {
 
     /// Rebuilds the mutable construction form (ids preserved).
     ///
-    /// Used by validation and by benchmarks that compare the two layouts;
-    /// the serving path never needs it.
+    /// Used by deep validation (`validate_suffix_tree` checks the thawed
+    /// form); the serving path never needs it.
     pub fn thaw(&self) -> SuffixTree {
         let mut parents = vec![NO_NODE; self.nodes.len()];
         for (id, node) in self.nodes.iter().enumerate() {
@@ -308,151 +305,8 @@ impl FlatTree {
             .map(|i| range.start + i as u32)
     }
 
-    /// Matches `pattern` from the root, resolving edge labels through any
-    /// [`TextSource`]. Semantics are identical to
-    /// [`SuffixTree::try_match_pattern`]: the packed `first_char` cache is a
-    /// read-avoidance device only, the text stays authoritative, and a stale
-    /// cache entry falls back to a sibling scan instead of reporting a false
-    /// `NoMatch`.
-    // era-check: allow(panic-path): matched < pattern.len() is the walk loop invariant
-    pub fn try_match_pattern<T: TextSource + ?Sized>(
-        &self,
-        text: &T,
-        pattern: &[u8],
-    ) -> StoreResult<MatchResult> {
-        if pattern.is_empty() {
-            return Ok(MatchResult::Complete { node: self.root() });
-        }
-        let mut node = self.root();
-        let mut matched = 0usize;
-        'walk: loop {
-            let direct = self.child_starting_with(node, pattern[matched]);
-            if let Some(child) = direct {
-                let before = matched;
-                match self.match_edge(text, pattern, &mut matched, child)? {
-                    Some(MatchResult::NoMatch) if matched == before => {}
-                    Some(r) => return Ok(r),
-                    None => {
-                        node = child;
-                        continue 'walk;
-                    }
-                }
-            }
-            // Fallback: only the edge text decides which child to follow.
-            let mut found = None;
-            for c in self.node(node).children_range() {
-                if direct == Some(c) {
-                    continue; // its edge text already ruled it out above
-                }
-                if text.symbol_at(self.node(c).start as usize)? == pattern[matched] {
-                    found = Some(c);
-                    break;
-                }
-            }
-            match found {
-                Some(c) => {
-                    if let Some(r) = self.match_edge(text, pattern, &mut matched, c)? {
-                        return Ok(r);
-                    }
-                    node = c;
-                }
-                None => return Ok(MatchResult::NoMatch),
-            }
-        }
-    }
-
-    /// Matches as much of `pattern` as possible along the edge into `child`.
-    // era-check: hot
-    // era-check: allow(panic-path): *matched < pattern.len() checked by the caller
-    fn match_edge<T: TextSource + ?Sized>(
-        &self,
-        text: &T,
-        pattern: &[u8],
-        matched: &mut usize,
-        child: NodeId,
-    ) -> StoreResult<Option<MatchResult>> {
-        let ch = self.node(child);
-        let label_len = (ch.end as usize).min(text.len()) - ch.start as usize;
-        let remaining = &pattern[*matched..];
-        let k = text.common_prefix(ch.start as usize, ch.end as usize, remaining)?;
-        *matched += k;
-        Ok(if *matched == pattern.len() {
-            Some(MatchResult::Complete { node: child })
-        } else if k < label_len {
-            Some(MatchResult::NoMatch)
-        } else {
-            None
-        })
-    }
-
-    /// Matches `pattern` from the root, comparing edge labels against `text`.
-    pub fn match_pattern(&self, text: &[u8], pattern: &[u8]) -> MatchResult {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_match_pattern(text, pattern).expect("byte-slice text sources cannot fail")
-    }
-
-    /// Whether `pattern` occurs in the text behind any [`TextSource`].
-    pub fn try_contains<T: TextSource + ?Sized>(
-        &self,
-        text: &T,
-        pattern: &[u8],
-    ) -> StoreResult<bool> {
-        Ok(matches!(self.try_match_pattern(text, pattern)?, MatchResult::Complete { .. }))
-    }
-
-    /// Whether `pattern` occurs in the indexed text.
-    pub fn contains(&self, text: &[u8], pattern: &[u8]) -> bool {
-        matches!(self.match_pattern(text, pattern), MatchResult::Complete { .. })
-    }
-
-    /// All occurrence positions of `pattern` behind any [`TextSource`], in
-    /// lexicographic order of the suffixes that start with it.
-    pub fn try_find_all<T: TextSource + ?Sized>(
-        &self,
-        text: &T,
-        pattern: &[u8],
-    ) -> StoreResult<Vec<u32>> {
-        Ok(match self.try_match_pattern(text, pattern)? {
-            MatchResult::Complete { node } => self.leaves_below(node),
-            MatchResult::NoMatch => Vec::new(),
-        })
-    }
-
-    /// All occurrence positions of `pattern`, in lexicographic order of the
-    /// suffixes that start with it.
-    pub fn find_all(&self, text: &[u8], pattern: &[u8]) -> Vec<u32> {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_find_all(text, pattern).expect("byte-slice text sources cannot fail")
-    }
-
-    /// All occurrence positions of `pattern`, sorted ascending.
-    pub fn find_all_sorted(&self, text: &[u8], pattern: &[u8]) -> Vec<u32> {
-        let mut out = self.find_all(text, pattern);
-        out.sort_unstable();
-        out
-    }
-
-    /// Number of occurrences of `pattern` behind any [`TextSource`].
-    pub fn try_count<T: TextSource + ?Sized>(
-        &self,
-        text: &T,
-        pattern: &[u8],
-    ) -> StoreResult<usize> {
-        Ok(match self.try_match_pattern(text, pattern)? {
-            MatchResult::Complete { node } => self.leaf_count_below(node),
-            MatchResult::NoMatch => 0,
-        })
-    }
-
-    /// Number of occurrences of `pattern`.
-    pub fn count(&self, text: &[u8], pattern: &[u8]) -> usize {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_count(text, pattern).expect("byte-slice text sources cannot fail")
-    }
-
     /// All leaf suffix offsets below `id` (inclusive), in lexicographic
-    /// order (an explicit stack with children pushed in reverse, exactly
-    /// like the construction form).
+    /// order (an explicit stack with children pushed in reverse).
     pub fn leaves_below(&self, id: NodeId) -> Vec<u32> {
         let mut out = Vec::new();
         let mut stack = vec![id];
@@ -470,7 +324,9 @@ impl FlatTree {
         out
     }
 
-    /// Number of leaves at or below `id` (inclusive), allocation-free.
+    /// Number of leaves at or below `id` (inclusive). Counting queries only
+    /// need this total, so no position vector is materialized — the only
+    /// allocation is the traversal's node stack.
     pub fn leaf_count_below(&self, id: NodeId) -> usize {
         let mut count = 0usize;
         let mut stack = vec![id];
@@ -526,25 +382,6 @@ impl FlatTree {
         }
         stats
     }
-
-    /// The longest substring that occurs at least twice, as
-    /// `(offset, length)` — the deepest internal node of the tree.
-    pub fn longest_repeated_substring(&self, _text: &[u8]) -> Option<(u32, u32)> {
-        let mut best: Option<(u32, u32)> = None; // (depth, node)
-        for (id, depth) in self.dfs() {
-            if !self.node(id).is_leaf()
-                && id != self.root()
-                && depth > 0
-                && best.map(|(d, _)| depth > d).unwrap_or(true)
-            {
-                best = Some((depth, id));
-            }
-        }
-        best.map(|(depth, id)| {
-            let leaf = self.leaves_below(id)[0];
-            (leaf, depth)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -573,12 +410,12 @@ mod tests {
             assert_eq!(flat.internal_count(), t.internal_count());
             assert_eq!(flat.text_len(), t.text_len());
             assert_eq!(flat.lexicographic_suffixes(), t.lexicographic_suffixes());
-            let s_vec = t.stats();
-            let s_flat = flat.stats();
-            assert_eq!(s_flat.leaves, s_vec.leaves);
-            assert_eq!(s_flat.max_depth, s_vec.max_depth);
-            assert_eq!(s_flat.max_internal_depth, s_vec.max_internal_depth);
-            assert_eq!(s_flat.arena_bytes, flat.node_count() * FLAT_NODE_BYTES);
+            let stats = flat.stats();
+            assert_eq!(stats.leaves, t.leaf_count());
+            assert_eq!(stats.internal, t.internal_count());
+            // The deepest leaf spells the whole text.
+            assert_eq!(stats.max_depth as usize, text.len());
+            assert_eq!(stats.arena_bytes, flat.node_count() * FLAT_NODE_BYTES);
             // The flat arena is the compact layout the issue demands.
             assert!(flat.approx_bytes() * 10 <= t.approx_bytes() * 7, "body {body:?}");
             // Thawing reproduces a structurally valid construction tree.
@@ -620,19 +457,32 @@ mod tests {
 
     #[test]
     fn queries_match_construction_form() {
+        // The frozen form answers what the construction form spells: every
+        // pattern's occurrences are the suffixes whose path label — read off
+        // the Vec-node tree the arena was frozen from — starts with it.
         let (text, t) = tree_for(b"mississippi");
         let flat = FlatTree::freeze(&t);
+        let suffixes: Vec<(u32, Vec<u8>)> = t
+            .node_ids()
+            .filter_map(|id| t.node(id).suffix().map(|s| (s, t.path_label(id, &text))))
+            .collect();
         for pattern in
             [&b"ss"[..], b"issi", b"i", b"mississippi", b"p", b"sip", b"", b"zzz", b"ippi2"]
         {
-            assert_eq!(flat.find_all_sorted(&text, pattern), t.find_all_sorted(&text, pattern));
-            assert_eq!(flat.count(&text, pattern), t.count(&text, pattern));
-            assert_eq!(flat.contains(&text, pattern), t.contains(&text, pattern));
+            let mut expected: Vec<u32> = suffixes
+                .iter()
+                .filter(|(_, label)| label.starts_with(pattern))
+                .map(|&(s, _)| s)
+                .collect();
+            expected.sort_unstable();
+            let mut got = flat.try_find_all(&text, pattern).unwrap();
+            got.sort_unstable();
+            assert_eq!(got, expected, "pattern {pattern:?}");
+            assert_eq!(flat.try_count(&text, pattern).unwrap(), expected.len());
+            assert_eq!(flat.try_contains(&text, pattern).unwrap(), !expected.is_empty());
         }
-        assert_eq!(
-            flat.longest_repeated_substring(&text).map(|(_, l)| l),
-            t.longest_repeated_substring(&text).map(|(_, l)| l)
-        );
+        // "issi": the deepest internal node of either form.
+        assert_eq!(flat.longest_repeated_substring(&text).map(|(_, l)| l), Some(4));
     }
 
     #[test]
@@ -648,8 +498,14 @@ mod tests {
         .unwrap();
         let source = StoreTextSource::with_window(&store, 4);
         for pattern in [&b"TG"[..], b"TGGTG", b"GATT", b"", b"CCC"] {
-            assert_eq!(flat.try_find_all(&source, pattern).unwrap(), flat.find_all(&text, pattern));
-            assert_eq!(flat.try_count(&source, pattern).unwrap(), flat.count(&text, pattern));
+            assert_eq!(
+                flat.try_find_all(&source, pattern).unwrap(),
+                flat.try_find_all(&text, pattern).unwrap()
+            );
+            assert_eq!(
+                flat.try_count(&source, pattern).unwrap(),
+                flat.try_count(&text, pattern).unwrap()
+            );
         }
     }
 

@@ -8,7 +8,8 @@
 //! * [`SuffixTree`] — the mutable *construction* form: an arena of nodes
 //!   whose edges store `(start, end)` offsets into the text, exactly as
 //!   described in §2 of the paper; internal nodes own sorted child vectors so
-//!   `BuildSubTree` can insert and split edges cheaply.
+//!   `BuildSubTree` can insert and split edges cheaply. It is built, split,
+//!   validated and merged — never queried.
 //! * [`FlatTree`] ([`layout`]) — the frozen *serving* form: one contiguous
 //!   arena of 16-byte records (vs ~3.5× that for the construction form),
 //!   children packed adjacently in `first_char` order behind a
@@ -22,13 +23,15 @@
 //!   suffix array + LCP stream into a tree.
 //! * [`naive`] — a simple `O(n²)` reference builder used as the correctness
 //!   oracle throughout the test suites.
-//! * [`query`] — substring search, counting, longest repeated substring,
-//!   longest common substring and lexicographic suffix enumeration, on both
-//!   tree forms. Matching is generic over [`TextSource`]: the `try_*`
-//!   variants resolve edge labels through a byte slice *or* any raw/packed
+//! * [`query`] — the one match loop of the workspace, on [`FlatTree`]:
+//!   substring search, counting, enumeration, longest repeated substring and
+//!   longest common substring. Matching is generic over [`TextSource`]: edge
+//!   labels are resolved through a byte slice *or* any raw/packed
 //!   [`StringStore`](era_string_store::StringStore) via
 //!   [`StoreTextSource`](era_string_store::StoreTextSource), so queries can
-//!   be served without materializing the text.
+//!   be served without materializing the text. There is one fallible method
+//!   per query kind and layer: `FlatTree::try_*` →
+//!   `PartitionedSuffixTree::try_*` → the engine and index of the `era` crate.
 //! * [`partitioned`] — the final ERA output: a small packed-edge trie over
 //!   the variable-length S-prefixes with one frozen sub-tree per prefix
 //!   (Fig. 3).
@@ -78,7 +81,7 @@ pub use stats::TreeStats;
 pub use tree::SuffixTree;
 
 // Re-exported so query-layer callers don't need a direct `era-string-store`
-// dependency to name the text abstraction the `try_*` methods traverse.
+// dependency to name the text abstraction the query methods traverse.
 pub use era_string_store::{StoreTextSource, TextSource};
 pub use validate::{
     validate_flat_structure, validate_flat_tree, validate_partitioned, validate_suffix_tree,

@@ -254,12 +254,6 @@ impl PartitionedSuffixTree {
         Ok(false)
     }
 
-    /// Whether `pattern` occurs in the text.
-    pub fn contains(&self, text: &[u8], pattern: &[u8]) -> bool {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_contains(text, pattern).expect("byte-slice text sources cannot fail")
-    }
-
     /// Number of occurrences of `pattern` behind any [`TextSource`].
     // era-check: allow(panic-path): candidate partitions come from the trie built over this table
     pub fn try_count<T: TextSource + ?Sized>(
@@ -275,12 +269,6 @@ impl PartitionedSuffixTree {
             total += self.partitions[p as usize].tree.try_count(text, pattern)?;
         }
         Ok(total)
-    }
-
-    /// Number of occurrences of `pattern`.
-    pub fn count(&self, text: &[u8], pattern: &[u8]) -> usize {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_count(text, pattern).expect("byte-slice text sources cannot fail")
     }
 
     /// All occurrence positions of `pattern` behind any [`TextSource`], in
@@ -302,12 +290,6 @@ impl PartitionedSuffixTree {
         };
         out.sort_unstable();
         Ok(out)
-    }
-
-    /// All occurrence positions of `pattern` (in ascending position order).
-    pub fn find_all(&self, text: &[u8], pattern: &[u8]) -> Vec<u32> {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_find_all(text, pattern).expect("byte-slice text sources cannot fail")
     }
 
     /// The longest substring occurring at least twice, as `(offset, length)`.
@@ -352,8 +334,8 @@ impl PartitionedSuffixTree {
 
     /// Merges every partition into a single in-memory [`SuffixTree`].
     ///
-    /// Useful for validation and for queries (such as longest common
-    /// substring) that are simpler on a single tree. Requires the text.
+    /// Useful for validation and — once frozen — for queries (such as longest
+    /// common substring) that are simpler on a single tree. Requires the text.
     pub fn to_single_tree(&self, text: &[u8]) -> SuffixTree {
         let sa = self.lexicographic_suffixes();
         assert!(!sa.is_empty(), "cannot merge an empty partitioned tree");
@@ -411,13 +393,18 @@ mod tests {
     fn partitioned_queries_match_full_tree() {
         let text = b"mississippi\0";
         let part = partition_by_first_char(text);
-        let full = naive_suffix_tree(text);
+        let full = FlatTree::freeze(&naive_suffix_tree(text));
         validate_partitioned(&part, text).unwrap();
         for pattern in [&b"ss"[..], b"issi", b"i", b"p", b"zzz", b"mississippi", b""] {
-            let mut expected = full.find_all(text, pattern);
+            let mut expected = full.try_find_all(&text[..], pattern).unwrap();
             expected.sort_unstable();
-            assert_eq!(part.find_all(text, pattern), expected, "pattern {pattern:?}");
-            assert_eq!(part.count(text, pattern), expected.len());
+            assert_eq!(
+                part.try_find_all(&text[..], pattern).unwrap(),
+                expected,
+                "pattern {pattern:?}"
+            );
+            assert_eq!(part.try_count(&text[..], pattern).unwrap(), expected.len());
+            assert_eq!(part.try_contains(&text[..], pattern).unwrap(), !expected.is_empty());
         }
     }
 
@@ -455,7 +442,7 @@ mod tests {
             let mut text = body.as_bytes().to_vec();
             text.push(0);
             let part = partition_by_first_char(&text);
-            let full = naive_suffix_tree(&text);
+            let full = FlatTree::freeze(&naive_suffix_tree(&text));
             let expected = full.longest_repeated_substring(&text).map(|(_, l)| l);
             let got = part.longest_repeated_substring(&text).map(|(_, l)| l);
             assert_eq!(got, expected, "body {body}");
@@ -496,7 +483,7 @@ mod tests {
         let tree = naive_suffix_tree(text);
         let single = PartitionedSuffixTree::single(text.len(), tree);
         assert_eq!(single.leaf_count(), 7);
-        assert_eq!(single.count(text, b"an"), 2);
-        assert_eq!(single.find_all(text, b"na"), vec![2, 4]);
+        assert_eq!(single.try_count(&text[..], b"an").unwrap(), 2);
+        assert_eq!(single.try_find_all(&text[..], b"na").unwrap(), vec![2, 4]);
     }
 }

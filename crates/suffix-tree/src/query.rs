@@ -1,22 +1,23 @@
-//! Query operations over a single suffix (sub-)tree.
+//! Query operations over a frozen suffix (sub-)tree — the one match loop of
+//! the workspace.
 //!
 //! These are the classic operations the paper motivates in §1: exact substring
 //! search in `O(|P|)`, occurrence counting/enumeration, the longest repeated
 //! substring and the longest common substring of two strings (via a
-//! generalized tree over their concatenation).
+//! generalized tree over their concatenation). They exist on [`FlatTree`]
+//! only: the `Vec`-node [`SuffixTree`](crate::SuffixTree) is a construction
+//! form that is frozen before anything asks it a question.
 //!
-//! Pattern matching is generic over [`TextSource`]: the `try_*` methods
-//! resolve edge labels through any source — an in-memory byte slice (the
-//! zero-overhead fast path) or a
-//! [`StoreTextSource`](era_string_store::StoreTextSource) reading a raw or
-//! bit-packed [`StringStore`](era_string_store::StringStore) — so the same
-//! traversal serves queries with or without the text materialized. The
-//! `&[u8]` methods remain as thin infallible wrappers.
+//! Pattern matching is generic over [`TextSource`]: edge labels are resolved
+//! through any source — an in-memory byte slice (the zero-overhead fast path)
+//! or a [`StoreTextSource`](era_string_store::StoreTextSource) reading a raw
+//! or bit-packed [`StringStore`](era_string_store::StringStore) — so the same
+//! traversal serves queries with or without the text materialized.
 
 use era_string_store::{StoreResult, TextSource};
 
+use crate::layout::FlatTree;
 use crate::node::NodeId;
-use crate::tree::SuffixTree;
 
 /// Outcome of matching a pattern against the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +32,7 @@ pub enum MatchResult {
     NoMatch,
 }
 
-impl SuffixTree {
+impl FlatTree {
     /// Matches `pattern` from the root, resolving edge labels through any
     /// [`TextSource`].
     // era-check: allow(panic-path): matched < pattern.len() is the walk loop invariant
@@ -73,7 +74,7 @@ impl SuffixTree {
             // `first_char` is not consulted at all, so a stale entry can
             // never divert the walk past the right sibling.
             let mut found = None;
-            for &c in self.children(node) {
+            for c in self.node(node).children_range() {
                 if direct == Some(c) {
                     continue; // its edge text already ruled it out above
                 }
@@ -94,14 +95,9 @@ impl SuffixTree {
         }
     }
 
-    /// Matches `pattern` from the root, comparing edge labels against `text`.
-    pub fn match_pattern(&self, text: &[u8], pattern: &[u8]) -> MatchResult {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_match_pattern(text, pattern).expect("byte-slice text sources cannot fail")
-    }
-
     /// Matches as much of `pattern` as possible along the edge into `child`.
     /// Returns `Some(result)` when matching terminates on this edge.
+    // era-check: hot
     // era-check: allow(panic-path): *matched < pattern.len() checked by the caller
     fn match_edge<T: TextSource + ?Sized>(
         &self,
@@ -133,14 +129,9 @@ impl SuffixTree {
         Ok(matches!(self.try_match_pattern(text, pattern)?, MatchResult::Complete { .. }))
     }
 
-    /// Whether `pattern` occurs in the indexed text.
-    pub fn contains(&self, text: &[u8], pattern: &[u8]) -> bool {
-        matches!(self.match_pattern(text, pattern), MatchResult::Complete { .. })
-    }
-
     /// All occurrence positions of `pattern` behind any [`TextSource`], in
-    /// lexicographic order of the suffixes that start with it (see
-    /// [`Self::find_all`]).
+    /// **lexicographic order of the suffixes** that start with it — *not*
+    /// ascending position order.
     pub fn try_find_all<T: TextSource + ?Sized>(
         &self,
         text: &T,
@@ -150,21 +141,6 @@ impl SuffixTree {
             MatchResult::Complete { node } => self.leaves_below(node),
             MatchResult::NoMatch => Vec::new(),
         })
-    }
-
-    /// All occurrence positions of `pattern`, in **lexicographic order of the
-    /// suffixes** that start with it — *not* ascending position order. Use
-    /// [`Self::find_all_sorted`] for ascending positions.
-    pub fn find_all(&self, text: &[u8], pattern: &[u8]) -> Vec<u32> {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_find_all(text, pattern).expect("byte-slice text sources cannot fail")
-    }
-
-    /// All occurrence positions of `pattern`, sorted ascending.
-    pub fn find_all_sorted(&self, text: &[u8], pattern: &[u8]) -> Vec<u32> {
-        let mut out = self.find_all(text, pattern);
-        out.sort_unstable();
-        out
     }
 
     /// Number of occurrences of `pattern` behind any [`TextSource`].
@@ -177,12 +153,6 @@ impl SuffixTree {
             MatchResult::Complete { node } => self.leaf_count_below(node),
             MatchResult::NoMatch => 0,
         })
-    }
-
-    /// Number of occurrences of `pattern`.
-    pub fn count(&self, text: &[u8], pattern: &[u8]) -> usize {
-        // era-check: allow(unwrap): infallible byte-slice text source
-        self.try_count(text, pattern).expect("byte-slice text sources cannot fail")
     }
 
     /// The longest substring that occurs at least twice, returned as
@@ -213,22 +183,16 @@ impl SuffixTree {
     ///
     /// Returns `(offset_in_text, length)` of one occurrence inside the left
     /// half, or `None` if the strings share no symbol.
-    pub fn longest_common_substring(
-        &self,
-        text: &[u8],
-        separator_pos: usize,
-    ) -> Option<(u32, u32)> {
-        debug_assert!(separator_pos < text.len(), "separator must lie inside the text");
+    pub fn longest_common_substring(&self, separator_pos: usize) -> Option<(u32, u32)> {
+        debug_assert!(separator_pos < self.text_len(), "separator must lie inside the text");
         let sep = separator_pos as u32;
         // For every internal node, determine whether it has a leaf on each
         // side of the separator and whether the path label stays inside the
-        // left string. Process nodes bottom-up using a post-order pass.
+        // left string. `dfs` lists parents before their children, so walking
+        // it backwards visits every child before its parent.
         let order = self.dfs();
         let mut min_left: Vec<u32> = vec![u32::MAX; self.node_count()];
         let mut has_right: Vec<bool> = vec![false; self.node_count()];
-        // Post-order: children appear after parents in `dfs` output is NOT
-        // guaranteed, so process in reverse topological order by iterating the
-        // DFS output backwards (children were pushed after their parent).
         for &(id, _) in order.iter().rev() {
             let node = self.node(id);
             if let Some(s) = node.suffix() {
@@ -238,7 +202,7 @@ impl SuffixTree {
                     has_right[id as usize] = true;
                 }
             } else {
-                for &c in node.children() {
+                for c in node.children_range() {
                     min_left[id as usize] = min_left[id as usize].min(min_left[c as usize]);
                     has_right[id as usize] = has_right[id as usize] || has_right[c as usize];
                 }
@@ -268,114 +232,139 @@ impl SuffixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{FlatNode, FIRST_CHAR_SHIFT};
     use crate::naive::naive_suffix_tree;
-    use era_string_store::{InMemoryStore, StoreTextSource};
+    use era_string_store::{Alphabet, InMemoryStore, StoreTextSource};
 
-    fn tree_for(body: &[u8]) -> (Vec<u8>, SuffixTree) {
+    fn tree_for(body: &[u8]) -> (Vec<u8>, FlatTree) {
         let mut text = body.to_vec();
         text.push(0);
-        let t = naive_suffix_tree(&text);
+        let t = FlatTree::freeze(&naive_suffix_tree(&text));
         (text, t)
+    }
+
+    /// Every occurrence of `pattern` found by direct scanning, ascending —
+    /// the oracle.
+    fn scan(text: &[u8], pattern: &[u8]) -> Vec<u32> {
+        (0..text.len()).filter(|&i| text[i..].starts_with(pattern)).map(|i| i as u32).collect()
+    }
+
+    fn find_sorted<T: TextSource + ?Sized>(t: &FlatTree, text: &T, pattern: &[u8]) -> Vec<u32> {
+        let mut out = t.try_find_all(text, pattern).unwrap();
+        out.sort_unstable();
+        out
+    }
+
+    fn tiny_block_store(text: &[u8]) -> InMemoryStore {
+        InMemoryStore::new(text.to_vec(), Alphabet::infer(&text[..text.len() - 1]).unwrap())
+            .unwrap()
+            .with_block_size(4)
+            .unwrap()
     }
 
     #[test]
     fn find_all_matches_scan() {
         let (text, t) = tree_for(b"mississippi");
         for pattern in [&b"ss"[..], b"issi", b"i", b"mississippi", b"p", b"sip"] {
-            let mut expected: Vec<u32> = (0..text.len() - 1)
-                .filter(|&i| text[i..].starts_with(pattern))
-                .map(|i| i as u32)
-                .collect();
-            let mut got = t.find_all(&text, pattern);
-            got.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(got, expected, "pattern {:?}", std::str::from_utf8(pattern));
-            assert_eq!(t.count(&text, pattern), expected.len());
-            assert_eq!(t.contains(&text, pattern), !expected.is_empty());
-            assert_eq!(t.find_all_sorted(&text, pattern), expected);
+            let expected = scan(&text, pattern);
+            assert_eq!(
+                find_sorted(&t, &text, pattern),
+                expected,
+                "pattern {:?}",
+                std::str::from_utf8(pattern)
+            );
+            assert_eq!(t.try_count(&text, pattern).unwrap(), expected.len());
+            assert_eq!(t.try_contains(&text, pattern).unwrap(), !expected.is_empty());
         }
     }
 
     #[test]
     fn absent_patterns() {
         let (text, t) = tree_for(b"mississippi");
-        assert!(!t.contains(&text, b"xyz"));
-        assert!(!t.contains(&text, b"ssb"));
-        assert!(t.find_all(&text, b"ippi2").is_empty());
-        assert_eq!(t.count(&text, b"zzz"), 0);
+        assert!(!t.try_contains(&text, b"xyz").unwrap());
+        assert!(!t.try_contains(&text, b"ssb").unwrap());
+        assert!(t.try_find_all(&text, b"ippi2").unwrap().is_empty());
+        assert_eq!(t.try_count(&text, b"zzz").unwrap(), 0);
     }
 
     #[test]
     fn empty_pattern_matches_everything() {
         let (text, t) = tree_for(b"abcab");
-        assert_eq!(t.count(&text, b""), text.len());
-        assert!(t.contains(&text, b""));
+        assert_eq!(t.try_count(&text, b"").unwrap(), text.len());
+        assert!(t.try_contains(&text, b"").unwrap());
     }
 
     #[test]
     fn store_backed_source_answers_like_the_slice() {
         let (text, t) = tree_for(b"mississippi");
-        let store = InMemoryStore::new(
-            text.clone(),
-            era_string_store::Alphabet::infer(&text[..text.len() - 1]).unwrap(),
-        )
-        .unwrap()
-        .with_block_size(4)
-        .unwrap();
+        let store = tiny_block_store(&text);
         let source = StoreTextSource::with_window(&store, 4);
         for pattern in
             [&b"ss"[..], b"issi", b"i", b"mississippi", b"p", b"sip", b"", b"zzz", b"mississippix"]
         {
             assert_eq!(
                 t.try_find_all(&source, pattern).unwrap(),
-                t.find_all(&text, pattern),
+                t.try_find_all(&text, pattern).unwrap(),
                 "pattern {:?}",
                 std::str::from_utf8(pattern)
             );
-            assert_eq!(t.try_count(&source, pattern).unwrap(), t.count(&text, pattern));
-            assert_eq!(t.try_contains(&source, pattern).unwrap(), t.contains(&text, pattern));
+            assert_eq!(
+                t.try_count(&source, pattern).unwrap(),
+                t.try_count(&text, pattern).unwrap()
+            );
+            assert_eq!(
+                t.try_contains(&source, pattern).unwrap(),
+                t.try_contains(&text, pattern).unwrap()
+            );
         }
     }
 
-    /// The child of `node` whose outgoing edge *text* starts with `c` (the
+    /// The child of the root whose outgoing edge *text* starts with `c` (the
     /// oracle the `first_char` cache approximates).
-    fn child_by_text(
-        t: &SuffixTree,
-        text: &[u8],
-        node: crate::node::NodeId,
-        c: u8,
-    ) -> crate::node::NodeId {
-        *t.children(node)
-            .iter()
-            .find(|&&ch| text[t.node(ch).start as usize] == c)
+    fn root_child_by_text(t: &FlatTree, text: &[u8], c: u8) -> NodeId {
+        t.node(t.root())
+            .children_range()
+            .find(|&ch| text[t.node(ch).start as usize] == c)
             .expect("child with that edge text exists")
+    }
+
+    /// A copy of `t` whose arena *claims* `c` as the first edge character of
+    /// node `id` — the corruption a stale cache amounts to.
+    fn with_first_char(t: &FlatTree, id: NodeId, c: u8) -> FlatTree {
+        let nodes = t
+            .node_ids()
+            .map(|n| {
+                let (start, end, payload, mut meta) = t.raw_node(n);
+                if n == id {
+                    meta =
+                        (meta & !(0xFF << FIRST_CHAR_SHIFT)) | (u32::from(c) << FIRST_CHAR_SHIFT);
+                }
+                FlatNode::from_raw(start, end, payload, meta)
+            })
+            .collect();
+        FlatTree::from_raw_parts(t.text_len() as u32, nodes)
     }
 
     #[test]
     fn stale_first_char_on_the_direct_path_falls_back_to_siblings() {
-        // Corrupt the 'm' child of the root to *claim* 'i': the sorted
-        // binary search for 'i' then lands on the impostor, whose edge text
-        // is 'm...'. The text is authoritative, so the walk must recover and
-        // follow the true 'i' child instead of reporting a false NoMatch.
-        let (text, mut t) = tree_for(b"mississippi");
-        let expected: Vec<_> = [b"issi".as_slice(), b"i", b"ississippi"]
-            .iter()
-            .map(|p| t.find_all_sorted(&text, p))
-            .collect();
-        let m_child = child_by_text(&t, &text, t.root(), b'm');
-        t.node_mut(m_child).first_char = b'i';
-        for (pattern, expect) in [b"issi".as_slice(), b"i", b"ississippi"].iter().zip(expected) {
+        // Corrupt the 'm' child of the root to *claim* 'i': the binary search
+        // for 'i' over the child run then lands on the impostor, whose edge
+        // text is 'm...'. The text is authoritative, so the walk must recover
+        // and follow the true 'i' child instead of reporting a false NoMatch.
+        let (text, t) = tree_for(b"mississippi");
+        let t = with_first_char(&t, root_child_by_text(&t, &text, b'm'), b'i');
+        for pattern in [b"issi".as_slice(), b"i", b"ississippi"] {
             assert_eq!(
-                t.find_all_sorted(&text, pattern),
-                expect,
+                find_sorted(&t, &text, pattern),
+                scan(&text, pattern),
                 "stale cache diverted pattern {:?}",
                 std::str::from_utf8(pattern)
             );
         }
         // Patterns through the intact children still answer normally, and the
         // corrupted child itself is still reachable through the text.
-        assert_eq!(t.count(&text, b"ss"), 2);
-        assert!(t.contains(&text, b"mississippi"));
+        assert_eq!(t.try_count(&text, b"ss").unwrap(), 2);
+        assert!(t.try_contains(&text, b"mississippi").unwrap());
     }
 
     #[test]
@@ -384,38 +373,28 @@ mod tests {
         // 's' child claims 'z'), and an *earlier* sibling stales to 's' while
         // its edge text is 'i...'. The old scan trusted the cached byte, broke
         // on the impostor and never tried the real 's' child → false NoMatch.
-        let (text, mut t) = tree_for(b"mississippi");
-        let expected: Vec<_> =
-            [b"ssi".as_slice(), b"s", b"sip"].iter().map(|p| t.find_all_sorted(&text, p)).collect();
-        let s_child = child_by_text(&t, &text, t.root(), b's');
-        let i_child = child_by_text(&t, &text, t.root(), b'i');
-        t.node_mut(s_child).first_char = b'z';
-        t.node_mut(i_child).first_char = b's';
-        for (pattern, expect) in [b"ssi".as_slice(), b"s", b"sip"].iter().zip(expected) {
+        let (text, t) = tree_for(b"mississippi");
+        let t = with_first_char(&t, root_child_by_text(&t, &text, b's'), b'z');
+        let t = with_first_char(&t, root_child_by_text(&t, &text, b'i'), b's');
+        for pattern in [b"ssi".as_slice(), b"s", b"sip"] {
             assert_eq!(
-                t.find_all_sorted(&text, pattern),
-                expect,
+                find_sorted(&t, &text, pattern),
+                scan(&text, pattern),
                 "fallback scan missed the true child for {:?}",
                 std::str::from_utf8(pattern)
             );
         }
         // Absent patterns still come back NoMatch (the scan must terminate).
-        assert!(!t.contains(&text, b"sz"));
-        assert_eq!(t.count(&text, b"zz"), 0);
+        assert!(!t.try_contains(&text, b"sz").unwrap());
+        assert_eq!(t.try_count(&text, b"zz").unwrap(), 0);
 
         // The same corrupted tree over a store-backed source: the recovery
         // path may legitimately read the text, and must stay correct when
         // those reads are real fetches.
-        let store = InMemoryStore::new(
-            text.clone(),
-            era_string_store::Alphabet::infer(&text[..text.len() - 1]).unwrap(),
-        )
-        .unwrap()
-        .with_block_size(4)
-        .unwrap();
+        let store = tiny_block_store(&text);
         let source = StoreTextSource::with_window(&store, 4);
-        assert_eq!(t.try_find_all(&source, b"ssi").unwrap(), t.find_all(&text, b"ssi"));
-        assert_eq!(t.try_count(&source, b"s").unwrap(), t.count(&text, b"s"));
+        assert_eq!(find_sorted(&t, &source, b"ssi"), scan(&text, b"ssi"));
+        assert_eq!(t.try_count(&source, b"s").unwrap(), 4);
     }
 
     #[test]
@@ -424,11 +403,11 @@ mod tests {
         for id in t.node_ids() {
             assert_eq!(t.leaf_count_below(id), t.leaves_below(id).len(), "node {id}");
         }
-        // And through the public counting query (which now uses it).
+        // And through the public counting query (which uses it).
         for pattern in [&b""[..], b"i", b"ss", b"issi", b"zzz", b"mississippi"] {
             assert_eq!(
-                t.count(&text, pattern),
-                t.find_all(&text, pattern).len(),
+                t.try_count(&text, pattern).unwrap(),
+                t.try_find_all(&text, pattern).unwrap().len(),
                 "pattern {:?}",
                 std::str::from_utf8(pattern)
             );
@@ -455,25 +434,22 @@ mod tests {
         let body = b"xabcy#zabcw";
         let (text, t) = tree_for(body);
         let sep = body.iter().position(|&b| b == b'#').unwrap();
-        let (off, len) = t.longest_common_substring(&text, sep).unwrap();
+        let (off, len) = t.longest_common_substring(sep).unwrap();
         assert_eq!(len, 3);
         assert_eq!(&text[off as usize..(off + len) as usize], b"abc");
     }
 
     #[test]
     fn longest_common_substring_no_overlap() {
-        let body = b"aaa#bbb";
-        let (text, t) = tree_for(body);
-        let sep = 3;
-        assert!(t.longest_common_substring(&text, sep).is_none());
+        let (_, t) = tree_for(b"aaa#bbb");
+        assert!(t.longest_common_substring(3).is_none());
     }
 
     #[test]
     fn longest_common_substring_does_not_cross_separator() {
         // "ab#ab": the string "ab#a" crosses the separator and must not count.
-        let body = b"ab#ab";
-        let (text, t) = tree_for(body);
-        let (off, len) = t.longest_common_substring(&text, 2).unwrap();
+        let (text, t) = tree_for(b"ab#ab");
+        let (off, len) = t.longest_common_substring(2).unwrap();
         assert_eq!(len, 2);
         assert_eq!(&text[off as usize..(off + len) as usize], b"ab");
     }
@@ -482,10 +458,8 @@ mod tests {
     fn paper_example_queries() {
         let (text, t) = tree_for(b"TGGTGGTGGTGCGGTGATGGTGC");
         // Table 1: "TG" occurs at 0, 3, 6, 9, 14, 17, 20.
-        let mut got = t.find_all(&text, b"TG");
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 3, 6, 9, 14, 17, 20]);
-        assert_eq!(t.count(&text, b"TGGTG"), 4);
-        assert_eq!(t.count(&text, b"TGGTGG"), 2);
+        assert_eq!(find_sorted(&t, &text, b"TG"), vec![0, 3, 6, 9, 14, 17, 20]);
+        assert_eq!(t.try_count(&text, b"TGGTG").unwrap(), 4);
+        assert_eq!(t.try_count(&text, b"TGGTGG").unwrap(), 2);
     }
 }

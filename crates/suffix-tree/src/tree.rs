@@ -1,13 +1,16 @@
 //! The arena suffix tree.
 
 use crate::node::{Node, NodeData, NodeId, NO_NODE};
-use crate::stats::TreeStats;
 
-/// A suffix tree (or suffix sub-tree) stored as a flat arena.
+/// A suffix tree (or suffix sub-tree) in its mutable *construction* form: an
+/// arena of nodes that own their child vectors.
 ///
 /// Edge labels are `(start, end)` offsets into the input text, so the
 /// structure itself never stores string data — matching the `O(n)` space
 /// representation described in §2 of the paper. Node 0 is always the root.
+/// The form is built, split and read back (for validation and merging), never
+/// queried: [`FlatTree::freeze`](crate::FlatTree::freeze) turns a finished
+/// tree into the form that answers patterns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuffixTree {
     text_len: u32,
@@ -214,15 +217,12 @@ impl SuffixTree {
         label
     }
 
-    /// All leaf suffix offsets below `id` (inclusive), in lexicographic order.
-    pub fn leaves_below(&self, id: NodeId) -> Vec<u32> {
+    /// All suffix offsets in lexicographic order (a suffix array of the
+    /// indexed suffixes). For a complete suffix tree this is the suffix array
+    /// of the text.
+    pub fn lexicographic_suffixes(&self) -> Vec<u32> {
         let mut out = Vec::new();
-        self.collect_leaves(id, &mut out);
-        out
-    }
-
-    fn collect_leaves(&self, id: NodeId, out: &mut Vec<u32>) {
-        let mut stack = vec![id];
+        let mut stack = vec![self.root()];
         while let Some(cur) = stack.pop() {
             match &self.node(cur).data {
                 NodeData::Leaf { suffix } => out.push(*suffix),
@@ -235,70 +235,7 @@ impl SuffixTree {
                 }
             }
         }
-    }
-
-    /// Number of leaves at or below `id` (inclusive), without materializing
-    /// their suffix offsets.
-    ///
-    /// Counting queries only need this total; [`Self::leaves_below`] would
-    /// allocate one `u32` per occurrence just to `.len()` it, which for a
-    /// frequent pattern is a large, pointless allocation on the query hot
-    /// path. The traversal is iterative (a small node stack bounded by the
-    /// tree's branching, no recursion, no position vector).
-    pub fn leaf_count_below(&self, id: NodeId) -> usize {
-        let mut count = 0usize;
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            match &self.node(cur).data {
-                NodeData::Leaf { .. } => count += 1,
-                NodeData::Internal { children } => stack.extend_from_slice(children),
-            }
-        }
-        count
-    }
-
-    /// All suffix offsets in lexicographic order (a suffix array of the
-    /// indexed suffixes). For a complete suffix tree this is the suffix array
-    /// of the text.
-    pub fn lexicographic_suffixes(&self) -> Vec<u32> {
-        self.leaves_below(self.root())
-    }
-
-    /// Depth-first traversal yielding `(node, string_depth)` pairs in
-    /// lexicographic order.
-    pub fn dfs(&self) -> Vec<(NodeId, u32)> {
-        let mut out = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![(self.root(), 0u32)];
-        while let Some((cur, depth)) = stack.pop() {
-            out.push((cur, depth));
-            let node = self.node(cur);
-            for &c in node.children().iter().rev() {
-                stack.push((c, depth + self.node(c).edge_len()));
-            }
-        }
         out
-    }
-
-    /// Structural statistics of the tree.
-    pub fn stats(&self) -> TreeStats {
-        let mut stats = TreeStats {
-            nodes: self.nodes.len(),
-            arena_bytes: self.approx_bytes(),
-            ..TreeStats::default()
-        };
-        for (id, depth) in self.dfs() {
-            let n = self.node(id);
-            if n.is_leaf() {
-                stats.leaves += 1;
-            } else {
-                stats.internal += 1;
-                if id != self.root() {
-                    stats.max_internal_depth = stats.max_internal_depth.max(depth);
-                }
-            }
-            stats.max_depth = stats.max_depth.max(depth);
-        }
-        stats
     }
 
     /// Estimated in-memory size of the tree in bytes.
@@ -356,7 +293,7 @@ mod tests {
     #[test]
     fn path_labels_spell_suffixes() {
         let (text, t) = banana_tree();
-        for (id, _) in t.dfs() {
+        for id in t.node_ids() {
             if let Some(s) = t.node(id).suffix() {
                 assert_eq!(t.path_label(id, &text), text[s as usize..].to_vec());
             }
@@ -398,7 +335,7 @@ mod tests {
     #[test]
     fn stats_reflect_structure() {
         let (_text, t) = banana_tree();
-        let s = t.stats();
+        let s = crate::FlatTree::freeze(&t).stats();
         assert_eq!(s.leaves, 7);
         assert_eq!(s.internal, 4);
         assert_eq!(s.max_depth, 7); // banana$

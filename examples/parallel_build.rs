@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use era::{construct_parallel_sm, construct_shared_nothing, EraConfig, SharedNothingOptions};
+use era::{construct, construct_shared_nothing, EraConfig, SharedNothingOptions};
 use era_examples::print_report;
 use era_string_store::{Alphabet, DiskStore};
 use era_workloads::genome_like;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         let cfg = EraConfig { threads, ..config.clone() };
         let start = Instant::now();
-        let (tree, report) = construct_parallel_sm(&store, &cfg)?;
+        let (tree, report) = construct(&store, &cfg)?;
         let elapsed = start.elapsed();
         if threads == 1 {
             serial_time = Some(elapsed);

@@ -25,10 +25,10 @@ fn era_config() -> EraConfig {
 fn all_constructions(body: &[u8]) -> Vec<(String, PartitionedSuffixTree)> {
     let mut out = Vec::new();
     let store = small_block_store(body);
-    out.push(("era".into(), era::construct_serial(&store, &era_config()).unwrap().0));
+    out.push(("era".into(), era::construct(&store, &era_config()).unwrap().0));
     let store = small_block_store(body);
     let cfg = EraConfig { horizontal: HorizontalMethod::StringOnly, ..era_config() };
-    out.push(("era-str".into(), era::construct_serial(&store, &cfg).unwrap().0));
+    out.push(("era-str".into(), era::construct(&store, &cfg).unwrap().0));
     let store = small_block_store(body);
     out.push((
         "wavefront".into(),
@@ -94,9 +94,9 @@ fn queries_agree_with_scanning_for_every_algorithm() {
     for (name, tree) in all_constructions(body) {
         for pattern in &patterns {
             let expected = scan_occurrences(&text, pattern);
-            let got = tree.find_all(&text, pattern);
+            let got = tree.try_find_all(&text, pattern).unwrap();
             assert_eq!(got, expected, "{name} pattern {:?}", String::from_utf8_lossy(pattern));
-            assert_eq!(tree.count(&text, pattern), expected.len(), "{name}");
+            assert_eq!(tree.try_count(&text, pattern).unwrap(), expected.len(), "{name}");
         }
     }
 }
@@ -107,7 +107,7 @@ fn workload_generators_build_correctly_across_algorithms() {
     for body in [genome_like(3000, 1), protein_like(2000, 2), english_like(2500, 3)] {
         let text = terminated(&body);
         let store = small_block_store(&body);
-        let (era_tree, _) = era::construct_serial(&store, &era_config()).unwrap();
+        let (era_tree, _) = era::construct(&store, &era_config()).unwrap();
         validate_partitioned(&era_tree, &text).unwrap();
 
         let store = small_block_store(&body);
@@ -139,7 +139,7 @@ fn range_policies_and_seek_optimisation_do_not_change_the_result() {
                     group_virtual_trees: grouping,
                     ..era_config()
                 };
-                let (tree, _) = era::construct_serial(&store, &cfg).unwrap();
+                let (tree, _) = era::construct(&store, &cfg).unwrap();
                 validate_partitioned(&tree, &text).unwrap();
                 let order = tree.lexicographic_suffixes();
                 match &reference {
@@ -167,7 +167,7 @@ fn era_handles_memory_budgets_from_tiny_to_huge() {
             trie_area: 128,
             ..EraConfig::default()
         };
-        let (tree, report) = era::construct_serial(&store, &cfg).unwrap();
+        let (tree, report) = era::construct(&store, &cfg).unwrap();
         validate_partitioned(&tree, &text).unwrap();
         assert_eq!(tree.leaf_count(), text.len(), "budget {budget}");
         assert!(report.fm >= 1);
@@ -187,9 +187,9 @@ fn disk_store_and_memory_store_produce_identical_trees() {
         era_string_store::Alphabet::dna(),
     )
     .unwrap();
-    let (from_disk, _) = era::construct_serial(&disk, &era_config()).unwrap();
+    let (from_disk, _) = era::construct(&disk, &era_config()).unwrap();
     let mem = InMemoryStore::from_body(&body, era_string_store::Alphabet::dna()).unwrap();
-    let (from_mem, _) = era::construct_serial(&mem, &era_config()).unwrap();
+    let (from_mem, _) = era::construct(&mem, &era_config()).unwrap();
     validate_partitioned(&from_disk, &text).unwrap();
     assert_eq!(from_disk.lexicographic_suffixes(), from_mem.lexicographic_suffixes());
 }

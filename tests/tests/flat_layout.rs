@@ -1,13 +1,13 @@
-//! The flat serving layout must be observationally identical to the Vec-node
-//! construction form.
+//! The flat serving layout must answer for the Vec-node construction form it
+//! is frozen from.
 //!
 //! Every sub-tree the pipeline serves is a [`FlatTree`] frozen from the
-//! construction-form [`SuffixTree`]; `thaw` is the id-preserving inverse.
-//! These property tests pin the equivalence end-to-end: identical
-//! contains/count/locate answers through byte slices and through all four
-//! store backends (`InMemoryStore`, `DiskStore`, `PackedMemoryStore`,
-//! `PackedDiskStore`), a lossless freeze/thaw cycle, and a lossless
-//! `ERAFLAT1` serialization round-trip.
+//! construction-form [`SuffixTree`], which is never queried itself; `thaw` is
+//! the id-preserving inverse. These property tests pin the frozen form
+//! end-to-end: contains/count/locate answers equal to a scan of the text
+//! through byte slices and through all four store backends (`InMemoryStore`,
+//! `DiskStore`, `PackedMemoryStore`, `PackedDiskStore`), a lossless
+//! freeze/thaw cycle, and a lossless `ERAFLAT1` serialization round-trip.
 
 use era::{ConstructionPipeline, EraConfig, SerialScheduler};
 use era_string_store::{
@@ -66,11 +66,13 @@ proptest! {
         let thawed = flat.thaw();
         prop_assert_eq!(FlatTree::freeze(&thawed), flat.clone());
         prop_assert_eq!(thawed.lexicographic_suffixes(), tree.lexicographic_suffixes());
-        prop_assert_eq!(thawed.stats(), tree.stats());
+        prop_assert_eq!(thawed.internal_count(), tree.internal_count());
+        prop_assert_eq!(thawed.approx_bytes(), tree.approx_bytes());
     }
 
-    /// The flat form answers contains/count/locate byte-identically to the
-    /// Vec-node form it was frozen from, for present and absent patterns.
+    /// The flat form answers contains/count/locate for the construction form
+    /// it was frozen from — the only form that answers at all — exactly like a
+    /// scan of the text, for present, absent and empty patterns.
     #[test]
     fn flat_answers_match_construction_form(
         which in 0usize..3,
@@ -81,8 +83,7 @@ proptest! {
         let alphabet = alphabets()[which].clone();
         let body = body_from(&raw_bytes, &alphabet);
         let text = terminated(&body);
-        let tree = naive_suffix_tree(&text);
-        let flat = FlatTree::freeze(&tree);
+        let flat = FlatTree::freeze(&naive_suffix_tree(&text));
         let start = pat_start % body.len();
         let patterns = [
             body[start..(start + pat_len).min(body.len())].to_vec(),
@@ -91,17 +92,19 @@ proptest! {
             Vec::new(),
         ];
         for p in &patterns {
-            prop_assert_eq!(flat.contains(&text, p), tree.contains(&text, p));
-            prop_assert_eq!(flat.count(&text, p), tree.count(&text, p));
-            prop_assert_eq!(flat.find_all_sorted(&text, p), tree.find_all_sorted(&text, p));
-            if !p.is_empty() {
-                prop_assert_eq!(flat.find_all_sorted(&text, p), scan_occurrences(&text, p));
-            }
+            let expected = scan_occurrences(&text, p);
+            let mut found = flat.try_find_all(&text, p).unwrap();
+            found.sort_unstable();
+            prop_assert_eq!(&found, &expected);
+            prop_assert_eq!(flat.try_count(&text, p).unwrap(), expected.len());
+            prop_assert_eq!(flat.try_contains(&text, p).unwrap(), !expected.is_empty());
         }
     }
 
-    /// The full pipeline output (flat-served partitions) answers like the
-    /// thawed Vec-node partitions through every store backend.
+    /// The full pipeline output answers like a scan of the text through every
+    /// store backend, partition by partition and through the routing trie (no
+    /// thawed form answers any more; the oracle it stood in for is asserted
+    /// directly).
     #[test]
     fn all_backends_answer_like_the_thawed_form(
         raw_bytes in collection::vec(any::<u8>(), 4..250),
@@ -118,8 +121,6 @@ proptest! {
         let (tree, _) = ConstructionPipeline::new(&config())
             .run(&SerialScheduler::new(&store))
             .expect("build");
-        let thawed: Vec<_> = tree.partitions().iter().map(|p| p.tree.thaw()).collect();
-
         let dir = scratch_dir();
         let tag = format!("{}-{}", raw_bytes.len(), pat_start);
         let disk =
@@ -144,17 +145,13 @@ proptest! {
                 let mut count = 0usize;
                 let mut found: Vec<u32> = Vec::new();
                 let mut contains = false;
-                for (part, thaw) in tree.partitions().iter().zip(&thawed) {
+                for part in tree.partitions() {
+                    let flat_occ = part.tree.try_find_all(&source, p).unwrap();
                     prop_assert_eq!(
                         part.tree.try_contains(&source, p).unwrap(),
-                        thaw.try_contains(&source, p).unwrap()
+                        !flat_occ.is_empty()
                     );
-                    prop_assert_eq!(
-                        part.tree.try_count(&source, p).unwrap(),
-                        thaw.try_count(&source, p).unwrap()
-                    );
-                    let flat_occ = part.tree.try_find_all(&source, p).unwrap();
-                    prop_assert_eq!(&flat_occ, &thaw.try_find_all(&source, p).unwrap());
+                    prop_assert_eq!(part.tree.try_count(&source, p).unwrap(), flat_occ.len());
                     contains |= !flat_occ.is_empty();
                     count += flat_occ.len();
                     found.extend(flat_occ);

@@ -2,10 +2,7 @@
 //! paper's optimisations are about (grouping, elastic range, seek skipping,
 //! sequential access).
 
-use era::{
-    construct_parallel_sm, construct_serial, construct_shared_nothing, EraConfig, RangePolicy,
-    SharedNothingOptions,
-};
+use era::{construct, construct_shared_nothing, EraConfig, RangePolicy, SharedNothingOptions};
 use era_baselines::{ukkonen_construct, wavefront_construct, WaveFrontConfig};
 use era_string_store::{Alphabet, InMemoryStore};
 use era_suffix_tree::validate_partitioned;
@@ -30,10 +27,10 @@ fn dna_store(body: &[u8]) -> InMemoryStore {
 fn parallel_shared_memory_equals_serial_for_many_thread_counts() {
     let body = genome_like(6000, 77);
     let text = terminated(&body);
-    let (serial_tree, _) = construct_serial(&dna_store(&body), &cfg(12 << 10)).unwrap();
+    let (serial_tree, _) = construct(&dna_store(&body), &cfg(12 << 10)).unwrap();
     for threads in [2usize, 3, 4, 8] {
         let config = EraConfig { threads, ..cfg(12 << 10) };
-        let (tree, report) = construct_parallel_sm(&dna_store(&body), &config).unwrap();
+        let (tree, report) = construct(&dna_store(&body), &config).unwrap();
         validate_partitioned(&tree, &text).unwrap();
         assert_eq!(tree.lexicographic_suffixes(), serial_tree.lexicographic_suffixes());
         assert_eq!(report.per_node.len(), threads);
@@ -44,7 +41,7 @@ fn parallel_shared_memory_equals_serial_for_many_thread_counts() {
 fn shared_nothing_equals_serial_and_balances_load() {
     let body = genome_like(8000, 78);
     let text = terminated(&body);
-    let (serial_tree, _) = construct_serial(&dna_store(&body), &cfg(10 << 10)).unwrap();
+    let (serial_tree, _) = construct(&dna_store(&body), &cfg(10 << 10)).unwrap();
     for nodes in [2usize, 4, 8] {
         let stores: Vec<InMemoryStore> = (0..nodes).map(|_| dna_store(&body)).collect();
         let (tree, report) =
@@ -65,9 +62,9 @@ fn shared_nothing_equals_serial_and_balances_load() {
 fn grouping_and_elastic_range_reduce_scans() {
     let body = genome_like(12_000, 5);
     // Grouping on vs off.
-    let (_, with_grouping) = construct_serial(&dna_store(&body), &cfg(10 << 10)).unwrap();
+    let (_, with_grouping) = construct(&dna_store(&body), &cfg(10 << 10)).unwrap();
     let no_grouping = EraConfig { group_virtual_trees: false, ..cfg(10 << 10) };
-    let (_, without_grouping) = construct_serial(&dna_store(&body), &no_grouping).unwrap();
+    let (_, without_grouping) = construct(&dna_store(&body), &no_grouping).unwrap();
     assert!(with_grouping.virtual_trees < without_grouping.virtual_trees);
     assert!(
         with_grouping.io.full_scans < without_grouping.io.full_scans,
@@ -79,8 +76,8 @@ fn grouping_and_elastic_range_reduce_scans() {
     // Elastic vs small static range.
     let elastic = cfg(10 << 10);
     let static16 = EraConfig { range_policy: RangePolicy::Fixed(16), ..cfg(10 << 10) };
-    let (_, r_elastic) = construct_serial(&dna_store(&body), &elastic).unwrap();
-    let (_, r_static) = construct_serial(&dna_store(&body), &static16).unwrap();
+    let (_, r_elastic) = construct(&dna_store(&body), &elastic).unwrap();
+    let (_, r_static) = construct(&dna_store(&body), &static16).unwrap();
     assert!(
         r_elastic.io.full_scans <= r_static.io.full_scans,
         "elastic {} vs static {}",
@@ -97,7 +94,7 @@ fn era_access_pattern_is_overwhelmingly_sequential() {
     // counted as seeks, which is exercised separately below.)
     let body = uniform_dna(8000, 6);
     let config = EraConfig { seek_optimization: false, ..cfg(8 << 10) };
-    let (_, report) = construct_serial(&dna_store(&body), &config).unwrap();
+    let (_, report) = construct(&dna_store(&body), &config).unwrap();
     assert!(
         report.io.sequential_fraction() > 0.9,
         "sequential fraction was {:.3}",
@@ -109,7 +106,7 @@ fn era_access_pattern_is_overwhelmingly_sequential() {
 fn era_reads_less_than_wavefront_at_the_same_budget() {
     let body = genome_like(16_000, 41);
     let budget = 12 << 10;
-    let (_, era_report) = construct_serial(&dna_store(&body), &cfg(budget)).unwrap();
+    let (_, era_report) = construct(&dna_store(&body), &cfg(budget)).unwrap();
     let (_, wf_report) = wavefront_construct(
         &dna_store(&body),
         &WaveFrontConfig { memory_budget: budget, ..Default::default() },
@@ -140,8 +137,8 @@ fn seek_optimization_skips_blocks_without_changing_the_result() {
     let without_seek = EraConfig { seek_optimization: false, ..cfg(10 << 10) };
     let store_a = dna_store(&body);
     let store_b = dna_store(&body);
-    let (tree_a, rep_a) = construct_serial(&store_a, &with_seek).unwrap();
-    let (tree_b, rep_b) = construct_serial(&store_b, &without_seek).unwrap();
+    let (tree_a, rep_a) = construct(&store_a, &with_seek).unwrap();
+    let (tree_b, rep_b) = construct(&store_b, &without_seek).unwrap();
     validate_partitioned(&tree_a, &text).unwrap();
     assert_eq!(tree_a.lexicographic_suffixes(), tree_b.lexicographic_suffixes());
     assert!(rep_a.io.blocks_skipped > 0, "seek optimisation never skipped a block");

@@ -61,7 +61,7 @@ proptest! {
         let text = terminated(&body);
         let store = InMemoryStore::from_body_inferred(&body).unwrap()
             .with_block_size(32).unwrap();
-        let (tree, report) = era::construct_serial(&store, &config).unwrap();
+        let (tree, report) = era::construct(&store, &config).unwrap();
         // Structural invariants and exact leaf coverage.
         validate_partitioned(&tree, &text).unwrap();
         prop_assert_eq!(tree.leaf_count(), text.len());
@@ -88,7 +88,7 @@ proptest! {
             trie_area: 64,
             ..EraConfig::default()
         };
-        let (tree, _) = era::construct_serial(&store, &config).unwrap();
+        let (tree, _) = era::construct(&store, &config).unwrap();
         // Query with a pattern sampled from the text (guaranteed hits) and the
         // arbitrary pattern (usually a miss).
         let sampled: Vec<u8> = if body.len() >= 3 {
@@ -98,8 +98,8 @@ proptest! {
         };
         for p in [sampled.as_slice(), pattern.as_slice()] {
             let expected = scan_occurrences(&text, p);
-            prop_assert_eq!(tree.find_all(&text, p), expected.clone());
-            prop_assert_eq!(tree.count(&text, p), expected.len());
+            prop_assert_eq!(tree.try_find_all(&text, p).unwrap(), expected.clone());
+            prop_assert_eq!(tree.try_count(&text, p).unwrap(), expected.len());
         }
     }
 
@@ -138,7 +138,7 @@ proptest! {
             trie_area: 64,
             ..EraConfig::default()
         };
-        let (tree, _) = era::construct_serial(&store, &config).unwrap();
+        let (tree, _) = era::construct(&store, &config).unwrap();
         match tree.longest_repeated_substring(&text) {
             None => {
                 // No substring of length >= 1 repeats.
