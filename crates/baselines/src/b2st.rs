@@ -115,7 +115,7 @@ pub fn b2st_construct(
         io,
         tree: partitioned.stats(),
         per_node: Vec::new(),
-        string_transfer: std::time::Duration::ZERO,
+        ..Default::default()
     };
     Ok((partitioned, report))
 }

@@ -167,7 +167,7 @@ pub fn trellis_construct(
         io,
         tree: partitioned.stats(),
         per_node: Vec::new(),
-        string_transfer: std::time::Duration::ZERO,
+        ..Default::default()
     };
     std::hint::black_box(spill_bytes_written);
     Ok((partitioned, report))

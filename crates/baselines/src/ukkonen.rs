@@ -161,7 +161,7 @@ pub fn ukkonen_construct(
         io: store.stats().snapshot().since(&io_start),
         tree: partitioned.stats(),
         per_node: Vec::new(),
-        string_transfer: std::time::Duration::ZERO,
+        ..Default::default()
     };
     Ok((partitioned, report))
 }

@@ -173,7 +173,7 @@ fn construct_impl(
                                     virtual_trees: groups,
                                     partitions: 0,
                                     elapsed: t.elapsed(),
-                                    io: Default::default(),
+                                    ..Default::default()
                                 },
                             ))
                         })
@@ -206,7 +206,7 @@ fn construct_impl(
         io: store.stats().snapshot().since(&io_start),
         tree: tree.stats(),
         per_node,
-        string_transfer: std::time::Duration::ZERO,
+        ..Default::default()
     };
     let _ = config.era_config(); // keep the mapping around for documentation purposes
     Ok((tree, report))

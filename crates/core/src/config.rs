@@ -15,12 +15,27 @@
 //! and [`MemoryLayout`] states the bound of each area *in the phase that uses
 //! it*:
 //!
-//! 1. **occurrence scan** — one pass collects the leaves `L` of every
-//!    sub-tree of the group: input buffer + `L`;
+//! 1. **classifying scan** — one pass over the string collects the leaves `L`
+//!    of every sub-tree of a whole *cohort* of virtual trees (one trie
+//!    descent per position, [`crate::pipeline::build_cohort`]): input buffer +
+//!    the cohort's `L` lists. The members then go through phases 2–4 one
+//!    after another, and while one does, the lists of those still waiting
+//!    stay live — 4 bytes a leaf, up to `FM` leaves a group. They are charged
+//!    to the running member's `R`, which shrinks by exactly that much, and
+//!    may take at most a quarter of it: a cohort is
+//!    `k = 1 + R / (16 · FM)` virtual trees
+//!    ([`crate::pipeline::cohort_len`]) — 7 for DNA, whose `R / FM` is ≈ 101.
+//!    The sub-tree area could hold the lists of ≈ 24 groups, but not for
+//!    free: it is the area `R` occupies in phase 2, so at 24 the lists eat
+//!    0.6 × the budget out of `R`, the elastic range collapses, and the
+//!    rounds `SubTreePrepare` gains cost more bytes than the shared pass
+//!    saves (measured at `k = 24`: 3,648 B/symbol read against 2,784 with no
+//!    cohorts at all, 2,302 at the derived `k`);
 //! 2. **prepare** (`SubTreePrepare`) — `R` plus the processing area
 //!    (`L`/`B`/`I`/`A`/`P`). No tree node exists yet, so `R` also occupies
 //!    the idle sub-tree area: [`MemoryLayout::r_bytes`] is the dedicated
-//!    read-ahead buffer *plus* [`MemoryLayout::tree_area`];
+//!    read-ahead buffer *plus* [`MemoryLayout::tree_area`] (a cohort member
+//!    runs with that less the waiting lists of phase 1);
 //! 3. **build** (`BuildSubTree`) — `R` is dead; the tree grows in the
 //!    sub-tree area from `L`/`B`;
 //! 4. **freeze and release** — each sub-tree is frozen into its flat serving
@@ -29,8 +44,10 @@
 //!
 //! ERA-str ([`HorizontalMethod::StringOnly`]) has no such separation — it
 //! grows the tree *during* the scans — so there `R` stays the dedicated
-//! buffer. `FM`, and with it the grouping and every byte of the index, depends
-//! on `tree_area` alone and is the same under both readings.
+//! buffer (and a DNA cohort is a single virtual tree: `R / FM` ≈ 5). `FM`, and
+//! with it the grouping and every byte of the index, depends on `tree_area`
+//! alone and is the same under both readings; how much of `R` a member is
+//! left with decides how many passes it takes and nothing about its trees.
 
 use era_string_store::Alphabet;
 

@@ -33,22 +33,24 @@
 //!
 //! The paper's serial (§4), shared-memory parallel (§5.1) and shared-nothing
 //! parallel (§5.2) algorithms are the same pipeline — vertical partitioning →
-//! per-virtual-tree occurrence scan → horizontal
+//! one classifying scan per cohort of virtual trees → horizontal
 //! `SubTreePrepare`/`BuildSubTree` — differing only in *who runs which
-//! group*. That shared structure is captured once by
+//! cohort*. That shared structure is captured once by
 //! [`pipeline::ConstructionPipeline`], which owns partitioning, timing and
 //! report assembly, and delegates group execution to a
 //! [`pipeline::GroupScheduler`]:
 //!
-//! * [`SerialScheduler`] — every group on the calling thread;
-//! * [`SharedMemoryScheduler`] — a worker pool pulling groups from a shared
+//! * [`SerialScheduler`] — every cohort on the calling thread;
+//! * [`SharedMemoryScheduler`] — a worker pool pulling cohorts from a shared
 //!   queue against one store;
 //! * [`SharedNothingScheduler`] — one private store per simulated cluster
 //!   node, longest-processing-time group assignment, no merge phase.
 //!
 //! Whoever runs it, a virtual tree spends the memory budget phase by phase
-//! rather than area by area ([`config`] has the accounting). The occurrence
-//! scan yields the leaves `L`. `SubTreePrepare` holds the read-ahead buffer
+//! rather than area by area ([`config`] has the accounting). One classifying
+//! scan yields the leaves `L` of a whole cohort of virtual trees (seven, for
+//! DNA) by descending a trie of their S-prefixes from every position; its
+//! members then take turns. `SubTreePrepare` holds the read-ahead buffer
 //! `R` as one flat arena that also occupies the sub-tree area — idle until
 //! `BuildSubTree` — so the first elastic range is `(R + MTS) / FM ≈ 100`
 //! symbols rather than `R / FM ≈ 5`, and a group costs a handful of passes
@@ -123,7 +125,7 @@
 //! whole; loading them lazily per group (the TOC already keys them) is the
 //! follow-up that bounds the rest.
 //!
-//! ## Hot-path layout: flat serving trees and the SWAR scan
+//! ## Hot-path layout: flat serving trees and the trie scan
 //!
 //! Construction mutates the Vec-node `SuffixTree` of `era-suffix-tree`; the
 //! moment a sub-tree is finished the pipeline *freezes* it into a
@@ -136,11 +138,13 @@
 //! construction form's bytes per node ([`ConstructionReport::bytes_per_node`]
 //! reports the measured figure). The freeze order is deterministic, so all
 //! three schedulers still produce byte-identical serving trees. On the scan
-//! side, [`scan::collect_occurrences`] filters candidate positions with a
-//! SWAR first-byte broadcast (eight bytes per `u64`, no `core::simd`) and
-//! verifies word-sized patterns with masked compares;
+//! side, every pass that looks for S-prefixes — the counting rounds of
+//! vertical partitioning, the classifying pass of a cohort,
+//! [`scan::collect_occurrences`] — descends one trie of the (prefix-free) set
+//! from every position, the top levels folded into a jump table, so its cost
+//! does not grow with the number of prefixes;
 //! [`scan::collect_occurrences_scalar`] keeps the per-position reference the
-//! vectorized path is tested against.
+//! trie is tested against.
 //!
 //! ## Crate layout
 //!
@@ -155,8 +159,8 @@
 //!   [`GroupScheduler`] implementations and the driver entry points
 //!   [`construct`] / [`construct_shared_nothing`].
 //! * [`scan`] — sequential multi-pattern occurrence scans over the
-//!   zero-copy block cursor of `era-string-store`, SWAR-vectorized with a
-//!   scalar reference implementation.
+//!   zero-copy block cursor of `era-string-store`: one trie descent per
+//!   position, with a scalar reference implementation.
 //! * [`query`] — the batched [`QueryEngine`], typed [`Query`] requests and
 //!   [`QueryStats`] I/O accounting over in-memory or store-backed texts.
 //! * [`SuffixIndex`] — the user-facing API combining construction and queries.

@@ -2,17 +2,21 @@
 //!
 //! The paper's serial (§4), shared-memory parallel (§5.1) and shared-nothing
 //! parallel (§5.2) algorithms are the *same* pipeline — vertical partitioning
-//! → per-virtual-tree occurrence scan → horizontal `SubTreePrepare` /
-//! `BuildSubTree` — differing only in **who runs which group**. This module
-//! owns everything the three drivers share:
+//! → one classifying scan per cohort of virtual trees → horizontal
+//! `SubTreePrepare` / `BuildSubTree` per virtual tree — differing only in
+//! **who runs which cohort**. This module owns everything the three drivers
+//! share:
 //!
 //! * vertical partitioning on the master store,
-//! * the per-group work function ([`build_group`]),
+//! * the per-cohort work function ([`build_cohort`]),
 //! * phase timing and I/O accounting,
 //! * [`ConstructionReport`] assembly,
 //!
-//! and delegates exactly one decision to a [`GroupScheduler`]: how the virtual
-//! trees of the horizontal phase are executed. Three schedulers ship today —
+//! and delegates exactly one decision to a [`GroupScheduler`]: how the
+//! cohorts of the horizontal phase are executed. A cohort is as many virtual
+//! trees as one pass over the string may serve ([`cohort_len`], derived from
+//! the worker's `R` and `FM`, never configured) — §4.1's "one scan serves a
+//! group", taken one step further. Three schedulers ship today —
 //! [`SerialScheduler`], [`SharedMemoryScheduler`] and
 //! [`SharedNothingScheduler`] — and the same seam is where future backends
 //! (async I/O stores, distributed workers, batched query builds) plug in
@@ -38,46 +42,87 @@ use crate::horizontal::build::build_partition;
 use crate::horizontal::prepare::prepare_group;
 use crate::horizontal::HorizontalParams;
 use crate::report::{ConstructionReport, NodeReport};
-use crate::scan::collect_occurrences;
-use crate::vertical::{vertical_partition, VirtualTree};
+use crate::scan::classify_into;
+use crate::vertical::{vertical_partition, PrefixFrequency, VirtualTree};
 
-/// Builds every sub-tree of one virtual tree — the unit of work every
-/// scheduler executes, against whichever store its worker owns.
+/// How many virtual trees one classifying pass serves, for a worker whose
+/// read-ahead buffer holds `r_capacity` bytes: `1 + r_capacity / (16 · FM)`.
 ///
-/// The group's memory is scoped to its phases (see [`crate::config`]): the
-/// occurrence lists become `L`, `SubTreePrepare` releases `R` and `I`/`A`/`P`
-/// when it returns `L`/`B`, and each sub-tree is frozen into its flat serving
-/// form the moment `BuildSubTree` hands it over — the `Vec`-node construction
-/// form and the `L`/`B` it was assembled from never outlive that step, so
-/// what a finished group leaves behind is its arenas and nothing else.
-pub fn build_group(
+/// The `L` lists of the members still waiting their turn (4 bytes a leaf, at
+/// most `FM` leaves a group) stay live while another member runs
+/// `SubTreePrepare`, so they are charged to that member's `R`, and may take
+/// at most a quarter of it (see [`crate::config`] for why not more).
+pub fn cohort_len(r_capacity: usize, fm: usize) -> usize {
+    1 + r_capacity / (16 * fm.max(1))
+}
+
+/// Builds every sub-tree of a cohort of virtual trees — the unit of work
+/// every scheduler executes, against whichever store its worker owns.
+///
+/// One sequential pass classifies every position of the string into the `L`
+/// list of the S-prefix it starts with, for all members at once (the accepted
+/// S-prefixes are a prefix-free cover of the suffixes, so a single trie
+/// descent names the one sub-tree a position belongs to). The members then
+/// run one after another, each with `R` reduced by the 4 bytes per leaf of
+/// the lists still waiting behind it; the size of `R` decides how many passes
+/// a member takes and nothing about its trees.
+///
+/// A member's memory is scoped to its phases (see [`crate::config`]): its
+/// lists become `L`, `SubTreePrepare` releases `R` and `I`/`A`/`P` when it
+/// returns `L`/`B`, and each sub-tree is frozen into its flat serving form
+/// the moment `BuildSubTree` hands it over — the `Vec`-node construction form
+/// and the `L`/`B` it was assembled from never outlive that step, so what a
+/// finished member leaves behind is its arenas and nothing else.
+pub fn build_cohort(
     store: &dyn StringStore,
-    group: &VirtualTree,
+    cohort: &[VirtualTree],
     params: &HorizontalParams,
     method: HorizontalMethod,
 ) -> EraResult<Vec<FlatPartition>> {
-    let prefixes: Vec<Vec<u8>> = group.prefixes.iter().map(|p| p.prefix.clone()).collect();
-    // One sequential scan collects the occurrence lists of every prefix in the
-    // group (the leaves of each sub-tree, in string order).
-    let occurrences = collect_occurrences(store, &prefixes)?;
-    match method {
-        HorizontalMethod::StringAndMemory => {
-            let prepared = prepare_group(store, &prefixes, &occurrences, params)?;
-            Ok(prepared
-                .into_iter()
-                .filter(|p| !p.leaves.is_empty())
-                .map(|p| build_partition(store.len(), &p).freeze())
-                .collect())
-        }
-        HorizontalMethod::StringOnly => {
-            let parts = compute_group_str(store, &prefixes, &occurrences, params)?;
-            Ok(parts
-                .into_iter()
-                .filter(|p| p.tree.leaf_count() > 0)
-                .map(Partition::freeze)
-                .collect())
+    let members: Vec<&PrefixFrequency> = cohort.iter().flat_map(|g| &g.prefixes).collect();
+    // Vertical partitioning counted every list; no prefix occurs more often
+    // than the string is long, whatever a hand-made group claims.
+    let mut lists: Vec<Vec<u32>> = members
+        .iter()
+        .map(|p| Vec::with_capacity(p.frequency.min(store.len() as u64) as usize))
+        .collect();
+    let prefixes: Vec<&[u8]> = members.iter().map(|p| p.prefix.as_slice()).collect();
+    classify_into(store, &prefixes, &mut lists)?;
+    if let Some((p, list)) = members.iter().zip(&lists).find(|(p, l)| l.len() as u64 != p.frequency)
+    {
+        return Err(EraError::corrupt(format!(
+            "S-prefix {:?} starts {} suffixes, vertical partitioning counted {}",
+            String::from_utf8_lossy(&p.prefix),
+            list.len(),
+            p.frequency
+        )));
+    }
+
+    let mut lists = lists.into_iter();
+    let mut waiting: u64 = cohort.iter().map(VirtualTree::total_frequency).sum();
+    let mut built = Vec::new();
+    for group in cohort {
+        waiting -= group.total_frequency();
+        let prefixes: Vec<Vec<u8>> = group.prefixes.iter().map(|p| p.prefix.clone()).collect();
+        let occurrences: Vec<Vec<u32>> = lists.by_ref().take(prefixes.len()).collect();
+        let r_capacity = params.r_capacity.saturating_sub(4 * waiting as usize);
+        let params = HorizontalParams { r_capacity, ..*params };
+        match method {
+            HorizontalMethod::StringAndMemory => built.extend(
+                prepare_group(store, &prefixes, &occurrences, &params)?
+                    .into_iter()
+                    .filter(|p| !p.leaves.is_empty())
+                    .map(|p| build_partition(store.len(), &p).freeze()),
+            ),
+            HorizontalMethod::StringOnly => built.extend(
+                compute_group_str(store, &prefixes, &occurrences, &params)?
+                    .into_iter()
+                    .filter(|p| p.tree.leaf_count() > 0)
+                    .map(Partition::freeze),
+            ),
         }
     }
+    Ok(built)
 }
 
 /// What a scheduler produced for the horizontal phase.
@@ -88,6 +133,23 @@ pub struct ScheduleOutcome {
     pub partitions: Vec<FlatPartition>,
     /// Per-worker / per-node breakdown (empty for the serial scheduler).
     pub per_node: Vec<NodeReport>,
+    /// Cohorts built, i.e. classifying passes over the string.
+    pub cohorts: usize,
+}
+
+impl ScheduleOutcome {
+    /// Gathers what the workers or nodes of a parallel scheduler hand back.
+    fn from_workers(results: Vec<EraResult<WorkerOutput>>) -> EraResult<Self> {
+        let mut outcome = ScheduleOutcome::default();
+        for result in results {
+            let (built, report) = result?;
+            outcome.partitions.extend(built);
+            outcome.cohorts += report.cohorts;
+            outcome.per_node.push(report);
+        }
+        outcome.per_node.sort_by_key(|r| r.node);
+        Ok(outcome)
+    }
 }
 
 /// What one worker or node hands back: its frozen sub-trees and its report.
@@ -113,11 +175,13 @@ pub trait GroupScheduler {
         layout.r_bytes
     }
 
-    /// Executes every virtual tree and returns the built partitions plus the
-    /// per-worker breakdown.
+    /// Executes every virtual tree, in cohorts of at most `cohort_len` ≥ 1
+    /// ([`cohort_len`] of this scheduler's [`Self::worker_r_capacity`]), and
+    /// returns the built partitions plus the per-worker breakdown.
     fn run_groups(
         &self,
         groups: &[VirtualTree],
+        cohort_len: usize,
         params: &HorizontalParams,
         method: HorizontalMethod,
     ) -> EraResult<ScheduleOutcome>;
@@ -172,7 +236,12 @@ impl<'a> ConstructionPipeline<'a> {
             seek_optimization: self.config.seek_optimization,
         };
         let t1 = Instant::now();
-        let outcome = scheduler.run_groups(&vertical.groups, &params, self.config.horizontal)?;
+        let outcome = scheduler.run_groups(
+            &vertical.groups,
+            cohort_len(params.r_capacity, layout.fm),
+            &params,
+            self.config.horizontal,
+        )?;
         let horizontal_time = t1.elapsed();
 
         let io = scheduler.total_io(&outcome);
@@ -188,6 +257,7 @@ impl<'a> ConstructionPipeline<'a> {
             vertical_scans: vertical.scans,
             partitions: vertical.partition_count(),
             virtual_trees: vertical.group_count(),
+            cohorts: outcome.cohorts,
             io,
             tree: tree.stats(),
             per_node: outcome.per_node,
@@ -257,14 +327,16 @@ impl GroupScheduler for SerialScheduler<'_> {
     fn run_groups(
         &self,
         groups: &[VirtualTree],
+        cohort_len: usize,
         params: &HorizontalParams,
         method: HorizontalMethod,
     ) -> EraResult<ScheduleOutcome> {
-        let mut partitions = Vec::new();
-        for group in groups {
-            partitions.extend(build_group(self.store, group, params, method)?);
+        let mut outcome = ScheduleOutcome::default();
+        for cohort in groups.chunks(cohort_len) {
+            outcome.partitions.extend(build_cohort(self.store, cohort, params, method)?);
+            outcome.cohorts += 1;
         }
-        Ok(ScheduleOutcome { partitions, per_node: Vec::new() })
+        Ok(outcome)
     }
 
     fn total_io(&self, _outcome: &ScheduleOutcome) -> IoSnapshot {
@@ -315,36 +387,36 @@ impl GroupScheduler for SharedMemoryScheduler<'_> {
     fn run_groups(
         &self,
         groups: &[VirtualTree],
+        cohort_len: usize,
         params: &HorizontalParams,
         method: HorizontalMethod,
     ) -> EraResult<ScheduleOutcome> {
-        // Group `w` is reserved for worker `w`, the rest is a dynamic work
-        // queue: every worker is guaranteed one group (when enough exist)
-        // even if another worker spawns first and pulls fast, and load still
-        // balances across unevenly sized virtual trees.
-        let next_group = AtomicUsize::new(self.threads);
+        // Few groups are not bundled into fewer cohorts than there are
+        // workers. Cohort `w` is reserved for worker `w`, the rest is a
+        // dynamic work queue: every worker is guaranteed one cohort (when
+        // enough exist) even if another worker spawns first and pulls fast,
+        // and load still balances across unevenly sized virtual trees.
+        let cohort_len = cohort_len.min(groups.len().div_ceil(self.threads)).max(1);
+        let cohorts: Vec<&[VirtualTree]> = groups.chunks(cohort_len).collect();
+        let next_cohort = AtomicUsize::new(self.threads);
         let results: Vec<EraResult<WorkerOutput>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.threads)
                 .map(|worker| {
-                    let next_group = &next_group;
+                    let (cohorts, next_cohort) = (&cohorts, &next_cohort);
                     let store = self.store;
                     scope.spawn(move || {
                         let worker_start = Instant::now();
                         let mut built: Vec<FlatPartition> = Vec::new();
-                        let mut groups_done = 0usize;
+                        let mut report = NodeReport { node: worker, ..NodeReport::default() };
                         let mut idx = worker;
-                        while let Some(group) = groups.get(idx) {
-                            built.extend(build_group(store, group, params, method)?);
-                            groups_done += 1;
-                            idx = next_group.fetch_add(1, Ordering::Relaxed);
+                        while let Some(cohort) = cohorts.get(idx) {
+                            built.extend(build_cohort(store, cohort, params, method)?);
+                            report.cohorts += 1;
+                            report.virtual_trees += cohort.len();
+                            idx = next_cohort.fetch_add(1, Ordering::Relaxed);
                         }
-                        let report = NodeReport {
-                            node: worker,
-                            virtual_trees: groups_done,
-                            partitions: built.len(),
-                            elapsed: worker_start.elapsed(),
-                            io: IoSnapshot::default(),
-                        };
+                        report.partitions = built.len();
+                        report.elapsed = worker_start.elapsed();
                         Ok((built, report))
                     })
                 })
@@ -352,15 +424,7 @@ impl GroupScheduler for SharedMemoryScheduler<'_> {
             // era-check: allow(unwrap): a panicked worker cannot be recovered from
             handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).collect()
         });
-
-        let mut outcome = ScheduleOutcome::default();
-        for result in results {
-            let (built, report) = result?;
-            outcome.partitions.extend(built);
-            outcome.per_node.push(report);
-        }
-        outcome.per_node.sort_by_key(|r| r.node);
-        Ok(outcome)
+        ScheduleOutcome::from_workers(results)
     }
 
     fn total_io(&self, _outcome: &ScheduleOutcome) -> IoSnapshot {
@@ -454,6 +518,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
     fn run_groups(
         &self,
         groups: &[VirtualTree],
+        cohort_len: usize,
         params: &HorizontalParams,
         method: HorizontalMethod,
     ) -> EraResult<ScheduleOutcome> {
@@ -464,12 +529,15 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
             let node_start = Instant::now();
             let store = self.node_stores[node];
             let mut built = Vec::new();
-            for group in &assignments[node] {
-                built.extend(build_group(store, group, params, method)?);
+            let mut cohorts = 0usize;
+            for cohort in assignments[node].chunks(cohort_len) {
+                built.extend(build_cohort(store, cohort, params, method)?);
+                cohorts += 1;
             }
             let report = NodeReport {
                 node,
                 virtual_trees: assignments[node].len(),
+                cohorts,
                 partitions: built.len(),
                 elapsed: node_start.elapsed(),
                 io: store.stats().snapshot().since(&self.io_starts[node]),
@@ -487,15 +555,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
         } else {
             (0..nodes).map(run_node).collect()
         };
-
-        let mut outcome = ScheduleOutcome::default();
-        for result in results {
-            let (built, report) = result?;
-            outcome.partitions.extend(built);
-            outcome.per_node.push(report);
-        }
-        outcome.per_node.sort_by_key(|r| r.node);
-        Ok(outcome)
+        ScheduleOutcome::from_workers(results)
     }
 
     /// Aggregates I/O over every node: the master baseline alone would only

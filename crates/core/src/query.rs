@@ -13,9 +13,9 @@
 //! Queries are typed ([`Query::Contains`], [`Query::Count`],
 //! [`Query::Locate`] with paging) and submitted in a [`QueryBatch`]. The
 //! engine routes each pattern by its first symbols through the partition trie
-//! — the same first-symbol bucketing idea the construction-side multi-pattern
-//! matcher uses (`crate::scan::collect_occurrences`) — groups the work by
-//! tree partition, and executes the partitions on a worker pool shaped like
+//! — the descent the construction-side scans make from every position of the
+//! string (`crate::scan::collect_occurrences`) — groups the work by tree
+//! partition, and executes the partitions on a worker pool shaped like
 //! the construction schedulers (reserved-first assignment plus a shared
 //! dynamic queue). Each worker reuses one window buffer across every pattern
 //! it serves, which is where the batched path beats issuing the same queries

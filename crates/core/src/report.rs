@@ -17,6 +17,8 @@ pub struct NodeReport {
     pub node: usize,
     /// Number of virtual trees assigned to this node.
     pub virtual_trees: usize,
+    /// Number of cohorts of them, i.e. classifying passes, this node ran.
+    pub cohorts: usize,
     /// Number of sub-trees built by this node.
     pub partitions: usize,
     /// Wall-clock time the node spent constructing.
@@ -49,6 +51,10 @@ pub struct ConstructionReport {
     /// Number of virtual trees (groups); equals `partitions` when grouping is
     /// disabled.
     pub virtual_trees: usize,
+    /// Number of cohorts the virtual trees were built in: each is one
+    /// classifying pass over the string that collects the leaves of every
+    /// member at once (0 for the baselines, which have no such pass).
+    pub cohorts: usize,
     /// I/O counters accumulated over the whole run.
     pub io: IoSnapshot,
     /// Structural statistics of the resulting tree.

@@ -8,15 +8,17 @@
 //! reused window buffer, so it is I/O-accounted, never holds more than a few
 //! blocks in memory, and allocates nothing per fetch.
 //!
-//! The multi-pattern scan is vectorized without `core::simd`: candidate
-//! positions are found eight at a time with a SWAR (SIMD-within-a-register)
-//! first-byte filter — broadcast the byte across a `u64`, XOR against the
-//! stretch, and detect zero lanes with carry-free bit tricks — and only the
-//! candidates are verified against the full patterns. On low-entropy inputs
-//! (DNA, prefix groups from vertical partitioning) the filter rejects the
-//! vast majority of positions one word at a time.
+//! Both also ask the same question of every position — *which of these
+//! S-prefixes starts here?* — about a set in which at most one can: the
+//! working set of a round (all of one length) or accepted prefixes (a
+//! prefix-free cover of the suffixes, §4.1). One descent of a trie of the set
+//! (`ScanTrie`) answers it, whatever the size of the set: vertical
+//! partitioning counts the answers, [`collect_occurrences`] and the
+//! pipeline's cohort pass append the position to the `L` list of the prefix
+//! found. [`collect_occurrences_scalar`] is the per-position oracle the trie
+//! is tested against.
 
-use era_string_store::{BlockCursor, StoreResult, StringStore};
+use era_string_store::{BlockCursor, StoreError, StoreResult, StringStore};
 
 /// Walks the string once in block-sized stretches, calling
 /// `f(base, stretch, positions)` for each: `stretch` starts at text position
@@ -41,241 +43,224 @@ where
     Ok(())
 }
 
-/// Byte lanes per SWAR word.
-const LANES: usize = std::mem::size_of::<u64>();
-/// The low bit of every byte lane.
-const LANE_LO: u64 = 0x0101_0101_0101_0101;
-/// Every bit of every lane except the lane's high bit.
-const LANE_INNER: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+/// "No pattern continues with this symbol" in a [`ScanTrie`].
+const NO_EDGE: u32 = u32::MAX;
 
-/// Returns a mask with the high bit set in every byte lane of `x` that is
-/// zero. Exact: `(x & INNER) + INNER` cannot carry across lanes (each lane
-/// sums to at most `0xfe`), so no false positives — unlike the shorter
-/// `x - LO & !x & HI` trick, which can flag the lane after a genuine zero.
-#[inline]
-fn zero_lanes(x: u64) -> u64 {
-    !(((x & LANE_INNER) + LANE_INNER) | x | LANE_INNER)
-}
+/// Set in an edge of a [`ScanTrie`] that ends a pattern: the other bits are
+/// the pattern's index. ([`NO_EDGE`] has it set as well — both end a
+/// descent.)
+const LEAF: u32 = 1 << 31;
 
-/// Sentinel in the first-byte index: no pattern starts with this byte.
-const NO_GROUP: u16 = u16::MAX;
+/// Width, in bits, of the code the top levels of a [`ScanTrie`] are folded
+/// under: a 16 KiB table, four DNA symbols or two protein ones.
+const JUMP_BITS: u32 = 12;
 
-/// The patterns sharing one first byte.
-struct PatternGroup {
-    /// The shared first byte — the needle the SWAR filter broadcasts.
-    first: u8,
-    /// Indices into the pattern list, in pattern order.
-    members: Vec<u32>,
-    /// `(pattern word, lane mask, pattern index)` for members that fit one
-    /// SWAR word (`len <= 8`), in pattern order: the vectorized path verifies
-    /// these with one masked compare each, no pointer chasing.
-    short: Vec<(u64, u64, u32)>,
-    /// Members longer than one word, verified by slice compare.
-    long: Vec<u32>,
-}
-
-/// A batched multi-pattern matcher over one sequential scan.
+/// A prefix-free set of patterns over `Σ ∪ {$}` as a trie with one edge
+/// column per symbol, which a pass descends from every position of the
+/// string to learn which pattern, if any, starts there.
 ///
-/// Patterns are grouped by their first byte once, up front, into a *sparse*
-/// index: one [`PatternGroup`] per first byte actually present plus a fixed
-/// 256-entry lookup table of group ids — no per-call allocation proportional
-/// to the alphabet. The scan walks the string in block-sized stretches of the
-/// cursor's window; for each group the SWAR filter yields candidate
-/// positions, and only those are verified against the group's full patterns.
-/// Prefix groups produced by vertical partitioning share first bytes heavily,
-/// which is exactly the case the grouping exploits.
-struct MultiPatternMatcher<'p> {
-    patterns: &'p [Vec<u8>],
-    /// One entry per distinct first byte, in first-seen order.
-    groups: Vec<PatternGroup>,
-    /// first byte -> index into `groups`, or [`NO_GROUP`].
-    group_of: [u16; 256],
-    max_len: usize,
+/// A descent ends at the first symbol no pattern continues with, or at the
+/// leaf of the one pattern that matches — leaves sit at whatever depth their
+/// pattern has. However long the patterns are, nearly every position that
+/// matches none is dismissed within a few symbols, and where is as random as
+/// the string, so the first `jump_len` levels are folded into one table
+/// indexed by a rolling code of that many symbols: one lookup and one
+/// well-predicted branch per position instead of a mispredicted one. The last
+/// few positions of the string, whose window is shorter than the table is
+/// deep, are descended symbol by symbol.
+pub(crate) struct ScanTrie {
+    /// Length of the longest pattern (1 for a trie of none).
+    depth: usize,
+    /// Bits per symbol column: a node has `1 << bits` edge columns, one per
+    /// symbol of `Σ ∪ {$}` plus at least one that is never set, which bytes
+    /// outside the alphabet map to.
+    bits: u32,
+    /// `column_of[byte]` — the byte's edge column.
+    column_of: [u16; 256],
+    /// `edges[node << bits | column]` — the child node, [`LEAF`]` | index` of
+    /// the pattern that ends here, or [`NO_EDGE`].
+    edges: Vec<u32>,
+    /// Levels folded into `jump` (at least 1, at most `depth`).
+    jump_len: usize,
+    /// `jump[code]` — where the descent stands after the `jump_len` symbols
+    /// whose columns, first symbol in the highest bits, spell `code`, or
+    /// after as many of them as it took to end it.
+    jump: Vec<u32>,
 }
 
-impl<'p> MultiPatternMatcher<'p> {
-    fn new(patterns: &'p [Vec<u8>]) -> Self {
-        let mut groups: Vec<PatternGroup> = Vec::new();
-        let mut group_of = [NO_GROUP; 256];
-        let mut max_len = 0usize;
-        for (i, p) in patterns.iter().enumerate() {
-            // Empty patterns never match (they carry no first byte to anchor
-            // the scan on); vertical partitioning never produces them.
-            if let Some(&first) = p.first() {
-                let slot = &mut group_of[first as usize];
-                if *slot == NO_GROUP {
-                    *slot = groups.len() as u16;
-                    groups.push(PatternGroup {
-                        first,
-                        members: Vec::new(),
-                        short: Vec::new(),
-                        long: Vec::new(),
-                    });
+impl ScanTrie {
+    /// `symbols` is `Σ ∪ {$}`. Rejects a set that is not prefix-free (a
+    /// duplicate is its own prefix) or holds an empty pattern: more than one
+    /// of its members could start at one position. A pattern with a byte
+    /// outside `symbols` matches nowhere and is left out of the trie.
+    pub(crate) fn new<P: AsRef<[u8]>>(symbols: &[u8], patterns: &[P]) -> StoreResult<Self> {
+        let bits = usize::BITS - symbols.len().leading_zeros();
+        let spare = symbols.len() as u16;
+        let mut column_of = [spare; 256];
+        for (column, &symbol) in symbols.iter().enumerate() {
+            column_of[symbol as usize] = column as u16;
+        }
+        let not_prefix_free = |pattern: &[u8]| {
+            StoreError::InvalidConfig(format!(
+                "the scanned pattern set is not prefix-free at {:?}",
+                String::from_utf8_lossy(pattern)
+            ))
+        };
+        let mut depth = 1;
+        let mut edges = vec![NO_EDGE; 1 << bits];
+        for (index, pattern) in patterns.iter().enumerate() {
+            let pattern = pattern.as_ref();
+            if pattern.is_empty() {
+                return Err(not_prefix_free(pattern));
+            }
+            if pattern.iter().any(|&symbol| column_of[symbol as usize] == spare) {
+                continue;
+            }
+            depth = depth.max(pattern.len());
+            let mut node = 0usize;
+            for (level, &symbol) in pattern.iter().enumerate() {
+                let edge = node << bits | column_of[symbol as usize] as usize;
+                let last = level + 1 == pattern.len();
+                match edges[edge] {
+                    NO_EDGE if last => edges[edge] = LEAF | index as u32,
+                    NO_EDGE => {
+                        node = edges.len() >> bits;
+                        edges[edge] = node as u32;
+                        edges.resize(edges.len() + (1 << bits), NO_EDGE);
+                    }
+                    // An earlier pattern ends on the way, or this one ends
+                    // inside an earlier one.
+                    child if child >= LEAF || last => return Err(not_prefix_free(pattern)),
+                    child => node = child as usize,
                 }
-                let group = &mut groups[*slot as usize];
-                group.members.push(i as u32);
-                if p.len() <= LANES {
-                    let mut bytes = [0u8; LANES];
-                    bytes[..p.len()].copy_from_slice(p);
-                    let mask =
-                        if p.len() == LANES { u64::MAX } else { (1u64 << (8 * p.len())) - 1 };
-                    group.short.push((u64::from_le_bytes(bytes), mask, i as u32));
-                } else {
-                    group.long.push(i as u32);
-                }
-                max_len = max_len.max(p.len());
             }
         }
-        MultiPatternMatcher { patterns, groups, group_of, max_len }
+        let jump_len = ((JUMP_BITS / bits) as usize).clamp(1, depth);
+        let jump = (0..1usize << (bits * jump_len as u32))
+            .map(|code| {
+                let mut at = 0u32;
+                for level in (0..jump_len as u32).rev() {
+                    let column = code >> (bits * level) & ((1 << bits) - 1);
+                    at = edges[(at as usize) << bits | column];
+                    if at >= LEAF {
+                        break;
+                    }
+                }
+                at
+            })
+            .collect();
+        Ok(ScanTrie { depth, bits, column_of, edges, jump_len, jump })
     }
 
-    /// Verifies every pattern of `group` against the window at `stretch[i..]`,
-    /// pushing hits (offset by `base`) into `out`.
+    /// Symbols a window needs beyond its first, for [`for_each_stretch`].
+    pub(crate) fn lookahead(&self) -> usize {
+        self.depth - 1
+    }
+
+    /// Continues a descent standing at `at` over `rest`; still at a node
+    /// (below [`LEAF`]) when the string ends first.
     #[inline]
-    fn verify_candidates(
-        &self,
-        group: &PatternGroup,
-        base: usize,
-        stretch: &[u8],
-        i: usize,
-        out: &mut [Vec<u32>],
-    ) {
-        for &pi in &group.members {
-            let p = &self.patterns[pi as usize];
-            if stretch.len() - i >= p.len() && stretch[i..i + p.len()] == p[..] {
-                out[pi as usize].push((base + i) as u32);
+    fn descend(&self, mut at: u32, rest: &[u8]) -> u32 {
+        for &byte in rest {
+            if at >= LEAF {
+                break;
             }
+            at = self.edges[(at as usize) << self.bits | self.column_of[byte as usize] as usize];
         }
+        at
     }
 
-    /// Like [`Self::verify_candidates`], but verifies patterns that fit one
-    /// SWAR word with a single masked `u64` compare. Falls back to the slice
-    /// compare for long patterns and near the end of the stretch (where a
-    /// whole word cannot be loaded).
-    #[inline(always)]
-    fn verify_candidates_swar(
-        &self,
-        group: &PatternGroup,
-        base: usize,
-        stretch: &[u8],
-        i: usize,
-        out: &mut [Vec<u32>],
-    ) {
-        if stretch.len() - i < LANES {
-            return self.verify_candidates(group, base, stretch, i, out);
+    /// Calls `hit(start, index)` for each of the first `positions` bytes of
+    /// `stretch` at which a pattern starts, in string order. A window cut
+    /// short by the end of the string matches only a pattern it holds in
+    /// full.
+    #[inline]
+    pub(crate) fn for_each_match<F>(&self, stretch: &[u8], positions: usize, mut hit: F)
+    where
+        F: FnMut(usize, usize),
+    {
+        let mut report = |start: usize, at: u32| {
+            if at >= LEAF && at != NO_EDGE {
+                hit(start, (at ^ LEAF) as usize);
+            }
+        };
+        let column = |byte: u8| self.column_of[byte as usize] as usize;
+        let mask = self.jump.len() - 1;
+        let lead = self.jump_len - 1;
+        // Window starts with all `jump_len` symbols inside the stretch.
+        let rolled = positions.min(stretch.len().saturating_sub(lead));
+        let mut code = stretch.iter().take(lead).fold(0, |code, &b| code << self.bits | column(b));
+        for (start, &byte) in stretch.iter().skip(lead).take(rolled).enumerate() {
+            code = (code << self.bits | column(byte)) & mask;
+            let at = self.jump[code];
+            if at == NO_EDGE {
+                continue;
+            }
+            report(start, self.descend(at, &stretch[start + self.jump_len..]));
         }
-        // era-check: allow(unwrap): slice length is exactly LANES
-        let window = u64::from_le_bytes(stretch[i..i + LANES].try_into().unwrap());
-        for &(word, mask, pi) in &group.short {
-            if window & mask == word {
-                out[pi as usize].push((base + i) as u32);
-            }
-        }
-        for &pi in &group.long {
-            let p = &self.patterns[pi as usize];
-            if stretch.len() - i >= p.len() && stretch[i..i + p.len()] == p[..] {
-                out[pi as usize].push((base + i) as u32);
-            }
-        }
-    }
-
-    /// Matches every pattern against every window starting in
-    /// `stretch[..positions]`, pushing hits (offset by `base`) into `out`.
-    ///
-    /// For each group the first byte is broadcast across a `u64` and compared
-    /// against eight stretch bytes at a time; candidate lanes are drained in
-    /// ascending order via `trailing_zeros`, and the last `positions % 8`
-    /// bytes fall back to the scalar tail. Per-pattern hit order therefore
-    /// matches the scalar scan exactly.
-    fn scan_stretch(&self, base: usize, stretch: &[u8], positions: usize, out: &mut [Vec<u32>]) {
-        for group in &self.groups {
-            let broadcast = u64::from(group.first) * LANE_LO;
-            let mut i = 0usize;
-            while i + LANES <= positions {
-                // era-check: allow(unwrap): slice length is exactly LANES
-                let word = u64::from_le_bytes(stretch[i..i + LANES].try_into().unwrap());
-                let mut hits = zero_lanes(word ^ broadcast);
-                while hits != 0 {
-                    let at = i + (hits.trailing_zeros() / 8) as usize;
-                    self.verify_candidates_swar(group, base, stretch, at, out);
-                    hits &= hits - 1;
-                }
-                i += LANES;
-            }
-            while i < positions {
-                if stretch[i] == group.first {
-                    self.verify_candidates_swar(group, base, stretch, i, out);
-                }
-                i += 1;
-            }
-        }
-    }
-
-    /// The per-position reference scan: look up the group of each byte and
-    /// verify its members. Kept as the oracle the vectorized path is tested
-    /// and benchmarked against.
-    fn scan_stretch_scalar(
-        &self,
-        base: usize,
-        stretch: &[u8],
-        positions: usize,
-        out: &mut [Vec<u32>],
-    ) {
-        for i in 0..positions {
-            let g = self.group_of[stretch[i] as usize];
-            if g != NO_GROUP {
-                self.verify_candidates(&self.groups[g as usize], base, stretch, i, out);
-            }
+        for start in rolled..positions {
+            report(start, self.descend(0, &stretch[start..]));
         }
     }
 }
 
-/// Shared driver for both scan flavors: one pass of [`for_each_stretch`] with
-/// `max_len - 1` lookahead bytes, so windows that straddle a stretch boundary
-/// are matched exactly once, in their home stretch.
-fn collect_with(
+/// One pass (none for no patterns) that appends every position at which one
+/// of `patterns` starts to the list of that pattern, in string order — the
+/// pattern set under the contract of [`ScanTrie::new`].
+pub(crate) fn classify_into<P: AsRef<[u8]>>(
     store: &dyn StringStore,
-    patterns: &[Vec<u8>],
-    vectorized: bool,
-) -> StoreResult<Vec<Vec<u32>>> {
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); patterns.len()];
-    let matcher = MultiPatternMatcher::new(patterns);
-    if matcher.max_len == 0 {
-        return Ok(out);
+    patterns: &[P],
+    lists: &mut [Vec<u32>],
+) -> StoreResult<()> {
+    if patterns.is_empty() {
+        return Ok(());
     }
-    for_each_stretch(store, matcher.max_len - 1, |base, stretch, positions| {
-        if vectorized {
-            matcher.scan_stretch(base, stretch, positions, &mut out);
-        } else {
-            matcher.scan_stretch_scalar(base, stretch, positions, &mut out);
-        }
-    })?;
-    Ok(out)
+    let trie = ScanTrie::new(&store.alphabet().with_terminal(), patterns)?;
+    for_each_stretch(store, trie.lookahead(), |base, stretch, positions| {
+        trie.for_each_match(stretch, positions, |start, pattern| {
+            lists[pattern].push((base + start) as u32);
+        });
+    })
 }
 
 /// Collects the positions of every occurrence of each `pattern` in the store,
-/// in string order, using a single sequential scan with the SWAR first-byte
-/// filter.
+/// in string order, using a single sequential scan — the classifying pass of
+/// the construction pipeline, run for one group.
 ///
-/// Empty patterns yield no occurrences: a pattern needs at least one symbol
-/// to anchor the scan on (vertical partitioning never produces empty
-/// prefixes).
+/// The patterns must be non-empty and prefix-free, as the S-prefixes of
+/// vertical partitioning are; any other set is an error. A pattern with a
+/// byte outside `Σ ∪ {$}` has no occurrences.
 pub fn collect_occurrences(
     store: &dyn StringStore,
     patterns: &[Vec<u8>],
 ) -> StoreResult<Vec<Vec<u32>>> {
-    collect_with(store, patterns, true)
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); patterns.len()];
+    classify_into(store, patterns, &mut out)?;
+    Ok(out)
 }
 
-/// The scalar per-position reference for [`collect_occurrences`]: identical
-/// answers (same positions, same order), no SWAR filter. Exists so property
-/// tests can assert scan equivalence and benchmarks can measure the speedup
-/// of the vectorized path.
+/// The per-position reference for [`collect_occurrences`]: every pattern is
+/// compared at every position, so it answers for any pattern set (empty
+/// patterns occur nowhere) and agrees with the trie on those the trie
+/// accepts — same positions, same order. The oracle of the equivalence tests.
 pub fn collect_occurrences_scalar(
     store: &dyn StringStore,
     patterns: &[Vec<u8>],
 ) -> StoreResult<Vec<Vec<u32>>> {
-    collect_with(store, patterns, false)
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); patterns.len()];
+    let Some(max_len) = patterns.iter().map(Vec::len).max().filter(|&len| len > 0) else {
+        return Ok(out);
+    };
+    for_each_stretch(store, max_len - 1, |base, stretch, positions| {
+        for start in 0..positions {
+            for (pattern, hits) in patterns.iter().zip(out.iter_mut()) {
+                if !pattern.is_empty() && stretch[start..].starts_with(pattern) {
+                    hits.push((base + start) as u32);
+                }
+            }
+        }
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -337,30 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_lane_mask_is_exact() {
-        // The lane after a zero must NOT flag (the classic `x - LO & !x & HI`
-        // shortcut gets exactly this wrong via cross-lane borrow).
-        let word = u64::from_le_bytes([0, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]);
-        assert_eq!(zero_lanes(word), 0x80);
-        assert_eq!(zero_lanes(0), 0x8080_8080_8080_8080);
-        assert_eq!(zero_lanes(u64::MAX), 0);
-        assert_eq!(zero_lanes(0x8080_8080_8080_8080), 0);
-        // Exhaustive per-lane check against the definition.
-        for b in 0u8..=255 {
-            let x = u64::from_le_bytes([b, 1, b, 0xff, b, 0x80, b, 0]);
-            let mask = zero_lanes(x);
-            for lane in 0..8 {
-                let flagged = mask & (0x80u64 << (lane * 8)) != 0;
-                assert_eq!(flagged, x.to_le_bytes()[lane] == 0, "byte {b:#x} lane {lane}");
-            }
-        }
-    }
-
-    #[test]
     fn occurrences_match_naive_search() {
         let body = b"TGGTGGTGGTGCGGTGATGGTGC";
         let s = store(body);
-        let patterns = vec![b"TG".to_vec(), b"TGG".to_vec(), b"GGTG".to_vec(), b"XX".to_vec()];
+        // Prefix-free (`TG` occurs inside `GGTG`, it does not begin it); `X` is
+        // outside the alphabet, so `XX` occurs nowhere.
+        let patterns = vec![b"TG".to_vec(), b"GGTG".to_vec(), b"GC".to_vec(), b"XX".to_vec()];
         let occ = collect_occurrences(&s, &patterns).unwrap();
         let text: Vec<u8> = {
             let mut t = body.to_vec();
@@ -387,9 +354,9 @@ mod tests {
             let s =
                 InMemoryStore::from_body_inferred(&body).unwrap().with_block_size(block).unwrap();
             let patterns = vec![
-                b"abc".to_vec(),
+                b"abca".to_vec(),
                 b"abcdefab".to_vec(),
-                b"a".to_vec(),
+                b"b".to_vec(),
                 b"cabcdabcdeabcdefabab".to_vec(), // longer than small blocks
                 b"zzz".to_vec(),
             ];
@@ -415,9 +382,8 @@ mod tests {
 
     #[test]
     fn scalar_reference_agrees_with_vectorized() {
-        // Deterministic pseudo-random DNA body; hits land in SWAR words and
-        // in scalar tails (stride is not a multiple of 8 once the final
-        // partial stretch is reached).
+        // Deterministic pseudo-random DNA body; patterns end above, at and
+        // below the jump table's four levels, and in the terminal.
         let mut state = 0x9e37_79b9u32;
         let body: Vec<u8> = (0..2531)
             .map(|_| {
@@ -425,8 +391,14 @@ mod tests {
                 b"ACGT"[(state >> 24) as usize % 4]
             })
             .collect();
-        let patterns =
-            vec![b"AC".to_vec(), b"ACGT".to_vec(), b"T".to_vec(), b"TTTT".to_vec(), vec![0u8]];
+        let patterns = vec![
+            b"AC".to_vec(),
+            b"AGGT".to_vec(),
+            b"T".to_vec(),
+            b"GTTTTA".to_vec(),
+            b"GA\0".to_vec(),
+            vec![0u8],
+        ];
         for block in [8usize, 64] {
             let s =
                 InMemoryStore::from_body_inferred(&body).unwrap().with_block_size(block).unwrap();
@@ -434,6 +406,20 @@ mod tests {
             let slow = collect_occurrences_scalar(&s, &patterns).unwrap();
             assert_eq!(fast, slow, "block {block}");
         }
+    }
+
+    #[test]
+    fn a_pattern_set_that_is_not_prefix_free_is_rejected() {
+        let s = store(b"TGGTGGTGC");
+        let patterns = |set: &[&[u8]]| set.iter().map(|p| p.to_vec()).collect::<Vec<_>>();
+        for set in [&[&b"TG"[..], b"TGG"][..], &[b"TGG", b"TG"], &[b"TG", b"TG"], &[b"TG", b""]] {
+            assert!(collect_occurrences(&s, &patterns(set)).is_err(), "{set:?}");
+        }
+        // The tail of the string is shorter than the jump table is deep.
+        let set = patterns(&[b"TGGTG", b"GC\0", b"C\0", b"\0"]);
+        let occ = collect_occurrences(&s, &set).unwrap();
+        assert_eq!(occ, vec![vec![0, 3], vec![7], vec![8], vec![9]]);
+        assert_eq!(occ, collect_occurrences_scalar(&s, &set).unwrap());
     }
 
     #[test]

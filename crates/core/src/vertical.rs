@@ -8,11 +8,14 @@
 //!
 //! Every round is one pass over the string, walked in block-sized stretches
 //! ([`for_each_stretch`]); the frequencies of the round's working set are
-//! counted by descending a trie of it (`CountingTrie`) from every position.
+//! counted by descending the scan trie of it ([`crate::scan`]) from every
+//! position. All prefixes of a round have the same length, so a window cut
+//! short by the end of the string matches none of them: the suffix it belongs
+//! to was accepted in an earlier round, under a prefix ending in the terminal.
 
 use era_string_store::{StoreResult, StringStore, TERMINAL};
 
-use crate::scan::for_each_stretch;
+use crate::scan::{for_each_stretch, ScanTrie};
 
 /// A variable-length S-prefix together with its frequency in the string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,119 +65,6 @@ impl VerticalPartitioning {
     }
 }
 
-/// "No working prefix continues with this symbol" in a [`CountingTrie`].
-const NO_EDGE: u32 = u32::MAX;
-
-/// Width, in bits, of the code the top levels of a [`CountingTrie`] are
-/// folded under: a 16 KiB table, four DNA symbols or two protein ones.
-const JUMP_BITS: u32 = 12;
-
-/// The working set of one round as a trie with one edge column per symbol,
-/// which the counting pass descends from every position of the string.
-///
-/// All prefixes of a round have the same length, so every leaf sits on the
-/// last level. A descent leaves the trie at the first symbol no working
-/// prefix continues with: once vertical partitioning has accepted most of the
-/// string, nearly every position is dismissed within a few symbols however
-/// long the surviving prefixes have grown. Where it is dismissed is as random
-/// as the string, so the first `jump_len` levels are folded into one table
-/// indexed by a rolling code of that many symbols: one lookup and one
-/// well-predicted branch per position instead of a mispredicted one.
-struct CountingTrie {
-    /// Length of every working prefix.
-    depth: usize,
-    /// Bits per symbol column: a node has `1 << bits` edge columns, one per
-    /// symbol of `Σ ∪ {$}` plus at least one that is never set, which bytes
-    /// outside the alphabet map to.
-    bits: u32,
-    /// `column_of[byte]` — the byte's edge column.
-    column_of: [u16; 256],
-    /// `edges[node << bits | column]` — the child node; on the last level,
-    /// the index of the prefix in the working set; or [`NO_EDGE`].
-    edges: Vec<u32>,
-    /// Levels folded into `jump` (at least 1, at most `depth`).
-    jump_len: usize,
-    /// `jump[code]` — where the descent stands after the `jump_len` symbols
-    /// whose columns, first symbol in the highest bits, spell `code`.
-    jump: Vec<u32>,
-}
-
-impl CountingTrie {
-    /// `symbols` is `Σ ∪ {$}`; `working` the round's prefixes over it, at
-    /// least one.
-    fn new(symbols: &[u8], working: &[Vec<u8>]) -> Self {
-        let bits = usize::BITS - symbols.len().leading_zeros();
-        let mut column_of = [symbols.len() as u16; 256];
-        for (column, &symbol) in symbols.iter().enumerate() {
-            column_of[symbol as usize] = column as u16;
-        }
-        let depth = working[0].len();
-        let mut edges = vec![NO_EDGE; 1 << bits];
-        for (index, prefix) in working.iter().enumerate() {
-            debug_assert_eq!(prefix.len(), depth, "one round, one prefix length");
-            let mut node = 0usize;
-            for (level, &symbol) in prefix.iter().enumerate() {
-                let edge = node << bits | column_of[symbol as usize] as usize;
-                if level + 1 == depth {
-                    edges[edge] = index as u32;
-                } else {
-                    if edges[edge] == NO_EDGE {
-                        edges[edge] = (edges.len() >> bits) as u32;
-                        edges.resize(edges.len() + (1 << bits), NO_EDGE);
-                    }
-                    node = edges[edge] as usize;
-                }
-            }
-        }
-        let jump_len = ((JUMP_BITS / bits) as usize).clamp(1, depth);
-        let jump = (0..1usize << (bits * jump_len as u32))
-            .map(|code| {
-                let mut at = 0u32;
-                for level in (0..jump_len as u32).rev() {
-                    let column = code >> (bits * level) & ((1 << bits) - 1);
-                    at = edges[(at as usize) << bits | column];
-                    if at == NO_EDGE {
-                        break;
-                    }
-                }
-                at
-            })
-            .collect();
-        CountingTrie { depth, bits, column_of, edges, jump_len, jump }
-    }
-
-    /// Adds to `counts` the working prefix, if any, that starts at each of
-    /// the first `positions` bytes of `stretch`. A window cut short by the
-    /// end of the string is shorter than every working prefix and matches
-    /// none (the suffix it belongs to was accepted in an earlier round, under
-    /// a prefix ending in the terminal).
-    fn count_stretch(&self, stretch: &[u8], positions: usize, counts: &mut [u64]) {
-        let column = |byte: u8| self.column_of[byte as usize] as usize;
-        let mask = self.jump.len() - 1;
-        let lead = self.jump_len - 1;
-        let mut code = stretch.iter().take(lead).fold(0, |code, &b| code << self.bits | column(b));
-        for (start, &byte) in stretch.iter().skip(lead).take(positions).enumerate() {
-            code = (code << self.bits | column(byte)) & mask;
-            let mut at = self.jump[code];
-            if at == NO_EDGE {
-                continue;
-            }
-            let Some(rest) = stretch.get(start + self.jump_len..start + self.depth) else {
-                break; // the string ends inside this window, and every later one
-            };
-            for &byte in rest {
-                at = self.edges[(at as usize) << self.bits | column(byte)];
-                if at == NO_EDGE {
-                    break;
-                }
-            }
-            if at != NO_EDGE {
-                counts[at as usize] += 1;
-            }
-        }
-    }
-}
-
 /// Runs vertical partitioning against the store.
 ///
 /// * `fm` — the maximum admissible frequency (Equation 1).
@@ -200,10 +90,10 @@ pub fn vertical_partition(
     let mut scans = 0usize;
 
     while !working.is_empty() {
-        let trie = CountingTrie::new(&symbols_with_terminal, &working);
+        let trie = ScanTrie::new(&symbols_with_terminal, &working)?;
         let mut counts = vec![0u64; working.len()];
-        for_each_stretch(store, trie.depth - 1, |_base, stretch, positions| {
-            trie.count_stretch(stretch, positions, &mut counts);
+        for_each_stretch(store, trie.lookahead(), |_base, stretch, positions| {
+            trie.for_each_match(stretch, positions, |_start, prefix| counts[prefix] += 1);
         })?;
         scans += 1;
 

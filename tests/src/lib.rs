@@ -70,6 +70,19 @@ pub fn scan_occurrences(text: &[u8], pattern: &[u8]) -> Vec<u32> {
     (0..text.len()).filter(|&i| text[i..].starts_with(pattern)).map(|i| i as u32).collect()
 }
 
+/// The patterns of `candidates`, in order, that are non-empty and neither
+/// begin nor are begun by one kept before them — a set the classifying scan
+/// (`era::scan::collect_occurrences`) accepts.
+pub fn prefix_free(candidates: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    let mut kept: Vec<Vec<u8>> = Vec::new();
+    for p in candidates {
+        if !p.is_empty() && kept.iter().all(|k| !k.starts_with(&p) && !p.starts_with(k)) {
+            kept.push(p);
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,5 +96,7 @@ mod tests {
         assert_eq!(scan_occurrences(&terminated(body), b"an"), vec![1, 3]);
         assert_eq!(small_block_store(body).len(), 7);
         assert_eq!(dna_store(b"ACGT").len(), 5);
+        let set = [&b"TG"[..], b"TGG", b"", b"GT", b"G", b"TG", b"C"].map(<[u8]>::to_vec);
+        assert_eq!(prefix_free(set.to_vec()), [&b"TG"[..], b"GT", b"C"].map(<[u8]>::to_vec));
     }
 }

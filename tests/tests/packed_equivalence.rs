@@ -12,7 +12,7 @@ use era::{ConstructionPipeline, EraConfig, SerialScheduler};
 use era_string_store::{
     Alphabet, InMemoryStore, PackedDiskStore, PackedMemoryStore, StringStore, TERMINAL,
 };
-use era_tests::{scan_occurrences, terminated, tree_bytes};
+use era_tests::{prefix_free, scan_occurrences, terminated, tree_bytes};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -88,12 +88,14 @@ proptest! {
         let body = body_from(&raw_bytes, &alphabet);
         let text = terminated(&body);
         let start = pat_start % body.len();
-        let mut patterns = vec![
+        // The sampled substring may begin with the single symbol, which then
+        // gives way: the scan takes prefix-free sets.
+        let patterns = prefix_free(vec![
             body[start..(start + pat_len).min(body.len())].to_vec(),
             vec![TERMINAL],
             vec![alphabet.symbols()[0]],
-        ];
-        patterns.push(b"\x02never".to_vec()); // guaranteed miss
+            b"\x02never".to_vec(), // guaranteed miss
+        ]);
 
         let raw = InMemoryStore::from_body(&body, alphabet.clone())
             .unwrap()
