@@ -7,8 +7,9 @@
 //! [`era_suffix_tree::validate_flat_structure`] over every group segment.
 //! fsck has no parser or validator of its own: it runs the product's open
 //! path and reports what that finds. Deep mode opens paranoid
-//! ([`EraConfig::paranoid`]): every partition is validated against the
-//! materialized text, and the leaves must cover exactly `0..text_len`.
+//! ([`EraConfig::paranoid`]): every partition is validated against the text —
+//! read where the open left it, never materialized for the check — and the
+//! leaves must cover exactly `0..text_len`.
 
 use std::path::Path;
 
@@ -17,7 +18,8 @@ use era::{EraConfig, SuffixIndex};
 /// Verifies the `ERACAT1` catalog file at `path`, returning the number of
 /// flat-tree nodes verified or the first defect as a diagnostic — never a
 /// panic, never a silently wrong answer. `deep` adds the text-backed
-/// validation (O(text × depth), materializes the text).
+/// validation ([`SuffixIndex::verify`]: about a symbol per edge plus the sum
+/// of the text's LCP array).
 pub fn fsck_file(path: &Path, deep: bool) -> Result<usize, String> {
     let config = EraConfig { paranoid: deep, ..EraConfig::default() };
     let index = SuffixIndex::open_file_with(path, &config)

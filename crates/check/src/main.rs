@@ -6,7 +6,7 @@
 //! era-check fsck [--deep] <catalog-file>                   # verify a persisted index catalog
 //! era-check interleave                                     # real code under every interleaving
 //! era-check crash-matrix [--limit=N]                       # every-fault-point catalog crash sweep
-//! era-check demo-index <catalog-file>                     # build a small index (CI fsck prey)
+//! era-check demo-index <catalog-file>                     # build a 1 MiB genome-like index (CI fsck prey)
 //! era-check all [workspace-root]                           # lint + taint + interleave
 //! ```
 //!
@@ -375,16 +375,16 @@ fn run_crash_matrix(limit: Option<usize>) -> ExitCode {
 }
 
 fn run_demo_index(path: &Path) -> ExitCode {
-    // A small deterministic DNA-like text with repeats, so the index has
-    // multiple partitions and non-trivial structure for fsck to chew on.
-    let mut body = Vec::new();
-    for i in 0..2_000usize {
-        body.push(b"ACGT"[(i * 31 + i / 7) % 4]);
-    }
+    // A text of the benchmark's kind and order of size under a budget a
+    // quarter of it, so the index has over a thousand partitions and
+    // `fsck --deep` verifies what the benchmark builds, not a toy.
+    const TEXT_LEN: usize = 1 << 20;
+    const MEMORY_BUDGET: usize = 256 << 10;
+    let body = era_workloads::genome_like(TEXT_LEN, 1);
     let result = era::SuffixIndex::builder()
-        .memory_budget(1 << 20)
+        .memory_budget(MEMORY_BUDGET)
         .packed(true)
-        .build_from_bytes(&body)
+        .build_from_bytes_with_alphabet(&body, era_string_store::Alphabet::dna())
         .and_then(|index| index.save_to_file(path));
     match result {
         Ok(()) => {

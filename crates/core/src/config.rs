@@ -128,9 +128,11 @@ pub struct EraConfig {
     /// build and load: every sub-tree is checked against the text (edge
     /// labels, leaf suffixes, sibling order) and the partition leaves must
     /// cover exactly the suffixes `0..text_len`. The cheap structural subset
-    /// is always on for deserialized trees; this flag adds the O(text) rest.
-    /// Costly — meant for debugging, `era-check fsck --deep`, and the CI
-    /// paranoia pass, not the serving path.
+    /// is always on for deserialized trees; this flag adds the text-backed
+    /// rest — one sub-tree at a time, about a symbol per edge plus the sum of
+    /// the text's LCP array, read where the text lives (an on-disk text is
+    /// not materialized). Seconds per MiB — meant for debugging, `era-check
+    /// fsck --deep`, and the CI paranoia pass, not the serving path.
     pub paranoid: bool,
 }
 

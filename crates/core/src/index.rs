@@ -15,13 +15,15 @@ use std::sync::{Arc, OnceLock};
 use era_string_store::disk::DEFAULT_DISK_BLOCK;
 use era_string_store::{
     Alphabet, BlockCache, DiskStore, InMemoryStore, PackedCodec, PackedDiskStore,
-    PackedMemoryStore, StdVfs, StoreError, StringStore, Vfs, TERMINAL,
+    PackedMemoryStore, StdVfs, StoreError, StoreResult, StringStore, TextSource, Vfs, TERMINAL,
 };
 use era_suffix_tree::catalog::{
     commit_catalog, encode_catalog, groups_into_tree, Catalog, CatalogFile, CatalogText,
     TextSegment, HEADER_LEN,
 };
-use era_suffix_tree::{CommitProtocol, FlatTree, PartitionedSuffixTree};
+use era_suffix_tree::{
+    validate_partitioned, CommitProtocol, PartitionedSuffixTree, ValidationError,
+};
 
 use crate::config::{EraConfig, HorizontalMethod, RangePolicy};
 use crate::error::{EraError, EraResult};
@@ -35,9 +37,10 @@ enum TextBacking {
     /// The text lives in memory (every index built from bytes).
     Memory(Arc<Vec<u8>>),
     /// The text stays in a store — raw or packed, usually on disk — and is
-    /// only materialized into the cache if a whole-text operation
-    /// ([`SuffixIndex::text`]) demands it. Queries never do: they resolve
-    /// edge labels through the store.
+    /// only materialized into the cache if a caller asks for it as a slice
+    /// ([`SuffixIndex::text`], or to save the index). Queries and
+    /// [`SuffixIndex::verify`] never do: they resolve edge labels through the
+    /// store.
     Store { store: Arc<dyn StringStore>, cache: OnceLock<Arc<Vec<u8>>> },
 }
 
@@ -225,11 +228,9 @@ impl SuffixIndex {
     }
 
     /// The longest substring that occurs at least twice, as
-    /// `(offset, length)`.
+    /// `(offset, length)`. Read off the tree alone: the text is not touched.
     pub fn longest_repeated_substring(&self) -> Option<(usize, usize)> {
-        self.tree
-            .longest_repeated_substring(self.text())
-            .map(|(off, len)| (off as usize, len as usize))
+        self.tree.longest_repeated_substring().map(|(off, len)| (off as usize, len as usize))
     }
 
     /// The longest common substring of the two strings of a generalized index
@@ -241,12 +242,13 @@ impl SuffixIndex {
                 "longest_common_substring requires a generalized index over exactly two strings",
             ));
         };
-        let text = self.try_text()?;
-        let merged = FlatTree::freeze(&self.tree.to_single_tree(text));
-        Ok(match merged.longest_common_substring(sep) {
-            Some((off, len)) => text[off as usize..(off + len) as usize].to_vec(),
-            None => Vec::new(),
-        })
+        let Some((off, len)) = self.tree.longest_common_substring(sep) else {
+            return Ok(Vec::new());
+        };
+        let text = self.engine().worker_source();
+        let bytes: StoreResult<Vec<u8>> =
+            (off..off + len).map(|pos| text.symbol_at(pos as usize)).collect();
+        Ok(bytes?)
     }
 
     /// The suffix array of the indexed text (lexicographically sorted suffix
@@ -260,13 +262,19 @@ impl SuffixIndex {
     /// cover exactly the suffixes `0..text_len`.
     ///
     /// This is the text-backed check behind [`EraConfig::paranoid`] (and
-    /// `era-check fsck --deep`); it materializes the text of store-backed
-    /// indexes and costs O(text × depth), so it is not part of the ordinary
-    /// serving path. The cheap structural subset runs unconditionally
-    /// whenever a flat tree is deserialized.
+    /// `era-check fsck --deep`). It looks at one sub-tree at a time and reads
+    /// the text where the index keeps it — a store-backed index is verified
+    /// block-wise through its store and block cache, never materialized — at
+    /// a cost of about one symbol per edge plus the sum of the text's LCP
+    /// array (≈ `n log n` on random text, `text_len / 8` bytes of scratch),
+    /// so it is not part of the ordinary serving path. The cheap structural
+    /// subset runs unconditionally whenever a flat tree is deserialized.
     pub fn verify(&self) -> EraResult<()> {
-        era_suffix_tree::validate_partitioned(&self.tree, self.try_text()?)
-            .map_err(|e| EraError::corrupt(e.to_string()))
+        match validate_partitioned(&self.tree, &self.engine().worker_source()) {
+            Ok(()) => Ok(()),
+            Err(ValidationError::TextRead(e)) => Err(EraError::Io(std::io::Error::other(e))),
+            Err(e) => Err(EraError::corrupt(e.to_string())),
+        }
     }
 
     /// The generation number [`Self::save_to_file`] stamps into the catalog.
@@ -337,7 +345,8 @@ impl SuffixIndex {
     ///
     /// [`EraConfig::cache_bytes`] sizes the serving cache;
     /// [`EraConfig::paranoid`] deep-verifies the opened index before
-    /// returning (materializing an on-disk text once).
+    /// returning ([`Self::verify`]; an on-disk text is read block-wise and
+    /// stays on disk).
     pub fn open_file_with(path: impl AsRef<Path>, config: &EraConfig) -> EraResult<SuffixIndex> {
         let mut file = CatalogFile::open(path).map_err(catalog_error)?;
         if file.toc().text_bytes > config.memory_budget {
@@ -349,11 +358,11 @@ impl SuffixIndex {
             let store: Arc<dyn StringStore> = if toc.packed {
                 let region =
                     PackedDiskStore::open_region(file, text_at, toc.text_len, alphabet, block);
-                Arc::new(region.map_err(region_error)?)
+                Arc::new(region.map_err(text_segment_error)?)
             } else {
                 let region =
                     DiskStore::open_region(file, text_at, toc.text_bytes as u64, alphabet, block);
-                Arc::new(region.map_err(region_error)?)
+                Arc::new(region.map_err(text_segment_error)?)
             };
             let backing = TextBacking::Store { store, cache: OnceLock::new() };
             let tree = groups_into_tree(toc.text_len, groups);
@@ -365,9 +374,8 @@ impl SuffixIndex {
         let backing = match text {
             CatalogText::Raw(t) => TextBacking::Memory(Arc::new(t)),
             CatalogText::Packed(payload) => {
-                let mut body = vec![0u8; text_len - 1];
-                PackedCodec::new(&alphabet).unpack(&payload, 0, text_len - 1, &mut body);
-                let store = PackedMemoryStore::from_body(&body, alphabet.clone())?;
+                let store = PackedMemoryStore::from_payload(payload, text_len, alphabet.clone())
+                    .map_err(text_segment_error)?;
                 TextBacking::Store { store: Arc::new(store), cache: OnceLock::new() }
             }
         };
@@ -413,10 +421,11 @@ fn catalog_error(e: std::io::Error) -> EraError {
     }
 }
 
-/// Maps a region-store failure of the on-disk open: a text segment the
-/// verified TOC promised but the file cannot serve is corruption, like every
-/// other bad catalog; file-system failures stay I/O errors.
-fn region_error(e: StoreError) -> EraError {
+/// Maps a failure to put a store over the catalog's text segment: a segment
+/// the verified TOC promised but the file cannot serve, or a packed payload
+/// with a code outside the alphabet, is corruption like every other bad
+/// catalog; file-system failures stay I/O errors.
+fn text_segment_error(e: StoreError) -> EraError {
     match e {
         StoreError::Io(io) => EraError::Io(io),
         other => EraError::corrupt(other.to_string()),
@@ -737,6 +746,53 @@ mod tests {
                 Err(EraError::Corrupt(_)) => {}
                 other => panic!("paranoid open must report corruption, got {other:?}"),
             }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn verify_reads_an_on_disk_text_where_it_lies() {
+        // Store-backed indexes are verified through their store: the text is
+        // never pulled into memory for it.
+        let path = temp_catalog("verify-on-disk");
+        let body = b"GATTACAGATTACAGGATCCGATTACAGATTACA";
+        for packed in [false, true] {
+            SuffixIndex::builder()
+                .packed(packed)
+                .build_from_bytes(body)
+                .unwrap()
+                .save_to_file(&path)
+                .unwrap();
+            let served = SuffixIndex::open_file_with(&path, &on_disk()).unwrap();
+            served.verify().unwrap();
+            assert_eq!(served.longest_repeated_substring(), Some((20, 14)), "GATTACAGATTACA");
+            let store = served.store().expect("the text stayed on disk");
+            assert!(store.stats().snapshot().bytes_read > 0, "packed={packed}");
+            let TextBacking::Store { cache, .. } = &served.backing else { unreachable!() };
+            assert!(cache.get().is_none(), "packed={packed}: verify materialized the text");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn packed_payload_with_a_code_outside_the_alphabet_is_corrupt() {
+        // 20 amino acids leave 12 of the 32 five-bit codes unused; a catalog
+        // whose checksums all hold over such a code is rejected by the
+        // in-budget open (which adopts the payload) as corrupt.
+        let path = temp_catalog("packed-code");
+        let body = b"ACDEFGHIKLMNPQRSTVWYACDEFGHIKL";
+        let index = SuffixIndex::builder()
+            .packed(true)
+            .build_from_bytes_with_alphabet(body, Alphabet::protein())
+            .unwrap();
+        let mut payload = PackedCodec::new(index.alphabet()).pack_body(body).unwrap();
+        payload[0] |= 0x1F;
+        let text = TextSegment::Packed { payload: &payload, text_len: body.len() + 1 };
+        let encoded = encode_catalog(0, text, index.alphabet(), index.tree()).unwrap();
+        commit_catalog(&path, &StdVfs, CommitProtocol::Sound, &encoded).unwrap();
+        match SuffixIndex::open_file(&path) {
+            Err(EraError::Corrupt(why)) => assert!(why.contains("outside the alphabet"), "{why}"),
+            other => panic!("expected a corrupt-catalog error, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -103,6 +103,18 @@
 //! `QueryEngine::with_cache`. Per-batch hit/miss/eviction/decoded-byte
 //! counters ride in [`QueryStats`] next to the I/O snapshot.
 //!
+//! ## Whole-index operations: one sub-tree at a time
+//!
+//! ERA's output is a set of sub-trees under a small trie, never merged into
+//! one tree (§4, Fig. 3) — not by the operations that look at all of it
+//! either. [`SuffixIndex::longest_repeated_substring`],
+//! [`SuffixIndex::longest_common_substring`], [`SuffixIndex::suffix_array`]
+//! and [`SuffixIndex::verify`] each make one pass over the sub-trees in trie
+//! order and join what they find up the trie. Only `verify` reads the text,
+//! and it reads it as a query does: a store-backed index is deep-verified
+//! block-wise, never materialized ([`EraConfig::paranoid`], `era-check fsck
+//! --deep`).
+//!
 //! ## Persistence: one format, one open path
 //!
 //! A built index persists as a single-file `ERACAT1` **catalog**

@@ -257,8 +257,9 @@ enum Backing<'a> {
     Store(&'a dyn StringStore),
 }
 
-/// A per-worker text view (one window buffer per worker for store backings).
-enum WorkerSource<'a> {
+/// A per-worker text view (one window buffer per worker for store backings);
+/// the index's whole-text operations read through one as well.
+pub(crate) enum WorkerSource<'a> {
     Text(&'a [u8]),
     Store(StoreTextSource<'a>),
 }
@@ -547,7 +548,7 @@ impl<'a> QueryEngine<'a> {
         })
     }
 
-    fn worker_source(&self) -> WorkerSource<'a> {
+    pub(crate) fn worker_source(&self) -> WorkerSource<'a> {
         match self.backing {
             Backing::Text(text) => WorkerSource::Text(text),
             Backing::Store(store) => {

@@ -30,7 +30,7 @@
 //!
 //! [`StoreTextSource`]: crate::StoreTextSource
 
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use crate::sync::{lock, AtomicU64, Mutex, Ordering};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -357,8 +357,7 @@ impl BlockCache {
     /// global hit rate degrades visibly instead of masking the
     /// misconfiguration while every lookup actually reaches the store.
     pub fn get(&self, block: u64, expected_len: usize) -> Option<Arc<[u8]>> {
-        // era-check: allow(unwrap): poisoned lock is unrecoverable
-        let found = self.shard(block).lock().expect("block cache shard poisoned").get(block);
+        let found = lock(self.shard(block)).get(block);
         match found {
             Some(data) if data.len() == expected_len => {
                 self.stats.add_hit();
@@ -375,12 +374,7 @@ impl BlockCache {
     /// stay under the capacity bound. Returns how many blocks were evicted.
     pub fn insert(&self, block: u64, data: Arc<[u8]>) -> u64 {
         let bytes = data.len() as u64;
-        // era-check: allow(unwrap): poisoned lock is unrecoverable
-        let evicted = self.shard(block).lock().expect("block cache shard poisoned").insert(
-            block,
-            data,
-            self.shard_capacity,
-        );
+        let evicted = lock(self.shard(block)).insert(block, data, self.shard_capacity);
         self.stats.add_insertion(bytes);
         self.stats.add_evictions(evicted);
         evicted
@@ -395,18 +389,12 @@ impl BlockCache {
     pub fn insert_split_accounting(&self, block: u64, data: Arc<[u8]>) -> u64 {
         let bytes = data.len() as u64;
         let fits = {
-            // era-check: allow(unwrap): poisoned lock is unrecoverable
-            let s = self.shard(block).lock().expect("block cache shard poisoned");
+            let s = lock(self.shard(block));
             s.bytes + data.len() <= self.shard_capacity
         };
         // The stale `fits` decision disables the insert-time capacity bound.
         let capacity = if fits { usize::MAX } else { self.shard_capacity };
-        let evicted = self
-            .shard(block)
-            .lock()
-            // era-check: allow(unwrap): poisoned lock is unrecoverable
-            .expect("block cache shard poisoned")
-            .insert(block, data, capacity);
+        let evicted = lock(self.shard(block)).insert(block, data, capacity);
         self.stats.add_insertion(bytes);
         self.stats.add_evictions(evicted);
         evicted
@@ -414,22 +402,18 @@ impl BlockCache {
 
     /// Number of blocks currently cached.
     pub fn entries(&self) -> usize {
-        // era-check: allow(unwrap): poisoned lock is unrecoverable
-        self.shards.iter().map(|s| s.lock().expect("block cache shard poisoned").map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Decoded bytes currently cached.
     pub fn bytes(&self) -> usize {
-        // era-check: allow(unwrap): poisoned lock is unrecoverable
-        self.shards.iter().map(|s| s.lock().expect("block cache shard poisoned").bytes).sum()
+        self.shards.iter().map(|s| lock(s).bytes).sum()
     }
 
     /// Drops every cached block (counters are not reset).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            // era-check: allow(unwrap): poisoned lock is unrecoverable
-            let mut s = shard.lock().expect("block cache shard poisoned");
-            *s = Shard::new();
+            *lock(shard) = Shard::new();
         }
     }
 

@@ -5,12 +5,12 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use std::sync::atomic::AtomicU64;
-use std::sync::Mutex;
 
 use crate::alphabet::Alphabet;
 use crate::error::{StoreError, StoreResult};
 use crate::stats::IoStats;
 use crate::store::StringStore;
+use crate::sync::{lock, Mutex};
 
 /// Default I/O block size (64 KiB).
 ///
@@ -185,8 +185,7 @@ impl StringStore for DiskStore {
             return Ok(0);
         }
         {
-            // era-check: allow(unwrap): poisoned lock is unrecoverable
-            let mut file = self.file.lock().expect("disk store file lock poisoned");
+            let mut file = lock(&self.file);
             file.seek(SeekFrom::Start(self.base + pos as u64))?;
             file.read_exact(&mut buf[..take])?;
         }

@@ -182,6 +182,40 @@ impl PackedText {
         Ok(PackedText { codec, len: text.len(), data })
     }
 
+    /// Adopts the already-packed `data` of a `len`-symbol text (out-of-band
+    /// terminal included) instead of re-encoding it. The size must be exact
+    /// and every code must name a symbol: an alphabet that does not fill its
+    /// bit width (protein uses 20 of 32 codes) leaves codes that
+    /// [`PackedCodec::pack_body`] never emits and that decode to a terminal
+    /// in mid-text.
+    pub(crate) fn from_payload(
+        data: Vec<u8>,
+        len: usize,
+        alphabet: &Alphabet,
+    ) -> StoreResult<Self> {
+        let packed = PackedText { codec: PackedCodec::new(alphabet), len, data };
+        let (bits, body) = (packed.codec.bits, len.saturating_sub(1));
+        if len == 0 || packed.data.len() != packed_size(body, bits) {
+            return Err(StoreError::InvalidText(format!(
+                "{} packed bytes do not hold a {len}-symbol text at {bits} bits per symbol",
+                packed.data.len()
+            )));
+        }
+        if alphabet.len() < 1 << bits {
+            let mut symbols = [0u8; 4096];
+            for start in (0..body).step_by(symbols.len()) {
+                let count = symbols.len().min(body - start);
+                packed.unpack_range(start, count, &mut symbols);
+                if symbols[..count].contains(&TERMINAL) {
+                    return Err(StoreError::InvalidText(
+                        "packed payload holds a code outside the alphabet".into(),
+                    ));
+                }
+            }
+        }
+        Ok(packed)
+    }
+
     /// Number of symbols stored, *including* the out-of-band terminal.
     pub fn len(&self) -> usize {
         self.len

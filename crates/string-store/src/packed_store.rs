@@ -28,7 +28,6 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 thread_local! {
     /// Per-thread packed-byte scratch for [`PackedDiskStore::read_at`]: reads
@@ -44,6 +43,7 @@ use crate::memory::DEFAULT_MEMORY_BLOCK;
 use crate::packed::{packed_size, PackState, PackedCodec, PackedText};
 use crate::stats::{blocks_spanned, IoStats};
 use crate::store::StringStore;
+use crate::sync::{lock, Mutex};
 
 /// Magic bytes opening a packed string file.
 pub const PACKED_MAGIC: [u8; 4] = *b"ERAP";
@@ -155,20 +155,35 @@ pub struct PackedMemoryStore {
 impl PackedMemoryStore {
     /// Packs an already-terminated text.
     pub fn new(text: &[u8], alphabet: Alphabet) -> StoreResult<Self> {
-        let packed = PackedText::pack(text, &alphabet)?;
-        Ok(PackedMemoryStore {
+        Ok(Self::adopt(PackedText::pack(text, &alphabet)?, alphabet))
+    }
+
+    fn adopt(packed: PackedText, alphabet: Alphabet) -> Self {
+        PackedMemoryStore {
             packed,
             alphabet,
             block_bytes: DEFAULT_MEMORY_BLOCK,
             stats: IoStats::new(),
             last_end: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Appends the terminal to `body` and packs the result.
     pub fn from_body(body: &[u8], alphabet: Alphabet) -> StoreResult<Self> {
         let text = alphabet.terminate(body)?;
         Self::new(&text, alphabet)
+    }
+
+    /// Adopts an already-packed `payload` of a `text_len`-symbol text (the
+    /// text segment of a packed catalog) without decoding and re-packing it;
+    /// rejects a payload of the wrong size or with a code outside `alphabet`.
+    pub fn from_payload(
+        payload: Vec<u8>,
+        text_len: usize,
+        alphabet: Alphabet,
+    ) -> StoreResult<Self> {
+        let packed = PackedText::from_payload(payload, text_len, &alphabet)?;
+        Ok(Self::adopt(packed, alphabet))
     }
 
     /// Infers the alphabet from `body`, appends the terminal and packs it.
@@ -620,8 +635,7 @@ impl StringStore for PackedDiskStore {
                     }
                     let span_buf = &mut scratch[..want];
                     {
-                        // era-check: allow(unwrap): poisoned lock is unrecoverable
-                        let mut file = self.file.lock().expect("packed store file lock poisoned");
+                        let mut file = lock(&self.file);
                         file.seek(SeekFrom::Start(self.payload_offset + clo as u64))?;
                         file.read_exact(span_buf)?;
                     }
@@ -675,6 +689,36 @@ mod tests {
             packed_bytes * 3 < raw_bytes,
             "packed read {packed_bytes} bytes vs raw {raw_bytes}"
         );
+    }
+
+    #[test]
+    fn from_payload_adopts_what_pack_body_emits_and_nothing_else() {
+        for alphabet in [Alphabet::dna(), Alphabet::protein()] {
+            // Longer than one validation chunk, not a multiple of it.
+            let body: Vec<u8> =
+                (0..9001).map(|i| alphabet.symbols()[(i * 7 + i / 5) % alphabet.len()]).collect();
+            let payload = PackedCodec::new(&alphabet).pack_body(&body).unwrap();
+            let adopted =
+                PackedMemoryStore::from_payload(payload.clone(), body.len() + 1, alphabet.clone())
+                    .unwrap();
+            let packed = PackedMemoryStore::from_body(&body, alphabet.clone()).unwrap();
+            assert_eq!(adopted.read_all().unwrap(), packed.read_all().unwrap());
+            assert_eq!(adopted.payload_bytes(), packed.payload_bytes());
+            // A size that does not match the text length, either way.
+            for text_len in [0, body.len(), body.len() + 9] {
+                let off =
+                    PackedMemoryStore::from_payload(payload.clone(), text_len, alphabet.clone());
+                assert!(matches!(off, Err(StoreError::InvalidText(_))), "text_len {text_len}");
+            }
+        }
+        // Protein fills 20 of its 32 five-bit codes: code 31 in the last
+        // chunk names no symbol, and must not come back as a terminal.
+        let alphabet = Alphabet::protein();
+        let body = vec![b'A'; 9001];
+        let mut payload = PackedCodec::new(&alphabet).pack_body(&body).unwrap();
+        payload[9000 * 5 / 8] |= 0x1F; // symbol 9000 starts on a byte boundary
+        let bad = PackedMemoryStore::from_payload(payload, body.len() + 1, alphabet);
+        assert!(matches!(bad, Err(StoreError::InvalidText(_))), "{bad:?}");
     }
 
     #[test]

@@ -133,6 +133,20 @@ pub fn assemble_from_sa_lcp(text: &[u8], sa: &[u32], lcp: &[u32]) -> SuffixTree 
     assemble_from_sorted(text.len(), sa, &branching, text[sa[0] as usize])
 }
 
+/// The sub-tree over an arbitrary set of suffixes of `text`, sorted and
+/// LCP-ed by direct comparison — how unit tests cut a text into hand-made
+/// partitions.
+#[cfg(test)]
+pub(crate) fn sub_tree_of(text: &[u8], mut leaves: Vec<u32>) -> SuffixTree {
+    leaves.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+    let mut lcp = vec![0u32; leaves.len()];
+    for i in 1..leaves.len() {
+        let (a, b) = (&text[leaves[i - 1] as usize..], &text[leaves[i] as usize..]);
+        lcp[i] = a.iter().zip(b).take_while(|(x, y)| x == y).count() as u32;
+    }
+    assemble_from_sa_lcp(text, &leaves, &lcp)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,10 +22,10 @@
 //! The freeze is deterministic: two structurally equal [`SuffixTree`]s always
 //! freeze to byte-identical [`FlatTree`]s, so the scheduler-equivalence
 //! guarantees (serial, shared-memory and shared-nothing builds produce the
-//! same index) carry over to the serving form unchanged. [`FlatTree::thaw`]
-//! converts back for the rare consumers that need the mutable form.
+//! same index) carry over to the serving form unchanged. There is no way
+//! back: queries, validation and serialization all work on the flat form.
 
-use crate::node::{Node, NodeData, NodeId, NO_NODE};
+use crate::node::{NodeData, NodeId};
 use crate::stats::TreeStats;
 use crate::tree::SuffixTree;
 
@@ -192,42 +192,21 @@ impl FlatTree {
         FlatTree { text_len: tree.text_len() as u32, nodes }
     }
 
-    /// Rebuilds the mutable construction form (ids preserved).
-    ///
-    /// Used by deep validation (`validate_suffix_tree` checks the thawed
-    /// form); the serving path never needs it.
-    pub fn thaw(&self) -> SuffixTree {
-        let mut parents = vec![NO_NODE; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            for c in node.children_range() {
-                parents[c as usize] = id as NodeId;
-            }
-        }
-        let mut tree = SuffixTree::with_capacity(self.text_len as usize, self.nodes.len());
-        for (id, node) in self.nodes.iter().enumerate() {
-            let data = match node.suffix() {
-                Some(suffix) => NodeData::Leaf { suffix },
-                None => NodeData::Internal { children: node.children_range().collect() },
-            };
-            let raw = Node {
-                start: node.start,
-                end: node.end,
-                parent: parents[id],
-                first_char: node.first_char(),
-                data,
-            };
-            if id == 0 {
-                *tree.node_mut(0) = raw;
-            } else {
-                tree.push_node_for_deserialization(raw);
-            }
-        }
-        tree
-    }
-
     /// Builds a flat tree directly from raw records (deserialization only).
     pub(crate) fn from_raw_parts(text_len: u32, nodes: Vec<FlatNode>) -> FlatTree {
         FlatTree { text_len, nodes }
+    }
+
+    /// A copy whose node `id` has its raw words `[start, end, payload, meta]`
+    /// rewritten by `edit` — how unit tests plant a corrupt record.
+    #[cfg(test)]
+    pub(crate) fn with_raw_node(&self, id: NodeId, edit: impl Fn(&mut [u32; 4])) -> FlatTree {
+        let mut nodes = self.nodes.clone();
+        let n = &mut nodes[id as usize];
+        let mut words = [n.start, n.end, n.payload, n.meta];
+        edit(&mut words);
+        *n = FlatNode::from_raw(words[0], words[1], words[2], words[3]);
+        FlatTree { text_len: self.text_len, nodes }
     }
 
     /// Raw record fields `(start, end, payload, meta)` of node `id`
@@ -324,6 +303,19 @@ impl FlatTree {
         out
     }
 
+    /// The lexicographically smallest suffix at or below `id`, as `(leaf id,
+    /// suffix offset)`: the end of the first-child chain. `None` only for a
+    /// childless root.
+    pub(crate) fn leftmost_leaf(&self, mut id: NodeId) -> Option<(NodeId, u32)> {
+        loop {
+            let node = self.node(id);
+            match node.suffix() {
+                Some(suffix) => return Some((id, suffix)),
+                None => id = node.children_range().next()?,
+            }
+        }
+    }
+
     /// Number of leaves at or below `id` (inclusive). Counting queries only
     /// need this total, so no position vector is materialized — the only
     /// allocation is the traversal's node stack.
@@ -388,7 +380,7 @@ impl FlatTree {
 mod tests {
     use super::*;
     use crate::naive::naive_suffix_tree;
-    use crate::validate::validate_suffix_tree;
+    use crate::validate::validate_flat_tree;
     use era_string_store::{InMemoryStore, StoreTextSource};
 
     fn tree_for(body: &[u8]) -> (Vec<u8>, SuffixTree) {
@@ -418,8 +410,8 @@ mod tests {
             assert_eq!(stats.arena_bytes, flat.node_count() * FLAT_NODE_BYTES);
             // The flat arena is the compact layout the issue demands.
             assert!(flat.approx_bytes() * 10 <= t.approx_bytes() * 7, "body {body:?}");
-            // Thawing reproduces a structurally valid construction tree.
-            validate_suffix_tree(&flat.thaw(), &text, Some(text.len())).unwrap();
+            // The frozen form is the suffix tree of the text.
+            validate_flat_tree(&flat, &text, Some(text.len())).unwrap();
         }
     }
 
@@ -482,7 +474,7 @@ mod tests {
             assert_eq!(flat.try_contains(&text, pattern).unwrap(), !expected.is_empty());
         }
         // "issi": the deepest internal node of either form.
-        assert_eq!(flat.longest_repeated_substring(&text).map(|(_, l)| l), Some(4));
+        assert_eq!(flat.longest_repeated_substring().map(|(_, l)| l), Some(4));
     }
 
     #[test]
@@ -510,14 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn thaw_then_freeze_is_identity() {
-        let (_, t) = tree_for(b"GATTACAGATTACA");
-        let flat = FlatTree::freeze(&t);
-        let again = FlatTree::freeze(&flat.thaw());
-        assert_eq!(flat, again);
-    }
-
-    #[test]
     fn leaf_count_below_matches_leaves_below() {
         let (_, t) = tree_for(b"abracadabra");
         let flat = FlatTree::freeze(&t);
@@ -533,6 +517,6 @@ mod tests {
         assert_eq!(flat.node_count(), 1);
         assert_eq!(flat.leaf_count(), 0);
         assert!(flat.lexicographic_suffixes().is_empty());
-        assert_eq!(flat.thaw().node_count(), 1);
+        validate_flat_tree(&flat, &[0u8][..], Some(0)).unwrap();
     }
 }

@@ -8,8 +8,9 @@
 //! * [`SuffixTree`] — the mutable *construction* form: an arena of nodes
 //!   whose edges store `(start, end)` offsets into the text, exactly as
 //!   described in §2 of the paper; internal nodes own sorted child vectors so
-//!   `BuildSubTree` can insert and split edges cheaply. It is built, split,
-//!   validated and merged — never queried.
+//!   `BuildSubTree` can insert and split edges cheaply. It is built and
+//!   split — never queried, validated or serialized; all of that happens on
+//!   the frozen form, and nothing converts back.
 //! * [`FlatTree`] ([`layout`]) — the frozen *serving* form: one contiguous
 //!   arena of 16-byte records (vs ~3.5× that for the construction form),
 //!   children packed adjacently in `first_char` order behind a
@@ -34,8 +35,13 @@
 //!   `PartitionedSuffixTree::try_*` → the engine and index of the `era` crate.
 //! * [`partitioned`] — the final ERA output: a small packed-edge trie over
 //!   the variable-length S-prefixes with one frozen sub-tree per prefix
-//!   (Fig. 3).
-//! * [`validate`] — structural invariant checking used by tests and examples.
+//!   (Fig. 3), never merged into one tree: the operations that look at the
+//!   whole index (longest repeated / longest common substring, the suffix
+//!   array, deep validation) take one sub-tree at a time and join their
+//!   findings up the trie.
+//! * [`validate`] — invariant checking on the flat form: a text-free
+//!   structural pass run on every load, and a deep validator that reads edge
+//!   labels through any [`TextSource`] in time about linear in the index.
 //! * [`serialize`] — `ERAFLAT1`, the compact little-endian binary form of a
 //!   flat sub-tree (16 bytes/node, written verbatim, structurally validated
 //!   on read): the segment format of the catalog and the only tree format.

@@ -15,7 +15,6 @@
 
 use era_string_store::{StoreResult, TextSource};
 
-use crate::assemble::assemble_from_sa_lcp;
 use crate::layout::{FlatPartition, FlatTree};
 use crate::stats::TreeStats;
 use crate::tree::SuffixTree;
@@ -156,27 +155,32 @@ impl PrefixTrie {
         }
     }
 
-    /// `(string_depth, node, number_of_partitions_below)` for every trie node
-    /// — used to account for repeated substrings shorter than the partition
-    /// prefixes.
-    fn depth_and_partition_counts(&self) -> Vec<(u32, u32, usize)> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![(0u32, 0u32)];
-        while let Some((cur, depth)) = stack.pop() {
-            order.push((cur, depth));
-            for &(_, c) in self.children(cur) {
-                stack.push((c, depth + 1));
+    /// Folds one summary per partition up the trie: entry `id` of the result
+    /// is `(string depth of trie node id, merge of the summaries of every
+    /// partition at or below it, left to right)`, starting from `empty` — how
+    /// the whole-index operations see what lies above the S-prefixes, where
+    /// the sub-trees of one merged tree would join. Node ids grow along every
+    /// root path and, [`PartitionedSuffixTree`] inserting its prefixes in
+    /// sorted order, in lexicographic preorder.
+    fn fold_up<A: Copy>(
+        &self,
+        per_partition: &[A],
+        empty: A,
+        merge: impl Fn(A, A) -> A,
+    ) -> Vec<(u32, A)> {
+        let own = |n: &TrieNode| n.partition.map_or(empty, |p| per_partition[p as usize]);
+        let mut out: Vec<(u32, A)> = self.nodes.iter().map(|n| (0, own(n))).collect();
+        for id in 0..self.nodes.len() {
+            for &(_, child) in self.children(id as u32) {
+                out[child as usize].0 = out[id].0 + 1;
             }
         }
-        for &(id, _) in order.iter().rev() {
-            let mut c = usize::from(self.nodes[id as usize].partition.is_some());
-            for &(_, child) in self.children(id) {
-                c += counts[child as usize];
+        for id in (0..self.nodes.len()).rev() {
+            for &(_, child) in self.children(id as u32) {
+                out[id].1 = merge(out[id].1, out[child as usize].1);
             }
-            counts[id as usize] = c;
         }
-        order.into_iter().map(|(id, d)| (d, id, counts[id as usize])).collect()
+        out
     }
 }
 
@@ -293,11 +297,11 @@ impl PartitionedSuffixTree {
     }
 
     /// The longest substring occurring at least twice, as `(offset, length)`.
-    pub fn longest_repeated_substring(&self, text: &[u8]) -> Option<(u32, u32)> {
+    pub fn longest_repeated_substring(&self) -> Option<(u32, u32)> {
         // Deep repeats live inside partitions.
         let mut best: Option<(u32, u32)> = None;
         for p in &self.partitions {
-            if let Some((off, len)) = p.tree.longest_repeated_substring(text) {
+            if let Some((off, len)) = p.tree.longest_repeated_substring() {
                 if best.map(|(_, l)| len > l).unwrap_or(true) {
                     best = Some((off, len));
                 }
@@ -305,22 +309,49 @@ impl PartitionedSuffixTree {
         }
         // Shallow repeats may sit above the partition prefixes (inside the
         // trie): a trie node at depth d with at least two suffixes below it
-        // witnesses a repeat of length d.
-        for (depth, id, _parts) in self.trie.depth_and_partition_counts() {
-            if depth == 0 {
-                continue;
-            }
-            let leaves_below: usize = {
-                let mut out = Vec::new();
-                self.trie.collect_partitions(id, &mut out);
-                out.iter().map(|&p| self.partitions[p as usize].tree.leaf_count()).sum()
-            };
-            if leaves_below >= 2 && best.map(|(_, l)| depth > l).unwrap_or(true) {
-                // Any suffix below spells the repeated prefix at its offset.
-                let mut parts = Vec::new();
-                self.trie.collect_partitions(id, &mut parts);
-                let leaf = self.partitions[parts[0] as usize].tree.lexicographic_suffixes()[0];
+        // witnesses a repeat of length d, spelled by any of them — here the
+        // first. Among equally deep trie nodes the last one wins.
+        let below: Vec<(usize, u32)> = self
+            .partitions
+            .iter()
+            .map(|p| (p.tree.leaf_count(), p.tree.leftmost_leaf(0).map_or(u32::MAX, |(_, s)| s)))
+            .collect();
+        let join = |a: (usize, u32), b: (usize, u32)| (a.0 + b.0, if a.0 > 0 { a.1 } else { b.1 });
+        for (depth, (leaves, leaf)) in
+            self.trie.fold_up(&below, (0, u32::MAX), join).into_iter().rev()
+        {
+            if depth > 0 && leaves >= 2 && best.map(|(_, l)| depth > l).unwrap_or(true) {
                 best = Some((leaf, depth));
+            }
+        }
+        best
+    }
+
+    /// Longest common substring of the two halves of a generalized text
+    /// `left # right $` (`separator_pos` is the index of `#`), as
+    /// `(offset, length)` of an occurrence in the left half; `None` if the
+    /// strings share no symbol. No merged tree is built: each sub-tree runs
+    /// [`FlatTree::longest_common_substring`]'s pass on its own, and a trie
+    /// node at depth d below which both sides of the separator occur is a
+    /// candidate of length d — met in the order one merged tree would list
+    /// them, so ties resolve as they would there.
+    pub fn longest_common_substring(&self, separator_pos: usize) -> Option<(u32, u32)> {
+        let passes: Vec<_> =
+            self.partitions.iter().map(|p| p.tree.common_substring_pass(separator_pos)).collect();
+        let sides: Vec<(u32, bool)> =
+            passes.iter().map(|&(_, left, right)| (left, right)).collect();
+        let both = |a: (u32, bool), b: (u32, bool)| (a.0.min(b.0), a.1 || b.1);
+        let mut best: Option<(u32, u32)> = None;
+        let folded = self.trie.fold_up(&sides, (u32::MAX, false), both);
+        for (node, (depth, (left, right))) in self.trie.nodes.iter().zip(folded) {
+            let spans =
+                depth > 0 && right && left != u32::MAX && left + depth <= separator_pos as u32;
+            let above = spans.then_some((left, depth));
+            let inside = node.partition.and_then(|p| passes[p as usize].0);
+            for (off, len) in above.into_iter().chain(inside) {
+                if best.map(|(_, l)| len > l).unwrap_or(true) {
+                    best = Some((off, len));
+                }
             }
         }
         best
@@ -330,22 +361,6 @@ impl PartitionedSuffixTree {
     /// (the suffix array of the text when the index is complete).
     pub fn lexicographic_suffixes(&self) -> Vec<u32> {
         self.partitions.iter().flat_map(|p| p.tree.lexicographic_suffixes()).collect()
-    }
-
-    /// Merges every partition into a single in-memory [`SuffixTree`].
-    ///
-    /// Useful for validation and — once frozen — for queries (such as longest
-    /// common substring) that are simpler on a single tree. Requires the text.
-    pub fn to_single_tree(&self, text: &[u8]) -> SuffixTree {
-        let sa = self.lexicographic_suffixes();
-        assert!(!sa.is_empty(), "cannot merge an empty partitioned tree");
-        let mut lcp = vec![0u32; sa.len()];
-        for i in 1..sa.len() {
-            let a = &text[sa[i - 1] as usize..];
-            let b = &text[sa[i] as usize..];
-            lcp[i] = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count() as u32;
-        }
-        assemble_from_sa_lcp(text, &sa, &lcp)
     }
 
     /// Convenience constructor for a single-partition index over the whole
@@ -360,33 +375,28 @@ impl PartitionedSuffixTree {
 mod tests {
     use super::*;
     use crate::naive::naive_suffix_tree;
-    use crate::validate::{validate_partitioned, validate_suffix_tree};
+    use crate::validate::validate_partitioned;
 
-    /// Builds a partitioned tree by hand from the naive full tree: one
-    /// partition per distinct first character.
-    fn partition_by_first_char(text: &[u8]) -> PartitionedSuffixTree {
+    /// Builds a partitioned tree by hand: one partition per distinct first
+    /// `k` symbols (a suffix shorter than that is its own partition).
+    fn partition_by_prefix(text: &[u8], k: usize) -> PartitionedSuffixTree {
         use std::collections::BTreeMap;
-        let mut groups: BTreeMap<u8, Vec<u32>> = BTreeMap::new();
-        for i in 0..text.len() as u32 {
-            groups.entry(text[i as usize]).or_default().push(i);
+        let mut groups: BTreeMap<&[u8], Vec<u32>> = BTreeMap::new();
+        for i in 0..text.len() {
+            groups.entry(&text[i..text.len().min(i + k)]).or_default().push(i as u32);
         }
         let parts: Vec<Partition> = groups
             .into_iter()
-            .map(|(c, mut leaves)| {
-                leaves.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
-                let mut lcp = vec![0u32; leaves.len()];
-                for i in 1..leaves.len() {
-                    let a = &text[leaves[i - 1] as usize..];
-                    let b = &text[leaves[i] as usize..];
-                    lcp[i] = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count() as u32;
-                }
-                Partition {
-                    prefix: vec![c],
-                    tree: crate::assemble::assemble_from_sa_lcp(text, &leaves, &lcp),
-                }
+            .map(|(prefix, leaves)| Partition {
+                prefix: prefix.to_vec(),
+                tree: crate::assemble::sub_tree_of(text, leaves),
             })
             .collect();
         PartitionedSuffixTree::new(text.len(), parts)
+    }
+
+    fn partition_by_first_char(text: &[u8]) -> PartitionedSuffixTree {
+        partition_by_prefix(text, 1)
     }
 
     #[test]
@@ -394,7 +404,7 @@ mod tests {
         let text = b"mississippi\0";
         let part = partition_by_first_char(text);
         let full = FlatTree::freeze(&naive_suffix_tree(text));
-        validate_partitioned(&part, text).unwrap();
+        validate_partitioned(&part, &text[..]).unwrap();
         for pattern in [&b"ss"[..], b"issi", b"i", b"p", b"zzz", b"mississippi", b""] {
             let mut expected = full.try_find_all(&text[..], pattern).unwrap();
             expected.sort_unstable();
@@ -426,26 +436,46 @@ mod tests {
     }
 
     #[test]
-    fn to_single_tree_is_valid_and_equivalent() {
-        let text = b"GATTACAGATTACA\0";
-        let part = partition_by_first_char(text);
-        let merged = part.to_single_tree(text);
-        validate_suffix_tree(&merged, text, Some(text.len())).unwrap();
-        let full = naive_suffix_tree(text);
-        assert_eq!(merged.lexicographic_suffixes(), full.lexicographic_suffixes());
-        assert_eq!(merged.internal_count(), full.internal_count());
+    fn longest_repeated_substring_matches_full_tree() {
+        for body in ["mississippi", "abracadabra", "TGGTGGTGGTGCGGTGATGGTGC", "aaaa", "abcd"] {
+            let mut text = body.as_bytes().to_vec();
+            text.push(0);
+            let full = FlatTree::freeze(&naive_suffix_tree(&text));
+            let expected = full.longest_repeated_substring().map(|(_, l)| l);
+            // Prefixes of 4 symbols put every repeat of "abracadabra" but
+            // "abra" itself, and every repeat of "abcd", above the sub-trees.
+            for k in [1, 2, 4] {
+                let got = partition_by_prefix(&text, k).longest_repeated_substring();
+                assert_eq!(got.map(|(_, l)| l), expected, "body {body}, prefixes of {k}");
+                if let Some((off, len)) = got {
+                    let repeat = &text[off as usize..(off + len) as usize];
+                    assert!(full.try_count(&text, repeat).unwrap() >= 2, "body {body}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn longest_repeated_substring_matches_full_tree() {
-        for body in ["mississippi", "abracadabra", "TGGTGGTGGTGCGGTGATGGTGC", "aaaa"] {
+    fn longest_common_substring_matches_full_tree() {
+        // The answer of the one merged tree, offset included — whether it is
+        // found inside a sub-tree ("abc" under prefixes of 1) or only above
+        // them ("abc" under prefixes of 4), is absent, or competes with a
+        // repeat that spans the '#' ("ab#a").
+        for body in ["xabcy#zabcw", "aaa#bbb", "ab#ab", "GATTACA#TTACAGA", "abab#baba"] {
             let mut text = body.as_bytes().to_vec();
             text.push(0);
-            let part = partition_by_first_char(&text);
-            let full = FlatTree::freeze(&naive_suffix_tree(&text));
-            let expected = full.longest_repeated_substring(&text).map(|(_, l)| l);
-            let got = part.longest_repeated_substring(&text).map(|(_, l)| l);
-            assert_eq!(got, expected, "body {body}");
+            let sep = body.find('#').unwrap();
+            let expected =
+                FlatTree::freeze(&naive_suffix_tree(&text)).longest_common_substring(sep);
+            for k in [1, 2, 4] {
+                let part = partition_by_prefix(&text, k);
+                validate_partitioned(&part, &text[..]).unwrap();
+                assert_eq!(
+                    part.longest_common_substring(sep),
+                    expected,
+                    "body {body}, prefixes of {k}"
+                );
+            }
         }
     }
 

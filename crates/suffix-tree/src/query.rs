@@ -160,7 +160,7 @@ impl FlatTree {
     /// distinct symbols).
     ///
     /// This is the deepest internal node of the tree.
-    pub fn longest_repeated_substring(&self, _text: &[u8]) -> Option<(u32, u32)> {
+    pub fn longest_repeated_substring(&self) -> Option<(u32, u32)> {
         let mut best: Option<(u32, u32)> = None; // (depth, node)
         for (id, depth) in self.dfs() {
             if !self.node(id).is_leaf()
@@ -171,11 +171,8 @@ impl FlatTree {
                 best = Some((depth, id));
             }
         }
-        best.map(|(depth, id)| {
-            // Any leaf below spells the substring at its own offset.
-            let leaf = self.leaves_below(id)[0];
-            (leaf, depth)
-        })
+        // Any leaf below spells the substring at its own offset.
+        best.and_then(|(depth, id)| Some((self.leftmost_leaf(id)?.1, depth)))
     }
 
     /// Longest common substring of the two halves of a generalized text
@@ -184,6 +181,17 @@ impl FlatTree {
     /// Returns `(offset_in_text, length)` of one occurrence inside the left
     /// half, or `None` if the strings share no symbol.
     pub fn longest_common_substring(&self, separator_pos: usize) -> Option<(u32, u32)> {
+        self.common_substring_pass(separator_pos).0
+    }
+
+    /// [`Self::longest_common_substring`] for a sub-tree of a partitioned
+    /// index: the best candidate inside, plus what the trie above needs to
+    /// know of the tree as a whole — its smallest leaf left of the separator
+    /// (`u32::MAX` for none) and whether any leaf lies right of it.
+    pub(crate) fn common_substring_pass(
+        &self,
+        separator_pos: usize,
+    ) -> (Option<(u32, u32)>, u32, bool) {
         debug_assert!(separator_pos < self.text_len(), "separator must lie inside the text");
         let sep = separator_pos as u32;
         // For every internal node, determine whether it has a leaf on each
@@ -225,14 +233,14 @@ impl FlatTree {
                 best = Some((left, depth));
             }
         }
-        best
+        (best, min_left[0], has_right[0])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{FlatNode, FIRST_CHAR_SHIFT};
+    use crate::layout::FIRST_CHAR_SHIFT;
     use crate::naive::naive_suffix_tree;
     use era_string_store::{Alphabet, InMemoryStore, StoreTextSource};
 
@@ -331,18 +339,9 @@ mod tests {
     /// A copy of `t` whose arena *claims* `c` as the first edge character of
     /// node `id` — the corruption a stale cache amounts to.
     fn with_first_char(t: &FlatTree, id: NodeId, c: u8) -> FlatTree {
-        let nodes = t
-            .node_ids()
-            .map(|n| {
-                let (start, end, payload, mut meta) = t.raw_node(n);
-                if n == id {
-                    meta =
-                        (meta & !(0xFF << FIRST_CHAR_SHIFT)) | (u32::from(c) << FIRST_CHAR_SHIFT);
-                }
-                FlatNode::from_raw(start, end, payload, meta)
-            })
-            .collect();
-        FlatTree::from_raw_parts(t.text_len() as u32, nodes)
+        t.with_raw_node(id, |words| {
+            words[3] = (words[3] & !(0xFF << FIRST_CHAR_SHIFT)) | (u32::from(c) << FIRST_CHAR_SHIFT)
+        })
     }
 
     #[test]
@@ -417,15 +416,15 @@ mod tests {
     #[test]
     fn longest_repeated_substring_mississippi() {
         let (text, t) = tree_for(b"mississippi");
-        let (off, len) = t.longest_repeated_substring(&text).unwrap();
+        let (off, len) = t.longest_repeated_substring().unwrap();
         assert_eq!(len, 4);
         assert_eq!(&text[off as usize..(off + len) as usize], b"issi");
     }
 
     #[test]
     fn longest_repeated_substring_none_for_unique_symbols() {
-        let (text, t) = tree_for(b"abcd");
-        assert!(t.longest_repeated_substring(&text).is_none());
+        let (_, t) = tree_for(b"abcd");
+        assert!(t.longest_repeated_substring().is_none());
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl FlatTree {
 mod tests {
     use super::*;
     use crate::naive::naive_suffix_tree;
-    use crate::validate::validate_suffix_tree;
+    use crate::validate::validate_flat_tree;
 
     #[test]
     fn flat_tree_roundtrip_in_memory() {
@@ -111,7 +111,7 @@ mod tests {
         let back = read_flat_tree(&mut buf.as_slice()).unwrap();
         assert_eq!(flat, back);
         assert_eq!(flat.serialized_size(), buf.len());
-        validate_suffix_tree(&back.thaw(), text, Some(text.len())).unwrap();
+        validate_flat_tree(&back, &text[..], Some(text.len())).unwrap();
     }
 
     #[test]

@@ -8,9 +8,10 @@ use crate::node::{Node, NodeData, NodeId, NO_NODE};
 /// Edge labels are `(start, end)` offsets into the input text, so the
 /// structure itself never stores string data — matching the `O(n)` space
 /// representation described in §2 of the paper. Node 0 is always the root.
-/// The form is built, split and read back (for validation and merging), never
-/// queried: [`FlatTree::freeze`](crate::FlatTree::freeze) turns a finished
-/// tree into the form that answers patterns.
+/// The form is built and split, never read: queries, validation and
+/// serialization work on what [`FlatTree::freeze`](crate::FlatTree::freeze)
+/// makes of a finished tree (the one exception is the leaf order Trellis
+/// merges by, [`Self::lexicographic_suffixes`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuffixTree {
     text_len: u32,
@@ -162,12 +163,6 @@ impl SuffixTree {
         mid_id
     }
 
-    /// Appends a fully specified node without attaching it to a parent.
-    /// Only used by `FlatTree::thaw`, which restores all links verbatim.
-    pub(crate) fn push_node_for_deserialization(&mut self, node: Node) {
-        self.nodes.push(node);
-    }
-
     fn push(&mut self, node: Node) -> NodeId {
         let id = self.nodes.len() as NodeId;
         assert!(id != NO_NODE, "arena overflow");
@@ -190,7 +185,8 @@ impl SuffixTree {
     }
 
     /// String depth (number of symbols from the root) of `id`.
-    pub fn string_depth(&self, id: NodeId) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn string_depth(&self, id: NodeId) -> u32 {
         let mut depth = 0;
         let mut cur = id;
         while cur != self.root() {
@@ -202,7 +198,8 @@ impl SuffixTree {
     }
 
     /// The path label of `id` extracted from `text`.
-    pub fn path_label(&self, id: NodeId, text: &[u8]) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn path_label(&self, id: NodeId, text: &[u8]) -> Vec<u8> {
         let mut parts: Vec<(u32, u32)> = Vec::new();
         let mut cur = id;
         while cur != self.root() {

@@ -1,15 +1,20 @@
-//! Structural invariant checking.
+//! Invariant checking, on the flat form.
 //!
-//! Used by unit, integration and property tests to certify that every
-//! construction algorithm (ERA, WaveFront, B²ST, Trellis, Ukkonen, naive)
-//! produces a well-formed suffix tree with exactly the suffixes it claims to
-//! index.
+//! [`validate_flat_structure`] is the text-free tier every `ERAFLAT1` load
+//! runs. [`validate_flat_tree`] and [`validate_partitioned`] add the one
+//! text-backed walk, `check_labels`, over any [`TextSource`] — the text is
+//! read where it lives, never materialized. This is what `SuffixIndex::verify`
+//! (`EraConfig::paranoid`, `era-check fsck --deep`) runs, one sub-tree at a
+//! time, and — through [`validate_suffix_tree`], which freezes first — how
+//! the test suites certify every construction algorithm (ERA, WaveFront, B²ST,
+//! Trellis, Ukkonen, naive).
 
-use std::collections::BTreeSet;
 use std::fmt;
 
+use era_string_store::{StoreError, TextSource};
+
 use crate::layout::FlatTree;
-use crate::node::{NodeData, NodeId};
+use crate::node::NodeId;
 use crate::partitioned::PartitionedSuffixTree;
 use crate::tree::SuffixTree;
 
@@ -27,13 +32,17 @@ pub enum ValidationError {
     EmptyEdge(NodeId),
     /// A child's parent pointer does not point back to its parent.
     ParentMismatch(NodeId),
-    /// The path label of a leaf does not spell the suffix it claims.
+    /// The path label of a leaf does not spell the suffix it claims (or, for
+    /// a partition, does not start with its prefix). A mislabelled internal
+    /// edge is reported through the leftmost leaf below it.
     WrongSuffix {
         /// The offending leaf.
         leaf: NodeId,
         /// The suffix offset stored in the leaf.
         suffix: u32,
     },
+    /// A suffix is indexed by more than one leaf.
+    DuplicateSuffix(u32),
     /// The set of indexed suffixes differs from the expected set.
     WrongLeafSet {
         /// Number of leaves found.
@@ -58,6 +67,9 @@ pub enum ValidationError {
     /// The root record's unused fields (edge offsets, cached first character)
     /// are not zero.
     RootRecordNotCanonical,
+    /// The text source failed while a label was read from it (the message is
+    /// the store's): nothing is known about the tree.
+    TextRead(String),
 }
 
 impl fmt::Display for ValidationError {
@@ -78,6 +90,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::WrongSuffix { leaf, suffix } => {
                 write!(f, "leaf {leaf} does not spell suffix {suffix}")
+            }
+            ValidationError::DuplicateSuffix(s) => {
+                write!(f, "suffix {s} is indexed by more than one leaf")
             }
             ValidationError::WrongLeafSet { found, expected } => {
                 write!(f, "tree indexes {found} suffixes, expected {expected}")
@@ -104,13 +119,24 @@ impl fmt::Display for ValidationError {
             ValidationError::RootRecordNotCanonical => {
                 write!(f, "root record's unused edge/first-char fields are not zero")
             }
+            ValidationError::TextRead(e) => write!(f, "reading the text failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ValidationError {}
 
-/// Validates a single suffix (sub-)tree against the text.
+impl From<StoreError> for ValidationError {
+    fn from(e: StoreError) -> Self {
+        ValidationError::TextRead(e.to_string())
+    }
+}
+
+/// Validates a single construction-form suffix (sub-)tree against the text:
+/// every child's parent pointer must name its parent, and the frozen form
+/// must pass [`validate_flat_tree`] — the construction form has no validator
+/// of its own. Node ids in the errors of that second half are the frozen
+/// (depth-first) ids.
 ///
 /// If `expected_leaves` is `Some(k)` the tree must contain exactly `k` leaves;
 /// a complete suffix tree of `text` has `text.len()` leaves.
@@ -119,58 +145,12 @@ pub fn validate_suffix_tree(
     text: &[u8],
     expected_leaves: Option<usize>,
 ) -> Result<(), ValidationError> {
-    let n = text.len() as u32;
-    let root = tree.root();
-
     for id in tree.node_ids() {
-        let node = tree.node(id);
-        if id != root {
-            if node.start >= node.end || node.end > n {
-                return Err(if node.end > n {
-                    ValidationError::EdgeOutOfBounds(id)
-                } else {
-                    ValidationError::EmptyEdge(id)
-                });
-            }
-            if node.first_char != text[node.start as usize] {
-                return Err(ValidationError::FirstCharMismatch(id));
-            }
-        }
-        match &node.data {
-            NodeData::Internal { children } => {
-                if id != root && children.len() < 2 {
-                    return Err(ValidationError::UnaryInternalNode(id));
-                }
-                let mut prev: Option<u8> = None;
-                for &c in children {
-                    let child = tree.node(c);
-                    if child.parent != id {
-                        return Err(ValidationError::ParentMismatch(c));
-                    }
-                    if let Some(p) = prev {
-                        if child.first_char <= p {
-                            return Err(ValidationError::SiblingOrder(id));
-                        }
-                    }
-                    prev = Some(child.first_char);
-                }
-            }
-            NodeData::Leaf { suffix } => {
-                let label = tree.path_label(id, text);
-                if *suffix as usize >= text.len() || label != text[*suffix as usize..] {
-                    return Err(ValidationError::WrongSuffix { leaf: id, suffix: *suffix });
-                }
-            }
+        if let Some(&c) = tree.children(id).iter().find(|&&c| tree.node(c).parent != id) {
+            return Err(ValidationError::ParentMismatch(c));
         }
     }
-
-    if let Some(expected) = expected_leaves {
-        let found = tree.leaf_count();
-        if found != expected {
-            return Err(ValidationError::WrongLeafSet { found, expected });
-        }
-    }
-    Ok(())
+    validate_flat_tree(&FlatTree::freeze(tree), text, expected_leaves)
 }
 
 /// Validates the *structural* invariants of a flat arena without touching the
@@ -260,43 +240,133 @@ pub fn validate_flat_structure(tree: &FlatTree) -> Result<(), ValidationError> {
     Ok(())
 }
 
-/// Validates a flat serving-layout tree against the text.
+/// Validates a flat serving-layout tree against the text behind any
+/// [`TextSource`]: [`validate_flat_structure`], then every edge label, cached
+/// first character and leaf suffix (`check_labels`, the one text-backed walk).
 ///
-/// The flat arena is checked on its own terms first
-/// ([`validate_flat_structure`]: bounds, non-overlap, reachability, sibling
-/// order, leaf/meta consistency), then thawed — the id-preserving inverse of
-/// the freeze — and run through [`validate_suffix_tree`], so both the layout
-/// encoding and the text-backed suffix-tree invariants are certified.
-pub fn validate_flat_tree(
+/// If `expected_leaves` is `Some(k)` the tree must contain exactly `k` leaves;
+/// a complete suffix tree of the text has `text.len()` leaves.
+pub fn validate_flat_tree<T: TextSource + ?Sized>(
     tree: &FlatTree,
-    text: &[u8],
+    text: &T,
     expected_leaves: Option<usize>,
 ) -> Result<(), ValidationError> {
     validate_flat_structure(tree)?;
-    validate_suffix_tree(&tree.thaw(), text, expected_leaves)
+    check_labels(tree, text, &[], |_| Ok(()))?;
+    match expected_leaves {
+        Some(expected) if tree.leaf_count() != expected => {
+            Err(ValidationError::WrongLeafSet { found: tree.leaf_count(), expected })
+        }
+        _ => Ok(()),
+    }
 }
 
-/// Validates a partitioned suffix tree: every sub-tree is well formed, every
-/// leaf of partition `p` is an occurrence of `p`, and across all partitions
-/// the leaves are exactly the suffixes `0..text.len()`.
-pub fn validate_partitioned(
+/// Validates a partitioned suffix tree, one sub-tree at a time: every
+/// sub-tree is well formed (as by [`validate_flat_tree`]), every leaf of
+/// partition `p` is an occurrence of `p`, and across all partitions the leaves
+/// are exactly the suffixes `0..text.len()` — one bit per suffix, so a suffix
+/// indexed twice is caught when its second leaf is met.
+pub fn validate_partitioned<T: TextSource + ?Sized>(
     tree: &PartitionedSuffixTree,
-    text: &[u8],
+    text: &T,
 ) -> Result<(), ValidationError> {
-    let mut all: BTreeSet<u32> = BTreeSet::new();
+    let mut seen = vec![0u64; text.len().div_ceil(64)];
+    let mut found = 0usize;
     for part in tree.partitions() {
-        validate_flat_tree(&part.tree, text, None)?;
-        for leaf in part.tree.lexicographic_suffixes() {
-            if !text[leaf as usize..].starts_with(&part.prefix) {
-                return Err(ValidationError::WrongSuffix { leaf: 0, suffix: leaf });
+        validate_flat_structure(&part.tree)?;
+        check_labels(&part.tree, text, &part.prefix, |suffix| {
+            // `check_labels` only reports leaves that spell a suffix of the
+            // text, so `suffix < text.len()`.
+            let (word, bit) = (suffix as usize / 64, 1u64 << (suffix % 64));
+            if seen[word] & bit != 0 {
+                return Err(ValidationError::DuplicateSuffix(suffix));
             }
-            all.insert(leaf);
-        }
+            seen[word] |= bit;
+            found += 1;
+            Ok(())
+        })?;
     }
-    if all.len() != text.len()
-        || all.iter().ne((0..text.len() as u32).collect::<BTreeSet<_>>().iter())
-    {
-        return Err(ValidationError::WrongLeafSet { found: all.len(), expected: text.len() });
+    if found != text.len() {
+        return Err(ValidationError::WrongLeafSet { found, expected: text.len() });
+    }
+    Ok(())
+}
+
+/// The text-backed half of validation and the only code here that reads the
+/// text: one depth-first walk of a structurally valid arena that checks every
+/// node's edge bound and cached first character, that every leaf's path label
+/// is exactly the suffix it claims and starts with `prefix`, and hands each
+/// verified leaf to `on_leaf`.
+///
+/// The walk holds the path label of the node it is at (as long as the deepest
+/// internal node, not as the text) and, per node, a *witness*: the leftmost
+/// leaf below, already shown to spell the node's path label. A child then
+/// costs its first symbol; unless it is the first child (whose leftmost leaf
+/// *is* the parent's witness), one `common_prefix` of the parent's path label
+/// against its own leftmost leaf — the LCP of two adjacent suffixes, so the
+/// tree pays the sum of its LCP array; and its edge label, read once and
+/// compared against `text[witness + depth..]` — except for a leaf edge that is
+/// `text[suffix + depth..text_len]`, as every builder emits it, which is its
+/// own witness. By induction from the root every path label is a prefix of
+/// the leftmost leaf's suffix, and a leaf is its own leftmost leaf.
+fn check_labels<T: TextSource + ?Sized>(
+    tree: &FlatTree,
+    text: &T,
+    prefix: &[u8],
+    mut on_leaf: impl FnMut(u32) -> Result<(), ValidationError>,
+) -> Result<(), ValidationError> {
+    let (n, root) = (text.len(), tree.root());
+    // A root without children has no label to check.
+    let Some(first) = tree.leftmost_leaf(root) else { return Ok(()) };
+    let mut path: Vec<u8> = Vec::new();
+    // (node, string depth of its parent, the witness a first child inherits)
+    let mut stack = vec![(root, 0usize, Some(first))];
+    while let Some((id, parent_depth, inherited)) = stack.pop() {
+        let node = tree.node(id);
+        let (leaf, suffix) = inherited
+            .or_else(|| tree.leftmost_leaf(id))
+            .ok_or(ValidationError::UnaryInternalNode(id))?;
+        let wrong = ValidationError::WrongSuffix { leaf, suffix };
+        let at = suffix as usize;
+        let depth = parent_depth + node.edge_len() as usize;
+        path.truncate(parent_depth);
+        if id != root {
+            if node.end as usize > n {
+                return Err(ValidationError::EdgeOutOfBounds(id));
+            }
+            if text.symbol_at(node.start as usize)? != node.first_char() {
+                return Err(ValidationError::FirstCharMismatch(id));
+            }
+            if at + depth > n || node.is_leaf() && at + depth < n {
+                return Err(wrong);
+            }
+            if inherited.is_none() && text.common_prefix(at, n, &path)? != parent_depth {
+                return Err(wrong);
+            }
+            if !(node.is_leaf() && node.start as usize == at + parent_depth) {
+                for pos in node.start..node.end {
+                    path.push(text.symbol_at(pos as usize)?);
+                }
+                let label = &path[parent_depth..];
+                if text.common_prefix(at + parent_depth, n, label)? != label.len() {
+                    return Err(wrong);
+                }
+            }
+            // The first node of a root path to reach the partition prefix
+            // answers for every leaf below it; a leaf cannot end above it.
+            if parent_depth < prefix.len()
+                && (depth >= prefix.len() || node.is_leaf())
+                && text.common_prefix(at, n, prefix)? != prefix.len()
+            {
+                return Err(wrong);
+            }
+        }
+        if node.is_leaf() {
+            on_leaf(suffix)?;
+        }
+        for (k, c) in node.children_range().enumerate().rev() {
+            stack.push((c, depth, (k == 0).then_some((leaf, suffix))));
+        }
     }
     Ok(())
 }
@@ -304,7 +374,13 @@ pub fn validate_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assemble::sub_tree_of;
+    use crate::layout::FIRST_CHAR_SHIFT;
     use crate::naive::naive_suffix_tree;
+    use crate::partitioned::Partition;
+    use crate::query::MatchResult;
+    use era_string_store::{Alphabet, InMemoryStore, PackedMemoryStore, StoreTextSource};
+    use std::collections::BTreeMap;
 
     #[test]
     fn naive_tree_passes() {
@@ -357,6 +433,87 @@ mod tests {
         t.add_leaf(t.root(), 0, 5, b'a', 0);
         let err = validate_suffix_tree(&t, text, None).unwrap_err();
         assert!(matches!(err, ValidationError::EdgeOutOfBounds(_)));
+    }
+
+    /// `check`'s verdict over the text as a slice — after making sure a raw
+    /// and a packed store, read four symbols at a time, give the same one.
+    fn verdict(
+        text: &[u8],
+        check: impl Fn(&dyn TextSource) -> Result<(), ValidationError>,
+    ) -> Result<(), ValidationError> {
+        let alphabet = Alphabet::infer(&text[..text.len() - 1]).unwrap();
+        let raw = InMemoryStore::new(text.to_vec(), alphabet.clone()).unwrap();
+        let raw = raw.with_block_size(4).unwrap();
+        let packed = PackedMemoryStore::new(text, alphabet).unwrap().with_block_size(1).unwrap();
+        let over_slice = check(&text);
+        assert_eq!(check(&StoreTextSource::with_window(&raw, 4)), over_slice);
+        assert_eq!(check(&StoreTextSource::with_window(&packed, 4)), over_slice);
+        over_slice
+    }
+
+    #[test]
+    fn flat_validator_reads_every_label_through_any_source() {
+        let text = b"mississippi\0";
+        let flat = FlatTree::freeze(&naive_suffix_tree(text));
+        let check = |t: &FlatTree| verdict(text, |src| validate_flat_tree(t, src, Some(12)));
+        check(&flat).unwrap();
+
+        // The node "issi": edge "ssi", leaves "ppi$" (4) and "ssippi$" (1).
+        let MatchResult::Complete { node: issi } =
+            flat.try_match_pattern(&text[..], b"issi").unwrap()
+        else {
+            panic!("issi occurs")
+        };
+        let leaves: Vec<NodeId> = flat.node(issi).children_range().collect();
+        assert_eq!(flat.leaves_below(issi), vec![4, 1]);
+
+        // Swapped leaf suffixes.
+        let swapped =
+            flat.with_raw_node(leaves[0], |w| w[2] = 1).with_raw_node(leaves[1], |w| w[2] = 4);
+        assert!(matches!(check(&swapped), Err(ValidationError::WrongSuffix { suffix: 1, .. })));
+        // An internal edge shifted by one: "sis" or "sip" instead of "ssi",
+        // with the cached first character still right.
+        let shifted = flat.with_raw_node(issi, |w| (w[0], w[1]) = (w[0] + 1, w[1] + 1));
+        assert!(matches!(check(&shifted), Err(ValidationError::WrongSuffix { suffix: 4, .. })));
+        // A stale cached first character ('t' keeps the siblings ordered).
+        let stale = flat.with_raw_node(issi, |w| w[3] += 1 << FIRST_CHAR_SHIFT);
+        assert_eq!(check(&stale), Err(ValidationError::FirstCharMismatch(issi)));
+    }
+
+    #[test]
+    fn partition_validator_checks_prefixes_and_the_cover() {
+        let text = b"mississippi\0";
+        // One partition per first symbol; `with` swaps in hand-made ones.
+        let build = |with: &[(&[u8], Vec<u32>)]| {
+            let mut leaves: BTreeMap<&[u8], Vec<u32>> = BTreeMap::new();
+            for i in 0..text.len() {
+                leaves.entry(&text[i..i + 1]).or_default().push(i as u32);
+            }
+            leaves.extend(with.iter().cloned());
+            let parts = leaves
+                .into_iter()
+                .map(|(prefix, leaves)| Partition {
+                    prefix: prefix.to_vec(),
+                    tree: sub_tree_of(text, leaves),
+                })
+                .collect();
+            PartitionedSuffixTree::new(text.len(), parts)
+        };
+        let check = |with: &[(&[u8], Vec<u32>)]| {
+            let tree = build(with);
+            verdict(text, |src| validate_partitioned(&tree, src))
+        };
+        check(&[]).unwrap();
+        // "ppi$" (8) filed under 's': every sub-tree is a sound sub-tree and
+        // the cover is complete, only the prefix is not spelled.
+        let misfiled = check(&[(b"p", vec![9]), (b"s", vec![2, 3, 5, 6, 8])]);
+        assert!(matches!(misfiled, Err(ValidationError::WrongSuffix { suffix: 8, .. })));
+        // A suffix nobody indexes.
+        let missing = check(&[(b"p", vec![9])]);
+        assert_eq!(missing, Err(ValidationError::WrongLeafSet { found: 11, expected: 12 }));
+        // "ssippi$" (5) and "ssissippi$" (2) indexed under "s" and "ss".
+        let twice = check(&[(b"ss", vec![2, 5])]);
+        assert_eq!(twice, Err(ValidationError::DuplicateSuffix(5)));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!   array;
 //! * queries agree with brute-force scanning;
 //! * the suffix-array substrate agrees with direct sorting;
-//! * serialization round-trips.
+//! * the whole-index operations (longest repeated / longest common substring),
+//!   answered per sub-tree and up the trie, agree with the suffix-array + LCP
+//!   oracle.
 
-use era::{EraConfig, HorizontalMethod, RangePolicy};
+use era::{EraConfig, HorizontalMethod, RangePolicy, SuffixIndex};
 use era_string_store::InMemoryStore;
 use era_suffix_array::{lcp_kasai, suffix_array};
 use era_suffix_tree::{validate_partitioned, validate_suffix_tree};
@@ -50,8 +52,98 @@ fn config_strategy() -> impl Strategy<Value = EraConfig> {
         })
 }
 
+/// Two strings over one small alphabet — DNA or two symbols.
+fn two_strings_strategy() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    let over = |symbols: &'static [u8]| {
+        let string =
+            || proptest::collection::vec((0..symbols.len()).prop_map(move |i| symbols[i]), 1..150);
+        (string(), string())
+    };
+    prop_oneof![over(b"ACGT"), over(b"ab")]
+}
+
+/// A budget of a few KB: `FM` comes out at 7–22 leaves, so a text of a few
+/// hundred symbols over 2–4 symbols is cut into multi-symbol S-prefixes.
+fn tiny_budget(budget: usize) -> EraConfig {
+    EraConfig {
+        memory_budget: budget,
+        r_buffer_size: Some(256),
+        input_buffer_size: 64,
+        trie_area: 64,
+        min_range: 1,
+        ..EraConfig::default()
+    }
+}
+
+/// What the suffix array and Kasai's LCP array of the generalized text say:
+/// `(longest repeat, longest substring common to both sides of `sep`)`, as
+/// lengths. Adjacent suffixes suffice for both, and a common prefix cannot
+/// reach across the separator because the separator occurs once.
+fn repeat_and_common_lengths(text: &[u8], sep: usize) -> (usize, usize) {
+    let sa = suffix_array(text);
+    let lcp = lcp_kasai(text, &sa);
+    let left = |i: usize| (sa[i] as usize) < sep;
+    let mixed = (1..sa.len()).filter(|&i| left(i - 1) != left(i)).map(|i| lcp[i] as usize);
+    (lcp.iter().max().map_or(0, |&l| l as usize), mixed.max().unwrap_or(0))
+}
+
+/// Builds the generalized index of `a` and `b` and checks both whole-index
+/// answers against the oracle; returns the index and the common substring.
+fn check_repeat_and_common(a: &[u8], b: &[u8], config: EraConfig) -> (SuffixIndex, Vec<u8>) {
+    let index = SuffixIndex::builder().config(config).build_generalized(&[a, b]).unwrap();
+    let text = index.text();
+    let (repeat, common) = repeat_and_common_lengths(text, a.len());
+    let lcs = index.longest_common_substring().unwrap();
+    assert_eq!(lcs.len(), common, "{a:?} / {b:?}");
+    assert!(lcs.is_empty() || a.windows(lcs.len()).any(|w| w == lcs), "not in the left string");
+    assert!(lcs.is_empty() || b.windows(lcs.len()).any(|w| w == lcs), "not in the right string");
+    match index.longest_repeated_substring() {
+        None => assert_eq!(repeat, 0),
+        Some((off, len)) => {
+            assert_eq!(len, repeat, "{a:?} / {b:?}");
+            assert!(scan_occurrences(text, &text[off..off + len]).len() >= 2);
+        }
+    }
+    (index, lcs)
+}
+
+#[test]
+fn common_substrings_above_inside_and_beside_the_sub_trees() {
+    // Above: "a" is all the two strings share, and it is a proper prefix of
+    // every S-prefix that starts with it — no sub-tree holds a node for it.
+    let (index, lcs) =
+        check_repeat_and_common(&[b'a'; 60], &b"bbbbbbbbbbabbbbbbbbbb"[..], tiny_budget(2_000));
+    assert_eq!(lcs, b"a");
+    let below = index.tree().trie().candidates(&lcs);
+    assert!(below.len() >= 2);
+    assert!(below.iter().all(|&p| index.tree().partitions()[p as usize].prefix.len() > 1));
+
+    // Inside: 12 common symbols, far below one sub-tree's S-prefix.
+    let (a, b) = (b"ACGTTGCAGATTACAGATTCCAGTACGT", b"TTTTGGGGCCCCGATTACAGATTCAAAA");
+    let (index, lcs) = check_repeat_and_common(a, b, tiny_budget(2_000));
+    assert_eq!(lcs, b"GATTACAGATTC");
+    let &[only] = index.tree().trie().candidates(&lcs).as_slice() else {
+        panic!("a substring longer than its S-prefix lives in one sub-tree")
+    };
+    assert!(index.tree().partitions()[only as usize].prefix.len() < lcs.len());
+
+    // Beside: the left string's own repeat ("abcabc") is longer than
+    // anything it shares with the right one, and "bc" + separator + "bc" is
+    // not a substring of either.
+    let (_, lcs) = check_repeat_and_common(b"abcabcabc", b"bc", tiny_budget(2_000));
+    assert_eq!(lcs, b"bc");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn repeats_and_common_substrings_agree_with_the_lcp_oracle(
+        strings in two_strings_strategy(),
+        budget in 1_500usize..4_000,
+    ) {
+        check_repeat_and_common(&strings.0, &strings.1, tiny_budget(budget));
+    }
 
     #[test]
     fn era_builds_the_suffix_tree_of_arbitrary_strings(
@@ -139,7 +231,7 @@ proptest! {
             ..EraConfig::default()
         };
         let (tree, _) = era::construct(&store, &config).unwrap();
-        match tree.longest_repeated_substring(&text) {
+        match tree.longest_repeated_substring() {
             None => {
                 // No substring of length >= 1 repeats.
                 for i in 0..body.len() {
