@@ -144,9 +144,16 @@ impl PrepareState {
 
     /// One round of reordering + `B` computation after `R` has been filled
     /// with `r.range` symbols per active slot (lines 13–24 of the paper).
+    ///
+    /// An active area is a maximal run of slots whose suffixes have been
+    /// equal so far, so the undefined entries of `B` are exactly the adjacent
+    /// pairs *inside* active areas. One comparison per such pair, after the
+    /// area is sorted, therefore does both jobs of the round: where the two
+    /// records differ it defines `B` (lines 16–23), where they are equal the
+    /// pair stays in one run, and the runs of two or more slots are the new
+    /// active areas (line 15).
     fn process_round(&mut self, r: &ReadAhead, scratch: &mut AreaScratch, text_len: usize) {
         let n = self.l.len();
-        // --- Lines 13-15: sort every active area and split equal runs. ---
         let mut slot = 0usize;
         while slot < n {
             if self.a[slot] == DONE {
@@ -158,19 +165,17 @@ impl PrepareState {
             while end < n && self.a[end] == area {
                 end += 1;
             }
+            // --- Lines 13-14: order the area by what was read. ---
             self.sort_area(slot, end, r, scratch);
-            self.split_area(slot, end, r);
-            slot = end;
-        }
-
-        // --- Lines 16-23: define B where the branches separate. ---
-        for i in 1..n {
-            if self.b[i].is_some() {
-                continue;
-            }
-            let (left, right) = (r.record(self.r[i - 1]), r.record(self.r[i]));
-            let cs = common_prefix_len(left, right);
-            if cs < r.range {
+            // --- Lines 15-23: in ascending order, so that a slot is marked
+            // done by whichever of its two `B` entries is defined last. ---
+            let mut run_start = slot;
+            for i in slot + 1..end {
+                let (left, right) = (r.record(self.r[i - 1]), r.record(self.r[i]));
+                let cs = common_prefix_len(left, right);
+                if cs == r.range {
+                    continue;
+                }
                 debug_assert!(
                     cs < self.symbols_read(i - 1, r.range, text_len)
                         && cs < self.symbols_read(i, r.range, text_len),
@@ -188,8 +193,18 @@ impl PrepareState {
                 if i == n - 1 || self.b[i + 1].is_some() {
                     self.mark_done(i);
                 }
+                self.open_area(run_start, i);
+                run_start = i;
             }
+            self.open_area(run_start, end);
+            slot = end;
         }
+        #[cfg(feature = "paranoid")]
+        assert_eq!(
+            self.undefined_b,
+            self.b.iter().skip(1).filter(|b| b.is_none()).count(),
+            "every pair left undefined lies inside a new active area"
+        );
 
         self.start += r.range as u32;
     }
@@ -216,22 +231,12 @@ impl PrepareState {
         }
     }
 
-    /// Splits an area `[lo, hi)` (already sorted) into new active areas for
-    /// runs of equal `R` values (line 15).
-    fn split_area(&mut self, lo: usize, hi: usize, r: &ReadAhead) {
-        let mut run_start = lo;
-        for i in lo + 1..=hi {
-            let boundary = i == hi || r.record(self.r[i]) != r.record(self.r[run_start]);
-            if boundary {
-                if i - run_start >= 2 {
-                    let area = self.next_area;
-                    self.next_area += 1;
-                    for slot in run_start..i {
-                        self.a[slot] = area;
-                    }
-                }
-                run_start = i;
-            }
+    /// Makes the run `[lo, hi)` of equal records a new active area (line 15);
+    /// a single slot is no area, its two `B` entries are defined.
+    fn open_area(&mut self, lo: usize, hi: usize) {
+        if hi - lo >= 2 {
+            self.a[lo..hi].fill(self.next_area);
+            self.next_area += 1;
         }
     }
 
@@ -245,8 +250,18 @@ impl PrepareState {
     }
 }
 
+/// Length of the common prefix of two records of one round (equal lengths),
+/// eight symbols per comparison.
 fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
+    debug_assert_eq!(a.len(), b.len());
+    let ((a_words, a_tail), (b_words, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    for (k, (x, y)) in a_words.iter().zip(b_words).enumerate() {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return 8 * k + (diff.trailing_zeros() / 8) as usize;
+        }
+    }
+    8 * a_words.len() + a_tail.iter().zip(b_tail).take_while(|(x, y)| x == y).count()
 }
 
 /// Runs `SubTreePrepare` for every prefix of a virtual tree, sharing each
@@ -439,6 +454,49 @@ mod tests {
         // Identical results, fewer scans when grouped.
         assert_eq!(grouped, single_results);
         assert!(grouped_scans < single_scans, "grouped {grouped_scans} vs single {single_scans}");
+    }
+
+    /// Periodic texts keep runs of equal records alive round after round (and
+    /// clamp the reads of the suffixes near the end): `L`, `B.lcp` and the
+    /// branching symbols of a three-prefix group against the suffix array.
+    #[test]
+    fn periodic_texts_match_the_suffix_array_oracle() {
+        use era_suffix_array::{lcp_kasai, suffix_array};
+        let cases: [(&[u8], [&[u8]; 3]); 2] =
+            [(b"AC", [b"A", b"CA", b"ACAC"]), (b"GATTACAGGATCCAACGTT", [b"GATTACA", b"C", b"TT"])];
+        for (unit, prefixes) in cases {
+            let body: Vec<u8> = unit.iter().copied().cycle().take(230).collect();
+            let text = [&body[..], &[0]].concat();
+            let sa = suffix_array(&text);
+            let lcp = lcp_kasai(&text, &sa);
+            let prefixes: Vec<Vec<u8>> = prefixes.iter().map(|p| p.to_vec()).collect();
+            let occs: Vec<Vec<u32>> = prefixes.iter().map(|p| occurrences_of(&text, p)).collect();
+            for policy in [
+                RangePolicy::Elastic,
+                RangePolicy::Fixed(1),
+                RangePolicy::Fixed(3),
+                RangePolicy::Fixed(16),
+            ] {
+                let store = InMemoryStore::from_body(&body, Alphabet::dna()).unwrap();
+                let out = prepare_group(&store, &prefixes, &occs, &params(256, policy)).unwrap();
+                assert!(store.stats().snapshot().full_scans >= 3, "{policy:?}: equal runs survive");
+                for (prefix, prepared) in prefixes.iter().zip(&out) {
+                    // The suffixes below one prefix are one stretch of the
+                    // suffix array, so its LCP entries are theirs.
+                    let ranks: Vec<usize> = (0..sa.len())
+                        .filter(|&i| text[sa[i] as usize..].starts_with(prefix))
+                        .collect();
+                    let leaves: Vec<u32> = ranks.iter().map(|&i| sa[i]).collect();
+                    assert_eq!(prepared.leaves, leaves, "{policy:?} {prefix:?}");
+                    for (k, b) in prepared.branching.iter().enumerate() {
+                        let (left, right) = (leaves[k] + b.lcp, leaves[k + 1] + b.lcp);
+                        assert_eq!(b.lcp, lcp[ranks[k + 1]], "{policy:?} {prefix:?} pair {k}");
+                        assert_eq!(b.left_char, text[left as usize]);
+                        assert_eq!(b.right_char, text[right as usize]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

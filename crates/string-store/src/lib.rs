@@ -43,8 +43,11 @@
 //!   (and, for packed stores, zero re-decoding); activity is counted in
 //!   [`CacheSnapshot`]s.
 //! * [`IoStats`] / [`IoSnapshot`] — thread-safe I/O counters.
-//! * [`packed`] — the word-level 2-bit / 5-bit symbol codec underneath the
-//!   packed stores.
+//! * [`packed`] — the symbol codec underneath the packed stores: terminal out
+//!   of band, dense order-preserving codes, any width from 1 to 8 bits. The
+//!   paper's two widths decode several symbols per table lookup (a payload
+//!   byte is 4 DNA symbols, 10 bits are 2 protein / English symbols); every
+//!   other width, and the ragged ends of a range, one code at a time.
 //! * [`vfs`] — the durability seam for write paths: the [`Vfs`] trait with a
 //!   [`StdVfs`] production passthrough and a deterministic fault-injecting
 //!   [`FaultVfs`] used by the crash-matrix harness to prove commit protocols

@@ -9,11 +9,16 @@
 //! code `i`, preserving lexicographic order. DNA therefore really is 2
 //! bits/symbol, as the paper states.
 //!
-//! The pack and unpack loops are word-level: encoding accumulates codes into a
-//! 64-bit register and flushes 32 bits at a time, decoding extracts as many
-//! codes as fit from one unaligned 64-bit load. The unpack path sits on every
-//! block fetch of the packed stores ([`crate::PackedMemoryStore`],
-//! [`crate::PackedDiskStore`]) and therefore on every construction scan.
+//! The pack loop is word-level: it accumulates codes into a 64-bit register
+//! and flushes 32 bits at a time. Decoding is table-driven for the two widths
+//! the paper uses: at 2 bits a payload byte *is* four symbols, at 5 bits ten
+//! payload bits are two, so [`PackedCodec::unpack`] looks several symbols up
+//! at a time ([`SymbolTable`]) and keeps the one-code-at-a-time loop for the
+//! ragged ends of a range and for every other width. The unpack path sits on
+//! every block fetch of the packed stores ([`crate::PackedMemoryStore`],
+//! [`crate::PackedDiskStore`]) — so on every construction scan and on the
+//! miss path of store-backed serving — and on [`PackedText::from_payload`]'s
+//! validation when a catalog is opened.
 
 use crate::alphabet::{Alphabet, TERMINAL};
 use crate::error::{StoreError, StoreResult};
@@ -42,6 +47,40 @@ pub struct PackedCodec {
     /// indexes out of bounds even on corrupt payloads (padding decodes to the
     /// terminal byte, which downstream validation rejects).
     decode: Vec<u8>,
+    /// Several codes -> their symbols, for the widths that have a kernel.
+    table: SymbolTable,
+}
+
+/// `decode` applied to every run of `k` adjacent codes, so that the widths of
+/// §6.1 decode `k` symbols per lookup (at most 2 KiB per codec). It is built
+/// from the *padded* `decode` array: a spare code of an alphabet that does not
+/// fill its width is [`TERMINAL`] through the table exactly as it is through
+/// `decode`. The payload is untrusted, but an index into either table is
+/// bounded by construction — a `u8` into 256 entries, ten masked bits into
+/// 1,024.
+#[derive(Debug, Clone)]
+enum SymbolTable {
+    /// 2 bits: one payload byte -> its 4 symbols.
+    Quads(Box<[[u8; 4]; 256]>),
+    /// 5 bits: 10 payload bits -> their 2 symbols.
+    Pairs(Box<[[u8; 2]; 1024]>),
+    /// Any other width decodes one code at a time.
+    None,
+}
+
+impl SymbolTable {
+    fn new(bits: u32, decode: &[u8]) -> Self {
+        let symbol = |index: usize, k: u32| decode[(index >> (k * bits)) & (decode.len() - 1)];
+        match bits {
+            2 => SymbolTable::Quads(Box::new(std::array::from_fn(|i| {
+                std::array::from_fn(|k| symbol(i, k as u32))
+            }))),
+            5 => SymbolTable::Pairs(Box::new(std::array::from_fn(|i| {
+                std::array::from_fn(|k| symbol(i, k as u32))
+            }))),
+            _ => SymbolTable::None,
+        }
+    }
 }
 
 impl PackedCodec {
@@ -54,7 +93,8 @@ impl PackedCodec {
             encode[s as usize] = i as u8;
             decode[i] = s;
         }
-        PackedCodec { bits, encode, decode }
+        let table = SymbolTable::new(bits, &decode);
+        PackedCodec { bits, encode, decode, table }
     }
 
     /// Bits per symbol of this codec.
@@ -113,43 +153,90 @@ impl PackedCodec {
     /// (`first_bit < 8`), into `out[..count]`.
     ///
     /// This is the hot path of the packed stores: it runs once per block
-    /// fetch, so it decodes via unaligned 64-bit loads — one load yields up to
-    /// `64 / bits` symbols — with a byte-assembled tail for the final word.
+    /// fetch. The two widths of §6.1 go through the [`SymbolTable`]:
+    ///
+    /// * 2 bits — after the at most 3 symbols up to the next byte boundary,
+    ///   every payload byte is one lookup and one 4-byte store;
+    /// * 5 bits — one unaligned 64-bit load shifted by `first_bit` holds 8
+    ///   symbols = 4 lookups, and the next group starts exactly 5 bytes on,
+    ///   so `first_bit` never changes.
+    ///
+    /// Whatever the kernel leaves — the head before the byte boundary, the
+    /// last `count % 4` symbols, a 5-bit range with fewer than 8 symbols or
+    /// 8 payload bytes left — and every other width is decoded one code at a
+    /// time by [`Self::unpack_symbols`]. Both go through tables built from the
+    /// padded `decode` array, so a code outside the alphabet comes out as
+    /// [`TERMINAL`] on either path.
     // era-check: allow(panic-path): caller sizes data and out for count symbols at first_bit
     pub fn unpack(&self, data: &[u8], first_bit: u32, count: usize, out: &mut [u8]) {
         debug_assert!(first_bit < 8);
-        debug_assert!(out.len() >= count);
-        let bits = self.bits as u64;
-        let mask = (1u64 << bits) - 1;
-        let mut produced = 0usize;
-        // Fast path: whole 64-bit loads while 8 bytes remain.
-        while produced < count {
-            let bit = first_bit as u64 + produced as u64 * bits;
-            let byte = (bit >> 3) as usize;
-            if byte + 8 > data.len() {
-                break;
+        let out = &mut out[..count];
+        match &self.table {
+            SymbolTable::Quads(table) => {
+                let head = ((8 - first_bit as usize) / 2 % 4).min(count);
+                self.unpack_symbols(data, first_bit, &mut out[..head]);
+                let whole = &data[usize::from(head > 0)..];
+                let (quads, tail) = out[head..].as_chunks_mut::<4>();
+                for (quad, &byte) in quads.iter_mut().zip(whole) {
+                    *quad = table[byte as usize];
+                }
+                self.unpack_symbols(&whole[quads.len()..], 0, tail);
             }
-            // era-check: allow(unwrap): slice length is exactly 8
-            let word = u64::from_le_bytes(data[byte..byte + 8].try_into().expect("8 bytes"));
-            let mut w = word >> (bit & 7);
-            let mut avail = 64 - (bit & 7);
-            while avail >= bits && produced < count {
-                out[produced] = self.decode[(w & mask) as usize];
-                w >>= bits;
-                avail -= bits;
-                produced += 1;
+            SymbolTable::Pairs(table) => {
+                let mut rest = data;
+                let (groups, _) = out.as_chunks_mut::<8>();
+                let mut done = 0;
+                for group in groups {
+                    let Some(word) = rest.first_chunk::<8>() else { break };
+                    let word = u64::from_le_bytes(*word) >> first_bit;
+                    let (pairs, _) = group.as_chunks_mut::<2>();
+                    for (k, pair) in pairs.iter_mut().enumerate() {
+                        *pair = table[(word >> (10 * k)) as usize & 0x3ff];
+                    }
+                    rest = &rest[5..];
+                    done += 8;
+                }
+                self.unpack_symbols(rest, first_bit, &mut out[done..]);
             }
+            SymbolTable::None => self.unpack_symbols(data, first_bit, out),
         }
-        // Tail: assemble the last (partial) word byte by byte.
-        while produced < count {
-            let bit = first_bit as u64 + produced as u64 * bits;
-            let byte = (bit >> 3) as usize;
-            let mut word = 0u64;
-            for (k, &b) in data[byte..].iter().take(8).enumerate() {
-                word |= (b as u64) << (8 * k);
+        // Every symbol again, one code at a time.
+        #[cfg(feature = "paranoid")]
+        for (n, chunk) in out.chunks(64).enumerate() {
+            let bit = first_bit as usize + 64 * n * self.bits as usize;
+            let mut reference = [0u8; 64];
+            let expected = &mut reference[..chunk.len()];
+            self.unpack_symbols(&data[bit / 8..], (bit % 8) as u32, expected);
+            assert_eq!(chunk, expected, "table decode differs from the per-symbol decode");
+        }
+    }
+
+    /// The one-code-at-a-time decoder: fills `out` with the symbols that
+    /// start `first_bit` bits into `data`. One unaligned 64-bit load yields up
+    /// to `64 / bits` codes; the final, partial word is assembled byte by
+    /// byte. It serves every width, which makes it the reference the table
+    /// kernels of [`Self::unpack`] are tested against.
+    fn unpack_symbols(&self, data: &[u8], first_bit: u32, out: &mut [u8]) {
+        let bits = self.bits as usize;
+        let end = first_bit as usize + out.len() * bits;
+        assert!(out.is_empty() || end <= 8 * data.len(), "payload too short");
+        let mask = (1u64 << bits) - 1;
+        let mut bit = first_bit as usize;
+        let mut out = out.iter_mut();
+        while out.len() > 0 {
+            // In range by the assert above, like every load of this loop.
+            let from = data.get(bit / 8..).unwrap_or_default();
+            let word = match from.first_chunk::<8>() {
+                Some(word) => u64::from_le_bytes(*word),
+                None => from.iter().rev().fold(0, |word, &b| word << 8 | b as u64),
+            };
+            let mut word = word >> (bit % 8);
+            for symbol in out.by_ref().take((64 - bit % 8) / bits) {
+                // `decode` is padded to `1 << bits` entries: always `Some`.
+                *symbol = self.decode.get((word & mask) as usize).copied().unwrap_or(TERMINAL);
+                word >>= bits;
+                bit += bits;
             }
-            out[produced] = self.decode[((word >> (bit & 7)) & mask) as usize];
-            produced += 1;
         }
     }
 }
@@ -377,6 +464,99 @@ mod tests {
                 let mut out = vec![0u8; count];
                 p.unpack_range(start, count, &mut out);
                 assert_eq!(out, &text[start..start + count], "start {start} count {count}");
+            }
+        }
+    }
+
+    /// Deterministic payload bytes: every code, spare ones included.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as u8
+        };
+        (0..len).map(|_| next()).collect()
+    }
+
+    #[test]
+    fn table_kernels_match_the_per_symbol_decode() {
+        // Widths 1..=8; 4 symbols take the byte table, 20 and 32 the 10-bit
+        // one, the rest only the per-symbol loop (which must survive the
+        // refactoring too: `unpack` of those widths is compared against it
+        // with the payload cut at every slack).
+        for n in [2usize, 4, 5, 16, 20, 32, 33, 100, 200] {
+            let symbols: Vec<u8> = (0..n).map(|i| i as u8 + 33).collect();
+            let codec = PackedCodec::new(&Alphabet::custom(&symbols).unwrap());
+            let bits = codec.bits() as usize;
+            let payload = noise(bits * 11 + 9, n as u64);
+            let boundaries: std::collections::BTreeSet<usize> =
+                (0..8).map(|i| i * bits % 8).collect();
+            for &first_bit in &boundaries {
+                for count in 0..=80usize {
+                    let need = (first_bit + count * bits).div_ceil(8);
+                    let mut expected = vec![0xAAu8; count];
+                    codec.unpack_symbols(&payload[..need], first_bit as u32, &mut expected);
+                    for slack in 0..=8 {
+                        // One byte past `count` proves nothing beyond it is written.
+                        let mut out = vec![0x55u8; count + 1];
+                        codec.unpack(&payload[..need + slack], first_bit as u32, count, &mut out);
+                        assert_eq!(
+                            out[..count],
+                            expected[..],
+                            "{n} symbols, first_bit {first_bit}, count {count}, slack {slack}"
+                        );
+                        assert_eq!(out[count], 0x55);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn per_symbol_decode_matches_get() {
+        // The reference itself, against the definition of the encoding.
+        for a in [Alphabet::dna(), Alphabet::protein(), Alphabet::english()] {
+            let body: Vec<u8> =
+                noise(203, 7).iter().map(|&b| a.symbols()[b as usize % a.len()]).collect();
+            let codec = PackedCodec::new(&a);
+            let payload = codec.pack_body(&body).unwrap();
+            for start in [0usize, 1, 2, 3, 5, 8, 13, 100, 202] {
+                let bit = start * codec.bits() as usize;
+                let mut out = vec![0u8; body.len() - start];
+                codec.unpack_symbols(&payload[bit / 8..], (bit % 8) as u32, &mut out);
+                assert_eq!(out, body[start..], "start {start}");
+            }
+        }
+    }
+
+    #[test]
+    fn spare_codes_decode_to_the_terminal_on_every_path() {
+        // Protein uses 20 of the 32 five-bit codes. Each of the other 12, at
+        // every position (every lane of the pair table in the kernel's five
+        // groups, then the per-symbol tail), must come out as the terminal —
+        // which is what `from_payload` rejects.
+        let a = Alphabet::protein();
+        let codec = PackedCodec::new(&a);
+        let body: Vec<u8> = (0..47).map(|i| a.symbols()[i * 7 % a.len()]).collect();
+        let clean = codec.pack_body(&body).unwrap();
+        assert!(PackedText::from_payload(clean.clone(), body.len() + 1, &a).is_ok());
+        for spare in a.len() as u8..32 {
+            for at in 0..body.len() {
+                let mut payload = clean.clone();
+                for k in 0..5 {
+                    let bit = at * 5 + k;
+                    payload[bit / 8] &= !(1 << (bit % 8));
+                    payload[bit / 8] |= (spare >> k & 1) << (bit % 8);
+                }
+                let mut out = vec![0xAAu8; body.len()];
+                codec.unpack(&payload, 0, body.len(), &mut out);
+                let mut expected = body.clone();
+                expected[at] = TERMINAL;
+                assert_eq!(out, expected, "spare code {spare} at {at}");
+                assert!(
+                    PackedText::from_payload(payload, body.len() + 1, &a).is_err(),
+                    "spare code {spare} at {at} must be rejected"
+                );
             }
         }
     }

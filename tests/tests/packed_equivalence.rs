@@ -5,12 +5,13 @@
 //! must see exactly the bytes a raw store serves. These property tests pin
 //! that: byte-identical trees and identical occurrence sets between raw and
 //! packed stores across DNA, protein, English and custom alphabets at the
-//! bit-width boundaries (15/16/31/32 symbols), plus a round-trip through the
-//! packed on-disk header format.
+//! bit-width boundaries (15/16/31/32 symbols), a round-trip through the
+//! packed on-disk header format, and arbitrary `(pos, len)` reads through both
+//! packed stores and a `BlockCursor` over them at several block sizes.
 
 use era::{ConstructionPipeline, EraConfig, SerialScheduler};
 use era_string_store::{
-    Alphabet, InMemoryStore, PackedDiskStore, PackedMemoryStore, StringStore, TERMINAL,
+    Alphabet, BlockCursor, InMemoryStore, PackedDiskStore, PackedMemoryStore, StringStore, TERMINAL,
 };
 use era_tests::{prefix_free, scan_occurrences, terminated, tree_bytes};
 use proptest::collection;
@@ -133,5 +134,52 @@ proptest! {
         let reopened = PackedDiskStore::open(store.path(), 512).expect("reopen");
         prop_assert_eq!(reopened.alphabet().symbols(), alphabet.symbols());
         prop_assert_eq!(reopened.read_all().expect("read back"), terminated(&body));
+    }
+
+    #[test]
+    fn packed_reads_return_the_raw_text(
+        which in 0usize..3, // DNA, protein, English: the table-decoded widths
+        raw_bytes in collection::vec(any::<u8>(), 1..600),
+        requests in collection::vec((0usize..600, 0usize..130), 1..12),
+        block in 0usize..4,
+    ) {
+        let alphabet = alphabets()[which].clone();
+        let body = body_from(&raw_bytes, &alphabet);
+        let text = terminated(&body);
+        // Packed bytes per block; 24 is accepted although no power of two.
+        let block_bytes = [8usize, 24, 64, 512][block];
+        // Random ranges start mid-byte more often than not; the last ten end
+        // on the out-of-band terminal from every alignment.
+        let mut reads: Vec<(usize, usize)> =
+            requests.iter().map(|&(pos, len)| (pos % text.len(), len)).collect();
+        reads.extend((0..text.len().min(10)).map(|k| (text.len() - 1 - k, k + 1)));
+
+        let dir = std::env::temp_dir()
+            .join(format!("era-packed-prop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let created = PackedDiskStore::create_in_dir(&dir, "reads", &body, alphabet.clone())
+            .expect("create packed file");
+        let disk = PackedDiskStore::open(created.path(), block_bytes).expect("reopen");
+        let memory = PackedMemoryStore::from_body(&body, alphabet.clone())
+            .unwrap()
+            .with_block_size(block_bytes)
+            .unwrap();
+        let stores: [&dyn StringStore; 2] = [&memory, &disk];
+        let mut ascending = reads.clone();
+        ascending.sort_unstable();
+
+        for store in stores {
+            for &(pos, len) in &reads {
+                let mut buf = vec![0xAAu8; len];
+                let take = store.read_at(pos, &mut buf).expect("read in bounds");
+                prop_assert_eq!(take, len.min(text.len() - pos));
+                prop_assert_eq!(&buf[..take], &text[pos..pos + take]);
+            }
+            let mut cursor = BlockCursor::new(store, false);
+            for &(pos, len) in &ascending {
+                let end = (pos + len).min(text.len());
+                prop_assert_eq!(cursor.slice(pos, len).expect("ascending request"), &text[pos..end]);
+            }
+        }
     }
 }
