@@ -3,8 +3,9 @@
 //! Every experiment returns an [`ExperimentResult`] whose rows carry the
 //! measured wall-clock time, I/O volume, scan count and partition count for
 //! each point of the figure, plus a one-line statement of the *shape* the
-//! paper reports (who wins, roughly by how much). `EXPERIMENTS.md` records the
-//! measured outcomes against those expectations.
+//! paper reports (who wins, roughly by how much). Each experiment prints its
+//! rows next to that prose `expectation`; nothing yet checks the rows against
+//! it or records the outcome.
 
 use std::time::Duration;
 

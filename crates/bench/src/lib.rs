@@ -8,7 +8,9 @@
 //! threads, nodes) while scaling absolute sizes down to megabytes, so the
 //! comparisons finish in minutes. Absolute times therefore differ from the
 //! paper; the *shape* — which algorithm wins, by roughly what factor, where
-//! lines cross — is what `EXPERIMENTS.md` records and compares.
+//! lines cross — is what matters. Each experiment prints its rows next to a
+//! prose `expectation` stating that shape; nothing yet checks the rows
+//! against it or records the outcome.
 //!
 //! The entry point is the `repro` binary
 //! (`cargo run --release -p era-bench --bin repro -- all`), which prints one

@@ -38,12 +38,12 @@
 //!   byte-identically the old or the new generation; the seeded broken
 //!   commit protocol must be caught, or the harness fails itself.
 //! - [`real`] (with the `shim-sync` feature) — the *real* concurrent code of
-//!   the workspace, exhaustively interleaved: `era-string-store` and `era`
-//!   compile their sync primitives against the vendored loom-style shims
-//!   (`interleave::shim`), and two-sided suites drive the actual
-//!   `CacheStats`, `BlockCache` shard and query `WorkQueue` methods through
-//!   every schedule — the production path must hold on all of them, and a
-//!   seeded split read-modify-write twin must be caught.
+//!   the workspace, exhaustively interleaved: `era-string-store` compiles its
+//!   sync primitives against the vendored loom-style shims
+//!   (`interleave::shim`), and two-sided suites drive the actual `CacheStats`
+//!   and `BlockCache` shard methods through every schedule — the production
+//!   path must hold on all of them, and a seeded split read-modify-write twin
+//!   must be caught.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

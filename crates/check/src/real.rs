@@ -1,15 +1,13 @@
 //! Real-code concurrency suites, checked exhaustively under every
 //! interleaving (built only with the `shim-sync` feature).
 //!
-//! PR 7's `models` module checked hand-written *imitations* of the
-//! workspace's concurrent structures: small step-closure models that
-//! mirrored `CacheStats`, the `BlockCache` shard and the query work queue.
-//! A model can silently drift from the code it imitates, so this module
-//! replaces it: with `shim-sync` enabled, `era-string-store` and `era`
-//! compile their sync primitives against the vendored loom-style shims
-//! (`interleave::shim`), and every suite here drives the **actual** methods
-//! — [`CacheStats::add_insertion`], [`BlockCache::insert`],
-//! [`WorkQueue::claim`] — through every interleaving of their lock
+//! Hand-written *imitations* of concurrent structures can silently drift
+//! from the code they imitate, so this module checks the real code: with
+//! `shim-sync` enabled, `era-string-store` — the one library crate with
+//! shared sync state — compiles its sync primitives against the vendored
+//! loom-style shims (`interleave::shim`), and every suite here drives the
+//! **actual** methods — [`CacheStats::add_insertion`],
+//! [`BlockCache::insert`] — through every interleaving of their lock
 //! acquisitions and atomic operations via [`RealModel`].
 //!
 //! Every suite is **two-sided**:
@@ -20,7 +18,7 @@
 //! * the **broken** side runs a deliberately mis-synchronized twin that
 //!   ships next to the production code under `#[cfg(feature =
 //!   "shim-sync")]` ([`CacheStats::add_insertion_split`],
-//!   [`BlockCache::insert_split_accounting`], [`WorkQueue::claim_split`])
+//!   [`BlockCache::insert_split_accounting`])
 //!   and must be *caught* — if the explorer cannot find the seeded split
 //!   read-modify-write, its green checkmark on the sound side is worthless.
 //!
@@ -31,13 +29,9 @@
 //! * [`block_cache_shard`] — two workers insert oversized blocks into a
 //!   single-shard [`BlockCache`]; the capacity bound and the byte
 //!   accounting must hold on every schedule.
-//! * [`query_work_queue`] — two workers drain a [`WorkQueue`]; every item
-//!   must be claimed exactly once.
 
 use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
 
-use era::WorkQueue;
 use era_string_store::{BlockCache, CacheStats};
 use interleave::shim::{RealModel, RealOutcome};
 
@@ -116,43 +110,6 @@ pub fn block_cache_shard(broken: bool) -> RealOutcome {
     })
 }
 
-/// The query engine's real [`WorkQueue`] under concurrent draining: the
-/// production `claim` is one `fetch_add`, so every item is handed out
-/// exactly once; the seeded `claim_split` twin splits the claim into load +
-/// store and lets two workers execute the same item.
-pub fn query_work_queue(broken: bool) -> RealOutcome {
-    struct QState {
-        queue: WorkQueue,
-        /// Items each worker executed. Plain std mutex: bookkeeping only,
-        /// locked and released within one scheduler step.
-        claimed: StdMutex<Vec<usize>>,
-    }
-    let items = WORKERS;
-    let mut model = RealModel::new(move || QState {
-        queue: WorkQueue::new(items, 0),
-        claimed: StdMutex::new(Vec::new()),
-    });
-    for w in 0..WORKERS {
-        model = model.thread(format!("w{w}"), move |s: &QState| loop {
-            let claim = if broken { s.queue.claim_split() } else { s.queue.claim() };
-            match claim {
-                Some(item) => s.claimed.lock().expect("bookkeeping mutex poisoned").push(item),
-                None => break,
-            }
-        });
-    }
-    model.check(move |s| {
-        let mut claimed = s.claimed.lock().expect("bookkeeping mutex poisoned").clone();
-        claimed.sort_unstable();
-        let want: Vec<usize> = (0..items).collect();
-        if claimed == want {
-            Ok(())
-        } else {
-            Err(format!("items claimed {claimed:?} (want each of {want:?} exactly once)"))
-        }
-    })
-}
-
 /// The outcome of checking one real-code suite in both variants.
 #[derive(Debug)]
 pub struct RealReport {
@@ -185,11 +142,6 @@ pub fn run_all() -> Vec<RealReport> {
             name: "block-cache-shard",
             sound: block_cache_shard(false),
             broken: block_cache_shard(true),
-        },
-        RealReport {
-            name: "query-work-queue",
-            sound: query_work_queue(false),
-            broken: query_work_queue(true),
         },
     ]
 }
@@ -240,12 +192,5 @@ mod tests {
             "{}",
             v.message
         );
-    }
-
-    #[test]
-    fn split_queue_claim_duplicates_an_item() {
-        let outcome = query_work_queue(true);
-        let v = outcome.violation.expect("split claim must duplicate an item");
-        assert!(v.message.contains("claimed"), "{}", v.message);
     }
 }

@@ -76,17 +76,19 @@
 //!
 //! Serving mirrors construction's store abstraction. The [`query`] module
 //! provides typed requests ([`Query::Contains`], [`Query::Count`],
-//! [`Query::Locate`] with paging) that a [`QueryEngine`] answers in batches:
-//! patterns are routed by their leading symbols through the partition trie,
-//! grouped per sub-tree, and executed on a worker pool shaped like the
-//! construction schedulers, each worker resolving edge labels through a
-//! `TextSource` — the materialized text when available, or a reused window
-//! over any raw/packed `StringStore` otherwise. [`SuffixIndex::engine`] and
-//! [`SuffixIndex::query_batch`] are the entry points; a catalog whose text
+//! [`Query::Locate`] with paging) that a [`QueryEngine`] answers in batches.
+//! A query has one path: the `PartitionedSuffixTree` call of its kind
+//! (`try_contains`, `try_count`, `try_find_all`) routes the pattern by its
+//! leading symbols through the partition trie and descends each candidate
+//! sub-tree, resolving edge labels through a `TextSource` — the materialized
+//! text when available, or a reused window over any raw/packed `StringStore`
+//! otherwise. A batch is that call in a loop, optionally cut into contiguous
+//! chunks on scoped threads ([`QueryEngine::threads`]). [`SuffixIndex::engine`]
+//! and [`SuffixIndex::query_batch`] are the entry points; a catalog whose text
 //! segment exceeds the memory budget is served by [`SuffixIndex::open_file`]
 //! straight from a `DiskStore`/`PackedDiskStore` over that segment without
 //! ever materializing the text, with the I/O of every batch reported in
-//! [`QueryStats`] — attributed per worker, so concurrent engines on one
+//! [`QueryStats`] — attributed per chunk, so concurrent engines on one
 //! shared store never see each other's traffic. The classic
 //! [`SuffixIndex::contains`]/[`SuffixIndex::count`]/[`SuffixIndex::find_all`]
 //! remain as thin single-query wrappers.
@@ -173,8 +175,9 @@
 //! * [`scan`] — sequential multi-pattern occurrence scans over the
 //!   zero-copy block cursor of `era-string-store`: one trie descent per
 //!   position, with a scalar reference implementation.
-//! * [`query`] — the batched [`QueryEngine`], typed [`Query`] requests and
-//!   [`QueryStats`] I/O accounting over in-memory or store-backed texts.
+//! * [`query`] — the batched [`QueryEngine`] (a loop over the partitioned
+//!   tree's single-query calls), typed [`Query`] requests and [`QueryStats`]
+//!   I/O accounting over in-memory or store-backed texts.
 //! * [`SuffixIndex`] — the user-facing API combining construction and queries.
 
 #![forbid(unsafe_code)]
@@ -190,9 +193,7 @@ pub mod pipeline;
 pub mod query;
 pub mod report;
 pub mod scan;
-pub mod sync;
 pub mod vertical;
-pub mod work_queue;
 
 // Unit tests of the three drivers in `pipeline`, kept under the module paths
 // the tier-1 test floor names them by.
@@ -213,7 +214,6 @@ pub use pipeline::{
 pub use query::{Query, QueryAnswer, QueryBatch, QueryEngine, QueryResponse, QueryStats};
 pub use report::{ConstructionReport, NodeReport};
 pub use vertical::{vertical_partition, PrefixFrequency, VerticalPartitioning, VirtualTree};
-pub use work_queue::WorkQueue;
 
 // Re-export the building blocks users commonly need alongside the index.
 pub use era_string_store as string_store;

@@ -11,18 +11,19 @@
 //! traversals fetch is visible in the store's I/O counters.
 //!
 //! Queries are typed ([`Query::Contains`], [`Query::Count`],
-//! [`Query::Locate`] with paging) and submitted in a [`QueryBatch`]. The
-//! engine routes each pattern by its first symbols through the partition trie
-//! — the descent the construction-side scans make from every position of the
-//! string (`crate::scan::collect_occurrences`) — groups the work by tree
-//! partition, and executes the partitions on a worker pool shaped like
-//! the construction schedulers (reserved-first assignment plus a shared
-//! dynamic queue). Each worker reuses one window buffer across every pattern
-//! it serves, which is where the batched path beats issuing the same queries
-//! one by one. The [`QueryResponse`] carries per-query results plus a
-//! [`QueryStats`] snapshot (wall-clock, partition visits, I/O and cache
-//! activity, all attributed per worker and summed — two engines sharing one
-//! store never see each other's traffic).
+//! [`Query::Locate`] with paging) and submitted in a [`QueryBatch`]. There is
+//! one query path: every query of a batch is answered by the matching
+//! [`PartitionedSuffixTree`] call (`try_contains`, `try_count`,
+//! `try_find_all`), which routes the pattern by its first symbols through the
+//! partition trie and descends each candidate sub-tree. [`QueryEngine::run`]
+//! only loops over the batch: with [`QueryEngine::threads`] above one it cuts
+//! the batch into that many contiguous chunks, one scoped thread each, and
+//! concatenates the answers in submission order. Each chunk reuses one window
+//! buffer across every pattern it serves, which is where the batched path
+//! beats issuing the same queries one by one. The [`QueryResponse`] carries
+//! per-query results plus a [`QueryStats`] snapshot (wall-clock, partition
+//! visits, I/O and cache activity, all attributed per chunk and summed — two
+//! engines sharing one store never see each other's traffic).
 //!
 //! Store-backed engines can attach a shared [`BlockCache`] of decoded blocks
 //! ([`QueryEngine::cache`]/[`QueryEngine::with_cache`]): the cache outlives
@@ -33,16 +34,15 @@
 //! attaches one automatically for store-backed indexes (sized by
 //! [`crate::EraConfig::cache_bytes`]).
 
-use crate::work_queue::WorkQueue;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use era_string_store::{
     BlockCache, CacheSnapshot, IoSnapshot, StoreResult, StoreTextSource, StringStore, TextSource,
 };
-use era_suffix_tree::{MatchResult, PartitionedSuffixTree};
+use era_suffix_tree::PartitionedSuffixTree;
 
-use crate::error::{EraError, EraResult};
+use crate::error::EraResult;
 
 /// One typed query over the indexed text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,8 +196,9 @@ pub struct QueryStats {
     pub elapsed: Duration,
     /// Number of queries answered.
     pub queries: usize,
-    /// Number of (partition, query) matches executed — every partition visit
-    /// across all queries.
+    /// Number of (partition, query) pairs routed — for each query, the
+    /// partitions the trie sends its pattern to (every partition for an
+    /// empty pattern), summed over the batch.
     pub partition_visits: usize,
     /// I/O the batch caused on the backing store (all-zero for the in-memory
     /// text fast path, which performs no accounted I/O).
@@ -241,11 +242,12 @@ pub struct QueryResponse {
     pub stats: QueryStats,
 }
 
-/// What a worker produced for one `(query, partition)` visit.
-enum Partial {
-    Contains(bool),
-    Count(usize),
-    Locate(Vec<u32>),
+/// What one worker produced for its contiguous chunk of a batch.
+struct Chunk {
+    answers: Vec<QueryAnswer>,
+    visits: usize,
+    io: IoSnapshot,
+    cache: CacheSnapshot,
 }
 
 /// How the engine resolves edge labels.
@@ -303,10 +305,10 @@ impl TextSource for WorkerSource<'_> {
 ///
 /// Construct one with [`QueryEngine::over_text`] or
 /// [`QueryEngine::over_store`] (or [`crate::SuffixIndex::engine`], which
-/// picks the right backing automatically), optionally widen the worker pool
-/// with [`QueryEngine::threads`], and [`QueryEngine::run`] batches against
-/// it. The engine borrows the tree and backing, so it is cheap to create per
-/// request.
+/// picks the right backing automatically), optionally split batches across
+/// threads with [`QueryEngine::threads`], and [`QueryEngine::run`] batches
+/// against it. The engine borrows the tree and backing, so it is cheap to
+/// create per request.
 pub struct QueryEngine<'a> {
     tree: &'a PartitionedSuffixTree,
     backing: Backing<'a>,
@@ -327,9 +329,8 @@ impl<'a> QueryEngine<'a> {
         QueryEngine { tree, backing: Backing::Store(store), threads: 1, cache: None }
     }
 
-    /// Sets the worker-pool width for batch execution (min 1). Workers split
-    /// the batch by tree partition, like the construction schedulers split
-    /// virtual trees.
+    /// Sets how many threads answer a batch (min 1): [`Self::run`] splits the
+    /// batch into that many contiguous chunks.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -365,10 +366,8 @@ impl<'a> QueryEngine<'a> {
         self.cache.as_ref()
     }
 
-    /// Answers one containment query.
-    ///
-    /// Single queries skip the batch machinery: a direct trie-routed tree
-    /// walk over a fresh text view, no per-batch bookkeeping.
+    /// Answers one containment query over a fresh text view — the call
+    /// [`Self::run`] makes per `Contains` query, without the stats.
     // era-check: entry
     pub fn contains(&self, pattern: &[u8]) -> EraResult<bool> {
         let source = self.worker_source();
@@ -390,151 +389,52 @@ impl<'a> QueryEngine<'a> {
         Ok(positions.into_iter().map(|p| p as usize).collect())
     }
 
-    /// Executes a batch: routes every pattern through the partition trie,
-    /// runs the touched partitions on the worker pool, merges per-partition
-    /// partials, and snapshots timing and I/O.
+    /// Executes a batch: answers every query through the single-query path
+    /// ([`PartitionedSuffixTree::try_contains`] / `try_count` /
+    /// `try_find_all`), `threads` contiguous chunks at a time, and snapshots
+    /// timing and I/O.
     // era-check: entry
-    // era-check: allow(panic-path): query/partition indices enumerate the batch and routing table built in this fn
     pub fn run(&self, batch: &QueryBatch) -> EraResult<QueryResponse> {
         let start = Instant::now();
+        let queries = batch.queries();
+        let threads = self.threads.min(queries.len()).max(1);
 
-        // --- Route: first symbol(s) → candidate partitions, grouped so each
-        // partition is visited once with every query that needs it. ---
-        let partitions = self.tree.partitions();
-        let mut per_partition: Vec<Vec<u32>> = vec![Vec::new(); partitions.len()];
-        let mut visits = 0usize;
-        for (qi, query) in batch.queries().iter().enumerate() {
-            let pattern = query.pattern();
-            // Empty patterns match everywhere; route them to every partition
-            // (each contributes its own leaves).
-            if pattern.is_empty() {
-                for bucket in per_partition.iter_mut() {
-                    bucket.push(qi as u32);
-                    visits += 1;
-                }
-                continue;
-            }
-            for p in self.tree.trie().candidates(pattern) {
-                per_partition[p as usize].push(qi as u32);
-                visits += 1;
-            }
-        }
-        let work: Vec<(usize, Vec<u32>)> = per_partition
-            .into_iter()
-            .enumerate()
-            .filter(|(_, queries)| !queries.is_empty())
-            .collect();
-
-        // --- Execute: partitions in parallel, one reused text window per
-        // worker, reserved-first + dynamic queue like the shared-memory
-        // scheduler. Each worker hands back its partials together with its
-        // own source's I/O and cache counters — attribution is per worker,
-        // never a global store-stats delta, so concurrent engines on one
-        // shared store cannot contaminate each other's numbers. ---
-        type WorkerOut = (Vec<(u32, Partial)>, IoSnapshot, CacheSnapshot);
-        let threads = self.threads.min(work.len()).max(1);
-        let worker_outs: Vec<WorkerOut> = if threads == 1 {
-            let source = self.worker_source();
-            let partials = run_work_items(self.tree, &source, batch, &work, 0, work.len())?;
-            let (io, cache) = source.counters();
-            vec![(partials, io, cache)]
+        // Each chunk gets its own text source, so its I/O and cache counters
+        // are attributed per worker — never a global store-stats delta — and
+        // concurrent engines on one shared store cannot contaminate each
+        // other's numbers.
+        let chunks: Vec<EraResult<Chunk>> = if threads == 1 {
+            vec![self.run_chunk(queries)]
         } else {
-            let queue = WorkQueue::new(work.len(), threads);
-            let results: Vec<EraResult<WorkerOut>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let queue = &queue;
-                        let work = &work;
-                        scope.spawn(move || {
-                            let source = self.worker_source();
-                            let mut out = Vec::new();
-                            let mut idx = Some(worker);
-                            while let Some(item) = idx {
-                                out.extend(run_work_items(
-                                    self.tree,
-                                    &source,
-                                    batch,
-                                    work,
-                                    item,
-                                    item + 1,
-                                )?);
-                                idx = queue.claim();
-                            }
-                            let (io, cache) = source.counters();
-                            Ok((out, io, cache))
-                        })
-                    })
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = queries
+                    .chunks(queries.len().div_ceil(threads))
+                    .map(|chunk| scope.spawn(move || self.run_chunk(chunk)))
                     .collect();
                 handles
                     .into_iter()
                     // era-check: allow(unwrap): a panicked worker cannot be recovered from
                     .map(|h| h.join().expect("query worker must not panic"))
                     .collect()
-            });
-            results.into_iter().collect::<EraResult<Vec<_>>>()?
+            })
         };
+
+        let mut results = Vec::with_capacity(queries.len());
+        let mut visits = 0usize;
         let mut io = IoSnapshot::default();
         let mut cache_activity = CacheSnapshot::default();
-        let partials: Vec<Vec<(u32, Partial)>> = worker_outs
-            .into_iter()
-            .map(|(partials, worker_io, worker_cache)| {
-                io = io.merged(&worker_io);
-                cache_activity = cache_activity.merged(&worker_cache);
-                partials
-            })
-            .collect();
+        for chunk in chunks {
+            let chunk = chunk?;
+            results.extend(chunk.answers);
+            visits += chunk.visits;
+            io = io.merged(&chunk.io);
+            cache_activity = cache_activity.merged(&chunk.cache);
+        }
         #[cfg(feature = "paranoid")]
-        {
-            // Every routed (partition, query) visit must come back as exactly
-            // one partial — a worker dropping or double-reporting work would
-            // silently skew answers and the stats alike.
-            let produced: usize = partials.iter().map(Vec::len).sum();
-            debug_assert_eq!(
-                produced, visits,
-                "workers returned {produced} partials for {visits} routed partition visits"
-            );
-            debug_assert!(
-                cache_activity.hits + cache_activity.misses == 0 || self.cache.is_some(),
-                "cache activity reported without an attached cache"
-            );
-        }
-
-        // --- Merge the per-partition partials back into per-query answers,
-        // in submission order. ---
-        let mut results: Vec<QueryAnswer> = batch
-            .queries()
-            .iter()
-            .map(|q| match q {
-                Query::Contains { .. } => QueryAnswer::Contains(false),
-                Query::Count { .. } => QueryAnswer::Count(0),
-                Query::Locate { .. } => QueryAnswer::Locate(Vec::new()),
-            })
-            .collect();
-        let mut positions: Vec<Vec<u32>> = vec![Vec::new(); batch.len()];
-        for (qi, partial) in partials.into_iter().flatten() {
-            let qi = qi as usize;
-            match (partial, &mut results[qi]) {
-                (Partial::Contains(found), QueryAnswer::Contains(hit)) => *hit |= found,
-                (Partial::Count(n), QueryAnswer::Count(total)) => *total += n,
-                (Partial::Locate(mut p), QueryAnswer::Locate(_)) => {
-                    positions[qi].append(&mut p);
-                }
-                _ => unreachable!("partial kind always matches its query kind"),
-            }
-        }
-        for (qi, query) in batch.queries().iter().enumerate() {
-            if let Query::Locate { offset, limit, .. } = query {
-                let mut p = std::mem::take(&mut positions[qi]);
-                p.sort_unstable();
-                let page: Vec<usize> = p
-                    .into_iter()
-                    .map(|pos| pos as usize)
-                    .skip(*offset)
-                    .take(limit.unwrap_or(usize::MAX))
-                    .collect();
-                results[qi] = QueryAnswer::Locate(page);
-            }
-        }
+        debug_assert!(
+            cache_activity.hits + cache_activity.misses == 0 || self.cache.is_some(),
+            "cache activity reported without an attached cache"
+        );
 
         Ok(QueryResponse {
             results,
@@ -546,6 +446,38 @@ impl<'a> QueryEngine<'a> {
                 cache: cache_activity,
             },
         })
+    }
+
+    /// Answers `queries` in order from one text source.
+    fn run_chunk(&self, queries: &[Query]) -> EraResult<Chunk> {
+        let source = self.worker_source();
+        let mut answers = Vec::with_capacity(queries.len());
+        let mut visits = 0usize;
+        for query in queries {
+            let pattern = query.pattern();
+            visits += if pattern.is_empty() {
+                self.tree.partitions().len()
+            } else {
+                self.tree.trie().candidates(pattern).len()
+            };
+            answers.push(match query {
+                Query::Contains { .. } => {
+                    QueryAnswer::Contains(self.tree.try_contains(&source, pattern)?)
+                }
+                Query::Count { .. } => QueryAnswer::Count(self.tree.try_count(&source, pattern)?),
+                Query::Locate { offset, limit, .. } => QueryAnswer::Locate(
+                    self.tree
+                        .try_find_all(&source, pattern)?
+                        .into_iter()
+                        .skip(*offset)
+                        .take(limit.unwrap_or(usize::MAX))
+                        .map(|pos| pos as usize)
+                        .collect(),
+                ),
+            });
+        }
+        let (io, cache) = source.counters();
+        Ok(Chunk { answers, visits, io, cache })
     }
 
     pub(crate) fn worker_source(&self) -> WorkerSource<'a> {
@@ -560,46 +492,6 @@ impl<'a> QueryEngine<'a> {
             }
         }
     }
-}
-
-/// Runs the work items `work[from..to]` against one text source, producing
-/// `(query index, partial)` pairs.
-// era-check: allow(panic-path): work items index the partition table and batch they were cut from
-fn run_work_items(
-    tree: &PartitionedSuffixTree,
-    source: &WorkerSource<'_>,
-    batch: &QueryBatch,
-    work: &[(usize, Vec<u32>)],
-    from: usize,
-    to: usize,
-) -> EraResult<Vec<(u32, Partial)>> {
-    let mut out = Vec::new();
-    for (partition_idx, query_indices) in &work[from..to] {
-        let subtree = &tree.partitions()[*partition_idx].tree;
-        for &qi in query_indices {
-            let query = &batch.queries()[qi as usize];
-            let matched =
-                subtree.try_match_pattern(source, query.pattern()).map_err(EraError::from)?;
-            let partial = match (query, matched) {
-                (Query::Contains { .. }, m) => {
-                    Partial::Contains(matches!(m, MatchResult::Complete { .. }))
-                }
-                (Query::Count { .. }, MatchResult::Complete { node }) => {
-                    // No position vector: counting must not materialize
-                    // every occurrence just to measure it (the walk's node
-                    // stack is the only allocation).
-                    Partial::Count(subtree.leaf_count_below(node))
-                }
-                (Query::Count { .. }, MatchResult::NoMatch) => Partial::Count(0),
-                (Query::Locate { .. }, MatchResult::Complete { node }) => {
-                    Partial::Locate(subtree.leaves_below(node))
-                }
-                (Query::Locate { .. }, MatchResult::NoMatch) => Partial::Locate(Vec::new()),
-            };
-            out.push((qi, partial));
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -624,7 +516,9 @@ mod tests {
             .push(Query::locate(&b"TGC"[..]))
             .push(Query::locate_page(&b"TG"[..], 2, 3))
             .push(Query::count(&b""[..]))
-            .push(Query::locate(&b"TGGTGGTGGTGCGGTGATGGTGCX"[..]));
+            .push(Query::locate(&b"TGGTGGTGGTGCGGTGATGGTGCX"[..]))
+            .push(Query::locate_page(&b"TG"[..], 7, 2))
+            .push(Query::locate_page(&b"TG"[..], 1, 0));
         let response = index.query_batch(&batch).unwrap();
         assert_eq!(response.results[0], QueryAnswer::Contains(true));
         assert_eq!(response.results[1], QueryAnswer::Contains(false));
@@ -633,8 +527,23 @@ mod tests {
         assert_eq!(response.results[4], QueryAnswer::Locate(vec![6, 9, 14]));
         assert_eq!(response.results[5], QueryAnswer::Count(BODY.len() + 1));
         assert_eq!(response.results[6], QueryAnswer::Locate(Vec::new()));
-        assert_eq!(response.stats.queries, 7);
-        assert!(response.stats.partition_visits >= 7);
+        // Offset past the last of the 7 occurrences, and a zero-length page.
+        assert_eq!(response.results[7], QueryAnswer::Locate(Vec::new()));
+        assert_eq!(response.results[8], QueryAnswer::Locate(Vec::new()));
+        assert_eq!(response.stats.queries, 9);
+        // Visits are the partitions each pattern is routed to; the empty
+        // pattern is routed to all of them.
+        let tree = index.tree();
+        let routed: usize = batch
+            .queries()
+            .iter()
+            .map(|q| match q.pattern() {
+                [] => tree.partitions().len(),
+                p => tree.trie().candidates(p).len(),
+            })
+            .sum();
+        assert_eq!(response.stats.partition_visits, routed);
+        assert!(routed >= 9);
     }
 
     #[test]
@@ -666,17 +575,32 @@ mod tests {
     #[test]
     fn multithreaded_batches_are_deterministic() {
         let index = index();
-        let patterns: Vec<Query> = (0..80)
-            .map(|i| {
-                let start = i % BODY.len();
-                let end = (start + 1 + i % 7).min(BODY.len());
-                Query::locate(&BODY[start..end])
-            })
-            .collect();
-        let batch = QueryBatch::from(patterns);
-        let serial = index.engine().run(&batch).unwrap();
-        let parallel = index.engine().threads(4).run(&batch).unwrap();
-        assert_eq!(serial.results, parallel.results);
+        let query = |i: usize| {
+            let start = i % BODY.len();
+            let pattern = &BODY[start..(start + 1 + i % 7).min(BODY.len())];
+            match i % 4 {
+                0 => Query::count(pattern),
+                1 => Query::contains(pattern),
+                2 => Query::locate(pattern),
+                _ => Query::locate_page(pattern, i % 3, 1 + i % 2),
+            }
+        };
+        // Empty, fewer queries than threads, and lengths no thread count
+        // divides evenly.
+        for len in [0, 1, 2, 7, 80] {
+            let batch: QueryBatch = (0..len).map(query).collect();
+            let expected: Vec<QueryAnswer> = batch
+                .queries()
+                .iter()
+                .map(|q| index.query_batch(&QueryBatch::from(vec![q.clone()])).unwrap().results)
+                .map(|mut results| results.remove(0))
+                .collect();
+            for threads in 1..=5 {
+                let response = index.engine().threads(threads).run(&batch).unwrap();
+                assert_eq!(response.results, expected, "{len} queries on {threads} threads");
+                assert_eq!(response.stats.queries, len);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! arrays of string partitions, merges them, and only then materialises the
 //! suffix tree in batch. This crate provides the pieces it needs:
 //!
-//! * [`suffix_array`] — O(n log n) prefix-doubling (Manber–Myers) construction.
+//! * [`suffix_array`] — prefix-doubling (Manber–Myers) construction with a
+//!   comparison sort per round: O(n log² n) time, 12 bytes per symbol.
 //! * [`lcp_kasai`] — Kasai's linear-time LCP array.
 //! * [`merge`] — k-way merge of sorted suffix runs with LCP maintenance.
 //! * [`suffix_tree_from_text`] — convenience: SA + LCP + batch tree assembly.

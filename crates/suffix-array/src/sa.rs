@@ -1,8 +1,11 @@
 //! Prefix-doubling (Manber–Myers) suffix array construction.
 //!
-//! `O(n log n)` with radix-style bucket sorting per round. Fast enough for the
-//! MB-scale partitions the B²ST baseline sorts, and completely independent of
-//! the tree code so it can serve as an oracle.
+//! Every round is a comparison sort (`sort_unstable_by_key`) on the pair of
+//! ranks, and the rank length doubles each round: `O(n log² n)` time, and
+//! 12 bytes per symbol beyond the text (`sa`, `rank` and `tmp_rank`, one
+//! `u32` each). Fast enough for the MB-scale partitions the B²ST baseline
+//! sorts, and completely independent of the tree code so it can serve as an
+//! oracle.
 
 /// Builds the suffix array of `text` (all rotations are proper suffixes thanks
 /// to the unique terminal byte, which must be the last byte).
