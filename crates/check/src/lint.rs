@@ -5,10 +5,10 @@
 //! [`crate::lex`] + [`crate::graph`]) instead of per-line string matching,
 //! so reachability rules see through helper functions:
 //!
-//! - **raw-read** — every `read_at` call outside `cursor.rs` /
-//!   `text_source.rs` is flagged. All block I/O is supposed to flow through
-//!   [`BlockCursor`] and the text-source layer so it is accounted in
-//!   `IoStats`; a stray `read_at` is unaccounted I/O.
+//! - **raw-read** — every `read_at` or `read_codes_at` call outside
+//!   `cursor.rs` / `text_source.rs` is flagged. All block I/O is supposed to
+//!   flow through [`BlockCursor`] and the text-source layer so it is
+//!   accounted in `IoStats`; a stray raw read is unaccounted I/O.
 //! - **hot-alloc** — a function marked `// era-check: hot` must not *reach*
 //!   an allocation (`Vec::…`/`Box::…`/`String::…` constructors, `.to_vec()`,
 //!   `.collect()`, `vec!`/`format!`) through **any call chain**, not just
@@ -55,7 +55,8 @@ use crate::lex::{lex, Lexed};
 /// The lint rules `era-check lint` knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// `read_at` call outside the cursor / text-source layer.
+    /// `read_at` / `read_codes_at` call outside the cursor / text-source
+    /// layer.
     RawRead,
     /// Allocation reachable from a `// era-check: hot` function.
     HotAlloc,
@@ -128,15 +129,19 @@ impl fmt::Display for Finding {
 /// Per-file lint policy, derived from the file's place in the workspace.
 #[derive(Debug, Clone, Copy)]
 pub struct FilePolicy {
-    /// Whether `read_at` calls are allowed here (the cursor/text-source seam).
+    /// Whether raw reads are allowed here (the cursor/text-source seam).
     pub raw_read_allowed: bool,
     /// Whether the unwrap rule applies (library crates only).
     pub unwrap_denied: bool,
 }
 
-/// File names that form the accounted-I/O seam: the only places a raw
-/// `read_at` may appear.
+/// File names that form the accounted-I/O seam: the only places a raw read
+/// may appear.
 pub const RAW_READ_SEAM: &[&str] = &["cursor.rs", "text_source.rs"];
+
+/// The store methods that read the string without the seam's accounting:
+/// decoded symbols, or the store's codes.
+pub const RAW_READS: &[&str] = &["read_at", "read_codes_at"];
 
 /// Crate directories whose sources are linted as *library* code (the unwrap
 /// rule applies, and their fns are call-graph resolution candidates).
@@ -324,7 +329,7 @@ impl Analysis {
                 if f.is_test {
                     continue;
                 }
-                for call in f.calls.iter().filter(|c| c.name == "read_at") {
+                for call in f.calls.iter().filter(|c| RAW_READS.contains(&c.name.as_str())) {
                     if file.lexed.allows_site(call.line, Rule::RawRead.name())
                         || f.allows_rule(Rule::RawRead.name())
                     {
@@ -655,6 +660,15 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::RawRead);
         assert_eq!(f[0].line, 2);
+    }
+
+    #[test]
+    fn unaccounted_code_read_is_flagged_outside_the_seam_only() {
+        let src = "fn f(s: &dyn StringStore) {\n    s.read_codes_at(0, 8, &mut buf);\n}\n";
+        let f = lint_lib(src);
+        assert_eq!((f.len(), f[0].rule, f[0].line), (1, Rule::RawRead, 2), "{f:?}");
+        let f = lint_source(Path::new("crates/string-store/src/cursor.rs"), src);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -150,6 +150,21 @@ fn option_wrapped_helper_is_a_source_and_its_sanitized_twin_is_clean() {
     assert!(twin.is_empty(), "sanitized twin should pass clean but was flagged: {twin:?}");
 }
 
+/// The raw-read rule covers the store's code-level read as well as `read_at`:
+/// its own deny fixture and allowed twin, next to the rule's `read_at` pair.
+const RAW_READ_CODES: &str = "raw_read_codes";
+
+#[test]
+fn code_read_outside_the_seam_is_a_raw_read_and_its_allowed_twin_is_clean() {
+    let findings = lint_fixture(&format!("deny_{RAW_READ_CODES}.rs"));
+    assert!(
+        !findings.is_empty() && findings.iter().all(|f| f.rule == Rule::RawRead),
+        "the code read must trip raw-read and nothing else: {findings:?}"
+    );
+    let twin = lint_fixture(&format!("allow_{RAW_READ_CODES}.rs"));
+    assert!(twin.is_empty(), "allowed twin should pass clean but was flagged: {twin:?}");
+}
+
 #[test]
 fn corpus_has_no_orphan_fixtures() {
     // Every file in the corpus must belong to a known rule — an orphan is
@@ -162,6 +177,7 @@ fn corpus_has_no_orphan_fixtures() {
             [format!("deny_{}.rs", taint_slug(r)), format!("allow_{}.rs", taint_slug(r))]
         }))
         .chain([format!("deny_{WRAPPED_SOURCE}.rs"), format!("allow_{WRAPPED_SOURCE}.rs")])
+        .chain([format!("deny_{RAW_READ_CODES}.rs"), format!("allow_{RAW_READ_CODES}.rs")])
         .collect();
     let mut on_disk = BTreeSet::new();
     for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir must exist") {

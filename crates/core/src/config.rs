@@ -35,7 +35,10 @@
 //!    (`L`/`B`/`I`/`A`/`P`). No tree node exists yet, so `R` also occupies
 //!    the idle sub-tree area: [`MemoryLayout::r_bytes`] is the dedicated
 //!    read-ahead buffer *plus* [`MemoryLayout::tree_area`] (a cohort member
-//!    runs with that less the waiting lists of phase 1);
+//!    runs with that less the waiting lists of phase 1). `R` holds the
+//!    store's codes, so the same bytes are a longer range on a packed store:
+//!    the first elastic range of a full DNA group is ≈ 100 symbols raw and
+//!    ≈ 400 packed (2 bits a symbol);
 //! 3. **build** (`BuildSubTree`) — `R` is dead; the tree grows in the
 //!    sub-tree area from `L`/`B`;
 //! 4. **freeze and release** — each sub-tree is frozen into its flat serving
@@ -108,8 +111,9 @@ pub struct EraConfig {
     /// [`crate::construct`]: one thread runs every virtual tree on the
     /// calling thread (§4), more than one a pool over the shared store (§5.1).
     pub threads: usize,
-    /// Lower bound for the elastic range (symbols fetched per active suffix
-    /// and iteration).
+    /// Lower bound for the elastic range, in bytes of `R` per active suffix
+    /// and iteration: that many symbols on a raw store, ⌊8 · min_range / w⌋
+    /// at a packed store's `w` bits per symbol.
     pub min_range: usize,
     /// Whether the string store keeps the text bit-packed (§6.1: 2 bits per
     /// DNA symbol, 5 per protein/English symbol). Packing cuts the bytes
@@ -195,7 +199,8 @@ impl EraConfig {
     /// [`MemoryLayout::r_bytes`] is what `R` has while it is live: with
     /// [`HorizontalMethod::StringAndMemory`] the sub-tree area is still empty
     /// then and `R` borrows it, which is what lets the first elastic range be
-    /// `(R + MTS) / FM` symbols (≈ 100 for DNA) instead of `R / FM` (≈ 5).
+    /// `(R + MTS) / FM` bytes (≈ 100 DNA symbols raw, ≈ 400 on a packed
+    /// store) instead of `R / FM` (≈ 5).
     pub fn memory_layout(&self, alphabet: &Alphabet) -> EraResult<MemoryLayout> {
         if self.memory_budget == 0 {
             return Err(EraError::config("memory budget must be non-zero"));

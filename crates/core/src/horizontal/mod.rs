@@ -22,11 +22,21 @@ use crate::config::RangePolicy;
 /// Per-iteration context shared by both horizontal variants.
 #[derive(Debug, Clone, Copy)]
 pub struct HorizontalParams {
-    /// Capacity of the read-ahead buffer `R` in symbols.
+    /// Capacity of the read-ahead buffer `R` in bytes.
+    ///
+    /// `SubTreePrepare` cuts it into one record of `r_capacity / active`
+    /// bytes per active suffix and fills each with the store's codes, so the
+    /// elastic range is ⌊8 · (r_capacity / active) / w⌋ symbols at a code
+    /// width of `w` bits ([`StringStore::code_bits`]: 8 raw, 2 for packed
+    /// DNA, 5 for packed protein and English). ERA-str reads one byte per
+    /// symbol, a range of `r_capacity / active`.
+    ///
+    /// [`StringStore::code_bits`]: era_string_store::StringStore::code_bits
     pub r_capacity: usize,
     /// Range policy (elastic or fixed).
     pub range_policy: RangePolicy,
-    /// Lower bound on the range.
+    /// Lower bound on the elastic range, in bytes of `R` per active suffix
+    /// (symbols where a symbol is a byte).
     pub min_range: usize,
     /// Whether to skip blocks that contain no needed symbol.
     pub seek_optimization: bool,
@@ -35,7 +45,7 @@ pub struct HorizontalParams {
 impl HorizontalParams {
     /// The range of symbols to prefetch for this iteration, given the number
     /// of still-active suffixes across the whole virtual tree
-    /// (`range = |R| / |L'|`, §4.4).
+    /// (`range = |R| / |L'|`, §4.4), at one byte per symbol.
     pub fn range_for(&self, active: usize) -> usize {
         match self.range_policy {
             RangePolicy::Fixed(k) => k.max(1),
@@ -43,6 +53,16 @@ impl HorizontalParams {
                 None => self.min_range.max(1),
                 Some(share) => share.max(self.min_range).max(1),
             },
+        }
+    }
+
+    /// The range in symbols when a symbol takes `bits` bits of `R`: the
+    /// elastic share of [`Self::range_for`] holds ⌊8 · share / bits⌋ codes,
+    /// while a fixed range stays that many symbols.
+    pub fn range_symbols(&self, active: usize, bits: u32) -> usize {
+        match self.range_policy {
+            RangePolicy::Fixed(k) => k.max(1),
+            RangePolicy::Elastic => (8 * self.range_for(active) / bits.max(1) as usize).max(1),
         }
     }
 }
@@ -77,6 +97,21 @@ mod tests {
         };
         for active in [1usize, 10, 1000] {
             assert_eq!(params.range_for(active), 16);
+            assert_eq!(params.range_symbols(active, 2), 16);
         }
+    }
+
+    #[test]
+    fn elastic_range_in_codes_packs_the_same_bytes() {
+        let params = HorizontalParams {
+            r_capacity: 1000,
+            range_policy: RangePolicy::Elastic,
+            min_range: 4,
+            seek_optimization: false,
+        };
+        assert_eq!(params.range_symbols(10, 8), 100); // raw: a byte a symbol
+        assert_eq!(params.range_symbols(10, 2), 400); // packed DNA
+        assert_eq!(params.range_symbols(10, 5), 160); // packed protein, English
+        assert_eq!(params.range_symbols(1000, 5), 6); // min_range is bytes
     }
 }

@@ -19,15 +19,38 @@
 //! what [`MemoryLayout::r_bytes`](crate::config::MemoryLayout::r_bytes) says
 //! it is — the dedicated read-ahead buffer plus the idle sub-tree area — and
 //! it is held as exactly that: one flat byte arena per virtual tree,
-//! allocated once, cut into `active` records of `range` symbols each round.
-//! Record `k` holds the symbols of the `k`-th read request of the pass (in
-//! string order), copied once out of the [`BlockCursor`] window; `R[slot]`
-//! of the paper is the 4-byte number of the slot's record. Next to `R` live
-//! the arrays of the processing area (`L`, `B`, `I`, `A`, `P`) and the pass's
-//! request list; all of it is dropped when the group's `L`/`B` are handed to
-//! `BuildSubTree`, which then has the sub-tree area to itself.
+//! allocated once, cut into `active` records of `r_capacity / active` bytes
+//! each round. Record `k` holds the symbols of the `k`-th read request of the
+//! pass (in string order) as the store's own codes — `w` =
+//! [`StringStore::code_bits`] bits each: 8 on a raw store, where a record is
+//! the symbols' bytes, 2 for packed DNA and 5 for packed protein and English
+//! (§6.1) — copied once out of the window of a code-mode [`BlockCursor`]
+//! with nothing decoded. So the same bytes hold a range of
+//! ⌊8 · bytes / w⌋ symbols: ≈ 4× the raw range on DNA and 1.6× on protein,
+//! and as many fewer passes. `R[slot]` of the paper is the 4-byte number of
+//! the slot's record. Next to `R` live the arrays of the processing area
+//! (`L`, `B`, `I`, `A`, `P`) and the pass's request list; all of it is
+//! dropped when the group's `L`/`B` are handed to `BuildSubTree`, which then
+//! has the sub-tree area to itself.
+//!
+//! # Comparing codes
+//!
+//! Codes are dense and order-preserving, so two records are ordered by their
+//! codes at the first symbol where they differ. The terminal has no code in a
+//! packed payload; it is out of band here too: a read's length is what the
+//! read returned, and where one read ends before the two differ, its suffix
+//! is the smaller.
+//!
+//! * Each read carries a key, its first ⌊64 / w⌋ symbols (32 DNA, 12
+//!   protein) as one number in their order. Sorting an area compares keys,
+//!   and only reads whose keys tie — repeats — are compared further; where
+//!   two keys differ, their highest differing bit is the first differing
+//!   symbol.
+//! * Two records are scanned with one XOR per 8 bytes — 8 raw, 32 DNA or 12
+//!   protein symbols — and the lowest set bit divided by `w` is the first
+//!   differing symbol.
 
-use era_string_store::{BlockCursor, StoreResult, StringStore};
+use era_string_store::{BlockCursor, StoreResult, StringStore, TERMINAL};
 use era_suffix_tree::assemble::Branching;
 
 use super::HorizontalParams;
@@ -49,29 +72,177 @@ pub struct PreparedSubTree {
 }
 
 /// The read-ahead buffer `R` of one virtual tree: a flat arena cut, every
-/// round anew, into one `range`-symbol record per read request.
+/// round anew, into one record per read request, each `range` codes of
+/// `bits` bits from bit 0 on, in `stride` bytes.
 ///
 /// A request that is clamped at the end of the string fills only the front of
-/// its record. What follows (older rounds' symbols, or zeros) never decides a
-/// comparison: such a record ends with the terminal, which is unique, so any
-/// two records of one active area differ inside the part both have read.
-#[derive(Default)]
+/// its record. What follows (older rounds' codes, or zeros) never decides a
+/// comparison: every comparison stops at the shorter record's end.
 struct ReadAhead {
     bytes: Vec<u8>,
+    /// Length of the string, terminal included.
+    text_len: usize,
+    /// Bits per code: the store's [`StringStore::code_bits`].
+    bits: u32,
     /// Symbols per record in the current round.
     range: usize,
+    /// Bytes per record in the current round.
+    stride: usize,
+    /// Code → symbol: the alphabet on a packed store, the identity on a raw
+    /// one. The width cannot tell the two apart: a packed alphabet of more
+    /// than 128 symbols takes 8 bits as well.
+    symbols: [u8; 256],
 }
 
+/// One read of a round as the comparisons see it.
+#[derive(Clone, Copy)]
+struct Read {
+    /// Its sort key ([`ReadAhead::key`]).
+    key: u64,
+    /// The record it was copied to.
+    record: u32,
+    /// How many codes of the record are the suffix's own symbols: fewer than
+    /// the range where the read reached the terminal, which then sits right
+    /// after them.
+    len: u32,
+}
+
+/// Where two reads of one round first differ: the symbol index, and each
+/// side's symbol there as a rank — 0 for the terminal, `code + 1` otherwise.
+type Divergence = (usize, u16, u16);
+
 impl ReadAhead {
+    fn new(store: &dyn StringStore) -> Self {
+        let mut symbols: [u8; 256] = std::array::from_fn(|code| code as u8);
+        if store.is_packed() {
+            symbols.fill(TERMINAL);
+            symbols[..store.alphabet().len()].copy_from_slice(store.alphabet().symbols());
+        }
+        ReadAhead {
+            bytes: Vec::new(),
+            text_len: store.len(),
+            bits: store.code_bits(),
+            range: 0,
+            stride: 0,
+            symbols,
+        }
+    }
+
     fn record(&self, k: u32) -> &[u8] {
-        let at = k as usize * self.range;
-        &self.bytes[at..at + self.range]
+        &self.bytes[k as usize * self.stride..][..self.stride]
+    }
+
+    /// The read of `len` symbols copied to `record`.
+    fn read(&self, record: u32, len: usize) -> Read {
+        Read { key: self.key(record, len), record, len: len as u32 }
+    }
+
+    /// The code of symbol `i` of `record`.
+    fn code(&self, record: &[u8], i: usize) -> u8 {
+        let bit = i * self.bits as usize;
+        let byte = |at: usize| record.get(at).copied().unwrap_or(0) as u16;
+        let pair = byte(bit / 8) | byte(bit / 8 + 1) << 8;
+        ((pair >> (bit % 8)) & ((1 << self.bits) - 1)) as u8
+    }
+
+    /// The sort key of the read of `len` symbols in `record`: its first
+    /// ⌊64 / w⌋ symbols — 32 for DNA, 12 for protein, 8 raw — as one number
+    /// in their order, code `i` in the `w` bits below bit `64 − w·i`, with
+    /// zeros from the read's end on. Where two keys differ, their reads
+    /// differ the same way, the one that ends first being the smaller; the
+    /// highest differing bit tells the first differing symbol.
+    fn key(&self, record: u32, len: usize) -> u64 {
+        let w = self.bits as usize;
+        let codes = len.min(64 / w);
+        let record = self.record(record);
+        let mut head = [0u8; 8];
+        let n = record.len().min(8);
+        head[..n].copy_from_slice(&record[..n]);
+        let x = u64::from_le_bytes(head);
+        let mask = (1u64 << w) - 1;
+        (0..codes).fold(0, |key, i| key | (x >> (w * i) & mask) << (64 - w * (i + 1)))
+    }
+
+    /// The symbol of a [`Divergence`] rank.
+    fn symbol(&self, rank: u16) -> u8 {
+        rank.checked_sub(1).map_or(TERMINAL, |code| self.symbols[code as usize])
+    }
+
+    /// Compares two reads of this round: `None` if they agree on all `range`
+    /// symbols, else where and how they diverge — where they first differ
+    /// or one of them ends. Where their keys differ, the keys tell where;
+    /// else the records are scanned from the start.
+    fn diverge(&self, a: Read, b: Read) -> Option<Divergence> {
+        debug_assert!(
+            a.len != b.len || a.len as usize == self.range,
+            "two suffixes end at one offset"
+        );
+        let w = self.bits as usize;
+        let diff = a.key ^ b.key;
+        let first = if diff != 0 {
+            diff.leading_zeros() as usize / w
+        } else {
+            first_difference(self.record(a.record), self.record(b.record))
+                .map_or(self.range, |bit| bit / w)
+        };
+        let at = first.min(self.range).min(a.len as usize).min(b.len as usize);
+        let rank = |read: Read| {
+            if at == read.len as usize {
+                0
+            } else {
+                self.code(self.record(read.record), at) as u16 + 1
+            }
+        };
+        let divergence = (at < self.range).then(|| (at, rank(a), rank(b)));
+        #[cfg(feature = "paranoid")]
+        self.cross_check(a, b, divergence);
+        divergence
+    }
+
+    /// The order of two reads of this round; equal reads stay one area.
+    /// Their keys decide where they differ, and [`Self::diverge`] where they
+    /// tie.
+    #[inline]
+    fn order(&self, a: Read, b: Read) -> std::cmp::Ordering {
+        let order = a.key.cmp(&b.key).then_with(|| self.order_by_codes(a, b));
+        #[cfg(feature = "paranoid")]
+        assert_eq!(order, self.order_by_codes(a, b), "the order disagrees with the codes");
+        order
+    }
+
+    /// The order of two reads by their codes where they first differ.
+    fn order_by_codes(&self, a: Read, b: Read) -> std::cmp::Ordering {
+        self.diverge(a, b).map_or(std::cmp::Ordering::Equal, |(_, left, right)| left.cmp(&right))
+    }
+
+    /// [`Self::diverge`] again on decoded bytes: the order of the two reads
+    /// and the index of their divergence must agree.
+    #[cfg(feature = "paranoid")]
+    fn cross_check(&self, a: Read, b: Read, divergence: Option<Divergence>) {
+        let decode = |read: Read| {
+            let record = self.record(read.record);
+            let len = read.len as usize;
+            let mut symbols: Vec<u8> =
+                (0..len).map(|i| self.symbols[self.code(record, i) as usize]).collect();
+            if len < self.range {
+                symbols.push(TERMINAL);
+            }
+            symbols
+        };
+        let (x, y) = (decode(a), decode(b));
+        let common = x.iter().zip(&y).take_while(|(p, q)| p == q).count();
+        let at = divergence.map_or(self.range, |(at, ..)| at);
+        assert_eq!(common, at, "divergence index differs from the decoded compare");
+        let order =
+            divergence.map_or(std::cmp::Ordering::Equal, |(_, left, right)| left.cmp(&right));
+        assert_eq!(order, x.cmp(&y), "order differs from the decoded compare");
     }
 }
 
-/// `(R, P, L)` of the slots of one active area while it is being sorted;
-/// reused across areas, prefixes and rounds.
-type AreaScratch = Vec<(u32, u32, u32)>;
+/// `(R, P, L)` of the slots of one active area, `R` as its [`Read`], while
+/// the area is sorted and its `B` entries are defined; reused across areas,
+/// prefixes and rounds.
+type AreaScratch = Vec<(Read, u32, u32)>;
 
 /// Mutable state of `SubTreePrepare` for one S-prefix (the arrays
 /// `L`, `B`, `I`, `A`, `R`, `P` of the paper).
@@ -89,7 +260,7 @@ struct PrepareState {
     /// `P[slot]` — which string-order occurrence sits at `slot`.
     p: Vec<u32>,
     /// `R[slot]` — the record of the group's [`ReadAhead`] arena holding the
-    /// symbols read for `slot` in the current iteration (meaningless once the
+    /// codes read for `slot` in the current iteration (meaningless once the
     /// slot is done).
     r: Vec<u32>,
     /// Symbols of the suffix consumed so far (`start` in the paper; begins at
@@ -143,7 +314,8 @@ impl PrepareState {
     }
 
     /// One round of reordering + `B` computation after `R` has been filled
-    /// with `r.range` symbols per active slot (lines 13–24 of the paper).
+    /// with the codes of `r.range` symbols per active slot (lines 13–24 of
+    /// the paper).
     ///
     /// An active area is a maximal run of slots whose suffixes have been
     /// equal so far, so the undefined entries of `B` are exactly the adjacent
@@ -152,7 +324,7 @@ impl PrepareState {
     /// records differ it defines `B` (lines 16–23), where they are equal the
     /// pair stays in one run, and the runs of two or more slots are the new
     /// active areas (line 15).
-    fn process_round(&mut self, r: &ReadAhead, scratch: &mut AreaScratch, text_len: usize) {
+    fn process_round(&mut self, r: &ReadAhead, scratch: &mut AreaScratch) {
         let n = self.l.len();
         let mut slot = 0usize;
         while slot < n {
@@ -171,19 +343,13 @@ impl PrepareState {
             // done by whichever of its two `B` entries is defined last. ---
             let mut run_start = slot;
             for i in slot + 1..end {
-                let (left, right) = (r.record(self.r[i - 1]), r.record(self.r[i]));
-                let cs = common_prefix_len(left, right);
-                if cs == r.range {
+                let (left, right) = (scratch[i - 1 - slot].0, scratch[i - slot].0);
+                let Some((cs, left, right)) = r.diverge(left, right) else {
                     continue;
-                }
-                debug_assert!(
-                    cs < self.symbols_read(i - 1, r.range, text_len)
-                        && cs < self.symbols_read(i, r.range, text_len),
-                    "divergence must be observable: the terminal is unique"
-                );
+                };
                 self.b[i] = Some(Branching {
-                    left_char: left[cs],
-                    right_char: right[cs],
+                    left_char: r.symbol(left),
+                    right_char: r.symbol(right),
                     lcp: self.start + cs as u32,
                 });
                 self.undefined_b -= 1;
@@ -209,22 +375,25 @@ impl PrepareState {
         self.start += r.range as u32;
     }
 
-    /// How many symbols this round's read of `slot` returned: `range`, or
-    /// what was left of the string.
-    fn symbols_read(&self, slot: usize, range: usize, text_len: usize) -> usize {
-        text_len.saturating_sub(self.l[slot] as usize + self.start as usize).min(range)
+    /// This round's read of `slot`.
+    #[inline]
+    fn read(&self, slot: usize, r: &ReadAhead) -> Read {
+        // The symbols before the terminal: `range`, or what was left of them.
+        let position = self.l[slot] as usize + self.start as usize;
+        r.read(self.r[slot], (r.text_len - 1).saturating_sub(position).min(r.range))
     }
 
     /// Sorts slots `[lo, hi)` (one active area) so that `R` is
     /// lexicographically ordered, reordering `R`, `P`, `L` together and
-    /// updating `I`. Suffixes with equal records stay one area and are told
-    /// apart in a later round, so their order here is immaterial.
+    /// updating `I`; `scratch` is left holding the area in that order.
+    /// Suffixes with equal records stay one area and are told apart in a
+    /// later round, so their order here is immaterial.
     fn sort_area(&mut self, lo: usize, hi: usize, r: &ReadAhead, scratch: &mut AreaScratch) {
         scratch.clear();
-        scratch.extend((lo..hi).map(|slot| (self.r[slot], self.p[slot], self.l[slot])));
-        scratch.sort_unstable_by(|x, y| r.record(x.0).cmp(r.record(y.0)));
-        for (slot, &(record, occurrence, position)) in (lo..hi).zip(scratch.iter()) {
-            self.r[slot] = record;
+        scratch.extend((lo..hi).map(|slot| (self.read(slot, r), self.p[slot], self.l[slot])));
+        scratch.sort_unstable_by(|x, y| r.order(x.0, y.0));
+        for (slot, &(read, occurrence, position)) in (lo..hi).zip(scratch.iter()) {
+            self.r[slot] = read.record;
             self.p[slot] = occurrence;
             self.l[slot] = position;
             self.i_idx[occurrence as usize] = slot as u32;
@@ -250,18 +419,20 @@ impl PrepareState {
     }
 }
 
-/// Length of the common prefix of two records of one round (equal lengths),
-/// eight symbols per comparison.
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+/// The first bit at which two records of one round (equal lengths) differ,
+/// eight bytes per comparison; `None` if they are equal.
+fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
     debug_assert_eq!(a.len(), b.len());
     let ((a_words, a_tail), (b_words, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
     for (k, (x, y)) in a_words.iter().zip(b_words).enumerate() {
         let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
         if diff != 0 {
-            return 8 * k + (diff.trailing_zeros() / 8) as usize;
+            return Some(64 * k + diff.trailing_zeros() as usize);
         }
     }
-    8 * a_words.len() + a_tail.iter().zip(b_tail).take_while(|(x, y)| x == y).count()
+    let (k, diff) =
+        a_tail.iter().zip(b_tail).map(|(x, y)| x ^ y).enumerate().find(|&(_, d)| d != 0)?;
+    Some(64 * a_words.len() + 8 * k + diff.trailing_zeros() as usize)
 }
 
 /// Runs `SubTreePrepare` for every prefix of a virtual tree, sharing each
@@ -281,7 +452,7 @@ pub fn prepare_group(
         .zip(occurrences.iter())
         .map(|(p, occ)| PrepareState::new(p.clone(), occ))
         .collect();
-    let mut r = ReadAhead::default();
+    let mut r = ReadAhead::new(store);
     let mut requests: Vec<(usize, u32, u32)> = Vec::new(); // (pos, state idx, slot)
     let mut scratch = AreaScratch::new();
 
@@ -289,18 +460,19 @@ pub fn prepare_group(
         let active: usize = states.iter().filter(|s| !s.finished()).map(|s| s.active).sum();
         // No suffix is longer than the string, whatever a fixed range or a
         // roomy R would allow.
-        r.range = params.range_for(active).min(text_len);
+        r.range = params.range_symbols(active, r.bits).min(text_len);
+        r.stride = (r.range * r.bits as usize).div_ceil(8);
         if r.bytes.is_empty() {
             // `R` as the layout grants it; more only where `min_range` or a
             // fixed range ask for more than that. The number of active
             // suffixes never grows, so the first round's need bounds them all.
-            r.bytes = vec![0; params.r_capacity.max(active * r.range)];
+            r.bytes = vec![0; params.r_capacity.max(active * r.stride)];
         }
         #[cfg(feature = "paranoid")]
         assert!(
-            active * r.range <= r.bytes.len(),
-            "{active} records of {} symbols overflow an R of {} bytes",
-            r.range,
+            active * r.stride <= r.bytes.len(),
+            "{active} records of {} bytes overflow an R of {} bytes",
+            r.stride,
             r.bytes.len()
         );
 
@@ -312,15 +484,14 @@ pub fn prepare_group(
         }
         requests.sort_unstable_by_key(|&(pos, _, _)| pos);
 
-        let mut cursor = BlockCursor::new(store, params.seek_optimization);
+        let mut cursor = BlockCursor::new_codes(store, params.seek_optimization);
         for (k, &(pos, si, slot)) in requests.iter().enumerate() {
-            let symbols = cursor.slice(pos, r.range)?;
-            r.bytes[k * r.range..][..symbols.len()].copy_from_slice(symbols);
+            cursor.codes(pos, r.range, &mut r.bytes[k * r.stride..][..r.stride])?;
             states[si as usize].r[slot as usize] = k as u32;
         }
 
         for state in states.iter_mut().filter(|s| !s.finished()) {
-            state.process_round(&r, &mut scratch, text_len);
+            state.process_round(&r, &mut scratch);
         }
     }
 

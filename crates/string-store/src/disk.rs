@@ -189,10 +189,7 @@ impl StringStore for DiskStore {
             file.seek(SeekFrom::Start(self.base + pos as u64))?;
             file.read_exact(&mut buf[..take])?;
         }
-        self.stats.record_access(&self.last_end, pos, take);
-        let (bytes, blocks) = self.read_cost(pos, take);
-        self.stats.add_bytes_read(bytes);
-        self.stats.add_blocks_read(blocks);
+        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 }

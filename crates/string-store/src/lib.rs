@@ -23,13 +23,16 @@
 //! * [`PackedMemoryStore`] and [`PackedDiskStore`] — bit-packed backends that
 //!   decode at block granularity inside `read_at`, straight into the caller's
 //!   (usually [`BlockCursor`]'s) buffer. I/O counters record *packed* bytes
-//!   and blocks, so every sequential scan of DNA fetches 4x fewer bytes. The
-//!   on-disk format is a small header (magic, version, bits-per-symbol,
-//!   symbol table, text length) followed by the packed body.
+//!   and blocks, so every sequential scan of DNA fetches 4x fewer bytes.
+//!   `read_codes_at` serves the payload bits undecoded instead; the
+//!   read-ahead fill of `SubTreePrepare` reads through it and decodes
+//!   nothing. The on-disk format is a small header (magic, version,
+//!   bits-per-symbol, symbol table, text length) followed by the packed body.
 //! * [`BlockCursor`] — the zero-copy block-scan layer: one sequential pass
 //!   served as borrowed slices out of a single reused window buffer (no
 //!   per-fetch allocation), optionally skipping blocks that contain no
-//!   requested symbol.
+//!   requested symbol. In code mode ([`BlockCursor::new_codes`]) the window
+//!   holds the store's codes rather than decoded symbols.
 //! * [`TextSource`] / [`StoreTextSource`] — the *random-access* counterpart
 //!   of [`BlockCursor`] for query serving: the two operations a suffix-tree
 //!   walk needs (symbol at a position, common prefix of an edge label and a

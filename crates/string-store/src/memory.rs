@@ -92,10 +92,7 @@ impl StringStore for InMemoryStore {
         let take = buf.len().min(self.text.len() - pos);
         buf[..take].copy_from_slice(&self.text[pos..pos + take]);
 
-        self.stats.record_access(&self.last_end, pos, take);
-        let (bytes, blocks) = self.read_cost(pos, take);
-        self.stats.add_bytes_read(bytes);
-        self.stats.add_blocks_read(blocks);
+        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 }

@@ -9,6 +9,13 @@
 //! fetched, so `IoStats.bytes_read` drops by the packing ratio (4x on DNA) on
 //! every scan.
 //!
+//! [`StringStore::read_codes_at`] is the other read: it hands out the payload
+//! bits themselves, copied (memory) or read from the file (disk) straight
+//! into the caller's buffer, with nothing decoded and the same accounting as
+//! `read_at`. The read-ahead fill of `SubTreePrepare` goes through it — via
+//! [`crate::BlockCursor::codes`] — so its records hold 2- or 5-bit codes and
+//! that pass decodes nothing.
+//!
 //! Positions and lengths in the [`StringStore`] API stay symbol-granular.
 //! [`StringStore::block_size`] reports the symbols per *logical* block — the
 //! smallest group of physical blocks whose bit span divides evenly into
@@ -42,7 +49,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::memory::DEFAULT_MEMORY_BLOCK;
 use crate::packed::{packed_size, PackState, PackedCodec, PackedText};
 use crate::stats::{blocks_spanned, IoStats};
-use crate::store::StringStore;
+use crate::store::{code_span, StringStore};
 use crate::sync::{lock, Mutex};
 
 /// Magic bytes opening a packed string file.
@@ -117,6 +124,14 @@ fn packed_span(start: usize, count: usize, bits: u32) -> Option<(usize, usize)> 
     Some(((first_bit / 8) as usize, (last_bit / 8) as usize))
 }
 
+/// The packed byte span of the in-body symbols of a read of `take` symbols at
+/// `pos` (the terminal is out-of-band and has no bits), or `None` when the
+/// read touches no payload.
+fn body_span(pos: usize, take: usize, text_len: usize, bits: u32) -> Option<(usize, usize)> {
+    let body_count = (pos + take).min(text_len.saturating_sub(1)).saturating_sub(pos);
+    packed_span(pos, body_count, bits)
+}
+
 /// The shared [`StringStore::read_cost`] rule of both packed backends: the
 /// packed byte span covering the in-body symbols of the read (the terminal is
 /// out-of-band and costs nothing), plus the physical blocks it touches.
@@ -127,8 +142,7 @@ fn packed_read_cost(
     bits: u32,
     block_bytes: usize,
 ) -> (u64, u64) {
-    let body_count = (pos + take).min(text_len.saturating_sub(1)).saturating_sub(pos);
-    match packed_span(pos, body_count, bits) {
+    match body_span(pos, take, text_len, bits) {
         Some((lo, hi)) => ((hi - lo + 1) as u64, blocks_spanned(lo, hi, block_bytes)),
         None => (0, 0),
     }
@@ -245,11 +259,25 @@ impl StringStore for PackedMemoryStore {
         }
         let take = buf.len().min(len - pos);
         self.packed.unpack_range(pos, take, buf);
+        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
+        Ok(take)
+    }
 
-        self.stats.record_access(&self.last_end, pos, take);
-        let (bytes, blocks) = self.read_cost(pos, take);
-        self.stats.add_bytes_read(bytes);
-        self.stats.add_blocks_read(blocks);
+    fn code_bits(&self) -> u32 {
+        self.packed.bits_per_symbol()
+    }
+
+    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        let len = self.packed.len();
+        if pos > len {
+            return Err(StoreError::OutOfBounds { pos, len: count, text_len: len });
+        }
+        let take = count.min(len - pos);
+        if let Some((lo, hi)) = body_span(pos, take, len, self.packed.bits_per_symbol()) {
+            let payload = self.packed.payload().get(lo..=hi).unwrap_or_default();
+            code_span(buf, payload.len())?.copy_from_slice(payload);
+        }
+        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 
@@ -649,10 +677,31 @@ impl StringStore for PackedDiskStore {
         if take > body_count {
             buf[take - 1] = TERMINAL;
         }
-        self.stats.record_access(&self.last_end, pos, take);
-        let (bytes, blocks) = self.read_cost(pos, take);
-        self.stats.add_bytes_read(bytes);
-        self.stats.add_blocks_read(blocks);
+        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
+        Ok(take)
+    }
+
+    fn code_bits(&self) -> u32 {
+        self.codec.bits()
+    }
+
+    /// The payload span goes from the file straight into `buf`: no scratch
+    /// buffer, no decode.
+    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        if pos > self.len {
+            return Err(StoreError::OutOfBounds { pos, len: count, text_len: self.len });
+        }
+        let take = count.min(self.len - pos);
+        if take == 0 {
+            return Ok(0);
+        }
+        if let Some((lo, hi)) = body_span(pos, take, self.len, self.codec.bits()) {
+            let span = code_span(buf, hi - lo + 1)?;
+            let mut file = lock(&self.file);
+            file.seek(SeekFrom::Start(self.payload_offset + lo as u64))?;
+            file.read_exact(span)?;
+        }
+        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 

@@ -94,6 +94,22 @@ impl IoStats {
         }
     }
 
+    /// Charges one read of `take` symbols at `pos` that cost
+    /// `(bytes, blocks)` — the store's `read_cost` of it: its classification
+    /// ([`Self::record_access`]) and its bytes and blocks. Every store read,
+    /// decoded or not, and every per-consumer mirror of one is charged so.
+    pub fn charge_read(
+        &self,
+        last_end: &AtomicU64,
+        pos: usize,
+        take: usize,
+        (bytes, blocks): (u64, u64),
+    ) {
+        self.record_access(last_end, pos, take);
+        self.add_bytes_read(bytes);
+        self.add_blocks_read(blocks);
+    }
+
     /// Takes a point-in-time copy of the counters.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {

@@ -63,6 +63,33 @@ pub trait StringStore: Send + Sync {
     /// random seek.
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize>;
 
+    /// Bits per symbol code as [`Self::read_codes_at`] serves it: 8 for a
+    /// raw store, whose code of a symbol is its byte. A store that overrides
+    /// [`Self::read_codes_at`] overrides this next to it — the packed stores
+    /// return their alphabet's packed width, 2 for DNA and 5 for protein and
+    /// English.
+    fn code_bits(&self) -> u32 {
+        8
+    }
+
+    /// Reads the *codes* of up to `count` symbols starting at `pos` into
+    /// `buf`, returning how many symbols the read covers — what
+    /// [`Self::read_at`] returns for a `count`-byte buffer.
+    ///
+    /// The codes are the store's own bits, [`Self::code_bits`] per symbol,
+    /// least significant first, with nothing decoded: the symbol at `pos`
+    /// starts `pos * code_bits() % 8` bits into `buf[0]`. The terminal has no
+    /// code in a packed payload and occupies no bits there; a raw store's
+    /// codes are its bytes, terminal included. `buf` must hold the
+    /// `(pos * code_bits() % 8 + count * code_bits()).div_ceil(8)` bytes the
+    /// read may span. The access is accounted exactly as [`Self::read_at`]
+    /// accounts it: the same [`Self::read_cost`] and the same
+    /// sequential-or-seek classification.
+    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        // era-check: allow(raw-read): a raw store's codes are its bytes
+        self.read_at(pos, code_span(buf, count)?)
+    }
+
     /// The `(bytes, physical blocks)` the store's [`IoStats`] attribute to
     /// one [`Self::read_at`] call at `pos` that returned `take` symbols.
     ///
@@ -101,6 +128,17 @@ pub trait StringStore: Send + Sync {
     }
 }
 
+/// The first `bytes` bytes of a [`StringStore::read_codes_at`] buffer, or an
+/// error if the caller sized it too small for the read.
+pub(crate) fn code_span(buf: &mut [u8], bytes: usize) -> StoreResult<&mut [u8]> {
+    let len = buf.len();
+    buf.get_mut(..bytes).ok_or_else(|| {
+        StoreError::InvalidConfig(format!(
+            "a {len}-byte buffer cannot hold a {bytes}-byte code read"
+        ))
+    })
+}
+
 /// Blanket helper: any `&T` where `T: StringStore` is also usable as a store.
 impl<T: StringStore + ?Sized> StringStore for &T {
     fn len(&self) -> usize {
@@ -118,12 +156,19 @@ impl<T: StringStore + ?Sized> StringStore for &T {
     fn is_packed(&self) -> bool {
         (**self).is_packed()
     }
+    fn code_bits(&self) -> u32 {
+        (**self).code_bits()
+    }
     fn stats(&self) -> &IoStats {
         (**self).stats()
     }
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
         // era-check: allow(raw-read): blanket forwarding impl of the trait method
         (**self).read_at(pos, buf)
+    }
+    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        // era-check: allow(raw-read): blanket forwarding impl of the trait method
+        (**self).read_codes_at(pos, count, buf)
     }
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
         (**self).read_cost(pos, take)
@@ -146,12 +191,19 @@ impl<T: StringStore + ?Sized> StringStore for std::sync::Arc<T> {
     fn is_packed(&self) -> bool {
         (**self).is_packed()
     }
+    fn code_bits(&self) -> u32 {
+        (**self).code_bits()
+    }
     fn stats(&self) -> &IoStats {
         (**self).stats()
     }
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
         // era-check: allow(raw-read): blanket forwarding impl of the trait method
         (**self).read_at(pos, buf)
+    }
+    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        // era-check: allow(raw-read): blanket forwarding impl of the trait method
+        (**self).read_codes_at(pos, count, buf)
     }
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
         (**self).read_cost(pos, take)

@@ -213,10 +213,7 @@ impl<'a> StoreTextSource<'a> {
     /// [`StringStore::read_cost`], same sequential/random rule via
     /// [`IoStats::record_access`] against the source's own read cursor).
     fn record_read(&self, pos: usize, got: usize) {
-        let (bytes, blocks) = self.store.read_cost(pos, got);
-        self.local_io.add_bytes_read(bytes);
-        self.local_io.add_blocks_read(blocks);
-        self.local_io.record_access(&self.local_last_end, pos, got);
+        self.local_io.charge_read(&self.local_last_end, pos, got, self.store.read_cost(pos, got));
     }
 
     /// Makes the window cover `[lo, hi)`, fetching on a miss — through the
