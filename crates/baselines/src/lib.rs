@@ -26,7 +26,6 @@
 //! paper's comparisons — number of string scans, memory split, merge phases,
 //! per-node traversal cost — as documented in `DESIGN.md`.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use era::config::{EraConfig, HorizontalMethod, RangePolicy};
+use era::config::{EraConfig, HorizontalMethod, RangePolicy, TREE_NODE_BYTES};
 use era::horizontal::branch_edge::compute_group_str;
 use era::horizontal::HorizontalParams;
 use era::scan::collect_occurrences;
@@ -33,8 +33,6 @@ use era_suffix_tree::{NodeId, Partition, PartitionedSuffixTree};
 pub struct WaveFrontConfig {
     /// Total memory budget in bytes (shared 50/50 between buffers and tree).
     pub memory_budget: usize,
-    /// Bytes charged per tree node when computing `FM`.
-    pub tree_node_size: usize,
     /// Fixed number of symbols fetched per suffix and iteration.
     pub range_symbols: usize,
     /// Number of worker threads for PWaveFront (ignored by
@@ -44,12 +42,7 @@ pub struct WaveFrontConfig {
 
 impl Default for WaveFrontConfig {
     fn default() -> Self {
-        WaveFrontConfig {
-            memory_budget: 64 << 20,
-            tree_node_size: 48,
-            range_symbols: 32,
-            threads: 1,
-        }
+        WaveFrontConfig { memory_budget: 64 << 20, range_symbols: 32, threads: 1 }
     }
 }
 
@@ -58,13 +51,12 @@ impl WaveFrontConfig {
     /// sub-tree ("for optimum performance, these buffers occupy roughly 50% of
     /// the available memory", §3).
     pub fn fm(&self) -> usize {
-        ((self.memory_budget / 2) / (2 * self.tree_node_size)).max(1)
+        ((self.memory_budget / 2) / (2 * TREE_NODE_BYTES)).max(1)
     }
 
     fn era_config(&self) -> EraConfig {
         EraConfig {
             memory_budget: self.memory_budget,
-            tree_node_size: self.tree_node_size,
             range_policy: RangePolicy::Fixed(self.range_symbols),
             horizontal: HorizontalMethod::StringOnly,
             group_virtual_trees: false,

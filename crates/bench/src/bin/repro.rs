@@ -10,7 +10,6 @@
 //! repro all --out report.md  # also write the Markdown report to a file
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use std::io::Write;

@@ -494,10 +494,7 @@ fn table3(scale: &Scale) -> ExperimentResult {
     for &nodes in &nodes_list {
         let stores = make_node_stores(&spec, nodes);
         let config = era_config(per_node_budget);
-        let options = SharedNothingOptions {
-            transfer_bandwidth: Some(64.0 * (1 << 20) as f64),
-            concurrent: true,
-        };
+        let options = SharedNothingOptions { transfer_bandwidth: Some(64.0 * (1 << 20) as f64) };
         let (_, report) =
             construct_shared_nothing(&stores, &config, &options).expect("construction");
         let makespan = report.makespan();
@@ -558,7 +555,7 @@ fn fig13(scale: &Scale) -> ExperimentResult {
         let spec = DatasetSpec::new(DatasetKind::UniformDna, size, 37);
         let stores = make_node_stores(&spec, nodes);
         let config = era_config(per_node_budget);
-        let options = SharedNothingOptions { transfer_bandwidth: None, concurrent: true };
+        let options = SharedNothingOptions { transfer_bandwidth: None };
         let (_, report) =
             construct_shared_nothing(&stores, &config, &options).expect("construction");
         rows.push(Row {

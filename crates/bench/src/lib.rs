@@ -18,7 +18,6 @@
 //! system itself — serving, layout, packed I/O, regressions — is the job of
 //! the standalone `benchmark/` crate.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

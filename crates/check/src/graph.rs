@@ -1,9 +1,9 @@
 //! Item extraction and the workspace call graph.
 //!
-//! This sits between the lexer ([`crate::lex`]) and the rules
-//! ([`crate::lint`]): it walks one file's token stream tracking `mod` /
-//! `impl` / `fn` scoping and produces, per function, the *events* the rules
-//! reason about —
+//! This sits between the lexer ([`crate::lex`]) and the passes
+//! ([`crate::lint`], [`crate::taint`]): it walks one file's token stream
+//! tracking `mod` / `impl` / `fn` scoping and produces, per function, the
+//! *events* the rules reason about —
 //!
 //! - **call sites** (plain `helper(…)`, qualified `Type::helper(…)`, method
 //!   `.helper(…)` — turbofish tolerated), which become the edges of the
@@ -12,16 +12,7 @@
 //!   `.to_vec()`, `.collect()`, `vec!`/`format!`), the sinks of the
 //!   hot-transitive-alloc rule;
 //! - **panic sites** (`.unwrap()`, `.expect(…)`, `panic!`-family macros, and
-//!   `x[i]` indexing without `get`), the sinks of the panic-path rule;
-//! - **lock acquisitions** (`.lock()`/`.read()`/`.write()` on a receiver
-//!   whose field is declared `Mutex<…>`/`RwLock<…>` somewhere in the
-//!   workspace), each recorded with the set of lock classes already *held*
-//!   at that point, for the lock-order rule.
-//!
-//! Held-lock tracking is lexical: a guard bound by a `let` lives to the end
-//! of its enclosing block, a temporary guard (`m.lock().…;`) to the end of
-//! its statement. `drop(guard)` is not modelled — the over-approximation can
-//! only make the lock-order rule stricter, never blinder.
+//!   `x[i]` indexing without `get`), the sinks of the panic-path rule.
 //!
 //! Function bodies under `#[cfg(test)]` (or `#[test]`) are extracted but
 //! marked, so the rules can skip them and the graph never routes a hot-path
@@ -33,7 +24,6 @@
 //! be silenced with a reasoned `// era-check: allow`, while a missed edge
 //! would silently void the hot-path guarantees.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use crate::lex::{Directive, Lexed, TokKind, Token};
@@ -73,8 +63,6 @@ pub struct FnInfo {
     pub allocs: Vec<Sink>,
     /// Panic sinks in this fn's body.
     pub panics: Vec<Sink>,
-    /// Lock acquisitions in this fn's body.
-    pub acquires: Vec<LockSite>,
 }
 
 impl FnInfo {
@@ -95,8 +83,6 @@ pub struct CallSite {
     pub method: bool,
     /// 1-based line of the call.
     pub line: usize,
-    /// Lock classes held (lexically) when the call is made.
-    pub held: Vec<String>,
 }
 
 /// One allocation or panic sink.
@@ -109,24 +95,11 @@ pub struct Sink {
     pub line: usize,
 }
 
-/// One lock acquisition site.
-#[derive(Debug)]
-pub struct LockSite {
-    /// The lock class (the `Mutex`/`RwLock` field or binding name).
-    pub class: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Lock classes already held when this one is acquired.
-    pub held: Vec<String>,
-}
-
 /// Everything extracted from one file.
 #[derive(Debug, Default)]
 pub struct FileItems {
     /// Functions, in declaration order.
     pub fns: Vec<FnInfo>,
-    /// Lines with an `unsafe` token outside test code (the unsafe census).
-    pub unsafe_lines: Vec<usize>,
 }
 
 /// Keywords that look like calls or index receivers but are not.
@@ -182,45 +155,6 @@ const ATOMIC_METHODS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-/// First pass over the whole source set: every field/binding declared with a
-/// `Mutex<…>` / `RwLock<…>` type becomes a lock *class*, named after the
-/// field. `shards: Box<[Mutex<Shard>]>` declares class `shards`.
-pub fn collect_lock_classes(lexed: &Lexed) -> BTreeSet<String> {
-    let toks = &lexed.tokens;
-    let mut classes = BTreeSet::new();
-    for i in 0..toks.len() {
-        let is_lock_ty = matches!(toks[i].ident(), Some("Mutex" | "RwLock"));
-        if !is_lock_ty || i + 1 >= toks.len() || !toks[i + 1].is_punct('<') {
-            continue;
-        }
-        // Walk backwards for the nearest `name :` pattern without crossing a
-        // declaration boundary.
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            match &toks[j].kind {
-                TokKind::Punct(',' | ';' | '{' | '}' | '(' | '=' | '|') => break,
-                TokKind::Punct(':') if j > 0 => {
-                    // `::` path separators must not terminate the walk.
-                    if toks[j - 1].is_punct(':')
-                        || (j + 1 < toks.len() && toks[j + 1].is_punct(':'))
-                    {
-                        continue;
-                    }
-                    if let Some(name) = toks[j - 1].ident() {
-                        if !is_keyword(name) {
-                            classes.insert(name.to_string());
-                        }
-                    }
-                    break;
-                }
-                _ => {}
-            }
-        }
-    }
-    classes
-}
-
 /// What a `{`-scope on the stack is.
 #[derive(Debug)]
 enum ScopeKind {
@@ -238,8 +172,6 @@ enum ScopeKind {
 struct Scope {
     kind: ScopeKind,
     test: bool,
-    /// Lock classes whose guards (let-bound) live until this scope closes.
-    held: Vec<String>,
 }
 
 /// The extractor's walk state for one file.
@@ -254,12 +186,6 @@ struct Walker<'a> {
     pending_source: bool,
     pending_allows: Vec<String>,
     pending_test: bool,
-    /// Guards of `m.lock()` temporaries, alive to the end of the statement.
-    stmt_temps: Vec<String>,
-    /// Whether the current statement started with `let`.
-    stmt_is_let: bool,
-    /// Whether the previous token ended a statement / opened a scope.
-    at_stmt_start: bool,
 }
 
 impl<'a> Walker<'a> {
@@ -279,19 +205,6 @@ impl<'a> Walker<'a> {
 
     fn in_test(&self) -> bool {
         self.scopes.last().map(|s| s.test).unwrap_or(false)
-    }
-
-    /// Lock classes held at this point, innermost-fn scopes only.
-    fn held_now(&self) -> Vec<String> {
-        let mut held = Vec::new();
-        for s in self.scopes.iter().rev() {
-            held.extend(s.held.iter().cloned());
-            if matches!(s.kind, ScopeKind::Fn(_)) {
-                break;
-            }
-        }
-        held.extend(self.stmt_temps.iter().cloned());
-        held
     }
 
     /// Absorbs directives from comment lines up to and including `line`.
@@ -316,24 +229,17 @@ impl<'a> Walker<'a> {
         let test = self.in_test() || self.pending_test;
         self.pending_test = false;
         self.pending_allows.clear();
-        self.scopes.push(Scope { kind, test, held: Vec::new() });
-        self.at_stmt_start = true;
+        self.scopes.push(Scope { kind, test });
     }
 
     fn pop_scope(&mut self) {
         self.scopes.pop();
-        self.stmt_temps.clear();
-        self.stmt_is_let = false;
         self.pending_allows.clear();
-        self.at_stmt_start = true;
     }
 
     fn end_statement(&mut self) {
-        self.stmt_temps.clear();
-        self.stmt_is_let = false;
         self.pending_allows.clear();
         self.pending_test = false;
-        self.at_stmt_start = true;
     }
 
     fn record_alloc(&mut self, what: String, line: usize) {
@@ -355,24 +261,8 @@ impl<'a> Walker<'a> {
             _ => qual,
         };
         if let Some(f) = self.current_fn() {
-            let held = self.held_now();
-            self.out.fns[f].calls.push(CallSite { name, qual, method, line, held });
+            self.out.fns[f].calls.push(CallSite { name, qual, method, line });
         }
-    }
-
-    fn record_acquire(&mut self, class: String, line: usize) {
-        let held = self.held_now();
-        if let Some(f) = self.current_fn() {
-            self.out.fns[f].acquires.push(LockSite { class: class.clone(), line, held });
-        }
-        if self.stmt_is_let {
-            // A let-bound guard lives until its block closes.
-            if let Some(s) = self.scopes.last_mut() {
-                s.held.push(class);
-                return;
-            }
-        }
-        self.stmt_temps.push(class);
     }
 }
 
@@ -433,65 +323,19 @@ fn skip_turbofish(toks: &[Token], i: usize) -> usize {
     i
 }
 
-/// The receiver class of a `.lock()`-style call: the nearest identifier
-/// before the `.`, skipping index/call groups — `self.shards[i].lock()`
-/// yields `shards`.
-fn receiver_ident(toks: &[Token], dot: usize) -> Option<String> {
-    let mut j = dot;
-    while j > 0 {
-        j -= 1;
-        match &toks[j].kind {
-            TokKind::Punct(']') | TokKind::Punct(')') => {
-                // Walk back over the balanced group.
-                let (open, close) = if toks[j].is_punct(']') { ('[', ']') } else { ('(', ')') };
-                let mut depth = 0i32;
-                loop {
-                    if toks[j].is_punct(close) {
-                        depth += 1;
-                    } else if toks[j].is_punct(open) {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if j == 0 {
-                        return None;
-                    }
-                    j -= 1;
-                }
-            }
-            TokKind::Ident(name) => {
-                if name != "self" && !is_keyword(name) {
-                    return Some(name.clone());
-                }
-                // `self.lock()` — keep walking? No: self *is* the receiver
-                // expression head; there is nothing further left.
-                return None;
-            }
-            TokKind::Punct('.') => {}
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Extracts the items of one file. `lock_classes` is the workspace-wide set
-/// from [`collect_lock_classes`] (the union over all files).
-pub fn extract_file(rel: &Path, lexed: &Lexed, lock_classes: &BTreeSet<String>) -> FileItems {
+/// Extracts the items of one file.
+pub fn extract_file(rel: &Path, lexed: &Lexed) -> FileItems {
     let toks = &lexed.tokens;
     let mut w = Walker {
         lexed,
         out: FileItems::default(),
-        scopes: vec![Scope { kind: ScopeKind::Mod, test: false, held: Vec::new() }],
+        scopes: vec![Scope { kind: ScopeKind::Mod, test: false }],
         dir_line: 1,
         pending_hot: false,
         pending_entry: false,
         pending_source: false,
         pending_allows: Vec::new(),
         pending_test: false,
-        stmt_temps: Vec::new(),
-        stmt_is_let: false,
-        at_stmt_start: true,
     };
 
     let mut i = 0usize;
@@ -523,12 +367,6 @@ pub fn extract_file(rel: &Path, lexed: &Lexed, lock_classes: &BTreeSet<String>) 
                 } else {
                     i += 1;
                 }
-            }
-            TokKind::Ident(id) if id == "unsafe" => {
-                if !w.in_test() {
-                    w.out.unsafe_lines.push(line);
-                }
-                i += 1;
             }
             TokKind::Ident(id) if id == "mod" => {
                 // `mod name { … }` opens a scope; `mod name;` does not.
@@ -613,7 +451,6 @@ pub fn extract_file(rel: &Path, lexed: &Lexed, lock_classes: &BTreeSet<String>) 
                     calls: Vec::new(),
                     allocs: Vec::new(),
                     panics: Vec::new(),
-                    acquires: Vec::new(),
                 };
                 w.pending_test = false;
                 let idx = w.out.fns.len();
@@ -660,26 +497,12 @@ pub fn extract_file(rel: &Path, lexed: &Lexed, lock_classes: &BTreeSet<String>) 
                 match m.as_str() {
                     "to_vec" | "collect" => w.record_alloc(format!(".{m}"), line),
                     "unwrap" | "expect" => w.record_panic(m.clone(), line),
-                    "lock" | "read" | "write" => match receiver_ident(toks, i) {
-                        Some(class) if lock_classes.contains(&class) => {
-                            w.record_acquire(class, line);
-                        }
-                        _ => w.record_call(m.clone(), None, true, line),
-                    },
                     _ => w.record_call(m.clone(), None, true, line),
                 }
-                w.at_stmt_start = false;
                 i = after + 1;
             }
             TokKind::Ident(id) => {
                 let id = id.clone();
-                let starts_stmt = w.at_stmt_start;
-                w.at_stmt_start = false;
-                if id == "let" && starts_stmt {
-                    w.stmt_is_let = true;
-                    i += 1;
-                    continue;
-                }
                 // Macro invocation `name!`.
                 if toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
                     && !toks.get(i + 2).is_some_and(|t| t.is_punct('='))
@@ -741,13 +564,9 @@ pub fn extract_file(rel: &Path, lexed: &Lexed, lock_classes: &BTreeSet<String>) 
                 if indexes {
                     w.record_panic("index".to_string(), line);
                 }
-                w.at_stmt_start = false;
                 i += 1;
             }
-            _ => {
-                w.at_stmt_start = false;
-                i += 1;
-            }
+            _ => i += 1,
         }
     }
     w.out
@@ -759,9 +578,7 @@ mod tests {
     use crate::lex::lex;
 
     fn extract(src: &str) -> FileItems {
-        let lexed = lex(src);
-        let classes = collect_lock_classes(&lexed);
-        extract_file(Path::new("crates/string-store/src/x.rs"), &lexed, &classes)
+        extract_file(Path::new("crates/string-store/src/x.rs"), &lex(src))
     }
 
     #[test]
@@ -873,8 +690,7 @@ fn plain() {}
 trait T { fn decl(&self); }
 ";
         let lexed = lex(src);
-        let classes = collect_lock_classes(&lexed);
-        let items = extract_file(Path::new("x.rs"), &lexed, &classes);
+        let items = extract_file(Path::new("x.rs"), &lexed);
         let read = &items.fns[0];
         assert!(read.source);
         assert!(!items.fns[1].source, "source must not leak to the next fn");
@@ -902,65 +718,6 @@ fn g() {}
 ";
         let items = extract(src);
         assert!(items.fns[1].allows.is_empty(), "{:?}", items.fns[1].allows);
-    }
-
-    #[test]
-    fn lock_classes_and_held_sets() {
-        let src = "\
-struct S { a: Mutex<u32>, b: Mutex<u32>, shards: Box<[Mutex<Shard>]> }
-impl S {
-    fn nested(&self) {
-        let ga = self.a.lock().unwrap();
-        self.b.lock().unwrap();
-    }
-    fn sequential(&self) {
-        { let ga = self.a.lock().unwrap(); }
-        let gb = self.b.lock().unwrap();
-    }
-    fn sharded(&self, i: usize) {
-        self.shards[i].lock().unwrap();
-    }
-}
-";
-        let lexed = lex(src);
-        let classes = collect_lock_classes(&lexed);
-        assert!(classes.contains("a") && classes.contains("b") && classes.contains("shards"));
-        let items = extract_file(Path::new("x.rs"), &lexed, &classes);
-        let nested = &items.fns[0];
-        assert_eq!(nested.acquires.len(), 2);
-        assert!(nested.acquires[0].held.is_empty());
-        assert_eq!(nested.acquires[1].held, ["a"]);
-        let sequential = &items.fns[1];
-        assert!(sequential.acquires[1].held.is_empty(), "{:?}", sequential.acquires[1]);
-        let sharded = &items.fns[2];
-        assert_eq!(sharded.acquires[0].class, "shards");
-    }
-
-    #[test]
-    fn calls_record_held_locks() {
-        let src = "\
-struct S { m: Mutex<u32> }
-impl S {
-    fn f(&self) {
-        let g = self.m.lock().unwrap();
-        helper();
-    }
-}
-";
-        let items = extract(src);
-        let call = items.fns[0].calls.iter().find(|c| c.name == "helper").unwrap();
-        assert_eq!(call.held, ["m"]);
-    }
-
-    #[test]
-    fn unsafe_census_skips_test_code() {
-        let src = "\
-fn f() { unsafe { x() } }
-#[cfg(test)]
-mod tests { fn g() { unsafe { y() } } }
-";
-        let items = extract(src);
-        assert_eq!(items.unsafe_lines, [1]);
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! - [`lint`] — a *semantic* pass over the workspace's own `.rs` files. A
 //!   dependency-free Rust lexer ([`lex`]) tokenizes every file (raw strings,
 //!   nested block comments, lifetimes and all), an item extractor ([`graph`])
-//!   recovers fn boundaries, call sites, sinks (allocation, panic, lock
-//!   acquisition) and `// era-check:` directives, and the lint rules run over
-//!   the resulting workspace-wide call graph: raw `read_at` calls stay
-//!   confined to the cursor/text-source layer, `// era-check: hot` functions
-//!   do not *reach* allocation through any call chain, functions reachable
-//!   from `// era-check: entry` serving entry points do not reach
-//!   unwrap/expect/panic!/direct indexing, library crates do not `unwrap()`,
-//!   workspace locks obey one static acquisition order, and the unsafe-code
-//!   census stays at zero. Every rule is escapable only by a reasoned
-//!   `// era-check: allow(rule): why` directive.
+//!   recovers fn boundaries, call sites, sinks (allocation, panic) and
+//!   `// era-check:` directives, and the lint rules run over the resulting
+//!   workspace-wide call graph: raw `read_at` calls stay confined to the
+//!   cursor/text-source layer, `// era-check: hot` functions do not *reach*
+//!   allocation through any call chain, functions reachable from
+//!   `// era-check: entry` serving entry points do not reach
+//!   unwrap/expect/panic!/direct indexing, and library crates do not
+//!   `unwrap()`. Every rule is escapable only by a reasoned
+//!   `// era-check: allow(rule): why` directive. (`unsafe` needs no rule: the
+//!   workspace lint table forbids it in every target of every member.)
 //! - [`taint`] — untrusted-input dataflow over the same lexer/extractor/call
 //!   graph. Values derived from hostile artifact bytes (`from_le_bytes`
 //!   results, `read_exact`-filled buffers and byte-slice parameters of
@@ -37,15 +37,7 @@
 //!   fscked and reopened in both open modes, and the result must be
 //!   byte-identically the old or the new generation; the seeded broken
 //!   commit protocol must be caught, or the harness fails itself.
-//! - [`real`] (with the `shim-sync` feature) — the *real* concurrent code of
-//!   the workspace, exhaustively interleaved: `era-string-store` compiles its
-//!   sync primitives against the vendored loom-style shims
-//!   (`interleave::shim`), and two-sided suites drive the actual `CacheStats`
-//!   and `BlockCache` shard methods through every schedule — the production
-//!   path must hold on all of them, and a seeded split read-modify-write twin
-//!   must be caught.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -55,6 +47,4 @@ pub mod fsck;
 pub mod graph;
 pub mod lex;
 pub mod lint;
-#[cfg(feature = "shim-sync")]
-pub mod real;
 pub mod taint;

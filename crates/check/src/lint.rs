@@ -20,14 +20,10 @@
 //!   the long-standing poisoned-lock annotations keep working.
 //! - **unwrap** — no `unwrap()` / `expect(…)` in library crates outside test
 //!   code, reachable or not. Library errors must propagate.
-//! - **lock-order** — the workspace's `Mutex`/`RwLock` classes (one class
-//!   per declared field name) are ranked by first acquisition in file order;
-//!   acquiring a class while holding an equal-or-later-ranked one — directly
-//!   or through any call chain — is a violation. This makes lock-ordering a
-//!   checked invariant instead of a convention.
-//! - **unsafe-census** — occurrences of `unsafe` in non-vendor crates. The
-//!   budget is zero, and every crate root carries `#![forbid(unsafe_code)]`;
-//!   the census keeps that from regressing via attribute removal.
+//!
+//! `unsafe` needs no rule here: the root `Cargo.toml`'s lint table forbids
+//! it and every non-vendor member inherits the table, so the compiler
+//! rejects `unsafe` in every target, test code included.
 //!
 //! A finding can be suppressed with `// era-check: allow(<rule>)` on the same
 //! line or the immediately preceding line; an allow written directly above a
@@ -43,13 +39,13 @@
 //!
 //! [`BlockCursor`]: era_string_store::BlockCursor
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::graph::{collect_lock_classes, extract_file, FileItems, FnInfo};
+use crate::graph::{extract_file, FileItems, FnInfo};
 use crate::lex::{lex, Lexed};
 
 /// The lint rules `era-check lint` knows about.
@@ -64,23 +60,13 @@ pub enum Rule {
     Unwrap,
     /// Panic site reachable from a `// era-check: entry` function.
     PanicPath,
-    /// Lock acquired while holding an equal-or-later-ranked lock.
-    LockOrder,
-    /// Any use of `unsafe`.
-    UnsafeCode,
 }
 
 impl Rule {
     /// Every rule, in reporting order. The fixture suite iterates this — a
     /// rule added here without fixtures fails that suite.
-    pub const ALL: &'static [Rule] = &[
-        Rule::RawRead,
-        Rule::HotAlloc,
-        Rule::Unwrap,
-        Rule::PanicPath,
-        Rule::LockOrder,
-        Rule::UnsafeCode,
-    ];
+    pub const ALL: &'static [Rule] =
+        &[Rule::RawRead, Rule::HotAlloc, Rule::Unwrap, Rule::PanicPath];
 
     /// The rule's name as used in `// era-check: allow(<name>)` directives.
     pub fn name(self) -> &'static str {
@@ -89,8 +75,6 @@ impl Rule {
             Rule::HotAlloc => "hot-alloc",
             Rule::Unwrap => "unwrap",
             Rule::PanicPath => "panic-path",
-            Rule::LockOrder => "lock-order",
-            Rule::UnsafeCode => "unsafe",
         }
     }
 }
@@ -197,13 +181,9 @@ impl Analysis {
     /// Builds the analysis from `(relative path, source)` pairs.
     pub fn build(sources: &[(PathBuf, String)]) -> Analysis {
         let lexed: Vec<Lexed> = sources.iter().map(|(_, src)| lex(src)).collect();
-        let mut lock_classes = std::collections::BTreeSet::new();
-        for l in &lexed {
-            lock_classes.extend(collect_lock_classes(l));
-        }
         let mut files = Vec::with_capacity(sources.len());
         for ((rel, src), l) in sources.iter().zip(lexed) {
-            let items = extract_file(rel, &l, &lock_classes);
+            let items = extract_file(rel, &l);
             files.push(AnalyzedFile {
                 rel: rel.clone(),
                 policy: FilePolicy::for_path(rel),
@@ -312,10 +292,8 @@ impl Analysis {
         let mut findings = Vec::new();
         self.rule_raw_read(&mut findings);
         self.rule_unwrap(&mut findings);
-        self.rule_unsafe(&mut findings);
         self.rule_hot_alloc(&mut findings);
         self.rule_panic_path(&mut findings);
-        self.rule_lock_order(&mut findings);
         findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         findings
     }
@@ -373,23 +351,6 @@ impl Analysis {
                         message: String::new(),
                     });
                 }
-            }
-        }
-    }
-
-    fn rule_unsafe(&self, out: &mut Vec<Finding>) {
-        for file in &self.files {
-            for &line in &file.items.unsafe_lines {
-                if file.lexed.allows_site(line, Rule::UnsafeCode.name()) {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: Rule::UnsafeCode,
-                    file: file.rel.clone(),
-                    line,
-                    excerpt: self.excerpt(file, line),
-                    message: String::new(),
-                });
             }
         }
     }
@@ -460,106 +421,6 @@ impl Analysis {
             Some(Rule::Unwrap.name()),
             out,
         );
-    }
-
-    fn rule_lock_order(&self, out: &mut Vec<Finding>) {
-        // Rank lock classes by first acquisition in file order: the order
-        // locks are *first taken* in becomes the canonical order.
-        let mut rank: BTreeMap<String, usize> = BTreeMap::new();
-        for id in 0..self.fn_ids.len() {
-            for a in &self.fn_info(id).acquires {
-                let next = rank.len();
-                rank.entry(a.class.clone()).or_insert(next);
-            }
-        }
-        // Transitive acquire-sets per fn (fixpoint over call edges), so a
-        // call made under a lock is charged with everything it may acquire.
-        let n = self.fn_ids.len();
-        let mut acq: Vec<HashSet<String>> = (0..n)
-            .map(|id| self.fn_info(id).acquires.iter().map(|a| a.class.clone()).collect())
-            .collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for id in 0..n {
-                let mut add: Vec<String> = Vec::new();
-                for call in &self.fn_info(id).calls {
-                    for callee in self.resolve(call) {
-                        if callee == id {
-                            continue;
-                        }
-                        for c in &acq[callee] {
-                            if !acq[id].contains(c) {
-                                add.push(c.clone());
-                            }
-                        }
-                    }
-                }
-                if !add.is_empty() {
-                    acq[id].extend(add);
-                    changed = true;
-                }
-            }
-        }
-        let flag = |file: &AnalyzedFile,
-                    f: &FnInfo,
-                    line: usize,
-                    class: &str,
-                    held: &str,
-                    via: Option<&str>,
-                    out: &mut Vec<Finding>| {
-            if file.lexed.allows_site(line, Rule::LockOrder.name())
-                || f.allows_rule(Rule::LockOrder.name())
-            {
-                return;
-            }
-            let how = match via {
-                Some(callee) => format!("call into {callee} acquires `{class}`"),
-                None => format!("acquires `{class}`"),
-            };
-            out.push(Finding {
-                rule: Rule::LockOrder,
-                file: file.rel.clone(),
-                line,
-                excerpt: self.excerpt(file, line),
-                message: format!(
-                    "{how} while holding `{held}` (canonical order: {} before {})",
-                    class, held
-                ),
-            });
-        };
-        for id in 0..n {
-            let f = self.fn_info(id);
-            if f.is_test {
-                continue;
-            }
-            let file = self.file_of(id);
-            for a in &f.acquires {
-                for h in &a.held {
-                    if rank[&a.class] <= rank[h] {
-                        flag(file, f, a.line, &a.class, h, None, out);
-                    }
-                }
-            }
-            for call in &f.calls {
-                if call.held.is_empty() {
-                    continue;
-                }
-                for callee in self.resolve(call) {
-                    if callee == id {
-                        continue;
-                    }
-                    for c in &acq[callee] {
-                        for h in &call.held {
-                            if rank[c] <= rank[h] {
-                                let name = self.fn_info(callee).qual_name.clone();
-                                flag(file, f, call.line, c, h, Some(&name), out);
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -812,14 +673,6 @@ pub fn run(&self) {
     }
 
     #[test]
-    fn unsafe_census_flags_unsafe_blocks_not_the_forbid_attr() {
-        assert!(lint_lib("#![forbid(unsafe_code)]\n").is_empty());
-        let f = lint_lib("fn f() { unsafe { core::hint::unreachable_unchecked() } }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::UnsafeCode);
-    }
-
-    #[test]
     fn prose_mentions_of_directives_are_not_directives() {
         // A doc comment *describing* the hot marker must not arm it.
         let src = "\
@@ -847,70 +700,10 @@ fn real(s: &S) { s.read_at(0, buf); }
     }
 
     #[test]
-    fn lock_order_violation_direct_and_transitive() {
-        let src = "\
-struct S { a: Mutex<u32>, b: Mutex<u32> }
-impl S {
-    fn good(&self) {
-        let ga = self.a.lock().unwrap();
-        let gb = self.b.lock().unwrap();
-    }
-    fn bad(&self) {
-        let gb = self.b.lock().unwrap();
-        let ga = self.a.lock().unwrap();
-    }
-    fn take_a(&self) { let ga = self.a.lock().unwrap(); }
-    fn bad_transitive(&self) {
-        let gb = self.b.lock().unwrap();
-        self.take_a();
-    }
-}
-";
-        let f = lint_source(Path::new("crates/string-store/src/locks.rs"), src);
-        let lo = of_rule(&f, Rule::LockOrder);
-        assert_eq!(lo.len(), 2, "{lo:?}");
-        assert_eq!(lo[0].line, 9);
-        assert_eq!(lo[1].line, 14);
-        assert!(lo[1].message.contains("take_a"), "{}", lo[1].message);
-    }
-
-    #[test]
-    fn lock_order_self_reacquire_is_flagged() {
-        let src = "\
-struct S { a: Mutex<u32> }
-impl S {
-    fn f(&self) {
-        let g = self.a.lock().unwrap();
-        let g2 = self.a.lock().unwrap();
-    }
-}
-";
-        let f = lint_source(Path::new("crates/string-store/src/locks.rs"), src);
-        assert_eq!(of_rule(&f, Rule::LockOrder).len(), 1);
-    }
-
-    #[test]
-    fn lock_order_allow_suppresses() {
-        let src = "\
-struct S { a: Mutex<u32>, b: Mutex<u32> }
-impl S {
-    fn order(&self) { let ga = self.a.lock().unwrap(); let gb = self.b.lock().unwrap(); }
-    fn f(&self) {
-        let gb = self.b.lock().unwrap();
-        // era-check: allow(lock-order): disjoint shards, never the same pair
-        let ga = self.a.lock().unwrap();
-    }
-}
-";
-        let f = lint_source(Path::new("crates/string-store/src/locks.rs"), src);
-        assert!(of_rule(&f, Rule::LockOrder).is_empty(), "{f:?}");
-    }
-
-    #[test]
     fn every_rule_has_a_stable_name() {
         for &rule in Rule::ALL {
             assert!(!rule.name().is_empty());
         }
-        assert_eq!(Rule::ALL.len(), 6);
+        assert_eq!(Rule::ALL.len(), 4);
     }
 }

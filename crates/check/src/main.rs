@@ -4,10 +4,9 @@
 //! era-check lint [--format=github|json] [workspace-root]   # semantic source lints
 //! era-check taint [--format=github|json] [workspace-root]  # untrusted-input dataflow
 //! era-check fsck [--deep] <catalog-file>                   # verify a persisted index catalog
-//! era-check interleave                                     # real code under every interleaving
 //! era-check crash-matrix [--limit=N]                       # every-fault-point catalog crash sweep
 //! era-check demo-index <catalog-file>                     # build a 1 MiB genome-like index (CI fsck prey)
-//! era-check all [workspace-root]                           # lint + taint + interleave
+//! era-check all [workspace-root]                           # lint + taint
 //! ```
 //!
 //! Every subcommand prints its findings and exits non-zero when anything is
@@ -15,13 +14,7 @@
 //! `::error file=...,line=...` workflow annotation per finding so violations
 //! surface inline on pull requests; `--format=json` emits one stable JSON
 //! object so tooling stops re-parsing human output.
-//!
-//! `interleave` explores the workspace's real concurrent code and therefore
-//! needs a binary built with the `shim-sync` feature
-//! (`cargo run -p era-check --features shim-sync -- interleave`); a default
-//! build explains that instead of silently passing.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use std::path::{Path, PathBuf};
@@ -82,7 +75,6 @@ fn main() -> ExitCode {
                 None => usage("fsck needs a catalog file"),
             }
         }
-        Some("interleave") => run_interleave(),
         Some("crash-matrix") => {
             let mut limit = None;
             for arg in args {
@@ -101,9 +93,7 @@ fn main() -> ExitCode {
             let root = args.next().map(PathBuf::from);
             let lint = run_lint(root.clone(), LintFormat::Plain);
             let taint = run_taint(root, LintFormat::Plain);
-            let inter = run_interleave();
-            if lint == ExitCode::SUCCESS && taint == ExitCode::SUCCESS && inter == ExitCode::SUCCESS
-            {
+            if lint == ExitCode::SUCCESS && taint == ExitCode::SUCCESS {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -118,7 +108,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("era-check: {problem}");
     eprintln!(
         "usage: era-check lint [--format=github|json] [root] | \
-         taint [--format=github|json] [root] | fsck [--deep] <catalog> | interleave | \
+         taint [--format=github|json] [root] | fsck [--deep] <catalog> | \
          crash-matrix [--limit=N] | demo-index <catalog> | all [root]"
     );
     ExitCode::FAILURE
@@ -320,45 +310,6 @@ fn run_fsck(path: &Path, deep: bool) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-#[cfg(feature = "shim-sync")]
-fn run_interleave() -> ExitCode {
-    let mut ok = true;
-    for report in era_check::real::run_all() {
-        let verdict = if report.ok() { "ok" } else { "FAILED" };
-        println!(
-            "era-check interleave: {:<19} sound {:>4} schedules, broken caught: {:<5} [{verdict}]",
-            report.name,
-            report.sound.schedules,
-            !report.broken.passed(),
-        );
-        if let Some(v) = &report.sound.violation {
-            println!("  sound variant violated under {}: {}", v.trace, v.message);
-        }
-        if !report.sound.complete {
-            println!("  sound variant hit the schedule cap: the exploration proves nothing");
-        }
-        if report.broken.passed() {
-            println!("  broken variant went uncaught: the harness proves nothing");
-        }
-        ok &= report.ok();
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-#[cfg(not(feature = "shim-sync"))]
-fn run_interleave() -> ExitCode {
-    eprintln!(
-        "era-check interleave: this binary was built without the `shim-sync` feature, so the \
-         library crates under test carry plain std sync primitives and there is nothing to \
-         explore. Rebuild with:\n    cargo run -p era-check --features shim-sync -- interleave"
-    );
-    ExitCode::FAILURE
 }
 
 fn run_crash_matrix(limit: Option<usize>) -> ExitCode {

@@ -36,7 +36,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::graph::{collect_lock_classes, extract_file, FileItems, FnInfo};
+use crate::graph::{extract_file, FileItems, FnInfo};
 use crate::lex::{lex, Lexed, TokKind, Token};
 use crate::lint::{collect_rs_files, LIBRARY_CRATES};
 
@@ -207,13 +207,9 @@ struct TaintAnalysis {
 impl TaintAnalysis {
     fn build(sources: &[(PathBuf, String)]) -> TaintAnalysis {
         let lexed: Vec<Lexed> = sources.iter().map(|(_, src)| lex(src)).collect();
-        let mut lock_classes = std::collections::BTreeSet::new();
-        for l in &lexed {
-            lock_classes.extend(collect_lock_classes(l));
-        }
         let mut files = Vec::with_capacity(sources.len());
         for ((rel, src), l) in sources.iter().zip(lexed) {
-            let items = extract_file(rel, &l, &lock_classes);
+            let items = extract_file(rel, &l);
             // Taint findings and resolution candidates are restricted to the
             // same library crates the lint pass's unwrap rule polices.
             files.push(TFile {

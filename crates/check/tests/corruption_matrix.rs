@@ -22,7 +22,6 @@
 //!   the standalone format has no checksum (a catalog's segment checksum
 //!   covers them).
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use std::fs;

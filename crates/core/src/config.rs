@@ -56,6 +56,13 @@ use era_string_store::Alphabet;
 
 use crate::error::{EraError, EraResult};
 
+/// Bytes charged per tree node when computing `FM` (Equation 1:
+/// `FM = MTS / (2 · TREE_NODE_BYTES)`). 48 B is a node of the construction
+/// form; the flat form that survives is 16 B a node
+/// ([`era_suffix_tree::layout::FLAT_NODE_BYTES`]), and ROADMAP.md item 5,
+/// which assembles sub-trees straight into the flat arena, changes this value.
+pub const TREE_NODE_BYTES: usize = 48;
+
 /// How the per-iteration read-ahead range is chosen (§4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangePolicy {
@@ -96,8 +103,6 @@ pub struct EraConfig {
     pub input_buffer_size: usize,
     /// Memory reserved for the trie that connects sub-trees.
     pub trie_area: usize,
-    /// Bytes charged per tree node when computing `FM` (Equation 1).
-    pub tree_node_size: usize,
     /// Read-ahead policy.
     pub range_policy: RangePolicy,
     /// Horizontal-partitioning variant.
@@ -147,7 +152,6 @@ impl Default for EraConfig {
             r_buffer_size: None,
             input_buffer_size: 16 << 10,
             trie_area: 16 << 10,
-            tree_node_size: 48,
             range_policy: RangePolicy::Elastic,
             horizontal: HorizontalMethod::StringAndMemory,
             group_virtual_trees: true,
@@ -214,7 +218,7 @@ impl EraConfig {
         };
         let fixed = dedicated_r + self.input_buffer_size + self.trie_area;
         let remaining = self.memory_budget.saturating_sub(fixed);
-        if remaining < 4 * self.tree_node_size {
+        if remaining < 4 * TREE_NODE_BYTES {
             return Err(EraError::config(format!(
                 "memory budget {} is too small for R = {} plus buffers",
                 self.memory_budget, dedicated_r
@@ -222,7 +226,7 @@ impl EraConfig {
         }
         let tree_area = remaining * 60 / 100;
         let processing_area = remaining - tree_area;
-        let fm = tree_area / (2 * self.tree_node_size);
+        let fm = tree_area / (2 * TREE_NODE_BYTES);
         if fm == 0 {
             return Err(EraError::config("memory budget leaves no room for any sub-tree"));
         }
@@ -244,9 +248,6 @@ impl EraConfig {
     pub fn validate(&self) -> EraResult<()> {
         if self.threads == 0 {
             return Err(EraError::config("thread count must be at least 1"));
-        }
-        if self.tree_node_size == 0 {
-            return Err(EraError::config("tree node size must be non-zero"));
         }
         if let RangePolicy::Fixed(0) = self.range_policy {
             return Err(EraError::config("a fixed range must be at least 1 symbol"));
@@ -350,7 +351,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_values() {
         assert!(EraConfig { threads: 0, ..EraConfig::default() }.validate().is_err());
-        assert!(EraConfig { tree_node_size: 0, ..EraConfig::default() }.validate().is_err());
         assert!(EraConfig { range_policy: RangePolicy::Fixed(0), ..EraConfig::default() }
             .validate()
             .is_err());

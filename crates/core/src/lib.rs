@@ -180,7 +180,6 @@
 //!   I/O accounting over in-memory or store-backed texts.
 //! * [`SuffixIndex`] — the user-facing API combining construction and queries.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -63,7 +63,7 @@ mod tests {
         let node_stores = stores(&body, 3);
         let mut cfg = config();
         cfg.memory_budget = 6 << 10;
-        let options = SharedNothingOptions { transfer_bandwidth: None, concurrent: false };
+        let options = SharedNothingOptions { transfer_bandwidth: None };
         let (_tree, report) = construct_shared_nothing(&node_stores, &cfg, &options).unwrap();
         for node in &report.per_node {
             if node.virtual_trees > 0 {
@@ -79,7 +79,7 @@ mod tests {
     fn transfer_time_is_modelled() {
         let body = b"GATTACAGATTACA";
         let node_stores = stores(body, 2);
-        let options = SharedNothingOptions { transfer_bandwidth: Some(1000.0), concurrent: false };
+        let options = SharedNothingOptions { transfer_bandwidth: Some(1000.0) };
         let (_tree, report) = construct_shared_nothing(&node_stores, &config(), &options).unwrap();
         // 15 bytes at 1000 B/s = 15 ms.
         assert!(report.string_transfer >= Duration::from_millis(14));

@@ -436,24 +436,15 @@ impl GroupScheduler for SharedMemoryScheduler<'_> {
 // Shared-nothing scheduler (§5.2)
 // ---------------------------------------------------------------------------
 
-/// Options specific to the shared-nothing simulation.
-#[derive(Debug, Clone, Copy)]
+/// Options specific to the shared-nothing simulation. Nodes run on scoped
+/// threads whenever there are two or more; each reads its own private store,
+/// so its I/O counters do not depend on that concurrency.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SharedNothingOptions {
     /// Simulated broadcast bandwidth in bytes per second (the paper measures
     /// ~2.3 min to push the human genome through a slow switch). `None`
     /// disables the transfer-time model.
     pub transfer_bandwidth: Option<f64>,
-    /// Whether the nodes actually run concurrently as threads (`true`) or are
-    /// executed one after another (`false`, useful for deterministic I/O
-    /// accounting in tests and benchmarks). The reported per-node times are
-    /// wall-clock either way; the makespan is their maximum.
-    pub concurrent: bool,
-}
-
-impl Default for SharedNothingOptions {
-    fn default() -> Self {
-        SharedNothingOptions { transfer_bandwidth: None, concurrent: true }
-    }
 }
 
 /// Runs each virtual tree on a simulated cluster node with its *private* copy
@@ -545,7 +536,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
             Ok((built, report))
         };
 
-        let results: Vec<EraResult<WorkerOutput>> = if self.options.concurrent && nodes > 1 {
+        let results: Vec<EraResult<WorkerOutput>> = if nodes > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> =
                     (0..nodes).map(|node| scope.spawn(move || run_node(node))).collect();

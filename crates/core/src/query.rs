@@ -675,7 +675,7 @@ mod tests {
 
         // One worker per engine keeps each engine's partition order — and so
         // its window reuse and byte counts — identical to its solo run; the
-        // *engines* still interleave freely on the shared store.
+        // *engines* still run side by side on the shared store.
         let engine_a = QueryEngine::over_store(index.tree(), &store);
         let engine_b = QueryEngine::over_store(index.tree(), &store);
         let (concurrent_a, concurrent_b) = std::thread::scope(|scope| {

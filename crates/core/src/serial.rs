@@ -15,7 +15,6 @@ mod tests {
             r_buffer_size: Some(256),
             input_buffer_size: 64,
             trie_area: 64,
-            tree_node_size: 48,
             min_range: 2,
             ..EraConfig::default()
         }

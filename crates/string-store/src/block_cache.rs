@@ -30,9 +30,10 @@
 //!
 //! [`StoreTextSource`]: crate::StoreTextSource
 
-use crate::sync::{lock, AtomicU64, Mutex, Ordering};
+use crate::sync::lock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Default granularity of one cache entry, in decoded symbols.
 ///
@@ -86,19 +87,6 @@ impl CacheStats {
     /// Records `n` evicted blocks.
     pub fn add_evictions(&self, n: u64) {
         self.evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Deliberately broken twin of [`CacheStats::add_insertion`], compiled
-    /// only under `shim-sync`: the read-modify-write is split into a load
-    /// and a store, the exact lost-update window the interleaving explorer
-    /// must be able to catch. Exists to prove the harness two-sided — the
-    /// sound counters pass every interleaving, this one must not.
-    #[cfg(feature = "shim-sync")]
-    pub fn add_insertion_split(&self, bytes: u64) {
-        let n = self.insertions.load(Ordering::Relaxed);
-        self.insertions.store(n + 1, Ordering::Relaxed);
-        let b = self.decoded_bytes.load(Ordering::Relaxed);
-        self.decoded_bytes.store(b + bytes, Ordering::Relaxed);
     }
 
     /// Takes a point-in-time copy of the counters.
@@ -380,26 +368,6 @@ impl BlockCache {
         evicted
     }
 
-    /// Deliberately broken twin of [`BlockCache::insert`], compiled only
-    /// under `shim-sync`: the capacity check happens in one critical section
-    /// and the insertion in a *second* one, so the decision can go stale in
-    /// between — two threads both see room and together overshoot the shard
-    /// capacity. Exists to prove the interleaving harness two-sided.
-    #[cfg(feature = "shim-sync")]
-    pub fn insert_split_accounting(&self, block: u64, data: Arc<[u8]>) -> u64 {
-        let bytes = data.len() as u64;
-        let fits = {
-            let s = lock(self.shard(block));
-            s.bytes + data.len() <= self.shard_capacity
-        };
-        // The stale `fits` decision disables the insert-time capacity bound.
-        let capacity = if fits { usize::MAX } else { self.shard_capacity };
-        let evicted = lock(self.shard(block)).insert(block, data, capacity);
-        self.stats.add_insertion(bytes);
-        self.stats.add_evictions(evicted);
-        evicted
-    }
-
     /// Number of blocks currently cached.
     pub fn entries(&self) -> usize {
         self.shards.iter().map(|s| lock(s).map.len()).sum()
@@ -547,7 +515,35 @@ mod tests {
         }
         let snap = cache.snapshot();
         assert_eq!(snap.hits + snap.misses, 800);
+        // Every counter update is one `fetch_add`: none is lost to a race.
+        assert_eq!(snap.insertions, snap.misses);
+        assert_eq!(snap.decoded_bytes, 64 * snap.insertions);
         assert!(cache.bytes() <= (1 << 16) + 8 * 64);
+
+        // One shard with room for one 24-byte block: `insert` checks the
+        // capacity and inserts under one shard lock, so concurrent inserts
+        // never overshoot it together.
+        let cache = Arc::new(BlockCache::with_layout(36, 24, 1));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (cache, start) = (Arc::clone(&cache), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..50u64 {
+                        cache.insert(t * 50 + i, Arc::from(vec![t as u8; 24].into_boxed_slice()));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let snap = cache.snapshot();
+        assert!(cache.bytes() <= 36, "bytes {} over the shard capacity", cache.bytes());
+        assert_eq!(cache.entries(), 1);
+        assert_eq!(snap.insertions, 200);
+        assert_eq!(snap.evictions, snap.insertions - cache.entries() as u64);
     }
 
     #[test]

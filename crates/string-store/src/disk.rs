@@ -5,12 +5,13 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use std::sync::atomic::AtomicU64;
+use std::sync::Mutex;
 
 use crate::alphabet::Alphabet;
 use crate::error::{StoreError, StoreResult};
 use crate::stats::IoStats;
 use crate::store::StringStore;
-use crate::sync::{lock, Mutex};
+use crate::sync::lock;
 
 /// Default I/O block size (64 KiB).
 ///

@@ -56,7 +56,6 @@
 //!   [`FaultVfs`] used by the crash-matrix harness to prove commit protocols
 //!   crash-safe.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

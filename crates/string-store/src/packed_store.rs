@@ -35,6 +35,7 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// Per-thread packed-byte scratch for [`PackedDiskStore::read_at`]: reads
@@ -50,7 +51,7 @@ use crate::memory::DEFAULT_MEMORY_BLOCK;
 use crate::packed::{packed_size, PackState, PackedCodec, PackedText};
 use crate::stats::{blocks_spanned, IoStats};
 use crate::store::{code_span, StringStore};
-use crate::sync::{lock, Mutex};
+use crate::sync::lock;
 
 /// Magic bytes opening a packed string file.
 pub const PACKED_MAGIC: [u8; 4] = *b"ERAP";

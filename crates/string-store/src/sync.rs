@@ -1,28 +1,11 @@
-//! Sync-primitive facade: `std::sync` in production, the vendored
-//! `interleave::shim` wrappers under the `shim-sync` feature.
+//! The crate's one poisoned-lock policy.
 //!
-//! Everything in this crate that synchronizes between threads (the
-//! [`BlockCache`](crate::BlockCache) shard mutexes, the disk stores' file
-//! mutexes, the [`CacheStats`] atomic counters) imports its primitives from
-//! here instead of `std` and takes its locks through [`lock`], so
-//! the `era-check interleave` harness can compile the *real* code with
-//! explorer yield points at every lock acquisition and atomic operation and
-//! exhaustively check its interleavings. The shim types are drop-in: same
-//! constructors, same `lock() -> Result<…>` shape, same atomic method names.
-//!
-//! `shim-sync` is strictly a verification configuration — it serializes
-//! execution under a scheduler token and must never be enabled in a build
-//! that wants real parallelism.
-//!
-//! [`CacheStats`]: crate::CacheStats
+//! Everything in this crate that locks (the [`BlockCache`](crate::BlockCache)
+//! shard mutexes, the disk stores' file mutexes) takes its `std::sync::Mutex`
+//! through [`lock`]. No path holds two of these locks at once: a file lock
+//! covers one seek and `read_exact`, a shard lock one lookup or one insert.
 
-#[cfg(not(feature = "shim-sync"))]
-pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-#[cfg(not(feature = "shim-sync"))]
-pub use std::sync::{Mutex, MutexGuard};
-
-#[cfg(feature = "shim-sync")]
-pub use interleave::shim::{AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Acquires `mutex` — the crate's one poisoned-lock policy. A lock is only
 /// poisoned when a thread panicked while holding it, i.e. the invariant it

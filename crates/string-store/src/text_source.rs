@@ -142,7 +142,7 @@ pub struct StoreTextSource<'a> {
     /// I/O this source caused, mirroring the store's accounting rule
     /// ([`StringStore::read_cost`]); sequential/random classification uses
     /// the source's *own* read cursor, which is the honest per-consumer view
-    /// when several sources interleave on one store.
+    /// when several sources take turns on one store.
     local_io: IoStats,
     local_last_end: AtomicU64,
     /// Cache lookups/insertions/evictions this source caused.

@@ -15,7 +15,6 @@
 //! The suffix array also doubles as an independent test oracle for the
 //! lexicographic leaf order produced by every tree-construction algorithm.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -56,7 +56,6 @@
 //!   ([`CatalogFile`]). The crash-matrix harness in `era-check` proves every
 //!   fault point of a save yields exactly the old or the new generation.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -16,7 +16,6 @@
 //!
 //! All generators are deterministic given a seed.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -5,7 +5,6 @@
 //! cargo run --release -p era-examples --example batched_queries
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use era::{EraConfig, Query, QueryBatch, QueryResponse, SuffixIndex};

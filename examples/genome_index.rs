@@ -10,7 +10,6 @@
 //! cargo run --release -p era-examples --bin genome_index -- [length_kib] [memory_kib]
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use era::{EraConfig, SuffixIndex};

@@ -15,7 +15,6 @@
 //!   contains/count/locate batch answered through the `QueryEngine` from a
 //!   raw and a packed on-disk store, without materializing the text.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use era::ConstructionReport;

@@ -5,7 +5,6 @@
 //! cargo run --release -p era-examples --bin parallel_build -- [length_kib]
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use std::time::Instant;
@@ -70,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Result<_, _>>()?;
         let options = SharedNothingOptions {
             transfer_bandwidth: Some(128.0 * (1 << 20) as f64), // a 1 Gbit-ish switch
-            concurrent: true,
         };
         let (_tree, report) = construct_shared_nothing(&stores, &config, &options)?;
         let makespan = report.makespan();

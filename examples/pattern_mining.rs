@@ -5,7 +5,6 @@
 //! cargo run --release -p era-examples --bin pattern_mining
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use std::collections::BTreeMap;

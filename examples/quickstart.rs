@@ -4,7 +4,6 @@
 //! cargo run --release -p era-examples --bin quickstart
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use era::SuffixIndex;

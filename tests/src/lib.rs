@@ -1,6 +1,5 @@
 //! Shared helpers for the cross-crate integration and property tests.
 
-#![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 use era_string_store::{Alphabet, InMemoryStore};
