@@ -438,7 +438,8 @@ impl GroupScheduler for SharedMemoryScheduler<'_> {
 
 /// Options specific to the shared-nothing simulation. Nodes run on scoped
 /// threads whenever there are two or more; each reads its own private store,
-/// so its I/O counters do not depend on that concurrency.
+/// so its I/O counters do not depend on that concurrency. Per-node times are
+/// wall-clock; the makespan is their maximum.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharedNothingOptions {
     /// Simulated broadcast bandwidth in bytes per second (the paper measures
