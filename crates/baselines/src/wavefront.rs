@@ -171,7 +171,7 @@ fn construct_impl(
                         })
                     })
                     .collect();
-                // era-check: allow(unwrap): a panicked worker cannot be recovered from
+                #[expect(clippy::expect_used, reason = "a panicked worker is unrecoverable")]
                 handles.into_iter().map(|h| h.join().expect("worker must not panic")).collect()
             });
         for (_, built, mut report) in results? {

@@ -1,4 +1,4 @@
-//! A small, dependency-free Rust lexer for the semantic lint pass.
+//! A small, dependency-free Rust lexer for era-check's source passes.
 //!
 //! The PR 7 lints were line-level: a state machine stripped comments and
 //! string literals from one line at a time and the rules string-matched the
@@ -16,7 +16,7 @@
 //!
 //! - raw strings `r"…"`, `r#"…"#` (any hash depth), byte strings `b"…"`,
 //!   `br#"…"#`, and C strings `c"…"` are single [`TokKind::Literal`] tokens —
-//!   a `read_at` or `unwrap()` inside one is data, not code;
+//!   a `panic!` or `xs[0]` inside one is data, not code;
 //! - block comments nest, exactly as in the Rust grammar;
 //! - `'a` lifetimes are distinguished from `'x'` char literals, so a
 //!   lifetime never starts a phantom string;
@@ -74,9 +74,6 @@ impl Token {
 /// One `// era-check:` directive, attached to the line its comment sits on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Directive {
-    /// `// era-check: hot` — the next function is a serving-hot-path
-    /// function: it must not reach an allocation through any call chain.
-    Hot,
     /// `// era-check: entry` — the next function is a query/serving entry
     /// point: everything reachable from it is subject to the panic-path rule.
     Entry,
@@ -100,9 +97,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// Directives by 1-based line number.
     pub directives: HashMap<usize, Vec<Directive>>,
-    /// Lines that contain at least one token (code lines). Used to decide
-    /// whether a directive is *contiguous* with a `fn` declaration.
-    pub code_lines: Vec<usize>,
 }
 
 impl Lexed {
@@ -149,9 +143,6 @@ fn parse_directive(comment_body: &str) -> Option<Directive> {
         let end = arg.find(')')?;
         return Some(Directive::Sanitized(arg[..end].trim().to_string()));
     }
-    if rest.starts_with("hot") {
-        return Some(Directive::Hot);
-    }
     if rest.starts_with("entry") {
         return Some(Directive::Entry);
     }
@@ -172,12 +163,7 @@ pub fn lex(source: &str) -> Lexed {
     let mut i = 0usize;
     let mut line = 1usize;
 
-    let push = |kind: TokKind, line: usize, out: &mut Lexed| {
-        if out.code_lines.last() != Some(&line) {
-            out.code_lines.push(line);
-        }
-        out.tokens.push(Token { kind, line });
-    };
+    let push = |kind: TokKind, line: usize, out: &mut Lexed| out.tokens.push(Token { kind, line });
 
     while i < b.len() {
         let c = b[i];
@@ -281,10 +267,8 @@ pub fn lex(source: &str) -> Lexed {
                 if is_str_prefix && j < b.len() && (b[j] == b'"' || b[j] == b'#') {
                     let lit_line = line;
                     if b[j] == b'"' {
-                        if ident.contains('r') || ident.contains('c') && b[j] == b'"' {
-                            // r"…" / br"…" / cr"…": raw — no escapes, ends at ".
-                            // b"…" / c"…" without r: normal escape rules.
-                        }
+                        // r"…" / br"…" / cr"…": raw — no escapes, ends at ".
+                        // b"…" / c"…" without r: normal escape rules.
                         if ident.contains('r') {
                             i = skip_raw_string(b, j + 1, 0, &mut line);
                         } else {
@@ -484,22 +468,22 @@ fn f() {
     #[test]
     fn directives_are_collected_per_line() {
         let src = "\
-// era-check: hot
-fn fast() {}
-// era-check: allow(unwrap): poisoned lock is fatal
-x.unwrap();
-/// Prose mentioning `// era-check: hot` must not arm anything.
 // era-check: entry
 fn serve() {}
+// era-check: allow(panic-path): ids are validated on load
+xs[0];
+/// Prose mentioning `// era-check: entry` must not arm anything.
+// era-check: entry
+fn serve_more() {}
 ";
         let lexed = lex(src);
-        assert_eq!(lexed.directives_on(1), &[Directive::Hot]);
-        assert_eq!(lexed.directives_on(3), &[Directive::Allow("unwrap".into())]);
+        assert_eq!(lexed.directives_on(1), &[Directive::Entry]);
+        assert_eq!(lexed.directives_on(3), &[Directive::Allow("panic-path".into())]);
         assert!(lexed.directives_on(5).is_empty(), "prose must not become a directive");
         assert_eq!(lexed.directives_on(6), &[Directive::Entry]);
-        assert!(lexed.allows_site(3, "unwrap"));
-        assert!(lexed.allows_site(4, "unwrap"), "preceding-line allows cover the next line");
-        assert!(!lexed.allows_site(2, "unwrap"));
+        assert!(lexed.allows_site(3, "panic-path"));
+        assert!(lexed.allows_site(4, "panic-path"), "preceding-line allows cover the next line");
+        assert!(!lexed.allows_site(2, "panic-path"));
     }
 
     #[test]

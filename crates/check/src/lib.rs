@@ -1,26 +1,27 @@
 //! `era-check`: the workspace's static-analysis and artifact-verification
 //! subsystem.
 //!
-//! Four independent passes, each usable as a library and wired together by
-//! the `era-check` binary (and by the CI `static-analysis` job):
+//! Four passes, each usable as a library and wired together by the
+//! `era-check` binary (and by the CI `static-analysis` job). The two source
+//! passes share one [`graph::Index`]: a dependency-free Rust lexer
+//! ([`lex`]) tokenizes every workspace file once (raw strings, nested block
+//! comments, lifetimes and all), an item extractor ([`graph`]) recovers fn
+//! boundaries, call sites, panic sinks and `// era-check:` directives, and
+//! calls resolve by name and qualifier over the library crates' non-test fns.
 //!
-//! - [`lint`] — a *semantic* pass over the workspace's own `.rs` files. A
-//!   dependency-free Rust lexer ([`lex`]) tokenizes every file (raw strings,
-//!   nested block comments, lifetimes and all), an item extractor ([`graph`])
-//!   recovers fn boundaries, call sites, sinks (allocation, panic) and
-//!   `// era-check:` directives, and the lint rules run over the resulting
-//!   workspace-wide call graph: raw `read_at` calls stay confined to the
-//!   cursor/text-source layer, `// era-check: hot` functions do not *reach*
-//!   allocation through any call chain, functions reachable from
-//!   `// era-check: entry` serving entry points do not reach
-//!   unwrap/expect/panic!/direct indexing, and library crates do not
-//!   `unwrap()`. Every rule is escapable only by a reasoned
-//!   `// era-check: allow(rule): why` directive. (`unsafe` needs no rule: the
-//!   workspace lint table forbids it in every target of every member.)
-//! - [`taint`] — untrusted-input dataflow over the same lexer/extractor/call
-//!   graph. Values derived from hostile artifact bytes (`from_le_bytes`
-//!   results, `read_exact`-filled buffers and byte-slice parameters of
-//!   parser fns, returns of `// era-check: source` seams) are tracked,
+//! - [`lint`] — the one home-grown source lint, **panic-path**: no
+//!   function reachable from a `// era-check: entry` serving entry point may
+//!   reach a `panic!`-family macro or direct indexing, unless a reasoned
+//!   `// era-check: allow(panic-path): why` names the validation that makes
+//!   it sound. Everything a lint rule can check by name is clippy's job:
+//!   every library crate root denies `clippy::unwrap_used` and
+//!   `clippy::expect_used`, `clippy.toml`'s `disallowed-methods` keeps raw
+//!   `StringStore::read_at` / `read_codes_at` calls inside the accounted-I/O
+//!   seam, and the workspace lint table forbids `unsafe`.
+//! - [`taint`] — untrusted-input dataflow over the same index. Values
+//!   derived from hostile artifact bytes (`from_le_bytes` results,
+//!   `read_exact`-filled buffers and byte-slice parameters of parser fns,
+//!   returns of `// era-check: source` seams) are tracked,
 //!   interprocedurally via call-graph summaries, until they either pass a
 //!   sanitizer (`try_into`, `checked_*`, a clamp, an ordered bounds check)
 //!   or reach a sink: unchecked arithmetic, a truncating `as` cast, a

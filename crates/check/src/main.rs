@@ -1,12 +1,12 @@
 //! The `era-check` command-line tool.
 //!
 //! ```text
-//! era-check lint [--format=github|json] [workspace-root]   # semantic source lints
+//! era-check lint [--format=github|json] [workspace-root]   # panic paths from serving entry points
 //! era-check taint [--format=github|json] [workspace-root]  # untrusted-input dataflow
 //! era-check fsck [--deep] <catalog-file>                   # verify a persisted index catalog
 //! era-check crash-matrix [--limit=N]                       # every-fault-point catalog crash sweep
 //! era-check demo-index <catalog-file>                     # build a 1 MiB genome-like index (CI fsck prey)
-//! era-check all [workspace-root]                           # lint + taint
+//! era-check all [workspace-root]                           # lint + taint over one index
 //! ```
 //!
 //! Every subcommand prints its findings and exits non-zero when anything is
@@ -17,12 +17,14 @@
 
 #![deny(rust_2018_idioms)]
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use era_check::fsck::fsck_file;
-use era_check::lint::{find_workspace_root, lint_workspace};
-use era_check::taint::taint_workspace;
+use era_check::graph::{find_workspace_root, Finding, Index};
+use era_check::lint::lint;
+use era_check::taint::taint;
 
 /// How `lint`/`taint` render their findings.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -54,10 +56,14 @@ fn main() -> ExitCode {
                     other => return usage(&format!("unexpected argument {other:?}")),
                 }
             }
+            let index = match load_index(root, cmd) {
+                Ok(index) => index,
+                Err(code) => return code,
+            };
             if cmd == "lint" {
-                run_lint(root, format)
+                run_lint(&index, format)
             } else {
-                run_taint(root, format)
+                run_taint(&index, format)
             }
         }
         Some("fsck") => {
@@ -90,9 +96,12 @@ fn main() -> ExitCode {
             None => usage("demo-index needs a target catalog file"),
         },
         Some("all") => {
-            let root = args.next().map(PathBuf::from);
-            let lint = run_lint(root.clone(), LintFormat::Plain);
-            let taint = run_taint(root, LintFormat::Plain);
+            let index = match load_index(args.next().map(PathBuf::from), "all") {
+                Ok(index) => index,
+                Err(code) => return code,
+            };
+            let lint = run_lint(&index, LintFormat::Plain);
+            let taint = run_taint(&index, LintFormat::Plain);
             if lint == ExitCode::SUCCESS && taint == ExitCode::SUCCESS {
                 ExitCode::SUCCESS
             } else {
@@ -137,95 +146,69 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders one finding in the shared finding shape (both passes' findings
-/// carry rule/file/line/excerpt/message).
-fn emit_finding(
-    format: LintFormat,
-    rule: &str,
-    file: &Path,
-    line: usize,
-    excerpt: &str,
-    message: &str,
-    json_out: &mut Vec<String>,
-) {
-    match format {
-        LintFormat::Plain => {} // the Display impls already printed
-        LintFormat::Github => {
-            let mut msg = excerpt.to_string();
-            if !message.is_empty() {
-                msg.push('\n');
-                msg.push_str(message);
+/// Prints `findings` in `format` (plain lines, or GitHub annotations) and
+/// returns them as JSON objects joined by commas, for the JSON summary.
+fn print_findings<R: fmt::Display>(format: LintFormat, findings: &[Finding<R>]) -> String {
+    let mut json = Vec::new();
+    for finding in findings {
+        let file = finding.file.display().to_string();
+        match format {
+            LintFormat::Plain => println!("{finding}"),
+            LintFormat::Github => {
+                let mut msg = finding.excerpt.clone();
+                if !finding.message.is_empty() {
+                    msg.push('\n');
+                    msg.push_str(&finding.message);
+                }
+                println!(
+                    "::error file={},line={},title=era-check({})::{}",
+                    github_escape(&file),
+                    finding.line,
+                    finding.rule,
+                    github_escape(&msg)
+                );
             }
-            println!(
-                "::error file={},line={},title=era-check({})::{}",
-                github_escape(&file.display().to_string()),
-                line,
-                rule,
-                github_escape(&msg)
-            );
-        }
-        LintFormat::Json => {
-            json_out.push(format!(
+            LintFormat::Json => json.push(format!(
                 "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"excerpt\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(rule),
-                json_escape(&file.display().to_string()),
-                line,
-                json_escape(excerpt),
-                json_escape(message)
-            ));
+                json_escape(&finding.rule.to_string()),
+                json_escape(&file),
+                finding.line,
+                json_escape(&finding.excerpt),
+                json_escape(&finding.message)
+            )),
         }
     }
+    json.join(",")
 }
 
-fn resolve_root(root: Option<PathBuf>, pass: &str) -> Result<PathBuf, ExitCode> {
-    match root {
-        Some(r) => Ok(r),
+/// Indexes the workspace at `root`, or at the one above the working
+/// directory when no root is given.
+fn load_index(root: Option<PathBuf>, pass: &str) -> Result<Index, ExitCode> {
+    let root = match root {
+        Some(r) => r,
         None => {
             let cwd = std::env::current_dir().expect("cannot determine the working directory");
-            match find_workspace_root(&cwd) {
-                Some(r) => Ok(r),
-                None => {
-                    eprintln!("era-check {pass}: no workspace Cargo.toml above {}", cwd.display());
-                    Err(ExitCode::FAILURE)
-                }
-            }
+            find_workspace_root(&cwd).ok_or_else(|| {
+                eprintln!("era-check {pass}: no workspace Cargo.toml above {}", cwd.display());
+                ExitCode::FAILURE
+            })?
         }
-    }
+    };
+    Index::load(&root).map_err(|e| {
+        eprintln!("era-check {pass}: failed to scan {}: {e}", root.display());
+        ExitCode::FAILURE
+    })
 }
 
-fn run_lint(root: Option<PathBuf>, format: LintFormat) -> ExitCode {
-    let root = match resolve_root(root, "lint") {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let report = match lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("era-check lint: failed to scan {}: {e}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut json = Vec::new();
-    for finding in &report.findings {
-        if format == LintFormat::Plain {
-            println!("{finding}");
-        }
-        emit_finding(
-            format,
-            finding.rule.name(),
-            &finding.file,
-            finding.line,
-            &finding.excerpt,
-            &finding.message,
-            &mut json,
-        );
-    }
+fn run_lint(index: &Index, format: LintFormat) -> ExitCode {
+    let report = lint(index);
+    let json = print_findings(format, &report.findings);
     match format {
         LintFormat::Json => println!(
             "{{\"pass\":\"lint\",\"files\":{},\"violations\":{},\"findings\":[{}]}}",
             report.files,
             report.findings.len(),
-            json.join(",")
+            json
         ),
         _ => println!(
             "era-check lint: {} files, {} violation(s)",
@@ -240,33 +223,9 @@ fn run_lint(root: Option<PathBuf>, format: LintFormat) -> ExitCode {
     }
 }
 
-fn run_taint(root: Option<PathBuf>, format: LintFormat) -> ExitCode {
-    let root = match resolve_root(root, "taint") {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let report = match taint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("era-check taint: failed to scan {}: {e}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut json = Vec::new();
-    for finding in &report.findings {
-        if format == LintFormat::Plain {
-            println!("{finding}");
-        }
-        emit_finding(
-            format,
-            finding.rule.name(),
-            &finding.file,
-            finding.line,
-            &finding.excerpt,
-            &finding.message,
-            &mut json,
-        );
-    }
+fn run_taint(index: &Index, format: LintFormat) -> ExitCode {
+    let report = taint(index);
+    let json = print_findings(format, &report.findings);
     match format {
         LintFormat::Json => println!(
             "{{\"pass\":\"taint\",\"files\":{},\"fns\":{},\"call_edges\":{},\"tainted_flows\":{},\
@@ -277,7 +236,7 @@ fn run_taint(root: Option<PathBuf>, format: LintFormat) -> ExitCode {
             report.tainted_flows,
             report.allows,
             report.findings.len(),
-            json.join(",")
+            json
         ),
         _ => println!(
             "era-check taint: {} files, {} fns, {} call edges, {} tainted flow(s), \

@@ -18,8 +18,9 @@
 //! call-graph *summaries* iterated to fixpoint: a fn that returns a tainted
 //! value (`return x` / `Ok(x)` / `Some(x)` wrapping taint) taints the
 //! binding at every call site, and findings carry the source→sink chain
-//! (`read_u32 <- u32::from_le_bytes`) the way hot-transitive-alloc findings
-//! carry their call chain.
+//! (`read_u32 <- u32::from_le_bytes`) the way panic-path findings carry
+//! their call chain. Only non-test fns of the library crates are analysed
+//! and resolved, on the [`Index`] the lint pass shares.
 //!
 //! Known, deliberate approximations (this is a token-level checker, not a
 //! type checker): taint does not flow through fn *arguments* (only returns),
@@ -30,15 +31,12 @@
 //! false positives for a small, documented blind spot — the same bargain the
 //! lint pass makes, and escapable the same way: a reasoned directive.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::graph::{extract_file, FileItems, FnInfo};
-use crate::lex::{lex, Lexed, TokKind, Token};
-use crate::lint::{collect_rs_files, LIBRARY_CRATES};
+use crate::graph::{skip_group, skip_turbofish, Finding, FnInfo, Index, IndexedFile};
+use crate::lex::{TokKind, Token};
 
 /// The sink classes the taint pass reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,30 +74,9 @@ impl fmt::Display for TaintRule {
     }
 }
 
-/// One taint violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaintFinding {
-    /// Which sink class fired.
-    pub rule: TaintRule,
-    /// File the violation is in.
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// The offending source line, trimmed.
-    pub excerpt: String,
-    /// The source→sink chain and the required fix.
-    pub message: String,
-}
-
-impl fmt::Display for TaintFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file.display(), self.line, self.rule, self.excerpt)?;
-        if !self.message.is_empty() {
-            write!(f, "\n    {}", self.message)?;
-        }
-        Ok(())
-    }
-}
+/// One taint violation; its message carries the source→sink chain and the
+/// required fix.
+pub type TaintFinding = Finding<TaintRule>;
 
 /// A full taint run: findings plus the pass statistics the CI summary line
 /// reports.
@@ -187,169 +164,90 @@ impl Taint {
     }
 }
 
-/// One analyzed file.
-struct TFile {
-    rel: PathBuf,
-    lexed: Lexed,
-    items: FileItems,
-    lines: Vec<String>,
-    library: bool,
+/// The widest tainted summary among a call's resolution candidates.
+fn call_summary(
+    index: &Index,
+    name: &str,
+    qual: Option<&str>,
+    summaries: &HashMap<usize, Taint>,
+) -> Option<Taint> {
+    let mut best: Option<Taint> = None;
+    for id in index.resolve(name, qual) {
+        if let Some(t) = summaries.get(&id) {
+            let chained = Taint {
+                width: t.width,
+                via: format!("{} <- {}", index.fn_info(id).qual_name, t.via),
+            };
+            best = Taint::max(best, Some(chained));
+        }
+    }
+    best
 }
 
-/// The workspace-wide taint analysis: files, fns and name resolution.
-struct TaintAnalysis {
-    files: Vec<TFile>,
-    fn_ids: Vec<(usize, usize)>,
-    by_name: HashMap<String, Vec<usize>>,
-    by_qual: HashMap<String, Vec<usize>>,
-}
-
-impl TaintAnalysis {
-    fn build(sources: &[(PathBuf, String)]) -> TaintAnalysis {
-        let lexed: Vec<Lexed> = sources.iter().map(|(_, src)| lex(src)).collect();
-        let mut files = Vec::with_capacity(sources.len());
-        for ((rel, src), l) in sources.iter().zip(lexed) {
-            let items = extract_file(rel, &l);
-            // Taint findings and resolution candidates are restricted to the
-            // same library crates the lint pass's unwrap rule polices.
-            files.push(TFile {
-                rel: rel.clone(),
-                library: LIBRARY_CRATES.iter().any(|c| rel.to_string_lossy().starts_with(c))
-                    || !rel.to_string_lossy().contains("crates/"),
-                lines: src.lines().map(str::to_string).collect(),
-                lexed: l,
-                items,
-            });
-        }
-        let mut fn_ids = Vec::new();
-        let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut by_qual: HashMap<String, Vec<usize>> = HashMap::new();
-        for (fi, file) in files.iter().enumerate() {
-            for (gi, f) in file.items.fns.iter().enumerate() {
-                let id = fn_ids.len();
-                fn_ids.push((fi, gi));
-                if !f.is_test && file.library {
-                    by_name.entry(f.name.clone()).or_default().push(id);
-                    by_qual.entry(f.qual_name.clone()).or_default().push(id);
-                }
-            }
-        }
-        TaintAnalysis { files, fn_ids, by_name, by_qual }
-    }
-
-    fn fn_info(&self, id: usize) -> &FnInfo {
-        let (fi, gi) = self.fn_ids[id];
-        &self.files[fi].items.fns[gi]
-    }
-
-    /// Same resolution contract as the lint pass: qualified calls prefer an
-    /// exact `Type::name` match, else fall back to free fns with the bare
-    /// name; methods and plain calls resolve by bare name.
-    fn resolve(&self, name: &str, qual: Option<&str>) -> Vec<usize> {
-        if let Some(q) = qual {
-            let key = format!("{q}::{name}");
-            if let Some(v) = self.by_qual.get(&key) {
-                return v.clone();
-            }
-            return self
-                .by_name
-                .get(name)
-                .map(|v| v.iter().copied().filter(|&id| self.fn_info(id).owner.is_none()).collect())
-                .unwrap_or_default();
-        }
-        self.by_name.get(name).cloned().unwrap_or_default()
-    }
-
-    /// The widest tainted summary among a call's resolution candidates.
-    fn call_summary(
-        &self,
-        name: &str,
-        qual: Option<&str>,
-        summaries: &HashMap<usize, Taint>,
-    ) -> Option<Taint> {
-        let mut best: Option<Taint> = None;
-        for id in self.resolve(name, qual) {
-            if let Some(t) = summaries.get(&id) {
-                let chained = Taint {
-                    width: t.width,
-                    via: format!("{} <- {}", self.fn_info(id).qual_name, t.via),
-                };
-                best = Taint::max(best, Some(chained));
-            }
-        }
-        best
-    }
-
-    /// Runs the whole analysis: intraprocedural passes iterated to a summary
-    /// fixpoint, then one collection pass that produces the findings.
-    fn run(&self) -> TaintReport {
-        let analyzed: Vec<usize> = (0..self.fn_ids.len())
-            .filter(|&id| {
-                let (fi, _) = self.fn_ids[id];
-                let f = self.fn_info(id);
-                self.files[fi].library && !f.is_test && f.body.is_some()
-            })
-            .collect();
-        let mut summaries: HashMap<usize, Taint> = HashMap::new();
-        // Widths only grow and are bounded, so the fixpoint terminates; the
-        // iteration cap is a backstop against pathological inputs.
-        for _ in 0..10 {
-            let mut changed = false;
-            for &id in &analyzed {
-                let mut pass = FnPass::new(self, id, &summaries, false);
-                let mut computed = pass.walk();
-                let f = self.fn_info(id);
-                if f.source && computed.is_none() {
-                    // The directive asserts the return value is untrusted
-                    // even when the body's flow is invisible to the tracker;
-                    // when the walk did derive a width, the derived (usually
-                    // narrower) one wins.
-                    computed =
-                        Some(Taint { width: 64, via: format!("`{}` source directive", f.name) });
-                }
-                let prev = summaries.get(&id).map(|t| t.width);
-                match computed {
-                    Some(t) if prev != Some(t.width) => {
-                        summaries.insert(id, t);
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut findings = Vec::new();
-        let mut allows = 0usize;
-        let mut call_edges = 0usize;
+/// Runs the taint pass over the non-test library fns of `index`:
+/// intraprocedural passes iterated to a summary fixpoint, then one
+/// collection pass that produces the findings.
+pub fn taint(index: &Index) -> TaintReport {
+    let analyzed: Vec<usize> = (0..index.fn_count())
+        .filter(|&id| index.is_library_fn(id) && index.fn_info(id).body.is_some())
+        .collect();
+    let mut summaries: HashMap<usize, Taint> = HashMap::new();
+    // Widths only grow and are bounded, so the fixpoint terminates; the
+    // iteration cap is a backstop against pathological inputs.
+    for _ in 0..10 {
+        let mut changed = false;
         for &id in &analyzed {
-            let mut pass = FnPass::new(self, id, &summaries, true);
-            pass.walk();
-            findings.extend(pass.findings);
-            allows += pass.allows_used;
-            for call in &self.fn_info(id).calls {
-                call_edges += self.resolve(&call.name, call.qual.as_deref()).len();
+            let mut pass = FnPass::new(index, id, &summaries, false);
+            let mut computed = pass.walk();
+            let f = index.fn_info(id);
+            if f.source && computed.is_none() {
+                // The directive asserts the return value is untrusted
+                // even when the body's flow is invisible to the tracker;
+                // when the walk did derive a width, the derived (usually
+                // narrower) one wins.
+                computed = Some(Taint { width: 64, via: format!("`{}` source directive", f.name) });
+            }
+            let prev = summaries.get(&id).map(|t| t.width);
+            match computed {
+                Some(t) if prev != Some(t.width) => {
+                    summaries.insert(id, t);
+                    changed = true;
+                }
+                _ => {}
             }
         }
-        findings.sort_by(|a, b| {
-            (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name()))
-        });
-        TaintReport {
-            files: self.files.len(),
-            fns: analyzed.len(),
-            call_edges,
-            tainted_flows: summaries.len(),
-            allows,
-            findings,
+        if !changed {
+            break;
         }
+    }
+    let mut findings = Vec::new();
+    let mut allows = 0usize;
+    let mut call_edges = 0usize;
+    for &id in &analyzed {
+        let mut pass = FnPass::new(index, id, &summaries, true);
+        pass.walk();
+        findings.extend(pass.findings);
+        allows += pass.allows_used;
+        for call in &index.fn_info(id).calls {
+            call_edges += index.resolve(&call.name, call.qual.as_deref()).len();
+        }
+    }
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
+    TaintReport {
+        files: index.files.len(),
+        fns: analyzed.len(),
+        call_edges,
+        tainted_flows: summaries.len(),
+        allows,
+        findings,
     }
 }
 
 /// The intraprocedural walk over one fn's body tokens.
 struct FnPass<'a> {
-    a: &'a TaintAnalysis,
-    file: &'a TFile,
+    index: &'a Index,
+    file: &'a IndexedFile,
     info: &'a FnInfo,
     toks: &'a [Token],
     summaries: &'a HashMap<usize, Taint>,
@@ -358,10 +256,10 @@ struct FnPass<'a> {
     /// Tainted integer locals, by width and origin.
     tainted: HashMap<String, Taint>,
     /// Tainted byte buffers (filled from outside the trust boundary).
-    buffers: std::collections::HashSet<String>,
+    buffers: HashSet<String>,
     /// The fn's `&[u8]`-ish parameters, parser or not: decoding one with
     /// `from_le_bytes` and handing the value out makes any fn a source.
-    slice_params: std::collections::HashSet<String>,
+    slice_params: HashSet<String>,
     /// Taint of the expression currently being read, left to right.
     reg: Option<Taint>,
     /// Call-summary taints to apply once the walk passes the call's `)`.
@@ -383,16 +281,15 @@ struct FnPass<'a> {
 
 impl<'a> FnPass<'a> {
     fn new(
-        a: &'a TaintAnalysis,
+        index: &'a Index,
         id: usize,
         summaries: &'a HashMap<usize, Taint>,
         collect: bool,
     ) -> FnPass<'a> {
-        let (fi, _) = a.fn_ids[id];
-        let file = &a.files[fi];
-        let info = a.fn_info(id);
+        let file = index.file_of(id);
+        let info = index.fn_info(id);
         let mut pass = FnPass {
-            a,
+            index,
             file,
             info,
             toks: &file.lexed.tokens,
@@ -400,8 +297,8 @@ impl<'a> FnPass<'a> {
             parser: is_parser_fn(info),
             collect,
             tainted: HashMap::new(),
-            buffers: std::collections::HashSet::new(),
-            slice_params: std::collections::HashSet::new(),
+            buffers: HashSet::new(),
+            slice_params: HashSet::new(),
             reg: None,
             pending: Vec::new(),
             stmt_taint: None,
@@ -538,17 +435,11 @@ impl<'a> FnPass<'a> {
             self.allows_used += 1;
             return;
         }
-        let excerpt = self
-            .file
-            .lines
-            .get(line.saturating_sub(1))
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
         self.findings.push(TaintFinding {
             rule,
             file: self.file.rel.clone(),
             line,
-            excerpt,
+            excerpt: self.file.excerpt(line),
             message,
         });
     }
@@ -568,7 +459,7 @@ impl<'a> FnPass<'a> {
                 // header field to its callers whatever it is named.
                 let decodes_param = || {
                     let args =
-                        &slice[(k + 1).min(slice.len())..group_end(slice, k + 1).min(slice.len())];
+                        &slice[(k + 1).min(slice.len())..skip_group(slice, k + 1).min(slice.len())];
                     args.iter().any(|t| t.ident().is_some_and(|a| self.slice_params.contains(a)))
                 };
                 if FROM_BYTES.contains(&id) && (self.parser || decodes_param()) {
@@ -587,7 +478,7 @@ impl<'a> FnPass<'a> {
                 } else if self.buffers.contains(id)
                     && slice.get(k + 1).is_some_and(|t| t.is_punct('['))
                 {
-                    let end = group_end(slice, k + 1);
+                    let end = skip_group(slice, k + 1);
                     if !has_range(&slice[k + 1..end]) {
                         cand = Taint::max(
                             cand,
@@ -598,7 +489,7 @@ impl<'a> FnPass<'a> {
                     let qual = (k >= 3 && slice[k - 1].is_punct(':') && slice[k - 2].is_punct(':'))
                         .then(|| slice[k - 3].ident())
                         .flatten();
-                    if let Some(t) = self.a.call_summary(id, qual, self.summaries) {
+                    if let Some(t) = call_summary(self.index, id, qual, self.summaries) {
                         cand = Taint::max(cand, Some(t));
                     }
                 }
@@ -632,7 +523,7 @@ impl<'a> FnPass<'a> {
                         j += 1;
                     }
                     if j < end && self.toks[j].is_punct('[') {
-                        i = group_end(self.toks, j);
+                        i = skip_group(self.toks, j);
                     } else {
                         i += 1;
                     }
@@ -743,7 +634,7 @@ impl<'a> FnPass<'a> {
         {
             if crate::graph::SKIPPED_MACROS.contains(&id.as_str()) {
                 let j = i + 2;
-                return if j < end { group_end(self.toks, j) } else { j };
+                return if j < end { skip_group(self.toks, j) } else { j };
             }
             if id == "vec" && self.toks.get(i + 2).is_some_and(|t| t.is_punct('[')) {
                 self.check_alloc_group(i + 2, "vec![..]", line);
@@ -776,11 +667,11 @@ impl<'a> FnPass<'a> {
                 }
                 // The argument group is byte-plumbing (`buf[8..16].try_into()`
                 // array conversion), not value flow: skip it whole.
-                return group_end(self.toks, after);
+                return skip_group(self.toks, after);
             }
             if is_sanitizer_method(&callee) {
                 self.sanitize_expr();
-                return group_end(self.toks, after);
+                return skip_group(self.toks, after);
             }
             if callee == "with_capacity" || callee == "reserve" {
                 let what = match &qual {
@@ -790,12 +681,12 @@ impl<'a> FnPass<'a> {
                 self.check_alloc_group(after, &what, line);
             }
             if segs.len() == 1 && (id == "Ok" || id == "Some") {
-                let close = group_end(self.toks, after);
+                let close = skip_group(self.toks, after);
                 let t = self.scan_expr_taint(&self.toks[after + 1..close.saturating_sub(1)]);
                 self.note_summary(t);
             }
-            if let Some(t) = self.a.call_summary(&callee, qual.as_deref(), self.summaries) {
-                self.pending.push((group_end(self.toks, after), t));
+            if let Some(t) = call_summary(self.index, &callee, qual.as_deref(), self.summaries) {
+                self.pending.push((skip_group(self.toks, after), t));
             }
             return j.max(after);
         }
@@ -844,11 +735,11 @@ impl<'a> FnPass<'a> {
         }
         if is_sanitizer_method(&m) {
             self.sanitize_expr();
-            return group_end(self.toks, after).min(end);
+            return skip_group(self.toks, after).min(end);
         }
         if READ_FILLS.contains(&m.as_str()) && self.parser {
             // `r.read_exact(&mut buf)` fills `buf` from outside.
-            let close = group_end(self.toks, after);
+            let close = skip_group(self.toks, after);
             let mut k = after;
             while k + 1 < close {
                 if self.toks[k].is_ident("mut") {
@@ -864,8 +755,8 @@ impl<'a> FnPass<'a> {
             self.check_alloc_group(after, &format!(".{m}"), line);
             return after;
         }
-        if let Some(t) = self.a.call_summary(&m, None, self.summaries) {
-            self.pending.push((group_end(self.toks, after), t));
+        if let Some(t) = call_summary(self.index, &m, None, self.summaries) {
+            self.pending.push((skip_group(self.toks, after), t));
         }
         after
     }
@@ -986,7 +877,7 @@ impl<'a> FnPass<'a> {
             self.bracket_depth += 1;
             return i + 1;
         }
-        let close = group_end(self.toks, i);
+        let close = skip_group(self.toks, i);
         let body = &self.toks[i + 1..close.saturating_sub(1)];
         // Sink: a tainted wide index, unless a sanitizer rides along.
         let mut sink: Option<Taint> = None;
@@ -1034,7 +925,7 @@ impl<'a> FnPass<'a> {
     /// Flags an allocation group whose size argument carries wide taint and
     /// no clamp.
     fn check_alloc_group(&mut self, open: usize, what: &str, line: usize) {
-        let close = group_end(self.toks, open);
+        let close = skip_group(self.toks, open);
         let body = &self.toks[open + 1..close.saturating_sub(1)];
         let mut worst: Option<Taint> = None;
         for t in body {
@@ -1087,30 +978,6 @@ impl<'a> FnPass<'a> {
     }
 }
 
-/// The index just past the balanced group opening at `toks[i]`.
-fn group_end(toks: &[Token], i: usize) -> usize {
-    let (open, close) = match toks.get(i).map(|t| &t.kind) {
-        Some(TokKind::Punct('(')) => ('(', ')'),
-        Some(TokKind::Punct('[')) => ('[', ']'),
-        Some(TokKind::Punct('{')) => ('{', '}'),
-        _ => return i + 1,
-    };
-    let mut depth = 0usize;
-    let mut j = i;
-    while j < toks.len() {
-        if toks[j].is_punct(open) {
-            depth += 1;
-        } else if toks[j].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
-}
-
 /// The index of the `;` (or `{`) ending the statement starting at `i`.
 fn stmt_end(toks: &[Token], mut i: usize, end: usize) -> usize {
     let mut depth = 0usize;
@@ -1131,58 +998,16 @@ fn has_range(slice: &[Token]) -> bool {
     slice.windows(2).any(|w| w[0].is_punct('.') && w[1].is_punct('.'))
 }
 
-/// Skips a turbofish `::<…>` if present at `i`.
-fn skip_turbofish(toks: &[Token], i: usize) -> usize {
-    if i + 2 < toks.len()
-        && toks[i].is_punct(':')
-        && toks[i + 1].is_punct(':')
-        && toks[i + 2].is_punct('<')
-    {
-        let mut depth = 0i32;
-        let mut j = i + 2;
-        while j < toks.len() {
-            if toks[j].is_punct('<') {
-                depth += 1;
-            } else if toks[j].is_punct('>') {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            j += 1;
-        }
-        return j;
-    }
-    i
-}
-
-/// Analyzes a set of `(relative path, source)` pairs. This is the seam the
-/// fixture suite drives.
-pub fn analyze_sources(sources: &[(PathBuf, String)]) -> TaintReport {
-    TaintAnalysis::build(sources).run()
-}
-
-/// Taint-checks one file's source in isolation under a virtual path.
+/// Taint-checks one file's source in isolation under a virtual path. This
+/// is the seam the fixture suite drives.
 pub fn taint_source(rel: &Path, source: &str) -> Vec<TaintFinding> {
-    analyze_sources(&[(rel.to_path_buf(), source.to_string())]).findings
-}
-
-/// Taint-checks every non-vendor `.rs` file under `root`.
-pub fn taint_workspace(root: &Path) -> io::Result<TaintReport> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut sources = Vec::with_capacity(files.len());
-    for path in files {
-        let source = fs::read_to_string(&path)?;
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        sources.push((rel, source));
-    }
-    Ok(analyze_sources(&sources))
+    taint(&Index::build(&[(rel.to_path_buf(), source.to_string())])).findings
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn taint_lib(src: &str) -> Vec<TaintFinding> {
@@ -1209,6 +1034,11 @@ fn parse_header(buf: &[u8]) -> usize {
         assert_eq!(casts.len(), 1, "{f:?}");
         assert_eq!(casts[0].line, 2);
         assert!(casts[0].message.contains("u64::from_le_bytes"), "{}", casts[0].message);
+        // Harness crates are not the product: the same parser there is not
+        // analysed.
+        for rel in ["examples/x.rs", "tests/src/lib.rs", "crates/bench/src/lib.rs"] {
+            assert!(taint_source(Path::new(rel), src).is_empty(), "{rel}");
+        }
     }
 
     #[test]
@@ -1424,7 +1254,8 @@ fn consume(buf: &[u8]) -> u32 {
     read_u32(buf)
 }
 ";
-        let report = analyze_sources(&[(PathBuf::from("crates/core/src/x.rs"), src.to_string())]);
+        let report =
+            taint(&Index::build(&[(PathBuf::from("crates/core/src/x.rs"), src.to_string())]));
         assert_eq!(report.files, 1);
         assert_eq!(report.fns, 2);
         assert!(report.call_edges >= 1, "{report:?}");

@@ -1,4 +1,4 @@
-//! Two-sided fixture suite for every lint rule and every taint sink class.
+//! Two-sided fixture suite for the lint rule and every taint sink class.
 //!
 //! For each rule in [`Rule::ALL`] the corpus under `tests/fixtures/` must
 //! hold a `deny_<rule>.rs` file that the rule catches and an
@@ -13,8 +13,8 @@
 //! construction.
 //!
 //! Fixtures are fed through [`lint_source`] / [`taint_source`] under a
-//! virtual path inside a library crate, so library-only rules (unwrap) and
-//! call-graph resolution apply; the workspace sweep itself excludes the
+//! virtual path inside a library crate, so call-graph resolution and the
+//! taint pass apply to them; the workspace sweep itself excludes the
 //! fixture directory.
 
 use std::collections::BTreeSet;
@@ -150,21 +150,6 @@ fn option_wrapped_helper_is_a_source_and_its_sanitized_twin_is_clean() {
     assert!(twin.is_empty(), "sanitized twin should pass clean but was flagged: {twin:?}");
 }
 
-/// The raw-read rule covers the store's code-level read as well as `read_at`:
-/// its own deny fixture and allowed twin, next to the rule's `read_at` pair.
-const RAW_READ_CODES: &str = "raw_read_codes";
-
-#[test]
-fn code_read_outside_the_seam_is_a_raw_read_and_its_allowed_twin_is_clean() {
-    let findings = lint_fixture(&format!("deny_{RAW_READ_CODES}.rs"));
-    assert!(
-        !findings.is_empty() && findings.iter().all(|f| f.rule == Rule::RawRead),
-        "the code read must trip raw-read and nothing else: {findings:?}"
-    );
-    let twin = lint_fixture(&format!("allow_{RAW_READ_CODES}.rs"));
-    assert!(twin.is_empty(), "allowed twin should pass clean but was flagged: {twin:?}");
-}
-
 #[test]
 fn corpus_has_no_orphan_fixtures() {
     // Every file in the corpus must belong to a known rule — an orphan is
@@ -177,7 +162,6 @@ fn corpus_has_no_orphan_fixtures() {
             [format!("deny_{}.rs", taint_slug(r)), format!("allow_{}.rs", taint_slug(r))]
         }))
         .chain([format!("deny_{WRAPPED_SOURCE}.rs"), format!("allow_{WRAPPED_SOURCE}.rs")])
-        .chain([format!("deny_{RAW_READ_CODES}.rs"), format!("allow_{RAW_READ_CODES}.rs")])
         .collect();
     let mut on_disk = BTreeSet::new();
     for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir must exist") {

@@ -7,14 +7,14 @@
 
 use std::path::Path;
 
-use era_check::lint::find_workspace_root;
-use era_check::taint::taint_workspace;
+use era_check::graph::{find_workspace_root, Index};
+use era_check::taint::taint;
 
 #[test]
 fn workspace_taint_is_clean_and_deterministic() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let first = taint_workspace(&root).expect("taint sweep must run");
-    let second = taint_workspace(&root).expect("taint sweep must run twice");
+    let first = taint(&Index::load(&root).expect("taint sweep must run"));
+    let second = taint(&Index::load(&root).expect("taint sweep must run twice"));
 
     assert!(
         first.passed(),

@@ -15,11 +15,11 @@ use super::prepare::PreparedSubTree;
 /// No string access happens here: the edge labels are `(start, end)` offsets
 /// and the branching characters were captured in `B` during preparation.
 pub fn build_subtree(text_len: usize, prepared: &PreparedSubTree) -> SuffixTree {
+    #[expect(clippy::expect_used, reason = "invariant of vertical partitioning")]
     let first_char = prepared
         .prefix
         .first()
         .copied()
-        // era-check: allow(unwrap): invariant of vertical partitioning
         .expect("vertical partitioning never produces an empty prefix");
     era_suffix_tree::assemble_from_sorted(
         text_len,

@@ -409,11 +409,11 @@ impl PrepareState {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "B is fully defined once preparation finishes")]
     fn into_prepared(self) -> PreparedSubTree {
         PreparedSubTree {
             prefix: self.prefix,
             leaves: self.l,
-            // era-check: allow(unwrap): B is fully defined once preparation finishes
             branching: self.b.into_iter().skip(1).map(|b| b.expect("B fully defined")).collect(),
         }
     }

@@ -100,7 +100,7 @@ impl SuffixIndex {
     /// need this — [`Self::engine`] and the query wrappers resolve edge
     /// labels straight from the store.
     pub fn text(&self) -> &[u8] {
-        // era-check: allow(unwrap): panicking convenience accessor; the index's own callers use try_text
+        #[expect(clippy::expect_used, reason = "panicking accessor; the index uses try_text")]
         self.try_text().expect("materializing the text from its store failed")
     }
 
@@ -203,7 +203,7 @@ impl SuffixIndex {
     /// [`Self::query_batch`] for fallible store-backed querying).
     // era-check: entry
     pub fn contains(&self, pattern: &[u8]) -> bool {
-        // era-check: allow(unwrap): panicking convenience API; try_ variants propagate
+        #[expect(clippy::expect_used, reason = "panicking API; try_ variants propagate")]
         self.engine().contains(pattern).expect("query I/O failed")
     }
 
@@ -213,7 +213,7 @@ impl SuffixIndex {
     /// [`Self::query_batch`] for fallible store-backed querying).
     // era-check: entry
     pub fn count(&self, pattern: &[u8]) -> usize {
-        // era-check: allow(unwrap): panicking convenience API; try_ variants propagate
+        #[expect(clippy::expect_used, reason = "panicking API; try_ variants propagate")]
         self.engine().count(pattern).expect("query I/O failed")
     }
 
@@ -223,7 +223,7 @@ impl SuffixIndex {
     /// [`Self::query_batch`] for fallible store-backed querying).
     // era-check: entry
     pub fn find_all(&self, pattern: &[u8]) -> Vec<usize> {
-        // era-check: allow(unwrap): panicking convenience API; try_ variants propagate
+        #[expect(clippy::expect_used, reason = "panicking API; try_ variants propagate")]
         self.engine().find_all(pattern).expect("query I/O failed")
     }
 

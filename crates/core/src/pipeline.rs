@@ -421,7 +421,7 @@ impl GroupScheduler for SharedMemoryScheduler<'_> {
                     })
                 })
                 .collect();
-            // era-check: allow(unwrap): a panicked worker cannot be recovered from
+            #[expect(clippy::expect_used, reason = "a panicked worker is unrecoverable")]
             handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).collect()
         });
         ScheduleOutcome::from_workers(results)
@@ -489,7 +489,7 @@ impl<'a> SharedNothingScheduler<'a> {
         let mut assignments: Vec<Vec<VirtualTree>> = vec![Vec::new(); nodes];
         let mut load = vec![0u64; nodes];
         for group in order {
-            // era-check: allow(unwrap): node count is validated positive
+            #[expect(clippy::expect_used, reason = "node count is validated positive")]
             let target = (0..nodes).min_by_key(|&n| load[n]).expect("at least one node");
             load[target] += group.total_frequency().max(1);
             assignments[target].push(group.clone());
@@ -541,7 +541,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
             std::thread::scope(|scope| {
                 let handles: Vec<_> =
                     (0..nodes).map(|node| scope.spawn(move || run_node(node))).collect();
-                // era-check: allow(unwrap): a panicked worker cannot be recovered from
+                #[expect(clippy::expect_used, reason = "a panicked worker is unrecoverable")]
                 handles.into_iter().map(|h| h.join().expect("node thread must not panic")).collect()
             })
         } else {

@@ -411,9 +411,9 @@ impl<'a> QueryEngine<'a> {
                     .chunks(queries.len().div_ceil(threads))
                     .map(|chunk| scope.spawn(move || self.run_chunk(chunk)))
                     .collect();
+                #[expect(clippy::expect_used, reason = "a panicked worker is unrecoverable")]
                 handles
                     .into_iter()
-                    // era-check: allow(unwrap): a panicked worker cannot be recovered from
                     .map(|h| h.join().expect("query worker must not panic"))
                     .collect()
             })

@@ -102,12 +102,12 @@ pub fn vertical_partition(
             if f == 0 {
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "prefixes are non-empty by construction")]
             if f as usize <= fm {
                 accepted.push(PrefixFrequency { prefix, frequency: f });
             } else {
                 // Extend by every symbol (including the terminal, so that the
                 // suffix equal to `prefix$` keeps a home partition).
-                // era-check: allow(unwrap): prefixes are non-empty by construction
                 debug_assert_ne!(*prefix.last().expect("non-empty"), TERMINAL);
                 for &s in &symbols_with_terminal {
                     let mut extended = Vec::with_capacity(prefix.len() + 1);

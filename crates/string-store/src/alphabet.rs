@@ -141,7 +141,7 @@ impl Alphabet {
         if text.is_empty() {
             return Err(StoreError::InvalidText("text is empty".into()));
         }
-        // era-check: allow(unwrap): emptiness checked just above
+        #[expect(clippy::expect_used, reason = "emptiness checked just above")]
         if *text.last().expect("non-empty") != TERMINAL {
             return Err(StoreError::InvalidText("text must end with the terminal symbol".into()));
         }

@@ -20,6 +20,8 @@
 //! bit 0. Which blocks are read, skipped or read through, and so every I/O
 //! counter, is the same in both modes.
 
+#![expect(clippy::disallowed_methods, reason = "the accounted-I/O seam")]
+
 use crate::error::{StoreError, StoreResult};
 use crate::store::StringStore;
 

@@ -196,6 +196,7 @@ impl StringStore for DiskStore {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the store's own read accounting")]
 mod tests {
     use super::*;
 

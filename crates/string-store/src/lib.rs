@@ -59,6 +59,7 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod alphabet;
 pub mod block_cache;

@@ -98,6 +98,7 @@ impl StringStore for InMemoryStore {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the store's own read accounting")]
 mod tests {
     use super::*;
 

@@ -366,7 +366,6 @@ impl PackedText {
     }
 
     /// Unpacks the whole text (body + terminal).
-    // era-check: allow(hot-alloc): whole-text convenience, never on the serving path; name-collides with the zero-alloc PackedCodec::unpack
     pub fn unpack(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.len];
         self.unpack_range(0, self.len, &mut out);

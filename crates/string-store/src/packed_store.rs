@@ -341,7 +341,7 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
     }
     let bits = fixed[6] as u32;
     let alen = fixed[7] as usize;
-    // era-check: allow(unwrap): slice length is exactly 8
+    #[expect(clippy::expect_used, reason = "slice length is exactly 8")]
     let len_raw = u64::from_le_bytes(fixed[8..16].try_into().expect("8 bytes"));
     // On a 32-bit target a hostile 64-bit length would truncate under `as`
     // and alias a small, plausible value; reject it instead.
@@ -650,7 +650,7 @@ impl StringStore for PackedDiskStore {
                 let start = pos + done;
                 let to_boundary = chunk_symbols - (start % chunk_symbols);
                 let n = to_boundary.min(body_count - done);
-                // era-check: allow(unwrap): n was checked positive above
+                #[expect(clippy::expect_used, reason = "n was checked positive above")]
                 let (clo, chi) = packed_span(start, n, self.codec.bits()).expect("n is positive");
                 // The file mutex guards only the seek + read; the packed
                 // bytes land in a per-thread scratch buffer and are decoded
@@ -712,6 +712,7 @@ impl StringStore for PackedDiskStore {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests of the store's own read accounting")]
 mod tests {
     use super::*;
     use crate::disk::DiskStore;

@@ -86,7 +86,7 @@ pub trait StringStore: Send + Sync {
     /// accounts it: the same [`Self::read_cost`] and the same
     /// sequential-or-seek classification.
     fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        // era-check: allow(raw-read): a raw store's codes are its bytes
+        #[expect(clippy::disallowed_methods, reason = "a raw store's codes are its bytes")]
         self.read_at(pos, code_span(buf, count)?)
     }
 
@@ -115,7 +115,7 @@ pub trait StringStore: Send + Sync {
         }
         let take = len.min(self.len() - pos);
         let mut buf = vec![0u8; take];
-        // era-check: allow(raw-read): read_exact_at is itself part of the store seam
+        #[expect(clippy::disallowed_methods, reason = "read_exact_at is part of the store seam")]
         let got = self.read_at(pos, &mut buf)?;
         buf.truncate(got);
         Ok(buf)
@@ -163,11 +163,11 @@ impl<T: StringStore + ?Sized> StringStore for &T {
         (**self).stats()
     }
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        // era-check: allow(raw-read): blanket forwarding impl of the trait method
+        #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
         (**self).read_at(pos, buf)
     }
     fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        // era-check: allow(raw-read): blanket forwarding impl of the trait method
+        #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
         (**self).read_codes_at(pos, count, buf)
     }
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
@@ -198,11 +198,11 @@ impl<T: StringStore + ?Sized> StringStore for std::sync::Arc<T> {
         (**self).stats()
     }
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        // era-check: allow(raw-read): blanket forwarding impl of the trait method
+        #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
         (**self).read_at(pos, buf)
     }
     fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        // era-check: allow(raw-read): blanket forwarding impl of the trait method
+        #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
         (**self).read_codes_at(pos, count, buf)
     }
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {

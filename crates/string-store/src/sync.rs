@@ -12,6 +12,6 @@ use std::sync::{Mutex, MutexGuard};
 /// guards (shard accounting, a file cursor mid-seek) may be broken; nothing
 /// downstream can repair that, so the panic is propagated.
 pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // era-check: allow(unwrap): poisoned lock is unrecoverable
+    #[expect(clippy::expect_used, reason = "poisoned lock is unrecoverable")]
     mutex.lock().expect("lock poisoned by a panicking holder")
 }

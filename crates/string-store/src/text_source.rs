@@ -19,6 +19,8 @@
 //! [`StoreTextSource::cache_activity`]), so concurrent consumers of one
 //! shared store can each report exactly the traffic they caused.
 
+#![expect(clippy::disallowed_methods, reason = "the accounted-I/O seam")]
+
 use std::cell::RefCell;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -71,7 +73,6 @@ impl TextSource for [u8] {
         if start > end {
             return Err(StoreError::OutOfBounds { pos: start, len: 0, text_len: self.len() });
         }
-        // era-check: allow(hot-alloc): iterator count(), not QueryEngine::count — name-based graph over-approximation
         Ok(self[start..end].iter().zip(pat).take_while(|(a, b)| a == b).count())
     }
 }
@@ -233,7 +234,6 @@ impl<'a> StoreTextSource<'a> {
             // positions that were never read (the buffer may hold zeroed or
             // partial data): empty it so a retry re-fetches instead of
             // serving garbage as text.
-            // era-check: allow(hot-alloc): Vec::clear frees nothing; name-collides with BlockCache::clear
             w.buf.clear();
         }
         filled
@@ -244,7 +244,6 @@ impl<'a> StoreTextSource<'a> {
         let window = self.window_symbols;
         let aligned_lo = lo / window * window;
         let aligned_hi = hi.div_ceil(window).saturating_mul(window).min(self.store.len());
-        // era-check: allow(hot-alloc): Vec::clear frees nothing; name-collides with BlockCache::clear
         w.buf.clear();
         w.buf.resize(aligned_hi - aligned_lo, 0);
         let got = self.store.read_at(aligned_lo, &mut w.buf)?;
@@ -277,7 +276,6 @@ impl<'a> StoreTextSource<'a> {
         let last = (hi - 1) / bs;
         let aligned_lo = first * bs;
         let aligned_hi = ((last + 1) * bs).min(text_len);
-        // era-check: allow(hot-alloc): Vec::clear frees nothing; name-collides with BlockCache::clear
         w.buf.clear();
         w.buf.resize(aligned_hi - aligned_lo, 0);
         w.start = aligned_lo;
@@ -288,7 +286,6 @@ impl<'a> StoreTextSource<'a> {
             // The expected length makes the lookup self-validating: an entry
             // of the wrong span (a cache wrongly shared across texts) is
             // rejected as a miss rather than trusted.
-            // era-check: allow(hot-alloc): BlockCache::get is allocation-free; name-collides with PackedText::get
             if let Some(data) = cache.get(block as u64, dst.len()) {
                 dst.copy_from_slice(&data);
                 self.local_cache.add_hit();
@@ -341,7 +338,6 @@ impl TextSource for StoreTextSource<'_> {
         self.ensure(start, start + need)?;
         let w = self.window.borrow();
         let lo = start - w.start;
-        // era-check: allow(hot-alloc): iterator count(), not QueryEngine::count — name-based graph over-approximation
         Ok(w.buf[lo..lo + need].iter().zip(pat).take_while(|(a, b)| a == b).count())
     }
 }

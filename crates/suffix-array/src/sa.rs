@@ -11,12 +11,12 @@
 /// to the unique terminal byte, which must be the last byte).
 ///
 /// Returns the suffix offsets in lexicographic order.
+#[expect(clippy::unwrap_used, reason = "inside debug_assert on a checked-non-empty text")]
 pub fn suffix_array(text: &[u8]) -> Vec<u32> {
     let n = text.len();
     if n == 0 {
         return Vec::new();
     }
-    // era-check: allow(unwrap): inside debug_assert on a checked-non-empty text
     debug_assert_eq!(*text.last().unwrap(), 0, "text must end with the terminal byte");
 
     // Initial ranks = byte values.

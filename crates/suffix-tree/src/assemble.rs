@@ -78,11 +78,11 @@ pub fn assemble_from_sorted(
         // Pop edges until the depth of the node *above* the popped edge is at
         // most `offset` (the previous leaf is always deeper than the lcp, so
         // at least one pop happens).
-        // era-check: allow(unwrap): stack invariant of the assembly loop
+        #[expect(clippy::expect_used, reason = "stack invariant of the assembly loop")]
         let mut popped = stack.pop().expect("stack never empty while assembling");
         depth -= tree.node(popped).edge_len();
+        #[expect(clippy::expect_used, reason = "lcp values are bounded by the root sentinel")]
         while depth > offset {
-            // era-check: allow(unwrap): lcp values are bounded by the root sentinel
             popped = stack.pop().expect("lcp cannot reach below the root");
             depth -= tree.node(popped).edge_len();
         }

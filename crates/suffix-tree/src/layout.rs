@@ -273,7 +273,6 @@ impl FlatTree {
 
     /// Looks up the child of `id` whose incoming edge starts with `c`: a
     /// binary search over the node's contiguous child run.
-    // era-check: hot
     // era-check: allow(panic-path): children_range is validated against nodes.len() on load
     pub fn child_starting_with(&self, id: NodeId, c: u8) -> Option<NodeId> {
         let range = self.node(id).children_range();

@@ -14,9 +14,9 @@ use crate::tree::SuffixTree;
 ///
 /// Panics if the text is empty or not terminated; the oracle is only used on
 /// inputs produced by the validated stores.
+#[expect(clippy::unwrap_used, reason = "emptiness asserted on the line before")]
 pub fn naive_suffix_tree(text: &[u8]) -> SuffixTree {
     assert!(!text.is_empty(), "text must not be empty");
-    // era-check: allow(unwrap): emptiness asserted on the same line
     assert_eq!(*text.last().unwrap(), 0, "text must end with the terminal byte");
     let n = text.len() as u32;
     let mut tree = SuffixTree::with_capacity(text.len(), 2 * text.len());

@@ -97,7 +97,6 @@ impl FlatTree {
 
     /// Matches as much of `pattern` as possible along the edge into `child`.
     /// Returns `Some(result)` when matching terminates on this edge.
-    // era-check: hot
     // era-check: allow(panic-path): *matched < pattern.len() checked by the caller
     fn match_edge<T: TextSource + ?Sized>(
         &self,

@@ -141,7 +141,7 @@ impl SuffixTree {
         {
             let p = self.node_mut(parent);
             if let NodeData::Internal { children } = &mut p.data {
-                // era-check: allow(unwrap): caller guarantees the child is present
+                #[expect(clippy::expect_used, reason = "caller guarantees the child is present")]
                 let slot = children.iter().position(|&c| c == child).expect("child present");
                 children[slot] = mid_id;
             } else {

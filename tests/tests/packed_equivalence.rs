@@ -171,6 +171,7 @@ proptest! {
         for store in stores {
             for &(pos, len) in &reads {
                 let mut buf = vec![0xAAu8; len];
+                #[expect(clippy::disallowed_methods, reason = "the property under test")]
                 let take = store.read_at(pos, &mut buf).expect("read in bounds");
                 prop_assert_eq!(take, len.min(text.len() - pos));
                 prop_assert_eq!(&buf[..take], &text[pos..pos + take]);
