@@ -137,10 +137,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Hostile-TOC fixtures: not random corruption but *adversarial* values —
 /// maxed-out counts and lengths that would truncate under a 32-bit `as` cast
-/// or request multi-GB reservations if the parser trusted them. These are
-/// the dynamic twins of the `era-check taint` sinks: every case must come
-/// back as a diagnostic, never a panic, never a huge allocation.
+/// or request multi-GB reservations if the parser trusted them. The format
+/// modules deny unchecked arithmetic and truncating casts at compile time;
+/// no lint sees an allocation sized by a header, so this test (run under an
+/// address-space limit) is the proof for those: every case must come back as
+/// a diagnostic, never a panic, never a huge allocation.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test reads the footer it corrupts")]
 fn hostile_catalog_toc_values_are_rejected_without_panics_or_allocation() {
     let path = temp_path("cat-hostile");
     build_catalog(&path, false);
@@ -153,15 +156,21 @@ fn hostile_catalog_toc_values_are_rejected_without_panics_or_allocation() {
         u64::from_le_bytes(pristine[footer_at + 8..footer_at + 16].try_into().unwrap()) as usize;
 
     // TOC layout: generation u64, text_len u64, flags u8, alphabet_len u8,
-    // reserved u16, group_count u32, alphabet (4 symbols), text_offset u64,
-    // text_bytes u64, ... — plant maxed-out values at each wide field and
-    // recompute the TOC checksum so the parser must reject the *value*, not
-    // the hash.
-    let hostile: [(usize, Vec<u8>); 4] = [
+    // reserved u16, group_count u32, alphabet (alen symbols), text_offset u64,
+    // text_bytes u64, text_checksum u64, then per group: generation u64,
+    // offset u64, length u64, checksum u64, prefix_len u32, prefix — plant
+    // maxed-out values at each wide field and recompute the TOC checksum so
+    // the parser must reject the *value*, not the hash.
+    let alen = usize::from(pristine[toc_offset + 17]);
+    let group0 = toc_offset + 24 + alen + 24;
+    let hostile: [(usize, Vec<u8>); 7] = [
         (toc_offset + 8, u64::MAX.to_le_bytes().to_vec()), // text_len
         (toc_offset + 20, u32::MAX.to_le_bytes().to_vec()), // group_count
         (toc_offset + 17, vec![0xFF]),                     // alphabet_len > 255 symbols on file
-        (toc_offset + 36, u64::MAX.to_le_bytes().to_vec()), // text_bytes
+        (toc_offset + 24 + alen + 8, u64::MAX.to_le_bytes().to_vec()), // text_bytes
+        (group0 + 8, u64::MAX.to_le_bytes().to_vec()),     // group 0 offset
+        (group0 + 16, u64::MAX.to_le_bytes().to_vec()),    // group 0 length
+        (group0 + 32, u32::MAX.to_le_bytes().to_vec()),    // group 0 prefix length
     ];
     for (at, value) in hostile {
         let mut bytes = pristine.clone();

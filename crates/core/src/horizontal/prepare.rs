@@ -151,6 +151,7 @@ impl ReadAhead {
     /// zeros from the read's end on. Where two keys differ, their reads
     /// differ the same way, the one that ends first being the smaller; the
     /// highest differing bit tells the first differing symbol.
+    #[expect(clippy::disallowed_methods, reason = "decodes in-memory R codes, not artifact bytes")]
     fn key(&self, record: u32, len: usize) -> u64 {
         let w = self.bits as usize;
         let codes = len.min(64 / w);
@@ -421,6 +422,7 @@ impl PrepareState {
 
 /// The first bit at which two records of one round (equal lengths) differ,
 /// eight bytes per comparison; `None` if they are equal.
+#[expect(clippy::disallowed_methods, reason = "compares in-memory records, not artifact bytes")]
 fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
     debug_assert_eq!(a.len(), b.len());
     let ((a_words, a_tail), (b_words, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());

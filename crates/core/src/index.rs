@@ -9,6 +9,14 @@
 //! [`SuffixIndex::query_batch`]), with the classic `contains`/`count`/
 //! `find_all` methods kept as thin single-query wrappers.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -191,9 +199,7 @@ impl SuffixIndex {
 
     /// Answers a batch of typed queries in one engine pass (single-threaded;
     /// use `engine().threads(n).run(batch)` for a parallel pass).
-    // era-check: entry
     pub fn query_batch(&self, batch: &QueryBatch) -> EraResult<QueryResponse> {
-        // era-check: allow(panic-path): QueryEngine::run, not ConstructionPipeline::run — name-based graph over-approximation
         self.engine().run(batch)
     }
 
@@ -201,7 +207,6 @@ impl SuffixIndex {
     ///
     /// Thin wrapper over [`Self::engine`]; panics on store I/O failure (use
     /// [`Self::query_batch`] for fallible store-backed querying).
-    // era-check: entry
     pub fn contains(&self, pattern: &[u8]) -> bool {
         #[expect(clippy::expect_used, reason = "panicking API; try_ variants propagate")]
         self.engine().contains(pattern).expect("query I/O failed")
@@ -211,7 +216,6 @@ impl SuffixIndex {
     ///
     /// Thin wrapper over [`Self::engine`]; panics on store I/O failure (use
     /// [`Self::query_batch`] for fallible store-backed querying).
-    // era-check: entry
     pub fn count(&self, pattern: &[u8]) -> usize {
         #[expect(clippy::expect_used, reason = "panicking API; try_ variants propagate")]
         self.engine().count(pattern).expect("query I/O failed")
@@ -221,7 +225,6 @@ impl SuffixIndex {
     ///
     /// Thin wrapper over [`Self::engine`]; panics on store I/O failure (use
     /// [`Self::query_batch`] for fallible store-backed querying).
-    // era-check: entry
     pub fn find_all(&self, pattern: &[u8]) -> Vec<usize> {
         #[expect(clippy::expect_used, reason = "panicking API; try_ variants propagate")]
         self.engine().find_all(pattern).expect("query I/O failed")
@@ -305,6 +308,10 @@ impl SuffixIndex {
     /// fault-injection harness passes a
     /// [`FaultVfs`](era_string_store::FaultVfs) and, for its self-test, the
     /// seeded-bug [`CommitProtocol::TocBeforeSegmentSync`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "try_text() returns the terminated, so non-empty, text; saving is off the query path"
+    )]
     pub fn save_to_file_with(
         &self,
         path: impl AsRef<Path>,
@@ -326,6 +333,11 @@ impl SuffixIndex {
 
     /// Opens a single-file catalog written by [`Self::save_to_file`] under
     /// the default configuration (see [`Self::open_file_with`]).
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
     pub fn open_file(path: impl AsRef<Path>) -> EraResult<SuffixIndex> {
         Self::open_file_with(path, &EraConfig::default())
     }
@@ -347,6 +359,11 @@ impl SuffixIndex {
     /// [`EraConfig::paranoid`] deep-verifies the opened index before
     /// returning ([`Self::verify`]; an on-disk text is read block-wise and
     /// stays on disk).
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
     pub fn open_file_with(path: impl AsRef<Path>, config: &EraConfig) -> EraResult<SuffixIndex> {
         let mut file = CatalogFile::open(path).map_err(catalog_error)?;
         if file.toc().text_bytes > config.memory_budget {
@@ -768,7 +785,9 @@ mod tests {
             assert_eq!(served.longest_repeated_substring(), Some((20, 14)), "GATTACAGATTACA");
             let store = served.store().expect("the text stayed on disk");
             assert!(store.stats().snapshot().bytes_read > 0, "packed={packed}");
-            let TextBacking::Store { cache, .. } = &served.backing else { unreachable!() };
+            let TextBacking::Store { cache, .. } = &served.backing else {
+                panic!("served from a store")
+            };
             assert!(cache.get().is_none(), "packed={packed}: verify materialized the text");
         }
         std::fs::remove_file(&path).unwrap();

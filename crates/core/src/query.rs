@@ -34,6 +34,14 @@
 //! attaches one automatically for store-backed indexes (sized by
 //! [`crate::EraConfig::cache_bytes`]).
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,6 +122,10 @@ pub enum QueryAnswer {
 
 impl QueryAnswer {
     /// The boolean of a [`QueryAnswer::Contains`] (panics otherwise).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking accessor; a caller that cannot know the kind matches on the enum"
+    )]
     pub fn is_match(&self) -> bool {
         match self {
             QueryAnswer::Contains(b) => *b,
@@ -122,6 +134,10 @@ impl QueryAnswer {
     }
 
     /// The count of a [`QueryAnswer::Count`] (panics otherwise).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking accessor; a caller that cannot know the kind matches on the enum"
+    )]
     pub fn occurrences(&self) -> usize {
         match self {
             QueryAnswer::Count(n) => *n,
@@ -130,6 +146,10 @@ impl QueryAnswer {
     }
 
     /// The positions of a [`QueryAnswer::Locate`] (panics otherwise).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking accessor; a caller that cannot know the kind matches on the enum"
+    )]
     pub fn positions(&self) -> &[usize] {
         match self {
             QueryAnswer::Locate(p) => p,
@@ -368,21 +388,18 @@ impl<'a> QueryEngine<'a> {
 
     /// Answers one containment query over a fresh text view — the call
     /// [`Self::run`] makes per `Contains` query, without the stats.
-    // era-check: entry
     pub fn contains(&self, pattern: &[u8]) -> EraResult<bool> {
         let source = self.worker_source();
         Ok(self.tree.try_contains(&source, pattern)?)
     }
 
     /// Answers one count query.
-    // era-check: entry
     pub fn count(&self, pattern: &[u8]) -> EraResult<usize> {
         let source = self.worker_source();
         Ok(self.tree.try_count(&source, pattern)?)
     }
 
     /// Answers one locate query: every occurrence position, ascending.
-    // era-check: entry
     pub fn find_all(&self, pattern: &[u8]) -> EraResult<Vec<usize>> {
         let source = self.worker_source();
         let positions = self.tree.try_find_all(&source, pattern)?;
@@ -393,7 +410,6 @@ impl<'a> QueryEngine<'a> {
     /// ([`PartitionedSuffixTree::try_contains`] / `try_count` /
     /// `try_find_all`), `threads` contiguous chunks at a time, and snapshots
     /// timing and I/O.
-    // era-check: entry
     pub fn run(&self, batch: &QueryBatch) -> EraResult<QueryResponse> {
         let start = Instant::now();
         let queries = batch.queries();

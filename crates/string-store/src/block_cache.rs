@@ -30,6 +30,14 @@
 //!
 //! [`StoreTextSource`]: crate::StoreTextSource
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,7 +193,10 @@ impl Shard {
     }
 
     /// Unlinks `slot` from the LRU list (it must be linked).
-    // era-check: allow(panic-path): intrusive-LRU links index the shard's own slot arena
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "intrusive-LRU links index the shard's own slot arena"
+    )]
     fn unlink(&mut self, slot: usize) {
         let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
         match prev {
@@ -199,7 +210,10 @@ impl Shard {
     }
 
     /// Links `slot` at the head (most recently used).
-    // era-check: allow(panic-path): intrusive-LRU links index the shard's own slot arena
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "intrusive-LRU links index the shard's own slot arena"
+    )]
     fn link_front(&mut self, slot: usize) {
         self.slots[slot].prev = NIL;
         self.slots[slot].next = self.head;
@@ -210,7 +224,7 @@ impl Shard {
         self.head = slot;
     }
 
-    // era-check: allow(panic-path): map values are live slot indices in this shard
+    #[expect(clippy::indexing_slicing, reason = "map values are live slot indices in this shard")]
     fn get(&mut self, key: u64) -> Option<Arc<[u8]>> {
         let slot = *self.map.get(&key)?;
         self.unlink(slot);
@@ -220,7 +234,10 @@ impl Shard {
 
     /// Inserts (or refreshes) `key`, then evicts from the tail until the
     /// shard is back under `capacity`. Returns the number of evicted blocks.
-    // era-check: allow(panic-path): slot indices come from the map / free list of this shard
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot indices come from the map / free list of this shard"
+    )]
     fn insert(&mut self, key: u64, data: Arc<[u8]>, capacity: usize) -> u64 {
         if let Some(&slot) = self.map.get(&key) {
             // Two workers can miss the same block concurrently; the second
@@ -331,7 +348,7 @@ impl BlockCache {
         self.shards.len()
     }
 
-    // era-check: allow(panic-path): index is block % shards.len()
+    #[expect(clippy::indexing_slicing, reason = "index is block % shards.len()")]
     fn shard(&self, block: u64) -> &Mutex<Shard> {
         &self.shards[(block % self.shards.len() as u64) as usize]
     }

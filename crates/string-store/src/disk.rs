@@ -1,5 +1,13 @@
 //! Disk-backed string store.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -41,6 +49,11 @@ pub struct DiskStore {
 
 impl DiskStore {
     /// Opens an existing terminated string file.
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
     pub fn open(
         path: impl AsRef<Path>,
         alphabet: Alphabet,
@@ -59,6 +72,15 @@ impl DiskStore {
     /// `offset`. Taking the open handle rather than a path keeps the store
     /// on the file the caller verified even if its path is atomically
     /// replaced meanwhile; [`Self::path`] of such a store is empty.
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "region_end returned offset + len with len > 0, so end >= 1"
+    )]
     pub fn open_region(
         mut file: File,
         offset: u64,
@@ -176,7 +198,10 @@ impl StringStore for DiskStore {
         &self.stats
     }
 
-    // era-check: allow(panic-path): take = min(buf.len(), len - pos) bounds both slices
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take = min(buf.len(), len - pos) bounds both slices"
+    )]
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
         if pos > self.len {
             return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: self.len });

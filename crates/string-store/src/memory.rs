@@ -1,5 +1,13 @@
 //! In-memory string store.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::atomic::AtomicU64;
 
 use crate::alphabet::Alphabet;
@@ -84,7 +92,10 @@ impl StringStore for InMemoryStore {
         &self.stats
     }
 
-    // era-check: allow(panic-path): take = min(buf.len(), len - pos) bounds both slices
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take = min(buf.len(), len - pos) bounds both slices"
+    )]
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
         if pos > self.text.len() {
             return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: self.text.len() });

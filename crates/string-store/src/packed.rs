@@ -20,6 +20,14 @@
 //! miss path of store-backed serving — and on [`PackedText::from_payload`]'s
 //! validation when a catalog is opened.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::alphabet::{Alphabet, TERMINAL};
 use crate::error::{StoreError, StoreResult};
 
@@ -69,6 +77,10 @@ enum SymbolTable {
 }
 
 impl SymbolTable {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "masked below decode.len(), a power of two; runs once per codec, off the query path"
+    )]
     fn new(bits: u32, decode: &[u8]) -> Self {
         let symbol = |index: usize, k: u32| decode[(index >> (k * bits)) & (decode.len() - 1)];
         match bits {
@@ -85,6 +97,10 @@ impl SymbolTable {
 
 impl PackedCodec {
     /// Builds the codec for `alphabet`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "encode has one entry per byte value, decode 2^bits >= alphabet.len(); off the query path"
+    )]
     pub fn new(alphabet: &Alphabet) -> Self {
         let bits = alphabet.bits_per_symbol();
         let mut encode = [u8::MAX; 256];
@@ -115,6 +131,10 @@ impl PackedCodec {
     ///
     /// Streaming entry point: call repeatedly with consecutive chunks, then
     /// [`Self::pack_finish`] once to flush the trailing partial byte.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "encode has one entry per byte value; packing is off the query path"
+    )]
     pub fn pack_chunk(
         &self,
         symbols: &[u8],
@@ -167,7 +187,11 @@ impl PackedCodec {
     /// time by [`Self::unpack_symbols`]. Both go through tables built from the
     /// padded `decode` array, so a code outside the alphabet comes out as
     /// [`TERMINAL`] on either path.
-    // era-check: allow(panic-path): caller sizes data and out for count symbols at first_bit
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::disallowed_methods,
+        reason = "caller sizes data and out for count symbols at first_bit; payload words are bit patterns, not lengths"
+    )]
     pub fn unpack(&self, data: &[u8], first_bit: u32, count: usize, out: &mut [u8]) {
         debug_assert!(first_bit < 8);
         let out = &mut out[..count];
@@ -216,6 +240,7 @@ impl PackedCodec {
     /// to `64 / bits` codes; the final, partial word is assembled byte by
     /// byte. It serves every width, which makes it the reference the table
     /// kernels of [`Self::unpack`] are tested against.
+    #[expect(clippy::disallowed_methods, reason = "payload words are bit patterns, not lengths")]
     fn unpack_symbols(&self, data: &[u8], first_bit: u32, out: &mut [u8]) {
         let bits = self.bits as usize;
         let end = first_bit as usize + out.len() * bits;
@@ -262,6 +287,10 @@ pub struct PackedText {
 
 impl PackedText {
     /// Packs `text` (which must be valid for `alphabet`, i.e. terminated).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "validate() rejects an unterminated, so empty, text; off the query path"
+    )]
     pub fn pack(text: &[u8], alphabet: &Alphabet) -> StoreResult<Self> {
         alphabet.validate(text)?;
         let codec = PackedCodec::new(alphabet);
@@ -275,6 +304,10 @@ impl PackedText {
     /// bit width (protein uses 20 of 32 codes) leaves codes that
     /// [`PackedCodec::pack_body`] never emits and that decode to a terminal
     /// in mid-text.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "count = symbols.len().min(..); runs once at open, off the query path"
+    )]
     pub(crate) fn from_payload(
         data: Vec<u8>,
         len: usize,
@@ -334,7 +367,7 @@ impl PackedText {
     }
 
     /// Returns the symbol at position `i`.
-    // era-check: allow(panic-path): guarded by the i >= len early return
+    #[expect(clippy::indexing_slicing, reason = "guarded by the i >= len early return")]
     pub fn get(&self, i: usize) -> Option<u8> {
         if i >= self.len {
             return None;
@@ -351,7 +384,7 @@ impl PackedText {
     /// Decodes `count` symbols starting at `start` into `out[..count]`,
     /// including the out-of-band terminal when the range covers it. The range
     /// must lie within the text.
-    // era-check: allow(panic-path): caller bounds start + count to len
+    #[expect(clippy::indexing_slicing, reason = "caller bounds start + count to len")]
     pub fn unpack_range(&self, start: usize, count: usize, out: &mut [u8]) {
         debug_assert!(start + count <= self.len);
         let body_len = self.len - 1;

@@ -30,6 +30,14 @@
 //! implied by the text length and it occupies no payload bits, so the encoding
 //! matches the paper's bit widths exactly.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -328,6 +336,7 @@ struct ParsedHeader {
 /// Reads and validates the complete header of an open packed file: magic,
 /// version, bits/symbol-table consistency, and that the file length matches
 /// exactly what the header implies.
+#[deny(clippy::cast_possible_truncation, clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
     let mut fixed = [0u8; HEADER_FIXED];
     file.read_exact(&mut fixed)
@@ -335,13 +344,18 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
     if fixed[0..4] != PACKED_MAGIC {
         return Err(StoreError::InvalidText("missing packed-store magic".into()));
     }
+    #[expect(clippy::disallowed_methods, reason = "the header's decoder, under this fn's deny")]
     let version = u16::from_le_bytes([fixed[4], fixed[5]]);
     if version != PACKED_VERSION {
         return Err(StoreError::InvalidText(format!("unsupported packed-store version {version}")));
     }
     let bits = fixed[6] as u32;
     let alen = fixed[7] as usize;
-    #[expect(clippy::expect_used, reason = "slice length is exactly 8")]
+    #[expect(
+        clippy::expect_used,
+        clippy::disallowed_methods,
+        reason = "slice length is exactly 8; the header's decoder, under this fn's deny"
+    )]
     let len_raw = u64::from_le_bytes(fixed[8..16].try_into().expect("8 bytes"));
     // On a 32-bit target a hostile 64-bit length would truncate under `as`
     // and alias a small, plausible value; reject it instead.
@@ -357,6 +371,7 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
     // `Alphabet::custom` sorts and dedups; a table that is not strictly
     // ascending would silently decode every code to the wrong symbol, so it
     // must be rejected here rather than repaired.
+    #[expect(clippy::indexing_slicing, reason = "windows(2) yields two-element slices")]
     if symbols.windows(2).any(|w| w[0] >= w[1]) {
         return Err(StoreError::InvalidText(
             "packed symbol table must be strictly ascending".into(),
@@ -369,9 +384,11 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
             alphabet.bits_per_symbol()
         )));
     }
+    #[expect(clippy::arithmetic_side_effects, reason = "alen is a u8")]
     let payload_offset = (HEADER_FIXED + alen) as u64;
     // Exact 128-bit length check: `len` is untrusted, and a truncating cast
     // here could let a hostile length alias the real file size.
+    #[expect(clippy::arithmetic_side_effects, reason = "len >= 1; u64 + u64 * 8 fits a u128")]
     let expected = payload_offset as u128 + ((len as u128 - 1) * bits as u128).div_ceil(8);
     if file_len as u128 != expected {
         return Err(StoreError::InvalidText(format!(
@@ -384,6 +401,11 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
 impl PackedDiskStore {
     /// Opens an existing packed string file, recovering the alphabet from the
     /// header.
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
     pub fn open(path: impl AsRef<Path>, block_bytes: usize) -> StoreResult<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
@@ -397,6 +419,12 @@ impl PackedDiskStore {
     /// symbols under `alphabet`, packed from byte `payload_offset` on. The
     /// caller supplies what an `ERAP` header would have carried; the payload
     /// must lie inside the file. [`Self::path`] of such a store is empty.
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
+    #[expect(clippy::arithmetic_side_effects, reason = "text_len == 0 is rejected above")]
     pub fn open_region(
         file: File,
         payload_offset: u64,
@@ -528,6 +556,15 @@ impl PackedDiskStore {
     /// signature matches, header corruption (truncation, a bad symbol table,
     /// a wrong implied length) is reported as an error instead of silently
     /// falling back to a raw interpretation of packed bytes.
+    #[deny(
+        clippy::cast_possible_truncation,
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing
+    )]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the signature check decodes the version under this fn's deny"
+    )]
     pub fn open_if_packed(path: impl AsRef<Path>, block_bytes: usize) -> StoreResult<Option<Self>> {
         let path = path.as_ref();
         let mut head = [0u8; 6];
@@ -626,7 +663,10 @@ impl StringStore for PackedDiskStore {
         &self.stats
     }
 
-    // era-check: allow(panic-path): span/window math is clamped to the packed length before slicing
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "span/window math is clamped to the packed length before slicing"
+    )]
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
         if pos > self.len {
             return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: self.len });

@@ -19,6 +19,13 @@
 //! [`StoreTextSource::cache_activity`]), so concurrent consumers of one
 //! shared store can each report exactly the traffic they caused.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![expect(clippy::disallowed_methods, reason = "the accounted-I/O seam")]
 
 use std::cell::RefCell;
@@ -68,6 +75,10 @@ impl TextSource for [u8] {
         self.get(pos).copied().ok_or(StoreError::OutOfBounds { pos, len: 1, text_len: self.len() })
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "end is clamped to len() and start > end is an error above"
+    )]
     fn common_prefix(&self, start: usize, end: usize, pat: &[u8]) -> StoreResult<usize> {
         let end = end.min(self.len());
         if start > end {
@@ -262,7 +273,10 @@ impl<'a> StoreTextSource<'a> {
 
     /// Cached miss path: assemble the covering cache blocks, reading from the
     /// store (and populating the cache) only for blocks nobody decoded yet.
-    // era-check: allow(panic-path): window bounds are clamped to text_len before slicing
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "window bounds are clamped to text_len before slicing"
+    )]
     fn fill_through_cache(
         &self,
         w: &mut Window,
@@ -313,7 +327,10 @@ impl TextSource for StoreTextSource<'_> {
         self.store.len()
     }
 
-    // era-check: allow(panic-path): ensure() established w.start <= pos < w.start + buf.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ensure() established w.start <= pos < w.start + buf.len()"
+    )]
     fn symbol_at(&self, pos: usize) -> StoreResult<u8> {
         let text_len = self.store.len();
         if pos >= text_len {
@@ -324,7 +341,7 @@ impl TextSource for StoreTextSource<'_> {
         Ok(w.buf[pos - w.start])
     }
 
-    // era-check: allow(panic-path): ensure window covers lo..lo + need
+    #[expect(clippy::indexing_slicing, reason = "ensure window covers lo..lo + need")]
     fn common_prefix(&self, start: usize, end: usize, pat: &[u8]) -> StoreResult<usize> {
         let text_len = self.store.len();
         let end = end.min(text_len);

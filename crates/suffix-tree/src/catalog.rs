@@ -80,6 +80,12 @@
 //! the data sync, so a crash in between leaves a durable catalog whose
 //! bytes were never fsynced.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing
+)]
+
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
@@ -202,6 +208,11 @@ pub fn groups_into_tree(text_len: usize, groups: Vec<CatalogGroup>) -> Partition
 ///
 /// Every group is written with `generation` as its group generation; a
 /// future group-granular replace will splice newer generations per group.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "text_len - 1 follows the zero check and alen as u8 the 1..=255 check; entries.len() and prefix.len() as u32 are unguarded: no build entry bounds the group count or a prefix below 2^32"
+)]
 pub fn encode_catalog(
     generation: u64,
     text: TextSegment<'_>,
@@ -331,6 +342,10 @@ fn write_chunked(f: &mut dyn era_string_store::VfsFile, bytes: &[u8]) -> io::Res
 /// The target is only ever replaced atomically (write temp → fsync →
 /// rename → dir fsync); on failure the temporary sibling is removed on a
 /// best-effort basis and whatever lived at `path` is untouched.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "toc_offset is where encode_catalog began the TOC inside bytes"
+)]
 pub fn commit_catalog(
     path: &Path,
     vfs: &dyn Vfs,
@@ -378,12 +393,20 @@ fn field<'a>(bytes: &'a [u8], at: usize, len: usize, what: &str) -> io::Result<&
         .ok_or_else(|| corrupt(format!("catalog {what}: {len} bytes at {at} out of bounds")))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the catalog's integer decoder, under the module deny"
+)]
 fn read_u64_at(bytes: &[u8], at: usize, what: &str) -> io::Result<u64> {
     let s = field(bytes, at, 8, what)?;
     let arr: [u8; 8] = s.try_into().map_err(|_| corrupt(format!("catalog {what}: short field")))?;
     Ok(u64::from_le_bytes(arr))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the catalog's integer decoder, under the module deny"
+)]
 fn read_u32_at(bytes: &[u8], at: usize, what: &str) -> io::Result<u32> {
     let s = field(bytes, at, 4, what)?;
     let arr: [u8; 4] = s.try_into().map_err(|_| corrupt(format!("catalog {what}: short field")))?;
@@ -506,7 +529,9 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
     let after_alpha =
         24usize.checked_add(alen).ok_or_else(|| corrupt("catalog toc alphabet overflow".into()))?;
     let text_offset = to_usize(read_u64_at(toc, after_alpha, "text offset")?, "text offset")?;
+    #[expect(clippy::arithmetic_side_effects, reason = "after_alpha <= 24 + 255")]
     let text_bytes = to_usize(read_u64_at(toc, after_alpha + 8, "text bytes")?, "text bytes")?;
+    #[expect(clippy::arithmetic_side_effects, reason = "after_alpha <= 24 + 255")]
     let text_checksum = read_u64_at(toc, after_alpha + 16, "text checksum")?;
     if text_offset != HEADER_LEN {
         return Err(corrupt(format!(
@@ -521,6 +546,7 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
             "catalog text segment [{text_offset}, {text_end}) overruns the toc at {toc_offset}"
         )));
     }
+    #[expect(clippy::arithmetic_side_effects, reason = "text_len == 0 is rejected above")]
     let want =
         if packed { packed_size(text_len - 1, alphabet.bits_per_symbol()) } else { text_len };
     if text_bytes != want {
@@ -533,7 +559,14 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
     // Group segments: strictly contiguous from the text end to the TOC.
     let mut groups = Vec::with_capacity(group_count.min(MAX_PREALLOC));
     let mut cursor = text_end;
+    #[expect(clippy::arithmetic_side_effects, reason = "after_alpha <= 24 + 255")]
     let mut toc_at = after_alpha + 24;
+    // `toc_at + k` follows a successful read ending at or past it, and
+    // `36 + prefix_len` the `MAX_PREFIX_LEN` check.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every offset is bounded by a field already read"
+    )]
     for i in 0..group_count {
         let generation = read_u64_at(toc, toc_at, "group generation")?;
         let offset = to_usize(read_u64_at(toc, toc_at + 8, "group offset")?, "group offset")?;
@@ -567,12 +600,20 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
         cursor = end;
     }
     if cursor != toc_offset {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "min() bounds the subtrahend by the minuend"
+        )]
         return Err(corrupt(format!(
             "catalog has {} unaccounted bytes between the last group and the toc",
             toc_offset - cursor.min(toc_offset)
         )));
     }
     if toc_at != toc.len() {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "min() bounds the subtrahend by the minuend"
+        )]
         return Err(corrupt(format!(
             "catalog toc has {} trailing bytes",
             toc.len() - toc_at.min(toc.len())
@@ -622,6 +663,10 @@ fn check_text(toc: &CatalogToc, hash: u64, last: Option<u8>) -> io::Result<()> {
 /// per-segment checksums cover the text and every group, and the contiguity
 /// checks (text at [`HEADER_LEN`], groups adjacent, TOC ending exactly at
 /// the footer) mean no byte of the file is outside some verified region.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "footer_at = bytes.len().saturating_sub(FOOTER_LEN) <= bytes.len()"
+)]
 pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
     let footer_at = bytes.len().saturating_sub(FOOTER_LEN);
     let (toc_offset, toc_len, toc_checksum) =
@@ -656,6 +701,10 @@ pub struct CatalogFile {
 }
 
 /// Fills `buf` from the cursor of `file`, adding what was read to `count`.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "count sums bytes read once each from one file, bounded by its u64 length"
+)]
 fn read_counted(file: &mut File, count: &mut u64, buf: &mut [u8]) -> io::Result<()> {
     file.read_exact(buf)?;
     *count += buf.len() as u64;
@@ -664,6 +713,11 @@ fn read_counted(file: &mut File, count: &mut u64, buf: &mut [u8]) -> io::Result<
 
 impl CatalogFile {
     /// Opens `path` and reads its header, footer and TOC.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "footer_at = file_len.saturating_sub(FOOTER_LEN), so file_len - footer_at <= footer.len()"
+    )]
     pub fn open(path: impl AsRef<Path>) -> io::Result<CatalogFile> {
         let mut file = File::open(path)?;
         let mut bytes_read = 0;
@@ -709,6 +763,11 @@ impl CatalogFile {
     /// Verifies the text segment's checksum in one streaming pass through a
     /// [`STREAM_CHUNK`]-byte buffer — the text is never held in memory — and
     /// loads the group segments.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::indexing_slicing,
+        reason = "chunk = left.min(STREAM_CHUNK) is at most buf.len() and at most left"
+    )]
     pub fn load_groups(&mut self) -> io::Result<Vec<CatalogGroup>> {
         let toc = &self.toc;
         self.file.seek(SeekFrom::Start(HEADER_LEN as u64))?;

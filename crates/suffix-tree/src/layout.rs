@@ -25,6 +25,14 @@
 //! same index) carry over to the serving form unchanged. There is no way
 //! back: queries, validation and serialization all work on the flat form.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::node::{NodeData, NodeId};
 use crate::stats::TreeStats;
 use crate::tree::SuffixTree;
@@ -146,6 +154,10 @@ impl FlatTree {
     /// blocks of a descent path sit close together in the arena. The pass is
     /// O(nodes) and deterministic: structurally equal inputs freeze to
     /// byte-identical arenas.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "this walk assigns every id below node_count(); construction, off the query path"
+    )]
     pub fn freeze(tree: &SuffixTree) -> FlatTree {
         let n = tree.node_count();
         let mut nodes = vec![FlatNode::default(); n];
@@ -211,6 +223,10 @@ impl FlatTree {
 
     /// Raw record fields `(start, end, payload, meta)` of node `id`
     /// (serialization only).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass ids below node_count(): serialization and load-time validation"
+    )]
     pub(crate) fn raw_node(&self, id: u32) -> (u32, u32, u32, u32) {
         let n = &self.nodes[id as usize];
         (n.start, n.end, n.payload, n.meta)
@@ -219,12 +235,20 @@ impl FlatTree {
     /// The raw child-count bits of node `id`'s meta word — reported even for
     /// leaves, whose count [`FlatNode::children_range`] hides. Validation
     /// uses this to reject leaf records smuggling a non-zero count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass ids below node_count(): serialization and load-time validation"
+    )]
     pub(crate) fn raw_children_len(&self, id: u32) -> u32 {
         self.nodes[id as usize].meta & CHILDREN_LEN_MASK
     }
 
     /// The raw payload word of node `id` (suffix offset for leaves, first
     /// child id for internal nodes), for overflow-safe bounds validation.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass ids below node_count(): serialization and load-time validation"
+    )]
     pub(crate) fn raw_payload(&self, id: u32) -> u32 {
         self.nodes[id as usize].payload
     }
@@ -245,7 +269,10 @@ impl FlatTree {
     }
 
     /// Borrow a node record.
-    // era-check: allow(panic-path): node ids are validated by validate_flat_structure on load
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids are validated by validate_flat_structure on load"
+    )]
     pub fn node(&self, id: NodeId) -> &FlatNode {
         &self.nodes[id as usize]
     }
@@ -273,7 +300,10 @@ impl FlatTree {
 
     /// Looks up the child of `id` whose incoming edge starts with `c`: a
     /// binary search over the node's contiguous child run.
-    // era-check: allow(panic-path): children_range is validated against nodes.len() on load
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "children_range is validated against nodes.len() on load"
+    )]
     pub fn child_starting_with(&self, id: NodeId, c: u8) -> Option<NodeId> {
         let range = self.node(id).children_range();
         let slice = &self.nodes[range.start as usize..range.end as usize];

@@ -13,6 +13,14 @@
 //! group and everything downstream — the query engine, the serializer, the
 //! index — serves from the flat form.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use era_string_store::{StoreResult, TextSource};
 
 use crate::layout::{FlatPartition, FlatTree};
@@ -64,6 +72,10 @@ struct TrieNode {
 
 impl PrefixTrie {
     /// Builds a trie from the partition prefixes (in partition order).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ids index this build's own vectors; construction, off the query path"
+    )]
     pub fn build(prefixes: &[Vec<u8>]) -> Self {
         // Grow with per-node vectors, then freeze into the packed arena.
         let mut children: Vec<Vec<(u8, u32)>> = vec![Vec::new()];
@@ -97,7 +109,10 @@ impl PrefixTrie {
         PrefixTrie { nodes, edges }
     }
 
-    // era-check: allow(panic-path): edges_start/edges_len are produced by build over this arena
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edges_start/edges_len are produced by build over this arena"
+    )]
     fn children(&self, node: u32) -> &[(u8, u32)] {
         let n = &self.nodes[node as usize];
         &self.edges[n.edges_start as usize..(n.edges_start + n.edges_len) as usize]
@@ -124,7 +139,7 @@ impl PrefixTrie {
     /// suffixes start with the pattern). If a partition prefix ends before the
     /// pattern does, only that partition is a candidate (prefixes are
     /// prefix-free).
-    // era-check: allow(panic-path): trie node ids are produced by build
+    #[expect(clippy::indexing_slicing, reason = "trie node ids are produced by build")]
     pub fn candidates(&self, pattern: &[u8]) -> Vec<u32> {
         let mut cur = 0u32;
         for &c in pattern {
@@ -142,7 +157,7 @@ impl PrefixTrie {
         out
     }
 
-    // era-check: allow(panic-path): trie node ids are produced by build
+    #[expect(clippy::indexing_slicing, reason = "trie node ids are produced by build")]
     fn collect_partitions(&self, node: u32, out: &mut Vec<u32>) {
         let mut stack = vec![node];
         while let Some(cur) = stack.pop() {
@@ -162,6 +177,10 @@ impl PrefixTrie {
     /// the sub-trees of one merged tree would join. Node ids grow along every
     /// root path and, [`PartitionedSuffixTree`] inserting its prefixes in
     /// sorted order, in lexicographic preorder.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "trie ids and partition indices come from build; whole-index, off the query path"
+    )]
     fn fold_up<A: Copy>(
         &self,
         per_partition: &[A],
@@ -241,7 +260,10 @@ impl PartitionedSuffixTree {
     /// Whether `pattern` occurs in the text behind any [`TextSource`].
     ///
     /// Stops at the first candidate partition that matches.
-    // era-check: allow(panic-path): candidate partitions come from the trie built over this table
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "candidate partitions come from the trie built over this table"
+    )]
     pub fn try_contains<T: TextSource + ?Sized>(
         &self,
         text: &T,
@@ -259,7 +281,10 @@ impl PartitionedSuffixTree {
     }
 
     /// Number of occurrences of `pattern` behind any [`TextSource`].
-    // era-check: allow(panic-path): candidate partitions come from the trie built over this table
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "candidate partitions come from the trie built over this table"
+    )]
     pub fn try_count<T: TextSource + ?Sized>(
         &self,
         text: &T,
@@ -277,7 +302,10 @@ impl PartitionedSuffixTree {
 
     /// All occurrence positions of `pattern` behind any [`TextSource`], in
     /// ascending position order.
-    // era-check: allow(panic-path): candidate partitions come from the trie built over this table
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "candidate partitions come from the trie built over this table"
+    )]
     pub fn try_find_all<T: TextSource + ?Sized>(
         &self,
         text: &T,
@@ -335,6 +363,10 @@ impl PartitionedSuffixTree {
     /// node at depth d below which both sides of the separator occur is a
     /// candidate of length d — met in the order one merged tree would list
     /// them, so ties resolve as they would there.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "partition indices come from the trie built over this table; whole-index, off the query path"
+    )]
     pub fn longest_common_substring(&self, separator_pos: usize) -> Option<(u32, u32)> {
         let passes: Vec<_> =
             self.partitions.iter().map(|p| p.tree.common_substring_pass(separator_pos)).collect();

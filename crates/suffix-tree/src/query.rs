@@ -14,6 +14,14 @@
 //! or bit-packed [`StringStore`](era_string_store::StringStore) — so the same
 //! traversal serves queries with or without the text materialized.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use era_string_store::{StoreResult, TextSource};
 
 use crate::layout::FlatTree;
@@ -35,7 +43,10 @@ pub enum MatchResult {
 impl FlatTree {
     /// Matches `pattern` from the root, resolving edge labels through any
     /// [`TextSource`].
-    // era-check: allow(panic-path): matched < pattern.len() is the walk loop invariant
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "matched < pattern.len() is the walk loop invariant"
+    )]
     pub fn try_match_pattern<T: TextSource + ?Sized>(
         &self,
         text: &T,
@@ -97,7 +108,7 @@ impl FlatTree {
 
     /// Matches as much of `pattern` as possible along the edge into `child`.
     /// Returns `Some(result)` when matching terminates on this edge.
-    // era-check: allow(panic-path): *matched < pattern.len() checked by the caller
+    #[expect(clippy::indexing_slicing, reason = "*matched < pattern.len() checked by the caller")]
     fn match_edge<T: TextSource + ?Sized>(
         &self,
         text: &T,
@@ -187,6 +198,10 @@ impl FlatTree {
     /// index: the best candidate inside, plus what the trie above needs to
     /// know of the tree as a whole — its smallest leaf left of the separator
     /// (`u32::MAX` for none) and whether any leaf lies right of it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dfs ids index vectors of node_count() entries; whole-index, off the query path"
+    )]
     pub(crate) fn common_substring_pass(
         &self,
         separator_pos: usize,

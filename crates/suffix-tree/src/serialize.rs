@@ -9,6 +9,12 @@
 //! of the [`crate::catalog`] container and the spill format of the baselines;
 //! construction-form [`SuffixTree`](crate::SuffixTree)s are frozen first.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing
+)]
+
 use std::io::{self, Read, Write};
 
 use crate::layout::{FlatNode, FlatTree};
@@ -19,7 +25,10 @@ fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-// era-check: source
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the ERAFLAT1 integer decoder, under the module deny"
+)]
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
@@ -40,6 +49,10 @@ pub(crate) const MAX_PREFIX_LEN: usize = 1 << 10;
 
 /// Writes a flat serving-layout tree to any writer (`ERAFLAT1`): the magic,
 /// the text length, the node count, then the fixed 16-byte records verbatim.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "text_len() widens a u32 field; node_count() as u32 is unguarded: freeze counts ids in u32 and no build entry bounds a text below 2^31 symbols"
+)]
 pub fn write_flat_tree<W: Write>(w: &mut W, tree: &FlatTree) -> io::Result<()> {
     w.write_all(FLAT_MAGIC)?;
     write_u32(w, tree.text_len() as u32)?;
@@ -91,6 +104,10 @@ pub fn read_flat_tree<R: Read>(r: &mut R) -> io::Result<FlatTree> {
 impl FlatTree {
     /// Serialized size in bytes (without writing anywhere): a fixed header
     /// plus 16 bytes per node.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ERAFLAT1 counts nodes in a u32, so 16 + 16 * node_count() < 2^37 fits a 64-bit usize"
+    )]
     pub fn serialized_size(&self) -> usize {
         8 + 4 + 4 + self.node_count() * 16
     }

@@ -48,7 +48,6 @@ impl SuffixTree {
     }
 
     /// Borrow a node.
-    // era-check: allow(panic-path): node ids are handed out by this arena
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id as usize]
     }
@@ -69,7 +68,6 @@ impl SuffixTree {
     }
 
     /// Looks up the child of `id` whose incoming edge starts with `c`.
-    // era-check: allow(panic-path): binary_search returns an in-range child index
     pub fn child_starting_with(&self, id: NodeId, c: u8) -> Option<NodeId> {
         let children = self.children(id);
         children.binary_search_by_key(&c, |&ch| self.node(ch).first_char).ok().map(|i| children[i])
