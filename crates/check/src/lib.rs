@@ -19,6 +19,11 @@
 //!   byte-identically the old or the new generation; the seeded broken
 //!   commit protocol must be caught, or the harness fails itself.
 //!
+//! - [`lint`] and [`taint`] — the source rules as clippy holds them: which
+//!   lints the serving modules and the parsers deny, and a clippy runner the
+//!   fixture corpus (`tests/fixtures.rs`) uses to show each deny catches its
+//!   rule's findings and passes their reasoned or sanitized twins.
+//!
 //! The corruption matrix (`tests/corruption_matrix.rs`) flips every bit of
 //! every on-disk format and plants hostile header and TOC values; CI runs it
 //! under an address-space limit, so a header-sized allocation fails it.
@@ -29,3 +34,5 @@
 
 pub mod crash;
 pub mod fsck;
+pub mod lint;
+pub mod taint;

@@ -1,275 +1,167 @@
-//! The panic-path rule: era-check's one semantic source lint.
+//! The panic-path rule, and the clippy runner that proves the rules hold.
 //!
-//! **panic-path** — a function reachable from a `// era-check: entry`
-//! function must not reach a `panic!`-family macro or indexing without
-//! `get`. The entry points are the serving API over the frozen arenas:
-//! `FlatTree` node and child ids, edge bounds and leaf runs index straight
-//! into those arenas, which is sound only because `validate_flat_structure`
-//! checks every arena on load. That check is the seam this rule guards: each
-//! reachable index carries an `allow(panic-path)` that names the validation
-//! it relies on, and the corruption matrix (`tests/corruption_matrix.rs`) is
-//! the runtime proof that no flipped bit or hostile header gets past it.
+//! **panic-path** — code that serves queries from a validated index must not
+//! panic. Clippy holds the rule: every serving module carries
+//! `#![deny(..)]` over [`Rule::lints`], so an index or a `panic!`-family
+//! macro anywhere on a query path fails `cargo clippy`, and each reasoned
+//! exception is an `#[expect(.., reason = "..")]` on its fn. `clippy.toml`
+//! exempts test code.
 //!
-//! The rule runs on the workspace call graph of the shared
-//! [`Index`], so it sees through helper functions:
-//! findings carry the call chain from the entry point to the sink.
-//! `unwrap` / `expect` are not sinks here — every library crate denies
-//! `clippy::unwrap_used` and `clippy::expect_used` — and neither are raw
-//! store reads, which `clippy.toml`'s `disallowed-methods` confines to the
-//! accounted-I/O seam.
-//!
-//! A finding can be suppressed with `// era-check: allow(panic-path)` on the
-//! same line or the immediately preceding line; an allow written directly
-//! above a `fn` declaration (only attributes in between) covers the whole
-//! function. An allow on a *call* line cuts that edge out of the traversal.
-//! Code under `#[cfg(test)]` and harness crates never contribute graph
-//! edges.
+//! [`clippy_findings`] runs clippy over one source text under the
+//! workspace's `clippy.toml`. The fixture corpus (`tests/fixtures.rs`) uses
+//! it to show that each rule's denies catch the rule's findings and pass its
+//! reasoned or sanitized twins.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
+use std::process::{Command, Stdio};
 
-use crate::graph::{self, Index};
-
-/// The source lints `era-check lint` knows about.
+/// The rule that serving modules deny.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Panic site reachable from a `// era-check: entry` function.
+    /// Indexing or a `panic!`-family macro in a serving module.
     PanicPath,
 }
 
 impl Rule {
-    /// Every rule, in reporting order. The fixture suite iterates this — a
-    /// rule added here without fixtures fails that suite.
+    /// Every rule. The fixture suite iterates this — a rule added here
+    /// without fixtures fails that suite.
     pub const ALL: &'static [Rule] = &[Rule::PanicPath];
 
-    /// The rule's name as used in `// era-check: allow(<name>)` directives.
+    /// The rule's name, as used in fixture file names.
     pub fn name(self) -> &'static str {
         match self {
             Rule::PanicPath => "panic-path",
         }
     }
-}
 
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+    /// The clippy lints a serving module denies to hold the rule.
+    pub fn lints(self) -> &'static [&'static str] {
+        match self {
+            Rule::PanicPath => &[
+                "clippy::indexing_slicing",
+                "clippy::panic",
+                "clippy::unreachable",
+                "clippy::todo",
+                "clippy::unimplemented",
+            ],
+        }
     }
 }
 
-/// One panic-path violation.
-pub type Finding = graph::Finding<Rule>;
-
-/// A lint run over an index.
-#[derive(Debug, Default)]
-pub struct LintReport {
-    /// Files scanned.
-    pub files: usize,
-    /// All violations found, in file order.
-    pub findings: Vec<Finding>,
+/// The crate-level `#![deny(..)]` line over `lints`.
+pub fn deny_attribute<'a>(lints: impl IntoIterator<Item = &'a str>) -> String {
+    format!("#![deny({})]", lints.into_iter().collect::<Vec<_>>().join(", "))
 }
 
-impl LintReport {
-    /// Whether the workspace is clean.
-    pub fn passed(&self) -> bool {
-        self.findings.is_empty()
+/// One diagnostic clippy (or rustc) reported.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The lint or error code, e.g. `clippy::indexing_slicing`.
+    pub code: String,
+    /// 1-based line of the primary span.
+    pub line: usize,
+}
+
+/// Compiles `source` as a library crate with `clippy-driver`, with
+/// `cfg(test)` on and `clippy.toml` read from `conf_dir`, and returns every
+/// coded diagnostic in order. Source that fails to build for a reason
+/// without a code (a syntax error) is an `Err`.
+pub fn clippy_findings(source: &str, conf_dir: &Path) -> io::Result<Vec<Finding>> {
+    // The rustup proxy sits next to cargo; fall back to `PATH`.
+    let driver = std::env::var_os("CARGO")
+        .map(|cargo| Path::new(&cargo).with_file_name("clippy-driver"))
+        .filter(|driver| driver.exists())
+        .unwrap_or_else(|| "clippy-driver".into());
+    let mut child = Command::new(driver)
+        .args(["--edition=2021", "--crate-type=lib", "--crate-name=fixture", "--cfg=test"])
+        .args(["--emit=metadata=-", "--error-format=json", "-"])
+        .env("CLIPPY_CONF_DIR", conf_dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()?;
+    if let Some(mut stdin) = child.stdin.take() {
+        stdin.write_all(source.as_bytes())?;
     }
-}
-
-/// Runs the panic-path rule over `index`.
-pub fn lint(index: &Index) -> LintReport {
-    let rule = Rule::PanicPath;
-    let roots: Vec<usize> = (0..index.fn_count())
-        .filter(|&id| index.is_library_fn(id) && index.fn_info(id).entry)
+    let output = child.wait_with_output()?;
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    // One JSON diagnostic a line; the first `code` and `line_start` in a
+    // line are the diagnostic's own (children and spans come after).
+    let findings: Vec<Finding> = stderr
+        .lines()
+        .filter_map(|diag| {
+            let code = field(diag, "\"code\":{\"code\":\"", '"')?;
+            let line = field(diag, "\"line_start\":", ',')?.parse().ok()?;
+            Some(Finding { code: code.to_string(), line })
+        })
         .collect();
-    let reach = reach(index, &roots, rule);
-    let mut ids: Vec<usize> = reach.keys().copied().collect();
-    ids.sort_unstable();
-    let mut reported: HashSet<(&Path, usize)> = HashSet::new();
-    let mut findings = Vec::new();
-    for id in ids {
-        let info = index.fn_info(id);
-        if info.allows_rule(rule.name()) {
-            continue;
-        }
-        let file = index.file_of(id);
-        for sink in &info.panics {
-            if file.lexed.allows_site(sink.line, rule.name())
-                || !reported.insert((&file.rel, sink.line))
-            {
-                continue;
-            }
-            findings.push(Finding {
-                rule,
-                file: file.rel.clone(),
-                line: sink.line,
-                excerpt: file.excerpt(sink.line),
-                message: format!("{} reached via {}", sink.what, chain(index, &reach, id)),
-            });
-        }
+    if !output.status.success() && findings.is_empty() {
+        return Err(io::Error::other(format!("clippy-driver failed: {stderr}")));
     }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    LintReport { files: index.files.len(), findings }
+    Ok(findings)
 }
 
-/// BFS over call edges from `roots`. An `allow(<rule>)` on a call line cuts
-/// that edge; a fn-level `allow(<rule>)` forgives the fn's *own* sinks but
-/// does not stop traversal — callees of an allowed fn are still on the path
-/// and still checked. Returns reachable ids with their parent for chain
-/// rendering.
-fn reach(index: &Index, roots: &[usize], rule: Rule) -> HashMap<usize, Option<usize>> {
-    let mut seen: HashMap<usize, Option<usize>> = roots.iter().map(|&r| (r, None)).collect();
-    let mut queue: VecDeque<usize> = roots.iter().copied().collect();
-    while let Some(id) = queue.pop_front() {
-        let file = index.file_of(id);
-        for call in &index.fn_info(id).calls {
-            if file.lexed.allows_site(call.line, rule.name()) {
-                continue;
-            }
-            for callee in index.resolve(&call.name, call.qual.as_deref()) {
-                if let Entry::Vacant(slot) = seen.entry(callee) {
-                    slot.insert(Some(id));
-                    queue.push_back(callee);
-                }
-            }
-        }
-    }
-    seen
-}
-
-/// Renders the call chain from a root to `id` as `a -> b -> c`.
-fn chain(index: &Index, reach: &HashMap<usize, Option<usize>>, id: usize) -> String {
-    let mut parts = vec![index.fn_info(id).qual_name.as_str()];
-    let mut cur = id;
-    while let Some(Some(parent)) = reach.get(&cur) {
-        parts.push(&index.fn_info(*parent).qual_name);
-        cur = *parent;
-    }
-    parts.reverse();
-    parts.join(" -> ")
-}
-
-/// Lints one file's source text in isolation. `rel` is the path relative to
-/// the workspace root (it decides library membership and is reported). This
-/// is the seam the fixture suite drives.
-pub fn lint_source(rel: &Path, source: &str) -> Vec<Finding> {
-    lint(&Index::build(&[(rel.to_path_buf(), source.to_string())])).findings
+/// The text between `key` and the next `end` in `s`.
+fn field<'a>(s: &'a str, key: &str, end: char) -> Option<&'a str> {
+    let rest = &s[s.find(key)? + key.len()..];
+    Some(&rest[..rest.find(end)?])
 }
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
-
     use super::*;
 
-    fn lint_lib(src: &str) -> Vec<Finding> {
-        lint_source(Path::new("crates/string-store/src/example.rs"), src)
+    fn clippy(src: &str) -> Vec<String> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let findings = clippy_findings(src, &root).expect("clippy-driver must run");
+        findings.into_iter().map(|f| f.code).collect()
+    }
+
+    fn serving_deny() -> String {
+        deny_attribute(Rule::PanicPath.lints().iter().copied())
     }
 
     #[test]
     fn read_at_in_comments_strings_and_tests_is_ignored() {
-        let src = "\
-// era-check: entry
-fn f() { let s = \"panic!()\"; /* xs[0] */ }
+        // Sinks in prose, in literals and under `cfg(test)` are not sinks:
+        // the last relies on clippy.toml's in-tests exemptions.
+        let src = format!(
+            "{}\n{}",
+            serving_deny(),
+            r##"
+pub fn f() -> usize { let s = "panic!()"; let r = r#"xs[0]"#; /* xs[0] /* panic!() */ */ s.len() + r.len() }
 // a comment about panic!()
 #[cfg(test)]
-mod tests {
-    // era-check: entry
-    fn g() { panic!(\"t\"); }
+pub mod tests {
+    pub fn g(xs: &[u8]) -> u8 { if xs.is_empty() { panic!("t") } xs[0] }
 }
-";
-        assert!(lint_lib(src).is_empty(), "{:?}", lint_lib(src));
-    }
-
-    #[test]
-    fn read_at_inside_raw_string_or_nested_comment_is_ignored() {
-        // Regression (PR 8 satellite): both constructs defeated the old
-        // line-level scanner.
-        let src = "\
-// era-check: entry
-fn f() {
-    let a = r#\"panic!(\"x\")\"#;
-    /* outer /* inner */ panic!(\"y\"); */
-}
-";
-        assert!(lint_lib(src).is_empty(), "{:?}", lint_lib(src));
+"##
+        );
+        assert_eq!(clippy(&src), Vec::<String>::new());
     }
 
     #[test]
     fn panic_path_reaches_through_calls() {
-        let src = "\
-// era-check: entry
-pub fn run(&self) { self.walk() }
-fn walk(&self) { self.nodes[0]; }
-fn unreached(&self) { panic!(\"x\"); }
-";
-        let f = lint_lib(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!((f[0].rule, f[0].line), (Rule::PanicPath, 3));
-        assert!(f[0].message.contains("index reached via run -> walk"), "{}", f[0].message);
-
-        // A callee in a harness crate is never a resolution candidate; the
-        // same callee in a library crate is reached.
-        let entry = "// era-check: entry\npub fn serve() { helper(); }\n";
-        let helper = "pub fn helper() { panic!(\"x\"); }\n";
-        for (rel, reached) in
-            [("tests/src/lib.rs", 0), ("examples/x.rs", 0), ("crates/core/src/helper.rs", 1)]
-        {
-            let index = Index::build(&[
-                (PathBuf::from("crates/core/src/serve.rs"), entry.to_string()),
-                (PathBuf::from(rel), helper.to_string()),
-            ]);
-            assert_eq!(lint(&index).findings.len(), reached, "{rel}");
-        }
-    }
-
-    #[test]
-    fn call_site_allow_cuts_the_chain() {
-        let src = "\
-// era-check: entry
-fn lookup(&self) -> u32 {
-    // era-check: allow(panic-path): fill() is only reached with a valid id
-    self.fill()
-}
-fn fill(&self) -> u32 { self.nodes[0] }
-";
-        assert!(lint_lib(src).is_empty(), "{:?}", lint_lib(src));
-    }
-
-    #[test]
-    fn prose_mentions_of_directives_are_not_directives() {
-        // A doc comment *describing* the entry marker must not arm it.
-        let src = "\
-/// Functions marked `// era-check: entry` must not reach a panic.
-fn describe() {
-    panic!(\"boom\");
-}
-";
-        assert!(lint_lib(src).is_empty());
-    }
-
-    #[test]
-    fn nested_test_mod_tracking_resumes_linting_after_mod_ends() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    // era-check: entry
-    fn t() { panic!(\"t\"); }
-    mod inner { fn u() { panic!(\"u\"); } }
-}
-// era-check: entry
-fn real() { panic!(\"real\"); }
-";
-        let f = lint_lib(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 8);
+        // The deny reaches a callee because every serving module carries
+        // it: a helper's index is flagged in a denied module and missed in
+        // an undenied one.
+        let helper = |deny: &str| {
+            format!(
+                "pub mod query {{ {0}\n pub fn try_count(t: &[u8]) -> u8 {{ super::helper::get(t, 0) }} }}\n\
+                 pub mod helper {{ {deny}\n pub fn get(t: &[u8], i: usize) -> u8 {{ t[i] }} }}\n",
+                serving_deny()
+            )
+        };
+        assert_eq!(clippy(&helper(&serving_deny())), ["clippy::indexing_slicing"]);
+        assert_eq!(clippy(&helper("")), Vec::<String>::new());
     }
 
     #[test]
     fn every_rule_has_a_stable_name() {
         for &rule in Rule::ALL {
             assert!(!rule.name().is_empty());
+            assert!(rule.lints().iter().all(|lint| lint.starts_with("clippy::")));
         }
         assert_eq!(Rule::ALL, [Rule::PanicPath]);
     }

@@ -1,7 +1,9 @@
-// Twin: the same parser with the preallocation clamped against a declared
-// budget and the prefix bound computed with checked arithmetic — a hostile
-// count or length now runs out of real bytes instead of out of memory.
+// Twin: the same parser under the parser deny, with the preallocation
+// clamped against a declared budget and the prefix bound computed with
+// checked arithmetic — a hostile count or length now runs out of real bytes
+// instead of out of memory.
 
+#[expect(clippy::disallowed_methods, reason = "the manifest's decoder, under the parser deny")]
 fn read_u32(bytes: &[u8], off: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(off..off.checked_add(4)?)?.try_into().ok()?))
 }

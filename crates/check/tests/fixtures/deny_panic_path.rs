@@ -1,11 +1,16 @@
-// Fixture: a function reachable from a `// era-check: entry` point must
-// not index without `get` — the sink here is one call away from the entry.
+// Fixture: a serving fn and the helper it calls, with one site for every
+// lint a serving module denies; the index is one call away from `serve`.
 
 fn lookup(table: &[usize], i: usize) -> usize {
     table[i]
 }
 
-// era-check: entry
 pub fn serve(table: &[usize], i: usize) -> usize {
-    lookup(table, i)
+    match i {
+        0 => panic!("empty query"),
+        1 => unreachable!("validated on load"),
+        2 => todo!(),
+        3 => unimplemented!(),
+        _ => lookup(table, i),
+    }
 }

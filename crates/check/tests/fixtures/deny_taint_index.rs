@@ -1,7 +1,8 @@
 // Fixture: direct indexing by a header-derived slot — a hostile value
-// panics the serving path (or worse, with a widened table, reads garbage).
+// panics the serving path.
 
+#[expect(clippy::disallowed_methods, reason = "fixture parser, under the parser deny")]
 pub fn parse_entry(buf: &[u8], table: &[u32]) -> u32 {
-    let slot = u16::from_le_bytes(buf[0..2].try_into().unwrap_or([0; 2])) as usize;
-    table[slot]
+    let slot = u16::from_le_bytes(buf.get(0..2).and_then(|b| b.try_into().ok()).unwrap_or([0; 2]));
+    table[usize::from(slot)]
 }

@@ -1,8 +1,8 @@
 // Fixture: the shape of a hand-written manifest parser that once shipped in
-// `era-check fsck`. Neither fn is parser-named and the helper's value leaves
-// through `Some(..)` of an `Option`, which used to hide it from the taint
-// pass — so a flipped count bit preallocated ~25 GB and aborted the process.
-// The helper decodes its own byte-slice parameter, which makes it a source.
+// `era-check fsck`. It sits outside every parser deny and its helper hands
+// the decoded value out through `Some(..)`, so a flipped count bit
+// preallocated ~25 GB and aborted the process. Decoding outside a parser is
+// itself the finding.
 
 fn read_u32(bytes: &[u8], off: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(off..off + 4)?.try_into().ok()?))
