@@ -5,16 +5,20 @@
 //! * the lexicographic leaf order equals an independently computed suffix
 //!   array;
 //! * queries agree with brute-force scanning;
-//! * the suffix-array substrate agrees with direct sorting;
+//! * the suffix-array substrate agrees with direct sorting and with the naive
+//!   oracle on every input shape (generated, periodic, single-symbol,
+//!   all-distinct, embedded `0`s, no terminal, empty);
 //! * the whole-index operations (longest repeated / longest common substring),
 //!   answered per sub-tree and up the trie, agree with the suffix-array + LCP
 //!   oracle.
 
 use era::{EraConfig, HorizontalMethod, RangePolicy, SuffixIndex};
 use era_string_store::InMemoryStore;
+use era_suffix_array::sa::{is_suffix_array, suffix_array_naive};
 use era_suffix_array::{lcp_kasai, suffix_array};
 use era_suffix_tree::{validate_partitioned, validate_suffix_tree};
 use era_tests::{scan_occurrences, terminated};
+use era_workloads::{generate, DatasetKind, DatasetSpec};
 use proptest::prelude::*;
 
 /// Arbitrary bodies over small alphabets (small alphabets maximise repeat
@@ -27,6 +31,53 @@ fn body_strategy() -> impl Strategy<Value = Vec<u8>> {
     let binary = proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'b')], 1..200);
     let ascii = proptest::collection::vec(33u8..127u8, 1..120);
     prop_oneof![dna, binary, ascii]
+}
+
+/// The suffix-array substrate's bodies: [`body_strategy`]'s, plus bodies
+/// that draw `0` bytes and bodies up to 4 KiB.
+fn sa_body_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let zeros = proptest::collection::vec(prop_oneof![Just(0u8), Just(b'A'), Just(b'C')], 1..600);
+    let long_dna = proptest::collection::vec(
+        prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T')],
+        1..4097,
+    );
+    let long_bytes = proptest::collection::vec(any::<u8>(), 1..4097);
+    prop_oneof![body_strategy(), zeros, long_dna, long_bytes]
+}
+
+/// Texts of every shape the suffix-array builder must sort, up to 4 KiB.
+/// Periodic and single-symbol texts recurse below the first reduced level.
+fn sa_text_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let kinds = [
+        DatasetKind::GenomeLike,
+        DatasetKind::UniformDna,
+        DatasetKind::Protein,
+        DatasetKind::English,
+    ];
+    let generated = (0..kinds.len(), 0usize..4097, 0u64..u64::MAX, any::<bool>()).prop_map(
+        move |(kind, len, seed, terminal)| {
+            let mut text = generate(&DatasetSpec::new(kinds[kind], len, seed));
+            if terminal {
+                text.push(0);
+            }
+            text
+        },
+    );
+    let periodic = (0usize..3, 1usize..600).prop_map(|(motif, reps)| {
+        let motif: &[u8] = [&b"AC"[..], b"GATTACA", b"a"][motif];
+        motif.repeat(reps)
+    });
+    // All 256 byte values, Fisher-Yates shuffled.
+    let all_distinct = (0u64..u64::MAX).prop_map(|mut state| {
+        let mut text: Vec<u8> = (0..=255).collect();
+        for i in (1..text.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            text.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        text
+    });
+    let zeros = proptest::collection::vec(prop_oneof![Just(0u8), Just(b'G'), Just(b'T')], 0..4097);
+    prop_oneof![generated, periodic, all_distinct, zeros, Just(Vec::new())]
 }
 
 fn config_strategy() -> impl Strategy<Value = EraConfig> {
@@ -196,7 +247,7 @@ proptest! {
     }
 
     #[test]
-    fn suffix_array_substrate_matches_direct_sort(body in body_strategy()) {
+    fn suffix_array_substrate_matches_direct_sort(body in sa_body_strategy()) {
         let text = terminated(&body);
         let sa = suffix_array(&text);
         let mut direct: Vec<u32> = (0..text.len() as u32).collect();
@@ -210,6 +261,13 @@ proptest! {
             let expect = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count() as u32;
             prop_assert_eq!(lcp[i], expect);
         }
+    }
+
+    #[test]
+    fn suffix_array_matches_naive_on_every_shape(text in sa_text_strategy()) {
+        let sa = suffix_array(&text);
+        prop_assert_eq!(&sa, &suffix_array_naive(&text));
+        prop_assert!(is_suffix_array(&text, &sa));
     }
 
     #[test]
