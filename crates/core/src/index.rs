@@ -960,6 +960,49 @@ mod tests {
     }
 
     #[test]
+    fn malformed_input_files_fail_the_build() {
+        // Opening a file checks a raw text's last byte and a packed file's
+        // header; the build's first pass checks every symbol. Each file holds
+        // 14 symbols and the terminal.
+        let dir = std::env::temp_dir().join(format!("era-malformed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let interior_terminal = dir.join("interior.era");
+        std::fs::write(&interior_terminal, b"GATTAC\0GATTACA\0").unwrap();
+        let foreign_byte = dir.join("foreign.era");
+        std::fs::write(&foreign_byte, b"GATTACAXATTACA\0").unwrap();
+        let spare_code = dir.join("spare.erap");
+        {
+            let _keep = PackedDiskStore::create(
+                &spare_code,
+                b"MKVLAAGIVGLLLA",
+                Alphabet::protein(),
+                4 << 10,
+            )
+            .unwrap()
+            .cleanup_on_drop(false);
+        }
+        let mut bytes = std::fs::read(&spare_code).unwrap();
+        // The payload follows 16 header bytes and the 20-symbol table; code
+        // 31 names no protein symbol and decodes as a terminal.
+        bytes[16 + 20] |= 0x1F;
+        std::fs::write(&spare_code, &bytes).unwrap();
+        for (path, alphabet) in [
+            (&interior_terminal, Alphabet::dna()),
+            (&foreign_byte, Alphabet::dna()),
+            (&spare_code, Alphabet::protein()),
+        ] {
+            let built = SuffixIndex::builder().build_from_path(path, alphabet);
+            assert!(
+                matches!(built, Err(EraError::Store(StoreError::InvalidText(_)))),
+                "{}: {:?}",
+                path.display(),
+                built.err()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn catalog_file_roundtrip_preserves_generation_and_encoding() {
         let path = std::env::temp_dir().join(format!("era-catalog-{}.eracat", std::process::id()));
         let body = b"GATTACAGATTACAGGATCCGATTACA";

@@ -217,6 +217,14 @@ impl<'a> ConstructionPipeline<'a> {
     ) -> EraResult<(PartitionedSuffixTree, ConstructionReport)> {
         self.config.validate()?;
         let master = scheduler.master_store();
+        // Node ids, text positions and every persisted length are `u32`.
+        if master.len() >= u32::MAX as usize {
+            return Err(EraError::input(format!(
+                "a text of {} symbols is too long: suffix trees index fewer than {} symbols",
+                master.len(),
+                u32::MAX
+            )));
+        }
         let layout = self.config.memory_layout(master.alphabet())?;
         let start_all = Instant::now();
 
@@ -567,7 +575,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use era_string_store::{Alphabet, InMemoryStore};
+    use era_string_store::{Alphabet, InMemoryStore, IoStats, StoreResult};
     use era_suffix_tree::validate_partitioned;
 
     fn config() -> EraConfig {
@@ -633,5 +641,44 @@ mod tests {
         let b = InMemoryStore::from_body(b"GATTACAGATTACA", Alphabet::dna()).unwrap();
         let stores = vec![a, b];
         assert!(SharedNothingScheduler::new(&stores, SharedNothingOptions::default()).is_err());
+    }
+
+    /// A store that claims `len` symbols and holds none.
+    struct ClaimedLength {
+        len: usize,
+        alphabet: Alphabet,
+        stats: IoStats,
+    }
+
+    impl StringStore for ClaimedLength {
+        fn len(&self) -> usize {
+            self.len
+        }
+        fn alphabet(&self) -> &Alphabet {
+            &self.alphabet
+        }
+        fn block_size(&self) -> usize {
+            1 << 16
+        }
+        fn stats(&self) -> &IoStats {
+            &self.stats
+        }
+        fn read_at(&self, pos: usize, _buf: &mut [u8]) -> StoreResult<usize> {
+            panic!("read at {pos}: a text this long must be refused before it is read")
+        }
+    }
+
+    #[test]
+    fn texts_of_u32_max_symbols_or_more_are_refused() {
+        for len in [u32::MAX as usize, 1 << 32] {
+            let store = ClaimedLength { len, alphabet: Alphabet::dna(), stats: IoStats::new() };
+            for threads in [1, 2] {
+                let err = construct(&store, &EraConfig { threads, ..config() }).unwrap_err();
+                assert!(
+                    matches!(err, EraError::Input(_)),
+                    "{len} symbols, {threads} threads: {err}"
+                );
+            }
+        }
     }
 }

@@ -12,8 +12,12 @@
 //! position. All prefixes of a round have the same length, so a window cut
 //! short by the end of the string matches none of them: the suffix it belongs
 //! to was accepted in an earlier round, under a prefix ending in the terminal.
+//!
+//! The first round counts every position once, so it doubles as the check of
+//! the text itself ([`check_symbol_counts`]): a store checks at open only
+//! what it can without reading the whole text.
 
-use era_string_store::{StoreResult, StringStore, TERMINAL};
+use era_string_store::{StoreError, StoreResult, StringStore, TERMINAL};
 
 use crate::scan::{for_each_stretch, ScanTrie};
 
@@ -96,6 +100,9 @@ pub fn vertical_partition(
             trie.for_each_match(stretch, positions, |_start, prefix| counts[prefix] += 1);
         })?;
         scans += 1;
+        if scans == 1 {
+            check_symbol_counts(store.len(), &working, &counts)?;
+        }
 
         let mut next_working = Vec::new();
         for (prefix, f) in working.into_iter().zip(counts) {
@@ -123,6 +130,24 @@ pub fn vertical_partition(
     let groups =
         if group { group_prefixes(&accepted, fm as u64) } else { trivial_groups(&accepted) };
     Ok(VerticalPartitioning { prefixes: accepted, groups, scans })
+}
+
+/// Checks the first round's counts, one per symbol of `Σ ∪ {$}`: a
+/// well-formed text of `text_len` positions holds only those symbols, so the
+/// counts sum to `text_len`, and ends in its one terminal. A byte outside the
+/// alphabet (counted by no prefix) or a terminal in mid-text would otherwise
+/// drop suffixes or split a tree edge at the wrong place.
+fn check_symbol_counts(text_len: usize, symbols: &[Vec<u8>], counts: &[u64]) -> StoreResult<()> {
+    let total: u64 = counts.iter().sum();
+    let terminals: u64 =
+        symbols.iter().zip(counts).filter(|(s, _)| s[..] == [TERMINAL]).map(|(_, &f)| f).sum();
+    if total != text_len as u64 || terminals != 1 {
+        return Err(StoreError::InvalidText(format!(
+            "{total} of the text's {text_len} positions hold a symbol of its alphabet or the \
+             terminal, and {terminals} hold the terminal: every position must, and exactly one"
+        )));
+    }
+    Ok(())
 }
 
 /// The grouping heuristic of Algorithm `VerticalPartitioning` (lines 12–22):

@@ -1,4 +1,5 @@
-//! Disk-backed string store.
+//! The raw store's file constructors: a text file, or a text embedded in a
+//! larger file, read by position.
 
 #![deny(
     clippy::indexing_slicing,
@@ -9,17 +10,13 @@
 )]
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use std::sync::atomic::AtomicU64;
-use std::sync::Mutex;
-
-use crate::alphabet::Alphabet;
+use crate::alphabet::{Alphabet, TERMINAL};
+use crate::backing::Backing;
 use crate::error::{StoreError, StoreResult};
-use crate::stats::IoStats;
-use crate::store::StringStore;
-use crate::sync::lock;
+use crate::memory::RawStore;
 
 /// Default I/O block size (64 KiB).
 ///
@@ -28,26 +25,10 @@ use crate::sync::lock;
 /// accordingly (the string : block ratio stays in the same regime).
 pub const DEFAULT_DISK_BLOCK: usize = 64 * 1024;
 
-/// A [`StringStore`] backed by a file, read in fixed-size blocks.
-///
-/// Reads go through a real file descriptor; the store additionally keeps the
-/// exact classification of sequential versus random accesses, which the
-/// experiments report alongside wall-clock time.
-#[derive(Debug)]
-pub struct DiskStore {
-    file: Mutex<File>,
-    path: PathBuf,
-    /// Offset of the text inside the file (non-zero for a region store).
-    base: u64,
-    len: usize,
-    alphabet: Alphabet,
-    block_size: usize,
-    stats: IoStats,
-    last_end: AtomicU64,
-    owns_file: bool,
-}
+/// The raw store reading its text from a file.
+pub type DiskStore = RawStore;
 
-impl DiskStore {
+impl RawStore {
     /// Opens an existing terminated string file.
     #[deny(
         clippy::cast_possible_truncation,
@@ -62,7 +43,7 @@ impl DiskStore {
         let file = File::open(path.as_ref())?;
         let len = file.metadata()?.len();
         let mut store = Self::open_region(file, 0, len, alphabet, block_size)?;
-        store.path = path.as_ref().to_path_buf();
+        store.bytes.set_path(path.as_ref());
         Ok(store)
     }
 
@@ -77,53 +58,35 @@ impl DiskStore {
         clippy::arithmetic_side_effects,
         clippy::indexing_slicing
     )]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "region_end returned offset + len with len > 0, so end >= 1"
-    )]
     pub fn open_region(
-        mut file: File,
+        file: File,
         offset: u64,
         len: u64,
         alphabet: Alphabet,
         block_size: usize,
     ) -> StoreResult<Self> {
-        if block_size == 0 {
-            return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
-        }
-        let end = region_end(offset, len, file.metadata()?.len())?;
+        let bytes = Backing::region(file, offset, len, PathBuf::new())?;
         let len = usize::try_from(len).map_err(|_| {
             StoreError::InvalidText(format!("text of {len} bytes overflows this platform's usize"))
         })?;
-        if len == 0 {
+        let Some(last) = len.checked_sub(1) else {
             return Err(StoreError::InvalidText("file is empty".into()));
-        }
-        // Validate only the final byte here; full validation would require a
-        // complete scan which callers can do explicitly via `read_all`.
-        file.seek(SeekFrom::Start(end - 1))?;
-        let mut last = [0u8; 1];
-        file.read_exact(&mut last)?;
-        if last[0] != crate::alphabet::TERMINAL {
+        };
+        // Validate only the final byte here; the first pass over the text
+        // (vertical partitioning) counts every symbol.
+        let mut terminal = [0u8; 1];
+        bytes.read_exact_at(last, &mut terminal)?;
+        if terminal != [TERMINAL] {
             return Err(StoreError::InvalidText(
                 "file does not end with the terminal symbol".into(),
             ));
         }
-        Ok(DiskStore {
-            file: Mutex::new(file),
-            path: PathBuf::new(),
-            base: offset,
-            len,
-            alphabet,
-            block_size,
-            stats: IoStats::new(),
-            // A fresh store's cursor is at offset 0, so the very first read at
-            // position 0 continues from it and counts as sequential.
-            last_end: AtomicU64::new(0),
-            owns_file: false,
-        })
+        Self::over(bytes, len, alphabet, block_size)
     }
 
     /// Writes `body` + terminal to `path` and opens it.
+    ///
+    /// The file is removed when the store is dropped.
     pub fn create(
         path: impl AsRef<Path>,
         body: &[u8],
@@ -131,14 +94,14 @@ impl DiskStore {
         block_size: usize,
     ) -> StoreResult<Self> {
         let text = alphabet.terminate(body)?;
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         {
-            let mut f = File::create(&path)?;
+            let mut f = File::create(path)?;
             f.write_all(&text)?;
             f.sync_all()?;
         }
-        let mut store = Self::open(&path, alphabet, block_size)?;
-        store.owns_file = true;
+        let mut store = Self::open(path, alphabet, block_size)?;
+        store.bytes.set_owned(true);
         Ok(store)
     }
 
@@ -155,68 +118,10 @@ impl DiskStore {
         Self::create(path, body, alphabet, DEFAULT_DISK_BLOCK)
     }
 
-    /// The path of the backing file.
+    /// The path of the backing file: empty for a text in memory or a region
+    /// of a file the caller opened.
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// The exclusive end of the region `[offset, offset + len)`, which must lie
-/// inside a file of `file_len` bytes — shared by both disk stores' region
-/// constructors, whose offsets and lengths come from a container's header.
-pub(crate) fn region_end(offset: u64, len: u64, file_len: u64) -> StoreResult<u64> {
-    match offset.checked_add(len) {
-        Some(end) if end <= file_len => Ok(end),
-        _ => Err(StoreError::InvalidText(format!(
-            "region of {len} bytes at offset {offset} overruns the {file_len}-byte file"
-        ))),
-    }
-}
-
-impl Drop for DiskStore {
-    fn drop(&mut self) {
-        if self.owns_file {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-impl StringStore for DiskStore {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn stats(&self) -> &IoStats {
-        &self.stats
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "take = min(buf.len(), len - pos) bounds both slices"
-    )]
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        if pos > self.len {
-            return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: self.len });
-        }
-        let take = buf.len().min(self.len - pos);
-        if take == 0 {
-            return Ok(0);
-        }
-        {
-            let mut file = lock(&self.file);
-            file.seek(SeekFrom::Start(self.base + pos as u64))?;
-            file.read_exact(&mut buf[..take])?;
-        }
-        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
-        Ok(take)
+        self.bytes.path()
     }
 }
 
@@ -224,6 +129,7 @@ impl StringStore for DiskStore {
 #[expect(clippy::disallowed_methods, reason = "tests of the store's own read accounting")]
 mod tests {
     use super::*;
+    use crate::store::StringStore;
 
     fn temp_dir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!("era-store-test-{}", std::process::id()));

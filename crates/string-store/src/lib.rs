@@ -16,17 +16,19 @@
 //! * [`Alphabet`] — DNA, protein, English and custom alphabets, including the
 //!   bits-per-symbol packing used by the paper (2 bits for DNA, 5 bits for
 //!   protein/English; the terminal is kept out-of-band).
-//! * [`InMemoryStore`] and [`DiskStore`] — the raw (1 byte/symbol) backends.
-//!   The disk backend reads through a configurable block size and supports
-//!   forward seeks that skip blocks (the paper's disk-seek optimisation,
-//!   §4.4).
-//! * [`PackedMemoryStore`] and [`PackedDiskStore`] — bit-packed backends that
-//!   decode at block granularity inside `read_at`, straight into the caller's
-//!   (usually [`BlockCursor`]'s) buffer. I/O counters record *packed* bytes
+//! * [`RawStore`] and [`PackedStore`] — the two stores, one per encoding:
+//!   raw (1 byte/symbol) and bit-packed. Each keeps its bytes in memory or
+//!   reads them from a file region by position, so concurrent readers of one
+//!   file share no lock. The raw store is also named [`InMemoryStore`] and
+//!   [`DiskStore`], the packed one [`PackedMemoryStore`] and
+//!   [`PackedDiskStore`], after the constructors callers reach for. Reads go
+//!   through a configurable block size; a packed store decodes at block
+//!   granularity inside `read_at`, straight into the caller's (usually
+//!   [`BlockCursor`]'s) buffer, and its I/O counters record *packed* bytes
 //!   and blocks, so every sequential scan of DNA fetches 4x fewer bytes.
 //!   `read_codes_at` serves the payload bits undecoded instead; the
 //!   read-ahead fill of `SubTreePrepare` reads through it and decodes
-//!   nothing. The on-disk format is a small header (magic, version,
+//!   nothing. The packed file format is a small header (magic, version,
 //!   bits-per-symbol, symbol table, text length) followed by the packed body.
 //! * [`BlockCursor`] — the zero-copy block-scan layer: one sequential pass
 //!   served as borrowed slices out of a single reused window buffer (no
@@ -46,7 +48,7 @@
 //!   (and, for packed stores, zero re-decoding); activity is counted in
 //!   [`CacheSnapshot`]s.
 //! * [`IoStats`] / [`IoSnapshot`] — thread-safe I/O counters.
-//! * [`packed`] — the symbol codec underneath the packed stores: terminal out
+//! * [`packed`] — the symbol codec underneath the packed store: terminal out
 //!   of band, dense order-preserving codes, any width from 1 to 8 bits. The
 //!   paper's two widths decode several symbols per table lookup (a payload
 //!   byte is 4 DNA symbols, 10 bits are 2 protein / English symbols); every
@@ -62,6 +64,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod alphabet;
+mod backing;
 pub mod block_cache;
 pub mod cursor;
 pub mod disk;
@@ -80,9 +83,9 @@ pub use block_cache::{BlockCache, CacheSnapshot, CacheStats, DEFAULT_CACHE_BLOCK
 pub use cursor::BlockCursor;
 pub use disk::DiskStore;
 pub use error::{StoreError, StoreResult};
-pub use memory::InMemoryStore;
-pub use packed::{PackedCodec, PackedText};
-pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore};
+pub use memory::{InMemoryStore, RawStore};
+pub use packed::PackedCodec;
+pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore, PackedStore};
 pub use stats::{IoSnapshot, IoStats};
 pub use store::StringStore;
 pub use text_source::{StoreTextSource, TextSource, DEFAULT_WINDOW_SYMBOLS};

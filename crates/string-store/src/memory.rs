@@ -1,4 +1,5 @@
-//! In-memory string store.
+//! The raw string store: one byte per symbol, in memory or read from a file
+//! (the file constructors are in [`crate::disk`]).
 
 #![deny(
     clippy::indexing_slicing,
@@ -8,42 +9,51 @@
     clippy::unimplemented
 )]
 
-use std::sync::atomic::AtomicU64;
-
 use crate::alphabet::Alphabet;
+use crate::backing::Backing;
 use crate::error::{StoreError, StoreResult};
 use crate::stats::IoStats;
-use crate::store::StringStore;
+use crate::store::{clamp_read, StringStore};
 
 /// Default block size used when accounting in-memory reads (4 KiB).
 pub const DEFAULT_MEMORY_BLOCK: usize = 4 * 1024;
 
-/// A [`StringStore`] backed by a `Vec<u8>`.
+/// A [`StringStore`] holding the text one byte per symbol, in a `Vec<u8>` or
+/// in a file read in fixed-size blocks.
 ///
-/// I/O is still accounted (with a virtual block size) so that unit tests can
-/// assert on access patterns without touching the file system.
+/// Reads are accounted whatever the backing (an in-memory store with a
+/// virtual block size), so unit tests can assert on access patterns without
+/// touching the file system, and the experiments report the exact split of
+/// sequential reads and random seeks alongside wall-clock time.
 #[derive(Debug)]
-pub struct InMemoryStore {
-    text: Vec<u8>,
+pub struct RawStore {
+    pub(crate) bytes: Backing,
+    len: usize,
     alphabet: Alphabet,
     block_size: usize,
     stats: IoStats,
-    last_end: AtomicU64,
 }
 
-impl InMemoryStore {
+/// The raw store holding its text in memory.
+pub type InMemoryStore = RawStore;
+
+impl RawStore {
     /// Wraps an already-terminated text.
     pub fn new(text: Vec<u8>, alphabet: Alphabet) -> StoreResult<Self> {
         alphabet.validate(&text)?;
-        Ok(InMemoryStore {
-            text,
-            alphabet,
-            block_size: DEFAULT_MEMORY_BLOCK,
-            stats: IoStats::new(),
-            // A fresh store's cursor is at offset 0: the first read at
-            // position 0 counts as sequential, matching `DiskStore`.
-            last_end: AtomicU64::new(0),
-        })
+        let len = text.len();
+        Self::over(Backing::Memory(text), len, alphabet, DEFAULT_MEMORY_BLOCK)
+    }
+
+    /// A store serving the `len`-symbol text that `bytes` hold.
+    pub(crate) fn over(
+        bytes: Backing,
+        len: usize,
+        alphabet: Alphabet,
+        block_size: usize,
+    ) -> StoreResult<Self> {
+        RawStore { bytes, len, alphabet, block_size: 1, stats: IoStats::new() }
+            .with_block_size(block_size)
     }
 
     /// Appends the terminal to `body` and wraps the result.
@@ -58,7 +68,7 @@ impl InMemoryStore {
         Self::from_body(body, alphabet)
     }
 
-    /// Overrides the virtual block size used for accounting.
+    /// Overrides the block size used for accounting.
     pub fn with_block_size(mut self, block_size: usize) -> StoreResult<Self> {
         if block_size == 0 {
             return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
@@ -66,18 +76,11 @@ impl InMemoryStore {
         self.block_size = block_size;
         Ok(self)
     }
-
-    /// Direct borrowing access to the underlying text (not I/O accounted);
-    /// intended for test oracles and in-memory baselines that legitimately
-    /// hold the whole string.
-    pub fn raw_text(&self) -> &[u8] {
-        &self.text
-    }
 }
 
-impl StringStore for InMemoryStore {
+impl StringStore for RawStore {
     fn len(&self) -> usize {
-        self.text.len()
+        self.len
     }
 
     fn alphabet(&self) -> &Alphabet {
@@ -94,16 +97,14 @@ impl StringStore for InMemoryStore {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "take = min(buf.len(), len - pos) bounds both slices"
+        reason = "take = min(buf.len(), len - pos) bounds the slice"
     )]
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        if pos > self.text.len() {
-            return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: self.text.len() });
+        let take = clamp_read(pos, buf.len(), self.len)?;
+        if take > 0 {
+            self.bytes.read_exact_at(pos, &mut buf[..take])?;
+            self.stats.charge_read(pos, take, self.read_cost(pos, take));
         }
-        let take = buf.len().min(self.text.len() - pos);
-        buf[..take].copy_from_slice(&self.text[pos..pos + take]);
-
-        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 }
@@ -117,7 +118,7 @@ mod tests {
     fn from_body_appends_terminal() {
         let s = InMemoryStore::from_body(b"GATTACA", Alphabet::dna()).unwrap();
         assert_eq!(s.len(), 8);
-        assert_eq!(s.raw_text().last(), Some(&0u8));
+        assert_eq!(s.read_all().unwrap().last(), Some(&0u8));
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! payload bits are two, so [`PackedCodec::unpack`] looks several symbols up
 //! at a time ([`SymbolTable`]) and keeps the one-code-at-a-time loop for the
 //! ragged ends of a range and for every other width. The unpack path sits on
-//! every block fetch of the packed stores ([`crate::PackedMemoryStore`],
-//! [`crate::PackedDiskStore`]) — so on every construction scan and on the
-//! miss path of store-backed serving — and on [`PackedText::from_payload`]'s
-//! validation when a catalog is opened.
+//! every block fetch of [`crate::PackedStore`] — so on every construction
+//! scan and on the miss path of store-backed serving — and on
+//! [`crate::PackedStore::from_payload`]'s validation when a catalog is
+//! opened.
 
 #![deny(
     clippy::indexing_slicing,
@@ -273,142 +273,11 @@ pub struct PackState {
     acc_bits: u32,
 }
 
-/// A bit-packed copy of a terminated input string.
-///
-/// Only the body is stored — the terminal is out-of-band: its position is
-/// `len - 1` and it never appears in the payload, so a DNA text packs at the
-/// paper's 2 bits/symbol.
-#[derive(Debug, Clone)]
-pub struct PackedText {
-    codec: PackedCodec,
-    len: usize,
-    data: Vec<u8>,
-}
-
-impl PackedText {
-    /// Packs `text` (which must be valid for `alphabet`, i.e. terminated).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "validate() rejects an unterminated, so empty, text; off the query path"
-    )]
-    pub fn pack(text: &[u8], alphabet: &Alphabet) -> StoreResult<Self> {
-        alphabet.validate(text)?;
-        let codec = PackedCodec::new(alphabet);
-        let data = codec.pack_body(&text[..text.len() - 1])?;
-        Ok(PackedText { codec, len: text.len(), data })
-    }
-
-    /// Adopts the already-packed `data` of a `len`-symbol text (out-of-band
-    /// terminal included) instead of re-encoding it. The size must be exact
-    /// and every code must name a symbol: an alphabet that does not fill its
-    /// bit width (protein uses 20 of 32 codes) leaves codes that
-    /// [`PackedCodec::pack_body`] never emits and that decode to a terminal
-    /// in mid-text.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "count = symbols.len().min(..); runs once at open, off the query path"
-    )]
-    pub(crate) fn from_payload(
-        data: Vec<u8>,
-        len: usize,
-        alphabet: &Alphabet,
-    ) -> StoreResult<Self> {
-        let packed = PackedText { codec: PackedCodec::new(alphabet), len, data };
-        let (bits, body) = (packed.codec.bits, len.saturating_sub(1));
-        if len == 0 || packed.data.len() != packed_size(body, bits) {
-            return Err(StoreError::InvalidText(format!(
-                "{} packed bytes do not hold a {len}-symbol text at {bits} bits per symbol",
-                packed.data.len()
-            )));
-        }
-        if alphabet.len() < 1 << bits {
-            let mut symbols = [0u8; 4096];
-            for start in (0..body).step_by(symbols.len()) {
-                let count = symbols.len().min(body - start);
-                packed.unpack_range(start, count, &mut symbols);
-                if symbols[..count].contains(&TERMINAL) {
-                    return Err(StoreError::InvalidText(
-                        "packed payload holds a code outside the alphabet".into(),
-                    ));
-                }
-            }
-        }
-        Ok(packed)
-    }
-
-    /// Number of symbols stored, *including* the out-of-band terminal.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the packed text is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bits used per symbol.
-    pub fn bits_per_symbol(&self) -> u32 {
-        self.codec.bits()
-    }
-
-    /// The codec mapping symbols to codes.
-    pub fn codec(&self) -> &PackedCodec {
-        &self.codec
-    }
-
-    /// Size of the packed payload in bytes (the terminal occupies none).
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The raw packed payload.
-    pub fn payload(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Returns the symbol at position `i`.
-    #[expect(clippy::indexing_slicing, reason = "guarded by the i >= len early return")]
-    pub fn get(&self, i: usize) -> Option<u8> {
-        if i >= self.len {
-            return None;
-        }
-        if i == self.len - 1 {
-            return Some(TERMINAL);
-        }
-        let mut out = [0u8; 1];
-        let bit = i as u64 * self.codec.bits() as u64;
-        self.codec.unpack(&self.data[(bit / 8) as usize..], (bit % 8) as u32, 1, &mut out);
-        Some(out[0])
-    }
-
-    /// Decodes `count` symbols starting at `start` into `out[..count]`,
-    /// including the out-of-band terminal when the range covers it. The range
-    /// must lie within the text.
-    #[expect(clippy::indexing_slicing, reason = "caller bounds start + count to len")]
-    pub fn unpack_range(&self, start: usize, count: usize, out: &mut [u8]) {
-        debug_assert!(start + count <= self.len);
-        let body_len = self.len - 1;
-        let body_count = (start + count).min(body_len).saturating_sub(start);
-        if body_count > 0 {
-            let bit = start as u64 * self.codec.bits() as u64;
-            self.codec.unpack(&self.data[(bit / 8) as usize..], (bit % 8) as u32, body_count, out);
-        }
-        if count > body_count {
-            out[count - 1] = TERMINAL;
-        }
-    }
-
-    /// Unpacks the whole text (body + terminal).
-    pub fn unpack(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        self.unpack_range(0, self.len, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed_store::PackedMemoryStore;
+    use crate::store::StringStore;
 
     #[test]
     fn packed_size_matches_paper_ratios() {
@@ -425,17 +294,17 @@ mod tests {
         let a = Alphabet::dna();
         let body: Vec<u8> = std::iter::repeat(*b"GATC").flatten().take(4000).collect();
         let text = a.terminate(&body).unwrap();
-        let p = PackedText::pack(&text, &a).unwrap();
+        let p = PackedMemoryStore::new(&text, a).unwrap();
         assert_eq!(p.payload_bytes(), 1000, "2-bit DNA is 4x denser than raw bytes");
-        assert_eq!(p.unpack(), text);
+        assert_eq!(p.read_all().unwrap(), text);
     }
 
     #[test]
     fn roundtrip_dna() {
         let a = Alphabet::dna();
         let text = a.terminate(b"GATTACAGATTACA").unwrap();
-        let p = PackedText::pack(&text, &a).unwrap();
-        assert_eq!(p.unpack(), text);
+        let p = PackedMemoryStore::new(&text, a).unwrap();
+        assert_eq!(p.read_all().unwrap(), text);
         assert_eq!(p.len(), text.len());
         assert!(p.payload_bytes() < text.len());
         assert_eq!(p.bits_per_symbol(), 2);
@@ -445,8 +314,8 @@ mod tests {
     fn roundtrip_protein() {
         let a = Alphabet::protein();
         let text = a.terminate(b"ACDEFGHIKLMNPQRSTVWY").unwrap();
-        let p = PackedText::pack(&text, &a).unwrap();
-        assert_eq!(p.unpack(), text);
+        let p = PackedMemoryStore::new(&text, a).unwrap();
+        assert_eq!(p.read_all().unwrap(), text);
         assert_eq!(p.bits_per_symbol(), 5);
     }
 
@@ -458,11 +327,15 @@ mod tests {
             let a = Alphabet::custom(&symbols).unwrap();
             let body: Vec<u8> = (0..997).map(|i| a.symbols()[i % n]).collect();
             let text = a.terminate(&body).unwrap();
-            let p = PackedText::pack(&text, &a).unwrap();
-            assert_eq!(p.unpack(), text, "alphabet size {n}");
+            let p = PackedMemoryStore::new(&text, a.clone()).unwrap();
+            assert_eq!(p.read_all().unwrap(), text, "alphabet size {n}");
             assert_eq!(p.payload_bytes(), packed_size(body.len(), a.bits_per_symbol()));
             for i in [0usize, 1, n.min(996), 500, 996, 997] {
-                assert_eq!(p.get(i), Some(text[i]), "alphabet size {n} position {i}");
+                assert_eq!(
+                    p.read_range(i, 1).unwrap(),
+                    [text[i]],
+                    "alphabet size {n} position {i}"
+                );
             }
         }
     }
@@ -489,12 +362,11 @@ mod tests {
         let a = Alphabet::dna();
         let body: Vec<u8> = (0..301).map(|i| a.symbols()[(i * 7 + i / 3) % 4]).collect();
         let text = a.terminate(&body).unwrap();
-        let p = PackedText::pack(&text, &a).unwrap();
+        let p = PackedMemoryStore::new(&text, a).unwrap();
         for start in [0usize, 1, 2, 3, 4, 5, 97, 150, 299, 300, 301] {
             for count in [0usize, 1, 2, 5, 33] {
                 let count = count.min(text.len() - start);
-                let mut out = vec![0u8; count];
-                p.unpack_range(start, count, &mut out);
+                let out = p.read_range(start, count).unwrap();
                 assert_eq!(out, &text[start..start + count], "start {start} count {count}");
             }
         }
@@ -571,7 +443,7 @@ mod tests {
         let codec = PackedCodec::new(&a);
         let body: Vec<u8> = (0..47).map(|i| a.symbols()[i * 7 % a.len()]).collect();
         let clean = codec.pack_body(&body).unwrap();
-        assert!(PackedText::from_payload(clean.clone(), body.len() + 1, &a).is_ok());
+        assert!(PackedMemoryStore::from_payload(clean.clone(), body.len() + 1, a.clone()).is_ok());
         for spare in a.len() as u8..32 {
             for at in 0..body.len() {
                 let mut payload = clean.clone();
@@ -586,7 +458,7 @@ mod tests {
                 expected[at] = TERMINAL;
                 assert_eq!(out, expected, "spare code {spare} at {at}");
                 assert!(
-                    PackedText::from_payload(payload, body.len() + 1, &a).is_err(),
+                    PackedMemoryStore::from_payload(payload, body.len() + 1, a.clone()).is_err(),
                     "spare code {spare} at {at} must be rejected"
                 );
             }
@@ -597,25 +469,26 @@ mod tests {
     fn get_out_of_range_is_none() {
         let a = Alphabet::dna();
         let text = a.terminate(b"ACGT").unwrap();
-        let p = PackedText::pack(&text, &a).unwrap();
-        assert_eq!(p.get(4), Some(0));
-        assert_eq!(p.get(5), None);
+        let p = PackedMemoryStore::new(&text, a).unwrap();
+        assert_eq!(p.read_range(4, 1).unwrap(), [0]);
+        assert!(p.read_range(5, 1).unwrap().is_empty());
+        assert!(p.read_range(6, 1).is_err());
         assert!(!p.is_empty());
     }
 
     #[test]
     fn pack_rejects_foreign_symbols() {
         let a = Alphabet::dna();
-        assert!(PackedText::pack(b"AXGT\0", &a).is_err());
+        assert!(PackedMemoryStore::new(b"AXGT\0", a).is_err());
     }
 
     #[test]
     fn order_preserving_codes() {
         let a = Alphabet::dna();
         let text = a.terminate(b"ACGT").unwrap();
-        let p = PackedText::pack(&text, &a).unwrap();
+        let p = PackedMemoryStore::new(&text, a).unwrap();
         // A < C < G < T in both packed and unpacked form, terminal out-of-band.
-        let codes: Vec<u8> = (0..5).map(|i| p.get(i).unwrap()).collect();
+        let codes: Vec<u8> = p.read_all().unwrap();
         assert_eq!(codes, vec![b'A', b'C', b'G', b'T', 0]);
     }
 }

@@ -1,7 +1,7 @@
-//! Packed-symbol store backends.
+//! The packed string store.
 //!
-//! [`PackedMemoryStore`] and [`PackedDiskStore`] keep the string bit-packed
-//! (§6.1: 2 bits/symbol for DNA, 5 for protein/English) and decode on the fly
+//! [`PackedStore`] keeps the string bit-packed (§6.1: 2 bits/symbol for DNA,
+//! 5 for protein/English), in memory or in a file, and decodes on the fly
 //! inside [`StringStore::read_at`], straight into the caller's buffer — which
 //! for every construction scan is the reused window buffer of
 //! [`crate::BlockCursor`]. Callers see ordinary symbol bytes at symbol
@@ -10,8 +10,8 @@
 //! every scan.
 //!
 //! [`StringStore::read_codes_at`] is the other read: it hands out the payload
-//! bits themselves, copied (memory) or read from the file (disk) straight
-//! into the caller's buffer, with nothing decoded and the same accounting as
+//! bits themselves, copied from memory or read from the file straight into
+//! the caller's buffer, with nothing decoded and the same accounting as
 //! `read_at`. The read-ahead fill of `SubTreePrepare` goes through it — via
 //! [`crate::BlockCursor::codes`] — so its records hold 2- or 5-bit codes and
 //! that pass decodes nothing.
@@ -24,11 +24,11 @@
 //! packed bytes and whole physical blocks, and `blocks_read` falls by the
 //! packing ratio alongside `bytes_read`.
 //!
-//! The on-disk format of [`PackedDiskStore`] is a small header — magic,
-//! version, bits-per-symbol, symbol table, text length — followed by the
-//! packed body. The terminal symbol is stored *out-of-band*: its position is
-//! implied by the text length and it occupies no payload bits, so the encoding
-//! matches the paper's bit widths exactly.
+//! The on-disk format is a small header — magic, version, bits-per-symbol,
+//! symbol table, text length — followed by the packed body. The terminal
+//! symbol is stored *out-of-band*: its position is implied by the text length
+//! and it occupies no payload bits, so the encoding matches the paper's bit
+//! widths exactly.
 
 #![deny(
     clippy::indexing_slicing,
@@ -38,28 +38,19 @@
     clippy::unimplemented
 )]
 
-use std::cell::RefCell;
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-thread_local! {
-    /// Per-thread packed-byte scratch for [`PackedDiskStore::read_at`]: reads
-    /// happen under the file lock, decoding happens outside it, and no thread
-    /// allocates per fetch in steady state.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
 
 use crate::alphabet::{Alphabet, TERMINAL};
+use crate::backing::Backing;
 use crate::cursor::BlockCursor;
 use crate::error::{StoreError, StoreResult};
 use crate::memory::DEFAULT_MEMORY_BLOCK;
-use crate::packed::{packed_size, PackState, PackedCodec, PackedText};
+use crate::packed::{packed_size, PackState, PackedCodec};
 use crate::stats::{blocks_spanned, IoStats};
-use crate::store::{code_span, StringStore};
-use crate::sync::lock;
+use crate::store::{clamp_read, code_span, StringStore};
 
 /// Magic bytes opening a packed string file.
 pub const PACKED_MAGIC: [u8; 4] = *b"ERAP";
@@ -103,7 +94,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 
 /// A unique sibling of `path` named `<path>.<tag>.<pid>.<seq>`: the pid keeps
 /// concurrent processes apart, the counter keeps threads apart. Used for the
-/// write-then-rename of [`PackedDiskStore::create`]/[`PackedDiskStore::pack_store`]
+/// write-then-rename of [`PackedStore::create`]/[`PackedStore::pack_store`]
 /// and for the conversion files of packed path builds.
 pub fn unique_sibling(path: &Path, tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -133,198 +124,28 @@ fn packed_span(start: usize, count: usize, bits: u32) -> Option<(usize, usize)> 
     Some(((first_bit / 8) as usize, (last_bit / 8) as usize))
 }
 
-/// The packed byte span of the in-body symbols of a read of `take` symbols at
-/// `pos` (the terminal is out-of-band and has no bits), or `None` when the
-/// read touches no payload.
-fn body_span(pos: usize, take: usize, text_len: usize, bits: u32) -> Option<(usize, usize)> {
-    let body_count = (pos + take).min(text_len.saturating_sub(1)).saturating_sub(pos);
-    packed_span(pos, body_count, bits)
-}
-
-/// The shared [`StringStore::read_cost`] rule of both packed backends: the
-/// packed byte span covering the in-body symbols of the read (the terminal is
-/// out-of-band and costs nothing), plus the physical blocks it touches.
-fn packed_read_cost(
-    pos: usize,
-    take: usize,
-    text_len: usize,
-    bits: u32,
-    block_bytes: usize,
-) -> (u64, u64) {
-    match body_span(pos, take, text_len, bits) {
-        Some((lo, hi)) => ((hi - lo + 1) as u64, blocks_spanned(lo, hi, block_bytes)),
-        None => (0, 0),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// In-memory packed store
-// ---------------------------------------------------------------------------
-
-/// A [`StringStore`] holding the string bit-packed in memory.
+/// A [`StringStore`] holding the string bit-packed, in memory or in a file.
 ///
-/// Reads decode from the packed payload directly into the caller's buffer;
-/// the I/O counters record packed bytes and blocks, so access-pattern
-/// assertions see the §6.1 packing ratios without touching the file system.
+/// A file is laid out as `ERAP | version | bits | |Σ| | text_len | symbol
+/// table | packed body`; see the module docs. Reads fetch only the packed
+/// span a request covers and decode it into the caller's buffer, so
+/// sequential scans of a DNA string fetch one quarter of the raw bytes.
 #[derive(Debug)]
-pub struct PackedMemoryStore {
-    packed: PackedText,
-    alphabet: Alphabet,
-    block_bytes: usize,
-    stats: IoStats,
-    last_end: AtomicU64,
-}
-
-impl PackedMemoryStore {
-    /// Packs an already-terminated text.
-    pub fn new(text: &[u8], alphabet: Alphabet) -> StoreResult<Self> {
-        Ok(Self::adopt(PackedText::pack(text, &alphabet)?, alphabet))
-    }
-
-    fn adopt(packed: PackedText, alphabet: Alphabet) -> Self {
-        PackedMemoryStore {
-            packed,
-            alphabet,
-            block_bytes: DEFAULT_MEMORY_BLOCK,
-            stats: IoStats::new(),
-            last_end: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends the terminal to `body` and packs the result.
-    pub fn from_body(body: &[u8], alphabet: Alphabet) -> StoreResult<Self> {
-        let text = alphabet.terminate(body)?;
-        Self::new(&text, alphabet)
-    }
-
-    /// Adopts an already-packed `payload` of a `text_len`-symbol text (the
-    /// text segment of a packed catalog) without decoding and re-packing it;
-    /// rejects a payload of the wrong size or with a code outside `alphabet`.
-    pub fn from_payload(
-        payload: Vec<u8>,
-        text_len: usize,
-        alphabet: Alphabet,
-    ) -> StoreResult<Self> {
-        let packed = PackedText::from_payload(payload, text_len, &alphabet)?;
-        Ok(Self::adopt(packed, alphabet))
-    }
-
-    /// Infers the alphabet from `body`, appends the terminal and packs it.
-    pub fn from_body_inferred(body: &[u8]) -> StoreResult<Self> {
-        let alphabet = Alphabet::infer(body)?;
-        Self::from_body(body, alphabet)
-    }
-
-    /// Overrides the physical block size (bytes of *packed* payload per
-    /// block) used for accounting.
-    pub fn with_block_size(mut self, block_bytes: usize) -> StoreResult<Self> {
-        if block_bytes == 0 {
-            return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
-        }
-        self.block_bytes = block_bytes;
-        Ok(self)
-    }
-
-    /// Bits per symbol of the packed payload.
-    pub fn bits_per_symbol(&self) -> u32 {
-        self.packed.bits_per_symbol()
-    }
-
-    /// Size of the packed payload in bytes.
-    pub fn payload_bytes(&self) -> usize {
-        self.packed.payload_bytes()
-    }
-}
-
-impl StringStore for PackedMemoryStore {
-    fn len(&self) -> usize {
-        self.packed.len()
-    }
-
-    fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    fn block_size(&self) -> usize {
-        symbols_per_block(self.block_bytes, self.packed.bits_per_symbol())
-    }
-
-    fn physical_blocks_per_block(&self) -> u64 {
-        blocks_per_logical(self.block_bytes, self.packed.bits_per_symbol())
-    }
-
-    fn is_packed(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> &IoStats {
-        &self.stats
-    }
-
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        let len = self.packed.len();
-        if pos > len {
-            return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: len });
-        }
-        let take = buf.len().min(len - pos);
-        self.packed.unpack_range(pos, take, buf);
-        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
-        Ok(take)
-    }
-
-    fn code_bits(&self) -> u32 {
-        self.packed.bits_per_symbol()
-    }
-
-    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        let len = self.packed.len();
-        if pos > len {
-            return Err(StoreError::OutOfBounds { pos, len: count, text_len: len });
-        }
-        let take = count.min(len - pos);
-        if let Some((lo, hi)) = body_span(pos, take, len, self.packed.bits_per_symbol()) {
-            let payload = self.packed.payload().get(lo..=hi).unwrap_or_default();
-            code_span(buf, payload.len())?.copy_from_slice(payload);
-        }
-        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
-        Ok(take)
-    }
-
-    fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
-        packed_read_cost(
-            pos,
-            take,
-            self.packed.len(),
-            self.packed.bits_per_symbol(),
-            self.block_bytes,
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// On-disk packed store
-// ---------------------------------------------------------------------------
-
-/// A [`StringStore`] backed by a bit-packed file.
-///
-/// The file layout is `ERAP | version | bits | |Σ| | text_len | symbol table |
-/// packed body`; see the module docs. Reads fetch only the packed span a
-/// request covers (through a reused scratch buffer, no per-read allocation in
-/// steady state) and decode into the caller's buffer, so sequential scans of a
-/// DNA string fetch one quarter of the raw bytes.
-#[derive(Debug)]
-pub struct PackedDiskStore {
-    file: Mutex<File>,
-    path: PathBuf,
+pub struct PackedStore {
+    /// The packed payload (the terminal has no bits in it).
+    bytes: Backing,
     len: usize,
-    payload_offset: u64,
     alphabet: Alphabet,
     codec: PackedCodec,
     block_bytes: usize,
     stats: IoStats,
-    last_end: AtomicU64,
-    owns_file: bool,
 }
+
+/// The packed store holding its payload in memory.
+pub type PackedMemoryStore = PackedStore;
+
+/// The packed store reading its payload from a file.
+pub type PackedDiskStore = PackedStore;
 
 /// A fully validated packed header.
 struct ParsedHeader {
@@ -398,7 +219,98 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
     Ok(ParsedHeader { alphabet, len, payload_offset })
 }
 
-impl PackedDiskStore {
+impl PackedStore {
+    /// Packs an already-terminated text.
+    pub fn new(text: &[u8], alphabet: Alphabet) -> StoreResult<Self> {
+        alphabet.validate(text)?;
+        let body = text.split_last().map_or(&[][..], |(_, body)| body);
+        let payload = PackedCodec::new(&alphabet).pack_body(body)?;
+        Self::over(Backing::Memory(payload), text.len(), alphabet, DEFAULT_MEMORY_BLOCK)
+    }
+
+    /// A store serving the `len`-symbol text whose payload `bytes` hold.
+    fn over(
+        bytes: Backing,
+        len: usize,
+        alphabet: Alphabet,
+        block_bytes: usize,
+    ) -> StoreResult<Self> {
+        let codec = PackedCodec::new(&alphabet);
+        PackedStore { bytes, len, alphabet, codec, block_bytes: 1, stats: IoStats::new() }
+            .with_block_size(block_bytes)
+    }
+
+    /// A store serving the payload of `header`'s text out of `file`, which
+    /// must hold all of it.
+    fn over_file(
+        file: File,
+        path: PathBuf,
+        header: ParsedHeader,
+        block_bytes: usize,
+    ) -> StoreResult<Self> {
+        let payload = packed_size(header.len.saturating_sub(1), header.alphabet.bits_per_symbol());
+        let bytes = Backing::region(file, header.payload_offset, payload as u64, path)?;
+        Self::over(bytes, header.len, header.alphabet, block_bytes)
+    }
+
+    /// Appends the terminal to `body` and packs the result.
+    pub fn from_body(body: &[u8], alphabet: Alphabet) -> StoreResult<Self> {
+        let text = alphabet.terminate(body)?;
+        Self::new(&text, alphabet)
+    }
+
+    /// Adopts an already-packed `payload` of a `text_len`-symbol text (the
+    /// text segment of a packed catalog) without decoding and re-packing it.
+    /// The size must be exact and every code must name a symbol: an alphabet
+    /// that does not fill its bit width (protein uses 20 of 32 codes) leaves
+    /// codes that [`PackedCodec::pack_body`] never emits and that decode to a
+    /// terminal in mid-text.
+    #[expect(clippy::indexing_slicing, reason = "a chunk is at most CHUNK symbols long")]
+    pub fn from_payload(
+        payload: Vec<u8>,
+        text_len: usize,
+        alphabet: Alphabet,
+    ) -> StoreResult<Self> {
+        let (bits, body) = (alphabet.bits_per_symbol(), text_len.saturating_sub(1));
+        if text_len == 0 || payload.len() != packed_size(body, bits) {
+            return Err(StoreError::InvalidText(format!(
+                "{} packed bytes do not hold a {text_len}-symbol text at {bits} bits per symbol",
+                payload.len()
+            )));
+        }
+        let store = Self::over(Backing::Memory(payload), text_len, alphabet, DEFAULT_MEMORY_BLOCK)?;
+        if store.alphabet.len() < 1 << bits {
+            const CHUNK: usize = 4096;
+            let mut symbols = [0u8; CHUNK];
+            for start in (0..body).step_by(CHUNK) {
+                let chunk = &mut symbols[..(body - start).min(CHUNK)];
+                store.decode(start, chunk)?;
+                if chunk.contains(&TERMINAL) {
+                    return Err(StoreError::InvalidText(
+                        "packed payload holds a code outside the alphabet".into(),
+                    ));
+                }
+            }
+        }
+        Ok(store)
+    }
+
+    /// Infers the alphabet from `body`, appends the terminal and packs it.
+    pub fn from_body_inferred(body: &[u8]) -> StoreResult<Self> {
+        let alphabet = Alphabet::infer(body)?;
+        Self::from_body(body, alphabet)
+    }
+
+    /// Overrides the physical block size (bytes of *packed* payload per
+    /// block) used for accounting.
+    pub fn with_block_size(mut self, block_bytes: usize) -> StoreResult<Self> {
+        if block_bytes == 0 {
+            return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
+        }
+        self.block_bytes = block_bytes;
+        Ok(self)
+    }
+
     /// Opens an existing packed string file, recovering the alphabet from the
     /// header.
     #[deny(
@@ -411,7 +323,7 @@ impl PackedDiskStore {
         let mut file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         let header = parse_header(&mut file, file_len)?;
-        Self::over(file, path, header, block_bytes)
+        Self::over_file(file, path, header, block_bytes)
     }
 
     /// Serves a bare packed payload embedded in a larger container (the text
@@ -424,7 +336,6 @@ impl PackedDiskStore {
         clippy::arithmetic_side_effects,
         clippy::indexing_slicing
     )]
-    #[expect(clippy::arithmetic_side_effects, reason = "text_len == 0 is rejected above")]
     pub fn open_region(
         file: File,
         payload_offset: u64,
@@ -435,32 +346,12 @@ impl PackedDiskStore {
         if text_len == 0 {
             return Err(StoreError::InvalidText("packed region holds an empty string".into()));
         }
-        let payload = packed_size(text_len - 1, alphabet.bits_per_symbol()) as u64;
-        crate::disk::region_end(payload_offset, payload, file.metadata()?.len())?;
         let header = ParsedHeader { alphabet, len: text_len, payload_offset };
-        Self::over(file, PathBuf::new(), header, block_bytes)
-    }
-
-    fn over(file: File, path: PathBuf, header: ParsedHeader, block: usize) -> StoreResult<Self> {
-        if block == 0 {
-            return Err(StoreError::InvalidConfig("block size must be non-zero".into()));
-        }
-        Ok(PackedDiskStore {
-            file: Mutex::new(file),
-            path,
-            len: header.len,
-            payload_offset: header.payload_offset,
-            codec: PackedCodec::new(&header.alphabet),
-            alphabet: header.alphabet,
-            block_bytes: block,
-            stats: IoStats::new(),
-            last_end: AtomicU64::new(0),
-            owns_file: false,
-        })
+        Self::over_file(file, PathBuf::new(), header, block_bytes)
     }
 
     /// Packs `body` + out-of-band terminal into a new file at `path` and
-    /// opens it.
+    /// opens it. The file is removed when the store is dropped.
     ///
     /// The file is written to a unique temporary sibling and renamed into
     /// place only on success, so a failed create neither litters a truncated
@@ -482,9 +373,7 @@ impl PackedDiskStore {
             f.into_inner().map_err(|e| StoreError::Io(e.into_error()))?.sync_all()?;
             Ok(())
         })?;
-        let mut store = Self::open(&path, block_bytes)?;
-        store.owns_file = true;
-        Ok(store)
+        Ok(Self::open(&path, block_bytes)?.cleanup_on_drop(true))
     }
 
     /// Packs body + terminal to a fresh file inside `dir` and opens it.
@@ -580,15 +469,17 @@ impl PackedDiskStore {
 
     /// Chooses whether the backing file is deleted when the store is dropped
     /// (stores returned by [`Self::create`] delete it by default; stores from
-    /// [`Self::open`] and [`Self::pack_store`] keep it).
+    /// [`Self::open`] and [`Self::pack_store`] keep it). A store in memory
+    /// has no file to delete.
     pub fn cleanup_on_drop(mut self, owned: bool) -> Self {
-        self.owns_file = owned;
+        self.bytes.set_owned(owned);
         self
     }
 
-    /// The path of the backing file.
+    /// The path of the backing file: empty for a payload in memory or a
+    /// region of a file the caller opened.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.bytes.path()
     }
 
     /// Bits per symbol of the packed payload.
@@ -599,6 +490,36 @@ impl PackedDiskStore {
     /// Size of the packed payload in bytes (header excluded).
     pub fn payload_bytes(&self) -> usize {
         packed_size(self.len - 1, self.codec.bits())
+    }
+
+    /// How many of the `take` symbols at `pos` lie in the body, i.e. have
+    /// payload bits: all but the out-of-band terminal.
+    fn body_count(&self, pos: usize, take: usize) -> usize {
+        take.min((self.len - 1).saturating_sub(pos))
+    }
+
+    /// Decodes the body symbols from `pos` on into `out`, one logical block
+    /// at a time: straight from a memory backing's buffer, and from a file
+    /// through this thread's scratch, which stays one block long however
+    /// long the read.
+    fn decode(&self, pos: usize, out: &mut [u8]) -> StoreResult<()> {
+        let (bits, block) = (self.codec.bits(), self.block_size());
+        let (mut start, mut rest) = (pos, out);
+        while !rest.is_empty() {
+            // Each chunk ends at a logical-block boundary (logical blocks are
+            // whole-byte aligned), so consecutive chunk spans never share a
+            // packed byte and nothing is fetched twice.
+            let n = (block - start % block).min(rest.len());
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            if let Some((lo, hi)) = packed_span(start, n, bits) {
+                let first_bit = (start as u64 * bits as u64 % 8) as u32;
+                self.bytes.with_span(lo, hi - lo + 1, |span| {
+                    self.codec.unpack(span, first_bit, n, chunk);
+                })?;
+            }
+            (start, rest) = (start + n, tail);
+        }
+        Ok(())
     }
 }
 
@@ -630,15 +551,7 @@ pub fn builtin_or_custom(symbols: &[u8]) -> StoreResult<Alphabet> {
     Alphabet::custom(symbols)
 }
 
-impl Drop for PackedDiskStore {
-    fn drop(&mut self) {
-        if self.owns_file {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-impl StringStore for PackedDiskStore {
+impl StringStore for PackedStore {
     fn len(&self) -> usize {
         self.len
     }
@@ -663,62 +576,18 @@ impl StringStore for PackedDiskStore {
         &self.stats
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "span/window math is clamped to the packed length before slicing"
-    )]
+    #[expect(clippy::indexing_slicing, reason = "body < take <= buf.len() bounds both")]
     fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        if pos > self.len {
-            return Err(StoreError::OutOfBounds { pos, len: buf.len(), text_len: self.len });
-        }
-        let take = buf.len().min(self.len - pos);
+        let take = clamp_read(pos, buf.len(), self.len)?;
         if take == 0 {
             return Ok(0);
         }
-        let body_count = (pos + take).min(self.len - 1).saturating_sub(pos);
-        let span = packed_span(pos, body_count, self.codec.bits());
-        if span.is_some() {
-            // Oversized requests (e.g. a whole-string read_all) are served in
-            // logical-block chunks so the per-thread scratch stays bounded at
-            // a few blocks instead of growing to the full packed payload.
-            let chunk_symbols = self.block_size();
-            let mut done = 0usize;
-            while done < body_count {
-                // Each chunk ends at a logical-block boundary (logical blocks
-                // are whole-byte aligned), so consecutive chunk spans never
-                // share a packed byte and nothing is fetched twice.
-                let start = pos + done;
-                let to_boundary = chunk_symbols - (start % chunk_symbols);
-                let n = to_boundary.min(body_count - done);
-                #[expect(clippy::expect_used, reason = "n was checked positive above")]
-                let (clo, chi) = packed_span(start, n, self.codec.bits()).expect("n is positive");
-                // The file mutex guards only the seek + read; the packed
-                // bytes land in a per-thread scratch buffer and are decoded
-                // after the lock is released, so worker threads of the
-                // shared-memory scheduler overlap their decode work.
-                SCRATCH.with(|cell| -> StoreResult<()> {
-                    let mut scratch = cell.borrow_mut();
-                    let want = chi - clo + 1;
-                    if scratch.len() < want {
-                        scratch.resize(want, 0);
-                    }
-                    let span_buf = &mut scratch[..want];
-                    {
-                        let mut file = lock(&self.file);
-                        file.seek(SeekFrom::Start(self.payload_offset + clo as u64))?;
-                        file.read_exact(span_buf)?;
-                    }
-                    let first_bit = (start as u64 * self.codec.bits() as u64 % 8) as u32;
-                    self.codec.unpack(span_buf, first_bit, n, &mut buf[done..done + n]);
-                    Ok(())
-                })?;
-                done += n;
-            }
+        let body = self.body_count(pos, take);
+        self.decode(pos, &mut buf[..body])?;
+        if take > body {
+            buf[body] = TERMINAL;
         }
-        if take > body_count {
-            buf[take - 1] = TERMINAL;
-        }
-        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
+        self.stats.charge_read(pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 
@@ -726,28 +595,28 @@ impl StringStore for PackedDiskStore {
         self.codec.bits()
     }
 
-    /// The payload span goes from the file straight into `buf`: no scratch
-    /// buffer, no decode.
+    /// The payload span goes from memory or the file straight into `buf`: no
+    /// scratch buffer, no decode.
     fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
-        if pos > self.len {
-            return Err(StoreError::OutOfBounds { pos, len: count, text_len: self.len });
-        }
-        let take = count.min(self.len - pos);
+        let take = clamp_read(pos, count, self.len)?;
         if take == 0 {
             return Ok(0);
         }
-        if let Some((lo, hi)) = body_span(pos, take, self.len, self.codec.bits()) {
-            let span = code_span(buf, hi - lo + 1)?;
-            let mut file = lock(&self.file);
-            file.seek(SeekFrom::Start(self.payload_offset + lo as u64))?;
-            file.read_exact(span)?;
+        if let Some((lo, hi)) = packed_span(pos, self.body_count(pos, take), self.codec.bits()) {
+            self.bytes.read_exact_at(lo, code_span(buf, hi - lo + 1)?)?;
         }
-        self.stats.charge_read(&self.last_end, pos, take, self.read_cost(pos, take));
+        self.stats.charge_read(pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 
+    /// The packed byte span covering the body symbols of the read (the
+    /// terminal is out-of-band and costs nothing), plus the physical blocks
+    /// it touches.
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
-        packed_read_cost(pos, take, self.len, self.codec.bits(), self.block_bytes)
+        match packed_span(pos, self.body_count(pos, take), self.codec.bits()) {
+            Some((lo, hi)) => ((hi - lo + 1) as u64, blocks_spanned(lo, hi, self.block_bytes)),
+            None => (0, 0),
+        }
     }
 }
 
@@ -1061,27 +930,63 @@ mod tests {
 
     #[test]
     fn concurrent_readers_decode_in_parallel() {
+        // Reads by position share no file cursor: four threads on one file,
+        // two decoding and two taking codes, each get exactly their bytes,
+        // and the store charges exactly the read_cost of every read — on
+        // both encodings.
         let dir = temp_dir();
         let body: Vec<u8> = (0..20_000).map(|i| b"ACGT"[(i * 17 + i / 9) % 4]).collect();
-        let store =
+        let packed =
             PackedDiskStore::create_in_dir(&dir, "concurrent", &body, Alphabet::dna()).unwrap();
+        let raw = DiskStore::create_in_dir(&dir, "concurrent-raw", &body, Alphabet::dna()).unwrap();
         let mut expect = body.clone();
         expect.push(TERMINAL);
-        std::thread::scope(|scope| {
-            for t in 0..4usize {
-                let store = &store;
-                let expect = &expect;
-                scope.spawn(move || {
-                    let mut buf = vec![0u8; 997];
-                    let mut pos = t * 13;
-                    while pos < store.len() {
-                        let got = store.read_at(pos, &mut buf).unwrap();
-                        assert_eq!(&buf[..got], &expect[pos..pos + got], "thread {t} pos {pos}");
-                        pos += 1777;
-                    }
-                });
-            }
-        });
+        let payload = PackedCodec::new(&Alphabet::dna()).pack_body(&body).unwrap();
+        for (store, codes) in [(&packed as &dyn StringStore, &payload), (&raw, &expect)] {
+            let bits = store.code_bits() as usize;
+            let start = std::sync::Barrier::new(4);
+            let charged = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..4usize)
+                    .map(|t| {
+                        let (expect, start) = (&expect, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            let (mut bytes, mut blocks) = (0, 0);
+                            let mut buf = vec![0u8; 997];
+                            let mut pos = t * 13;
+                            while pos < store.len() {
+                                let got = if t % 2 == 0 {
+                                    let got = store.read_at(pos, &mut buf).unwrap();
+                                    assert_eq!(&buf[..got], &expect[pos..pos + got], "pos {pos}");
+                                    got
+                                } else {
+                                    store.read_codes_at(pos, buf.len(), &mut buf).unwrap()
+                                };
+                                let cost = store.read_cost(pos, got);
+                                if t % 2 == 1 {
+                                    let (lo, n) = (pos * bits / 8, cost.0 as usize);
+                                    assert_eq!(&buf[..n], &codes[lo..lo + n], "codes at {pos}");
+                                }
+                                (bytes, blocks) = (bytes + cost.0, blocks + cost.1);
+                                pos += 1777;
+                            }
+                            (bytes, blocks)
+                        })
+                    })
+                    .collect();
+                readers
+                    .into_iter()
+                    .map(|r| r.join().unwrap())
+                    .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+            });
+            let snap = store.stats().snapshot();
+            assert_eq!(
+                (snap.bytes_read, snap.blocks_read),
+                charged,
+                "packed: {}",
+                store.is_packed()
+            );
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub struct IoStats {
     random_seeks: AtomicU64,
     blocks_skipped: AtomicU64,
     full_scans: AtomicU64,
+    /// Where the last charged read ended: the cursor [`Self::charge_read`]
+    /// classifies the next read against. A fresh cursor is at offset 0.
+    last_end: AtomicU64,
 }
 
 impl IoStats {
@@ -75,37 +78,22 @@ impl IoStats {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Classifies one read at `pos` returning `take` symbols against the
-    /// reader's `last_end` cursor and records it: sequential iff it starts
-    /// exactly where the previous read ended (a fresh cursor starts at 0, so
-    /// the first read at offset 0 counts as sequential), a random seek
-    /// otherwise.
+    /// Charges one read of `take` symbols at `pos` that cost
+    /// `(bytes, blocks)` — the store's `read_cost` of it — and classifies it
+    /// against this counter set's own cursor: sequential iff it starts
+    /// exactly where the previous read ended (a fresh cursor is at 0, so the
+    /// first read at offset 0 counts as sequential), a random seek otherwise.
     ///
-    /// This is the one classification rule every store's `read_at` — and
-    /// every per-consumer mirror such as
-    /// [`StoreTextSource`](crate::StoreTextSource) — applies, kept here so it
+    /// This is the one accounting rule every store read, decoded or not, and
+    /// every per-consumer mirror of one such as
+    /// [`StoreTextSource`](crate::StoreTextSource) applies, kept here so it
     /// cannot drift between them.
-    pub fn record_access(&self, last_end: &AtomicU64, pos: usize, take: usize) {
-        let prev = last_end.swap((pos + take) as u64, Ordering::Relaxed);
-        if prev == pos as u64 {
+    pub fn charge_read(&self, pos: usize, take: usize, (bytes, blocks): (u64, u64)) {
+        if self.last_end.swap((pos + take) as u64, Ordering::Relaxed) == pos as u64 {
             self.add_sequential_reads(1);
         } else {
             self.add_random_seeks(1);
         }
-    }
-
-    /// Charges one read of `take` symbols at `pos` that cost
-    /// `(bytes, blocks)` — the store's `read_cost` of it: its classification
-    /// ([`Self::record_access`]) and its bytes and blocks. Every store read,
-    /// decoded or not, and every per-consumer mirror of one is charged so.
-    pub fn charge_read(
-        &self,
-        last_end: &AtomicU64,
-        pos: usize,
-        take: usize,
-        (bytes, blocks): (u64, u64),
-    ) {
-        self.record_access(last_end, pos, take);
         self.add_bytes_read(bytes);
         self.add_blocks_read(blocks);
     }
@@ -122,7 +110,7 @@ impl IoStats {
         }
     }
 
-    /// Resets every counter to zero.
+    /// Resets every counter to zero and the cursor to offset 0.
     pub fn reset(&self) {
         self.bytes_read.store(0, Ordering::Relaxed);
         self.blocks_read.store(0, Ordering::Relaxed);
@@ -130,6 +118,7 @@ impl IoStats {
         self.random_seeks.store(0, Ordering::Relaxed);
         self.blocks_skipped.store(0, Ordering::Relaxed);
         self.full_scans.store(0, Ordering::Relaxed);
+        self.last_end.store(0, Ordering::Relaxed);
     }
 }
 

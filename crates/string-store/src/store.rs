@@ -7,9 +7,13 @@ use crate::stats::IoStats;
 /// Read-only access to the input string `S` (terminated by the terminal
 /// symbol), with every access recorded in [`IoStats`].
 ///
-/// Both ERA and the baselines are generic over this trait; the benchmarks use
-/// [`crate::DiskStore`] (real file, block reads) while most unit tests use
-/// [`crate::InMemoryStore`].
+/// Both ERA and the baselines are generic over this trait. The crate
+/// implements it twice, once per encoding: [`crate::RawStore`] (one byte per
+/// symbol; named [`crate::DiskStore`] where it reads a file, as in the
+/// benchmarks, and [`crate::InMemoryStore`] where it holds the text, as in
+/// most unit tests) and [`crate::PackedStore`] (the §6.1 bit-packed
+/// encoding). Either keeps its bytes in memory or reads them from a file by
+/// position.
 pub trait StringStore: Send + Sync {
     /// Total length of the stored string, *including* the terminal symbol.
     fn len(&self) -> usize;
@@ -110,10 +114,7 @@ pub trait StringStore: Send + Sync {
     /// Reads exactly `len` bytes at `pos` into a fresh vector, clamping at the
     /// end of the string (the returned vector may be shorter than `len`).
     fn read_range(&self, pos: usize, len: usize) -> StoreResult<Vec<u8>> {
-        if pos > self.len() {
-            return Err(StoreError::OutOfBounds { pos, len, text_len: self.len() });
-        }
-        let take = len.min(self.len() - pos);
+        let take = clamp_read(pos, len, self.len())?;
         let mut buf = vec![0u8; take];
         #[expect(clippy::disallowed_methods, reason = "read_exact_at is part of the store seam")]
         let got = self.read_at(pos, &mut buf)?;
@@ -125,6 +126,15 @@ pub trait StringStore: Send + Sync {
     fn read_all(&self) -> StoreResult<Vec<u8>> {
         self.stats().add_full_scan();
         self.read_range(0, self.len())
+    }
+}
+
+/// How many of `want` symbols a read at `pos` of a `text_len`-symbol string
+/// serves — fewer only at its end — or `OutOfBounds` for a `pos` past it.
+pub(crate) fn clamp_read(pos: usize, want: usize, text_len: usize) -> StoreResult<usize> {
+    match text_len.checked_sub(pos) {
+        Some(left) => Ok(want.min(left)),
+        None => Err(StoreError::OutOfBounds { pos, len: want, text_len }),
     }
 }
 

@@ -29,7 +29,6 @@
 #![expect(clippy::disallowed_methods, reason = "the accounted-I/O seam")]
 
 use std::cell::RefCell;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use crate::block_cache::{BlockCache, CacheSnapshot, CacheStats};
@@ -153,10 +152,9 @@ pub struct StoreTextSource<'a> {
     cache: Option<Arc<BlockCache>>,
     /// I/O this source caused, mirroring the store's accounting rule
     /// ([`StringStore::read_cost`]); sequential/random classification uses
-    /// the source's *own* read cursor, which is the honest per-consumer view
-    /// when several sources take turns on one store.
+    /// these counters' *own* read cursor, which is the honest per-consumer
+    /// view when several sources take turns on one store.
     local_io: IoStats,
-    local_last_end: AtomicU64,
     /// Cache lookups/insertions/evictions this source caused.
     local_cache: CacheStats,
 }
@@ -182,7 +180,6 @@ impl<'a> StoreTextSource<'a> {
             window: RefCell::new(Window::default()),
             cache: None,
             local_io: IoStats::new(),
-            local_last_end: AtomicU64::new(0),
             local_cache: CacheStats::new(),
         }
     }
@@ -223,9 +220,9 @@ impl<'a> StoreTextSource<'a> {
     /// Records one store read on the source's local counters, mirroring what
     /// the store's global counters charged for it (same bytes/blocks rule via
     /// [`StringStore::read_cost`], same sequential/random rule via
-    /// [`IoStats::record_access`] against the source's own read cursor).
+    /// [`IoStats::charge_read`] against the source's own read cursor).
     fn record_read(&self, pos: usize, got: usize) {
-        self.local_io.charge_read(&self.local_last_end, pos, got, self.store.read_cost(pos, got));
+        self.local_io.charge_read(pos, got, self.store.read_cost(pos, got));
     }
 
     /// Makes the window cover `[lo, hi)`, fetching on a miss — through the

@@ -211,7 +211,7 @@ pub fn groups_into_tree(text_len: usize, groups: Vec<CatalogGroup>) -> Partition
 #[expect(
     clippy::arithmetic_side_effects,
     clippy::cast_possible_truncation,
-    reason = "text_len - 1 follows the zero check and alen as u8 the 1..=255 check; entries.len() and prefix.len() as u32 are unguarded: no build entry bounds the group count or a prefix below 2^32"
+    reason = "text_len - 1 follows the zero check and alen as u8 the 1..=255 check; entries.len() and prefix.len() fit a u32: each group and each prefix covers at least one suffix, and ConstructionPipeline::run refuses a text of u32::MAX symbols or more"
 )]
 pub fn encode_catalog(
     generation: u64,

@@ -51,7 +51,7 @@ pub(crate) const MAX_PREFIX_LEN: usize = 1 << 10;
 /// the text length, the node count, then the fixed 16-byte records verbatim.
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "text_len() widens a u32 field; node_count() as u32 is unguarded: freeze counts ids in u32 and no build entry bounds a text below 2^31 symbols"
+    reason = "text_len() widens a u32 field; node_count() as u32 is unguarded: freeze counts ids in u32, and ConstructionPipeline::run holds a text below u32::MAX symbols but not its trees below 2^32 nodes (up to two per suffix)"
 )]
 pub fn write_flat_tree<W: Write>(w: &mut W, tree: &FlatTree) -> io::Result<()> {
     w.write_all(FLAT_MAGIC)?;
