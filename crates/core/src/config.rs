@@ -126,12 +126,15 @@ pub struct EraConfig {
     /// DNA — at the cost of decoding each block on the fly.
     pub packed: bool,
     /// Capacity, in decoded bytes, of the serving path's shared
-    /// decoded-block cache (`0` disables caching). Store-backed engines of a
-    /// [`crate::SuffixIndex`] consult this LRU before every store read, so
-    /// repeated and overlapping patterns — across workers and across
-    /// batches — are answered with zero store I/O, and packed blocks are
-    /// decoded once instead of once per toucher. Purely a serving knob;
-    /// construction scans never use it.
+    /// decoded-block cache (`0` disables caching). It caches the decoded
+    /// blocks of a *file-backed* text only: when a [`crate::SuffixIndex`]
+    /// serves a text left in a file (a text segment larger than
+    /// [`Self::memory_budget`]), its engines consult this LRU before every
+    /// store read, so repeated and overlapping patterns — across workers and
+    /// across batches — are answered with zero store I/O, and packed blocks
+    /// are decoded once instead of once per toucher. A text in memory, raw
+    /// or packed, is matched in place and gets no cache. Purely a serving
+    /// knob; construction scans never use it.
     pub cache_bytes: usize,
     /// Whether to run the *deep* (text-backed) index validation on every
     /// build and load: every sub-tree is checked against the text (edge

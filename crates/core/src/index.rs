@@ -44,11 +44,11 @@ use crate::report::ConstructionReport;
 enum TextBacking {
     /// The text lives in memory (every index built from bytes).
     Memory(Arc<Vec<u8>>),
-    /// The text stays in a store — raw or packed, usually on disk — and is
-    /// only materialized into the cache if a caller asks for it as a slice
-    /// ([`SuffixIndex::text`], or to save the index). Queries and
-    /// [`SuffixIndex::verify`] never do: they resolve edge labels through the
-    /// store.
+    /// The text stays in a store — a packed payload in memory, or a raw or
+    /// packed file — and is only materialized into the cache if a caller
+    /// asks for it as a slice ([`SuffixIndex::text`], or to save the index).
+    /// Queries and [`SuffixIndex::verify`] never do: they match a payload in
+    /// memory code by code and read a file through the store.
     Store { store: Arc<dyn StringStore>, cache: OnceLock<Arc<Vec<u8>>> },
 }
 
@@ -84,10 +84,11 @@ pub struct SuffixIndex {
     /// Capacity of the serving path's decoded-block cache in bytes
     /// ([`EraConfig::cache_bytes`]; 0 disables it).
     cache_bytes: usize,
-    /// The shared decoded-block cache of store-backed serving (`None` for
-    /// in-memory backings and when disabled), created eagerly with the index
-    /// and shared by every engine — and so every batch and worker — of this
-    /// index; clones of the index share the same cache.
+    /// The shared decoded-block cache of a text served from a file (`None`
+    /// for a text in memory, packed or not, and when disabled), created
+    /// eagerly with the index and shared by every engine — and so every
+    /// batch and worker — of this index; clones of the index share the same
+    /// cache.
     block_cache: Option<Arc<BlockCache>>,
     /// Generation number stamped into the catalog by [`Self::save_to_file`]
     /// (fresh builds start at 0; [`Self::open_file`] restores the saved one).
@@ -156,10 +157,11 @@ impl SuffixIndex {
         &self.report
     }
 
-    /// A [`QueryEngine`] over this index: the in-memory text fast path when
-    /// the text is materialized, the I/O-accounted store path otherwise.
+    /// A [`QueryEngine`] over this index: a text in memory — raw bytes, or a
+    /// packed payload compared code by code — is matched in place, and a
+    /// text left in a file is read through the I/O-accounted store path.
     ///
-    /// Store-backed engines automatically share the index's decoded-block
+    /// Engines over a file automatically share the index's decoded-block
     /// cache (see [`Self::block_cache`]), so even engines created per
     /// request serve repeated patterns warm. Tune or disable it with
     /// [`Self::with_cache_bytes`] / [`SuffixIndexBuilder::cache_bytes`].
@@ -176,20 +178,22 @@ impl SuffixIndex {
         }
     }
 
-    /// The shared decoded-block cache serving this index's store-backed
-    /// queries: `None` for in-memory indexes (no store reads to save) and
-    /// when caching is disabled (`cache_bytes` of 0).
+    /// The shared decoded-block cache serving this index's queries when its
+    /// text stays in a file: `None` when the text is in memory, raw or packed
+    /// (it is matched in place, with no store reads to save), and when
+    /// caching is disabled (`cache_bytes` of 0).
     pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         self.block_cache.as_ref()
     }
 
     /// Replaces the serving cache capacity (`0` disables caching). Any
     /// previously created cache is dropped; the next [`Self::engine`] starts
-    /// cold with the new bound.
+    /// cold with the new bound. An index whose text is in memory gets no
+    /// cache whatever the capacity.
     pub fn with_cache_bytes(mut self, cache_bytes: usize) -> Self {
         self.cache_bytes = cache_bytes;
         self.block_cache = match &self.backing {
-            TextBacking::Store { .. } if cache_bytes > 0 => {
+            TextBacking::Store { store, .. } if cache_bytes > 0 && store.resident().is_none() => {
                 Some(Arc::new(BlockCache::new(cache_bytes)))
             }
             _ => None,
@@ -266,8 +270,9 @@ impl SuffixIndex {
     ///
     /// This is the text-backed check behind [`EraConfig::paranoid`] (and
     /// `era-check fsck --deep`). It looks at one sub-tree at a time and reads
-    /// the text where the index keeps it — a store-backed index is verified
-    /// block-wise through its store and block cache, never materialized — at
+    /// the text where the index keeps it — a packed payload in memory code by
+    /// code, a text left in a file block-wise through its store and block
+    /// cache, neither ever materialized — at
     /// a cost of about one symbol per edge plus the sum of the text's LCP
     /// array (≈ `n log n` on random text, `text_len / 8` bytes of scratch),
     /// so it is not part of the ordinary serving path. The cheap structural
@@ -346,7 +351,8 @@ impl SuffixIndex {
     ///
     /// The footer and TOC are read first. A text segment that fits
     /// [`EraConfig::memory_budget`] is materialized in one sequential read of
-    /// the file (raw texts in memory, packed ones in a [`PackedMemoryStore`]).
+    /// the file (raw texts in memory, packed ones in a [`PackedMemoryStore`],
+    /// whose payload queries match code by code, with no block cache).
     /// A larger one *stays on disk*: its checksum is verified in a
     /// bounded-buffer streaming pass, only the group segments are loaded, and
     /// queries read the text block-wise from a [`DiskStore`]/
@@ -833,7 +839,10 @@ mod tests {
         assert!(store.is_packed());
         assert_eq!(loaded.find_all(b"GATTACA"), index.find_all(b"GATTACA"));
         assert_eq!(loaded.count(b"AT"), index.count(b"AT"));
-        assert!(store.stats().snapshot().bytes_read > 0, "queries must hit the store");
+        // The payload in memory is matched code by code where it lies: no
+        // store read, and no decoded-block cache to fill.
+        assert_eq!(store.stats().snapshot().bytes_read, 0, "queries read the payload in place");
+        assert!(loaded.block_cache().is_none(), "a resident packed text needs no block cache");
         // The text cache materializes lazily and matches.
         assert_eq!(loaded.text(), index.text());
 

@@ -80,11 +80,14 @@
 //! A query has one path: the `PartitionedSuffixTree` call of its kind
 //! (`try_contains`, `try_count`, `try_find_all`) routes the pattern by its
 //! leading symbols through the partition trie and descends each candidate
-//! sub-tree, resolving edge labels through a `TextSource` — the materialized
-//! text when available, or a reused window over any raw/packed `StringStore`
-//! otherwise. A batch is that call in a loop, optionally cut into contiguous
-//! chunks on scoped threads ([`QueryEngine::threads`]). [`SuffixIndex::engine`]
-//! and [`SuffixIndex::query_batch`] are the entry points; a catalog whose text
+//! sub-tree, resolving edge labels through a `TextSource`. A text in memory
+//! is matched where it lies (`ResidentText`): the materialized bytes, or a
+//! `PackedMemoryStore`'s payload compared code by code, with no window, no
+//! decode and no cache. A text left in a file is read through a reused
+//! window over its raw/packed `StringStore`. A batch is that call in a loop,
+//! optionally cut into contiguous chunks on scoped threads
+//! ([`QueryEngine::threads`]). [`SuffixIndex::engine`] and
+//! [`SuffixIndex::query_batch`] are the entry points; a catalog whose text
 //! segment exceeds the memory budget is served by [`SuffixIndex::open_file`]
 //! straight from a `DiskStore`/`PackedDiskStore` over that segment without
 //! ever materializing the text, with the I/O of every batch reported in
@@ -93,17 +96,18 @@
 //! [`SuffixIndex::contains`]/[`SuffixIndex::count`]/[`SuffixIndex::find_all`]
 //! remain as thin single-query wrappers.
 //!
-//! Store-backed serving is accelerated by a shared **decoded-block cache**
+//! Serving from a file is accelerated by a shared **decoded-block cache**
 //! (`era_string_store::BlockCache`, a sharded capacity-bounded LRU): every
 //! worker consults it before reading the store, and it outlives individual
 //! batches, so repeated and overlapping patterns are answered with zero
 //! store I/O — and packed blocks are decoded once, not once per toucher.
-//! A [`SuffixIndex`] owns one automatically for store-backed serving, sized
-//! by [`EraConfig::cache_bytes`] / [`SuffixIndexBuilder::cache_bytes`]
-//! (tune or disable per index with [`SuffixIndex::with_cache_bytes`]);
-//! standalone engines opt in with [`QueryEngine::cache`] or share one via
-//! `QueryEngine::with_cache`. Per-batch hit/miss/eviction/decoded-byte
-//! counters ride in [`QueryStats`] next to the I/O snapshot.
+//! A [`SuffixIndex`] owns one automatically when its text stays in a file
+//! (a text in memory gets none), sized by [`EraConfig::cache_bytes`] /
+//! [`SuffixIndexBuilder::cache_bytes`] (tune or disable per index with
+//! [`SuffixIndex::with_cache_bytes`]); standalone engines opt in with
+//! [`QueryEngine::cache`] or share one via `QueryEngine::with_cache`.
+//! Per-batch hit/miss/eviction/decoded-byte counters ride in [`QueryStats`]
+//! next to the I/O snapshot.
 //!
 //! ## Whole-index operations: one sub-tree at a time
 //!

@@ -3,11 +3,12 @@
 //! The paper motivates ERA's trees with serving exact-match, counting and
 //! occurrence-listing queries over massive genomes. This module is that
 //! serving path: a [`QueryEngine`] layered over the
-//! [`StringStore`](era_string_store::StringStore) abstraction, so edge labels
-//! resolve either from an in-memory byte slice (the zero-overhead fast path)
-//! or from a raw/packed store through
+//! [`StringStore`](era_string_store::StringStore) abstraction. A text in
+//! memory — a byte slice, or a store's raw bytes or packed payload
+//! ([`ResidentText`]) — is matched where it lies, the packed one code by
+//! code. A store that reads a file is served through
 //! [`StoreTextSource`](era_string_store::StoreTextSource)'s reused window
-//! buffer — the text never has to be materialized, and every byte the
+//! buffer: the text never has to be materialized, and every byte the
 //! traversals fetch is visible in the store's I/O counters.
 //!
 //! Queries are typed ([`Query::Contains`], [`Query::Count`],
@@ -18,21 +19,23 @@
 //! partition trie and descends each candidate sub-tree. [`QueryEngine::run`]
 //! only loops over the batch: with [`QueryEngine::threads`] above one it cuts
 //! the batch into that many contiguous chunks, one scoped thread each, and
-//! concatenates the answers in submission order. Each chunk reuses one window
-//! buffer across every pattern it serves, which is where the batched path
-//! beats issuing the same queries one by one. The [`QueryResponse`] carries
-//! per-query results plus a [`QueryStats`] snapshot (wall-clock, partition
-//! visits, I/O and cache activity, all attributed per chunk and summed — two
-//! engines sharing one store never see each other's traffic).
+//! concatenates the answers in submission order. Over a file-backed store
+//! each chunk reuses one window buffer across every pattern it serves, which
+//! is where the batched path beats issuing the same queries one by one. The
+//! [`QueryResponse`] carries per-query results plus a [`QueryStats`] snapshot
+//! (wall-clock, partition visits, I/O and cache activity, all attributed per
+//! chunk and summed — two engines sharing one store never see each other's
+//! traffic).
 //!
-//! Store-backed engines can attach a shared [`BlockCache`] of decoded blocks
-//! ([`QueryEngine::cache`]/[`QueryEngine::with_cache`]): the cache outlives
-//! individual batches and is consulted by every worker's window before the
-//! store, so repeated or overlapping patterns — across workers *and* across
-//! successive batches — are served with zero store I/O, and packed blocks
-//! are decoded once instead of once per toucher. [`crate::SuffixIndex`]
-//! attaches one automatically for store-backed indexes (sized by
-//! [`crate::EraConfig::cache_bytes`]).
+//! Engines over a file-backed store can attach a shared [`BlockCache`] of
+//! decoded blocks ([`QueryEngine::cache`]/[`QueryEngine::with_cache`]): the
+//! cache outlives individual batches and is consulted by every worker's
+//! window before the store, so repeated or overlapping patterns — across
+//! workers *and* across successive batches — are served with zero store I/O,
+//! and packed blocks are decoded once instead of once per toucher.
+//! [`crate::SuffixIndex`] attaches one automatically when it serves from a
+//! file (sized by [`crate::EraConfig::cache_bytes`]). A resident text needs
+//! none and consults none.
 
 #![deny(
     clippy::indexing_slicing,
@@ -46,7 +49,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use era_string_store::{
-    BlockCache, CacheSnapshot, IoSnapshot, StoreResult, StoreTextSource, StringStore, TextSource,
+    BlockCache, CacheSnapshot, IoSnapshot, ResidentText, StoreResult, StoreTextSource, StringStore,
+    TextSource,
 };
 use era_suffix_tree::PartitionedSuffixTree;
 
@@ -220,18 +224,20 @@ pub struct QueryStats {
     /// partitions the trie sends its pattern to (every partition for an
     /// empty pattern), summed over the batch.
     pub partition_visits: usize,
-    /// I/O the batch caused on the backing store (all-zero for the in-memory
-    /// text fast path, which performs no accounted I/O).
+    /// I/O the batch caused on the backing store: all-zero for a text in
+    /// memory — a slice, or a store's raw bytes or packed payload, matched in
+    /// place — and the window fetches of a store that reads a file.
     ///
     /// Attributed per worker through each worker's own
     /// [`StoreTextSource`] counters and summed — *not* a global store-stats
     /// delta — so two engines running concurrently on one shared store each
     /// report exactly the I/O their own batch caused.
     pub io: IoSnapshot,
-    /// Decoded-block cache activity of the batch (all-zero when no cache is
-    /// attached): hits served with zero store I/O, misses that read and — on
-    /// packed stores — decoded a block, evictions and decoded bytes. Summed
-    /// per worker like [`Self::io`].
+    /// Decoded-block cache activity of the batch: hits served with zero store
+    /// I/O, misses that read and — on packed stores — decoded a block,
+    /// evictions and decoded bytes. Summed per worker like [`Self::io`].
+    /// All-zero when no cache is attached and for a text in memory, which
+    /// consults no cache.
     pub cache: CacheSnapshot,
 }
 
@@ -272,26 +278,27 @@ struct Chunk {
 
 /// How the engine resolves edge labels.
 enum Backing<'a> {
-    /// The materialized text: infallible, no I/O accounting.
-    Text(&'a [u8]),
-    /// Any store, raw or packed: served through per-worker
+    /// A text in memory — a slice, or a store's raw bytes or packed payload —
+    /// matched in place: no window, no cache, no I/O accounting.
+    Resident(ResidentText<'a>),
+    /// A store reading a file, raw or packed: served through per-worker
     /// [`StoreTextSource`] windows, every fetch I/O-accounted.
     Store(&'a dyn StringStore),
 }
 
-/// A per-worker text view (one window buffer per worker for store backings);
-/// the index's whole-text operations read through one as well.
+/// A per-worker text view (one window buffer per worker for a file-backed
+/// store); the index's whole-text operations read through one as well.
 pub(crate) enum WorkerSource<'a> {
-    Text(&'a [u8]),
+    Resident(ResidentText<'a>),
     Store(StoreTextSource<'a>),
 }
 
 impl WorkerSource<'_> {
-    /// The I/O and cache activity this worker's source caused (zero for the
-    /// in-memory text path).
+    /// The I/O and cache activity this worker's source caused (zero for a
+    /// resident text).
     fn counters(&self) -> (IoSnapshot, CacheSnapshot) {
         match self {
-            WorkerSource::Text(_) => (IoSnapshot::default(), CacheSnapshot::default()),
+            WorkerSource::Resident(_) => (IoSnapshot::default(), CacheSnapshot::default()),
             WorkerSource::Store(s) => (s.io(), s.cache_activity()),
         }
     }
@@ -300,21 +307,21 @@ impl WorkerSource<'_> {
 impl TextSource for WorkerSource<'_> {
     fn len(&self) -> usize {
         match self {
-            WorkerSource::Text(t) => t.len(),
+            WorkerSource::Resident(t) => t.len(),
             WorkerSource::Store(s) => s.len(),
         }
     }
 
     fn symbol_at(&self, pos: usize) -> StoreResult<u8> {
         match self {
-            WorkerSource::Text(t) => t.symbol_at(pos),
+            WorkerSource::Resident(t) => t.symbol_at(pos),
             WorkerSource::Store(s) => s.symbol_at(pos),
         }
     }
 
     fn common_prefix(&self, start: usize, end: usize, pat: &[u8]) -> StoreResult<usize> {
         match self {
-            WorkerSource::Text(t) => t.common_prefix(start, end, pat),
+            WorkerSource::Resident(t) => t.common_prefix(start, end, pat),
             WorkerSource::Store(s) => s.common_prefix(start, end, pat),
         }
     }
@@ -340,13 +347,24 @@ impl<'a> QueryEngine<'a> {
     /// An engine answering from the materialized text (no I/O, infallible
     /// label resolution).
     pub fn over_text(tree: &'a PartitionedSuffixTree, text: &'a [u8]) -> Self {
-        QueryEngine { tree, backing: Backing::Text(text), threads: 1, cache: None }
+        QueryEngine { tree, backing: Backing::Resident(text.into()), threads: 1, cache: None }
     }
 
     /// An engine answering from a store — raw or packed, in memory or on
     /// disk — without materializing the text.
+    ///
+    /// A store that holds its text in memory ([`StringStore::resident`]) is
+    /// served exactly as [`Self::over_text`] serves a slice: its bytes or
+    /// packed codes are matched in place, no cache is consulted, and
+    /// [`QueryStats::io`] and [`QueryStats::cache`] stay zero. A store that
+    /// reads a file is served through per-worker [`StoreTextSource`] windows,
+    /// every fetch I/O-accounted.
     pub fn over_store(tree: &'a PartitionedSuffixTree, store: &'a dyn StringStore) -> Self {
-        QueryEngine { tree, backing: Backing::Store(store), threads: 1, cache: None }
+        let backing = match store.resident() {
+            Some(text) => Backing::Resident(text),
+            None => Backing::Store(store),
+        };
+        QueryEngine { tree, backing, threads: 1, cache: None }
     }
 
     /// Sets how many threads answer a batch (min 1): [`Self::run`] splits the
@@ -360,8 +378,9 @@ impl<'a> QueryEngine<'a> {
     /// (0 detaches). The cache lives as long as the engine, shared by every
     /// worker of every batch the engine runs, so re-running identical or
     /// overlapping patterns serves them from decoded blocks with zero store
-    /// I/O. Only store backings consult it; the in-memory text path needs no
-    /// cache and ignores it.
+    /// I/O. Only a store that reads a file consults it; a text in memory —
+    /// a slice, or a store's raw bytes or packed payload — is matched in
+    /// place and ignores it.
     pub fn cache(mut self, capacity_bytes: usize) -> Self {
         self.cache = if capacity_bytes == 0 {
             None
@@ -498,7 +517,7 @@ impl<'a> QueryEngine<'a> {
 
     pub(crate) fn worker_source(&self) -> WorkerSource<'a> {
         match self.backing {
-            Backing::Text(text) => WorkerSource::Text(text),
+            Backing::Resident(text) => WorkerSource::Resident(text),
             Backing::Store(store) => {
                 let source = StoreTextSource::new(store);
                 WorkerSource::Store(match &self.cache {
@@ -514,9 +533,17 @@ impl<'a> QueryEngine<'a> {
 mod tests {
     use super::*;
     use crate::SuffixIndex;
-    use era_string_store::{Alphabet, InMemoryStore, PackedMemoryStore};
+    use era_string_store::{
+        Alphabet, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore,
+    };
 
     const BODY: &[u8] = b"TGGTGGTGGTGCGGTGATGGTGC";
+
+    /// A file name unique to one test of this process, for the file-backed
+    /// stores whose reads are I/O (each removes its file on drop).
+    fn temp_name(test: &str) -> String {
+        format!("era-query-{test}-{}", std::process::id())
+    }
 
     fn index() -> SuffixIndex {
         SuffixIndex::builder().memory_budget(1 << 20).build_from_bytes(BODY).unwrap()
@@ -565,14 +592,29 @@ mod tests {
     #[test]
     fn store_backed_engine_accounts_io_and_matches_text_path() {
         let index = index();
-        let raw = InMemoryStore::from_body(BODY, Alphabet::dna()).unwrap();
-        let packed = PackedMemoryStore::from_body(BODY, Alphabet::dna()).unwrap();
+        let (dir, name) = (std::env::temp_dir(), temp_name("accounts-io"));
+        let raw = DiskStore::create_in_dir(&dir, &name, BODY, Alphabet::dna()).unwrap();
+        let packed = PackedDiskStore::create_in_dir(&dir, &name, BODY, Alphabet::dna()).unwrap();
         let batch: QueryBatch = [&b"TG"[..], b"TGC", b"GGTGATG", b"AAA", b"", b"C"]
             .iter()
             .map(|p| Query::locate(*p))
             .collect();
         let from_text = index.query_batch(&batch).unwrap();
-        for store in [&raw as &dyn era_string_store::StringStore, &packed] {
+        // A store holding its text in memory is matched in place, like the
+        // slice: no I/O and no cache activity, even with a cache attached,
+        // and the same through an `Arc` or a reference.
+        let raw_memory = InMemoryStore::from_body(BODY, Alphabet::dna()).unwrap();
+        let packed_memory = Arc::new(PackedMemoryStore::from_body(BODY, Alphabet::dna()).unwrap());
+        let by_ref = &*packed_memory;
+        for store in [&raw_memory as &dyn StringStore, &packed_memory, &by_ref] {
+            let response =
+                QueryEngine::over_store(index.tree(), store).cache(1 << 20).run(&batch).unwrap();
+            assert_eq!(response.results, from_text.results);
+            assert_eq!(response.stats.io, IoSnapshot::default());
+            assert_eq!(response.stats.cache, CacheSnapshot::default());
+            assert_eq!(store.stats().snapshot(), IoSnapshot::default());
+        }
+        for store in [&raw as &dyn StringStore, &packed] {
             let engine = QueryEngine::over_store(index.tree(), store);
             let response = engine.run(&batch).unwrap();
             assert_eq!(response.results, from_text.results);
@@ -640,7 +682,8 @@ mod tests {
     #[test]
     fn warm_cache_replays_batches_without_store_io() {
         let index = index();
-        let packed = PackedMemoryStore::from_body(BODY, Alphabet::dna()).unwrap();
+        let (dir, name) = (std::env::temp_dir(), temp_name("warm-cache"));
+        let packed = PackedDiskStore::create_in_dir(&dir, &name, BODY, Alphabet::dna()).unwrap();
         let batch: QueryBatch = [&b"TG"[..], b"TGC", b"GGTGATG", b"AAA", b"C"]
             .iter()
             .map(|p| Query::locate(*p))
@@ -677,7 +720,8 @@ mod tests {
         // other engine's traffic into whichever snapshot was open.
         let body: Vec<u8> = (0..40_000).map(|i| b"ACGT"[(i * 31 + i / 9) % 4]).collect();
         let index = SuffixIndex::builder().memory_budget(1 << 20).build_from_bytes(&body).unwrap();
-        let store = InMemoryStore::from_body(&body, Alphabet::dna()).unwrap();
+        let (dir, name) = (std::env::temp_dir(), temp_name("concurrent"));
+        let store = DiskStore::create_in_dir(&dir, &name, &body, Alphabet::dna()).unwrap();
         let batch_a: QueryBatch = (0..60usize)
             .map(|i| Query::locate(&body[(i * 601) % (body.len() - 12)..][..12]))
             .collect();

@@ -94,6 +94,14 @@ impl Backing {
         }
     }
 
+    /// The bytes themselves when they are in memory.
+    pub(crate) fn memory(&self) -> Option<&[u8]> {
+        match self {
+            Backing::Memory(bytes) => Some(bytes),
+            Backing::File(_) => None,
+        }
+    }
+
     /// The backing file's path; empty in memory and for a caller's file.
     pub(crate) fn path(&self) -> &Path {
         match self {

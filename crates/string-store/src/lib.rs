@@ -35,18 +35,20 @@
 //!   per-fetch allocation), optionally skipping blocks that contain no
 //!   requested symbol. In code mode ([`BlockCursor::new_codes`]) the window
 //!   holds the store's codes rather than decoded symbols.
-//! * [`TextSource`] / [`StoreTextSource`] — the *random-access* counterpart
-//!   of [`BlockCursor`] for query serving: the two operations a suffix-tree
-//!   walk needs (symbol at a position, common prefix of an edge label and a
-//!   pattern), served from a byte slice or from any store — raw or packed —
-//!   through one reused window buffer, with every fetch I/O-accounted both
-//!   on the store's global counters and on the source's own (per-worker)
-//!   counters.
+//! * [`TextSource`] / [`ResidentText`] / [`StoreTextSource`] — the
+//!   *random-access* counterpart of [`BlockCursor`] for query serving: the
+//!   two operations a suffix-tree walk needs (symbol at a position, common
+//!   prefix of an edge label and a pattern). A byte slice serves them, and
+//!   so does a store's text in memory ([`StringStore::resident`]: raw bytes
+//!   as a slice, a packed payload compared code by code, with nothing
+//!   decoded). A store reading a file — raw or packed — serves them through
+//!   one reused window buffer, with every fetch I/O-accounted both on the
+//!   store's global counters and on the source's own (per-worker) counters.
 //! * [`BlockCache`] — a sharded, capacity-bounded LRU of *decoded* text
-//!   blocks, shared via `Arc` across the sources/workers of a serving path
-//!   so repeated and overlapping patterns are answered with zero store I/O
-//!   (and, for packed stores, zero re-decoding); activity is counted in
-//!   [`CacheSnapshot`]s.
+//!   blocks of a file-backed text, shared via `Arc` across the
+//!   sources/workers of a serving path so repeated and overlapping patterns
+//!   are answered with zero store I/O (and, for packed stores, zero
+//!   re-decoding); activity is counted in [`CacheSnapshot`]s.
 //! * [`IoStats`] / [`IoSnapshot`] — thread-safe I/O counters.
 //! * [`packed`] — the symbol codec underneath the packed store: terminal out
 //!   of band, dense order-preserving codes, any width from 1 to 8 bits. The
@@ -72,6 +74,7 @@ pub mod error;
 pub mod memory;
 pub mod packed;
 pub mod packed_store;
+pub mod resident;
 pub mod stats;
 pub mod store;
 pub mod sync;
@@ -86,6 +89,7 @@ pub use error::{StoreError, StoreResult};
 pub use memory::{InMemoryStore, RawStore};
 pub use packed::PackedCodec;
 pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore, PackedStore};
+pub use resident::ResidentText;
 pub use stats::{IoSnapshot, IoStats};
 pub use store::StringStore;
 pub use text_source::{StoreTextSource, TextSource, DEFAULT_WINDOW_SYMBOLS};

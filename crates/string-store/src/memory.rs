@@ -12,6 +12,7 @@
 use crate::alphabet::Alphabet;
 use crate::backing::Backing;
 use crate::error::{StoreError, StoreResult};
+use crate::resident::ResidentText;
 use crate::stats::IoStats;
 use crate::store::{clamp_read, StringStore};
 
@@ -93,6 +94,10 @@ impl StringStore for RawStore {
 
     fn stats(&self) -> &IoStats {
         &self.stats
+    }
+
+    fn resident(&self) -> Option<ResidentText<'_>> {
+        self.bytes.memory().map(ResidentText::from)
     }
 
     #[expect(

@@ -16,9 +16,11 @@
 //! at a time ([`SymbolTable`]) and keeps the one-code-at-a-time loop for the
 //! ragged ends of a range and for every other width. The unpack path sits on
 //! every block fetch of [`crate::PackedStore`] — so on every construction
-//! scan and on the miss path of store-backed serving — and on
+//! scan and on the miss path of serving a text from a file — and on
 //! [`crate::PackedStore::from_payload`]'s validation when a catalog is
-//! opened.
+//! opened. Serving a payload held in memory decodes nothing: a
+//! [`crate::ResidentText`] turns each pattern byte into its code
+//! ([`PackedCodec`]'s encode table) and compares codes where they lie.
 
 #![deny(
     clippy::indexing_slicing,
@@ -116,6 +118,24 @@ impl PackedCodec {
     /// Bits per symbol of this codec.
     pub fn bits(&self) -> u32 {
         self.bits
+    }
+
+    /// The code of `symbol`; `None` for a byte outside the alphabet, the
+    /// terminal included.
+    pub(crate) fn code(&self, symbol: u8) -> Option<u8> {
+        let code = self.encode.get(usize::from(symbol)).copied().unwrap_or(u8::MAX);
+        (code != u8::MAX).then_some(code)
+    }
+
+    /// The symbol of `code`: [`TERMINAL`] for a spare code of an alphabet
+    /// that does not fill its width, as in [`Self::unpack`].
+    pub(crate) fn symbol(&self, code: u8) -> u8 {
+        self.decode.get(usize::from(code)).copied().unwrap_or(TERMINAL)
+    }
+
+    /// The low `bits` bits of a word: one code.
+    pub(crate) fn mask(&self) -> u16 {
+        (1 << self.bits) - 1
     }
 
     /// Packs a whole body (no terminal) into a fresh buffer.

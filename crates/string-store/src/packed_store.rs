@@ -49,6 +49,7 @@ use crate::cursor::BlockCursor;
 use crate::error::{StoreError, StoreResult};
 use crate::memory::DEFAULT_MEMORY_BLOCK;
 use crate::packed::{packed_size, PackState, PackedCodec};
+use crate::resident::ResidentText;
 use crate::stats::{blocks_spanned, IoStats};
 use crate::store::{clamp_read, code_span, StringStore};
 
@@ -607,6 +608,12 @@ impl StringStore for PackedStore {
         }
         self.stats.charge_read(pos, take, self.read_cost(pos, take));
         Ok(take)
+    }
+
+    /// The payload and codec, matched code by code where they lie.
+    fn resident(&self) -> Option<ResidentText<'_>> {
+        let payload = self.bytes.memory()?;
+        Some(ResidentText::packed(payload, self.len, &self.codec))
     }
 
     /// The packed byte span covering the body symbols of the read (the

@@ -1,0 +1,267 @@
+//! A text a store holds in memory, matched where it lies.
+//!
+//! A store whose bytes are in memory — the raw text, or the §6.1 packed
+//! payload — hands them out through [`StringStore::resident`] as a
+//! [`ResidentText`], and query serving matches against that directly:
+//!
+//! * raw bytes go through the `&[u8]` [`TextSource`];
+//! * a packed payload is compared code by code. A pattern byte becomes a code
+//!   through [`PackedCodec`]'s encode table (a byte outside the alphabet has
+//!   none, so it mismatches), and the text's code at any position comes from
+//!   one 16-bit little-endian load, which holds a 1–8-bit code at any bit
+//!   offset. The terminal at `len - 1` has no bits in the payload and is
+//!   handled on its own.
+//!
+//! Nothing is copied into a window, decoded into a cache, allocated or
+//! locked, and the store's counters do not move: a resident text is memory,
+//! not I/O.
+//!
+//! [`StringStore::resident`]: crate::StringStore::resident
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
+use crate::alphabet::TERMINAL;
+use crate::error::{StoreError, StoreResult};
+use crate::packed::PackedCodec;
+use crate::text_source::TextSource;
+
+/// A text held in memory, served as a [`TextSource`] in place: raw bytes, or
+/// the codes of a packed payload.
+#[derive(Debug, Clone, Copy)]
+pub struct ResidentText<'a>(Form<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Form<'a> {
+    /// One byte per symbol, terminal included.
+    Bytes(&'a [u8]),
+    /// A packed payload.
+    Codes(Codes<'a>),
+}
+
+/// A packed payload of `len - 1` codes; the terminal is out of band.
+#[derive(Debug, Clone, Copy)]
+struct Codes<'a> {
+    payload: &'a [u8],
+    len: usize,
+    codec: &'a PackedCodec,
+}
+
+impl<'a> From<&'a [u8]> for ResidentText<'a> {
+    /// A raw text, terminal included.
+    fn from(text: &'a [u8]) -> Self {
+        ResidentText(Form::Bytes(text))
+    }
+}
+
+impl<'a> ResidentText<'a> {
+    /// The `len`-symbol text whose body `payload` holds packed under `codec`.
+    /// The caller guarantees `payload` is exactly the packed size of
+    /// `len - 1` codes and that every code names a symbol
+    /// ([`crate::PackedStore`]'s constructors check both).
+    pub(crate) fn packed(payload: &'a [u8], len: usize, codec: &'a PackedCodec) -> Self {
+        ResidentText(Form::Codes(Codes { payload, len, codec }))
+    }
+}
+
+impl TextSource for ResidentText<'_> {
+    fn len(&self) -> usize {
+        match &self.0 {
+            Form::Bytes(text) => text.len(),
+            Form::Codes(codes) => codes.len,
+        }
+    }
+
+    fn symbol_at(&self, pos: usize) -> StoreResult<u8> {
+        match &self.0 {
+            Form::Bytes(text) => text.symbol_at(pos),
+            Form::Codes(codes) => codes.symbol_at(pos),
+        }
+    }
+
+    fn common_prefix(&self, start: usize, end: usize, pat: &[u8]) -> StoreResult<usize> {
+        match &self.0 {
+            Form::Bytes(text) => text.common_prefix(start, end, pat),
+            Form::Codes(codes) => codes.common_prefix(start, end, pat),
+        }
+    }
+}
+
+impl Codes<'_> {
+    /// The code at bit `bit` of the payload: one 16-bit little-endian load,
+    /// so a code of up to 8 bits at a bit offset of up to 7 is always inside
+    /// it. An error only for a payload shorter than its text.
+    fn code_at(&self, bit: usize) -> StoreResult<u8> {
+        let byte = bit / 8;
+        let Some(&lo) = self.payload.get(byte) else {
+            return Err(StoreError::InvalidText("packed payload shorter than its text".into()));
+        };
+        let hi = self.payload.get(byte + 1).copied().unwrap_or(0);
+        let word = u16::from(lo) | u16::from(hi) << 8;
+        Ok(((word >> (bit % 8)) & self.codec.mask()) as u8)
+    }
+
+    fn symbol_at(&self, pos: usize) -> StoreResult<u8> {
+        if pos >= self.len {
+            return Err(StoreError::OutOfBounds { pos, len: 1, text_len: self.len });
+        }
+        if pos + 1 == self.len {
+            return Ok(TERMINAL);
+        }
+        Ok(self.codec.symbol(self.code_at(pos * self.codec.bits() as usize)?))
+    }
+
+    fn common_prefix(&self, start: usize, end: usize, pat: &[u8]) -> StoreResult<usize> {
+        let end = end.min(self.len);
+        if start > end {
+            return Err(StoreError::OutOfBounds { pos: start, len: 0, text_len: self.len });
+        }
+        let need = (end - start).min(pat.len());
+        // The symbols that have payload bits: all but the terminal at len - 1.
+        let body = need.min(self.len.saturating_sub(1).saturating_sub(start));
+        let bits = self.codec.bits() as usize;
+        let mut bit = start * bits;
+        for (matched, &symbol) in pat.iter().take(body).enumerate() {
+            // A byte outside the alphabet has no code and mismatches.
+            if self.codec.code(symbol) != Some(self.code_at(bit)?) {
+                return Ok(matched);
+            }
+            bit += bits;
+        }
+        // Past the body only the terminal is left, if `need` reaches it.
+        Ok(body + usize::from(need > body && pat.get(body) == Some(&TERMINAL)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::alphabet::Alphabet;
+    use crate::memory::InMemoryStore;
+    use crate::packed_store::PackedMemoryStore;
+    use crate::store::StringStore;
+
+    /// Deterministic pseudo-random draws below `n`.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 33) as usize % n
+        }
+    }
+
+    /// Every width the kernel must handle, with the alphabet that has it:
+    /// 2-bit codes never straddle a byte, 5-bit ones do, and 1, 3 and 8 bits
+    /// are the custom extremes and an odd width.
+    fn alphabets() -> Vec<(Alphabet, u32)> {
+        let custom = |n: u8| Alphabet::custom(&(1..=n).collect::<Vec<u8>>()).unwrap();
+        vec![
+            (Alphabet::dna(), 2),
+            (Alphabet::protein(), 5),
+            (Alphabet::english(), 5),
+            (custom(2), 1),
+            (custom(7), 3),
+            (custom(200), 8),
+        ]
+    }
+
+    /// A random pattern against `text[start..]`, in one of the shapes a
+    /// match loop meets.
+    fn pattern(text: &[u8], start: usize, a: &Alphabet, outside: u8, d: &mut Draws) -> Vec<u8> {
+        let symbols = a.symbols();
+        let mut pat: Vec<u8> =
+            text[start.min(text.len())..].iter().take(d.below(48)).copied().collect();
+        let at = d.below(pat.len().max(1));
+        match d.below(7) {
+            0 => {}
+            // One symbol changed to another symbol of the alphabet.
+            1 if !pat.is_empty() => {
+                pat[at] = symbols
+                    [(symbols.iter().position(|&s| s == pat[at]).unwrap_or(0) + 1) % symbols.len()]
+            }
+            // A byte outside the alphabet.
+            2 if !pat.is_empty() => pat[at] = outside,
+            // The terminal in mid-pattern.
+            3 if !pat.is_empty() => pat[at] = TERMINAL,
+            // The rest of the text, so the pattern ends in the terminal ...
+            4 => pat = text[start.min(text.len())..].to_vec(),
+            // ... or runs on past it.
+            5 => {
+                pat = text[start.min(text.len())..].to_vec();
+                pat.extend((0..1 + d.below(4)).map(|_| symbols[d.below(symbols.len())]));
+            }
+            _ => pat = (0..d.below(16)).map(|_| symbols[d.below(symbols.len())]).collect(),
+        }
+        pat
+    }
+
+    #[test]
+    fn packed_codes_match_like_the_decoded_bytes() {
+        let mut d = Draws(0x5eed);
+        for (alphabet, bits) in alphabets() {
+            let symbols = alphabet.symbols().to_vec();
+            let outside = (1..=u8::MAX).find(|b| !symbols.contains(b)).unwrap();
+            for len in [1usize, 2, 3, 4, 5, 8, 9, 17, 64, 333, 1001] {
+                let body: Vec<u8> = (1..len).map(|_| symbols[d.below(symbols.len())]).collect();
+                let text = alphabet.terminate(&body).unwrap();
+                let store = PackedMemoryStore::new(&text, alphabet.clone()).unwrap();
+                assert_eq!(store.bits_per_symbol(), bits);
+                let raw = InMemoryStore::new(text.clone(), alphabet.clone()).unwrap();
+                let packed = store.resident().unwrap();
+                let resident_raw = raw.resident().unwrap();
+                let slice: &[u8] = &text;
+                let what = format!("{bits}-bit, {len} symbols");
+                assert_eq!(TextSource::len(&packed), len, "{what}");
+                assert_eq!(TextSource::len(&resident_raw), len, "{what}");
+
+                for pos in 0..len + 2 {
+                    let want = slice.symbol_at(pos).ok();
+                    assert_eq!(packed.symbol_at(pos).ok(), want, "{what}: symbol_at({pos})");
+                    assert_eq!(resident_raw.symbol_at(pos).ok(), want, "{what}: symbol_at({pos})");
+                }
+
+                for i in 0..600 {
+                    // Every tenth start is the end of the text itself.
+                    let start = if i % 10 == 0 { len } else { d.below(len) };
+                    // Ends before, at and past the end of the text.
+                    let end = start + d.below(56);
+                    let pat = pattern(&text, start, &alphabet, outside, &mut d);
+                    let want = slice.common_prefix(start, end, &pat).unwrap();
+                    let why = format!("{what}: common_prefix({start}, {end}, {pat:?})");
+                    assert_eq!(packed.common_prefix(start, end, &pat).unwrap(), want, "{why}");
+                    assert_eq!(
+                        resident_raw.common_prefix(start, end, &pat).unwrap(),
+                        want,
+                        "{why}"
+                    );
+                }
+
+                // A start past the end is an error on every source.
+                for (start, end) in [(1, 0), (len, len - 1), (len + 1, len + 5)] {
+                    assert!(slice.common_prefix(start, end, b"A").is_err(), "{what}");
+                    assert!(packed.common_prefix(start, end, b"A").is_err(), "{what}");
+                    assert!(resident_raw.common_prefix(start, end, b"A").is_err(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn file_backed_stores_are_not_resident() {
+        let dir = std::env::temp_dir();
+        let name = format!("era-resident-{}", std::process::id());
+        let raw =
+            crate::DiskStore::create_in_dir(&dir, &name, b"GATTACA", Alphabet::dna()).unwrap();
+        let packed =
+            crate::PackedDiskStore::create_in_dir(&dir, &name, b"GATTACA", Alphabet::dna())
+                .unwrap();
+        assert!(raw.resident().is_none());
+        assert!(packed.resident().is_none());
+    }
+}

@@ -2,6 +2,7 @@
 
 use crate::alphabet::Alphabet;
 use crate::error::{StoreError, StoreResult};
+use crate::resident::ResidentText;
 use crate::stats::IoStats;
 
 /// Read-only access to the input string `S` (terminated by the terminal
@@ -111,6 +112,14 @@ pub trait StringStore: Send + Sync {
         (take as u64, crate::stats::blocks_spanned(pos, pos + take - 1, self.block_size()))
     }
 
+    /// The text itself when the store holds it in memory, to be matched in
+    /// place ([`ResidentText`]); `None` for a store that reads a file. The
+    /// raw store hands out its bytes, the packed store its payload and codec.
+    /// Reading through it is not I/O: the store's [`IoStats`] do not move.
+    fn resident(&self) -> Option<ResidentText<'_>> {
+        None
+    }
+
     /// Reads exactly `len` bytes at `pos` into a fresh vector, clamping at the
     /// end of the string (the returned vector may be shorter than `len`).
     fn read_range(&self, pos: usize, len: usize) -> StoreResult<Vec<u8>> {
@@ -183,6 +192,9 @@ impl<T: StringStore + ?Sized> StringStore for &T {
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
         (**self).read_cost(pos, take)
     }
+    fn resident(&self) -> Option<ResidentText<'_>> {
+        (**self).resident()
+    }
 }
 
 impl<T: StringStore + ?Sized> StringStore for std::sync::Arc<T> {
@@ -218,12 +230,17 @@ impl<T: StringStore + ?Sized> StringStore for std::sync::Arc<T> {
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
         (**self).read_cost(pos, take)
     }
+    fn resident(&self) -> Option<ResidentText<'_>> {
+        (**self).resident()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::InMemoryStore;
+    use crate::packed_store::PackedMemoryStore;
+    use crate::text_source::TextSource;
 
     #[test]
     fn read_range_clamps_at_end() {
@@ -255,5 +272,18 @@ mod tests {
         assert_eq!(store.alphabet().len(), 4);
         let r = store.read_range(0, 2).unwrap();
         assert_eq!(r, b"AC");
+
+        // Both wrappers hand out the resident text of a memory store, raw or
+        // packed; matching through it reads nothing from the store.
+        let packed = PackedMemoryStore::from_body(b"ACGT", Alphabet::dna()).unwrap();
+        let by_ref: &dyn StringStore = &&packed;
+        for wrapper in [via_arc, by_ref, &std::sync::Arc::new(&packed)] {
+            let before = wrapper.stats().snapshot();
+            let text = wrapper.resident().expect("a memory store is resident");
+            assert_eq!(TextSource::len(&text), 5);
+            assert_eq!(text.common_prefix(1, 5, b"CGT\0").unwrap(), 4);
+            assert_eq!(text.symbol_at(4).unwrap(), crate::TERMINAL);
+            assert_eq!(wrapper.stats().snapshot(), before);
+        }
     }
 }

@@ -5,13 +5,20 @@
 //! between edge labels scattered over the whole text. [`TextSource`] is the
 //! abstraction the query layer traverses: the two operations a tree walk
 //! needs (the symbol at a position, and the common prefix of an edge label
-//! with a pattern), served either from a byte slice (the in-memory fast
-//! path, zero overhead) or from any [`StringStore`] — raw *or* bit-packed —
-//! through [`StoreTextSource`]'s reused window buffer, so an index can answer
-//! queries without ever materializing the text and every byte fetched shows
-//! up in the store's [`IoStats`](crate::IoStats).
+//! with a pattern). Three kinds of text serve it:
 //!
-//! A [`StoreTextSource`] optionally consults a shared [`BlockCache`] of
+//! * a byte slice — zero overhead;
+//! * a store that holds its text in memory, through
+//!   [`StringStore::resident`]: a [`ResidentText`](crate::ResidentText)
+//!   matches the raw bytes as a slice and a packed payload code by code,
+//!   with no window, no decode and no I/O accounting;
+//! * a store that reads a file — raw *or* bit-packed — through
+//!   [`StoreTextSource`]'s reused window buffer, so an index can answer
+//!   queries without ever materializing the text and every byte fetched
+//!   shows up in the store's [`IoStats`](crate::IoStats).
+//!
+//! [`StoreTextSource`] works over any store, but the query engine uses it
+//! only for file-backed ones. It optionally consults a shared [`BlockCache`] of
 //! decoded blocks *before* touching the store: window misses are then served
 //! block-wise from the cache, and only blocks no worker has decoded yet reach
 //! [`StringStore::read_at`]. On top of the store's global counters, every
@@ -40,10 +47,11 @@ use crate::store::StringStore;
 /// needs.
 ///
 /// Implementations exist for byte slices (`[u8]`, `Vec<u8>`, references) —
-/// infallible, zero overhead — and for every [`StringStore`] via
-/// [`StoreTextSource`], which serves both operations from a reused
-/// block-aligned window buffer and therefore works for raw and packed, in
-/// memory and on disk.
+/// infallible, zero overhead — for a store's in-memory text via
+/// [`ResidentText`](crate::ResidentText), matched in place, and for every
+/// [`StringStore`] via [`StoreTextSource`], which serves both operations from
+/// a reused block-aligned window buffer and therefore works for raw and
+/// packed, in memory and on disk.
 pub trait TextSource {
     /// Total length of the text, *including* the terminal symbol.
     fn len(&self) -> usize;

@@ -179,9 +179,7 @@ fn open_mode_follows_the_memory_budget_with_identical_answers() {
         let got = served.query_batch(&batch).unwrap();
         assert_eq!(got.results, want.results, "{name}");
         assert!(got.stats.io.bytes_read > 0, "{name}: on-disk serving must account its reads");
-        if !packed {
-            assert_eq!(want.stats.io.bytes_read, 0, "{name}: an in-memory text costs no I/O");
-        }
+        assert_eq!(want.stats.io.bytes_read, 0, "{name}: an in-memory text costs no I/O");
         std::fs::remove_file(&path).unwrap();
     }
 }
