@@ -194,10 +194,7 @@ impl ReadAhead {
                 self.code(self.record(read.record), at) as u16 + 1
             }
         };
-        let divergence = (at < self.range).then(|| (at, rank(a), rank(b)));
-        #[cfg(feature = "paranoid")]
-        self.cross_check(a, b, divergence);
-        divergence
+        (at < self.range).then(|| (at, rank(a), rank(b)))
     }
 
     /// The order of two reads of this round; equal reads stay one area.
@@ -205,10 +202,7 @@ impl ReadAhead {
     /// tie.
     #[inline]
     fn order(&self, a: Read, b: Read) -> std::cmp::Ordering {
-        let order = a.key.cmp(&b.key).then_with(|| self.order_by_codes(a, b));
-        #[cfg(feature = "paranoid")]
-        assert_eq!(order, self.order_by_codes(a, b), "the order disagrees with the codes");
-        order
+        a.key.cmp(&b.key).then_with(|| self.order_by_codes(a, b))
     }
 
     /// The order of two reads by their codes where they first differ.
@@ -216,27 +210,42 @@ impl ReadAhead {
         self.diverge(a, b).map_or(std::cmp::Ordering::Equal, |(_, left, right)| left.cmp(&right))
     }
 
-    /// [`Self::diverge`] again on decoded bytes: the order of the two reads
-    /// and the index of their divergence must agree.
+    /// Checks two reads that a sort left adjacent, `a` first, against a
+    /// plain compare: [`Self::order`] and [`Self::diverge`] must agree with
+    /// it on their order and on the index of their divergence, and `a` must
+    /// not be the greater. Up to the claimed divergence the two records must
+    /// hold the same bits (one code per symbol, so the same symbols); there,
+    /// the decoded symbols — the terminal right after a read that ends —
+    /// must differ and decide the order.
     #[cfg(feature = "paranoid")]
-    fn cross_check(&self, a: Read, b: Read, divergence: Option<Divergence>) {
-        let decode = |read: Read| {
-            let record = self.record(read.record);
-            let len = read.len as usize;
-            let mut symbols: Vec<u8> =
-                (0..len).map(|i| self.symbols[self.code(record, i) as usize]).collect();
-            if len < self.range {
-                symbols.push(TERMINAL);
-            }
-            symbols
-        };
-        let (x, y) = (decode(a), decode(b));
-        let common = x.iter().zip(&y).take_while(|(p, q)| p == q).count();
+    fn cross_check(&self, a: Read, b: Read) {
+        let divergence = self.diverge(a, b);
         let at = divergence.map_or(self.range, |(at, ..)| at);
-        assert_eq!(common, at, "divergence index differs from the decoded compare");
+        let (record_a, record_b) = (self.record(a.record), self.record(b.record));
+        let bits = at * self.bits as usize;
+        let tail = (1u16 << (bits % 8)) - 1;
+        let byte = |record: &[u8]| u16::from(record.get(bits / 8).copied().unwrap_or(0));
+        assert!(
+            record_a[..bits / 8] == record_b[..bits / 8]
+                && (byte(record_a) ^ byte(record_b)) & tail == 0,
+            "the reads differ before their divergence index"
+        );
+        let symbol = |read: Read, record: &[u8]| {
+            let len = read.len as usize;
+            if at < len {
+                Some(self.symbols[self.code(record, at) as usize])
+            } else {
+                (at == len && len < self.range).then_some(TERMINAL)
+            }
+        };
+        let (x, y) = (symbol(a, record_a), symbol(b, record_b));
+        assert!(x != y || x.is_none(), "the reads agree at their divergence index");
+        let decoded = x.cmp(&y);
         let order =
             divergence.map_or(std::cmp::Ordering::Equal, |(_, left, right)| left.cmp(&right));
-        assert_eq!(order, x.cmp(&y), "order differs from the decoded compare");
+        assert_eq!(order, decoded, "divergence order differs from the decoded compare");
+        assert_eq!(self.order(a, b), decoded, "sort order differs from the decoded compare");
+        assert_ne!(decoded, std::cmp::Ordering::Greater, "a sorted area is out of order");
     }
 }
 
@@ -393,6 +402,12 @@ impl PrepareState {
         scratch.clear();
         scratch.extend((lo..hi).map(|slot| (self.read(slot, r), self.p[slot], self.l[slot])));
         scratch.sort_unstable_by(|x, y| r.order(x.0, y.0));
+        // One check per adjacent pair of the sorted area, not per comparison
+        // of the sort: sortedness is a property of neighbours.
+        #[cfg(feature = "paranoid")]
+        for pair in scratch.windows(2) {
+            r.cross_check(pair[0].0, pair[1].0);
+        }
         for (slot, &(read, occurrence, position)) in (lo..hi).zip(scratch.iter()) {
             self.r[slot] = read.record;
             self.p[slot] = occurrence;

@@ -78,9 +78,10 @@
 //! provides typed requests ([`Query::Contains`], [`Query::Count`],
 //! [`Query::Locate`] with paging) that a [`QueryEngine`] answers in batches.
 //! A query has one path: the `PartitionedSuffixTree` call of its kind
-//! (`try_contains`, `try_count`, `try_find_all`) routes the pattern by its
+//! (`try_contains`, `try_count`, `try_locate`) routes the pattern by its
 //! leading symbols through the partition trie and descends each candidate
-//! sub-tree, resolving edge labels through a `TextSource`. A text in memory
+//! sub-tree, resolving edge labels through a `TextSource`; a count or a
+//! locate then reads the matched subtree as one range of the arena. A text in memory
 //! is matched where it lies (`ResidentText`): the materialized bytes, or a
 //! `PackedMemoryStore`'s payload compared code by code, with no window, no
 //! decode and no cache. A text left in a file is read through a reused

@@ -15,8 +15,9 @@
 //! [`Query::Locate`] with paging) and submitted in a [`QueryBatch`]. There is
 //! one query path: every query of a batch is answered by the matching
 //! [`PartitionedSuffixTree`] call (`try_contains`, `try_count`,
-//! `try_find_all`), which routes the pattern by its first symbols through the
-//! partition trie and descends each candidate sub-tree. [`QueryEngine::run`]
+//! `try_locate`), which routes the pattern by its first symbols through the
+//! partition trie and descends each candidate sub-tree; `Count` and `Locate`
+//! then read the matched subtree as one range of its arena. [`QueryEngine::run`]
 //! only loops over the batch: with [`QueryEngine::threads`] above one it cuts
 //! the batch into that many contiguous chunks, one scoped thread each, and
 //! concatenates the answers in submission order. Over a file-backed store
@@ -69,7 +70,11 @@ pub enum Query {
         /// The pattern to search for.
         pattern: Vec<u8>,
     },
-    /// Where does the pattern occur? Positions are reported ascending.
+    /// Where does the pattern occur? Positions are reported ascending, one
+    /// page at a time: [`PartitionedSuffixTree::try_locate`] gathers every
+    /// occurrence from the matched subtrees' arena ranges but selects and
+    /// sorts only the `offset + limit` smallest, so a small page of a
+    /// frequent pattern is not a sort of all its occurrences.
     Locate {
         /// The pattern to search for.
         pattern: Vec<u8>,
@@ -418,7 +423,8 @@ impl<'a> QueryEngine<'a> {
         Ok(self.tree.try_count(&source, pattern)?)
     }
 
-    /// Answers one locate query: every occurrence position, ascending.
+    /// Answers one locate query: every occurrence position, ascending (the
+    /// page [`Query::locate`] asks for).
     pub fn find_all(&self, pattern: &[u8]) -> EraResult<Vec<usize>> {
         let source = self.worker_source();
         let positions = self.tree.try_find_all(&source, pattern)?;
@@ -427,7 +433,7 @@ impl<'a> QueryEngine<'a> {
 
     /// Executes a batch: answers every query through the single-query path
     /// ([`PartitionedSuffixTree::try_contains`] / `try_count` /
-    /// `try_find_all`), `threads` contiguous chunks at a time, and snapshots
+    /// `try_locate`), `threads` contiguous chunks at a time, and snapshots
     /// timing and I/O.
     pub fn run(&self, batch: &QueryBatch) -> EraResult<QueryResponse> {
         let start = Instant::now();
@@ -490,11 +496,7 @@ impl<'a> QueryEngine<'a> {
         let mut visits = 0usize;
         for query in queries {
             let pattern = query.pattern();
-            visits += if pattern.is_empty() {
-                self.tree.partitions().len()
-            } else {
-                self.tree.trie().candidates(pattern).len()
-            };
+            visits += self.tree.trie().candidates(pattern).len();
             answers.push(match query {
                 Query::Contains { .. } => {
                     QueryAnswer::Contains(self.tree.try_contains(&source, pattern)?)
@@ -502,10 +504,8 @@ impl<'a> QueryEngine<'a> {
                 Query::Count { .. } => QueryAnswer::Count(self.tree.try_count(&source, pattern)?),
                 Query::Locate { offset, limit, .. } => QueryAnswer::Locate(
                     self.tree
-                        .try_find_all(&source, pattern)?
+                        .try_locate(&source, pattern, *offset, *limit)?
                         .into_iter()
-                        .skip(*offset)
-                        .take(limit.unwrap_or(usize::MAX))
                         .map(|pos| pos as usize)
                         .collect(),
                 ),
@@ -577,14 +577,8 @@ mod tests {
         // Visits are the partitions each pattern is routed to; the empty
         // pattern is routed to all of them.
         let tree = index.tree();
-        let routed: usize = batch
-            .queries()
-            .iter()
-            .map(|q| match q.pattern() {
-                [] => tree.partitions().len(),
-                p => tree.trie().candidates(p).len(),
-            })
-            .sum();
+        let routed: usize =
+            batch.queries().iter().map(|q| tree.trie().candidates(q.pattern()).len()).sum();
         assert_eq!(response.stats.partition_visits, routed);
         assert!(routed >= 9);
     }

@@ -123,12 +123,47 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Continues an FNV-1a 64 hash `h` over `bytes` (the streaming form).
-fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+fn fnv1a64_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a64_step(h, b))
+}
+
+/// One byte of FNV-1a 64.
+fn fnv1a64_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+}
+
+/// [`fnv1a64`] of every segment, in their order. One hash is a chain of
+/// dependent multiplies, so the segments are hashed four at a time, longest
+/// first so that the four are of about one length: side by side up to the
+/// shortest of them, then each one's rest alone. The four chains overlap,
+/// and a catalog's group segments hash in about a third of the time one
+/// after another takes.
+fn fnv1a64_each(segments: &[&[u8]]) -> Vec<u64> {
+    let mut longest_first: Vec<(usize, &[u8])> = segments.iter().copied().enumerate().collect();
+    longest_first.sort_by_key(|&(_, seg)| std::cmp::Reverse(seg.len()));
+    let mut out = vec![FNV_OFFSET; segments.len()];
+    for four in longest_first.chunks(4) {
+        let mut lanes: [Option<(usize, &[u8])>; 4] = [None; 4];
+        for (lane, &seg) in lanes.iter_mut().zip(four) {
+            *lane = Some(seg);
+        }
+        let side_by_side = lanes.iter().map(|lane| lane.map_or(0, |(_, s)| s.len())).min();
+        let n = side_by_side.unwrap_or(0);
+        let [a, b, c, d] = lanes.map(|lane| lane.and_then(|(_, s)| s.get(..n)).unwrap_or_default());
+        let mut h = [FNV_OFFSET; 4];
+        for (((&w, &x), &y), &z) in a.iter().zip(b).zip(c).zip(d) {
+            let [p, q, r, t] = h;
+            h = [fnv1a64_step(p, w), fnv1a64_step(q, x), fnv1a64_step(r, y), fnv1a64_step(t, z)];
+        }
+        for (lane, hash) in lanes.into_iter().zip(h) {
+            if let Some((i, seg)) = lane {
+                if let Some(slot) = out.get_mut(i) {
+                    *slot = fnv1a64_extend(hash, seg.get(n..).unwrap_or_default());
+                }
+            }
+        }
     }
-    h
+    out
 }
 
 fn corrupt(msg: String) -> io::Error {
@@ -622,10 +657,16 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
     Ok(CatalogToc { generation, text_len, alphabet, packed, text_bytes, text_checksum, groups })
 }
 
-/// Verifies one group segment against its TOC entry and parses its tree
-/// (structural validation included).
-fn load_group(i: usize, entry: &TocGroup, seg: &[u8], text_len: usize) -> io::Result<CatalogGroup> {
-    if fnv1a64(seg) != entry.checksum {
+/// Verifies one group segment, whose FNV-1a 64 is `hash`, against its TOC
+/// entry and parses its tree (structural validation included).
+fn load_group(
+    i: usize,
+    entry: &TocGroup,
+    seg: &[u8],
+    hash: u64,
+    text_len: usize,
+) -> io::Result<CatalogGroup> {
+    if hash != entry.checksum {
         return Err(corrupt(format!("group {i} segment checksum mismatch")));
     }
     let tree = read_flat_tree(&mut &seg[..])
@@ -675,10 +716,15 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
     let toc = parse_toc(field(bytes, toc_offset, toc_len, "toc")?, toc_offset, toc_checksum)?;
     let text_seg = field(bytes, HEADER_LEN, toc.text_bytes, "text segment")?;
     check_text(&toc, fnv1a64(text_seg), text_seg.last().copied())?;
+    let segments = toc
+        .groups
+        .iter()
+        .map(|entry| field(bytes, entry.offset, entry.len, "group segment"))
+        .collect::<io::Result<Vec<_>>>()?;
+    let hashes = fnv1a64_each(&segments);
     let mut groups = Vec::with_capacity(toc.groups.len());
-    for (i, entry) in toc.groups.iter().enumerate() {
-        let seg = field(bytes, entry.offset, entry.len, "group segment")?;
-        groups.push(load_group(i, entry, seg, toc.text_len)?);
+    for (i, ((entry, seg), hash)) in toc.groups.iter().zip(segments).zip(hashes).enumerate() {
+        groups.push(load_group(i, entry, seg, hash, toc.text_len)?);
     }
     let text_seg = text_seg.to_vec();
     let text = if toc.packed { CatalogText::Packed(text_seg) } else { CatalogText::Raw(text_seg) };
@@ -790,7 +836,7 @@ impl CatalogFile {
         for (i, entry) in toc.groups.iter().enumerate() {
             seg.resize(entry.len, 0);
             read_counted(&mut self.file, &mut self.bytes_read, &mut seg)?;
-            groups.push(load_group(i, entry, &seg, toc.text_len)?);
+            groups.push(load_group(i, entry, &seg, fnv1a64(&seg), toc.text_len)?);
         }
         Ok(groups)
     }
@@ -819,6 +865,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("era-catalog-{}-{}", name, std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("index.eracat")
+    }
+
+    #[test]
+    fn hashing_four_side_by_side_gives_each_segment_its_own_hash() {
+        let bytes: Vec<u8> = (0..5_000u32).map(|i| (i * 7 + i / 13).to_le_bytes()[0]).collect();
+        for count in [0usize, 1, 3, 4, 5, 9] {
+            let segments: Vec<&[u8]> =
+                (0..count).map(|k| &bytes[k * 37..k * 37 + (k * 613) % 4_000]).collect();
+            let one_by_one: Vec<u64> = segments.iter().map(|seg| fnv1a64(seg)).collect();
+            assert_eq!(fnv1a64_each(&segments), one_by_one, "{count} segments");
+        }
     }
 
     #[test]

@@ -11,13 +11,21 @@
 //! * the children of every node occupy one contiguous id range, ordered by
 //!   the first character of their edge labels, so child lookup is a binary
 //!   search over *adjacent* records (one cache line holds four of them);
-//! * child blocks are laid out in depth-first order of their parents, so a
-//!   descent — and the subtree walk `Locate`/`Count` perform below the match
-//!   node — moves mostly forward through the arena instead of chasing heap
-//!   pointers;
+//! * child blocks are handed out in pre-order of their parents, so every
+//!   subtree is one id range: the nodes strictly below `v` are the ids from
+//!   `v`'s first child to the end of the last block handed out inside its
+//!   subtree ([`FlatTree::descendants`]). `Count` counts the leaf records of
+//!   that range and `Locate` reads their suffixes, with no walk and no
+//!   stack; a descent moves mostly forward through the arena too;
 //! * leaf/internal is a tag bit; the leaf's suffix offset and the internal
 //!   node's `children_start` share one payload word; no parent pointers
 //!   (descents only ever walk down).
+//!
+//! The pre-order layout is a checked invariant, not only what the freeze
+//! happens to do: [`crate::validate::validate_flat_structure`], which every
+//! `ERAFLAT1` load runs, accepts exactly one arena per tree shape — the one
+//! the freeze writes — so an arena that links the same tree in another
+//! block order is rejected before a range read could miscount it.
 //!
 //! The freeze is deterministic: two structurally equal [`SuffixTree`]s always
 //! freeze to byte-identical [`FlatTree`]s, so the scheduler-equivalence
@@ -149,9 +157,11 @@ impl FlatTree {
     /// Freezes a construction-form tree into the flat layout.
     ///
     /// Ids are assigned by a depth-first walk that hands every node's
-    /// children one contiguous block, leftmost subtree first — siblings are
-    /// adjacent (child lookup never leaves the cache-line run) and the
-    /// blocks of a descent path sit close together in the arena. The pass is
+    /// children one contiguous block as the node is reached, leftmost
+    /// subtree first — siblings are adjacent (child lookup never leaves the
+    /// cache-line run), the blocks are in pre-order of their parents, so
+    /// every subtree is one id range ([`Self::descendants`]), and the blocks
+    /// of a descent path sit close together in the arena. The pass is
     /// O(nodes) and deterministic: structurally equal inputs freeze to
     /// byte-identical arenas.
     #[expect(
@@ -345,21 +355,43 @@ impl FlatTree {
         }
     }
 
-    /// Number of leaves at or below `id` (inclusive). Counting queries only
-    /// need this total, so no position vector is materialized — the only
-    /// allocation is the traversal's node stack.
-    pub fn leaf_count_below(&self, id: NodeId) -> usize {
-        let mut count = 0usize;
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            let node = self.node(cur);
-            if node.is_leaf() {
-                count += 1;
-            } else {
-                stack.extend(node.children_range());
-            }
+    /// The ids of every node strictly below `id`, as one range (empty for a
+    /// leaf). Child blocks are handed out in pre-order, so the subtree's
+    /// blocks are adjacent: they start with `id`'s own block and end with
+    /// the block of the last internal node of the subtree in pre-order —
+    /// reached by following the last internal child down. Costs one block
+    /// scan per level of that path, whatever the subtree's size.
+    pub fn descendants(&self, id: NodeId) -> std::ops::Range<u32> {
+        let mut last = self.nodes.get(id as usize).map_or(0..0, FlatNode::children_range);
+        let start = last.start;
+        while let Some(next) = self
+            .nodes
+            .get(last.start as usize..last.end as usize)
+            .and_then(|block| block.iter().rev().find(|n| !n.is_leaf()))
+        {
+            last = next.children_range();
         }
-        count
+        start..last.end
+    }
+
+    /// The records of every node strictly below `id`: one arena slice.
+    fn below(&self, id: NodeId) -> &[FlatNode] {
+        let ids = self.descendants(id);
+        self.nodes.get(ids.start as usize..ids.end as usize).unwrap_or_default()
+    }
+
+    /// Number of leaves at or below `id` (inclusive): the leaf records of
+    /// its descendant range, counted in one forward scan.
+    pub fn leaf_count_below(&self, id: NodeId) -> usize {
+        let own = self.nodes.get(id as usize).is_some_and(FlatNode::is_leaf);
+        usize::from(own) + self.below(id).iter().filter(|n| n.is_leaf()).count()
+    }
+
+    /// The suffix offsets of every leaf at or below `id` (inclusive), read
+    /// off its descendant range in arena order — *not* lexicographic order.
+    pub fn suffixes_below(&self, id: NodeId) -> impl Iterator<Item = u32> + '_ {
+        let own = self.nodes.get(id as usize).and_then(FlatNode::suffix);
+        own.into_iter().chain(self.below(id).iter().filter_map(FlatNode::suffix))
     }
 
     /// All suffix offsets in lexicographic order (the suffix array of the

@@ -21,9 +21,12 @@
     clippy::unimplemented
 )]
 
+use std::ops::Range;
+
 use era_string_store::{StoreResult, TextSource};
 
 use crate::layout::{FlatPartition, FlatTree};
+use crate::query::MatchResult;
 use crate::stats::TreeStats;
 use crate::tree::SuffixTree;
 
@@ -71,7 +74,8 @@ struct TrieNode {
 }
 
 impl PrefixTrie {
-    /// Builds a trie from the partition prefixes (in partition order).
+    /// Builds a trie from the partition prefixes, in partition order, which
+    /// must be sorted ([`PrefixTrie::candidates`] hands out index ranges).
     #[expect(
         clippy::indexing_slicing,
         reason = "ids index this build's own vectors; construction, off the query path"
@@ -132,41 +136,45 @@ impl PrefixTrie {
             + self.edges.len() * std::mem::size_of::<(u8, u32)>()
     }
 
-    /// Partitions that can contain occurrences of `pattern`.
+    /// Partitions that can contain occurrences of `pattern`, as one range of
+    /// partition indices — no allocation.
     ///
-    /// Walks the trie along the pattern. If the pattern ends inside the trie,
-    /// every partition below the reached node is a candidate (all their
-    /// suffixes start with the pattern). If a partition prefix ends before the
+    /// Walks the trie along the pattern. If a partition prefix ends before the
     /// pattern does, only that partition is a candidate (prefixes are
-    /// prefix-free).
+    /// prefix-free). If the pattern ends inside the trie, every partition
+    /// below the reached node is a candidate (all their suffixes start with
+    /// the pattern; the empty pattern reaches the root, so that is every
+    /// partition). The prefixes were inserted in sorted order, so the
+    /// partitions below a node are contiguous: from the one at the end of its
+    /// first-edge path to the one at the end of its last-edge path.
     #[expect(clippy::indexing_slicing, reason = "trie node ids are produced by build")]
-    pub fn candidates(&self, pattern: &[u8]) -> Vec<u32> {
+    pub fn candidates(&self, pattern: &[u8]) -> Range<u32> {
         let mut cur = 0u32;
         for &c in pattern {
             if let Some(p) = self.nodes[cur as usize].partition {
-                return vec![p];
+                return p..p + 1;
             }
             match self.children(cur).binary_search_by_key(&c, |&(s, _)| s) {
                 Ok(k) => cur = self.children(cur)[k].1,
-                Err(_) => return Vec::new(),
+                Err(_) => return 0..0,
             }
         }
-        // Pattern exhausted inside (or exactly at the end of) the trie.
-        let mut out = Vec::new();
-        self.collect_partitions(cur, &mut out);
-        out
+        match (self.outermost_partition(cur, false), self.outermost_partition(cur, true)) {
+            (Some(first), Some(last)) => first..last + 1,
+            _ => 0..0,
+        }
     }
 
-    #[expect(clippy::indexing_slicing, reason = "trie node ids are produced by build")]
-    fn collect_partitions(&self, node: u32, out: &mut Vec<u32>) {
-        let mut stack = vec![node];
-        while let Some(cur) = stack.pop() {
-            if let Some(p) = self.nodes[cur as usize].partition {
-                out.push(p);
+    /// The partition reached from `node` by always taking the first edge (or,
+    /// `rightmost`, the last); `None` below a node with neither (an empty
+    /// trie).
+    fn outermost_partition(&self, mut node: u32, rightmost: bool) -> Option<u32> {
+        loop {
+            if let Some(p) = self.nodes.get(node as usize)?.partition {
+                return Some(p);
             }
-            for &(_, c) in self.children(cur).iter().rev() {
-                stack.push(c);
-            }
+            let edges = self.children(node);
+            node = if rightmost { edges.last() } else { edges.first() }?.1;
         }
     }
 
@@ -257,70 +265,86 @@ impl PartitionedSuffixTree {
         self.partitions.iter().fold(TreeStats::default(), |acc, p| acc.merge(&p.tree.stats()))
     }
 
+    /// The sub-trees of the partitions [`PrefixTrie::candidates`] routes
+    /// `pattern` to (every partition for the empty pattern).
+    fn candidate_trees(&self, pattern: &[u8]) -> impl Iterator<Item = &FlatTree> {
+        let range = self.trie.candidates(pattern);
+        let parts = self.partitions.get(range.start as usize..range.end as usize);
+        parts.unwrap_or_default().iter().map(|p| &p.tree)
+    }
+
     /// Whether `pattern` occurs in the text behind any [`TextSource`].
     ///
     /// Stops at the first candidate partition that matches.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "candidate partitions come from the trie built over this table"
-    )]
     pub fn try_contains<T: TextSource + ?Sized>(
         &self,
         text: &T,
         pattern: &[u8],
     ) -> StoreResult<bool> {
-        if pattern.is_empty() {
-            return Ok(self.leaf_count() > 0);
-        }
-        for p in self.trie.candidates(pattern) {
-            if self.partitions[p as usize].tree.try_contains(text, pattern)? {
+        for tree in self.candidate_trees(pattern) {
+            if tree.try_contains(text, pattern)? {
                 return Ok(true);
             }
         }
         Ok(false)
     }
 
-    /// Number of occurrences of `pattern` behind any [`TextSource`].
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "candidate partitions come from the trie built over this table"
-    )]
+    /// Number of occurrences of `pattern` behind any [`TextSource`]: per
+    /// candidate partition, the leaf records of the matched subtree's arena
+    /// range ([`FlatTree::leaf_count_below`]).
     pub fn try_count<T: TextSource + ?Sized>(
         &self,
         text: &T,
         pattern: &[u8],
     ) -> StoreResult<usize> {
-        if pattern.is_empty() {
-            return Ok(self.leaf_count());
-        }
         let mut total = 0usize;
-        for p in self.trie.candidates(pattern) {
-            total += self.partitions[p as usize].tree.try_count(text, pattern)?;
+        for tree in self.candidate_trees(pattern) {
+            total += tree.try_count(text, pattern)?;
         }
         Ok(total)
     }
 
     /// All occurrence positions of `pattern` behind any [`TextSource`], in
-    /// ascending position order.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "candidate partitions come from the trie built over this table"
-    )]
+    /// ascending position order: [`Self::try_locate`]'s page with no offset
+    /// and no limit.
     pub fn try_find_all<T: TextSource + ?Sized>(
         &self,
         text: &T,
         pattern: &[u8],
     ) -> StoreResult<Vec<u32>> {
-        let mut out: Vec<u32> = if pattern.is_empty() {
-            self.partitions.iter().flat_map(|p| p.tree.lexicographic_suffixes()).collect()
-        } else {
-            let mut out = Vec::new();
-            for p in self.trie.candidates(pattern) {
-                out.extend(self.partitions[p as usize].tree.try_find_all(text, pattern)?);
+        self.try_locate(text, pattern, 0, None)
+    }
+
+    /// One page of the occurrence positions of `pattern` behind any
+    /// [`TextSource`], ascending: skip the first `offset`, then return at
+    /// most `limit` (`None` = all the rest).
+    ///
+    /// Every candidate partition's matched subtree is one arena range, whose
+    /// leaf suffixes are gathered in one forward read
+    /// ([`FlatTree::suffixes_below`]). Of those, only the `offset + limit`
+    /// smallest are selected (`select_nth_unstable`, linear) and sorted, so
+    /// a page of `k` costs the gather plus O(k log k), not a sort of every
+    /// occurrence.
+    pub fn try_locate<T: TextSource + ?Sized>(
+        &self,
+        text: &T,
+        pattern: &[u8],
+        offset: usize,
+        limit: Option<usize>,
+    ) -> StoreResult<Vec<u32>> {
+        let mut out = Vec::new();
+        for tree in self.candidate_trees(pattern) {
+            if let MatchResult::Complete { node } = tree.try_match_pattern(text, pattern)? {
+                out.extend(tree.suffixes_below(node));
             }
-            out
-        };
+        }
+        let keep = limit.map_or(out.len(), |limit| offset.saturating_add(limit));
+        if keep < out.len() {
+            out.select_nth_unstable(keep);
+            out.truncate(keep);
+        }
         out.sort_unstable();
+        out.drain(..offset.min(out.len()));
         Ok(out)
     }
 
@@ -513,19 +537,24 @@ mod tests {
 
     #[test]
     fn trie_candidates() {
-        let prefixes = vec![b"TGA".to_vec(), b"TGC".to_vec(), b"TGG".to_vec(), b"A".to_vec()];
+        let prefixes = vec![b"A".to_vec(), b"TGA".to_vec(), b"TGC".to_vec(), b"TGG".to_vec()];
         let trie = PrefixTrie::build(&prefixes);
         assert!(trie.node_count() >= 6);
-        // Pattern shorter than prefixes: all TG* partitions are candidates.
-        let mut c = trie.candidates(b"TG");
-        c.sort_unstable();
-        assert_eq!(c, vec![0, 1, 2]);
+        // Pattern shorter than prefixes: all TG* partitions are candidates,
+        // one contiguous range of the sorted partitions.
+        assert_eq!(trie.candidates(b"TG"), 1..4);
+        assert_eq!(trie.candidates(b"T"), 1..4);
         // Pattern longer than a prefix: only that partition.
-        assert_eq!(trie.candidates(b"TGCGGT"), vec![1]);
+        assert_eq!(trie.candidates(b"TGCGGT"), 2..3);
         // Pattern that matches nothing.
         assert!(trie.candidates(b"C").is_empty());
+        assert!(trie.candidates(b"TT").is_empty());
         // Pattern equal to a short prefix.
-        assert_eq!(trie.candidates(b"A"), vec![3]);
+        assert_eq!(trie.candidates(b"A"), 0..1);
+        // The empty pattern reaches every partition.
+        assert_eq!(trie.candidates(b""), 0..4);
+        assert!(PrefixTrie::build(&[]).candidates(b"").is_empty());
+        assert_eq!(PrefixTrie::build(&[Vec::new()]).candidates(b"ACGT"), 0..1);
         assert!(trie.approx_bytes() > 0);
     }
 

@@ -35,6 +35,22 @@ fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     Ok(u32::from_le_bytes(b))
 }
 
+/// Bytes of one `ERAFLAT1` node record: four little-endian words.
+const RECORD_BYTES: usize = 16;
+
+/// Records [`read_flat_tree`] reads per `read_exact` (64 KiB).
+const RECORDS_PER_READ: usize = 4096;
+
+/// One node record from its four little-endian words.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the ERAFLAT1 integer decoder, under the module deny"
+)]
+fn decode_record(words: &[[u8; 4]; 4]) -> FlatNode {
+    let [start, end, payload, meta] = words.map(u32::from_le_bytes);
+    FlatNode::from_raw(start, end, payload, meta)
+}
+
 /// Ceiling on speculative preallocation from header-declared counts. A
 /// hostile 8-byte header may *claim* any element count, but it only gets the
 /// memory as the corresponding bytes actually arrive — `Vec::push` grows
@@ -69,8 +85,9 @@ pub fn write_flat_tree<W: Write>(w: &mut W, tree: &FlatTree) -> io::Result<()> {
 
 /// Reads a flat tree previously written with [`write_flat_tree`], running the
 /// full structural validation pass ([`crate::validate::validate_flat_structure`])
-/// on the untrusted bytes: child-range bounds and non-overlap, reachability
-/// from the root, sibling ordering and leaf/meta-word consistency.
+/// on the untrusted bytes: child blocks in the freeze's pre-order layout
+/// (in bounds, tiling the arena, every node reachable once), sibling
+/// ordering and leaf/meta-word consistency.
 pub fn read_flat_tree<R: Read>(r: &mut R) -> io::Result<FlatTree> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -83,12 +100,16 @@ pub fn read_flat_tree<R: Read>(r: &mut R) -> io::Result<FlatTree> {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "flat tree without a root"));
     }
     let mut nodes = Vec::with_capacity(node_count.min(MAX_PREALLOC));
-    for _ in 0..node_count {
-        let start = read_u32(r)?;
-        let end = read_u32(r)?;
-        let payload = read_u32(r)?;
-        let meta = read_u32(r)?;
-        nodes.push(FlatNode::from_raw(start, end, payload, meta));
+    // Records are read a buffer (at most 64 KiB) at a time and decoded from
+    // it; a short file fails the `read_exact` of its last buffer.
+    let mut buf = vec![0u8; node_count.min(RECORDS_PER_READ).saturating_mul(RECORD_BYTES)];
+    let mut left = node_count;
+    while left > 0 {
+        let take = left.min(RECORDS_PER_READ);
+        let bytes = buf.get_mut(..take.saturating_mul(RECORD_BYTES)).unwrap_or_default();
+        r.read_exact(bytes)?;
+        nodes.extend(bytes.as_chunks::<4>().0.as_chunks::<4>().0.iter().map(decode_record));
+        left = left.saturating_sub(take);
     }
     let tree = FlatTree::from_raw_parts(text_len, nodes);
     // The cheap structural subset of `validate_flat_tree` is always on for

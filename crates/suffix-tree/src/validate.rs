@@ -52,11 +52,14 @@ pub enum ValidationError {
     },
     /// An edge label range is out of bounds of the text.
     EdgeOutOfBounds(NodeId),
-    /// A flat node's child range leaves the arena or claims the root.
+    /// A flat node's child range leaves the arena.
     ChildRangeOutOfBounds(NodeId),
-    /// A flat node is claimed as a child by more than one parent.
-    ChildRangeOverlap(NodeId),
-    /// A flat node (other than the root) is claimed by no parent at all.
+    /// A flat node's child block does not start where the previous block in
+    /// pre-order ended (the root's: at id 1) — it overlaps another block,
+    /// claims the root, or the arena is not in the freeze's pre-order layout.
+    ChildBlockOutOfOrder(NodeId),
+    /// The child blocks end before the arena does: from this id on, no node
+    /// is reachable from the root.
     UnreachableNode(NodeId),
     /// A flat leaf record carries a non-zero child count in its meta word.
     LeafMetaInconsistent(NodeId),
@@ -101,10 +104,10 @@ impl fmt::Display for ValidationError {
                 write!(f, "edge label of node {n} is out of text bounds")
             }
             ValidationError::ChildRangeOutOfBounds(n) => {
-                write!(f, "child range of node {n} leaves the arena or claims the root")
+                write!(f, "child range of node {n} leaves the arena")
             }
-            ValidationError::ChildRangeOverlap(n) => {
-                write!(f, "node {n} is claimed as a child by more than one parent")
+            ValidationError::ChildBlockOutOfOrder(n) => {
+                write!(f, "child block of node {n} is not where pre-order puts it")
             }
             ValidationError::UnreachableNode(n) => {
                 write!(f, "node {n} is not reachable from the root")
@@ -158,13 +161,19 @@ pub fn validate_suffix_tree(
 /// on every `ERAFLAT1` load (`era-check fsck` runs it too, then adds the
 /// text-backed deep checks).
 ///
-/// Checked, in O(nodes) time and O(nodes) scratch:
+/// Checked in one pre-order pass from the root, in O(nodes) time and
+/// O(depth × fan-out) scratch:
 ///
 /// * the arena is non-empty and node 0 (the root) is not a leaf;
-/// * every child range stays inside the arena and never claims the root;
-/// * the child ranges are disjoint and cover every non-root node exactly
-///   once — equivalently, every node is reachable from the root and the
-///   arena encodes a tree, not a DAG or a forest;
+/// * the child blocks are laid out in pre-order of their parents, as
+///   [`FlatTree::freeze`] hands them out: each internal node's block starts
+///   where the previous block ended (the root's at id 1), stays inside the
+///   arena, and the last one ends at `node_count()`. The blocks therefore
+///   tile the arena — every node but the root has exactly one parent and is
+///   reachable from the root, so the arena encodes a tree, not a DAG or a
+///   forest — and every subtree is one contiguous id range, which
+///   [`FlatTree::descendants`] and with it `Count` and `Locate` rely on. One
+///   arena passes per tree shape;
 /// * every leaf's meta word carries a zero child count (the count bits share
 ///   the word with the leaf tag, so a corrupted tag would otherwise smuggle
 ///   in a bogus child range);
@@ -177,7 +186,7 @@ pub fn validate_suffix_tree(
 ///   (edge offsets, first-char cache) are zero — every bit of every record
 ///   is load-bearing, so no single-bit corruption can go undetected.
 pub fn validate_flat_structure(tree: &FlatTree) -> Result<(), ValidationError> {
-    let n = tree.node_count();
+    let n = tree.node_count() as u64;
     let root = tree.root();
     if tree.node(root).is_leaf() {
         return Err(ValidationError::RootIsLeaf);
@@ -192,8 +201,13 @@ pub fn validate_flat_structure(tree: &FlatTree) -> Result<(), ValidationError> {
         }
     }
     let text_len = tree.text_len() as u32;
-    let mut claimed = vec![false; n];
-    for id in tree.node_ids() {
+    // The freeze's own walk: pop a node, hand its children the next block,
+    // push them in reverse so the leftmost subtree comes first. `next` is
+    // the first id no block has claimed yet; it only grows, so no node is
+    // reached twice.
+    let mut next = 1u64;
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
         let node = tree.node(id);
         if tree.raw_node(id).3 & crate::layout::RESERVED_META_MASK != 0 {
             return Err(ValidationError::ReservedMetaBits(id));
@@ -212,30 +226,29 @@ pub fn validate_flat_structure(tree: &FlatTree) -> Result<(), ValidationError> {
                 return Err(ValidationError::UnaryInternalNode(id));
             }
         }
+        if node.is_leaf() {
+            continue;
+        }
         // Bounds first, on the raw words: `children_range()` adds payload and
         // count, which must not be allowed to overflow on untrusted bytes.
         let (len, payload) = (tree.raw_children_len(id), tree.raw_payload(id));
-        let claims_children = !node.is_leaf() && len > 0;
-        if claims_children && (payload == 0 || u64::from(payload) + u64::from(len) > n as u64) {
+        if u64::from(payload) != next {
+            return Err(ValidationError::ChildBlockOutOfOrder(id));
+        }
+        next += u64::from(len);
+        if next > n {
             return Err(ValidationError::ChildRangeOutOfBounds(id));
         }
-        let mut prev: Option<u8> = None;
-        for c in node.children_range() {
-            if claimed[c as usize] {
-                return Err(ValidationError::ChildRangeOverlap(c));
+        let children = node.children_range();
+        for c in children.clone().skip(1) {
+            if tree.node(c).first_char() <= tree.node(c - 1).first_char() {
+                return Err(ValidationError::SiblingOrder(id));
             }
-            claimed[c as usize] = true;
-            let fc = tree.node(c).first_char();
-            if let Some(p) = prev {
-                if fc <= p {
-                    return Err(ValidationError::SiblingOrder(id));
-                }
-            }
-            prev = Some(fc);
         }
+        stack.extend(children.rev());
     }
-    if let Some(orphan) = claimed.iter().skip(1).position(|&c| !c) {
-        return Err(ValidationError::UnreachableNode(orphan as NodeId + 1));
+    if next != n {
+        return Err(ValidationError::UnreachableNode(next as NodeId));
     }
     Ok(())
 }
@@ -375,12 +388,14 @@ fn check_labels<T: TextSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::assemble::sub_tree_of;
-    use crate::layout::FIRST_CHAR_SHIFT;
+    use crate::catalog::{encode_catalog, parse_catalog, CatalogFile, TextSegment};
+    use crate::layout::{FlatNode, FlatPartition, FIRST_CHAR_SHIFT};
     use crate::naive::naive_suffix_tree;
     use crate::partitioned::Partition;
     use crate::query::MatchResult;
+    use crate::serialize::{read_flat_tree, write_flat_tree};
     use era_string_store::{Alphabet, InMemoryStore, PackedMemoryStore, StoreTextSource};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     #[test]
     fn naive_tree_passes() {
@@ -514,6 +529,70 @@ mod tests {
         // "ssippi$" (5) and "ssissippi$" (2) indexed under "s" and "ss".
         let twice = check(&[(b"ss", vec![2, 5])]);
         assert_eq!(twice, Err(ValidationError::DuplicateSuffix(5)));
+    }
+
+    /// The same tree with its child blocks handed out breadth-first instead
+    /// of in pre-order: every link and every sibling order is kept, only
+    /// where the blocks sit in the arena differs.
+    fn breadth_first(tree: &FlatTree) -> FlatTree {
+        let mut nodes = vec![FlatNode::default(); tree.node_count()];
+        let mut queue = VecDeque::from([(tree.root(), 0u32)]);
+        let mut next = 1u32;
+        while let Some((old, new)) = queue.pop_front() {
+            let (start, end, payload, meta) = tree.raw_node(old);
+            let children = tree.node(old).children_range();
+            let payload = if tree.node(old).is_leaf() { payload } else { next };
+            nodes[new as usize] = FlatNode::from_raw(start, end, payload, meta);
+            for (k, c) in children.enumerate() {
+                queue.push_back((c, next + k as u32));
+            }
+            next += tree.raw_children_len(old);
+        }
+        FlatTree::from_raw_parts(tree.text_len() as u32, nodes)
+    }
+
+    #[test]
+    fn an_arena_out_of_pre_order_is_rejected_on_load() {
+        let text = b"mississippi\0";
+        let flat = FlatTree::freeze(&naive_suffix_tree(text));
+        let bfs = breadth_first(&flat);
+        // "i" has an internal child ("issi") whose block pre-order hands out
+        // before the blocks of "p" and "s"; breadth-first, after them.
+        assert_ne!(bfs, flat);
+        // The links still spell the same tree: a walk of them lists the same
+        // suffixes and answers every query alike...
+        assert_eq!(bfs.lexicographic_suffixes(), flat.lexicographic_suffixes());
+        for pattern in [&b"i"[..], b"s", b"ss", b"issi", b"p", b"", b"x"] {
+            let find = |t: &FlatTree| t.try_find_all(&text[..], pattern).unwrap();
+            assert_eq!(find(&bfs), find(&flat));
+        }
+        // ...but a subtree is no longer one id range, so a range read
+        // miscounts; the load must refuse such an arena.
+        assert!(bfs.node_ids().any(|id| bfs.leaf_count_below(id) != bfs.leaves_below(id).len()));
+        assert!(matches!(
+            validate_flat_structure(&bfs),
+            Err(ValidationError::ChildBlockOutOfOrder(_))
+        ));
+
+        let mut segment = Vec::new();
+        write_flat_tree(&mut segment, &bfs).unwrap();
+        let err = read_flat_tree(&mut segment.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("pre-order"), "{err}");
+
+        let index = PartitionedSuffixTree::from_flat(
+            text.len(),
+            vec![FlatPartition { prefix: Vec::new(), tree: bfs }],
+        );
+        let alphabet = Alphabet::infer(&text[..text.len() - 1]).unwrap();
+        let image = encode_catalog(1, TextSegment::Raw(text), &alphabet, &index).unwrap();
+        let err = parse_catalog(&image.bytes).unwrap_err();
+        assert!(err.to_string().contains("pre-order"), "{err}");
+        let path =
+            std::env::temp_dir().join(format!("era-validate-bfs-{}.eracat", std::process::id()));
+        std::fs::write(&path, &image.bytes).unwrap();
+        let err = CatalogFile::open(&path).unwrap().load_groups().unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.to_string().contains("pre-order"), "{err}");
     }
 
     #[test]

@@ -6,15 +6,22 @@
 //! is no way back. These property tests pin the frozen form end-to-end:
 //! contains/count/locate answers equal to a scan of the text through byte
 //! slices and through all four store backends (`InMemoryStore`, `DiskStore`,
-//! `PackedMemoryStore`, `PackedDiskStore`), a freeze that loses nothing, and
-//! a lossless `ERAFLAT1` serialization round-trip.
+//! `PackedMemoryStore`, `PackedDiskStore`), a freeze that loses nothing, a
+//! lossless `ERAFLAT1` serialization round-trip, and — on every sub-tree any
+//! scheduler builds from either encoding — the one-range reading of a
+//! subtree that `Count` and `Locate` serve from.
 
-use era::{ConstructionPipeline, EraConfig, SerialScheduler};
+use era::{
+    ConstructionPipeline, EraConfig, SerialScheduler, SharedMemoryScheduler, SharedNothingOptions,
+    SharedNothingScheduler,
+};
 use era_string_store::{
     Alphabet, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore, StoreTextSource,
     StringStore,
 };
-use era_suffix_tree::{naive_suffix_tree, validate_flat_tree, FlatTree};
+use era_suffix_tree::{
+    naive_suffix_tree, validate_flat_tree, FlatTree, NodeId, PartitionedSuffixTree,
+};
 use era_tests::{scan_occurrences, terminated};
 use proptest::collection;
 use proptest::prelude::*;
@@ -46,8 +53,75 @@ fn scratch_dir() -> std::path::PathBuf {
     dir
 }
 
+/// The serial, shared-memory (2 workers) and shared-nothing (2 nodes)
+/// builds of the text behind `make`, each over its own store(s).
+fn scheduler_builds<S: StringStore>(
+    make: impl Fn() -> S,
+) -> Vec<(&'static str, PartitionedSuffixTree)> {
+    let cfg = config();
+    let pipeline = ConstructionPipeline::new(&cfg);
+    let serial = make();
+    let shared = make();
+    let nodes = [make(), make()];
+    let nothing = SharedNothingScheduler::new(&nodes, SharedNothingOptions::default()).unwrap();
+    vec![
+        ("serial", pipeline.run(&SerialScheduler::new(&serial)).unwrap().0),
+        ("shared-memory", pipeline.run(&SharedMemoryScheduler::new(&shared, 2)).unwrap().0),
+        ("shared-nothing", pipeline.run(&nothing).unwrap().0),
+    ]
+}
+
+/// The ids strictly below `id`, found the slow way: a stack walk of the
+/// child links.
+fn walked_descendants(tree: &FlatTree, id: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack: Vec<NodeId> = tree.node(id).children_range().collect();
+    while let Some(cur) = stack.pop() {
+        out.push(cur);
+        stack.extend(tree.node(cur).children_range());
+    }
+    out.sort_unstable();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, max_shrink_iters: 0 })]
+
+    /// Every subtree of every sub-tree is one arena range: for each node of
+    /// each partition — DNA, protein and English text, raw and packed
+    /// stores, serial, shared-memory and shared-nothing builds — the
+    /// descendant range holds exactly the ids the stack walk reaches, the
+    /// range count equals the walk's leaf count, and the range gather lists
+    /// the walk's leaves (as a multiset: the gather is in arena order).
+    #[test]
+    fn subtree_ranges_match_the_stack_walk(
+        which in 0usize..3,
+        packed in any::<bool>(),
+        raw_bytes in collection::vec(any::<u8>(), 1..400),
+    ) {
+        let alphabet = alphabets()[which].clone();
+        let body = body_from(&raw_bytes, &alphabet);
+        let builds = if packed {
+            scheduler_builds(|| PackedMemoryStore::from_body(&body, alphabet.clone()).unwrap())
+        } else {
+            scheduler_builds(|| InMemoryStore::from_body(&body, alphabet.clone()).unwrap())
+        };
+        for (scheduler, tree) in &builds {
+            for part in tree.partitions() {
+                let flat = &part.tree;
+                for id in flat.node_ids() {
+                    let range: Vec<NodeId> = flat.descendants(id).collect();
+                    prop_assert_eq!((scheduler, id, range), (scheduler, id, walked_descendants(flat, id)));
+                    let mut leaves = flat.leaves_below(id);
+                    prop_assert_eq!(flat.leaf_count_below(id), leaves.len());
+                    let mut gathered: Vec<u32> = flat.suffixes_below(id).collect();
+                    gathered.sort_unstable();
+                    leaves.sort_unstable();
+                    prop_assert_eq!((scheduler, id, gathered), (scheduler, id, leaves));
+                }
+            }
+        }
+    }
 
     /// Freezing renumbers nodes into DFS order and loses nothing on the way:
     /// the frozen form is the suffix tree of the text (the deep validator

@@ -167,15 +167,15 @@ fn common_substrings_above_inside_and_beside_the_sub_trees() {
     assert_eq!(lcs, b"a");
     let below = index.tree().trie().candidates(&lcs);
     assert!(below.len() >= 2);
-    assert!(below.iter().all(|&p| index.tree().partitions()[p as usize].prefix.len() > 1));
+    assert!(below.clone().all(|p| index.tree().partitions()[p as usize].prefix.len() > 1));
 
     // Inside: 12 common symbols, far below one sub-tree's S-prefix.
     let (a, b) = (b"ACGTTGCAGATTACAGATTCCAGTACGT", b"TTTTGGGGCCCCGATTACAGATTCAAAA");
     let (index, lcs) = check_repeat_and_common(a, b, tiny_budget(2_000));
     assert_eq!(lcs, b"GATTACAGATTC");
-    let &[only] = index.tree().trie().candidates(&lcs).as_slice() else {
-        panic!("a substring longer than its S-prefix lives in one sub-tree")
-    };
+    let below = index.tree().trie().candidates(&lcs);
+    assert_eq!(below.len(), 1, "a substring longer than its S-prefix lives in one sub-tree");
+    let only = below.start;
     assert!(index.tree().partitions()[only as usize].prefix.len() < lcs.len());
 
     // Beside: the left string's own repeat ("abcabc") is longer than

@@ -15,12 +15,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use era::{Query, QueryAnswer, QueryBatch, QueryEngine, SuffixIndex};
+use era::{EraConfig, Query, QueryAnswer, QueryBatch, QueryEngine, SuffixIndex};
 use era_string_store::{
     Alphabet, BlockCache, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore,
     StoreTextSource, StringStore, TextSource,
 };
-use era_workloads::{generate, DatasetKind, DatasetSpec};
+use era_suffix_array::suffix_array;
+use era_workloads::{generate, genome_like, protein_like, DatasetKind, DatasetSpec};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -341,4 +342,74 @@ fn parallel_store_batches_are_deterministic() {
     let parallel = QueryEngine::over_store(index.tree(), &packed).threads(4).run(&batch).unwrap();
     assert_eq!(serial.results, parallel.results);
     assert_eq!(serial.results.len(), batch.len());
+}
+
+/// The occurrences of `pattern` read off the suffix array of `text`: the
+/// interval of suffixes that start with it, in ascending position order.
+fn oracle_positions(text: &[u8], sa: &[u32], pattern: &[u8]) -> Vec<usize> {
+    let suffix = |s: &u32| &text[*s as usize..];
+    let lo = sa.partition_point(|s| suffix(s) < pattern);
+    let hi = lo + sa[lo..].partition_point(|s| suffix(s).starts_with(pattern));
+    let mut out: Vec<usize> = sa[lo..hi].iter().map(|&s| s as usize).collect();
+    out.sort_unstable();
+    out
+}
+
+/// Paged `Locate` through `QueryEngine::run`, on one and two threads, against
+/// the suffix-array oracle: offsets of 0, inside the occurrence count and
+/// past it, limits of 0, 1, 16 and none, for patterns shorter than their
+/// S-prefix (routed to several partitions), longer ones (one partition),
+/// the empty pattern (every partition) and absent ones.
+#[test]
+fn paged_locate_matches_the_suffix_array_oracle() {
+    let config = EraConfig {
+        memory_budget: 8 << 10,
+        r_buffer_size: Some(512),
+        input_buffer_size: 128,
+        trie_area: 128,
+        ..EraConfig::default()
+    };
+    for (body, alphabet) in
+        [(genome_like(3_000, 7), Alphabet::dna()), (protein_like(2_000, 7), Alphabet::protein())]
+    {
+        let index = SuffixIndex::builder()
+            .config(config.clone())
+            .build_from_bytes_with_alphabet(&body, alphabet.clone())
+            .unwrap();
+        let text = index.text();
+        let sa = suffix_array(text);
+        let mut patterns: Vec<Vec<u8>> = vec![Vec::new(), b"\x02\x03".to_vec(), vec![0u8]];
+        patterns.extend(alphabet.symbols().iter().map(|&c| vec![c]));
+        patterns.extend((0..8).map(|i| body[i * 200..][..2].to_vec()));
+        patterns.extend((0..8).map(|i| body[i * 150 + 9..][..14].to_vec()));
+        let mut absent = body[100..130].to_vec();
+        absent.reverse();
+        absent.extend_from_slice(&body[500..530]);
+        patterns.push(absent);
+        let routes = |p: &[u8]| index.tree().trie().candidates(p).len();
+        assert!(index.tree().partitions().len() > 8, "a build of many partitions");
+        assert!(patterns.iter().any(|p| !p.is_empty() && routes(p) >= 2));
+        assert_eq!(routes(&[]), index.tree().partitions().len());
+
+        let mut batch = QueryBatch::new();
+        let mut expected = Vec::new();
+        for pattern in &patterns {
+            let all = oracle_positions(text, &sa, pattern);
+            for offset in [0, all.len() / 2, all.len() + 3] {
+                for limit in [Some(0), Some(1), Some(16), None] {
+                    batch.add(Query::Locate { pattern: pattern.clone(), offset, limit });
+                    let page = all.iter().skip(offset).take(limit.unwrap_or(usize::MAX));
+                    expected.push(QueryAnswer::Locate(page.copied().collect()));
+                }
+            }
+        }
+        assert!(expected.iter().any(|a| a.positions().len() == 16));
+        for threads in [1, 2] {
+            let response = index.engine().threads(threads).run(&batch).unwrap();
+            for ((query, got), want) in batch.queries().iter().zip(&response.results).zip(&expected)
+            {
+                assert_eq!(got, want, "{query:?} on {threads} thread(s)");
+            }
+        }
+    }
 }
