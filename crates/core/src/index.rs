@@ -1,9 +1,9 @@
 //! The user-facing index API.
 //!
-//! [`SuffixIndex`] bundles the constructed [`PartitionedSuffixTree`] with a
-//! *text backing* — either the materialized text or a
-//! [`StringStore`](era_string_store::StringStore) the text is read from on
-//! demand — plus the [`ConstructionReport`]. A builder chooses between the
+//! [`SuffixIndex`] bundles the constructed [`PartitionedSuffixTree`] with the
+//! [`StringStore`](era_string_store::StringStore) its text is kept in — raw
+//! or packed, in memory or left in a catalog file — plus the
+//! [`ConstructionReport`]. A builder chooses between the
 //! serial, shared-memory-parallel and disk-backed code paths; queries go
 //! through the [`QueryEngine`] (see [`SuffixIndex::engine`] and
 //! [`SuffixIndex::query_batch`]), with the classic `contains`/`count`/
@@ -26,8 +26,7 @@ use era_string_store::{
     PackedMemoryStore, StdVfs, StoreError, StoreResult, StringStore, TextSource, Vfs, TERMINAL,
 };
 use era_suffix_tree::catalog::{
-    commit_catalog, encode_catalog, groups_into_tree, Catalog, CatalogFile, CatalogText,
-    TextSegment, HEADER_LEN,
+    commit_catalog, encode_catalog, groups_into_tree, CatalogFile, TextSegment, HEADER_LEN,
 };
 use era_suffix_tree::{
     validate_partitioned, CommitProtocol, PartitionedSuffixTree, ValidationError,
@@ -39,38 +38,18 @@ use crate::pipeline::construct;
 use crate::query::{QueryBatch, QueryEngine, QueryResponse};
 use crate::report::ConstructionReport;
 
-/// How a [`SuffixIndex`] resolves the text its tree's edge labels point into.
-#[derive(Clone)]
-enum TextBacking {
-    /// The text lives in memory (every index built from bytes).
-    Memory(Arc<Vec<u8>>),
-    /// The text stays in a store — a packed payload in memory, or a raw or
-    /// packed file — and is only materialized into the cache if a caller
-    /// asks for it as a slice ([`SuffixIndex::text`], or to save the index).
-    /// Queries and [`SuffixIndex::verify`] never do: they match a payload in
-    /// memory code by code and read a file through the store.
-    Store { store: Arc<dyn StringStore>, cache: OnceLock<Arc<Vec<u8>>> },
-}
-
-impl std::fmt::Debug for TextBacking {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TextBacking::Memory(t) => f.debug_tuple("Memory").field(&t.len()).finish(),
-            TextBacking::Store { store, cache } => f
-                .debug_struct("Store")
-                .field("len", &store.len())
-                .field("packed", &store.is_packed())
-                .field("cached", &cache.get().is_some())
-                .finish(),
-        }
-    }
-}
-
 /// A queryable suffix-tree index over one string (or a generalized index over
 /// several strings).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SuffixIndex {
-    backing: TextBacking,
+    /// The text the tree's edge labels point into. A built index holds it in
+    /// memory, one byte per symbol; an opened one holds the catalog's text
+    /// segment as it lies, in memory within the budget and in the file over
+    /// it. Queries and [`Self::verify`] read it where it is.
+    store: Arc<dyn StringStore>,
+    /// [`Self::text`]'s copy of a text that is not a raw slice in memory,
+    /// decoded or read on the first call and kept for the index's life.
+    materialized: OnceLock<Arc<Vec<u8>>>,
     tree: PartitionedSuffixTree,
     report: ConstructionReport,
     /// Positions of separator symbols for generalized indexes (empty for a
@@ -95,6 +74,17 @@ pub struct SuffixIndex {
     generation: u64,
 }
 
+impl std::fmt::Debug for SuffixIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuffixIndex")
+            .field("text_len", &self.store.len())
+            .field("packed", &self.packed)
+            .field("generation", &self.generation)
+            .field("tree", &self.tree)
+            .finish_non_exhaustive()
+    }
+}
+
 impl SuffixIndex {
     /// Starts building an index with default configuration.
     pub fn builder() -> SuffixIndexBuilder {
@@ -103,9 +93,9 @@ impl SuffixIndex {
 
     /// The indexed text, including the trailing terminal symbol.
     ///
-    /// For store-backed indexes (packed or larger-than-budget
-    /// [`Self::open_file`]s) the text is materialized from the store on first
-    /// call and cached; that read panics on I/O failure. Queries do *not*
+    /// A raw text in memory is handed out as it lies. Any other — a packed
+    /// payload, or a text left in a catalog file — is decoded or read on the
+    /// first call and kept; that read panics on I/O failure. Queries do *not*
     /// need this — [`Self::engine`] and the query wrappers resolve edge
     /// labels straight from the store.
     pub fn text(&self) -> &[u8] {
@@ -116,24 +106,26 @@ impl SuffixIndex {
     /// [`Self::text`], with a failed store read (short read, EIO, a file
     /// truncated after open) surfaced as an error.
     fn try_text(&self) -> EraResult<&[u8]> {
-        match &self.backing {
-            TextBacking::Memory(t) => Ok(t),
-            TextBacking::Store { store, cache } => {
-                if let Some(text) = cache.get() {
-                    return Ok(text);
-                }
-                let text = store.read_all()?;
-                Ok(cache.get_or_init(|| Arc::new(text)))
-            }
+        if let Some(text) = self.raw_text().or(self.materialized.get().map(|t| t.as_slice())) {
+            return Ok(text);
         }
+        let text = self.store.read_all()?;
+        Ok(self.materialized.get_or_init(|| Arc::new(text)))
     }
 
-    /// The store behind a store-backed index (`None` when the text is held in
-    /// memory).
+    /// The text when its store holds it in memory one byte per symbol.
+    fn raw_text(&self) -> Option<&[u8]> {
+        let text = self.store.resident().filter(|_| !self.store.is_packed())?;
+        Some(text.stored_bytes())
+    }
+
+    /// The store behind a store-backed index: `None` when the text is a raw
+    /// slice in memory (every built index, and a raw catalog opened within
+    /// the budget), which [`Self::text`] hands out as it is.
     pub fn store(&self) -> Option<&dyn StringStore> {
-        match &self.backing {
-            TextBacking::Memory(_) => None,
-            TextBacking::Store { store, .. } => Some(store.as_ref()),
+        match self.raw_text() {
+            Some(_) => None,
+            None => Some(self.store.as_ref()),
         }
     }
 
@@ -166,15 +158,10 @@ impl SuffixIndex {
     /// request serve repeated patterns warm. Tune or disable it with
     /// [`Self::with_cache_bytes`] / [`SuffixIndexBuilder::cache_bytes`].
     pub fn engine(&self) -> QueryEngine<'_> {
-        match &self.backing {
-            TextBacking::Memory(t) => QueryEngine::over_text(&self.tree, t),
-            TextBacking::Store { store, .. } => {
-                let engine = QueryEngine::over_store(&self.tree, store.as_ref());
-                match self.block_cache() {
-                    Some(cache) => engine.with_cache(Arc::clone(cache)),
-                    None => engine,
-                }
-            }
+        let engine = QueryEngine::over_store(&self.tree, self.store.as_ref());
+        match self.block_cache() {
+            Some(cache) => engine.with_cache(Arc::clone(cache)),
+            None => engine,
         }
     }
 
@@ -192,12 +179,8 @@ impl SuffixIndex {
     /// cache whatever the capacity.
     pub fn with_cache_bytes(mut self, cache_bytes: usize) -> Self {
         self.cache_bytes = cache_bytes;
-        self.block_cache = match &self.backing {
-            TextBacking::Store { store, .. } if cache_bytes > 0 && store.resident().is_none() => {
-                Some(Arc::new(BlockCache::new(cache_bytes)))
-            }
-            _ => None,
-        };
+        self.block_cache = (cache_bytes > 0 && self.store.resident().is_none())
+            .then(|| Arc::new(BlockCache::new(cache_bytes)));
         self
     }
 
@@ -313,23 +296,34 @@ impl SuffixIndex {
     /// fault-injection harness passes a
     /// [`FaultVfs`](era_string_store::FaultVfs) and, for its self-test, the
     /// seeded-bug [`CommitProtocol::TocBeforeSegmentSync`].
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "try_text() returns the terminated, so non-empty, text; saving is off the query path"
-    )]
+    ///
+    /// A text in memory is written from the bytes it is held in — a packed
+    /// payload as it is. A text left in a file is read for the write and
+    /// dropped after it, so saving never keeps a copy of the text.
     pub fn save_to_file_with(
         &self,
         path: impl AsRef<Path>,
         vfs: &dyn Vfs,
         protocol: CommitProtocol,
     ) -> EraResult<()> {
-        let text = self.try_text()?;
+        let read;
+        let (held, is_payload) = match self.store.resident() {
+            Some(text) => (text.stored_bytes(), self.store.is_packed()),
+            None => {
+                read = self.store.read_all()?;
+                (read.as_slice(), false)
+            }
+        };
+        let text_len = self.store.len();
         let payload;
-        let segment = if self.packed {
-            payload = PackedCodec::new(&self.alphabet).pack_body(&text[..text.len() - 1])?;
-            TextSegment::Packed { payload: &payload, text_len: text.len() }
+        let segment = if is_payload {
+            TextSegment::Packed { payload: held, text_len }
+        } else if self.packed {
+            let body = held.split_last().map_or(&[][..], |(_, body)| body);
+            payload = PackedCodec::new(&self.alphabet).pack_body(body)?;
+            TextSegment::Packed { payload: &payload, text_len }
         } else {
-            TextSegment::Raw(text)
+            TextSegment::Raw(held)
         };
         let encoded = encode_catalog(self.generation, segment, &self.alphabet, &self.tree)?;
         commit_catalog(path.as_ref(), vfs, protocol, &encoded)?;
@@ -349,17 +343,18 @@ impl SuffixIndex {
 
     /// Opens a catalog under an explicit configuration.
     ///
-    /// The footer and TOC are read first. A text segment that fits
-    /// [`EraConfig::memory_budget`] is materialized in one sequential read of
-    /// the file (raw texts in memory, packed ones in a [`PackedMemoryStore`],
-    /// whose payload queries match code by code, with no block cache).
-    /// A larger one *stays on disk*: its checksum is verified in a
-    /// bounded-buffer streaming pass, only the group segments are loaded, and
-    /// queries read the text block-wise from a [`DiskStore`]/
-    /// [`PackedDiskStore`] over the file's text segment, with the I/O of every
-    /// batch in [`QueryResponse::stats`]. That bounds the text's share of
-    /// memory; the group trees (~30 bytes per symbol, against ≤ 1 for the
-    /// text) are still loaded whole.
+    /// The footer, header and TOC are read first, then each segment once, in
+    /// file order. The text segment is hashed as it is read and checked
+    /// against the TOC. One that fits [`EraConfig::memory_budget`] is read
+    /// into memory and held there — raw bytes in a [`InMemoryStore`], a
+    /// packed payload in a [`PackedMemoryStore`], whose codes queries match
+    /// in place, with no block cache. A larger one *stays on disk*: it is
+    /// hashed through a bounded buffer, and queries read it block-wise from a
+    /// [`DiskStore`]/[`PackedDiskStore`] over the file's text segment, with
+    /// the I/O of every batch in [`QueryResponse::stats`]. That bounds the
+    /// text's share of memory; the group trees (~30 bytes per symbol, against
+    /// ≤ 1 for the text) are read in one piece after the text and loaded
+    /// whole in either mode.
     ///
     /// [`EraConfig::cache_bytes`] sizes the serving cache;
     /// [`EraConfig::paranoid`] deep-verifies the opened index before
@@ -372,44 +367,38 @@ impl SuffixIndex {
     )]
     pub fn open_file_with(path: impl AsRef<Path>, config: &EraConfig) -> EraResult<SuffixIndex> {
         let mut file = CatalogFile::open(path).map_err(catalog_error)?;
-        if file.toc().text_bytes > config.memory_budget {
-            let groups = file.load_groups().map_err(catalog_error)?;
-            let (file, toc) = file.into_parts();
-            let text_at = HEADER_LEN as u64;
-            let alphabet = toc.alphabet.clone();
-            let block = DEFAULT_DISK_BLOCK;
-            let store: Arc<dyn StringStore> = if toc.packed {
+        let in_memory = file.toc().text_bytes <= config.memory_budget;
+        let text = file.read_text(in_memory).map_err(catalog_error)?;
+        let groups = file.load_groups().map_err(catalog_error)?;
+        let (file, toc) = file.into_parts();
+        let alphabet = toc.alphabet.clone();
+        let (text_at, block) = (HEADER_LEN as u64, DEFAULT_DISK_BLOCK);
+        let store: Arc<dyn StringStore> = match (text, toc.packed) {
+            (Some(text), false) => Arc::new(InMemoryStore::new(text, alphabet).map_err(bad_text)?),
+            (Some(payload), true) => Arc::new(
+                PackedMemoryStore::from_payload(payload, toc.text_len, alphabet)
+                    .map_err(bad_text)?,
+            ),
+            (None, false) => {
+                let len = toc.text_bytes as u64;
+                let region = DiskStore::open_region(file, text_at, len, alphabet, block);
+                Arc::new(region.map_err(bad_text)?)
+            }
+            (None, true) => {
                 let region =
                     PackedDiskStore::open_region(file, text_at, toc.text_len, alphabet, block);
-                Arc::new(region.map_err(text_segment_error)?)
-            } else {
-                let region =
-                    DiskStore::open_region(file, text_at, toc.text_bytes as u64, alphabet, block);
-                Arc::new(region.map_err(text_segment_error)?)
-            };
-            let backing = TextBacking::Store { store, cache: OnceLock::new() };
-            let tree = groups_into_tree(toc.text_len, groups);
-            return assemble(backing, tree, toc.alphabet, toc.packed, toc.generation, config);
-        }
-        let Catalog { generation, text_len, alphabet, text, groups } =
-            file.load_all().map_err(catalog_error)?;
-        let packed = matches!(text, CatalogText::Packed(_));
-        let backing = match text {
-            CatalogText::Raw(t) => TextBacking::Memory(Arc::new(t)),
-            CatalogText::Packed(payload) => {
-                let store = PackedMemoryStore::from_payload(payload, text_len, alphabet.clone())
-                    .map_err(text_segment_error)?;
-                TextBacking::Store { store: Arc::new(store), cache: OnceLock::new() }
+                Arc::new(region.map_err(bad_text)?)
             }
         };
-        assemble(backing, groups_into_tree(text_len, groups), alphabet, packed, generation, config)
+        let tree = groups_into_tree(toc.text_len, groups);
+        assemble(store, tree, toc.alphabet, toc.packed, toc.generation, config)
     }
 }
 
 /// Finishes constructing a built or opened index: wires the serving cache
 /// and runs the paranoid deep verification when configured.
 fn assemble(
-    backing: TextBacking,
+    store: Arc<dyn StringStore>,
     tree: PartitionedSuffixTree,
     alphabet: Alphabet,
     packed: bool,
@@ -417,7 +406,8 @@ fn assemble(
     config: &EraConfig,
 ) -> EraResult<SuffixIndex> {
     let index = SuffixIndex {
-        backing,
+        store,
+        materialized: OnceLock::new(),
         tree,
         report: ConstructionReport::default(),
         separators: Vec::new(),
@@ -445,10 +435,11 @@ fn catalog_error(e: std::io::Error) -> EraError {
 }
 
 /// Maps a failure to put a store over the catalog's text segment: a segment
-/// the verified TOC promised but the file cannot serve, or a packed payload
-/// with a code outside the alphabet, is corruption like every other bad
-/// catalog; file-system failures stay I/O errors.
-fn text_segment_error(e: StoreError) -> EraError {
+/// the verified TOC promised but the file cannot serve, a raw text with a
+/// byte outside its alphabet or a packed payload with a code outside it, is
+/// corruption like every other bad catalog; file-system failures stay I/O
+/// errors.
+fn bad_text(e: StoreError) -> EraError {
     match e {
         StoreError::Io(io) => EraError::Io(io),
         other => EraError::corrupt(other.to_string()),
@@ -652,9 +643,9 @@ impl SuffixIndexBuilder {
         separators: Vec<usize>,
     ) -> EraResult<SuffixIndex> {
         let (tree, report) = construct(store, &self.config)?;
-        let backing = TextBacking::Memory(Arc::new(store.read_all()?));
         let alphabet = store.alphabet().clone();
-        let mut index = assemble(backing, tree, alphabet, store.is_packed(), 0, &self.config)?;
+        let text = Arc::new(InMemoryStore::new(store.read_all()?, alphabet.clone())?);
+        let mut index = assemble(text, tree, alphabet, store.is_packed(), 0, &self.config)?;
         index.report = report;
         index.separators = separators;
         Ok(index)
@@ -791,10 +782,10 @@ mod tests {
             assert_eq!(served.longest_repeated_substring(), Some((20, 14)), "GATTACAGATTACA");
             let store = served.store().expect("the text stayed on disk");
             assert!(store.stats().snapshot().bytes_read > 0, "packed={packed}");
-            let TextBacking::Store { cache, .. } = &served.backing else {
-                panic!("served from a store")
-            };
-            assert!(cache.get().is_none(), "packed={packed}: verify materialized the text");
+            assert!(
+                served.materialized.get().is_none(),
+                "packed={packed}: verify materialized the text"
+            );
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -820,6 +811,48 @@ mod tests {
             other => panic!("expected a corrupt-catalog error, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn raw_text_with_a_byte_outside_the_alphabet_is_corrupt() {
+        // The raw twin of the packed case above: encode_catalog computes the
+        // text and TOC checksums over the foreign byte, so only the in-budget
+        // open, which puts a validating store over the text, can refuse it.
+        let path = temp_catalog("raw-byte");
+        let index = SuffixIndex::builder().build_from_bytes(b"GATTACAGATTACA").unwrap();
+        let foreign = TextSegment::Raw(b"GATTACAGAXTACA\0");
+        let encoded = encode_catalog(0, foreign, index.alphabet(), index.tree()).unwrap();
+        commit_catalog(&path, &StdVfs, CommitProtocol::Sound, &encoded).unwrap();
+        match SuffixIndex::open_file(&path) {
+            Err(EraError::Corrupt(why)) => {
+                assert!(why.contains("0x58 at position 9 is not in the alphabet"), "{why}")
+            }
+            other => panic!("expected a corrupt-catalog error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn saving_writes_the_opened_catalog_again_without_keeping_the_text() {
+        // Whether the text was kept in memory or left in the file, a reopened
+        // index saves the very bytes it was opened from, and holds no
+        // copy of its text afterwards.
+        let (first, again) = (temp_catalog("save-first"), temp_catalog("save-again"));
+        let body = b"GATTACAGATTACAGGATCCGATTACAGATTACA";
+        for packed in [false, true] {
+            let built = SuffixIndex::builder().packed(packed).build_from_bytes(body).unwrap();
+            built.with_generation(3).save_to_file(&first).unwrap();
+            let original = std::fs::read(&first).unwrap();
+            for config in [EraConfig::default(), on_disk()] {
+                let opened = SuffixIndex::open_file_with(&first, &config).unwrap();
+                opened.save_to_file(&again).unwrap();
+                let mode = format!("packed={packed}, budget={}", config.memory_budget);
+                assert!(std::fs::read(&again).unwrap() == original, "{mode}: catalog differs");
+                assert!(opened.materialized.get().is_none(), "{mode}: saving kept the text");
+            }
+        }
+        std::fs::remove_file(&first).unwrap();
+        std::fs::remove_file(&again).unwrap();
     }
 
     #[test]

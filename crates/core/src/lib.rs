@@ -81,8 +81,10 @@
 //! (`try_contains`, `try_count`, `try_locate`) routes the pattern by its
 //! leading symbols through the partition trie and descends each candidate
 //! sub-tree, resolving edge labels through a `TextSource`; a count or a
-//! locate then reads the matched subtree as one range of the arena. A text in memory
-//! is matched where it lies (`ResidentText`): the materialized bytes, or a
+//! locate then reads the matched subtree as one range of the arena. An
+//! index keeps its text behind one `StringStore`, and the engine is over that
+//! store. A text in memory is matched where it lies
+//! (`StringStore::resident`): an `InMemoryStore`'s bytes, or a
 //! `PackedMemoryStore`'s payload compared code by code, with no window, no
 //! decode and no cache. A text left in a file is read through a reused
 //! window over its raw/packed `StringStore`. A batch is that call in a loop,
@@ -134,15 +136,16 @@
 //! the `era-check crash-matrix` harness proves by enumerating every fault
 //! point of a recorded save under a deterministic [`FaultVfs`].
 //!
-//! Opening reads the footer and TOC first and picks the mode from an input
-//! it already has: a text segment within [`EraConfig::memory_budget`] is
-//! materialized (one sequential read of the file); a larger one stays on
-//! disk — checksum verified in a bounded-buffer streaming pass, served
-//! block-wise through a region store over the catalog file. That saves the
-//! text's share of memory: 1 byte per symbol raw, 0.25–0.63 packed. The group
-//! trees, at ~30 bytes per symbol the bulk of a catalog, are still loaded
-//! whole; loading them lazily per group (the TOC already keys them) is the
-//! follow-up that bounds the rest.
+//! Opening has one flow: `CatalogFile` reads the footer, header and TOC,
+//! then the text segment, hashed as it is read, then the group segments in
+//! one read, through the group loader `parse_catalog` uses too. The budget
+//! ([`EraConfig::memory_budget`]) decides only where the text goes: a segment
+//! that fits is held in an `InMemoryStore`/`PackedMemoryStore`; a larger one
+//! stays on disk, served block-wise through a region store over the catalog
+//! file. That saves the text's share of memory: 1 byte per symbol raw,
+//! 0.25–0.63 packed. The group trees, at ~30 bytes per symbol the bulk of a
+//! catalog, are still loaded whole; loading them lazily per group (the TOC
+//! already keys them) is the follow-up that bounds the rest.
 //!
 //! ## Hot-path layout: flat serving trees and the trie scan
 //!

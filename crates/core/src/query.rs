@@ -3,10 +3,10 @@
 //! The paper motivates ERA's trees with serving exact-match, counting and
 //! occurrence-listing queries over massive genomes. This module is that
 //! serving path: a [`QueryEngine`] layered over the
-//! [`StringStore`](era_string_store::StringStore) abstraction. A text in
-//! memory — a byte slice, or a store's raw bytes or packed payload
-//! ([`ResidentText`]) — is matched where it lies, the packed one code by
-//! code. A store that reads a file is served through
+//! [`StringStore`](era_string_store::StringStore) abstraction. A text the
+//! store holds in memory — raw bytes or a packed payload ([`ResidentText`])
+//! — is matched where it lies, the packed one code by code. A store that
+//! reads a file is served through
 //! [`StoreTextSource`](era_string_store::StoreTextSource)'s reused window
 //! buffer: the text never has to be materialized, and every byte the
 //! traversals fetch is visible in the store's I/O counters.
@@ -229,9 +229,9 @@ pub struct QueryStats {
     /// partitions the trie sends its pattern to (every partition for an
     /// empty pattern), summed over the batch.
     pub partition_visits: usize,
-    /// I/O the batch caused on the backing store: all-zero for a text in
-    /// memory — a slice, or a store's raw bytes or packed payload, matched in
-    /// place — and the window fetches of a store that reads a file.
+    /// I/O the batch caused on the store: all-zero for a text in memory —
+    /// raw bytes or a packed payload, matched in place — and the window
+    /// fetches of a store that reads a file.
     ///
     /// Attributed per worker through each worker's own
     /// [`StoreTextSource`] counters and summed — *not* a global store-stats
@@ -281,20 +281,14 @@ struct Chunk {
     cache: CacheSnapshot,
 }
 
-/// How the engine resolves edge labels.
-enum Backing<'a> {
-    /// A text in memory — a slice, or a store's raw bytes or packed payload —
-    /// matched in place: no window, no cache, no I/O accounting.
-    Resident(ResidentText<'a>),
-    /// A store reading a file, raw or packed: served through per-worker
-    /// [`StoreTextSource`] windows, every fetch I/O-accounted.
-    Store(&'a dyn StringStore),
-}
-
-/// A per-worker text view (one window buffer per worker for a file-backed
-/// store); the index's whole-text operations read through one as well.
+/// A per-worker text view; the index's whole-text operations read through
+/// one as well.
 pub(crate) enum WorkerSource<'a> {
+    /// A text in memory, raw bytes or a packed payload, matched in place: no
+    /// window, no cache, no I/O accounting.
     Resident(ResidentText<'a>),
+    /// A store reading a file, raw or packed: one window buffer per worker,
+    /// every fetch I/O-accounted.
     Store(StoreTextSource<'a>),
 }
 
@@ -332,44 +326,32 @@ impl TextSource for WorkerSource<'_> {
     }
 }
 
-/// Serves typed query batches from a [`PartitionedSuffixTree`] over either
-/// the materialized text or any [`StringStore`].
+/// Serves typed query batches from a [`PartitionedSuffixTree`] over the
+/// [`StringStore`] its text is kept in.
 ///
-/// Construct one with [`QueryEngine::over_text`] or
-/// [`QueryEngine::over_store`] (or [`crate::SuffixIndex::engine`], which
-/// picks the right backing automatically), optionally split batches across
-/// threads with [`QueryEngine::threads`], and [`QueryEngine::run`] batches
-/// against it. The engine borrows the tree and backing, so it is cheap to
-/// create per request.
+/// Construct one with [`QueryEngine::over_store`] (or
+/// [`crate::SuffixIndex::engine`], which attaches the index's cache),
+/// optionally split batches across threads with [`QueryEngine::threads`],
+/// and [`QueryEngine::run`] batches against it. The engine borrows the tree
+/// and store, so it is cheap to create per request.
 pub struct QueryEngine<'a> {
     tree: &'a PartitionedSuffixTree,
-    backing: Backing<'a>,
+    store: &'a dyn StringStore,
     threads: usize,
     cache: Option<Arc<BlockCache>>,
 }
 
 impl<'a> QueryEngine<'a> {
-    /// An engine answering from the materialized text (no I/O, infallible
-    /// label resolution).
-    pub fn over_text(tree: &'a PartitionedSuffixTree, text: &'a [u8]) -> Self {
-        QueryEngine { tree, backing: Backing::Resident(text.into()), threads: 1, cache: None }
-    }
-
     /// An engine answering from a store — raw or packed, in memory or on
     /// disk — without materializing the text.
     ///
-    /// A store that holds its text in memory ([`StringStore::resident`]) is
-    /// served exactly as [`Self::over_text`] serves a slice: its bytes or
-    /// packed codes are matched in place, no cache is consulted, and
-    /// [`QueryStats::io`] and [`QueryStats::cache`] stay zero. A store that
-    /// reads a file is served through per-worker [`StoreTextSource`] windows,
-    /// every fetch I/O-accounted.
+    /// A store that holds its text in memory ([`StringStore::resident`]) has
+    /// its bytes or packed codes matched in place: no cache is consulted,
+    /// and [`QueryStats::io`] and [`QueryStats::cache`] stay zero. A store
+    /// that reads a file is served through per-worker [`StoreTextSource`]
+    /// windows, every fetch I/O-accounted.
     pub fn over_store(tree: &'a PartitionedSuffixTree, store: &'a dyn StringStore) -> Self {
-        let backing = match store.resident() {
-            Some(text) => Backing::Resident(text),
-            None => Backing::Store(store),
-        };
-        QueryEngine { tree, backing, threads: 1, cache: None }
+        QueryEngine { tree, store, threads: 1, cache: None }
     }
 
     /// Sets how many threads answer a batch (min 1): [`Self::run`] splits the
@@ -384,8 +366,7 @@ impl<'a> QueryEngine<'a> {
     /// worker of every batch the engine runs, so re-running identical or
     /// overlapping patterns serves them from decoded blocks with zero store
     /// I/O. Only a store that reads a file consults it; a text in memory —
-    /// a slice, or a store's raw bytes or packed payload — is matched in
-    /// place and ignores it.
+    /// raw bytes or a packed payload — is matched in place and ignores it.
     pub fn cache(mut self, capacity_bytes: usize) -> Self {
         self.cache = if capacity_bytes == 0 {
             None
@@ -515,11 +496,13 @@ impl<'a> QueryEngine<'a> {
         Ok(Chunk { answers, visits, io, cache })
     }
 
+    /// The text view one worker reads through: the one place where a text
+    /// in memory is told from one read through a window.
     pub(crate) fn worker_source(&self) -> WorkerSource<'a> {
-        match self.backing {
-            Backing::Resident(text) => WorkerSource::Resident(text),
-            Backing::Store(store) => {
-                let source = StoreTextSource::new(store);
+        match self.store.resident() {
+            Some(text) => WorkerSource::Resident(text),
+            None => {
+                let source = StoreTextSource::new(self.store);
                 WorkerSource::Store(match &self.cache {
                     Some(cache) => source.cached(Arc::clone(cache)),
                     None => source,
@@ -595,8 +578,8 @@ mod tests {
             .collect();
         let from_text = index.query_batch(&batch).unwrap();
         // A store holding its text in memory is matched in place, like the
-        // slice: no I/O and no cache activity, even with a cache attached,
-        // and the same through an `Arc` or a reference.
+        // built index's text: no I/O and no cache activity, even with a cache
+        // attached, and the same through an `Arc` or a reference.
         let raw_memory = InMemoryStore::from_body(BODY, Alphabet::dna()).unwrap();
         let packed_memory = Arc::new(PackedMemoryStore::from_body(BODY, Alphabet::dna()).unwrap());
         let by_ref = &*packed_memory;

@@ -137,27 +137,28 @@ impl Alphabet {
 
     /// Validates that `text` is a proper input string: non-empty, terminated by
     /// exactly one terminal at the last position, all other bytes in `Σ`.
+    ///
+    /// Membership is one lookup in a 256-entry table per byte (the terminal
+    /// is never a member), so a catalog's raw text segment is checked at
+    /// about the speed it is read.
     pub fn validate(&self, text: &[u8]) -> StoreResult<()> {
-        if text.is_empty() {
+        let Some((&last, body)) = text.split_last() else {
             return Err(StoreError::InvalidText("text is empty".into()));
-        }
-        #[expect(clippy::expect_used, reason = "emptiness checked just above")]
-        if *text.last().expect("non-empty") != TERMINAL {
+        };
+        if last != TERMINAL {
             return Err(StoreError::InvalidText("text must end with the terminal symbol".into()));
         }
-        for (i, &b) in text[..text.len() - 1].iter().enumerate() {
-            if b == TERMINAL {
-                return Err(StoreError::InvalidText(format!(
-                    "terminal symbol found at interior position {i}"
-                )));
-            }
-            if !self.contains(b) {
-                return Err(StoreError::InvalidText(format!(
-                    "symbol {b:#04x} at position {i} is not in the alphabet"
-                )));
-            }
+        let mut member = [false; 256];
+        for &s in &self.symbols {
+            member[usize::from(s)] = true;
         }
-        Ok(())
+        let Some(i) = body.iter().position(|&b| !member[usize::from(b)]) else {
+            return Ok(());
+        };
+        Err(StoreError::InvalidText(match body[i] {
+            TERMINAL => format!("terminal symbol found at interior position {i}"),
+            b => format!("symbol {b:#04x} at position {i} is not in the alphabet"),
+        }))
     }
 
     /// Appends the terminal to `body`, validating the body against `Σ`.
@@ -231,6 +232,22 @@ mod tests {
         assert!(a.validate(b"ACGT").is_err()); // no terminal
         assert!(a.validate(&[b'A', 0, b'C', 0]).is_err()); // interior terminal
         assert!(a.validate(&[b'A', b'X', 0]).is_err()); // foreign symbol
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_byte_and_its_position() {
+        let a = Alphabet::protein();
+        let message = |text: &[u8]| a.validate(text).unwrap_err().to_string();
+        assert!(message(b"").contains("text is empty"));
+        assert!(message(b"AC").contains("must end with the terminal"));
+        let interior = message(&[b'A', b'C', 0, b'B', 0]);
+        assert!(interior.contains("terminal symbol found at interior position 2"), "{interior}");
+        let foreign = message(&[b'A', b'C', b'D', b'B', 0, 0]);
+        assert!(foreign.contains("symbol 0x42 at position 3 is not in the alphabet"), "{foreign}");
+        // Every byte value: members pass, everything else is refused.
+        for b in 0..=u8::MAX {
+            assert_eq!(a.validate(&[b'A', b, 0]).is_ok(), a.contains(b), "byte {b:#04x}");
+        }
     }
 
     #[test]

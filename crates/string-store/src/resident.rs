@@ -67,6 +67,15 @@ impl<'a> ResidentText<'a> {
     pub(crate) fn packed(payload: &'a [u8], len: usize, codec: &'a PackedCodec) -> Self {
         ResidentText(Form::Codes(Codes { payload, len, codec }))
     }
+
+    /// The bytes the text is held in: a raw text's bytes, terminal included,
+    /// or a packed text's payload.
+    pub fn stored_bytes(&self) -> &'a [u8] {
+        match self.0 {
+            Form::Bytes(text) => text,
+            Form::Codes(codes) => codes.payload,
+        }
+    }
 }
 
 impl TextSource for ResidentText<'_> {
@@ -219,6 +228,11 @@ mod tests {
                 let what = format!("{bits}-bit, {len} symbols");
                 assert_eq!(TextSource::len(&packed), len, "{what}");
                 assert_eq!(TextSource::len(&resident_raw), len, "{what}");
+                // Each hands out the bytes its store holds: the text, or the
+                // payload `pack_body` made of its body.
+                assert_eq!(resident_raw.stored_bytes(), &text[..], "{what}");
+                let payload = PackedCodec::new(&alphabet).pack_body(&body).unwrap();
+                assert_eq!(packed.stored_bytes(), &payload[..], "{what}");
 
                 for pos in 0..len + 2 {
                     let want = slice.symbol_at(pos).ok();

@@ -3,14 +3,13 @@
 //! One file holds everything a serving index needs: the text (raw or
 //! bit-packed), every partition-group's flat (`ERAFLAT1`) tree, and a
 //! checksummed table of contents that is the *commit point* of the whole
-//! catalog. It is the only persisted index format, read through one
-//! footer/TOC parser in two ways: [`parse_catalog`] verifies a whole in-memory
-//! image, while a [`CatalogFile`] reads the footer and TOC and then either
-//! the whole file in one sequential pass, handed to [`parse_catalog`]
-//! ([`CatalogFile::load_all`]), or only the group segments
-//! ([`CatalogFile::load_groups`]) — the text segment's checksum is verified
-//! in a bounded-buffer streaming pass and the text stays on disk, for a
-//! region store to serve block-wise.
+//! catalog. It is the only persisted index format, with one footer/TOC parser
+//! and one group loader, read in two ways: [`parse_catalog`] verifies a whole
+//! in-memory image, while a [`CatalogFile`] reads each byte of a file once —
+//! the footer, header and TOC when it opens, then the text segment
+//! ([`CatalogFile::read_text`], hashed as it is read: into memory, or through
+//! a bounded buffer, the text staying in the file for a region store to
+//! serve block-wise) and the group segments ([`CatalogFile::load_groups`]).
 //!
 //! # On-disk format (all integers little-endian)
 //!
@@ -657,33 +656,48 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
     Ok(CatalogToc { generation, text_len, alphabet, packed, text_bytes, text_checksum, groups })
 }
 
-/// Verifies one group segment, whose FNV-1a 64 is `hash`, against its TOC
-/// entry and parses its tree (structural validation included).
-fn load_group(
-    i: usize,
-    entry: &TocGroup,
-    seg: &[u8],
-    hash: u64,
-    text_len: usize,
-) -> io::Result<CatalogGroup> {
-    if hash != entry.checksum {
-        return Err(corrupt(format!("group {i} segment checksum mismatch")));
+/// Verifies every group segment against its TOC entry and parses its tree
+/// (structural validation included): the one group loader, behind both
+/// [`parse_catalog`] and [`CatalogFile::load_groups`]. `region` holds the
+/// bytes of the catalog from offset `region_at` on, which [`parse_toc`] put
+/// at or before the first group; the segments are hashed four side by side
+/// ([`fnv1a64_each`]).
+fn verify_groups(
+    toc: &CatalogToc,
+    region: &[u8],
+    region_at: usize,
+) -> io::Result<Vec<CatalogGroup>> {
+    let segments = (toc.groups.iter())
+        .map(|g| field(region, g.offset.saturating_sub(region_at), g.len, "group segment"))
+        .collect::<io::Result<Vec<_>>>()?;
+    let hashes = fnv1a64_each(&segments);
+    let mut groups = Vec::with_capacity(segments.len());
+    for (i, ((entry, seg), hash)) in toc.groups.iter().zip(segments).zip(hashes).enumerate() {
+        if hash != entry.checksum {
+            return Err(corrupt(format!("group {i} segment checksum mismatch")));
+        }
+        let tree = read_flat_tree(&mut &seg[..])
+            .map_err(|e| corrupt(format!("group {i} tree invalid: {e}")))?;
+        if tree.serialized_size() != seg.len() {
+            return Err(corrupt(format!(
+                "group {i} segment has {} trailing bytes",
+                seg.len().saturating_sub(tree.serialized_size())
+            )));
+        }
+        if tree.text_len() != toc.text_len {
+            return Err(corrupt(format!(
+                "group {i} tree covers a {}-symbol text, catalog says {}",
+                tree.text_len(),
+                toc.text_len
+            )));
+        }
+        groups.push(CatalogGroup {
+            generation: entry.generation,
+            prefix: entry.prefix.clone(),
+            tree,
+        });
     }
-    let tree = read_flat_tree(&mut &seg[..])
-        .map_err(|e| corrupt(format!("group {i} tree invalid: {e}")))?;
-    if tree.serialized_size() != seg.len() {
-        return Err(corrupt(format!(
-            "group {i} segment has {} trailing bytes",
-            seg.len().saturating_sub(tree.serialized_size())
-        )));
-    }
-    if tree.text_len() != text_len {
-        return Err(corrupt(format!(
-            "group {i} tree covers a {}-symbol text, catalog says {text_len}",
-            tree.text_len()
-        )));
-    }
-    Ok(CatalogGroup { generation: entry.generation, prefix: entry.prefix.clone(), tree })
+    Ok(groups)
 }
 
 /// Holds the text segment's hash and last byte to what the TOC promises.
@@ -716,29 +730,21 @@ pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
     let toc = parse_toc(field(bytes, toc_offset, toc_len, "toc")?, toc_offset, toc_checksum)?;
     let text_seg = field(bytes, HEADER_LEN, toc.text_bytes, "text segment")?;
     check_text(&toc, fnv1a64(text_seg), text_seg.last().copied())?;
-    let segments = toc
-        .groups
-        .iter()
-        .map(|entry| field(bytes, entry.offset, entry.len, "group segment"))
-        .collect::<io::Result<Vec<_>>>()?;
-    let hashes = fnv1a64_each(&segments);
-    let mut groups = Vec::with_capacity(toc.groups.len());
-    for (i, ((entry, seg), hash)) in toc.groups.iter().zip(segments).zip(hashes).enumerate() {
-        groups.push(load_group(i, entry, seg, hash, toc.text_len)?);
-    }
+    let groups = verify_groups(&toc, bytes, 0)?;
     let text_seg = text_seg.to_vec();
     let text = if toc.packed { CatalogText::Packed(text_seg) } else { CatalogText::Raw(text_seg) };
     let CatalogToc { generation, text_len, alphabet, .. } = toc;
     Ok(Catalog { generation, text_len, alphabet, text, groups })
 }
 
-/// Buffer of the streaming text-checksum pass of [`CatalogFile::load_groups`].
+/// The piece of the text segment [`CatalogFile::read_text`] reads and hashes
+/// at a time, and its whole buffer when the text stays in the file.
 const STREAM_CHUNK: usize = 64 << 10;
 
 /// An open catalog file whose header, footer and TOC have been read and
-/// validated; no segment has been read yet. The caller picks how to load the
-/// rest from [`Self::toc`]: [`Self::load_all`] materializes everything,
-/// [`Self::load_groups`] leaves the text segment on disk.
+/// validated; no segment has been read yet. The rest is read once, in file
+/// order: [`Self::read_text`], into memory or leaving the text in the file,
+/// then [`Self::load_groups`].
 #[derive(Debug)]
 pub struct CatalogFile {
     file: File,
@@ -792,53 +798,53 @@ impl CatalogFile {
     }
 
     /// Bytes read from the file so far, counted where they are read: header,
-    /// footer and TOC, plus what [`Self::load_groups`] read.
+    /// footer and TOC, plus what [`Self::read_text`] and
+    /// [`Self::load_groups`] read.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
-    /// Reads the file in one sequential pass and verifies that image with
-    /// [`parse_catalog`]: the materializing open.
-    pub fn load_all(mut self) -> io::Result<Catalog> {
-        let mut image = Vec::new();
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut image)?;
-        parse_catalog(&image)
-    }
-
-    /// Verifies the text segment's checksum in one streaming pass through a
-    /// [`STREAM_CHUNK`]-byte buffer — the text is never held in memory — and
-    /// loads the group segments.
+    /// Reads the text segment 64 KiB (`STREAM_CHUNK`) at a time, hashing each
+    /// piece as it is read, and checks it against the TOC. With `keep` the
+    /// segment is read into memory and returned; without, it goes through
+    /// one bounded buffer and stays in the file, for a region store to serve.
     #[expect(
         clippy::arithmetic_side_effects,
         clippy::indexing_slicing,
-        reason = "chunk = left.min(STREAM_CHUNK) is at most buf.len() and at most left"
+        reason = "at < len and take = (len - at).min(STREAM_CHUNK), so the piece fits the buffer, which holds len or STREAM_CHUNK.min(len) bytes"
+    )]
+    pub fn read_text(&mut self, keep: bool) -> io::Result<Option<Vec<u8>>> {
+        let len = self.toc.text_bytes;
+        // The TOC put the segment inside the file: no buffer outgrows it.
+        let mut buf = vec![0u8; if keep { len } else { STREAM_CHUNK.min(len) }];
+        self.file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        let (mut hash, mut last, mut at) = (FNV_OFFSET, None, 0);
+        while at < len {
+            let take = (len - at).min(STREAM_CHUNK);
+            let from = if keep { at } else { 0 };
+            let piece = &mut buf[from..from + take];
+            read_counted(&mut self.file, &mut self.bytes_read, piece)?;
+            hash = fnv1a64_extend(hash, piece);
+            last = piece.last().copied();
+            at += take;
+        }
+        check_text(&self.toc, hash, last)?;
+        Ok(keep.then_some(buf))
+    }
+
+    /// Reads the group segments, which lie contiguously after the text, in
+    /// one read, and verifies them with the loader [`parse_catalog`] uses.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "parse_toc laid the groups end to end from HEADER_LEN + text_bytes to the TOC"
     )]
     pub fn load_groups(&mut self) -> io::Result<Vec<CatalogGroup>> {
-        let toc = &self.toc;
-        self.file.seek(SeekFrom::Start(HEADER_LEN as u64))?;
-        let mut buf = vec![0u8; STREAM_CHUNK.min(toc.text_bytes)];
-        let mut hash = FNV_OFFSET;
-        let mut last = None;
-        let mut left = toc.text_bytes;
-        while left > 0 {
-            let chunk = &mut buf[..left.min(STREAM_CHUNK)];
-            read_counted(&mut self.file, &mut self.bytes_read, chunk)?;
-            hash = fnv1a64_extend(hash, chunk);
-            last = chunk.last().copied();
-            left -= chunk.len();
-        }
-        check_text(toc, hash, last)?;
-        // Groups follow the text contiguously, so the file cursor is already
-        // at the first one; each buffer is bounded by the real file length.
-        let mut groups = Vec::with_capacity(toc.groups.len());
-        let mut seg = Vec::new();
-        for (i, entry) in toc.groups.iter().enumerate() {
-            seg.resize(entry.len, 0);
-            read_counted(&mut self.file, &mut self.bytes_read, &mut seg)?;
-            groups.push(load_group(i, entry, &seg, fnv1a64(&seg), toc.text_len)?);
-        }
-        Ok(groups)
+        let groups_at = HEADER_LEN + self.toc.text_bytes;
+        // Bounded by the real file length, like the TOC.
+        let mut region = vec![0u8; self.toc.groups.iter().map(|g| g.len).sum()];
+        self.file.seek(SeekFrom::Start(groups_at as u64))?;
+        read_counted(&mut self.file, &mut self.bytes_read, &mut region)?;
+        verify_groups(&self.toc, &region, groups_at)
     }
 
     /// The open file and its layout, for a region store to serve the text
@@ -923,15 +929,21 @@ mod tests {
             let path = temp_path(name);
             let enc = encode_catalog(3, segment, &alpha, &tree).unwrap();
             commit_catalog(&path, &StdVfs, CommitProtocol::Sound, &enc).unwrap();
-            let cat = CatalogFile::open(&path).unwrap().load_all().unwrap();
+            let cat = parse_catalog(&std::fs::read(&path).unwrap()).unwrap();
             assert_eq!(cat.generation, 3);
-            // The streamed open verifies the same groups, leaves the text on
-            // disk and reads each byte of the file exactly once: header,
-            // text, groups, TOC and footer tile it.
-            let mut file = CatalogFile::open(&path).unwrap();
-            assert_eq!(file.toc().packed, matches!(cat.text, CatalogText::Packed(_)));
-            assert_eq!(file.load_groups().unwrap(), cat.groups);
-            assert_eq!(file.bytes_read(), enc.bytes.len() as u64);
+            // The file reads the same text and groups as the image parse, and
+            // each byte of the file exactly once, whether the text is kept in
+            // memory or left on disk: header, text, groups, TOC and footer
+            // tile it.
+            let (CatalogText::Raw(image_text) | CatalogText::Packed(image_text)) = &cat.text;
+            for keep in [true, false] {
+                let mut file = CatalogFile::open(&path).unwrap();
+                assert_eq!(file.toc().packed, matches!(cat.text, CatalogText::Packed(_)));
+                let text = file.read_text(keep).unwrap();
+                assert_eq!(text.as_ref(), keep.then_some(image_text), "keep={keep}");
+                assert_eq!(file.load_groups().unwrap(), cat.groups);
+                assert_eq!(file.bytes_read(), enc.bytes.len() as u64);
+            }
             assert_eq!(groups_into_tree(cat.text_len, cat.groups), tree);
             // The temp sibling is gone.
             let dir = path.parent().unwrap();
@@ -943,6 +955,38 @@ mod tests {
             assert!(stray.is_empty(), "{stray:?}");
             std::fs::remove_dir_all(dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_text_of_several_pieces_is_read_and_checked_once_in_both_modes() {
+        // Two whole STREAM_CHUNK pieces and a short third one.
+        let mut x = 1u32;
+        let mut text: Vec<u8> = (0..2 * STREAM_CHUNK + 1000)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                b"ACGT"[(x >> 16) as usize % 4]
+            })
+            .collect();
+        text.push(0);
+        let tree = PartitionedSuffixTree::single(text.len(), naive_suffix_tree(&text));
+        let enc = encode_catalog(1, TextSegment::Raw(&text), &Alphabet::dna(), &tree).unwrap();
+        let path = temp_path("pieces");
+        std::fs::write(&path, &enc.bytes).unwrap();
+        for keep in [true, false] {
+            let mut file = CatalogFile::open(&path).unwrap();
+            assert_eq!(file.read_text(keep).unwrap(), keep.then(|| text.clone()), "keep={keep}");
+            assert_eq!(groups_into_tree(text.len(), file.load_groups().unwrap()), tree);
+            assert_eq!(file.bytes_read(), enc.bytes.len() as u64, "keep={keep}");
+        }
+        // A bit flipped in the last piece fails the text checksum either way.
+        let mut bytes = enc.bytes.clone();
+        bytes[HEADER_LEN + text.len() - 2] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        for keep in [true, false] {
+            let err = CatalogFile::open(&path).unwrap().read_text(keep).unwrap_err();
+            assert!(err.to_string().contains("text segment checksum mismatch"), "{err}");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

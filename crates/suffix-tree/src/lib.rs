@@ -51,8 +51,8 @@
 //!   atomically (write temp → fsync → fsync TOC → rename → dir fsync) through
 //!   the [`Vfs`](era_string_store::Vfs) durability seam, with per-group
 //!   generation numbers as the seam for group-granular incremental replace.
-//!   One footer/TOC parser serves both ways of reading it — a whole image
-//!   ([`parse_catalog`]) or a file whose text segment stays on disk
+//!   One footer/TOC parser and one group loader serve both ways of reading
+//!   it — a whole image ([`parse_catalog`]) or a file read once
 //!   ([`CatalogFile`]). The crash-matrix harness in `era-check` proves every
 //!   fault point of a save yields exactly the old or the new generation.
 

@@ -5,8 +5,8 @@
 //!   disk (`build_from_path`) — and reopens, materialized *and* with the text
 //!   left on disk, answering byte-identically to the in-memory build.
 //! * The open mode follows the memory budget: a text segment over
-//!   `EraConfig::memory_budget` is served block-wise from the catalog file,
-//!   which is read at most once, byte for byte, to open it.
+//!   `EraConfig::memory_budget` is served block-wise from the catalog file;
+//!   in either mode the file is read exactly once, byte for byte, to open it.
 //! * A catalog truncated underneath an on-disk index turns queries into
 //!   errors, never into answers.
 
@@ -155,13 +155,18 @@ fn open_mode_follows_the_memory_budget_with_identical_answers() {
     for (name, body, packed, path) in saved_catalogs("budget") {
         let file_len = std::fs::metadata(&path).unwrap().len();
 
-        // What the on-disk open reads, counted where it is read: header,
-        // footer, TOC, every group segment and one pass over the text —
-        // together, each byte of the file exactly once.
-        let mut file = CatalogFile::open(&path).unwrap();
-        let text_bytes = file.toc().text_bytes;
-        file.load_groups().unwrap();
-        assert_eq!(file.bytes_read(), file_len, "{name}");
+        // What an open reads, counted where it is read: header, footer, TOC,
+        // one pass over the text and every group segment — together, each
+        // byte of the file exactly once, whether the text segment is read
+        // into memory or left on disk.
+        let text_bytes = CatalogFile::open(&path).unwrap().toc().text_bytes;
+        for in_memory in [true, false] {
+            let mut file = CatalogFile::open(&path).unwrap();
+            let text = file.read_text(in_memory).unwrap();
+            assert_eq!(text.map(|t| t.len()), in_memory.then_some(text_bytes), "{name}");
+            file.load_groups().unwrap();
+            assert_eq!(file.bytes_read(), file_len, "{name}, in memory: {in_memory}");
+        }
 
         // A budget that still holds the text segment materializes it ...
         let at_budget = EraConfig { memory_budget: text_bytes, ..EraConfig::default() };
