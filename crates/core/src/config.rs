@@ -24,30 +24,33 @@
 //!    to the running member's `R`, which shrinks by exactly that much, and
 //!    may take at most a quarter of it: a cohort is
 //!    `k = 1 + R / (16 · FM)` virtual trees
-//!    ([`crate::pipeline::cohort_len`]) — 7 for DNA, whose `R / FM` is ≈ 101.
-//!    The sub-tree area could hold the lists of ≈ 24 groups, but not for
-//!    free: it is the area `R` occupies in phase 2, so at 24 the lists eat
-//!    0.6 × the budget out of `R`, the elastic range collapses, and the
+//!    ([`crate::pipeline::cohort_len`]) — 3 for DNA, whose `R / FM` is ≈ 34.
+//!    The sub-tree area could hold the lists of ≈ 8 groups, but not for
+//!    free: it is the area `R` occupies in phase 2, so lists that fill it
+//!    eat 0.6 × the budget out of `R`, the elastic range collapses, and the
 //!    rounds `SubTreePrepare` gains cost more bytes than the shared pass
-//!    saves (measured at `k = 24`: 3,648 B/symbol read against 2,784 with no
-//!    cohorts at all, 2,302 at the derived `k`);
+//!    saves (measured when a node was charged 48 B and the sub-tree area
+//!    held ≈ 24 lists: 3,648 B/symbol read at `k = 24` against 2,784 with no
+//!    cohorts at all and 2,302 at the derived `k`);
 //! 2. **prepare** (`SubTreePrepare`) — `R` plus the processing area
 //!    (`L`/`B`/`I`/`A`/`P`). No tree node exists yet, so `R` also occupies
 //!    the idle sub-tree area: [`MemoryLayout::r_bytes`] is the dedicated
 //!    read-ahead buffer *plus* [`MemoryLayout::tree_area`] (a cohort member
 //!    runs with that less the waiting lists of phase 1). `R` holds the
 //!    store's codes, so the same bytes are a longer range on a packed store:
-//!    the first elastic range of a full DNA group is ≈ 100 symbols raw and
-//!    ≈ 400 packed (2 bits a symbol);
-//! 3. **build** (`BuildSubTree`) — `R` is dead; the tree grows in the
-//!    sub-tree area from `L`/`B`;
-//! 4. **freeze and release** — each sub-tree is frozen into its flat serving
-//!    form, and its construction form, `L` and `B` dropped, before the next
-//!    one is assembled; a finished group leaves only its flat arenas behind.
+//!    the first elastic range of a full DNA group is ≈ 34 symbols raw and
+//!    ≈ 135 packed (2 bits a symbol);
+//! 3. **build** (`BuildSubTree`) — `R` is dead; each sub-tree is assembled
+//!    from `L`/`B` straight into its flat arena of 16-byte records in the
+//!    sub-tree area, allocated once at its exact size — the record `FM`
+//!    charges a node;
+//! 4. **release** — each sub-tree's `L` and `B` are dropped as soon as its
+//!    arena is written, before the next one is assembled; a finished group
+//!    leaves only its flat arenas behind.
 //!
 //! ERA-str ([`HorizontalMethod::StringOnly`]) has no such separation — it
 //! grows the tree *during* the scans — so there `R` stays the dedicated
-//! buffer (and a DNA cohort is a single virtual tree: `R / FM` ≈ 5). `FM`, and
+//! buffer (and a DNA cohort is a single virtual tree: `R / FM` ≈ 2). `FM`, and
 //! with it the grouping and every byte of the index, depends on `tree_area`
 //! alone and is the same under both readings; how much of `R` a member is
 //! left with decides how many passes it takes and nothing about its trees.
@@ -57,11 +60,11 @@ use era_string_store::Alphabet;
 use crate::error::{EraError, EraResult};
 
 /// Bytes charged per tree node when computing `FM` (Equation 1:
-/// `FM = MTS / (2 · TREE_NODE_BYTES)`). 48 B is a node of the construction
-/// form; the flat form that survives is 16 B a node
-/// ([`era_suffix_tree::layout::FLAT_NODE_BYTES`]), and ROADMAP.md item 5,
-/// which assembles sub-trees straight into the flat arena, changes this value.
-pub const TREE_NODE_BYTES: usize = 48;
+/// `FM = MTS / (2 · TREE_NODE_BYTES)`): one 16-byte flat record
+/// ([`era_suffix_tree::layout::FLAT_NODE_BYTES`]), the only form of a node
+/// that outlives its group. ERA-str+mem assembles each sub-tree straight
+/// into its arena of these records; ERA-str freezes into the same records.
+pub const TREE_NODE_BYTES: usize = era_suffix_tree::FLAT_NODE_BYTES;
 
 /// How the per-iteration read-ahead range is chosen (§4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,8 +187,8 @@ pub struct MemoryLayout {
     pub input_buffer: usize,
     /// Bytes reserved for the trie connecting sub-trees.
     pub trie_area: usize,
-    /// Bytes for the sub-tree area (`MTS`, ~60 % of what remains): the
-    /// construction-form tree during `BuildSubTree`, part of `R` before it.
+    /// Bytes for the sub-tree area (`MTS`, ~60 % of what remains): the flat
+    /// arenas during `BuildSubTree`, part of `R` before it.
     pub tree_area: usize,
     /// Bytes for the processing area (arrays `L` and `B`, and `I`/`A`/`P`
     /// while `SubTreePrepare` runs; ~40 % of the rest).
@@ -206,8 +209,8 @@ impl EraConfig {
     /// [`MemoryLayout::r_bytes`] is what `R` has while it is live: with
     /// [`HorizontalMethod::StringAndMemory`] the sub-tree area is still empty
     /// then and `R` borrows it, which is what lets the first elastic range be
-    /// `(R + MTS) / FM` bytes (≈ 100 DNA symbols raw, ≈ 400 on a packed
-    /// store) instead of `R / FM` (≈ 5).
+    /// `(R + MTS) / FM` bytes (≈ 34 DNA symbols raw, ≈ 135 on a packed
+    /// store) instead of `R / FM` (≈ 2).
     pub fn memory_layout(&self, alphabet: &Alphabet) -> EraResult<MemoryLayout> {
         if self.memory_budget == 0 {
             return Err(EraError::config("memory budget must be non-zero"));
@@ -289,22 +292,23 @@ mod tests {
 
     #[test]
     fn r_borrows_the_tree_area_only_when_the_tree_is_built_after_the_scans() {
-        for (budget, fm) in [(512 << 10, 2_969), (4 << 20, 25_190)] {
+        for (budget, fm) in [(512 << 10, 8_908), (4 << 20, 75_571)] {
             let mem = dna_layout(budget, HorizontalMethod::StringAndMemory);
             let str_only = dna_layout(budget, HorizontalMethod::StringOnly);
             let dedicated = (budget / 32).max(4 << 10);
             assert_eq!(str_only.r_bytes, dedicated);
             assert_eq!(mem.r_bytes, dedicated + mem.tree_area);
             // Everything but `r_bytes` — FM above all — is independent of the
-            // horizontal method, and FM is the parent's `MTS / (2 · node)`.
+            // horizontal method, and FM is `MTS / (2 · node)` at the 16 B of a
+            // flat record.
             assert_eq!(MemoryLayout { r_bytes: dedicated, ..mem }, str_only);
             let remaining = budget - dedicated - (16 << 10) - (16 << 10);
             assert_eq!(mem.tree_area, remaining * 60 / 100);
-            assert_eq!(mem.fm, mem.tree_area / (2 * 48));
+            assert_eq!(mem.fm, mem.tree_area / (2 * 16));
             assert_eq!(mem.fm, fm);
-            // The first elastic range of a full group: ~100 symbols, not ~5.
-            assert!(mem.r_bytes / mem.fm >= 96);
-            assert!(str_only.r_bytes / str_only.fm <= 6);
+            // The first elastic range of a full group: ~34 symbols, not ~2.
+            assert!(mem.r_bytes / mem.fm >= 32);
+            assert!(str_only.r_bytes / str_only.fm <= 2);
         }
     }
 

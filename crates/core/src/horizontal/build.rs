@@ -1,35 +1,55 @@
 //! Algorithm `BuildSubTree` (§4.2.2): batch assembly of the sub-tree from the
 //! `L`/`B` arrays produced by `SubTreePrepare`.
 //!
-//! The stack-based assembly itself lives in
-//! [`era_suffix_tree::assemble::assemble_from_sorted`] (it is shared with the
-//! B²ST baseline, which assembles trees from merged suffix-array runs); this
-//! module adapts the prepared data and attaches the partition prefix.
+//! The pipeline assembles every sub-tree straight into its flat serving
+//! arena with [`assemble_partition`]
+//! ([`era_suffix_tree::assemble::assemble_flat`]): `L` is the group's slice
+//! of the suffix array and `B` its LCP array, so the pre-order arena follows
+//! from them with no construction-form node in between. [`build_partition`]
+//! still assembles the `Vec`-node [`SuffixTree`] that arena is the freeze of
+//! ([`era_suffix_tree::assemble::assemble_from_sorted`], shared with the
+//! B²ST baseline), for the callers that want that form.
 
-use era_suffix_tree::{Partition, SuffixTree};
+use era_suffix_tree::{FlatPartition, Partition, SuffixTree};
 
 use super::prepare::PreparedSubTree;
 
-/// Builds the suffix sub-tree for one prepared S-prefix.
+/// The first character of every suffix of the prepared S-prefix.
+fn first_char(prepared: &PreparedSubTree) -> u8 {
+    #[expect(clippy::expect_used, reason = "invariant of vertical partitioning")]
+    prepared.prefix.first().copied().expect("vertical partitioning never produces an empty prefix")
+}
+
+/// Assembles the sub-tree of one prepared S-prefix straight into its flat
+/// arena and wraps it as a [`FlatPartition`] of the final index, dropping
+/// `L` and `B` — what ERA's pipeline does with every prepared sub-tree.
+///
+/// The arena is byte for byte `build_partition(..).freeze()`'s, allocated
+/// once at its exact size. No string access happens here.
+pub fn assemble_partition(text_len: usize, prepared: PreparedSubTree) -> FlatPartition {
+    let tree = era_suffix_tree::assemble_flat(
+        text_len,
+        &prepared.leaves,
+        &prepared.branching,
+        first_char(&prepared),
+    );
+    FlatPartition { prefix: prepared.prefix, tree }
+}
+
+/// Builds the construction-form suffix sub-tree for one prepared S-prefix.
 ///
 /// No string access happens here: the edge labels are `(start, end)` offsets
 /// and the branching characters were captured in `B` during preparation.
 pub fn build_subtree(text_len: usize, prepared: &PreparedSubTree) -> SuffixTree {
-    #[expect(clippy::expect_used, reason = "invariant of vertical partitioning")]
-    let first_char = prepared
-        .prefix
-        .first()
-        .copied()
-        .expect("vertical partitioning never produces an empty prefix");
     era_suffix_tree::assemble_from_sorted(
         text_len,
         &prepared.leaves,
         &prepared.branching,
-        first_char,
+        first_char(prepared),
     )
 }
 
-/// Builds the sub-tree and wraps it as a [`Partition`] of the final index.
+/// Builds the construction-form sub-tree and wraps it as a [`Partition`].
 pub fn build_partition(text_len: usize, prepared: &PreparedSubTree) -> Partition {
     Partition { prefix: prepared.prefix.clone(), tree: build_subtree(text_len, prepared) }
 }
@@ -74,6 +94,7 @@ mod tests {
         // Every query answered through the frozen sub-tree agrees with a
         // scan of the text for patterns starting with TG.
         let frozen = FlatTree::freeze(&tree);
+        assert_eq!(assemble_partition(text.len(), prepared[0].clone()).tree, frozen);
         for pattern in [&b"TG"[..], b"TGG", b"TGC", b"TGA", b"TGGTGC", b"TGCGG"] {
             let mut got = frozen.try_find_all(&text, pattern).unwrap();
             got.sort_unstable();
@@ -91,5 +112,6 @@ mod tests {
         let part = build_partition(9, &prepared);
         assert_eq!(part.prefix, b"GA");
         assert_eq!(part.tree.leaf_count(), 1);
+        assert_eq!(assemble_partition(9, prepared), part.freeze());
     }
 }

@@ -8,7 +8,8 @@
 //!   scan (`ComputeSuffixSubTree` / iterative `BranchEdge`).
 //! * [`prepare`] — ERA-str+mem (§4.2.2): `SubTreePrepare` first derives the
 //!   `L`/`B` arrays with sequential memory access only, and
-//!   [`build::build_subtree`] then assembles the tree in batch.
+//!   [`build::assemble_partition`] then assembles the tree in batch, straight
+//!   into its flat serving arena.
 //!
 //! Sub-trees grouped into one virtual tree share every scan: the read requests
 //! of all member prefixes are merged into a single ascending stream.

@@ -21,6 +21,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use era_string_store::disk::DEFAULT_DISK_BLOCK;
+use era_string_store::packed::packed_size;
 use era_string_store::{
     Alphabet, BlockCache, DiskStore, InMemoryStore, PackedCodec, PackedDiskStore,
     PackedMemoryStore, StdVfs, StoreError, StoreResult, StringStore, TextSource, Vfs, TERMINAL,
@@ -43,9 +44,10 @@ use crate::report::ConstructionReport;
 #[derive(Clone)]
 pub struct SuffixIndex {
     /// The text the tree's edge labels point into. A built index holds it in
-    /// memory, one byte per symbol; an opened one holds the catalog's text
-    /// segment as it lies, in memory within the budget and in the file over
-    /// it. Queries and [`Self::verify`] read it where it is.
+    /// memory in its build store's encoding, one byte a symbol or the packed
+    /// payload; an opened one holds the catalog's text segment as it lies, in
+    /// memory within the budget and in the file over it. Queries and
+    /// [`Self::verify`] read it where it is.
     store: Arc<dyn StringStore>,
     /// [`Self::text`]'s copy of a text that is not a raw slice in memory,
     /// decoded or read on the first call and kept for the index's life.
@@ -120,8 +122,10 @@ impl SuffixIndex {
     }
 
     /// The store behind a store-backed index: `None` when the text is a raw
-    /// slice in memory (every built index, and a raw catalog opened within
-    /// the budget), which [`Self::text`] hands out as it is.
+    /// slice in memory (an index built from a raw store, and a raw catalog
+    /// opened within the budget), which [`Self::text`] hands out as it is.
+    /// A packed text — built or opened — and a text left in a catalog file
+    /// are served from the store.
     pub fn store(&self) -> Option<&dyn StringStore> {
         match self.raw_text() {
             Some(_) => None,
@@ -424,6 +428,21 @@ fn assemble(
     Ok(index)
 }
 
+/// The payload of a packed store's text: the codes of its body, read in one
+/// piece, with the bits past the last code cleared — the bytes
+/// [`PackedCodec::pack_body`] makes of the decoded body.
+fn packed_payload(store: &dyn StringStore) -> StoreResult<Vec<u8>> {
+    let (body, bits) = (store.len().saturating_sub(1), store.code_bits());
+    let mut payload = vec![0u8; packed_size(body, bits)];
+    #[expect(clippy::disallowed_methods, reason = "one accounted read of the whole payload")]
+    store.read_codes_at(0, body, &mut payload)?;
+    let spare = body * bits as usize % 8;
+    if let (Some(last), true) = (payload.last_mut(), spare != 0) {
+        *last &= (1u8 << spare) - 1;
+    }
+    Ok(payload)
+}
+
 /// Maps a catalog open/parse failure onto [`EraError`]: invalid bytes are
 /// corruption, everything else stays an I/O error.
 fn catalog_error(e: std::io::Error) -> EraError {
@@ -636,7 +655,10 @@ impl SuffixIndexBuilder {
         }
     }
 
-    /// Builds the index over any [`StringStore`].
+    /// Builds the index over any [`StringStore`]. The index keeps the text
+    /// in memory in the store's encoding: a raw store's bytes, or a packed
+    /// store's payload as it lies, read as codes with nothing decoded and
+    /// saved as it is.
     pub fn build_from_store<S: StringStore>(
         self,
         store: &S,
@@ -644,7 +666,12 @@ impl SuffixIndexBuilder {
     ) -> EraResult<SuffixIndex> {
         let (tree, report) = construct(store, &self.config)?;
         let alphabet = store.alphabet().clone();
-        let text = Arc::new(InMemoryStore::new(store.read_all()?, alphabet.clone())?);
+        let text: Arc<dyn StringStore> = if store.is_packed() {
+            let payload = packed_payload(store)?;
+            Arc::new(PackedMemoryStore::from_payload(payload, store.len(), alphabet.clone())?)
+        } else {
+            Arc::new(InMemoryStore::new(store.read_all()?, alphabet.clone())?)
+        };
         let mut index = assemble(text, tree, alphabet, store.is_packed(), 0, &self.config)?;
         index.report = report;
         index.separators = separators;
@@ -864,6 +891,25 @@ mod tests {
         let body = b"GATTACAGATTACAGGATCCGATTACA";
         let index = SuffixIndex::builder().packed(true).build_from_bytes(body).unwrap();
         assert!(index.is_packed());
+        // The build keeps the payload it read, with nothing decoded: the bytes
+        // packing the text makes, even where the build store's spare bits
+        // past the last code were set.
+        let payload = PackedCodec::new(index.alphabet()).pack_body(body).unwrap();
+        let held = |index: &SuffixIndex| {
+            let store = index.store().expect("a packed build serves from its payload");
+            store.resident().map(|text| text.stored_bytes().to_vec())
+        };
+        assert_eq!(held(&index), Some(payload.clone()));
+        let mut spare_bits_set = payload.clone();
+        *spare_bits_set.last_mut().unwrap() |= 0xC0; // 27 codes use 6 bits of it
+        let store = PackedMemoryStore::from_payload(
+            spare_bits_set,
+            body.len() + 1,
+            index.alphabet().clone(),
+        )
+        .unwrap();
+        let rebuilt = SuffixIndex::builder().packed(true).build_from_store(&store, vec![]).unwrap();
+        assert_eq!(held(&rebuilt), Some(payload));
         index.save_to_file(&path).unwrap();
 
         let loaded = SuffixIndex::open_file(&path).unwrap();

@@ -48,16 +48,17 @@
 //!
 //! Whoever runs it, a virtual tree spends the memory budget phase by phase
 //! rather than area by area ([`config`] has the accounting). One classifying
-//! scan yields the leaves `L` of a whole cohort of virtual trees (seven, for
+//! scan yields the leaves `L` of a whole cohort of virtual trees (three, for
 //! DNA) by descending a trie of their S-prefixes from every position; its
 //! members then take turns. `SubTreePrepare` holds the read-ahead buffer
 //! `R` as one flat arena that also occupies the sub-tree area — idle until
-//! `BuildSubTree` — so the first elastic range is `(R + MTS) / FM ≈ 100`
-//! symbols rather than `R / FM ≈ 5`, and a group costs a handful of passes
+//! `BuildSubTree` — so the first elastic range is `(R + MTS) / FM ≈ 34`
+//! symbols rather than `R / FM ≈ 2`, and a group costs a handful of passes
 //! over the string instead of dozens. `BuildSubTree` then has that area for
-//! the tree, and every sub-tree is frozen into its flat serving form, and its
-//! construction form dropped, before the next one is assembled: what a build
-//! keeps resident is the flat arenas finished so far plus one group in
+//! the tree: every sub-tree is assembled from its `L` and `B` straight into
+//! its flat serving arena, and its `L` and `B` dropped, before the next one
+//! is assembled, so `FM` charges a node the 16 bytes of its record. What a
+//! build keeps resident is the flat arenas finished so far plus one group in
 //! flight.
 //!
 //! [`construct`] is the driver entry point over one store — the thread count
@@ -149,16 +150,17 @@
 //!
 //! ## Hot-path layout: flat serving trees and the trie scan
 //!
-//! Construction mutates the Vec-node `SuffixTree` of `era-suffix-tree`; the
-//! moment a sub-tree is finished the pipeline *freezes* it into a
-//! `FlatTree` — one contiguous arena of 16-byte node records with each
-//! node's children packed adjacently in `first_char` order — and everything
-//! downstream ([`SuffixIndex`], [`QueryEngine`], the catalog's group
-//! segments) serves from that form: descents binary-search adjacent
-//! cache lines instead of chasing per-node child vectors, subtree
-//! enumeration walks contiguous id ranges, and the arena costs ~1/3 of the
+//! ERA-str+mem assembles every sub-tree straight into a `FlatTree` — one
+//! contiguous arena of 16-byte node records with each node's children packed
+//! adjacently in `first_char` order — and ERA-str, which grows the Vec-node
+//! `SuffixTree` of `era-suffix-tree` during its scans, freezes each finished
+//! sub-tree into the same arena. Everything downstream ([`SuffixIndex`],
+//! [`QueryEngine`], the catalog's group segments) serves from that form:
+//! descents binary-search adjacent cache lines instead of chasing per-node
+//! child vectors, subtree enumeration walks contiguous id ranges, and the
+//! arena costs ~1/3 of the
 //! construction form's bytes per node ([`ConstructionReport::bytes_per_node`]
-//! reports the measured figure). The freeze order is deterministic, so all
+//! reports the measured figure). The arena order is deterministic, so all
 //! three schedulers still produce byte-identical serving trees. On the scan
 //! side, every pass that looks for S-prefixes — the counting rounds of
 //! vertical partitioning, the classifying pass of a cohort,

@@ -38,7 +38,7 @@ use era_suffix_tree::{FlatPartition, Partition, PartitionedSuffixTree};
 use crate::config::{EraConfig, HorizontalMethod, MemoryLayout};
 use crate::error::{EraError, EraResult};
 use crate::horizontal::branch_edge::compute_group_str;
-use crate::horizontal::build::build_partition;
+use crate::horizontal::build::assemble_partition;
 use crate::horizontal::prepare::prepare_group;
 use crate::horizontal::HorizontalParams;
 use crate::report::{ConstructionReport, NodeReport};
@@ -69,10 +69,13 @@ pub fn cohort_len(r_capacity: usize, fm: usize) -> usize {
 ///
 /// A member's memory is scoped to its phases (see [`crate::config`]): its
 /// lists become `L`, `SubTreePrepare` releases `R` and `I`/`A`/`P` when it
-/// returns `L`/`B`, and each sub-tree is frozen into its flat serving form
-/// the moment `BuildSubTree` hands it over — the `Vec`-node construction form
-/// and the `L`/`B` it was assembled from never outlive that step, so what a
-/// finished member leaves behind is its arenas and nothing else.
+/// returns `L`/`B`, and `BuildSubTree` assembles each sub-tree of ERA-str+mem
+/// straight into its flat serving arena
+/// ([`crate::horizontal::build::assemble_partition`]), allocated once at its
+/// exact size, dropping that sub-tree's `L`/`B` as it goes — no `Vec`-node
+/// tree exists on this path, so what a finished member leaves behind is its
+/// arenas and nothing else. ERA-str grows a construction-form tree during its
+/// scans and freezes it when they end.
 pub fn build_cohort(
     store: &dyn StringStore,
     cohort: &[VirtualTree],
@@ -112,7 +115,7 @@ pub fn build_cohort(
                 prepare_group(store, &prefixes, &occurrences, &params)?
                     .into_iter()
                     .filter(|p| !p.leaves.is_empty())
-                    .map(|p| build_partition(store.len(), &p).freeze()),
+                    .map(|p| assemble_partition(store.len(), p)),
             ),
             HorizontalMethod::StringOnly => built.extend(
                 compute_group_str(store, &prefixes, &occurrences, &params)?
@@ -575,7 +578,7 @@ impl GroupScheduler for SharedNothingScheduler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use era_string_store::{Alphabet, InMemoryStore, IoStats, StoreResult};
+    use era_string_store::{Alphabet, InMemoryStore, IoStats, ReadCursor, StoreResult};
     use era_suffix_tree::validate_partitioned;
 
     fn config() -> EraConfig {
@@ -663,7 +666,12 @@ mod tests {
         fn stats(&self) -> &IoStats {
             &self.stats
         }
-        fn read_at(&self, pos: usize, _buf: &mut [u8]) -> StoreResult<usize> {
+        fn read_at_with(
+            &self,
+            pos: usize,
+            _buf: &mut [u8],
+            _cursor: &ReadCursor,
+        ) -> StoreResult<usize> {
             panic!("read at {pos}: a text this long must be refused before it is read")
         }
     }

@@ -19,10 +19,16 @@
 //! and [`BlockCursor::codes`] copies each request's codes out, realigned to
 //! bit 0. Which blocks are read, skipped or read through, and so every I/O
 //! counter, is the same in both modes.
+//!
+//! A pass classifies its reads as sequential or as seeks against its own
+//! [`ReadCursor`], not the store's: passes that share a store — the workers
+//! of a threaded build — leave each other's classification alone, so the
+//! counters of a build do not depend on the order its threads read in.
 
 #![expect(clippy::disallowed_methods, reason = "the accounted-I/O seam")]
 
 use crate::error::{StoreError, StoreResult};
+use crate::stats::ReadCursor;
 use crate::store::StringStore;
 
 /// A forward-only cursor over the string that serves ascending-position
@@ -55,6 +61,9 @@ pub struct BlockCursor<'a> {
     /// reader (used to classify skipped blocks).
     next_block: usize,
     last_pos: usize,
+    /// Where this pass's previous read ended, which its next read is
+    /// classified against (a fresh pass starts at offset 0).
+    reads: ReadCursor,
 }
 
 impl<'a> BlockCursor<'a> {
@@ -82,6 +91,7 @@ impl<'a> BlockCursor<'a> {
             win_end: 0,
             next_block: 0,
             last_pos: 0,
+            reads: ReadCursor::default(),
         }
     }
 
@@ -180,9 +190,9 @@ impl<'a> BlockCursor<'a> {
         self.buf.resize(live + self.bytes(count), 0);
         let tail = &mut self.buf[live..];
         let got = if self.codes {
-            self.store.read_codes_at(pos, count, tail)?
+            self.store.read_codes_at_with(pos, count, tail, &self.reads)?
         } else {
-            self.store.read_at(pos, tail)?
+            self.store.read_at_with(pos, tail, &self.reads)?
         };
         self.buf.truncate(live + self.bytes(got));
         Ok(got)

@@ -90,7 +90,7 @@ pub use memory::{InMemoryStore, RawStore};
 pub use packed::PackedCodec;
 pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore, PackedStore};
 pub use resident::ResidentText;
-pub use stats::{IoSnapshot, IoStats};
+pub use stats::{IoSnapshot, IoStats, ReadCursor};
 pub use store::StringStore;
 pub use text_source::{StoreTextSource, TextSource, DEFAULT_WINDOW_SYMBOLS};
 pub use vfs::{CrashMode, FaultVfs, StdVfs, Vfs, VfsFile, SECTOR};

@@ -13,7 +13,7 @@ use crate::alphabet::Alphabet;
 use crate::backing::Backing;
 use crate::error::{StoreError, StoreResult};
 use crate::resident::ResidentText;
-use crate::stats::IoStats;
+use crate::stats::{IoStats, ReadCursor};
 use crate::store::{clamp_read, StringStore};
 
 /// Default block size used when accounting in-memory reads (4 KiB).
@@ -104,11 +104,11 @@ impl StringStore for RawStore {
         clippy::indexing_slicing,
         reason = "take = min(buf.len(), len - pos) bounds the slice"
     )]
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_at_with(&self, pos: usize, buf: &mut [u8], cursor: &ReadCursor) -> StoreResult<usize> {
         let take = clamp_read(pos, buf.len(), self.len)?;
         if take > 0 {
             self.bytes.read_exact_at(pos, &mut buf[..take])?;
-            self.stats.charge_read(pos, take, self.read_cost(pos, take));
+            self.stats.charge_read_on(cursor, pos, take, self.read_cost(pos, take));
         }
         Ok(take)
     }

@@ -50,7 +50,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::memory::DEFAULT_MEMORY_BLOCK;
 use crate::packed::{packed_size, PackState, PackedCodec};
 use crate::resident::ResidentText;
-use crate::stats::{blocks_spanned, IoStats};
+use crate::stats::{blocks_spanned, IoStats, ReadCursor};
 use crate::store::{clamp_read, code_span, StringStore};
 
 /// Magic bytes opening a packed string file.
@@ -578,7 +578,7 @@ impl StringStore for PackedStore {
     }
 
     #[expect(clippy::indexing_slicing, reason = "body < take <= buf.len() bounds both")]
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_at_with(&self, pos: usize, buf: &mut [u8], cursor: &ReadCursor) -> StoreResult<usize> {
         let take = clamp_read(pos, buf.len(), self.len)?;
         if take == 0 {
             return Ok(0);
@@ -588,7 +588,7 @@ impl StringStore for PackedStore {
         if take > body {
             buf[body] = TERMINAL;
         }
-        self.stats.charge_read(pos, take, self.read_cost(pos, take));
+        self.stats.charge_read_on(cursor, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 
@@ -598,7 +598,13 @@ impl StringStore for PackedStore {
 
     /// The payload span goes from memory or the file straight into `buf`: no
     /// scratch buffer, no decode.
-    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_codes_at_with(
+        &self,
+        pos: usize,
+        count: usize,
+        buf: &mut [u8],
+        cursor: &ReadCursor,
+    ) -> StoreResult<usize> {
         let take = clamp_read(pos, count, self.len)?;
         if take == 0 {
             return Ok(0);
@@ -606,7 +612,7 @@ impl StringStore for PackedStore {
         if let Some((lo, hi)) = packed_span(pos, self.body_count(pos, take), self.codec.bits()) {
             self.bytes.read_exact_at(lo, code_span(buf, hi - lo + 1)?)?;
         }
-        self.stats.charge_read(pos, take, self.read_cost(pos, take));
+        self.stats.charge_read_on(cursor, pos, take, self.read_cost(pos, take));
         Ok(take)
     }
 

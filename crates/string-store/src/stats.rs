@@ -19,6 +19,28 @@ pub fn blocks_spanned(lo: usize, hi: usize, block: usize) -> u64 {
     (hi / block - lo / block + 1) as u64
 }
 
+/// Where one reader's previous read ended: the position its next read is
+/// classified against — sequential iff it starts exactly there, a random seek
+/// otherwise. A fresh (default) cursor is at offset 0, so a first read at
+/// offset 0 is sequential.
+///
+/// Every [`IoStats`] keeps one for the reads that name no reader (a store's
+/// plain `read_at`). A sequential pass ([`BlockCursor`](crate::BlockCursor))
+/// owns its own and charges its reads against it, so how concurrent passes
+/// over one store take turns does not change how their reads are classified.
+#[derive(Debug, Default)]
+pub struct ReadCursor {
+    end: AtomicU64,
+}
+
+impl ReadCursor {
+    /// Moves the cursor past a read of `take` symbols at `pos` and reports
+    /// whether that read started where the previous one ended.
+    fn advance(&self, pos: usize, take: usize) -> bool {
+        self.end.swap((pos + take) as u64, Ordering::Relaxed) == pos as u64
+    }
+}
+
 /// Cumulative I/O counters for one string store (or one simulated node).
 ///
 /// All counters are monotonically increasing and updated with relaxed atomics;
@@ -32,9 +54,8 @@ pub struct IoStats {
     random_seeks: AtomicU64,
     blocks_skipped: AtomicU64,
     full_scans: AtomicU64,
-    /// Where the last charged read ended: the cursor [`Self::charge_read`]
-    /// classifies the next read against. A fresh cursor is at offset 0.
-    last_end: AtomicU64,
+    /// The cursor [`Self::charge_read`] classifies reads against.
+    cursor: ReadCursor,
 }
 
 impl IoStats {
@@ -78,18 +99,34 @@ impl IoStats {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The cursor of the reads that name no reader of their own.
+    pub(crate) fn cursor(&self) -> &ReadCursor {
+        &self.cursor
+    }
+
     /// Charges one read of `take` symbols at `pos` that cost
     /// `(bytes, blocks)` — the store's `read_cost` of it — and classifies it
-    /// against this counter set's own cursor: sequential iff it starts
-    /// exactly where the previous read ended (a fresh cursor is at 0, so the
-    /// first read at offset 0 counts as sequential), a random seek otherwise.
+    /// against this counter set's own cursor ([`Self::charge_read_on`]).
+    pub fn charge_read(&self, pos: usize, take: usize, cost: (u64, u64)) {
+        self.charge_read_on(&self.cursor, pos, take, cost);
+    }
+
+    /// Charges one read of `take` symbols at `pos` that cost
+    /// `(bytes, blocks)` and classifies it against `cursor`, the cursor of
+    /// the reader that issued it ([`ReadCursor`]).
     ///
     /// This is the one accounting rule every store read, decoded or not, and
     /// every per-consumer mirror of one such as
     /// [`StoreTextSource`](crate::StoreTextSource) applies, kept here so it
     /// cannot drift between them.
-    pub fn charge_read(&self, pos: usize, take: usize, (bytes, blocks): (u64, u64)) {
-        if self.last_end.swap((pos + take) as u64, Ordering::Relaxed) == pos as u64 {
+    pub fn charge_read_on(
+        &self,
+        cursor: &ReadCursor,
+        pos: usize,
+        take: usize,
+        (bytes, blocks): (u64, u64),
+    ) {
+        if cursor.advance(pos, take) {
             self.add_sequential_reads(1);
         } else {
             self.add_random_seeks(1);
@@ -118,7 +155,7 @@ impl IoStats {
         self.random_seeks.store(0, Ordering::Relaxed);
         self.blocks_skipped.store(0, Ordering::Relaxed);
         self.full_scans.store(0, Ordering::Relaxed);
-        self.last_end.store(0, Ordering::Relaxed);
+        self.cursor.end.store(0, Ordering::Relaxed);
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::alphabet::Alphabet;
 use crate::error::{StoreError, StoreResult};
 use crate::resident::ResidentText;
-use crate::stats::IoStats;
+use crate::stats::{IoStats, ReadCursor};
 
 /// Read-only access to the input string `S` (terminated by the terminal
 /// symbol), with every access recorded in [`IoStats`].
@@ -63,14 +63,24 @@ pub trait StringStore: Send + Sync {
     /// Reads up to `buf.len()` bytes starting at `pos`, returning how many
     /// bytes were read (less than `buf.len()` only at end of string).
     ///
-    /// Implementations record bytes/blocks read and classify the access as
-    /// sequential (continues exactly where the previous read ended) or as a
-    /// random seek.
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize>;
+    /// The store records bytes/blocks read and classifies the access against
+    /// the cursor its [`IoStats`] keep ([`ReadCursor`]) as sequential
+    /// (continues exactly where the previous such read ended) or as a random
+    /// seek.
+    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        #[expect(clippy::disallowed_methods, reason = "the store's own cursor")]
+        self.read_at_with(pos, buf, self.stats().cursor())
+    }
+
+    /// [`Self::read_at`], classified against the reader's own `cursor`
+    /// instead of the store's: how a sequential pass
+    /// ([`BlockCursor`](crate::BlockCursor)) reads, so that passes sharing
+    /// the store do not classify each other's reads.
+    fn read_at_with(&self, pos: usize, buf: &mut [u8], cursor: &ReadCursor) -> StoreResult<usize>;
 
     /// Bits per symbol code as [`Self::read_codes_at`] serves it: 8 for a
     /// raw store, whose code of a symbol is its byte. A store that overrides
-    /// [`Self::read_codes_at`] overrides this next to it — the packed stores
+    /// [`Self::read_codes_at_with`] overrides this next to it — the packed stores
     /// return their alphabet's packed width, 2 for DNA and 5 for protein and
     /// English.
     fn code_bits(&self) -> u32 {
@@ -91,8 +101,21 @@ pub trait StringStore: Send + Sync {
     /// accounts it: the same [`Self::read_cost`] and the same
     /// sequential-or-seek classification.
     fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        #[expect(clippy::disallowed_methods, reason = "the store's own cursor")]
+        self.read_codes_at_with(pos, count, buf, self.stats().cursor())
+    }
+
+    /// [`Self::read_codes_at`], classified against the reader's own `cursor`
+    /// as [`Self::read_at_with`] is.
+    fn read_codes_at_with(
+        &self,
+        pos: usize,
+        count: usize,
+        buf: &mut [u8],
+        cursor: &ReadCursor,
+    ) -> StoreResult<usize> {
         #[expect(clippy::disallowed_methods, reason = "a raw store's codes are its bytes")]
-        self.read_at(pos, code_span(buf, count)?)
+        self.read_at_with(pos, code_span(buf, count)?, cursor)
     }
 
     /// The `(bytes, physical blocks)` the store's [`IoStats`] attribute to
@@ -181,13 +204,19 @@ impl<T: StringStore + ?Sized> StringStore for &T {
     fn stats(&self) -> &IoStats {
         (**self).stats()
     }
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_at_with(&self, pos: usize, buf: &mut [u8], cursor: &ReadCursor) -> StoreResult<usize> {
         #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
-        (**self).read_at(pos, buf)
+        (**self).read_at_with(pos, buf, cursor)
     }
-    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_codes_at_with(
+        &self,
+        pos: usize,
+        count: usize,
+        buf: &mut [u8],
+        cursor: &ReadCursor,
+    ) -> StoreResult<usize> {
         #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
-        (**self).read_codes_at(pos, count, buf)
+        (**self).read_codes_at_with(pos, count, buf, cursor)
     }
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
         (**self).read_cost(pos, take)
@@ -219,13 +248,19 @@ impl<T: StringStore + ?Sized> StringStore for std::sync::Arc<T> {
     fn stats(&self) -> &IoStats {
         (**self).stats()
     }
-    fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_at_with(&self, pos: usize, buf: &mut [u8], cursor: &ReadCursor) -> StoreResult<usize> {
         #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
-        (**self).read_at(pos, buf)
+        (**self).read_at_with(pos, buf, cursor)
     }
-    fn read_codes_at(&self, pos: usize, count: usize, buf: &mut [u8]) -> StoreResult<usize> {
+    fn read_codes_at_with(
+        &self,
+        pos: usize,
+        count: usize,
+        buf: &mut [u8],
+        cursor: &ReadCursor,
+    ) -> StoreResult<usize> {
         #[expect(clippy::disallowed_methods, reason = "blanket forwarding impl")]
-        (**self).read_codes_at(pos, count, buf)
+        (**self).read_codes_at_with(pos, count, buf, cursor)
     }
     fn read_cost(&self, pos: usize, take: usize) -> (u64, u64) {
         (**self).read_cost(pos, take)

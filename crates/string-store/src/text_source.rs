@@ -527,11 +527,16 @@ mod tests {
         fn stats(&self) -> &crate::IoStats {
             self.inner.stats()
         }
-        fn read_at(&self, pos: usize, buf: &mut [u8]) -> StoreResult<usize> {
+        fn read_at_with(
+            &self,
+            pos: usize,
+            buf: &mut [u8],
+            cursor: &crate::ReadCursor,
+        ) -> StoreResult<usize> {
             if self.fail_next.swap(false, std::sync::atomic::Ordering::Relaxed) {
                 return Err(StoreError::InvalidText("injected read failure".into()));
             }
-            self.inner.read_at(pos, buf)
+            self.inner.read_at_with(pos, buf, cursor)
         }
     }
 

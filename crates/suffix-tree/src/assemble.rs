@@ -9,7 +9,12 @@
 //!
 //! The very same routine converts a (suffix array, LCP array) pair into a
 //! suffix tree, which is how the B²ST baseline materialises its output.
+//!
+//! [`assemble_flat`] is the same assembly emitted straight into the flat
+//! serving arena: ERA's pipeline assembles every sub-tree with it, so no
+//! construction-form node exists between `SubTreePrepare` and the arena.
 
+use crate::layout::{FlatNode, FlatTree};
 use crate::node::NodeId;
 use crate::tree::SuffixTree;
 
@@ -112,6 +117,190 @@ pub fn assemble_from_sorted(
     tree
 }
 
+/// One internal node of [`assemble_flat`]'s tree, an LCP interval: the
+/// string depth of its node and its number of children.
+struct Interval {
+    depth: u32,
+    children: u32,
+}
+
+/// An internal node of [`assemble_flat`] on the path to the current leaf,
+/// its record not written yet.
+struct OpenNode {
+    id: u32,
+    depth: u32,
+    /// Where its child block starts in the arena, and the next free slot.
+    block: u32,
+    next: u32,
+    children: u32,
+    start: u32,
+    end: u32,
+    /// `None` while the node is the first child of a non-root node: its
+    /// first character is then the left character of the branching after
+    /// its last leaf, known when it closes.
+    first_char: Option<u8>,
+}
+
+/// Assembles the same sub-tree as [`assemble_from_sorted`] straight into its
+/// flat arena: the [`FlatTree`] that `FlatTree::freeze` makes of the
+/// assembled tree, byte for byte, with no construction-form tree in between.
+/// The arguments and their contract are [`assemble_from_sorted`]'s, and like
+/// it this reads no string.
+///
+/// The internal nodes are the LCP intervals of `branching` (Abouelhoda,
+/// Kurtz and Ohlebusch, "Replacing suffix trees with enhanced suffix
+/// arrays", J. Discrete Algorithms 2(1), 2004), found in two passes:
+///
+/// 1. right to left, a stack of open intervals counts every internal node's
+///    children; the order in which the intervals close, reversed, is the
+///    pre-order in which the freeze hands out child blocks, so the exact
+///    node count — and with it the one arena allocation — is known before a
+///    record is written;
+/// 2. left to right, every leaf takes the next slot of its parent's block
+///    and every internal node its slot when its first leaf is reached; an
+///    internal node's record is written when the node closes.
+///
+/// Besides the arena, the assembly holds two words per internal node.
+///
+/// A node whose leftmost leaf is `leaves[lb]` and whose parent sits at string
+/// depth `p` has the edge label `leaves[lb] + p .. leaves[lb] + depth` (a
+/// leaf's ends at the text's end). Its cached first character is the one the
+/// stack assembly records: `smallest_first_char` for the root's first child,
+/// the left character of the branching after its last leaf for the first
+/// child of any other node (the edge that branching split), and the right
+/// character of the branching before its first leaf for every later child
+/// (the leaf that opened the edge).
+///
+/// # Panics
+///
+/// As [`assemble_from_sorted`]: on empty `leaves` or when the lengths
+/// disagree.
+pub fn assemble_flat(
+    text_len: usize,
+    leaves: &[u32],
+    branching: &[Branching],
+    smallest_first_char: u8,
+) -> FlatTree {
+    assert!(!leaves.is_empty(), "cannot assemble a tree without leaves");
+    assert_eq!(
+        branching.len(),
+        leaves.len() - 1,
+        "need one branching entry per adjacent leaf pair"
+    );
+    let n = text_len as u32;
+    // The common prefix of leaves `i - 1` and `i`; 0 past either end, which
+    // closes every interval but the root's.
+    let lcp = |i: usize| match i.checked_sub(1).and_then(|b| branching.get(b)) {
+        Some(b) => b.lcp,
+        None => 0,
+    };
+
+    // Pass 1. `open` holds (depth, children) of the intervals containing
+    // leaf `k`; on entry its top is the one shared with leaf `k + 1`.
+    // A tree has at most one internal node per leaf, the root included.
+    let mut closed: Vec<Interval> = Vec::with_capacity(leaves.len());
+    let mut open: Vec<(u32, u32)> = vec![(0, 0)];
+    for k in (0..leaves.len()).rev() {
+        let before = lcp(k);
+        if open.last().is_some_and(|&(depth, _)| before > depth) {
+            open.push((before, 0));
+        }
+        bump(&mut open);
+        while let Some((depth, children)) = open.pop_if(|&mut (depth, _)| depth > before) {
+            closed.push(Interval { depth, children });
+            if open.last().is_some_and(|&(depth, _)| depth >= before) {
+                bump(&mut open);
+            } else {
+                open.push((before, 1));
+            }
+        }
+    }
+    let root_children = open.first().map_or(0, |&(_, children)| children);
+    closed.push(Interval { depth: 0, children: root_children });
+
+    // Pass 2. `path` holds the internal nodes above leaf `k`, root first.
+    let mut nodes = vec![FlatNode::default(); leaves.len() + closed.len()];
+    let mut pre_order = closed.iter().rev().skip(1).peekable();
+    let mut next_block = 1 + root_children;
+    // The root's record is the last one written.
+    let mut path = vec![OpenNode {
+        id: 0,
+        depth: 0,
+        block: 1,
+        next: 1,
+        children: root_children,
+        start: 0,
+        end: 0,
+        first_char: None,
+    }];
+    for (k, &suffix) in leaves.iter().enumerate() {
+        // The nodes whose first leaf is leaf `k` are the next ones in
+        // pre-order that lie deeper than the path and no deeper than the
+        // common prefix with leaf `k + 1`, outermost first.
+        let after = lcp(k + 1);
+        while let Some(node) = pre_order.next_if(|node| {
+            node.depth <= after && path.last().is_some_and(|top| node.depth > top.depth)
+        }) {
+            let (id, parent_depth, first_char) =
+                take_slot(&mut path, branching, k, smallest_first_char);
+            path.push(OpenNode {
+                id,
+                depth: node.depth,
+                block: next_block,
+                next: next_block,
+                children: node.children,
+                start: suffix + parent_depth,
+                end: suffix + node.depth,
+                first_char,
+            });
+            next_block += node.children;
+        }
+        let (id, parent_depth, first_char) =
+            take_slot(&mut path, branching, k, smallest_first_char);
+        let first_char = first_char.unwrap_or_else(|| branching[k].left_char);
+        nodes[id as usize] = FlatNode::leaf(suffix + parent_depth, n, first_char, suffix);
+        while let Some(node) = path.pop_if(|node| node.depth > after) {
+            let first_char = node.first_char.unwrap_or_else(|| branching[k].left_char);
+            nodes[node.id as usize] =
+                FlatNode::internal(node.start, node.end, first_char, node.block, node.children);
+        }
+    }
+    debug_assert_eq!(next_block as usize, nodes.len());
+    nodes[0] = FlatNode::internal(0, 0, 0, 1, root_children);
+    FlatTree::from_raw_parts(n, nodes)
+}
+
+/// Counts one more child for the innermost open interval of pass 1.
+fn bump(open: &mut [(u32, u32)]) {
+    if let Some((_, children)) = open.last_mut() {
+        *children += 1;
+    }
+}
+
+/// Gives the node whose first leaf is leaf `k` the next slot of the
+/// innermost open node's child block. Returns the slot, the parent's string
+/// depth and the node's first character — `None` for the first child of a
+/// non-root node, whose character is known only where it ends.
+fn take_slot(
+    path: &mut [OpenNode],
+    branching: &[Branching],
+    k: usize,
+    smallest_first_char: u8,
+) -> (u32, u32, Option<u8>) {
+    #[expect(clippy::expect_used, reason = "the root is open until every leaf is placed")]
+    let parent = path.last_mut().expect("the root stays open");
+    let id = parent.next;
+    parent.next += 1;
+    let first_char = if id != parent.block {
+        Some(branching[k - 1].right_char)
+    } else if parent.id == 0 {
+        Some(smallest_first_char)
+    } else {
+        None
+    };
+    (id, parent.depth, first_char)
+}
+
 /// Converts a (suffix array, LCP array) pair into a suffix tree.
 ///
 /// `lcp[i]` must be the length of the longest common prefix of the suffixes
@@ -194,6 +383,7 @@ mod tests {
         let tree = assemble_from_sorted(5, &[4], &[], 0);
         assert_eq!(tree.leaf_count(), 1);
         assert_eq!(tree.node(tree.children(tree.root())[0]).suffix(), Some(4));
+        assert_eq!(assemble_flat(5, &[4], &[], 0), FlatTree::freeze(&tree));
     }
 
     #[test]
@@ -222,6 +412,89 @@ mod tests {
         let firsts: Vec<u8> =
             tree.children(tree.root()).iter().map(|&c| tree.node(c).first_char).collect();
         assert_eq!(firsts, vec![0, b'a', b'b', b'c']);
+    }
+
+    /// The branching data of `leaves` (sorted) over `text`, as
+    /// `SubTreePrepare` hands it over.
+    fn branching_of(text: &[u8], leaves: &[u32]) -> Vec<Branching> {
+        leaves
+            .windows(2)
+            .map(|w| {
+                let (a, b) = (&text[w[0] as usize..], &text[w[1] as usize..]);
+                let lcp = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                Branching { left_char: a[lcp], right_char: b[lcp], lcp: lcp as u32 }
+            })
+            .collect()
+    }
+
+    /// `assemble_flat` against the freeze of `assemble_from_sorted`, over
+    /// the leaves of `text` that start with `prefix` (all of them for the
+    /// empty prefix, whose root then has a child per first character).
+    fn assert_flat_matches_freeze(text: &[u8], prefix: &[u8]) {
+        let mut leaves: Vec<u32> =
+            (0..text.len() as u32).filter(|&i| text[i as usize..].starts_with(prefix)).collect();
+        if leaves.is_empty() {
+            return;
+        }
+        leaves.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+        let branching = branching_of(text, &leaves);
+        let first = text[leaves[0] as usize];
+        let frozen =
+            FlatTree::freeze(&assemble_from_sorted(text.len(), &leaves, &branching, first));
+        let flat = assemble_flat(text.len(), &leaves, &branching, first);
+        assert_eq!(flat, frozen, "text {:?}, prefix {prefix:?}", String::from_utf8_lossy(text));
+    }
+
+    /// Every prefix of length 0–2 over the text's own symbols.
+    fn assert_every_short_prefix(text: &[u8]) {
+        let mut symbols: Vec<u8> = text.to_vec();
+        symbols.sort_unstable();
+        symbols.dedup();
+        assert_flat_matches_freeze(text, b"");
+        for &a in &symbols {
+            assert_flat_matches_freeze(text, &[a]);
+            for &b in &symbols {
+                assert_flat_matches_freeze(text, &[a, b]);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_assembly_is_the_freeze_of_the_stack_assembly() {
+        // The paper's running example (Fig. 2: the TG sub-tree), periodic
+        // texts whose sub-trees are deep chains, and single-leaf sub-trees.
+        let mut bodies: Vec<Vec<u8>> = ["TGGTGGTGGTGCGGTGATGGTGC", "banana", "mississippi", "a"]
+            .iter()
+            .map(|b| b.as_bytes().to_vec())
+            .collect();
+        for period in ["A", "AC", "ACG", "TGG"] {
+            bodies.push(period.repeat(40).into_bytes());
+        }
+        // Pseudo-random bodies over the DNA, protein and English alphabets.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for alphabet in [&b"ACGT"[..], b"ACDEFGHIKLMNPQRSTVWY", b" abcdefghijklmnopqrstuvwxyz."] {
+            for len in [2usize, 17, 300] {
+                let body = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        alphabet[(state % alphabet.len() as u64) as usize]
+                    })
+                    .collect();
+                bodies.push(body);
+            }
+        }
+        for mut text in bodies {
+            text.push(0);
+            assert_every_short_prefix(&text);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without leaves")]
+    fn flat_assembly_of_no_leaves_panics() {
+        assemble_flat(3, &[], &[], 0);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! The mutable [`SuffixTree`] is the *construction* form: every internal node
 //! owns a heap `Vec<NodeId>`, so one edge descent costs two dependent cache
 //! misses (node → child vector → child node) and a node weighs ~48 bytes plus
-//! the vector's heap block. Once `BuildSubTree` finishes, the tree never
-//! mutates again — queries only descend it — so ERA freezes each partition
-//! into a [`FlatTree`]:
+//! the vector's heap block. A finished sub-tree never mutates again —
+//! queries only descend it — so every partition is served as a
+//! [`FlatTree`]. ERA-str+mem writes that arena straight from a group's `L`
+//! and `B` ([`crate::assemble::assemble_flat`]) with no construction form in
+//! between; a tree grown in the construction form (ERA-str, the baselines) is
+//! frozen into it ([`FlatTree::freeze`]). Both make the same arena:
 //!
 //! * one contiguous arena of 16-byte [`FlatNode`] records;
 //! * the children of every node occupy one contiguous id range, ordered by
@@ -24,14 +27,18 @@
 //! The pre-order layout is a checked invariant, not only what the freeze
 //! happens to do: [`crate::validate::validate_flat_structure`], which every
 //! `ERAFLAT1` load runs, accepts exactly one arena per tree shape — the one
-//! the freeze writes — so an arena that links the same tree in another
-//! block order is rejected before a range read could miscount it.
+//! the freeze and the direct assembly write — so an arena that links the
+//! same tree in another block order is rejected before a range read could
+//! miscount it.
 //!
 //! The freeze is deterministic: two structurally equal [`SuffixTree`]s always
-//! freeze to byte-identical [`FlatTree`]s, so the scheduler-equivalence
-//! guarantees (serial, shared-memory and shared-nothing builds produce the
-//! same index) carry over to the serving form unchanged. There is no way
-//! back: queries, validation and serialization all work on the flat form.
+//! freeze to byte-identical [`FlatTree`]s, and the direct assembly of a
+//! group's `L` and `B` is byte for byte the freeze of the tree
+//! [`crate::assemble::assemble_from_sorted`] builds from them. So the
+//! scheduler-equivalence guarantees (serial, shared-memory and shared-nothing
+//! builds produce the same index) carry over to the serving form unchanged.
+//! There is no way back: queries, validation and serialization all work on
+//! the flat form.
 
 #![deny(
     clippy::indexing_slicing,
@@ -81,7 +88,7 @@ impl FlatNode {
         FlatNode { start, end, payload, meta }
     }
 
-    fn leaf(start: u32, end: u32, first_char: u8, suffix: u32) -> FlatNode {
+    pub(crate) fn leaf(start: u32, end: u32, first_char: u8, suffix: u32) -> FlatNode {
         FlatNode {
             start,
             end,
@@ -90,7 +97,13 @@ impl FlatNode {
         }
     }
 
-    fn internal(start: u32, end: u32, first_char: u8, children_start: u32, len: u32) -> FlatNode {
+    pub(crate) fn internal(
+        start: u32,
+        end: u32,
+        first_char: u8,
+        children_start: u32,
+        len: u32,
+    ) -> FlatNode {
         debug_assert!(len <= CHILDREN_LEN_MASK);
         FlatNode {
             start,

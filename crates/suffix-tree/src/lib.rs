@@ -15,12 +15,14 @@
 //!   arena of 16-byte records (vs ~3.5× that for the construction form),
 //!   children packed adjacently in `first_char` order behind a
 //!   `(children_start, children_len)` range, leaf/internal a tag bit. Every
-//!   finished sub-tree is frozen into this layout, so the query hot path
+//!   finished sub-tree is served in this layout, so the query hot path
 //!   binary-searches adjacent cache lines instead of chasing per-node heap
 //!   vectors.
-//! * [`assemble::assemble_from_sorted`] — the stack-based batch assembly of a
-//!   tree from lexicographically sorted leaves plus branching information;
-//!   this is the paper's `BuildSubTree` and is also how B²ST turns a merged
+//! * [`assemble`] — the paper's `BuildSubTree`, the batch assembly of a tree
+//!   from lexicographically sorted leaves plus branching information:
+//!   [`assemble::assemble_flat`] writes the flat arena straight from them
+//!   (ERA's pipeline), and [`assemble::assemble_from_sorted`] builds the
+//!   construction form with a stack, which is also how B²ST turns a merged
 //!   suffix array + LCP stream into a tree.
 //! * [`naive`] — a simple `O(n²)` reference builder used as the correctness
 //!   oracle throughout the test suites.
@@ -73,7 +75,7 @@ pub mod stats;
 pub mod tree;
 pub mod validate;
 
-pub use assemble::assemble_from_sorted;
+pub use assemble::{assemble_flat, assemble_from_sorted};
 pub use catalog::{
     commit_catalog, encode_catalog, parse_catalog, Catalog, CatalogFile, CatalogGroup, CatalogText,
     CatalogToc, CommitProtocol, EncodedCatalog, TextSegment,

@@ -10,10 +10,19 @@
 //! lossless `ERAFLAT1` serialization round-trip, and — on every sub-tree any
 //! scheduler builds from either encoding — the one-range reading of a
 //! subtree that `Count` and `Locate` serve from.
+//!
+//! The pipeline itself builds no construction-form tree: it assembles every
+//! prepared sub-tree straight into its arena. That arena must be the freeze
+//! of the construction form, byte for byte, for every group
+//! `prepare_group` yields.
 
+use era::horizontal::build::{assemble_partition, build_partition};
+use era::horizontal::prepare::prepare_group;
+use era::horizontal::HorizontalParams;
+use era::scan::collect_occurrences;
 use era::{
-    ConstructionPipeline, EraConfig, SerialScheduler, SharedMemoryScheduler, SharedNothingOptions,
-    SharedNothingScheduler,
+    vertical_partition, ConstructionPipeline, EraConfig, SerialScheduler, SharedMemoryScheduler,
+    SharedNothingOptions, SharedNothingScheduler,
 };
 use era_string_store::{
     Alphabet, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore, StoreTextSource,
@@ -82,6 +91,62 @@ fn walked_descendants(tree: &FlatTree, id: NodeId) -> Vec<NodeId> {
     }
     out.sort_unstable();
     out
+}
+
+/// Every group of `body`'s vertical partitioning under `config`, prepared
+/// as the pipeline prepares it: each sub-tree assembled straight into its
+/// arena must be the freeze of its construction form. Returns the number of
+/// sub-trees compared.
+fn assert_groups_assemble_as_they_freeze(
+    body: &[u8],
+    alphabet: &Alphabet,
+    config: &EraConfig,
+) -> usize {
+    let store = InMemoryStore::from_body(body, alphabet.clone()).unwrap();
+    let layout = config.memory_layout(alphabet).unwrap();
+    let vertical = vertical_partition(&store, layout.fm, config.group_virtual_trees).unwrap();
+    let params = HorizontalParams {
+        r_capacity: layout.r_bytes,
+        range_policy: config.range_policy,
+        min_range: config.min_range,
+        seek_optimization: config.seek_optimization,
+    };
+    let mut compared = 0;
+    for group in &vertical.groups {
+        let prefixes: Vec<Vec<u8>> = group.prefixes.iter().map(|p| p.prefix.clone()).collect();
+        let occurrences = collect_occurrences(&store, &prefixes).unwrap();
+        for prepared in prepare_group(&store, &prefixes, &occurrences, &params).unwrap() {
+            let frozen = build_partition(store.len(), &prepared).freeze();
+            let direct = assemble_partition(store.len(), prepared);
+            assert_eq!(direct, frozen, "prefix {:?}", String::from_utf8_lossy(&frozen.prefix));
+            compared += 1;
+        }
+    }
+    compared
+}
+
+#[test]
+fn every_prepared_group_assembles_into_the_arena_its_freeze_makes() {
+    let small = config();
+    // Budgets from a handful of leaves per sub-tree (many single-leaf ones)
+    // to a few large groups.
+    let budgets = [small.clone(), EraConfig { memory_budget: 64 << 10, ..small.clone() }];
+    let tg = b"TGGTGGTGGTGCGGTGATGGTGC".to_vec();
+    let mut dna = vec![tg, b"ACGT".repeat(100), b"A".repeat(200), b"TGG".repeat(100)];
+    dna.push(era_workloads::genome_like(8_000, 3));
+    dna.push(era_workloads::uniform_dna(8_000, 4));
+    let texts = [
+        (Alphabet::dna(), dna),
+        (Alphabet::protein(), vec![era_workloads::protein_like(8_000, 5), b"MKV".repeat(100)]),
+        (Alphabet::english(), vec![era_workloads::english_like(8_000, 6), b"abz".repeat(100)]),
+    ];
+    for (alphabet, bodies) in &texts {
+        for body in bodies {
+            for config in &budgets {
+                assert!(assert_groups_assemble_as_they_freeze(body, alphabet, config) > 0);
+            }
+        }
+    }
 }
 
 proptest! {

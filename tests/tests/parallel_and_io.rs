@@ -103,6 +103,19 @@ fn era_access_pattern_is_overwhelmingly_sequential() {
 }
 
 #[test]
+fn threaded_builds_of_one_text_report_identical_io() {
+    // Each pass classifies its reads against its own cursor, so however the
+    // two workers' passes over the shared store alternate, every counter —
+    // the split into sequential reads and seeks included — repeats.
+    let body = genome_like(60_000, 5);
+    let config = EraConfig { threads: 2, ..cfg(16 << 10) };
+    let builds: Vec<_> =
+        (0..3).map(|_| construct(&dna_store(&body), &config).unwrap().1.io).collect();
+    assert!(builds[0].random_seeks > 0 && builds[0].sequential_reads > 0, "{:?}", builds[0]);
+    assert!(builds.windows(2).all(|pair| pair[0] == pair[1]), "{builds:#?}");
+}
+
+#[test]
 fn era_reads_less_than_wavefront_at_the_same_budget() {
     let body = genome_like(16_000, 41);
     let budget = 12 << 10;
