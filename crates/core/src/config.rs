@@ -128,16 +128,17 @@ pub struct EraConfig {
     /// fetched by every sequential scan by the packing ratio — up to 4x on
     /// DNA — at the cost of decoding each block on the fly.
     pub packed: bool,
-    /// Capacity, in decoded bytes, of the serving path's shared
-    /// decoded-block cache (`0` disables caching). It caches the decoded
-    /// blocks of a *file-backed* text only: when a [`crate::SuffixIndex`]
-    /// serves a text left in a file (a text segment larger than
-    /// [`Self::memory_budget`]), its engines consult this LRU before every
-    /// store read, so repeated and overlapping patterns — across workers and
-    /// across batches — are answered with zero store I/O, and packed blocks
-    /// are decoded once instead of once per toucher. A text in memory, raw
-    /// or packed, is matched in place and gets no cache. Purely a serving
-    /// knob; construction scans never use it.
+    /// Capacity, in bytes, of the serving path's shared block cache (`0`
+    /// disables caching). It caches the blocks of a *file-backed* text only,
+    /// as the store holds them — raw bytes, or packed payload bytes (one per
+    /// four DNA symbols) — so the bound counts payload bytes,
+    /// nothing decoded. When a [`crate::SuffixIndex`] serves a text left in
+    /// a file (a text segment larger than [`Self::memory_budget`]), its
+    /// engines consult this LRU before every store read, so repeated and
+    /// overlapping patterns — across workers and across batches — are
+    /// answered with zero store I/O. A text in memory, raw or packed, is
+    /// matched in place and gets no cache. Purely a serving knob;
+    /// construction scans never use it.
     pub cache_bytes: usize,
     /// Whether to run the *deep* (text-backed) index validation on every
     /// build and load: every sub-tree is checked against the text (edge
@@ -165,7 +166,7 @@ impl Default for EraConfig {
             threads: 1,
             min_range: 4,
             packed: false,
-            cache_bytes: 16 << 20, // 16 MiB of decoded blocks
+            cache_bytes: 16 << 20, // 16 MiB of code blocks
             paranoid: false,
         }
     }

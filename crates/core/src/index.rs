@@ -23,8 +23,8 @@ use std::sync::{Arc, OnceLock};
 use era_string_store::disk::DEFAULT_DISK_BLOCK;
 use era_string_store::packed::packed_size;
 use era_string_store::{
-    Alphabet, BlockCache, DiskStore, InMemoryStore, PackedCodec, PackedDiskStore,
-    PackedMemoryStore, StdVfs, StoreError, StoreResult, StringStore, TextSource, Vfs, TERMINAL,
+    Alphabet, BlockCache, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore, StdVfs,
+    StoreError, StoreResult, StringStore, TextSource, Vfs, TERMINAL,
 };
 use era_suffix_tree::catalog::{
     commit_catalog, encode_catalog, groups_into_tree, CatalogFile, TextSegment, HEADER_LEN,
@@ -57,15 +57,7 @@ pub struct SuffixIndex {
     /// Positions of separator symbols for generalized indexes (empty for a
     /// single string).
     separators: Vec<usize>,
-    /// The alphabet the text was indexed under.
-    alphabet: Alphabet,
-    /// Whether the index was built over (and persists through) the bit-packed
-    /// §6.1 encoding.
-    packed: bool,
-    /// Capacity of the serving path's decoded-block cache in bytes
-    /// ([`EraConfig::cache_bytes`]; 0 disables it).
-    cache_bytes: usize,
-    /// The shared decoded-block cache of a text served from a file (`None`
+    /// The shared block cache of a text served from a file (`None`
     /// for a text in memory, packed or not, and when disabled), created
     /// eagerly with the index and shared by every engine — and so every
     /// batch and worker — of this index; clones of the index share the same
@@ -80,7 +72,7 @@ impl std::fmt::Debug for SuffixIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SuffixIndex")
             .field("text_len", &self.store.len())
-            .field("packed", &self.packed)
+            .field("packed", &self.is_packed())
             .field("generation", &self.generation)
             .field("tree", &self.tree)
             .finish_non_exhaustive()
@@ -135,12 +127,12 @@ impl SuffixIndex {
 
     /// The alphabet the text was indexed under.
     pub fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
+        self.store.alphabet()
     }
 
     /// Whether the index keeps/persists the text in the packed encoding.
     pub fn is_packed(&self) -> bool {
-        self.packed
+        self.store.is_packed()
     }
 
     /// The underlying partitioned suffix tree.
@@ -157,8 +149,7 @@ impl SuffixIndex {
     /// packed payload compared code by code — is matched in place, and a
     /// text left in a file is read through the I/O-accounted store path.
     ///
-    /// Engines over a file automatically share the index's decoded-block
-    /// cache (see [`Self::block_cache`]), so even engines created per
+    /// Engines over a file automatically share the index's block cache (see [`Self::block_cache`]), so even engines created per
     /// request serve repeated patterns warm. Tune or disable it with
     /// [`Self::with_cache_bytes`] / [`SuffixIndexBuilder::cache_bytes`].
     pub fn engine(&self) -> QueryEngine<'_> {
@@ -169,7 +160,7 @@ impl SuffixIndex {
         }
     }
 
-    /// The shared decoded-block cache serving this index's queries when its
+    /// The shared block cache serving this index's queries when its
     /// text stays in a file: `None` when the text is in memory, raw or packed
     /// (it is matched in place, with no store reads to save), and when
     /// caching is disabled (`cache_bytes` of 0).
@@ -182,7 +173,6 @@ impl SuffixIndex {
     /// cold with the new bound. An index whose text is in memory gets no
     /// cache whatever the capacity.
     pub fn with_cache_bytes(mut self, cache_bytes: usize) -> Self {
-        self.cache_bytes = cache_bytes;
         self.block_cache = (cache_bytes > 0 && self.store.resident().is_none())
             .then(|| Arc::new(BlockCache::new(cache_bytes)));
         self
@@ -239,7 +229,7 @@ impl SuffixIndex {
         let Some((off, len)) = self.tree.longest_common_substring(sep) else {
             return Ok(Vec::new());
         };
-        let text = self.engine().worker_source();
+        let text = self.engine().source();
         let bytes: StoreResult<Vec<u8>> =
             (off..off + len).map(|pos| text.symbol_at(pos as usize)).collect();
         Ok(bytes?)
@@ -257,15 +247,15 @@ impl SuffixIndex {
     ///
     /// This is the text-backed check behind [`EraConfig::paranoid`] (and
     /// `era-check fsck --deep`). It looks at one sub-tree at a time and reads
-    /// the text where the index keeps it — a packed payload in memory code by
-    /// code, a text left in a file block-wise through its store and block
-    /// cache, neither ever materialized — at
+    /// the text where the index keeps it, through the same view as a query —
+    /// a packed payload code by code, a text left in a file block-wise
+    /// through its store and block cache, neither ever materialized — at
     /// a cost of about one symbol per edge plus the sum of the text's LCP
     /// array (≈ `n log n` on random text, `text_len / 8` bytes of scratch),
     /// so it is not part of the ordinary serving path. The cheap structural
     /// subset runs unconditionally whenever a flat tree is deserialized.
     pub fn verify(&self) -> EraResult<()> {
-        match validate_partitioned(&self.tree, &self.engine().worker_source()) {
+        match validate_partitioned(&self.tree, &self.engine().source()) {
             Ok(()) => Ok(()),
             Err(ValidationError::TextRead(e)) => Err(EraError::Io(std::io::Error::other(e))),
             Err(e) => Err(EraError::corrupt(e.to_string())),
@@ -302,8 +292,9 @@ impl SuffixIndex {
     /// seeded-bug [`CommitProtocol::TocBeforeSegmentSync`].
     ///
     /// A text in memory is written from the bytes it is held in — a packed
-    /// payload as it is. A text left in a file is read for the write and
-    /// dropped after it, so saving never keeps a copy of the text.
+    /// payload as it is. A text left in a file is read for the write, a
+    /// packed one as its codes with nothing decoded, and dropped after it,
+    /// so saving never keeps a copy of the text.
     pub fn save_to_file_with(
         &self,
         path: impl AsRef<Path>,
@@ -311,25 +302,24 @@ impl SuffixIndex {
         protocol: CommitProtocol,
     ) -> EraResult<()> {
         let read;
-        let (held, is_payload) = match self.store.resident() {
-            Some(text) => (text.stored_bytes(), self.store.is_packed()),
+        let held = match self.store.resident() {
+            Some(text) => text.stored_bytes(),
             None => {
-                read = self.store.read_all()?;
-                (read.as_slice(), false)
+                read = if self.is_packed() {
+                    packed_payload(&*self.store)?
+                } else {
+                    self.store.read_all()?
+                };
+                &read
             }
         };
-        let text_len = self.store.len();
-        let payload;
-        let segment = if is_payload {
+        let (text_len, alphabet) = (self.store.len(), self.alphabet());
+        let segment = if self.is_packed() {
             TextSegment::Packed { payload: held, text_len }
-        } else if self.packed {
-            let body = held.split_last().map_or(&[][..], |(_, body)| body);
-            payload = PackedCodec::new(&self.alphabet).pack_body(body)?;
-            TextSegment::Packed { payload: &payload, text_len }
         } else {
             TextSegment::Raw(held)
         };
-        let encoded = encode_catalog(self.generation, segment, &self.alphabet, &self.tree)?;
+        let encoded = encode_catalog(self.generation, segment, alphabet, &self.tree)?;
         commit_catalog(path.as_ref(), vfs, protocol, &encoded)?;
         Ok(())
     }
@@ -375,7 +365,7 @@ impl SuffixIndex {
         let text = file.read_text(in_memory).map_err(catalog_error)?;
         let groups = file.load_groups().map_err(catalog_error)?;
         let (file, toc) = file.into_parts();
-        let alphabet = toc.alphabet.clone();
+        let alphabet = toc.alphabet;
         let (text_at, block) = (HEADER_LEN as u64, DEFAULT_DISK_BLOCK);
         let store: Arc<dyn StringStore> = match (text, toc.packed) {
             (Some(text), false) => Arc::new(InMemoryStore::new(text, alphabet).map_err(bad_text)?),
@@ -395,7 +385,7 @@ impl SuffixIndex {
             }
         };
         let tree = groups_into_tree(toc.text_len, groups);
-        assemble(store, tree, toc.alphabet, toc.packed, toc.generation, config)
+        assemble(store, tree, toc.generation, config)
     }
 }
 
@@ -404,8 +394,6 @@ impl SuffixIndex {
 fn assemble(
     store: Arc<dyn StringStore>,
     tree: PartitionedSuffixTree,
-    alphabet: Alphabet,
-    packed: bool,
     generation: u64,
     config: &EraConfig,
 ) -> EraResult<SuffixIndex> {
@@ -415,9 +403,6 @@ fn assemble(
         tree,
         report: ConstructionReport::default(),
         separators: Vec::new(),
-        alphabet,
-        packed,
-        cache_bytes: 0,
         block_cache: None,
         generation,
     }
@@ -430,7 +415,8 @@ fn assemble(
 
 /// The payload of a packed store's text: the codes of its body, read in one
 /// piece, with the bits past the last code cleared — the bytes
-/// [`PackedCodec::pack_body`] makes of the decoded body.
+/// [`PackedCodec::pack_body`](era_string_store::PackedCodec::pack_body)
+/// makes of the decoded body.
 fn packed_payload(store: &dyn StringStore) -> StoreResult<Vec<u8>> {
     let (body, bits) = (store.len().saturating_sub(1), store.code_bits());
     let mut payload = vec![0u8; packed_size(body, bits)];
@@ -527,8 +513,8 @@ impl SuffixIndexBuilder {
         self
     }
 
-    /// Sets the capacity of the serving path's shared decoded-block cache in
-    /// bytes (0 disables it). Only store-backed engines consult the cache;
+    /// Sets the capacity of the serving path's shared block cache in bytes
+    /// (0 disables it). Only store-backed engines consult the cache;
     /// see [`EraConfig::cache_bytes`].
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.config.cache_bytes = bytes;
@@ -668,11 +654,11 @@ impl SuffixIndexBuilder {
         let alphabet = store.alphabet().clone();
         let text: Arc<dyn StringStore> = if store.is_packed() {
             let payload = packed_payload(store)?;
-            Arc::new(PackedMemoryStore::from_payload(payload, store.len(), alphabet.clone())?)
+            Arc::new(PackedMemoryStore::from_payload(payload, store.len(), alphabet)?)
         } else {
-            Arc::new(InMemoryStore::new(store.read_all()?, alphabet.clone())?)
+            Arc::new(InMemoryStore::new(store.read_all()?, alphabet)?)
         };
-        let mut index = assemble(text, tree, alphabet, store.is_packed(), 0, &self.config)?;
+        let mut index = assemble(text, tree, 0, &self.config)?;
         index.report = report;
         index.separators = separators;
         Ok(index)
@@ -683,6 +669,7 @@ impl SuffixIndexBuilder {
 mod tests {
     use super::*;
     use crate::query::{Query, QueryBatch};
+    use era_string_store::PackedCodec;
 
     #[test]
     fn quickstart_queries() {
@@ -919,7 +906,7 @@ mod tests {
         assert_eq!(loaded.find_all(b"GATTACA"), index.find_all(b"GATTACA"));
         assert_eq!(loaded.count(b"AT"), index.count(b"AT"));
         // The payload in memory is matched code by code where it lies: no
-        // store read, and no decoded-block cache to fill.
+        // store read, and no block cache to fill.
         assert_eq!(store.stats().snapshot().bytes_read, 0, "queries read the payload in place");
         assert!(loaded.block_cache().is_none(), "a resident packed text needs no block cache");
         // The text cache materializes lazily and matches.

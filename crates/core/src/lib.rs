@@ -84,11 +84,12 @@
 //! sub-tree, resolving edge labels through a `TextSource`; a count or a
 //! locate then reads the matched subtree as one range of the arena. An
 //! index keeps its text behind one `StringStore`, and the engine is over that
-//! store. A text in memory is matched where it lies
-//! (`StringStore::resident`): an `InMemoryStore`'s bytes, or a
-//! `PackedMemoryStore`'s payload compared code by code, with no window, no
-//! decode and no cache. A text left in a file is read through a reused
-//! window over its raw/packed `StringStore`. A batch is that call in a loop,
+//! store. Every query reads it through one `StoreTextSource` per worker,
+//! which matches it with one comparator wherever it lies: a text in memory
+//! (`StringStore::resident`) in place — an `InMemoryStore`'s bytes, or a
+//! `PackedMemoryStore`'s payload compared code by code, with no block, no
+//! decode and no cache — and a text left in a file one block of its store's
+//! codes at a time, nothing decoded either. A batch is that call in a loop,
 //! optionally cut into contiguous chunks on scoped threads
 //! ([`QueryEngine::threads`]). [`SuffixIndex::engine`] and
 //! [`SuffixIndex::query_batch`] are the entry points; a catalog whose text
@@ -100,17 +101,17 @@
 //! [`SuffixIndex::contains`]/[`SuffixIndex::count`]/[`SuffixIndex::find_all`]
 //! remain as thin single-query wrappers.
 //!
-//! Serving from a file is accelerated by a shared **decoded-block cache**
-//! (`era_string_store::BlockCache`, a sharded capacity-bounded LRU): every
-//! worker consults it before reading the store, and it outlives individual
-//! batches, so repeated and overlapping patterns are answered with zero
-//! store I/O — and packed blocks are decoded once, not once per toucher.
-//! A [`SuffixIndex`] owns one automatically when its text stays in a file
-//! (a text in memory gets none), sized by [`EraConfig::cache_bytes`] /
-//! [`SuffixIndexBuilder::cache_bytes`] (tune or disable per index with
-//! [`SuffixIndex::with_cache_bytes`]); standalone engines opt in with
-//! [`QueryEngine::cache`] or share one via `QueryEngine::with_cache`.
-//! Per-batch hit/miss/eviction/decoded-byte counters ride in [`QueryStats`]
+//! Serving from a file is accelerated by a shared **block cache**
+//! (`era_string_store::BlockCache`, a sharded capacity-bounded LRU of code
+//! blocks, held as the store keeps them: a packed DNA block takes one byte
+//! per four symbols): every worker consults it before reading the store, and it
+//! outlives individual batches, so repeated and overlapping patterns are
+//! answered with zero store I/O. A [`SuffixIndex`] owns one automatically
+//! when its text stays in a file (a text in memory gets none), sized by
+//! [`EraConfig::cache_bytes`] / [`SuffixIndexBuilder::cache_bytes`] (tune or
+//! disable per index with [`SuffixIndex::with_cache_bytes`]); standalone
+//! engines attach one with [`QueryEngine::with_cache`].
+//! Per-batch hit/miss/eviction counters ride in [`QueryStats`]
 //! next to the I/O snapshot.
 //!
 //! ## Whole-index operations: one sub-tree at a time

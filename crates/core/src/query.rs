@@ -3,13 +3,13 @@
 //! The paper motivates ERA's trees with serving exact-match, counting and
 //! occurrence-listing queries over massive genomes. This module is that
 //! serving path: a [`QueryEngine`] layered over the
-//! [`StringStore`](era_string_store::StringStore) abstraction. A text the
-//! store holds in memory — raw bytes or a packed payload ([`ResidentText`])
-//! — is matched where it lies, the packed one code by code. A store that
-//! reads a file is served through
-//! [`StoreTextSource`](era_string_store::StoreTextSource)'s reused window
-//! buffer: the text never has to be materialized, and every byte the
-//! traversals fetch is visible in the store's I/O counters.
+//! [`StringStore`](era_string_store::StringStore) abstraction. Every query
+//! reads the text through one [`StoreTextSource`] per worker, which matches
+//! it with one comparator wherever it is kept: a text the store holds in
+//! memory — raw bytes or a packed payload — where it lies, the packed one
+//! code by code; a text in a file one block of the store's codes at a time,
+//! nothing decoded, the text never materialized and every byte the
+//! traversals fetch visible in the store's I/O counters.
 //!
 //! Queries are typed ([`Query::Contains`], [`Query::Count`],
 //! [`Query::Locate`] with paging) and submitted in a [`QueryBatch`]. There is
@@ -21,22 +21,21 @@
 //! only loops over the batch: with [`QueryEngine::threads`] above one it cuts
 //! the batch into that many contiguous chunks, one scoped thread each, and
 //! concatenates the answers in submission order. Over a file-backed store
-//! each chunk reuses one window buffer across every pattern it serves, which
-//! is where the batched path beats issuing the same queries one by one. The
-//! [`QueryResponse`] carries per-query results plus a [`QueryStats`] snapshot
-//! (wall-clock, partition visits, I/O and cache activity, all attributed per
-//! chunk and summed — two engines sharing one store never see each other's
-//! traffic).
+//! each chunk keeps the block it read last across every pattern it serves,
+//! which is where the batched path beats issuing the same queries one by
+//! one. The [`QueryResponse`] carries per-query results plus a
+//! [`QueryStats`] snapshot (wall-clock, partition visits, I/O and cache
+//! activity, all attributed per chunk and summed — two engines sharing one
+//! store never see each other's traffic).
 //!
 //! Engines over a file-backed store can attach a shared [`BlockCache`] of
-//! decoded blocks ([`QueryEngine::cache`]/[`QueryEngine::with_cache`]): the
-//! cache outlives individual batches and is consulted by every worker's
-//! window before the store, so repeated or overlapping patterns — across
-//! workers *and* across successive batches — are served with zero store I/O,
-//! and packed blocks are decoded once instead of once per toucher.
-//! [`crate::SuffixIndex`] attaches one automatically when it serves from a
-//! file (sized by [`crate::EraConfig::cache_bytes`]). A resident text needs
-//! none and consults none.
+//! code blocks ([`QueryEngine::with_cache`]): the cache outlives individual
+//! batches and is consulted by every worker before the store, so repeated or
+//! overlapping patterns — across workers *and* across successive batches —
+//! are served with zero store I/O. [`crate::SuffixIndex`] attaches one
+//! automatically when it serves from a file (sized by
+//! [`crate::EraConfig::cache_bytes`]). A resident text needs none and
+//! consults none.
 
 #![deny(
     clippy::indexing_slicing,
@@ -49,10 +48,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use era_string_store::{
-    BlockCache, CacheSnapshot, IoSnapshot, ResidentText, StoreResult, StoreTextSource, StringStore,
-    TextSource,
-};
+use era_string_store::{BlockCache, CacheSnapshot, IoSnapshot, StoreTextSource, StringStore};
 use era_suffix_tree::PartitionedSuffixTree;
 
 use crate::error::EraResult;
@@ -230,17 +226,17 @@ pub struct QueryStats {
     /// empty pattern), summed over the batch.
     pub partition_visits: usize,
     /// I/O the batch caused on the store: all-zero for a text in memory —
-    /// raw bytes or a packed payload, matched in place — and the window
-    /// fetches of a store that reads a file.
+    /// raw bytes or a packed payload, matched in place — and the block
+    /// reads of a store that reads a file.
     ///
     /// Attributed per worker through each worker's own
     /// [`StoreTextSource`] counters and summed — *not* a global store-stats
     /// delta — so two engines running concurrently on one shared store each
     /// report exactly the I/O their own batch caused.
     pub io: IoSnapshot,
-    /// Decoded-block cache activity of the batch: hits served with zero store
-    /// I/O, misses that read and — on packed stores — decoded a block,
-    /// evictions and decoded bytes. Summed per worker like [`Self::io`].
+    /// Block-cache activity of the batch: hits served with zero store I/O,
+    /// misses that read a block, and evictions (`decoded_bytes` is 0: blocks
+    /// are held as the store's codes). Summed per worker like [`Self::io`].
     /// All-zero when no cache is attached and for a text in memory, which
     /// consults no cache.
     pub cache: CacheSnapshot,
@@ -281,51 +277,6 @@ struct Chunk {
     cache: CacheSnapshot,
 }
 
-/// A per-worker text view; the index's whole-text operations read through
-/// one as well.
-pub(crate) enum WorkerSource<'a> {
-    /// A text in memory, raw bytes or a packed payload, matched in place: no
-    /// window, no cache, no I/O accounting.
-    Resident(ResidentText<'a>),
-    /// A store reading a file, raw or packed: one window buffer per worker,
-    /// every fetch I/O-accounted.
-    Store(StoreTextSource<'a>),
-}
-
-impl WorkerSource<'_> {
-    /// The I/O and cache activity this worker's source caused (zero for a
-    /// resident text).
-    fn counters(&self) -> (IoSnapshot, CacheSnapshot) {
-        match self {
-            WorkerSource::Resident(_) => (IoSnapshot::default(), CacheSnapshot::default()),
-            WorkerSource::Store(s) => (s.io(), s.cache_activity()),
-        }
-    }
-}
-
-impl TextSource for WorkerSource<'_> {
-    fn len(&self) -> usize {
-        match self {
-            WorkerSource::Resident(t) => t.len(),
-            WorkerSource::Store(s) => s.len(),
-        }
-    }
-
-    fn symbol_at(&self, pos: usize) -> StoreResult<u8> {
-        match self {
-            WorkerSource::Resident(t) => t.symbol_at(pos),
-            WorkerSource::Store(s) => s.symbol_at(pos),
-        }
-    }
-
-    fn common_prefix(&self, start: usize, end: usize, pat: &[u8]) -> StoreResult<usize> {
-        match self {
-            WorkerSource::Resident(t) => t.common_prefix(start, end, pat),
-            WorkerSource::Store(s) => s.common_prefix(start, end, pat),
-        }
-    }
-}
-
 /// Serves typed query batches from a [`PartitionedSuffixTree`] over the
 /// [`StringStore`] its text is kept in.
 ///
@@ -348,8 +299,8 @@ impl<'a> QueryEngine<'a> {
     /// A store that holds its text in memory ([`StringStore::resident`]) has
     /// its bytes or packed codes matched in place: no cache is consulted,
     /// and [`QueryStats::io`] and [`QueryStats::cache`] stay zero. A store
-    /// that reads a file is served through per-worker [`StoreTextSource`]
-    /// windows, every fetch I/O-accounted.
+    /// that reads a file is read block by block through each worker's
+    /// [`StoreTextSource`], every fetch I/O-accounted.
     pub fn over_store(tree: &'a PartitionedSuffixTree, store: &'a dyn StringStore) -> Self {
         QueryEngine { tree, store, threads: 1, cache: None }
     }
@@ -361,53 +312,34 @@ impl<'a> QueryEngine<'a> {
         self
     }
 
-    /// Attaches a fresh decoded-block cache bounded by `capacity_bytes`
-    /// (0 detaches). The cache lives as long as the engine, shared by every
-    /// worker of every batch the engine runs, so re-running identical or
-    /// overlapping patterns serves them from decoded blocks with zero store
-    /// I/O. Only a store that reads a file consults it; a text in memory —
-    /// raw bytes or a packed payload — is matched in place and ignores it.
-    pub fn cache(mut self, capacity_bytes: usize) -> Self {
-        self.cache = if capacity_bytes == 0 {
-            None
-        } else {
-            Some(Arc::new(BlockCache::new(capacity_bytes)))
-        };
-        self
-    }
-
-    /// Attaches an existing shared cache — e.g. one owned by a
+    /// Attaches a shared block cache — e.g. one owned by a
     /// [`crate::SuffixIndex`], or shared between engines over the same
-    /// store's text.
+    /// store's text. It lives as long as its last holder, shared by every
+    /// worker of every batch, so re-running identical or overlapping
+    /// patterns reads nothing from the store. Only a store that reads a file
+    /// consults it; a text in memory is matched in place and ignores it.
     pub fn with_cache(mut self, cache: Arc<BlockCache>) -> Self {
         self.cache = Some(cache);
         self
     }
 
-    /// The attached decoded-block cache, if any (handle it to another engine
-    /// over the same text via [`Self::with_cache`], or read its global
-    /// counters).
-    pub fn cache_handle(&self) -> Option<&Arc<BlockCache>> {
-        self.cache.as_ref()
-    }
-
     /// Answers one containment query over a fresh text view — the call
     /// [`Self::run`] makes per `Contains` query, without the stats.
     pub fn contains(&self, pattern: &[u8]) -> EraResult<bool> {
-        let source = self.worker_source();
+        let source = self.source();
         Ok(self.tree.try_contains(&source, pattern)?)
     }
 
     /// Answers one count query.
     pub fn count(&self, pattern: &[u8]) -> EraResult<usize> {
-        let source = self.worker_source();
+        let source = self.source();
         Ok(self.tree.try_count(&source, pattern)?)
     }
 
     /// Answers one locate query: every occurrence position, ascending (the
     /// page [`Query::locate`] asks for).
     pub fn find_all(&self, pattern: &[u8]) -> EraResult<Vec<usize>> {
-        let source = self.worker_source();
+        let source = self.source();
         let positions = self.tree.try_find_all(&source, pattern)?;
         Ok(positions.into_iter().map(|p| p as usize).collect())
     }
@@ -472,7 +404,7 @@ impl<'a> QueryEngine<'a> {
 
     /// Answers `queries` in order from one text source.
     fn run_chunk(&self, queries: &[Query]) -> EraResult<Chunk> {
-        let source = self.worker_source();
+        let source = self.source();
         let mut answers = Vec::with_capacity(queries.len());
         let mut visits = 0usize;
         for query in queries {
@@ -492,22 +424,14 @@ impl<'a> QueryEngine<'a> {
                 ),
             });
         }
-        let (io, cache) = source.counters();
-        Ok(Chunk { answers, visits, io, cache })
+        Ok(Chunk { answers, visits, io: source.io(), cache: source.cache_activity() })
     }
 
-    /// The text view one worker reads through: the one place where a text
-    /// in memory is told from one read through a window.
-    pub(crate) fn worker_source(&self) -> WorkerSource<'a> {
-        match self.store.resident() {
-            Some(text) => WorkerSource::Resident(text),
-            None => {
-                let source = StoreTextSource::new(self.store);
-                WorkerSource::Store(match &self.cache {
-                    Some(cache) => source.cached(Arc::clone(cache)),
-                    None => source,
-                })
-            }
+    /// The text view one worker reads through, with the engine's cache.
+    pub(crate) fn source(&self) -> StoreTextSource<'a> {
+        match &self.cache {
+            Some(cache) => StoreTextSource::with_cache(self.store, Arc::clone(cache)),
+            None => StoreTextSource::new(self.store),
         }
     }
 }
@@ -584,8 +508,9 @@ mod tests {
         let packed_memory = Arc::new(PackedMemoryStore::from_body(BODY, Alphabet::dna()).unwrap());
         let by_ref = &*packed_memory;
         for store in [&raw_memory as &dyn StringStore, &packed_memory, &by_ref] {
+            let cache = Arc::new(BlockCache::new(1 << 20));
             let response =
-                QueryEngine::over_store(index.tree(), store).cache(1 << 20).run(&batch).unwrap();
+                QueryEngine::over_store(index.tree(), store).with_cache(cache).run(&batch).unwrap();
             assert_eq!(response.results, from_text.results);
             assert_eq!(response.stats.io, IoSnapshot::default());
             assert_eq!(response.stats.cache, CacheSnapshot::default());
@@ -666,18 +591,19 @@ mod tests {
             .map(|p| Query::locate(*p))
             .collect();
         let uncached = QueryEngine::over_store(index.tree(), &packed).run(&batch).unwrap();
-        let engine = QueryEngine::over_store(index.tree(), &packed).cache(1 << 20);
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let engine = QueryEngine::over_store(index.tree(), &packed).with_cache(Arc::clone(&cache));
         let cold = engine.run(&batch).unwrap();
         let warm = engine.run(&batch).unwrap();
         assert_eq!(cold.results, uncached.results);
         assert_eq!(warm.results, uncached.results);
         assert!(cold.stats.io.bytes_read > 0, "the cold pass fills the cache from the store");
         assert!(cold.stats.cache.misses > 0 && cold.stats.cache.insertions > 0);
-        assert_eq!(warm.stats.io.bytes_read, 0, "the warm pass is served from decoded blocks");
+        assert_eq!(warm.stats.io.bytes_read, 0, "the warm pass is served from cached blocks");
         assert_eq!(warm.stats.cache.misses, 0);
         assert!(warm.stats.cache.hits > 0);
-        // The engine's cache handle shows the lifetime totals.
-        let global = engine.cache_handle().expect("cache attached").snapshot();
+        // The cache's own counters show the lifetime totals.
+        let global = cache.snapshot();
         assert_eq!(global.hits, cold.stats.cache.hits + warm.stats.cache.hits);
         // Single-query wrappers share the same cache.
         let before_single = packed.stats().snapshot();
@@ -711,7 +637,7 @@ mod tests {
         assert!(solo_a.stats.io.bytes_read > 0 && solo_b.stats.io.bytes_read > 0);
 
         // One worker per engine keeps each engine's partition order — and so
-        // its window reuse and byte counts — identical to its solo run; the
+        // its block reuse and byte counts — identical to its solo run; the
         // *engines* still run side by side on the shared store.
         let engine_a = QueryEngine::over_store(index.tree(), &store);
         let engine_b = QueryEngine::over_store(index.tree(), &store);

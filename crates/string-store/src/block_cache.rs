@@ -1,32 +1,31 @@
-//! A sharded, capacity-bounded LRU cache of *decoded* text blocks.
+//! A sharded, capacity-bounded LRU cache of text blocks, held as the store's
+//! own codes.
 //!
-//! The serving path replaces raw-text I/O with cheap, skippable block reads
-//! (§1/§6.1), but without a cache every [`StoreTextSource`] window — one per
-//! query worker, rebuilt for every batch — re-fetches and re-decodes the same
-//! packed blocks from scratch. [`BlockCache`] closes that gap: decoded symbol
-//! blocks are kept in memory keyed by their block index, shared via
-//! [`Arc`] across all workers of a query engine *and* across successive
-//! batches, so a warm cache serves repeated or overlapping patterns with zero
-//! store I/O. A raw store merely saves its bytes; a *packed* store saves the
-//! 2-bit/5-bit decode as well, because entries hold decoded symbols — the
-//! decode cost of a block is paid once, on the first miss.
+//! A text left in a file is served block by block: every
+//! [`StoreTextSource`] — one per query worker, rebuilt for every batch —
+//! reads the blocks its descents touch. [`BlockCache`] keeps those blocks in
+//! memory keyed by their block index, shared via [`Arc`] across all workers
+//! of a query engine *and* across successive batches, so a warm cache serves
+//! repeated or overlapping patterns with zero store I/O. An entry holds the
+//! block exactly as the store keeps it — a raw block's bytes, a packed
+//! block's payload bytes (one per four DNA symbols) — and is matched
+//! code by code where it lies, so nothing is ever decoded into the cache.
 //!
 //! The cache is sharded (adjacent blocks land on different shards, so the
 //! workers of a batch rarely contend on one lock) and bounded by a total
-//! capacity in decoded bytes, evicting least-recently-used blocks per shard.
-//! Every interaction is counted — [`CacheSnapshot`] reports hits, misses,
-//! insertions, evictions and decoded bytes — both globally on the cache
+//! capacity in bytes, evicting least-recently-used blocks per shard. Every
+//! interaction is counted — [`CacheSnapshot`] reports hits, misses,
+//! insertions and evictions — both globally on the cache
 //! ([`BlockCache::snapshot`]) and per consumer (each `StoreTextSource`
 //! records its own activity, which is how a query batch attributes cache
 //! traffic to exactly the workers that caused it).
 //!
 //! A cache stores *positions*, not provenance: one `BlockCache` must only
-//! ever be used with one logical text (sharing it between stores that hold
-//! the same text in different encodings is fine — entries are decoded
-//! symbols — but sharing it between *different texts* would serve wrong
-//! bytes). Entries whose length does not match the requested block span are
-//! ignored defensively, so a misconfigured share degrades to misses instead
-//! of corrupting answers.
+//! ever be used with one store's text (sharing it between *different texts*,
+//! or between a raw and a packed store of one text, would serve wrong codes).
+//! Entries whose length does not match the requested block span are ignored
+//! defensively, so a misconfigured share mostly degrades to misses instead of
+//! corrupting answers.
 //!
 //! [`StoreTextSource`]: crate::StoreTextSource
 
@@ -43,10 +42,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default granularity of one cache entry, in decoded symbols.
+/// Default granularity of one cache entry, in symbols — and the block size of
+/// a [`StoreTextSource`](crate::StoreTextSource) with no cache, so a cached
+/// fetch is the same size as an uncached one.
 ///
-/// Matches [`DEFAULT_WINDOW_SYMBOLS`](crate::DEFAULT_WINDOW_SYMBOLS) so a
-/// cache-backed window fetch is the same size as an uncached one.
+/// Sized in *symbols*, not bytes: a packed block then holds `bits/8` of the
+/// bytes a raw block holds, so the §6.1 packing ratios carry over from
+/// construction scans to query serving.
 pub const DEFAULT_CACHE_BLOCK_SYMBOLS: usize = 4 << 10;
 
 /// Default number of shards.
@@ -67,7 +69,6 @@ pub struct CacheStats {
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    decoded_bytes: AtomicU64,
 }
 
 impl CacheStats {
@@ -86,10 +87,9 @@ impl CacheStats {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one inserted block of `bytes` decoded symbols.
-    pub fn add_insertion(&self, bytes: u64) {
+    /// Records one inserted block.
+    pub fn add_insertion(&self) {
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.decoded_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records `n` evicted blocks.
@@ -104,7 +104,7 @@ impl CacheStats {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            decoded_bytes: self.decoded_bytes.load(Ordering::Relaxed),
+            decoded_bytes: 0,
         }
     }
 }
@@ -112,15 +112,16 @@ impl CacheStats {
 /// A point-in-time copy of [`CacheStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Lookups served from the cache (no store I/O, no decode).
+    /// Lookups served from the cache (no store I/O).
     pub hits: u64,
-    /// Lookups that had to read (and, for packed stores, decode) a block.
+    /// Lookups that had to read a block from the store.
     pub misses: u64,
     /// Blocks inserted after a miss.
     pub insertions: u64,
     /// Blocks evicted to stay under the capacity bound.
     pub evictions: u64,
-    /// Decoded bytes inserted — the decode/copy work the misses paid for.
+    /// Bytes decoded to fill the cache: always 0, as an entry holds the
+    /// store's codes as they were read.
     pub decoded_bytes: u64,
 }
 
@@ -167,7 +168,7 @@ struct Slot {
     next: usize,
 }
 
-/// One independently locked LRU of decoded blocks.
+/// One independently locked LRU of blocks.
 struct Shard {
     map: HashMap<u64, usize>,
     slots: Vec<Slot>,
@@ -241,7 +242,7 @@ impl Shard {
     fn insert(&mut self, key: u64, data: Arc<[u8]>, capacity: usize) -> u64 {
         if let Some(&slot) = self.map.get(&key) {
             // Two workers can miss the same block concurrently; the second
-            // insert just refreshes recency (the decoded content is equal).
+            // insert just refreshes recency (the content is equal).
             self.bytes = self.bytes - self.slots[slot].data.len() + data.len();
             self.slots[slot].data = data;
             self.unlink(slot);
@@ -290,17 +291,18 @@ impl Shard {
     }
 }
 
-/// A sharded, capacity-bounded LRU cache of decoded text blocks (see the
-/// module docs for the design rationale).
+/// A sharded, capacity-bounded LRU cache of text blocks (see the module docs
+/// for the design rationale).
 ///
-/// Blocks are [`Self::block_symbols`] decoded symbols each (the final block
-/// of a text may be shorter) and keyed by block index — block `b` covers text
-/// positions `[b * block_symbols, (b + 1) * block_symbols)`. Wrap the cache
+/// Blocks are [`Self::block_symbols`] symbols each (the final block of a text
+/// may be shorter), held as the store's codes, and keyed by block index —
+/// block `b` covers text positions `[b * block_symbols, (b + 1) *
+/// block_symbols)`. Wrap the cache
 /// in an [`Arc`] and hand clones to every
 /// [`StoreTextSource`](crate::StoreTextSource) that should share it.
 pub struct BlockCache {
     shards: Box<[Mutex<Shard>]>,
-    /// Capacity bound per shard, in decoded bytes.
+    /// Capacity bound per shard, in bytes.
     shard_capacity: usize,
     capacity_bytes: usize,
     block_symbols: usize,
@@ -308,16 +310,16 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// A cache bounded by `capacity_bytes` of decoded symbols, with the
-    /// default block granularity and shard count.
+    /// A cache bounded by `capacity_bytes`, with the default block
+    /// granularity and shard count.
     pub fn new(capacity_bytes: usize) -> Self {
         Self::with_layout(capacity_bytes, DEFAULT_CACHE_BLOCK_SYMBOLS, DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit layout: total capacity in decoded bytes,
-    /// symbols per cached block (min 1) and shard count (min 1).
+    /// A cache with an explicit layout: total capacity in bytes, symbols per
+    /// cached block (min 1) and shard count (min 1).
     ///
-    /// Each shard is granted at least one block of capacity, so even a
+    /// Each shard is granted at least the bytes of one raw block, so even a
     /// capacity smaller than one block caches *something* rather than
     /// degenerating into a pure pass-through.
     pub fn with_layout(capacity_bytes: usize, block_symbols: usize, shards: usize) -> Self {
@@ -333,12 +335,12 @@ impl BlockCache {
         }
     }
 
-    /// Symbols per cached block (the fetch/decode granularity).
+    /// Symbols per cached block (the fetch granularity).
     pub fn block_symbols(&self) -> usize {
         self.block_symbols
     }
 
-    /// The configured total capacity in decoded bytes.
+    /// The configured total capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
     }
@@ -353,10 +355,10 @@ impl BlockCache {
         &self.shards[(block % self.shards.len() as u64) as usize]
     }
 
-    /// Looks up a decoded block, refreshing its recency. Counts a hit or a
-    /// miss on the cache's global stats.
+    /// Looks up a block, refreshing its recency. Counts a hit or a miss on
+    /// the cache's global stats.
     ///
-    /// `expected_len` is the caller's block span in decoded bytes: an entry
+    /// `expected_len` is the byte length of the caller's block: an entry
     /// of any other length (possible only when a cache is wrongly shared
     /// across different texts) counts — and is returned — as a miss, so the
     /// global hit rate degrades visibly instead of masking the
@@ -375,12 +377,11 @@ impl BlockCache {
         }
     }
 
-    /// Inserts a decoded block, evicting LRU entries of the same shard to
-    /// stay under the capacity bound. Returns how many blocks were evicted.
+    /// Inserts a block, evicting LRU entries of the same shard to stay under
+    /// the capacity bound. Returns how many blocks were evicted.
     pub fn insert(&self, block: u64, data: Arc<[u8]>) -> u64 {
-        let bytes = data.len() as u64;
         let evicted = lock(self.shard(block)).insert(block, data, self.shard_capacity);
-        self.stats.add_insertion(bytes);
+        self.stats.add_insertion();
         self.stats.add_evictions(evicted);
         evicted
     }
@@ -390,7 +391,7 @@ impl BlockCache {
         self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
-    /// Decoded bytes currently cached.
+    /// Bytes currently cached.
     pub fn bytes(&self) -> usize {
         self.shards.iter().map(|s| lock(s).bytes).sum()
     }
@@ -438,7 +439,7 @@ mod tests {
         assert_eq!(cache.get(3, 16).as_deref(), Some(&[7u8; 16][..]));
         let snap = cache.snapshot();
         assert_eq!((snap.hits, snap.misses, snap.insertions), (1, 1, 1));
-        assert_eq!(snap.decoded_bytes, 16);
+        assert_eq!(snap.decoded_bytes, 0, "an entry is held as it was given");
         assert_eq!(cache.entries(), 1);
         assert_eq!(cache.bytes(), 16);
     }
@@ -534,7 +535,7 @@ mod tests {
         assert_eq!(snap.hits + snap.misses, 800);
         // Every counter update is one `fetch_add`: none is lost to a race.
         assert_eq!(snap.insertions, snap.misses);
-        assert_eq!(snap.decoded_bytes, 64 * snap.insertions);
+        assert_eq!(snap.decoded_bytes, 0);
         assert!(cache.bytes() <= (1 << 16) + 8 * 64);
 
         // One shard with room for one 24-byte block: `insert` checks the

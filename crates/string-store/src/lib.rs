@@ -39,16 +39,16 @@
 //!   *random-access* counterpart of [`BlockCursor`] for query serving: the
 //!   two operations a suffix-tree walk needs (symbol at a position, common
 //!   prefix of an edge label and a pattern). A byte slice serves them, and
-//!   so does a store's text in memory ([`StringStore::resident`]: raw bytes
-//!   as a slice, a packed payload compared code by code, with nothing
-//!   decoded). A store reading a file — raw or packed — serves them through
-//!   one reused window buffer, with every fetch I/O-accounted both on the
-//!   store's global counters and on the source's own (per-worker) counters.
-//! * [`BlockCache`] — a sharded, capacity-bounded LRU of *decoded* text
-//!   blocks of a file-backed text, shared via `Arc` across the
-//!   sources/workers of a serving path so repeated and overlapping patterns
-//!   are answered with zero store I/O (and, for packed stores, zero
-//!   re-decoding); activity is counted in [`CacheSnapshot`]s.
+//!   [`StoreTextSource`] serves them over any store with one comparator,
+//!   [`ResidentText`]'s: raw bytes as a slice, a packed payload code by code,
+//!   nothing decoded. A text in memory ([`StringStore::resident`]) is matched
+//!   where it lies; a text in a file one block of the store's codes at a
+//!   time, with every fetch I/O-accounted both on the store's global
+//!   counters and on the source's own (per-worker) counters.
+//! * [`BlockCache`] — a sharded, capacity-bounded LRU of the code blocks of a
+//!   file-backed text, shared via `Arc` across the sources/workers of a
+//!   serving path so repeated and overlapping patterns are answered with
+//!   zero store I/O; activity is counted in [`CacheSnapshot`]s.
 //! * [`IoStats`] / [`IoSnapshot`] — thread-safe I/O counters.
 //! * [`packed`] — the symbol codec underneath the packed store: terminal out
 //!   of band, dense order-preserving codes, any width from 1 to 8 bits. The
@@ -92,5 +92,5 @@ pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore, Pa
 pub use resident::ResidentText;
 pub use stats::{IoSnapshot, IoStats, ReadCursor};
 pub use store::StringStore;
-pub use text_source::{StoreTextSource, TextSource, DEFAULT_WINDOW_SYMBOLS};
+pub use text_source::{StoreTextSource, TextSource};
 pub use vfs::{CrashMode, FaultVfs, StdVfs, Vfs, VfsFile, SECTOR};

@@ -15,11 +15,11 @@
 //! payload bits are two, so [`PackedCodec::unpack`] looks several symbols up
 //! at a time ([`SymbolTable`]) and keeps the one-code-at-a-time loop for the
 //! ragged ends of a range and for every other width. The unpack path sits on
-//! every block fetch of [`crate::PackedStore`] — so on every construction
-//! scan and on the miss path of serving a text from a file — and on
+//! every decoded read of [`crate::PackedStore`] — the construction scans
+//! that need symbols, and the text leaving the index whole — and on
 //! [`crate::PackedStore::from_payload`]'s validation when a catalog is
-//! opened. Serving a payload held in memory decodes nothing: a
-//! [`crate::ResidentText`] turns each pattern byte into its code
+//! opened. Serving decodes nothing, whether the payload is in memory or in a
+//! file: a [`crate::ResidentText`] turns each pattern byte into its code
 //! ([`PackedCodec`]'s encode table) and compares codes where they lie.
 
 #![deny(

@@ -455,7 +455,8 @@ mod tests {
     use super::*;
     use crate::naive::naive_suffix_tree;
     use crate::validate::validate_flat_tree;
-    use era_string_store::{InMemoryStore, StoreTextSource};
+    use era_string_store::{Alphabet, BlockCache, DiskStore, StoreTextSource};
+    use std::sync::Arc;
 
     fn tree_for(body: &[u8]) -> (Vec<u8>, SuffixTree) {
         let mut text = body.to_vec();
@@ -555,14 +556,13 @@ mod tests {
     fn store_backed_source_answers_like_the_slice() {
         let (text, t) = tree_for(b"TGGTGGTGGTGCGGTGATGGTGC");
         let flat = FlatTree::freeze(&t);
-        let store = InMemoryStore::new(
-            text.clone(),
-            era_string_store::Alphabet::infer(&text[..text.len() - 1]).unwrap(),
-        )
-        .unwrap()
-        .with_block_size(4)
-        .unwrap();
-        let source = StoreTextSource::with_window(&store, 4);
+        // The text in a file, read through a cache of 4-symbol blocks.
+        let body = &text[..text.len() - 1];
+        let path =
+            std::env::temp_dir().join(format!("era-layout-source-{}.era", std::process::id()));
+        let store = DiskStore::create(path, body, Alphabet::infer(body).unwrap(), 4).unwrap();
+        let cache = Arc::new(BlockCache::with_layout(1 << 10, 4, 2));
+        let source = StoreTextSource::with_cache(&store, cache);
         for pattern in [&b"TG"[..], b"TGGTG", b"GATT", b"", b"CCC"] {
             assert_eq!(
                 flat.try_find_all(&source, pattern).unwrap(),

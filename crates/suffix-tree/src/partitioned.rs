@@ -6,12 +6,15 @@
 //! in the order of KB"). This module provides that representation together
 //! with queries that are equivalent to querying the full tree.
 //!
-//! Construction builds mutable [`Partition`]s (`Vec`-node [`SuffixTree`]s)
-//! and freezes each one ([`Partition::freeze`]) into a [`FlatPartition`] (a
-//! cache-conscious [`FlatTree`] arena — see [`crate::layout`]) as soon as it
-//! is finished, so the construction form of a sub-tree never outlives its
-//! group and everything downstream — the query engine, the serializer, the
-//! index — serves from the flat form.
+//! Construction (ERA-str+mem) assembles each sub-tree straight into a
+//! [`FlatPartition`] — a cache-conscious [`FlatTree`] arena, see
+//! [`crate::layout`] — from its group's sorted suffixes and LCPs, with no
+//! `Vec`-node [`SuffixTree`] in between; everything downstream — the query
+//! engine, the serializer, the index — serves from that flat form. A
+//! [`Partition`] (a `Vec`-node sub-tree, frozen by [`Partition::freeze`])
+//! remains only where a construction form is built on purpose: ERA-str's
+//! branch-edge construction, the baselines, and the tests that pin the arena
+//! against the freeze of that form.
 
 #![deny(
     clippy::indexing_slicing,

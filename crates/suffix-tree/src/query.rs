@@ -256,7 +256,10 @@ mod tests {
     use super::*;
     use crate::layout::FIRST_CHAR_SHIFT;
     use crate::naive::naive_suffix_tree;
-    use era_string_store::{Alphabet, InMemoryStore, StoreTextSource};
+    use era_string_store::{
+        Alphabet, BlockCache, DiskStore, PackedDiskStore, StoreTextSource, StringStore,
+    };
+    use std::sync::Arc;
 
     fn tree_for(body: &[u8]) -> (Vec<u8>, FlatTree) {
         let mut text = body.to_vec();
@@ -277,11 +280,26 @@ mod tests {
         out
     }
 
-    fn tiny_block_store(text: &[u8]) -> InMemoryStore {
-        InMemoryStore::new(text.to_vec(), Alphabet::infer(&text[..text.len() - 1]).unwrap())
-            .unwrap()
-            .with_block_size(4)
-            .unwrap()
+    /// `text` in a raw and a packed store that read a file (named after
+    /// `test`, removed on drop).
+    fn file_stores(text: &[u8], test: &str) -> [Box<dyn StringStore>; 2] {
+        let body = &text[..text.len() - 1];
+        let alphabet = Alphabet::infer(body).unwrap();
+        let path = std::env::temp_dir().join(format!("era-tree-{test}-{}", std::process::id()));
+        [
+            Box::new(
+                DiskStore::create(path.with_extension("era"), body, alphabet.clone(), 4).unwrap(),
+            ),
+            Box::new(
+                PackedDiskStore::create(path.with_extension("erap"), body, alphabet, 4).unwrap(),
+            ),
+        ]
+    }
+
+    /// A source over `store` through a cache of 4-symbol blocks: a compare
+    /// crosses a block boundary every few symbols.
+    fn tiny_block_source(store: &dyn StringStore) -> StoreTextSource<'_> {
+        StoreTextSource::with_cache(store, Arc::new(BlockCache::with_layout(1 << 10, 4, 2)))
     }
 
     #[test]
@@ -319,25 +337,35 @@ mod tests {
     #[test]
     fn store_backed_source_answers_like_the_slice() {
         let (text, t) = tree_for(b"mississippi");
-        let store = tiny_block_store(&text);
-        let source = StoreTextSource::with_window(&store, 4);
-        for pattern in
-            [&b"ss"[..], b"issi", b"i", b"mississippi", b"p", b"sip", b"", b"zzz", b"mississippix"]
-        {
-            assert_eq!(
-                t.try_find_all(&source, pattern).unwrap(),
-                t.try_find_all(&text, pattern).unwrap(),
-                "pattern {:?}",
-                std::str::from_utf8(pattern)
-            );
-            assert_eq!(
-                t.try_count(&source, pattern).unwrap(),
-                t.try_count(&text, pattern).unwrap()
-            );
-            assert_eq!(
-                t.try_contains(&source, pattern).unwrap(),
-                t.try_contains(&text, pattern).unwrap()
-            );
+        for store in file_stores(&text, "answers") {
+            let source = tiny_block_source(store.as_ref());
+            for pattern in [
+                &b"ss"[..],
+                b"issi",
+                b"i",
+                b"mississippi",
+                b"p",
+                b"sip",
+                b"",
+                b"zzz",
+                b"mississippix",
+            ] {
+                assert_eq!(
+                    t.try_find_all(&source, pattern).unwrap(),
+                    t.try_find_all(&text, pattern).unwrap(),
+                    "pattern {:?}",
+                    std::str::from_utf8(pattern)
+                );
+                assert_eq!(
+                    t.try_count(&source, pattern).unwrap(),
+                    t.try_count(&text, pattern).unwrap()
+                );
+                assert_eq!(
+                    t.try_contains(&source, pattern).unwrap(),
+                    t.try_contains(&text, pattern).unwrap()
+                );
+            }
+            assert!(source.io().bytes_read > 0, "the text was read from the file");
         }
     }
 
@@ -404,10 +432,11 @@ mod tests {
         // The same corrupted tree over a store-backed source: the recovery
         // path may legitimately read the text, and must stay correct when
         // those reads are real fetches.
-        let store = tiny_block_store(&text);
-        let source = StoreTextSource::with_window(&store, 4);
-        assert_eq!(find_sorted(&t, &source, b"ssi"), scan(&text, b"ssi"));
-        assert_eq!(t.try_count(&source, b"s").unwrap(), 4);
+        for store in file_stores(&text, "stale-scan") {
+            let source = tiny_block_source(store.as_ref());
+            assert_eq!(find_sorted(&t, &source, b"ssi"), scan(&text, b"ssi"));
+            assert_eq!(t.try_count(&source, b"s").unwrap(), 4);
+        }
     }
 
     #[test]

@@ -394,8 +394,10 @@ mod tests {
     use crate::partitioned::Partition;
     use crate::query::MatchResult;
     use crate::serialize::{read_flat_tree, write_flat_tree};
-    use era_string_store::{Alphabet, InMemoryStore, PackedMemoryStore, StoreTextSource};
+    use era_string_store::{Alphabet, BlockCache, DiskStore, PackedDiskStore, StoreTextSource};
     use std::collections::{BTreeMap, VecDeque};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn naive_tree_passes() {
@@ -451,18 +453,27 @@ mod tests {
     }
 
     /// `check`'s verdict over the text as a slice — after making sure a raw
-    /// and a packed store, read four symbols at a time, give the same one.
+    /// and a packed store that read a file, four symbols a block, give the
+    /// same one.
     fn verdict(
         text: &[u8],
         check: impl Fn(&dyn TextSource) -> Result<(), ValidationError>,
     ) -> Result<(), ValidationError> {
-        let alphabet = Alphabet::infer(&text[..text.len() - 1]).unwrap();
-        let raw = InMemoryStore::new(text.to_vec(), alphabet.clone()).unwrap();
-        let raw = raw.with_block_size(4).unwrap();
-        let packed = PackedMemoryStore::new(text, alphabet).unwrap().with_block_size(1).unwrap();
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let body = &text[..text.len() - 1];
+        let alphabet = Alphabet::infer(body).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "era-verdict-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let raw = DiskStore::create(path.with_extension("era"), body, alphabet.clone(), 4).unwrap();
+        let packed =
+            PackedDiskStore::create(path.with_extension("erap"), body, alphabet, 1).unwrap();
+        let blocks = || Arc::new(BlockCache::with_layout(1 << 10, 4, 2));
         let over_slice = check(&text);
-        assert_eq!(check(&StoreTextSource::with_window(&raw, 4)), over_slice);
-        assert_eq!(check(&StoreTextSource::with_window(&packed, 4)), over_slice);
+        assert_eq!(check(&StoreTextSource::with_cache(&raw, blocks())), over_slice);
+        assert_eq!(check(&StoreTextSource::with_cache(&packed, blocks())), over_slice);
         over_slice
     }
 

@@ -57,8 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Open under a memory budget neither encoding of the text fits: the
         // text segment stays on disk, the trees load into memory, and edge
-        // labels resolve block-wise from the catalog file. Every engine of the
-        // index shares its decoded-block cache, so the first batch runs cold
+        // labels resolve block-wise from the catalog file, each block of the
+        // store's codes matched where it lies, nothing decoded. Every engine
+        // of the index shares its block cache, so the first batch runs cold
         // (filling the cache from the store) and every later batch —
         // single- or multi-threaded, even from a fresh `engine()` — replays
         // the overlapping blocks with zero store I/O.
@@ -91,6 +92,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     std::fs::remove_file(&catalog)?;
     println!("(the packed rows fetch ~4x fewer bytes for the same answers,");
-    println!(" and warm batches are served from the shared decoded-block cache)");
+    println!(" and warm batches are served from the shared block cache)");
     Ok(())
 }

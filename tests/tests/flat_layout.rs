@@ -16,6 +16,8 @@
 //! of the construction form, byte for byte, for every group
 //! `prepare_group` yields.
 
+use std::sync::Arc;
+
 use era::horizontal::build::{assemble_partition, build_partition};
 use era::horizontal::prepare::prepare_group;
 use era::horizontal::HorizontalParams;
@@ -25,8 +27,8 @@ use era::{
     SharedNothingOptions, SharedNothingScheduler,
 };
 use era_string_store::{
-    Alphabet, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore, StoreTextSource,
-    StringStore,
+    Alphabet, BlockCache, DiskStore, InMemoryStore, PackedDiskStore, PackedMemoryStore,
+    StoreTextSource, StringStore,
 };
 use era_suffix_tree::{
     naive_suffix_tree, validate_flat_tree, FlatTree, NodeId, PartitionedSuffixTree,
@@ -279,7 +281,10 @@ proptest! {
             b"\x02never".to_vec(),
         ];
         for backend in backends {
-            let source = StoreTextSource::with_window(backend, 64);
+            // The file-backed stores are read through a cache of 64-symbol
+            // blocks, so edge labels cross block boundaries.
+            let blocks = Arc::new(BlockCache::with_layout(1 << 12, 64, 2));
+            let source = StoreTextSource::with_cache(backend, blocks);
             for p in &patterns {
                 let mut count = 0usize;
                 let mut found: Vec<u32> = Vec::new();

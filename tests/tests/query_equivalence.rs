@@ -155,16 +155,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, max_shrink_iters: 0 })]
 
-    /// Window and cache boundaries must be invisible: patterns *longer than
-    /// the window*, hops that straddle cache-block and cache-shard
-    /// boundaries, and tiny capacities that force evictions all answer
-    /// byte-identically with the cache on and off, across all four store
-    /// backends.
+    /// Block and cache boundaries must be invisible: patterns *longer than
+    /// a block*, hops that straddle cache-block and cache-shard boundaries,
+    /// blocks that start at any bit offset of a packed payload, and tiny
+    /// capacities that force evictions all answer byte-identically with the
+    /// cache on and off, across all four store backends.
     #[test]
     fn cache_and_window_boundaries_are_invisible(
         which in 0usize..3,
         raw_bytes in collection::vec(any::<u8>(), 8..300),
-        window in 1usize..40,
         block_symbols in 1usize..40,
         capacity in 16usize..600,
     ) {
@@ -176,7 +175,7 @@ proptest! {
             .expect("construction succeeds");
         let text = index.text().to_vec();
 
-        // Longer than the window by construction (the window is < 40): the
+        // Longer than a block by construction (a block is < 40 symbols): the
         // whole text, every suffix hop, plus the usual awkward shapes.
         let mut patterns = patterns_for(&text);
         patterns.push(text.clone());
@@ -189,11 +188,9 @@ proptest! {
             // One shared cache for both sources: the second one replays the
             // first one's blocks (the cross-worker sharing path).
             let cache = Arc::new(BlockCache::with_layout(capacity, block_symbols, 3));
-            let plain = StoreTextSource::with_window(store.as_ref(), window);
-            let cached =
-                StoreTextSource::with_window(store.as_ref(), window).cached(Arc::clone(&cache));
-            let warm =
-                StoreTextSource::with_window(store.as_ref(), window).cached(Arc::clone(&cache));
+            let plain = StoreTextSource::new(store.as_ref());
+            let cached = StoreTextSource::with_cache(store.as_ref(), Arc::clone(&cache));
+            let warm = StoreTextSource::with_cache(store.as_ref(), Arc::clone(&cache));
             for p in &patterns {
                 let expect = index.tree().try_find_all(&plain, p).expect("plain source");
                 let got = index.tree().try_find_all(&cached, p).expect("cached source");
@@ -272,7 +269,7 @@ fn packed_batch_matches_in_memory_api_with_fewer_bytes_read() {
     );
 }
 
-/// Acceptance criterion of the decoded-block cache: re-running an identical
+/// Acceptance criterion of the block cache: re-running an identical
 /// batch against a `PackedDiskStore`-backed engine with a warm cache reads
 /// ≥10x fewer store bytes than the cold run, while the answers stay
 /// byte-identical cache-on vs cache-off (run by the CI `packed-io` job).
@@ -299,7 +296,8 @@ fn warm_cache_rerun_reads_10x_fewer_bytes_with_identical_answers() {
     let uncached = QueryEngine::over_store(index.tree(), &packed).run(&batch).expect("uncached");
 
     // One cached engine, the identical batch twice: cold fills, warm replays.
-    let engine = QueryEngine::over_store(index.tree(), &packed).cache(8 << 20);
+    let cache = Arc::new(BlockCache::new(8 << 20));
+    let engine = QueryEngine::over_store(index.tree(), &packed).with_cache(cache);
     let cold = engine.run(&batch).expect("cold batch");
     let warm = engine.run(&batch).expect("warm batch");
 
@@ -319,6 +317,111 @@ fn warm_cache_rerun_reads_10x_fewer_bytes_with_identical_answers() {
     let parallel_warm = engine.threads(4).run(&batch).expect("parallel warm batch");
     assert_eq!(parallel_warm.results, uncached.results);
     assert!(parallel_warm.stats.io.bytes_read * 10 <= cold_bytes);
+}
+
+/// A packed file-backed batch caches the store's codes, nothing decoded: the
+/// cache holds exactly the payload bytes of the blocks the batch touched,
+/// which are the bytes the batch read (each block once), and reports no
+/// decoded bytes. 1,001-symbol blocks start at every even bit offset.
+#[test]
+fn packed_file_batch_caches_payload_blocks_and_decodes_nothing() {
+    let body = generate(&DatasetSpec::new(DatasetKind::UniformDna, 32 << 10, 23));
+    let index = SuffixIndex::builder()
+        .memory_budget(1 << 20)
+        .build_from_bytes_with_alphabet(&body, Alphabet::dna())
+        .expect("construction succeeds");
+    let mut patterns = patterns_for(index.text());
+    for i in 0..40usize {
+        let len = 5 + (i * 7) % 19;
+        let start = (i * 7919) % (body.len() - len);
+        patterns.push(body[start..start + len].to_vec());
+    }
+    let batch: QueryBatch = patterns.iter().map(|p| Query::locate(p.clone())).collect();
+    let packed =
+        PackedDiskStore::create(temp_dir().join("payload.erap"), &body, Alphabet::dna(), 4 << 10)
+            .unwrap();
+    let block_symbols = 1001;
+    let cache = Arc::new(BlockCache::with_layout(1 << 20, block_symbols, 4));
+    let engine = QueryEngine::over_store(index.tree(), &packed).with_cache(Arc::clone(&cache));
+    let response = engine.run(&batch).expect("batch");
+    let reference = index.query_batch(&batch).expect("in-memory batch");
+    assert_eq!(response.results, reference.results);
+
+    assert_eq!(response.stats.cache.decoded_bytes, 0);
+    assert_eq!(cache.snapshot().decoded_bytes, 0);
+    // The payload size of every block the batch touched, found by looking
+    // each block up at its payload length: 2 bits a body symbol, from the
+    // bit offset the block starts at; the terminal has no bits.
+    let text_len = body.len() + 1;
+    let mut touched = Vec::new();
+    for block in 0..text_len.div_ceil(block_symbols) {
+        let base = block * block_symbols;
+        let coded = block_symbols.min(body.len().saturating_sub(base));
+        let bytes = if coded == 0 { 0 } else { (base * 2 % 8 + coded * 2).div_ceil(8) };
+        if cache.get(block as u64, bytes).is_some() {
+            touched.push(bytes);
+        }
+    }
+    assert_eq!(touched.len(), cache.entries(), "every cached block has its payload length");
+    assert_eq!(cache.bytes(), touched.iter().sum::<usize>());
+    assert_eq!(cache.bytes() as u64, response.stats.io.bytes_read, "each block read once");
+    assert_eq!(response.stats.cache.insertions, cache.entries() as u64);
+    // Neighbouring blocks share the payload byte they meet in, no more.
+    assert!(cache.entries() > 1 && cache.bytes() <= body.len() / 4 + cache.entries());
+}
+
+/// A 5-bit protein text left in a file, served through blocks whose length
+/// is not a multiple of 8 — so most start inside a payload byte and codes
+/// straddle block ends — answers like the same text held in memory.
+#[test]
+fn protein_file_blocks_off_byte_boundaries_answer_like_the_resident_text() {
+    let body = generate(&DatasetSpec::new(DatasetKind::Protein, 12 << 10, 5));
+    let index = SuffixIndex::builder()
+        .memory_budget(1 << 20)
+        .build_from_bytes_with_alphabet(&body, Alphabet::protein())
+        .expect("construction succeeds");
+    let mut patterns = patterns_for(index.text());
+    for i in 0..60usize {
+        let len = 1 + (i * 5) % 37;
+        let start = (i * 6151) % (body.len() - len);
+        patterns.push(body[start..start + len].to_vec());
+    }
+    let batch: QueryBatch = patterns
+        .iter()
+        .enumerate()
+        .map(|(i, p)| match i % 3 {
+            0 => Query::count(p.clone()),
+            1 => Query::contains(p.clone()),
+            _ => Query::locate(p.clone()),
+        })
+        .collect();
+    let resident = PackedMemoryStore::from_body(&body, Alphabet::protein()).unwrap();
+    let file = PackedDiskStore::create(
+        temp_dir().join("protein.erap"),
+        &body,
+        Alphabet::protein(),
+        4 << 10,
+    )
+    .unwrap();
+    let want = QueryEngine::over_store(index.tree(), &resident).run(&batch).unwrap();
+    assert_eq!(want.stats.io.bytes_read, 0, "the resident text is matched in place");
+    for block_symbols in [13, 67, 1001] {
+        let cache = Arc::new(BlockCache::with_layout(1 << 16, block_symbols, 4));
+        for threads in [1, 3] {
+            let engine = QueryEngine::over_store(index.tree(), &file)
+                .with_cache(Arc::clone(&cache))
+                .threads(threads);
+            let got = engine.run(&batch).unwrap();
+            assert_eq!(
+                got.results, want.results,
+                "{block_symbols}-symbol blocks, {threads} thread(s)"
+            );
+        }
+        let source = StoreTextSource::with_cache(&file, cache);
+        for pos in 0..body.len() + 1 {
+            assert_eq!(source.symbol_at(pos).unwrap(), index.text()[pos], "symbol {pos}");
+        }
+    }
 }
 
 /// The batched engine and the multithreaded batched engine agree with the
