@@ -32,13 +32,15 @@ use std::fmt;
 use std::path::Path;
 
 use era::{CommitProtocol, EraConfig, EraError, SuffixIndex};
-use era_string_store::{CrashMode, FaultVfs};
+use era_string_store::{CrashMode, FaultVfs, InMemoryStore};
 
 /// One text/encoding combination the matrix sweeps.
 struct Workload {
     /// Display name (`dna-raw`, `protein-packed`, ...).
     name: &'static str,
-    /// Whether the index is built (and persisted) bit-packed.
+    /// Whether the index is built (and persisted) bit-packed, as every
+    /// builder entry point builds it, or raw through `build_from_store` over
+    /// an [`InMemoryStore`].
     packed: bool,
     /// Symbol set the synthetic texts draw from.
     symbols: &'static [u8],
@@ -145,16 +147,16 @@ fn fault_schedule(total: u64, limit: Option<usize>) -> Vec<u64> {
 fn build_generations(w: &Workload) -> Result<(SuffixIndex, SuffixIndex), EraError> {
     let old_body = synth_body(w.symbols, 353, 1);
     let new_body = synth_body(w.symbols, 401, 2);
-    let old = SuffixIndex::builder()
-        .memory_budget(1 << 20)
-        .packed(w.packed)
-        .build_from_bytes(&old_body)?
-        .with_generation(OLD_GEN);
-    let new = SuffixIndex::builder()
-        .memory_budget(1 << 20)
-        .packed(w.packed)
-        .build_from_bytes(&new_body)?
-        .with_generation(NEW_GEN);
+    let build = |body: &[u8]| {
+        let builder = SuffixIndex::builder().memory_budget(1 << 20);
+        if w.packed {
+            builder.build_from_bytes(body)
+        } else {
+            builder.build_from_store(&InMemoryStore::from_body_inferred(body)?, Vec::new())
+        }
+    };
+    let old = build(&old_body)?.with_generation(OLD_GEN);
+    let new = build(&new_body)?.with_generation(NEW_GEN);
     Ok((old, new))
 }
 

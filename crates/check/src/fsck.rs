@@ -37,13 +37,18 @@ mod tests {
         std::env::temp_dir().join(format!("era-fsck-{name}-{}.eracat", std::process::id()))
     }
 
+    /// A packed catalog from the default build, or a raw one from
+    /// `build_from_store` over a raw store.
     fn save_catalog_index(path: &Path, packed: bool) {
-        SuffixIndex::builder()
-            .packed(packed)
-            .build_from_bytes(b"GATTACAGATTACAGGATCCGATTACA")
-            .unwrap()
-            .save_to_file(path)
-            .unwrap();
+        let body = b"GATTACAGATTACAGGATCCGATTACA";
+        let builder = SuffixIndex::builder();
+        let index = if packed {
+            builder.build_from_bytes(body)
+        } else {
+            let store = era_string_store::InMemoryStore::from_body_inferred(body).unwrap();
+            builder.build_from_store(&store, Vec::new())
+        };
+        index.unwrap().save_to_file(path).unwrap();
     }
 
     fn assert_clean(path: &Path) {

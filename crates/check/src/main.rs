@@ -97,7 +97,6 @@ fn run_demo_index(path: &Path) -> ExitCode {
     let body = era_workloads::genome_like(TEXT_LEN, 1);
     let result = era::SuffixIndex::builder()
         .memory_budget(MEMORY_BUDGET)
-        .packed(true)
         .build_from_bytes_with_alphabet(&body, era_string_store::Alphabet::dna())
         .and_then(|index| index.save_to_file(path));
     match result {

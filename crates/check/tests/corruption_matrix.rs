@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use era::{EraConfig, SuffixIndex};
 use era_check::fsck::fsck_file;
-use era_string_store::{Alphabet, PackedDiskStore, StringStore};
+use era_string_store::{Alphabet, InMemoryStore, PackedDiskStore, StringStore};
 use era_suffix_tree::serialize::{read_flat_tree, write_flat_tree};
 use era_suffix_tree::{validate_partitioned, FlatPartition, PartitionedSuffixTree};
 
@@ -39,13 +39,16 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("era-matrix-{name}-{}", std::process::id()))
 }
 
+/// A packed catalog from the default build, or a raw one from
+/// `build_from_store` over a raw store.
 fn build_catalog(path: &Path, packed: bool) {
-    SuffixIndex::builder()
-        .packed(packed)
-        .build_from_bytes(TEXT)
-        .unwrap()
-        .save_to_file(path)
-        .unwrap();
+    let builder = SuffixIndex::builder();
+    let index = if packed {
+        builder.build_from_bytes(TEXT)
+    } else {
+        builder.build_from_store(&InMemoryStore::from_body_inferred(TEXT).unwrap(), Vec::new())
+    };
+    index.unwrap().save_to_file(path).unwrap();
 }
 
 /// The budget under which `open_file_with` leaves any text segment on disk.

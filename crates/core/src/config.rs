@@ -37,9 +37,10 @@
 //!    the idle sub-tree area: [`MemoryLayout::r_bytes`] is the dedicated
 //!    read-ahead buffer *plus* [`MemoryLayout::tree_area`] (a cohort member
 //!    runs with that less the waiting lists of phase 1). `R` holds the
-//!    store's codes, so the same bytes are a longer range on a packed store:
-//!    the first elastic range of a full DNA group is ≈ 34 symbols raw and
-//!    ≈ 135 packed (2 bits a symbol);
+//!    store's codes, so the same bytes are a longer range on the packed
+//!    store every builder entry point scans: the first elastic range of a
+//!    full DNA group is ≈ 135 symbols (2 bits a symbol), against ≈ 34 over
+//!    a raw store handed to `build_from_store`;
 //! 3. **build** (`BuildSubTree`) — `R` is dead; each sub-tree is assembled
 //!    from `L`/`B` straight into its flat arena of 16-byte records in the
 //!    sub-tree area, allocated once at its exact size — the record `FM`
@@ -123,10 +124,12 @@ pub struct EraConfig {
     /// and iteration: that many symbols on a raw store, ⌊8 · min_range / w⌋
     /// at a packed store's `w` bits per symbol.
     pub min_range: usize,
-    /// Whether the string store keeps the text bit-packed (§6.1: 2 bits per
-    /// DNA symbol, 5 per protein/English symbol). Packing cuts the bytes
-    /// fetched by every sequential scan by the packing ratio — up to 4x on
-    /// DNA — at the cost of decoding each block on the fly.
+    /// Has no effect. Every [`crate::SuffixIndexBuilder`] entry point builds
+    /// over the alphabet's codes (§6.1), and
+    /// [`crate::SuffixIndexBuilder::build_from_store`] keeps the encoding of
+    /// the store it is given; nothing reads this field. It stays only
+    /// because the benchmark crate sets it in a struct literal, and goes when
+    /// that crate is re-pointed (ROADMAP item 15).
     pub packed: bool,
     /// Capacity, in bytes, of the serving path's shared block cache (`0`
     /// disables caching). It caches the blocks of a *file-backed* text only,
@@ -210,8 +213,8 @@ impl EraConfig {
     /// [`MemoryLayout::r_bytes`] is what `R` has while it is live: with
     /// [`HorizontalMethod::StringAndMemory`] the sub-tree area is still empty
     /// then and `R` borrows it, which is what lets the first elastic range be
-    /// `(R + MTS) / FM` bytes (≈ 34 DNA symbols raw, ≈ 135 on a packed
-    /// store) instead of `R / FM` (≈ 2).
+    /// `(R + MTS) / FM` bytes (≈ 135 DNA symbols on the packed store a
+    /// builder scans, ≈ 34 on a raw one) instead of `R / FM` (≈ 2).
     pub fn memory_layout(&self, alphabet: &Alphabet) -> EraResult<MemoryLayout> {
         if self.memory_budget == 0 {
             return Err(EraError::config("memory budget must be non-zero"));

@@ -502,17 +502,6 @@ impl SuffixIndexBuilder {
         self
     }
 
-    /// Builds over a bit-packed store (§6.1: 2-bit DNA, 5-bit
-    /// protein/English), cutting the bytes every construction scan fetches by
-    /// the packing ratio. In-memory builds pack the text up front; file
-    /// builds pack the raw file into a sibling `.packed` file first (removed
-    /// when the build finishes). Files already in the packed format are
-    /// detected and used directly regardless of this flag.
-    pub fn packed(mut self, enabled: bool) -> Self {
-        self.config.packed = enabled;
-        self
-    }
-
     /// Sets the capacity of the serving path's shared block cache in bytes
     /// (0 disables it). Only store-backed engines consult the cache;
     /// see [`EraConfig::cache_bytes`].
@@ -541,36 +530,36 @@ impl SuffixIndexBuilder {
     }
 
     /// Builds the index over an in-memory string (the terminal is appended;
-    /// the alphabet is inferred).
+    /// the alphabet is inferred). The text is packed to the alphabet's codes
+    /// first (§6.1: 2 bits a DNA symbol, 5 a protein/English one, up to 8),
+    /// and the build scans and the index keeps those codes.
     pub fn build_from_bytes(self, body: &[u8]) -> EraResult<SuffixIndex> {
         let alphabet = Alphabet::infer(body)?;
         self.build_from_bytes_with_alphabet(body, alphabet)
     }
 
-    /// Builds the index over an in-memory string with an explicit alphabet.
+    /// Builds the index over an in-memory string with an explicit alphabet,
+    /// packed to its codes like [`Self::build_from_bytes`].
     pub fn build_from_bytes_with_alphabet(
         self,
         body: &[u8],
         alphabet: Alphabet,
     ) -> EraResult<SuffixIndex> {
-        if self.config.packed {
-            let store = PackedMemoryStore::from_body(body, alphabet)?;
-            self.build_from_store(&store, Vec::new())
-        } else {
-            let store = InMemoryStore::from_body(body, alphabet)?;
-            self.build_from_store(&store, Vec::new())
-        }
+        let store = PackedMemoryStore::from_body(body, alphabet)?;
+        self.build_from_store(&store, Vec::new())
     }
 
     /// Builds the index over a string stored in a file (disk-based
     /// construction: the file is only read through block-sized sequential
-    /// scans).
+    /// scans), over the alphabet's codes.
     ///
-    /// Raw files must already be terminated with the byte `0`. Files in the
-    /// packed format (see [`PackedDiskStore`]) are detected by their magic
-    /// and opened packed; with [`Self::packed`] enabled, a raw file is packed
-    /// into a sibling `<name>.packed` file first (one streaming scan; the
-    /// sibling is removed when the build finishes).
+    /// Files in the packed format (see [`PackedDiskStore`]) are detected by
+    /// their magic and built over as they are. A raw file, which must already
+    /// be terminated with the byte `0`, is packed into a unique sibling
+    /// `<name>.packed` file first (one streaming scan; the sibling is removed
+    /// when the build finishes), so every construction scan fetches fewer
+    /// bytes by the packing ratio. [`Self::build_from_store`] over a
+    /// [`DiskStore`] builds over the raw file instead.
     pub fn build_from_path(
         self,
         path: impl AsRef<Path>,
@@ -578,10 +567,8 @@ impl SuffixIndexBuilder {
     ) -> EraResult<SuffixIndex> {
         let path = path.as_ref();
         let block = self.config.input_buffer_size.max(4 << 10);
-        // A packed store decodes `block_size()` symbols per window block, so
-        // its *packed* block is scaled down by the packing ratio: the decoded
-        // scan window then covers the same `block` symbols (and bytes of
-        // memory) as a raw build with the same configuration.
+        // A block of the packed store holds the `block` symbols a block of
+        // the raw file holds: `block` bytes scaled down by the packing ratio.
         let packed_block = ((block * alphabet.bits_per_symbol() as usize).div_ceil(8)).max(512);
         if let Some(store) = PackedDiskStore::open_if_packed(path, packed_block)? {
             if store.alphabet().symbols() != alphabet.symbols() {
@@ -592,18 +579,14 @@ impl SuffixIndexBuilder {
             }
             return self.build_from_store(&store, Vec::new());
         }
-        let raw = DiskStore::open(path, alphabet, block)?;
-        if self.config.packed {
-            // Unique sibling name: concurrent packed builds of the same input
-            // must not truncate or delete each other's conversion file, and a
-            // user file that happens to carry the suffix stays untouched.
-            let packed_path = era_string_store::packed_store::unique_sibling(path, "packed");
-            let store = PackedDiskStore::pack_store(&raw, &packed_path, packed_block)?
-                .cleanup_on_drop(true);
-            self.build_from_store(&store, Vec::new())
-        } else {
-            self.build_from_store(&raw, Vec::new())
-        }
+        // Unique sibling name: concurrent builds of the same input must not
+        // truncate or delete each other's conversion file, and a user file
+        // that happens to carry the suffix stays untouched.
+        let packed_path = era_string_store::packed_store::unique_sibling(path, "packed");
+        let source = DiskStore::open(path, alphabet, block)?;
+        let store =
+            PackedDiskStore::pack_store(&source, &packed_path, packed_block)?.cleanup_on_drop(true);
+        self.build_from_store(&store, Vec::new())
     }
 
     /// Builds a generalized index over several strings.
@@ -632,19 +615,15 @@ impl SuffixIndexBuilder {
                 body.push(SEP);
             }
         }
-        if self.config.packed {
-            let store = PackedMemoryStore::from_body_inferred(&body)?;
-            self.build_from_store(&store, separators)
-        } else {
-            let store = InMemoryStore::from_body_inferred(&body)?;
-            self.build_from_store(&store, separators)
-        }
+        let store = PackedMemoryStore::from_body_inferred(&body)?;
+        self.build_from_store(&store, separators)
     }
 
     /// Builds the index over any [`StringStore`]. The index keeps the text
     /// in memory in the store's encoding: a raw store's bytes, or a packed
     /// store's payload as it lies, read as codes with nothing decoded and
-    /// saved as it is.
+    /// saved as it is. This is the one entry point that builds over a raw
+    /// store (an [`InMemoryStore`] or a [`DiskStore`]) and keeps it raw.
     pub fn build_from_store<S: StringStore>(
         self,
         store: &S,
@@ -681,8 +660,10 @@ mod tests {
         assert!(!index.contains(b"AAA"));
         assert_eq!(index.suffix_array().len(), text.len() + 1);
         assert!(index.report().elapsed.as_nanos() > 0);
-        assert!(index.store().is_none());
-        assert!(!index.is_packed());
+        // A default build scans the alphabet's codes and keeps them.
+        assert!(index.is_packed());
+        assert!(index.store().and_then(|store| store.resident()).is_some());
+        assert!(index.block_cache().is_none());
     }
 
     #[test]
@@ -726,6 +707,21 @@ mod tests {
         assert!(idx.longest_common_substring().is_err());
     }
 
+    /// A raw index: `build_from_store` over a raw store is the one builder
+    /// path that keeps one byte a symbol.
+    fn raw_build(body: &[u8]) -> SuffixIndex {
+        let store = InMemoryStore::from_body_inferred(body).unwrap();
+        SuffixIndex::builder().build_from_store(&store, vec![]).unwrap()
+    }
+
+    fn build(body: &[u8], packed: bool) -> SuffixIndex {
+        if packed {
+            SuffixIndex::builder().build_from_bytes(body).unwrap()
+        } else {
+            raw_build(body)
+        }
+    }
+
     fn temp_catalog(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("era-index-{name}-{}.eracat", std::process::id()))
     }
@@ -742,7 +738,8 @@ mod tests {
         let index = SuffixIndex::builder().build_from_bytes(b"abracadabra").unwrap();
         index.save_to_file(&path).unwrap();
         let loaded = SuffixIndex::open_file(&path).unwrap();
-        assert!(loaded.store().is_none(), "a raw text within the budget is held in memory");
+        let store = loaded.store().expect("a default build saves its codes");
+        assert!(store.resident().is_some(), "a text within the budget is held in memory");
         assert_eq!(loaded.find_all(b"abra"), index.find_all(b"abra"));
         assert_eq!(loaded.count(b"a"), index.count(b"a"));
         assert_eq!(loaded.alphabet().symbols(), index.alphabet().symbols());
@@ -785,12 +782,7 @@ mod tests {
         let path = temp_catalog("verify-on-disk");
         let body = b"GATTACAGATTACAGGATCCGATTACAGATTACA";
         for packed in [false, true] {
-            SuffixIndex::builder()
-                .packed(packed)
-                .build_from_bytes(body)
-                .unwrap()
-                .save_to_file(&path)
-                .unwrap();
+            build(body, packed).save_to_file(&path).unwrap();
             let served = SuffixIndex::open_file_with(&path, &on_disk()).unwrap();
             served.verify().unwrap();
             assert_eq!(served.longest_repeated_substring(), Some((20, 14)), "GATTACAGATTACA");
@@ -812,7 +804,6 @@ mod tests {
         let path = temp_catalog("packed-code");
         let body = b"ACDEFGHIKLMNPQRSTVWYACDEFGHIKL";
         let index = SuffixIndex::builder()
-            .packed(true)
             .build_from_bytes_with_alphabet(body, Alphabet::protein())
             .unwrap();
         let mut payload = PackedCodec::new(index.alphabet()).pack_body(body).unwrap();
@@ -854,7 +845,7 @@ mod tests {
         let (first, again) = (temp_catalog("save-first"), temp_catalog("save-again"));
         let body = b"GATTACAGATTACAGGATCCGATTACAGATTACA";
         for packed in [false, true] {
-            let built = SuffixIndex::builder().packed(packed).build_from_bytes(body).unwrap();
+            let built = build(body, packed);
             built.with_generation(3).save_to_file(&first).unwrap();
             let original = std::fs::read(&first).unwrap();
             for config in [EraConfig::default(), on_disk()] {
@@ -876,7 +867,7 @@ mod tests {
         // detected on open, serving queries from the packed store.
         let path = temp_catalog("packed");
         let body = b"GATTACAGATTACAGGATCCGATTACA";
-        let index = SuffixIndex::builder().packed(true).build_from_bytes(body).unwrap();
+        let index = SuffixIndex::builder().build_from_bytes(body).unwrap();
         assert!(index.is_packed());
         // The build keeps the payload it read, with nothing decoded: the bytes
         // packing the text makes, even where the build store's spare bits
@@ -895,7 +886,7 @@ mod tests {
             index.alphabet().clone(),
         )
         .unwrap();
-        let rebuilt = SuffixIndex::builder().packed(true).build_from_store(&store, vec![]).unwrap();
+        let rebuilt = SuffixIndex::builder().build_from_store(&store, vec![]).unwrap();
         assert_eq!(held(&rebuilt), Some(payload));
         index.save_to_file(&path).unwrap();
 
@@ -913,8 +904,7 @@ mod tests {
         assert_eq!(loaded.text(), index.text());
 
         // Re-saving raw over the same path replaces the packed catalog.
-        let raw = SuffixIndex::builder().build_from_bytes(body).unwrap();
-        raw.save_to_file(&path).unwrap();
+        raw_build(body).save_to_file(&path).unwrap();
         let reloaded = SuffixIndex::open_file(&path).unwrap();
         assert!(!reloaded.is_packed());
         assert_eq!(reloaded.find_all(b"GATTACA"), index.find_all(b"GATTACA"));
@@ -925,7 +915,7 @@ mod tests {
     fn mmapless_engines_share_the_index_block_cache() {
         let path = temp_catalog("cache");
         let body = b"GATTACAGATTACAGGATCCGATTACAGATTACA";
-        let built = SuffixIndex::builder().packed(true).build_from_bytes(body).unwrap();
+        let built = SuffixIndex::builder().build_from_bytes(body).unwrap();
         assert!(built.block_cache().is_none(), "in-memory indexes serve without a cache");
         built.save_to_file(&path).unwrap();
         let served = SuffixIndex::open_file_with(&path, &on_disk()).unwrap();
@@ -967,7 +957,6 @@ mod tests {
             .horizontal_method(HorizontalMethod::StringOnly)
             .group_virtual_trees(false)
             .seek_optimization(false)
-            .packed(true)
             .cache_bytes(5 << 20);
         let cfg = builder.peek_config();
         assert_eq!(cfg.cache_bytes, 5 << 20);
@@ -978,18 +967,12 @@ mod tests {
         assert_eq!(cfg.horizontal, HorizontalMethod::StringOnly);
         assert!(!cfg.group_virtual_trees);
         assert!(!cfg.seek_optimization);
-        assert!(cfg.packed);
     }
 
     #[test]
     fn packed_builds_answer_like_raw_builds() {
         let text = b"TGGTGGTGGTGCGGTGATGGTGC";
-        let raw = SuffixIndex::builder().memory_budget(1 << 20).build_from_bytes(text).unwrap();
-        let packed = SuffixIndex::builder()
-            .memory_budget(1 << 20)
-            .packed(true)
-            .build_from_bytes(text)
-            .unwrap();
+        let (raw, packed) = (raw_build(text), build(text, true));
         assert_eq!(packed.suffix_array(), raw.suffix_array());
         assert_eq!(packed.count(b"TG"), 7);
         assert_eq!(packed.find_all(b"TGC"), raw.find_all(b"TGC"));
@@ -1003,15 +986,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let body = b"GATTACAGATTACAGGATCCGATTACA";
 
-        // A raw terminated file, built with packing: converted on the fly.
+        // A raw terminated file: converted on the fly.
         let raw_path = dir.join("raw.era");
         let mut text = body.to_vec();
         text.push(0);
         std::fs::write(&raw_path, &text).unwrap();
-        let from_raw = SuffixIndex::builder()
-            .packed(true)
-            .build_from_path(&raw_path, Alphabet::dna())
-            .unwrap();
+        let from_raw = SuffixIndex::builder().build_from_path(&raw_path, Alphabet::dna()).unwrap();
+        assert!(from_raw.is_packed(), "a raw file is built over its codes");
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -1082,11 +1063,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("era-catalog-{}.eracat", std::process::id()));
         let body = b"GATTACAGATTACAGGATCCGATTACA";
         for packed in [false, true] {
-            let index = SuffixIndex::builder()
-                .packed(packed)
-                .build_from_bytes(body)
-                .unwrap()
-                .with_generation(7);
+            let index = build(body, packed).with_generation(7);
             assert_eq!(index.generation(), 7);
             index.save_to_file(&path).unwrap();
             let opened = SuffixIndex::open_file(&path).unwrap();

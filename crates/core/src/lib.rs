@@ -52,9 +52,9 @@
 //! DNA) by descending a trie of their S-prefixes from every position; its
 //! members then take turns. `SubTreePrepare` holds the read-ahead buffer
 //! `R` as one flat arena that also occupies the sub-tree area — idle until
-//! `BuildSubTree` — so the first elastic range is `(R + MTS) / FM ≈ 34`
-//! symbols rather than `R / FM ≈ 2`, and a group costs a handful of passes
-//! over the string instead of dozens. `BuildSubTree` then has that area for
+//! `BuildSubTree` — so the first elastic range is `(R + MTS) / FM` bytes
+//! (≈ 135 DNA symbols of a packed store) rather than `R / FM` (≈ 8), and a
+//! group costs a handful of passes over the string instead of dozens. `BuildSubTree` then has that area for
 //! the tree: every sub-tree is assembled from its `L` and `B` straight into
 //! its flat serving arena, and its `L` and `B` dropped, before the next one
 //! is assembled, so `FM` charges a node the 16 bytes of its record. What a
@@ -68,10 +68,11 @@
 //! [`ConstructionPipeline::run`]. The scheduler trait is the seam future
 //! backends (async-I/O stores, distributed workers) plug into without
 //! touching the pipeline.
-//! Orthogonally, [`SuffixIndexBuilder::packed`] swaps the raw string stores
-//! for the bit-packed backends of `era-string-store` (§6.1: 2-bit DNA, 5-bit
+//! Orthogonally, every [`SuffixIndexBuilder`] entry point builds over the
+//! bit-packed stores of `era-string-store` (§6.1: 2-bit DNA, 5-bit
 //! protein/English), cutting the bytes fetched by every construction scan by
-//! the packing ratio under any scheduler.
+//! the packing ratio under any scheduler; only
+//! [`SuffixIndexBuilder::build_from_store`] over a raw store builds raw.
 //!
 //! ## Query serving: the store-backed batched engine
 //!

@@ -8,6 +8,7 @@
 #![deny(rust_2018_idioms)]
 
 use era::{EraConfig, Query, QueryBatch, QueryResponse, SuffixIndex};
+use era_string_store::{Alphabet, InMemoryStore};
 use era_workloads::genome_like;
 
 fn print_stats(label: &str, response: &QueryResponse) {
@@ -49,10 +50,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let encoding = if packed { "packed (2-bit)" } else { "raw (1 byte/symbol)" };
         println!("-- {encoding} --");
 
-        // Build + save as a catalog; the packed build persists the §6.1
-        // packed payload as its text segment.
-        let index =
-            SuffixIndex::builder().memory_budget(4 << 20).packed(packed).build_from_bytes(&body)?;
+        // Build + save as a catalog. The builder packs the text (§6.1) and
+        // persists the packed payload as its text segment; the raw catalog
+        // comes from a build over a raw store.
+        let builder = SuffixIndex::builder().memory_budget(4 << 20);
+        let index = if packed {
+            builder.build_from_bytes(&body)?
+        } else {
+            builder
+                .build_from_store(&InMemoryStore::from_body(&body, Alphabet::dna())?, Vec::new())?
+        };
         index.save_to_file(&catalog)?;
 
         // Open under a memory budget neither encoding of the text fits: the

@@ -1,9 +1,10 @@
 //! The `ERACAT1` catalog across store backends and across its two open modes.
 //!
 //! * Property: a catalog round-trips arbitrary texts from every store backend
-//!   — raw and packed builds, each from memory (`build_from_bytes`) and from
-//!   disk (`build_from_path`) — and reopens, materialized *and* with the text
-//!   left on disk, answering byte-identically to the in-memory build.
+//!   — packed builds from memory (`build_from_bytes`) and from disk
+//!   (`build_from_path`), raw ones through `build_from_store` over an
+//!   `InMemoryStore` or a `DiskStore` — and reopens, materialized *and* with
+//!   the text left on disk, answering byte-identically to the in-memory build.
 //! * The open mode follows the memory budget: a text segment over
 //!   `EraConfig::memory_budget` is served block-wise from the catalog file;
 //!   in either mode the file is read exactly once, byte for byte, to open it.
@@ -13,7 +14,7 @@
 use std::path::PathBuf;
 
 use era::{EraConfig, Query, QueryBatch, SuffixIndex};
-use era_string_store::Alphabet;
+use era_string_store::{Alphabet, DiskStore, InMemoryStore};
 use era_suffix_tree::catalog::{CatalogFile, HEADER_LEN};
 use era_workloads::{alphabet_for, generate, DatasetKind, DatasetSpec};
 use proptest::prelude::*;
@@ -79,17 +80,27 @@ proptest! {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
 
-        // Build through the requested backend family.
-        let builder = SuffixIndex::builder().memory_budget(1 << 20).packed(packed);
-        let built = if from_disk {
-            let input = scratch.join("input.era");
+        // Build through the requested backend family: every builder entry
+        // point packs, and `build_from_store` keeps a raw store raw.
+        let builder = SuffixIndex::builder().memory_budget(1 << 20);
+        let alphabet = Alphabet::infer(&body).unwrap();
+        let input = scratch.join("input.era");
+        if from_disk {
             let mut text = body.clone();
             text.push(0);
             std::fs::write(&input, &text).unwrap();
-            builder.build_from_path(&input, Alphabet::infer(&body).unwrap()).unwrap()
-        } else {
-            builder.build_from_bytes(&body).unwrap()
-        };
+        }
+        let built = match (packed, from_disk) {
+            (true, true) => builder.build_from_path(&input, alphabet),
+            (true, false) => builder.build_from_bytes(&body),
+            (false, true) => {
+                builder.build_from_store(&DiskStore::open(&input, alphabet, 4 << 10).unwrap(), vec![])
+            }
+            (false, false) => {
+                builder.build_from_store(&InMemoryStore::from_body(&body, alphabet).unwrap(), vec![])
+            }
+        }
+        .unwrap();
         prop_assert_eq!(built.is_packed(), packed);
         let probes = probes(&body);
 
@@ -120,13 +131,14 @@ fn saved_catalogs(tag: &str) -> Vec<(String, Vec<u8>, bool, PathBuf)> {
         for packed in [false, true] {
             let name = format!("{}-{}", spec.tag(), if packed { "packed" } else { "raw" });
             let path = scratch_file(&format!("{tag}-{name}"));
-            SuffixIndex::builder()
-                .memory_budget(1 << 20)
-                .packed(packed)
-                .build_from_bytes_with_alphabet(&body, alphabet_for(kind))
-                .unwrap()
-                .save_to_file(&path)
-                .unwrap();
+            let builder = SuffixIndex::builder().memory_budget(1 << 20);
+            let built = if packed {
+                builder.build_from_bytes_with_alphabet(&body, alphabet_for(kind))
+            } else {
+                let store = InMemoryStore::from_body(&body, alphabet_for(kind)).unwrap();
+                builder.build_from_store(&store, vec![])
+            };
+            built.unwrap().save_to_file(&path).unwrap();
             out.push((name, body.clone(), packed, path));
         }
     }
