@@ -16,7 +16,7 @@
 //! based", string access random, requires `S` in memory).
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -126,8 +126,9 @@ pub fn trellis_construct(
             if *s != symbol {
                 continue;
             }
-            spill_bytes_read += std::fs::metadata(path)?.len();
-            let tree = read_flat_tree(&mut BufReader::new(File::open(path)?))?;
+            let spilled = std::fs::read(path)?;
+            spill_bytes_read += spilled.len() as u64;
+            let tree = read_flat_tree(&spilled)?;
             leaves.extend(tree.lexicographic_suffixes());
         }
         // Merge by re-sorting the combined leaves against the in-memory string

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use era::config::{EraConfig, HorizontalMethod, RangePolicy, TREE_NODE_BYTES};
+use era::config::{RangePolicy, TREE_NODE_BYTES};
 use era::horizontal::branch_edge::compute_group_str;
 use era::horizontal::HorizontalParams;
 use era::scan::collect_occurrences;
@@ -52,18 +52,6 @@ impl WaveFrontConfig {
     /// the available memory", §3).
     pub fn fm(&self) -> usize {
         ((self.memory_budget / 2) / (2 * TREE_NODE_BYTES)).max(1)
-    }
-
-    fn era_config(&self) -> EraConfig {
-        EraConfig {
-            memory_budget: self.memory_budget,
-            range_policy: RangePolicy::Fixed(self.range_symbols),
-            horizontal: HorizontalMethod::StringOnly,
-            group_virtual_trees: false,
-            seek_optimization: false,
-            threads: self.threads,
-            ..EraConfig::default()
-        }
     }
 }
 
@@ -107,8 +95,7 @@ fn construct_impl(
     };
 
     let t1 = Instant::now();
-    let prefixes: Vec<(Vec<u8>, usize)> =
-        vertical.prefixes.iter().enumerate().map(|(i, p)| (p.prefix.clone(), i)).collect();
+    let prefixes: Vec<Vec<u8>> = vertical.prefixes.iter().map(|p| p.prefix.clone()).collect();
 
     let build_one = |prefix: &Vec<u8>| -> EraResult<Vec<Partition>> {
         let occurrences = collect_occurrences(store, std::slice::from_ref(prefix))?;
@@ -135,7 +122,7 @@ fn construct_impl(
     let mut partitions: Vec<Partition> = Vec::with_capacity(prefixes.len());
     let mut per_node: Vec<NodeReport> = Vec::new();
     if threads <= 1 {
-        for (prefix, _) in &prefixes {
+        for prefix in &prefixes {
             partitions.extend(build_one(prefix)?);
         }
     } else {
@@ -153,7 +140,7 @@ fn construct_impl(
                             let mut groups = 0usize;
                             loop {
                                 let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some((prefix, _)) = prefixes.get(idx) else { break };
+                                let Some(prefix) = prefixes.get(idx) else { break };
                                 built.extend(build_one(prefix)?);
                                 groups += 1;
                             }
@@ -200,7 +187,6 @@ fn construct_impl(
         per_node,
         ..Default::default()
     };
-    let _ = config.era_config(); // keep the mapping around for documentation purposes
     Ok((tree, report))
 }
 

@@ -2,11 +2,12 @@
 //! checked.
 //!
 //! Clippy holds each rule: the format modules (`catalog.rs`,
-//! `serialize.rs`) carry `#![deny(..)]` over every [`TaintRule::lint`], and
-//! the store-header and catalog-open parser fns outside them carry the same
-//! `#[deny(..)]`. `clippy.toml`'s `disallowed-methods` names
-//! `u16`/`u32`/`u64::from_le_bytes`, so integers are decoded only where
-//! those denies hold. An allocation sized by a hostile count has no clippy
+//! `serialize.rs`, era-string-store's `reader.rs`) carry `#![deny(..)]` over
+//! every [`TaintRule::lint`], and the store-header and catalog-open parser
+//! fns outside them carry the same `#[deny(..)]`. `clippy.toml`'s
+//! `disallowed-methods` names `u16`/`u32`/`u64::from_le_bytes`, so artifact
+//! integers are decoded only in `reader.rs`'s `ByteReader`, where those
+//! denies hold. An allocation sized by a hostile count has no clippy
 //! lint; the corruption matrix (`tests/corruption_matrix.rs`) catches it
 //! under an address-space limit instead.
 

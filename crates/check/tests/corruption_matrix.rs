@@ -27,11 +27,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use era::{EraConfig, SuffixIndex};
+use era::{EraConfig, EraError, SuffixIndex};
 use era_check::fsck::fsck_file;
-use era_string_store::{Alphabet, InMemoryStore, PackedDiskStore, StringStore};
+use era_string_store::{Alphabet, ByteReader, InMemoryStore, PackedDiskStore, StringStore};
 use era_suffix_tree::serialize::{read_flat_tree, write_flat_tree};
-use era_suffix_tree::{validate_partitioned, FlatPartition, PartitionedSuffixTree};
+use era_suffix_tree::{parse_catalog, validate_partitioned, FlatPartition, PartitionedSuffixTree};
 
 const TEXT: &[u8] = b"GATTACAGATTACAGGATCCGATTACA";
 
@@ -195,6 +195,39 @@ fn hostile_catalog_toc_values_are_rejected_without_panics_or_allocation() {
     fs::remove_file(&path).unwrap();
 }
 
+/// The TOC's symbol table is decoded like the packed header's: a table that
+/// is not strictly ascending, permuted or holding a symbol twice, is
+/// corruption behind a valid TOC checksum too, never sorted and deduplicated
+/// into some other alphabet.
+#[test]
+fn a_non_canonical_toc_symbol_table_is_corrupt() {
+    let path = temp_path("cat-symbol-table");
+    build_catalog(&path, true);
+    let pristine = fs::read(&path).unwrap();
+    let footer_at = pristine.len() - 32;
+    let mut footer = ByteReader::new(&pristine[footer_at..], "catalog footer");
+    let toc_offset = footer.usize("toc offset").unwrap();
+    let toc_len = footer.usize("toc length").unwrap();
+    // TOC: generation u64, text_len u64, flags u8, alphabet_len u8, reserved
+    // u16, group_count u32, then the symbol table.
+    let table = toc_offset + 24;
+    assert_eq!(&pristine[table..table + 4], b"ACGT");
+    for bad in [b"CAGT", b"AAGT"] {
+        let mut bytes = pristine.clone();
+        bytes[table..table + 4].copy_from_slice(bad);
+        let checksum = fnv1a64(&bytes[toc_offset..toc_offset + toc_len]);
+        bytes[footer_at + 16..footer_at + 24].copy_from_slice(&checksum.to_le_bytes());
+        let what = String::from_utf8_lossy(bad);
+        let err = parse_catalog(&bytes).expect_err(&what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("strictly ascending"), "{what}: {err}");
+        fs::write(&path, &bytes).unwrap();
+        let err = SuffixIndex::open_file(&path).err().unwrap_or_else(|| panic!("{what} opened"));
+        assert!(matches!(err, EraError::Corrupt(_)), "{what}: {err}");
+    }
+    fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn every_bit_of_every_flat_tree_record_is_load_bearing() {
     // A bare ERAFLAT1 segment, with no catalog checksum in front of it: each
@@ -209,7 +242,7 @@ fn every_bit_of_every_flat_tree_record_is_load_bearing() {
         let mut pristine = Vec::new();
         write_flat_tree(&mut pristine, &part.tree).unwrap();
         for (bytes, what) in bit_flips(&pristine, pristine.len()) {
-            let Ok(tree) = read_flat_tree(&mut bytes.as_slice()) else { continue };
+            let Ok(tree) = read_flat_tree(&bytes) else { continue };
             if tree.text_len() != text.len() {
                 continue; // the catalog holds every group to its TOC's text length
             }
@@ -224,13 +257,13 @@ fn every_bit_of_every_flat_tree_record_is_load_bearing() {
         // Truncations and a hostile node count: a clamped preallocation and
         // an EOF, never a header-sized allocation.
         for cut in 0..pristine.len() {
-            assert!(read_flat_tree(&mut &pristine[..cut]).is_err(), "truncation to {cut}");
+            assert!(read_flat_tree(&pristine[..cut]).is_err(), "truncation to {cut}");
         }
     }
     let mut bytes = b"ERAFLAT1".to_vec();
     bytes.extend(27u32.to_le_bytes()); // text_len
     bytes.extend(u32::MAX.to_le_bytes()); // node_count, with no records behind the claim
-    let err = read_flat_tree(&mut bytes.as_slice()).expect_err("u32::MAX node count");
+    let err = read_flat_tree(&bytes).expect_err("u32::MAX node count");
     assert!(!err.to_string().is_empty());
 }
 

@@ -74,6 +74,7 @@ pub mod error;
 pub mod memory;
 pub mod packed;
 pub mod packed_store;
+pub mod reader;
 pub mod resident;
 pub mod stats;
 pub mod store;
@@ -88,7 +89,8 @@ pub use disk::DiskStore;
 pub use error::{StoreError, StoreResult};
 pub use memory::{InMemoryStore, RawStore};
 pub use packed::PackedCodec;
-pub use packed_store::{builtin_or_custom, PackedDiskStore, PackedMemoryStore, PackedStore};
+pub use packed_store::{PackedDiskStore, PackedMemoryStore, PackedStore};
+pub use reader::{decode_symbol_table, ByteReader, FormatError};
 pub use resident::ResidentText;
 pub use stats::{IoSnapshot, IoStats, ReadCursor};
 pub use store::StringStore;

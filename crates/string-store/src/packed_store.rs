@@ -25,7 +25,11 @@
 //! packing ratio alongside `bytes_read`.
 //!
 //! The on-disk format is a small header — magic, version, bits-per-symbol,
-//! symbol table, text length — followed by the packed body. The terminal
+//! symbol table, text length — followed by the packed body. The header is
+//! decoded by the crate's bounded [`ByteReader`], its symbol table by
+//! [`decode_symbol_table`], the decoder the catalog's TOC uses too; the
+//! magic-plus-version signature is one check, shared by
+//! [`PackedStore::open`] and [`PackedStore::open_if_packed`]. The terminal
 //! symbol is stored *out-of-band*: its position is implied by the text length
 //! and it occupies no payload bits, so the encoding matches the paper's bit
 //! widths exactly.
@@ -49,6 +53,7 @@ use crate::cursor::BlockCursor;
 use crate::error::{StoreError, StoreResult};
 use crate::memory::DEFAULT_MEMORY_BLOCK;
 use crate::packed::{packed_size, PackState, PackedCodec};
+use crate::reader::{decode_symbol_table, ByteReader};
 use crate::resident::ResidentText;
 use crate::stats::{blocks_spanned, IoStats, ReadCursor};
 use crate::store::{clamp_read, code_span, StringStore};
@@ -155,6 +160,20 @@ struct ParsedHeader {
     payload_offset: u64,
 }
 
+/// Reads the packed signature, magic *and* version together, that opens
+/// every packed file: the one check behind [`parse_header`] and
+/// [`PackedStore::open_if_packed`].
+fn read_signature(r: &mut ByteReader<'_>) -> StoreResult<()> {
+    if r.take(PACKED_MAGIC.len(), "magic")? != PACKED_MAGIC {
+        return Err(StoreError::InvalidText("missing packed-store magic".into()));
+    }
+    let version = r.u16("version")?;
+    if version != PACKED_VERSION {
+        return Err(StoreError::InvalidText(format!("unsupported packed-store version {version}")));
+    }
+    Ok(())
+}
+
 /// Reads and validates the complete header of an open packed file: magic,
 /// version, bits/symbol-table consistency, and that the file length matches
 /// exactly what the header implies.
@@ -163,43 +182,18 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
     let mut fixed = [0u8; HEADER_FIXED];
     file.read_exact(&mut fixed)
         .map_err(|_| StoreError::InvalidText("file too short for a packed header".into()))?;
-    if fixed[0..4] != PACKED_MAGIC {
-        return Err(StoreError::InvalidText("missing packed-store magic".into()));
-    }
-    #[expect(clippy::disallowed_methods, reason = "the header's decoder, under this fn's deny")]
-    let version = u16::from_le_bytes([fixed[4], fixed[5]]);
-    if version != PACKED_VERSION {
-        return Err(StoreError::InvalidText(format!("unsupported packed-store version {version}")));
-    }
-    let bits = fixed[6] as u32;
-    let alen = fixed[7] as usize;
-    #[expect(
-        clippy::expect_used,
-        clippy::disallowed_methods,
-        reason = "slice length is exactly 8; the header's decoder, under this fn's deny"
-    )]
-    let len_raw = u64::from_le_bytes(fixed[8..16].try_into().expect("8 bytes"));
-    // On a 32-bit target a hostile 64-bit length would truncate under `as`
-    // and alias a small, plausible value; reject it instead.
-    let len = usize::try_from(len_raw).map_err(|_| {
-        StoreError::InvalidText(format!("packed length {len_raw} overflows this platform's usize"))
-    })?;
+    let mut r = ByteReader::new(&fixed, "packed header");
+    read_signature(&mut r)?;
+    let bits = u32::from(r.u8("bits per symbol")?);
+    let alen = r.u8("alphabet length")?;
+    let len = r.usize("text length")?;
     if len == 0 {
         return Err(StoreError::InvalidText("packed file holds an empty string".into()));
     }
-    let mut symbols = vec![0u8; alen];
+    let mut symbols = vec![0u8; usize::from(alen)];
     file.read_exact(&mut symbols)
         .map_err(|_| StoreError::InvalidText("truncated packed symbol table".into()))?;
-    // `Alphabet::custom` sorts and dedups; a table that is not strictly
-    // ascending would silently decode every code to the wrong symbol, so it
-    // must be rejected here rather than repaired.
-    #[expect(clippy::indexing_slicing, reason = "windows(2) yields two-element slices")]
-    if symbols.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(StoreError::InvalidText(
-            "packed symbol table must be strictly ascending".into(),
-        ));
-    }
-    let alphabet = builtin_or_custom(&symbols)?;
+    let alphabet = decode_symbol_table(&symbols)?;
     if alphabet.bits_per_symbol() != bits {
         return Err(StoreError::InvalidText(format!(
             "header claims {bits} bits/symbol but the {alen}-symbol table needs {}",
@@ -207,7 +201,7 @@ fn parse_header(file: &mut File, file_len: u64) -> StoreResult<ParsedHeader> {
         )));
     }
     #[expect(clippy::arithmetic_side_effects, reason = "alen is a u8")]
-    let payload_offset = (HEADER_FIXED + alen) as u64;
+    let payload_offset = HEADER_FIXED as u64 + u64::from(alen);
     // Exact 128-bit length check: `len` is untrusted, and a truncating cast
     // here could let a hostile length alias the real file size.
     #[expect(clippy::arithmetic_side_effects, reason = "len >= 1; u64 + u64 * 8 fits a u128")]
@@ -451,18 +445,13 @@ impl PackedStore {
         clippy::arithmetic_side_effects,
         clippy::indexing_slicing
     )]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the signature check decodes the version under this fn's deny"
-    )]
     pub fn open_if_packed(path: impl AsRef<Path>, block_bytes: usize) -> StoreResult<Option<Self>> {
         let path = path.as_ref();
-        let mut head = [0u8; 6];
-        let mut file = File::open(path)?;
-        if file.read_exact(&mut head).is_err() {
-            return Ok(None); // shorter than the signature: cannot be packed
-        }
-        if head[0..4] != PACKED_MAGIC || u16::from_le_bytes([head[4], head[5]]) != PACKED_VERSION {
+        let mut head = [0u8; 6]; // the signature: magic and version
+                                 // A file shorter than the signature cannot be packed.
+        if File::open(path)?.read_exact(&mut head).is_err()
+            || read_signature(&mut ByteReader::new(&head, "packed header")).is_err()
+        {
             return Ok(None);
         }
         Self::open(path, block_bytes).map(Some)
@@ -539,17 +528,6 @@ fn write_header<W: Write>(out: &mut W, alphabet: &Alphabet, text_len: usize) -> 
     out.write_all(&fixed)?;
     out.write_all(alphabet.symbols())?;
     Ok(())
-}
-
-/// Reconstructs an alphabet from a stored symbol table, preserving the
-/// built-in kind when the symbols match one.
-pub fn builtin_or_custom(symbols: &[u8]) -> StoreResult<Alphabet> {
-    for builtin in [Alphabet::dna(), Alphabet::protein(), Alphabet::english()] {
-        if builtin.symbols() == symbols {
-            return Ok(builtin);
-        }
-    }
-    Alphabet::custom(symbols)
 }
 
 impl StringStore for PackedStore {

@@ -10,6 +10,11 @@
 //! ([`CatalogFile::read_text`], hashed as it is read: into memory, or through
 //! a bounded buffer, the text staying in the file for a region store to
 //! serve block-wise) and the group segments ([`CatalogFile::load_groups`]).
+//! Every field is decoded by era-string-store's bounded [`ByteReader`]: the
+//! header, footer and TOC are each read front to back and must be consumed
+//! exactly, the group segments are cut one after another out of the region
+//! read for them, and the symbol table goes through the same
+//! [`decode_symbol_table`] as the packed-store header.
 //!
 //! # On-disk format (all integers little-endian)
 //!
@@ -32,7 +37,8 @@
 //!   alphabet_len  u8       number of alphabet symbols (≥ 1)
 //!   reserved      u16      (must be 0)
 //!   group_count   u32      number of partition groups (≥ 1)
-//!   alphabet      alphabet_len bytes (symbol table, terminal excluded)
+//!   alphabet      alphabet_len bytes (symbol table, strictly ascending,
+//!                 terminal excluded)
 //!   text_offset   u64      must be 16
 //!   text_bytes    u64      text segment length in bytes
 //!   text_checksum u64      FNV-1a 64 of the text segment
@@ -72,8 +78,8 @@
 //!
 //! A crash anywhere before step 6 completes leaves the previous catalog
 //! untouched; after it, the new one is fully durable. There is no third
-//! state — the crash-matrix harness in `era-check` proves this by
-//! enumerating every fault point of a recorded save against a [`FaultVfs`].
+//! state — the crash-matrix harness in `era-check` proves this by enumerating
+//! every fault point of a recorded save against a [`era_string_store::FaultVfs`].
 //! [`CommitProtocol::TocBeforeSegmentSync`] is the deliberately seeded bug
 //! the harness must catch: it publishes the name (rename + dir sync) before
 //! the data sync, so a crash in between leaves a durable catalog whose
@@ -87,15 +93,16 @@
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::Path;
 
 use era_string_store::packed::packed_size;
-use era_string_store::packed_store::{builtin_or_custom, unique_sibling};
-use era_string_store::{Alphabet, Vfs};
+use era_string_store::packed_store::unique_sibling;
+use era_string_store::{decode_symbol_table, Alphabet, ByteReader, Vfs};
 
 use crate::layout::{FlatPartition, FlatTree};
 use crate::partitioned::PartitionedSuffixTree;
-use crate::serialize::{read_flat_tree, write_flat_tree, MAX_PREALLOC, MAX_PREFIX_LEN};
+use crate::serialize::{read_flat_tree, write_flat_tree};
 
 /// Header magic of an `ERACAT1` catalog file.
 pub const CATALOG_MAGIC: &[u8; 8] = b"ERACAT1\0";
@@ -109,6 +116,10 @@ pub const HEADER_LEN: usize = 16;
 pub const FOOTER_LEN: usize = 32;
 /// Flag bit: the text segment holds a packed payload.
 const FLAG_PACKED: u8 = 1;
+/// Ceiling on a TOC's partition-prefix length. Partition prefixes are a
+/// handful of symbols by construction; a TOC claiming more is hostile or
+/// corrupt and is rejected rather than allocated.
+const MAX_PREFIX_LEN: usize = 1 << 10;
 /// Write granularity of [`commit_catalog`]: small enough that a recorded
 /// save has many distinct fault points, large enough to stay cheap.
 const COMMIT_CHUNK: usize = 4096;
@@ -245,7 +256,7 @@ pub fn groups_into_tree(text_len: usize, groups: Vec<CatalogGroup>) -> Partition
 #[expect(
     clippy::arithmetic_side_effects,
     clippy::cast_possible_truncation,
-    reason = "text_len - 1 follows the zero check and alen as u8 the 1..=255 check; entries.len() and prefix.len() fit a u32: each group and each prefix covers at least one suffix, and ConstructionPipeline::run refuses a text of u32::MAX symbols or more"
+    reason = "text_len - 1 follows the zero check and alen as u8 the 1..=255 check; the partition count and prefix.len() fit a u32: each group and each prefix covers at least one suffix, and ConstructionPipeline::run refuses a text of u32::MAX symbols or more"
 )]
 pub fn encode_catalog(
     generation: u64,
@@ -297,14 +308,20 @@ pub fn encode_catalog(
 
     let text_offset = bytes.len() as u64;
     bytes.extend_from_slice(text_bytes);
-    let text_checksum = fnv1a64(text_bytes);
 
-    struct GroupEntry {
-        offset: u64,
-        len: u64,
-        checksum: u64,
-    }
-    let mut entries = Vec::with_capacity(tree.partitions().len());
+    // The TOC is laid out while the group segments are appended after the
+    // text; it follows them once they are all written.
+    let mut toc = Vec::new();
+    toc.extend_from_slice(&generation.to_le_bytes());
+    toc.extend_from_slice(&(text_len as u64).to_le_bytes());
+    toc.push(if packed { FLAG_PACKED } else { 0 });
+    toc.push(alen as u8);
+    toc.extend_from_slice(&0u16.to_le_bytes());
+    toc.extend_from_slice(&(tree.partitions().len() as u32).to_le_bytes());
+    toc.extend_from_slice(alphabet.symbols());
+    toc.extend_from_slice(&text_offset.to_le_bytes());
+    toc.extend_from_slice(&(text_bytes.len() as u64).to_le_bytes());
+    toc.extend_from_slice(&fnv1a64(text_bytes).to_le_bytes());
     for part in tree.partitions() {
         if part.prefix.len() > MAX_PREFIX_LEN {
             return Err(corrupt(format!(
@@ -313,35 +330,18 @@ pub fn encode_catalog(
                 MAX_PREFIX_LEN
             )));
         }
-        let offset = bytes.len() as u64;
         let mut seg = Vec::with_capacity(part.tree.serialized_size());
         write_flat_tree(&mut seg, &part.tree)?;
-        let checksum = fnv1a64(&seg);
+        toc.extend_from_slice(&generation.to_le_bytes());
+        toc.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        toc.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+        toc.extend_from_slice(&fnv1a64(&seg).to_le_bytes());
+        toc.extend_from_slice(&(part.prefix.len() as u32).to_le_bytes());
+        toc.extend_from_slice(&part.prefix);
         bytes.extend_from_slice(&seg);
-        entries.push(GroupEntry { offset, len: seg.len() as u64, checksum });
     }
 
     let toc_offset = bytes.len();
-    let mut toc = Vec::new();
-    toc.extend_from_slice(&generation.to_le_bytes());
-    toc.extend_from_slice(&(text_len as u64).to_le_bytes());
-    toc.push(if packed { FLAG_PACKED } else { 0 });
-    toc.push(alen as u8);
-    toc.extend_from_slice(&0u16.to_le_bytes());
-    toc.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    toc.extend_from_slice(alphabet.symbols());
-    toc.extend_from_slice(&text_offset.to_le_bytes());
-    toc.extend_from_slice(&(text_bytes.len() as u64).to_le_bytes());
-    toc.extend_from_slice(&text_checksum.to_le_bytes());
-    for (entry, part) in entries.iter().zip(tree.partitions()) {
-        toc.extend_from_slice(&generation.to_le_bytes());
-        toc.extend_from_slice(&entry.offset.to_le_bytes());
-        toc.extend_from_slice(&entry.len.to_le_bytes());
-        toc.extend_from_slice(&entry.checksum.to_le_bytes());
-        toc.extend_from_slice(&(part.prefix.len() as u32).to_le_bytes());
-        toc.extend_from_slice(&part.prefix);
-    }
-
     let toc_checksum = fnv1a64(&toc);
     bytes.extend_from_slice(&toc);
     bytes.extend_from_slice(&(toc_offset as u64).to_le_bytes());
@@ -418,50 +418,12 @@ pub fn commit_catalog(
     result
 }
 
-/// A bounds-checked subslice; `what` names the field for diagnostics.
-fn field<'a>(bytes: &'a [u8], at: usize, len: usize, what: &str) -> io::Result<&'a [u8]> {
-    let end =
-        at.checked_add(len).ok_or_else(|| corrupt(format!("catalog {what}: offset overflow")))?;
-    bytes
-        .get(at..end)
-        .ok_or_else(|| corrupt(format!("catalog {what}: {len} bytes at {at} out of bounds")))
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the catalog's integer decoder, under the module deny"
-)]
-fn read_u64_at(bytes: &[u8], at: usize, what: &str) -> io::Result<u64> {
-    let s = field(bytes, at, 8, what)?;
-    let arr: [u8; 8] = s.try_into().map_err(|_| corrupt(format!("catalog {what}: short field")))?;
-    Ok(u64::from_le_bytes(arr))
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the catalog's integer decoder, under the module deny"
-)]
-fn read_u32_at(bytes: &[u8], at: usize, what: &str) -> io::Result<u32> {
-    let s = field(bytes, at, 4, what)?;
-    let arr: [u8; 4] = s.try_into().map_err(|_| corrupt(format!("catalog {what}: short field")))?;
-    Ok(u32::from_le_bytes(arr))
-}
-
-/// `usize::try_from` with a named diagnostic — the single door through which
-/// header-declared sizes enter address arithmetic.
-fn to_usize(v: u64, what: &str) -> io::Result<usize> {
-    usize::try_from(v)
-        .map_err(|_| corrupt(format!("catalog {what}: {v} does not fit this platform")))
-}
-
 /// One partition group as the TOC declares it.
 #[derive(Debug, Clone)]
 struct TocGroup {
     generation: u64,
     prefix: Vec<u8>,
-    /// Absolute offset of the group's `ERAFLAT1` segment.
-    offset: usize,
-    /// Segment length in bytes.
+    /// Segment length in bytes; the segments lie end to end.
     len: usize,
     /// FNV-1a 64 of the segment bytes.
     checksum: u64,
@@ -485,35 +447,41 @@ pub struct CatalogToc {
     pub text_bytes: usize,
     text_checksum: u64,
     groups: Vec<TocGroup>,
+    /// Where the group segments lie in the file, from the text to the TOC.
+    group_region: Range<usize>,
+}
+
+fn too_short(file_len: usize) -> io::Error {
+    corrupt(format!("catalog of {file_len} bytes is shorter than header + footer"))
 }
 
 fn parse_header(header: &[u8]) -> io::Result<()> {
-    if field(header, 0, 8, "header magic")? != CATALOG_MAGIC {
+    let mut r = ByteReader::new(header, "catalog header");
+    if r.take(CATALOG_MAGIC.len(), "magic")? != CATALOG_MAGIC {
         return Err(corrupt("not an ERACAT1 catalog (bad header magic)".into()));
     }
-    let version = read_u32_at(header, 8, "version")?;
+    let version = r.u32("version")?;
     if version != CATALOG_VERSION {
         return Err(corrupt(format!("unsupported catalog version {version}")));
     }
-    if read_u32_at(header, 12, "header reserved")? != 0 {
+    if r.u32("reserved")? != 0 {
         return Err(corrupt("catalog header reserved field must be zero".into()));
     }
-    Ok(())
+    Ok(r.finish()?)
 }
 
-/// Parses the footer of a `file_len`-byte catalog into the TOC's
-/// `(offset, length, checksum)`; the TOC must end exactly at the footer.
-fn parse_footer(footer: &[u8], file_len: usize) -> io::Result<(usize, usize, u64)> {
-    let footer_at =
-        file_len.checked_sub(FOOTER_LEN).filter(|&at| at >= HEADER_LEN).ok_or_else(|| {
-            corrupt(format!("catalog of {file_len} bytes is shorter than header + footer"))
-        })?;
-    if field(footer, 24, 8, "footer magic")? != FOOTER_MAGIC {
+/// Parses the footer that begins at byte `footer_at` of a catalog into the
+/// TOC's `(offset, length, checksum)`; the TOC must end exactly at the
+/// footer, after the header.
+fn parse_footer(footer: &[u8], footer_at: usize) -> io::Result<(usize, usize, u64)> {
+    let mut r = ByteReader::new(footer, "catalog footer");
+    let toc_offset = r.usize("toc offset")?;
+    let toc_len = r.usize("toc length")?;
+    let toc_checksum = r.u64("toc checksum")?;
+    if r.take(FOOTER_MAGIC.len(), "magic")? != FOOTER_MAGIC {
         return Err(corrupt("catalog footer magic missing (truncated or torn file)".into()));
     }
-    let toc_offset = to_usize(read_u64_at(footer, 0, "toc offset")?, "toc offset")?;
-    let toc_len = to_usize(read_u64_at(footer, 8, "toc length")?, "toc length")?;
-    let toc_checksum = read_u64_at(footer, 16, "toc checksum")?;
+    r.finish()?;
     let toc_end = toc_offset
         .checked_add(toc_len)
         .ok_or_else(|| corrupt("catalog toc bounds overflow".into()))?;
@@ -529,44 +497,38 @@ fn parse_footer(footer: &[u8], file_len: usize) -> io::Result<(usize, usize, u64
 /// `toc_offset` — the one TOC parser behind [`parse_catalog`],
 /// [`CatalogFile`] and `era-check fsck`.
 ///
-/// Hostile lengths never drive allocation: every count is bounds-checked
-/// against the real TOC bytes before use.
+/// Hostile lengths never drive allocation: every field is read through a
+/// [`ByteReader`], bounds-checked against the real TOC bytes before use.
 fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<CatalogToc> {
     if fnv1a64(toc) != toc_checksum {
         return Err(corrupt("catalog toc checksum mismatch".into()));
     }
-    let generation = read_u64_at(toc, 0, "generation")?;
-    let text_len = to_usize(read_u64_at(toc, 8, "text length")?, "text length")?;
-    let flags = *field(toc, 16, 1, "flags")?.first().unwrap_or(&0);
-    let alen = usize::from(*field(toc, 17, 1, "alphabet length")?.first().unwrap_or(&0));
-    if field(toc, 18, 2, "toc reserved")? != [0, 0] {
+    let mut r = ByteReader::new(toc, "catalog toc");
+    let generation = r.u64("generation")?;
+    let text_len = r.usize("text length")?;
+    let flags = r.u8("flags")?;
+    let alen = r.u8("alphabet length")?;
+    if r.u16("reserved")? != 0 {
         return Err(corrupt("catalog toc reserved field must be zero".into()));
     }
-    let group_count = to_usize(u64::from(read_u32_at(toc, 20, "group count")?), "group count")?;
+    let group_count = r.u32("group count")?;
     if flags & !FLAG_PACKED != 0 {
         return Err(corrupt(format!("catalog flags {flags:#04x} set unknown bits")));
     }
     let packed = flags & FLAG_PACKED != 0;
-    if alen == 0 {
-        return Err(corrupt("catalog records no alphabet".into()));
-    }
     if group_count == 0 {
         return Err(corrupt("catalog holds no partition groups".into()));
     }
-    if text_len == 0 {
+    let Some(body_len) = text_len.checked_sub(1) else {
         return Err(corrupt("catalog text length is zero (must include the terminal)".into()));
-    }
-    let alphabet = builtin_or_custom(field(toc, 24, alen, "alphabet")?)
+    };
+    let alphabet = decode_symbol_table(r.take(usize::from(alen), "alphabet")?)
         .map_err(|e| corrupt(format!("catalog alphabet invalid: {e}")))?;
 
-    // Text segment: pinned to HEADER_LEN, inside [HEADER_LEN, toc_offset).
-    let after_alpha =
-        24usize.checked_add(alen).ok_or_else(|| corrupt("catalog toc alphabet overflow".into()))?;
-    let text_offset = to_usize(read_u64_at(toc, after_alpha, "text offset")?, "text offset")?;
-    #[expect(clippy::arithmetic_side_effects, reason = "after_alpha <= 24 + 255")]
-    let text_bytes = to_usize(read_u64_at(toc, after_alpha + 8, "text bytes")?, "text bytes")?;
-    #[expect(clippy::arithmetic_side_effects, reason = "after_alpha <= 24 + 255")]
-    let text_checksum = read_u64_at(toc, after_alpha + 16, "text checksum")?;
+    // Text segment: pinned to HEADER_LEN.
+    let text_offset = r.usize("text offset")?;
+    let text_bytes = r.usize("text bytes")?;
+    let text_checksum = r.u64("text checksum")?;
     if text_offset != HEADER_LEN {
         return Err(corrupt(format!(
             "catalog text segment must start at {HEADER_LEN}, not {text_offset}"
@@ -575,14 +537,7 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
     let text_end = text_offset
         .checked_add(text_bytes)
         .ok_or_else(|| corrupt("catalog text bounds overflow".into()))?;
-    if text_end > toc_offset {
-        return Err(corrupt(format!(
-            "catalog text segment [{text_offset}, {text_end}) overruns the toc at {toc_offset}"
-        )));
-    }
-    #[expect(clippy::arithmetic_side_effects, reason = "text_len == 0 is rejected above")]
-    let want =
-        if packed { packed_size(text_len - 1, alphabet.bits_per_symbol()) } else { text_len };
+    let want = if packed { packed_size(body_len, alphabet.bits_per_symbol()) } else { text_len };
     if text_bytes != want {
         return Err(corrupt(format!(
             "text segment is {text_bytes} bytes, a {} text of {text_len} symbols needs {want}",
@@ -590,100 +545,69 @@ fn parse_toc(toc: &[u8], toc_offset: usize, toc_checksum: u64) -> io::Result<Cat
         )));
     }
 
-    // Group segments: strictly contiguous from the text end to the TOC.
-    let mut groups = Vec::with_capacity(group_count.min(MAX_PREALLOC));
+    // Group segments: strictly contiguous from the text end to the TOC. The
+    // list grows as entries are read, so a hostile count allocates nothing.
+    let mut groups = Vec::new();
     let mut cursor = text_end;
-    #[expect(clippy::arithmetic_side_effects, reason = "after_alpha <= 24 + 255")]
-    let mut toc_at = after_alpha + 24;
-    // `toc_at + k` follows a successful read ending at or past it, and
-    // `36 + prefix_len` the `MAX_PREFIX_LEN` check.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "every offset is bounded by a field already read"
-    )]
     for i in 0..group_count {
-        let generation = read_u64_at(toc, toc_at, "group generation")?;
-        let offset = to_usize(read_u64_at(toc, toc_at + 8, "group offset")?, "group offset")?;
-        let len = to_usize(read_u64_at(toc, toc_at + 16, "group length")?, "group length")?;
-        let checksum = read_u64_at(toc, toc_at + 24, "group checksum")?;
-        let prefix_len =
-            to_usize(u64::from(read_u32_at(toc, toc_at + 32, "prefix length")?), "prefix length")?;
+        let generation = r.u64("group generation")?;
+        let offset = r.usize("group offset")?;
+        let len = r.usize("group length")?;
+        let checksum = r.u64("group checksum")?;
+        let prefix_len = r.u32("prefix length")? as usize;
         if prefix_len > MAX_PREFIX_LEN {
             return Err(corrupt(format!(
                 "group {i} claims a {prefix_len}-byte prefix (max {MAX_PREFIX_LEN})"
             )));
         }
-        let prefix = field(toc, toc_at + 36, prefix_len, "group prefix")?.to_vec();
-        toc_at = toc_at
-            .checked_add(36 + prefix_len)
-            .ok_or_else(|| corrupt("catalog toc group overflow".into()))?;
-
+        let prefix = r.take(prefix_len, "group prefix")?.to_vec();
         if offset != cursor {
             return Err(corrupt(format!(
                 "group {i} at {offset} leaves a gap after {cursor} (segments must be contiguous)"
             )));
         }
-        let end =
+        cursor =
             offset.checked_add(len).ok_or_else(|| corrupt(format!("group {i} bounds overflow")))?;
-        if end > toc_offset {
-            return Err(corrupt(format!(
-                "group {i} segment [{offset}, {end}) overruns the toc at {toc_offset}"
-            )));
-        }
-        groups.push(TocGroup { generation, prefix, offset, len, checksum });
-        cursor = end;
+        groups.push(TocGroup { generation, prefix, len, checksum });
     }
+    // The text and every group lie end to end from HEADER_LEN, so this one
+    // check also keeps each of them in front of the TOC.
     if cursor != toc_offset {
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "min() bounds the subtrahend by the minuend"
-        )]
         return Err(corrupt(format!(
-            "catalog has {} unaccounted bytes between the last group and the toc",
-            toc_offset - cursor.min(toc_offset)
+            "catalog groups end at {cursor}, not where the toc begins ({toc_offset})"
         )));
     }
-    if toc_at != toc.len() {
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "min() bounds the subtrahend by the minuend"
-        )]
-        return Err(corrupt(format!(
-            "catalog toc has {} trailing bytes",
-            toc.len() - toc_at.min(toc.len())
-        )));
-    }
-    Ok(CatalogToc { generation, text_len, alphabet, packed, text_bytes, text_checksum, groups })
+    r.finish()?;
+    Ok(CatalogToc {
+        generation,
+        text_len,
+        alphabet,
+        packed,
+        text_bytes,
+        text_checksum,
+        groups,
+        group_region: text_end..toc_offset,
+    })
 }
 
 /// Verifies every group segment against its TOC entry and parses its tree
 /// (structural validation included): the one group loader, behind both
-/// [`parse_catalog`] and [`CatalogFile::load_groups`]. `region` holds the
-/// bytes of the catalog from offset `region_at` on, which [`parse_toc`] put
-/// at or before the first group; the segments are hashed four side by side
-/// ([`fnv1a64_each`]).
-fn verify_groups(
-    toc: &CatalogToc,
-    region: &[u8],
-    region_at: usize,
-) -> io::Result<Vec<CatalogGroup>> {
+/// [`parse_catalog`] and [`CatalogFile::load_groups`]. `region` reads the
+/// group segments, end to end and nothing after them; they are hashed four
+/// side by side ([`fnv1a64_each`]).
+fn verify_groups(toc: &CatalogToc, mut region: ByteReader<'_>) -> io::Result<Vec<CatalogGroup>> {
     let segments = (toc.groups.iter())
-        .map(|g| field(region, g.offset.saturating_sub(region_at), g.len, "group segment"))
-        .collect::<io::Result<Vec<_>>>()?;
+        .map(|g| region.take(g.len, "group segment"))
+        .collect::<Result<Vec<_>, _>>()?;
+    region.finish()?;
     let hashes = fnv1a64_each(&segments);
     let mut groups = Vec::with_capacity(segments.len());
     for (i, ((entry, seg), hash)) in toc.groups.iter().zip(segments).zip(hashes).enumerate() {
         if hash != entry.checksum {
             return Err(corrupt(format!("group {i} segment checksum mismatch")));
         }
-        let tree = read_flat_tree(&mut &seg[..])
-            .map_err(|e| corrupt(format!("group {i} tree invalid: {e}")))?;
-        if tree.serialized_size() != seg.len() {
-            return Err(corrupt(format!(
-                "group {i} segment has {} trailing bytes",
-                seg.len().saturating_sub(tree.serialized_size())
-            )));
-        }
+        let tree =
+            read_flat_tree(seg).map_err(|e| corrupt(format!("group {i} tree invalid: {e}")))?;
         if tree.text_len() != toc.text_len {
             return Err(corrupt(format!(
                 "group {i} tree covers a {}-symbol text, catalog says {}",
@@ -718,19 +642,17 @@ fn check_text(toc: &CatalogToc, hash: u64, last: Option<u8>) -> io::Result<()> {
 /// per-segment checksums cover the text and every group, and the contiguity
 /// checks (text at [`HEADER_LEN`], groups adjacent, TOC ending exactly at
 /// the footer) mean no byte of the file is outside some verified region.
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "footer_at = bytes.len().saturating_sub(FOOTER_LEN) <= bytes.len()"
-)]
 pub fn parse_catalog(bytes: &[u8]) -> io::Result<Catalog> {
-    let footer_at = bytes.len().saturating_sub(FOOTER_LEN);
-    let (toc_offset, toc_len, toc_checksum) =
-        parse_footer(field(bytes, footer_at, bytes.len() - footer_at, "footer")?, bytes.len())?;
-    parse_header(field(bytes, 0, HEADER_LEN, "header")?)?;
-    let toc = parse_toc(field(bytes, toc_offset, toc_len, "toc")?, toc_offset, toc_checksum)?;
-    let text_seg = field(bytes, HEADER_LEN, toc.text_bytes, "text segment")?;
+    let (rest, footer) =
+        bytes.split_last_chunk::<FOOTER_LEN>().ok_or_else(|| too_short(bytes.len()))?;
+    let (toc_offset, _, toc_checksum) = parse_footer(footer, rest.len())?;
+    let (head, toc) = rest.split_at_checked(toc_offset).ok_or_else(|| too_short(bytes.len()))?;
+    let mut head = ByteReader::new(head, "catalog");
+    parse_header(head.take(HEADER_LEN, "header")?)?;
+    let toc = parse_toc(toc, toc_offset, toc_checksum)?;
+    let text_seg = head.take(toc.text_bytes, "text segment")?;
     check_text(&toc, fnv1a64(text_seg), text_seg.last().copied())?;
-    let groups = verify_groups(&toc, bytes, 0)?;
+    let groups = verify_groups(&toc, head)?;
     let text_seg = text_seg.to_vec();
     let text = if toc.packed { CatalogText::Packed(text_seg) } else { CatalogText::Raw(text_seg) };
     let CatalogToc { generation, text_len, alphabet, .. } = toc;
@@ -765,20 +687,16 @@ fn read_counted(file: &mut File, count: &mut u64, buf: &mut [u8]) -> io::Result<
 
 impl CatalogFile {
     /// Opens `path` and reads its header, footer and TOC.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        clippy::indexing_slicing,
-        reason = "footer_at = file_len.saturating_sub(FOOTER_LEN), so file_len - footer_at <= footer.len()"
-    )]
     pub fn open(path: impl AsRef<Path>) -> io::Result<CatalogFile> {
         let mut file = File::open(path)?;
         let mut bytes_read = 0;
-        let file_len = to_usize(file.metadata()?.len(), "file length")?;
+        let file_len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| corrupt("catalog file is too large for this platform".into()))?;
+        let footer_at = file_len.checked_sub(FOOTER_LEN).ok_or_else(|| too_short(file_len))?;
         let mut footer = [0u8; FOOTER_LEN];
-        let footer_at = file_len.saturating_sub(FOOTER_LEN);
         file.seek(SeekFrom::Start(footer_at as u64))?;
-        read_counted(&mut file, &mut bytes_read, &mut footer[..file_len - footer_at])?;
-        let (toc_offset, toc_len, toc_checksum) = parse_footer(&footer, file_len)?;
+        read_counted(&mut file, &mut bytes_read, &mut footer)?;
+        let (toc_offset, toc_len, toc_checksum) = parse_footer(&footer, footer_at)?;
         let mut header = [0u8; HEADER_LEN];
         file.seek(SeekFrom::Start(0))?;
         read_counted(&mut file, &mut bytes_read, &mut header)?;
@@ -834,17 +752,12 @@ impl CatalogFile {
 
     /// Reads the group segments, which lie contiguously after the text, in
     /// one read, and verifies them with the loader [`parse_catalog`] uses.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "parse_toc laid the groups end to end from HEADER_LEN + text_bytes to the TOC"
-    )]
     pub fn load_groups(&mut self) -> io::Result<Vec<CatalogGroup>> {
-        let groups_at = HEADER_LEN + self.toc.text_bytes;
         // Bounded by the real file length, like the TOC.
-        let mut region = vec![0u8; self.toc.groups.iter().map(|g| g.len).sum()];
-        self.file.seek(SeekFrom::Start(groups_at as u64))?;
+        let mut region = vec![0u8; self.toc.group_region.len()];
+        self.file.seek(SeekFrom::Start(self.toc.group_region.start as u64))?;
         read_counted(&mut self.file, &mut self.bytes_read, &mut region)?;
-        verify_groups(&self.toc, &region, groups_at)
+        verify_groups(&self.toc, ByteReader::new(&region, "catalog group region"))
     }
 
     /// The open file and its layout, for a region store to serve the text

@@ -55,7 +55,8 @@
 //!   generation numbers as the seam for group-granular incremental replace.
 //!   One footer/TOC parser and one group loader serve both ways of reading
 //!   it — a whole image ([`parse_catalog`]) or a file read once
-//!   ([`CatalogFile`]). The crash-matrix harness in `era-check` proves every
+//!   ([`CatalogFile`]) — and both formats decode every field through
+//!   era-string-store's bounded [`ByteReader`](era_string_store::ByteReader). The crash-matrix harness in `era-check` proves every
 //!   fault point of a save yields exactly the old or the new generation.
 
 #![deny(rust_2018_idioms)]

@@ -8,6 +8,12 @@
 //! bulk read with no per-node pointer rebuilding. It is the segment format
 //! of the [`crate::catalog`] container and the spill format of the baselines;
 //! construction-form [`SuffixTree`](crate::SuffixTree)s are frozen first.
+//!
+//! [`read_flat_tree`] takes one segment's bytes, already in memory (the
+//! catalog's group region, a spill file), and decodes its records where they
+//! lie through era-string-store's bounded [`ByteReader`]: the node count is
+//! checked against the bytes present before anything is allocated for it,
+//! and a segment with bytes after its last record is rejected.
 
 #![deny(
     clippy::cast_possible_truncation,
@@ -15,53 +21,13 @@
     clippy::indexing_slicing
 )]
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+
+use era_string_store::ByteReader;
 
 use crate::layout::{FlatNode, FlatTree};
 
 const FLAT_MAGIC: &[u8; 8] = b"ERAFLAT1";
-
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the ERAFLAT1 integer decoder, under the module deny"
-)]
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Bytes of one `ERAFLAT1` node record: four little-endian words.
-const RECORD_BYTES: usize = 16;
-
-/// Records [`read_flat_tree`] reads per `read_exact` (64 KiB).
-const RECORDS_PER_READ: usize = 4096;
-
-/// One node record from its four little-endian words.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the ERAFLAT1 integer decoder, under the module deny"
-)]
-fn decode_record(words: &[[u8; 4]; 4]) -> FlatNode {
-    let [start, end, payload, meta] = words.map(u32::from_le_bytes);
-    FlatNode::from_raw(start, end, payload, meta)
-}
-
-/// Ceiling on speculative preallocation from header-declared counts. A
-/// hostile 8-byte header may *claim* any element count, but it only gets the
-/// memory as the corresponding bytes actually arrive — `Vec::push` grows
-/// past this cap organically, and a short file errors out in `read_exact`
-/// long before.
-pub(crate) const MAX_PREALLOC: usize = 1 << 20;
-
-/// Ceiling on a catalog TOC's partition-prefix length. Partition prefixes
-/// are a handful of symbols by construction; a TOC claiming more is hostile
-/// or corrupt and is rejected rather than allocated.
-pub(crate) const MAX_PREFIX_LEN: usize = 1 << 10;
 
 /// Writes a flat serving-layout tree to any writer (`ERAFLAT1`): the magic,
 /// the text length, the node count, then the fixed 16-byte records verbatim.
@@ -71,47 +37,40 @@ pub(crate) const MAX_PREFIX_LEN: usize = 1 << 10;
 )]
 pub fn write_flat_tree<W: Write>(w: &mut W, tree: &FlatTree) -> io::Result<()> {
     w.write_all(FLAT_MAGIC)?;
-    write_u32(w, tree.text_len() as u32)?;
-    write_u32(w, tree.node_count() as u32)?;
+    w.write_all(&(tree.text_len() as u32).to_le_bytes())?;
+    w.write_all(&(tree.node_count() as u32).to_le_bytes())?;
     for id in tree.node_ids() {
         let (start, end, payload, meta) = tree.raw_node(id);
-        write_u32(w, start)?;
-        write_u32(w, end)?;
-        write_u32(w, payload)?;
-        write_u32(w, meta)?;
+        for word in [start, end, payload, meta] {
+            w.write_all(&word.to_le_bytes())?;
+        }
     }
     Ok(())
 }
 
-/// Reads a flat tree previously written with [`write_flat_tree`], running the
-/// full structural validation pass ([`crate::validate::validate_flat_structure`])
-/// on the untrusted bytes: child blocks in the freeze's pre-order layout
-/// (in bounds, tiling the arena, every node reachable once), sibling
-/// ordering and leaf/meta-word consistency.
-pub fn read_flat_tree<R: Read>(r: &mut R) -> io::Result<FlatTree> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != FLAT_MAGIC {
+/// Reads a flat tree previously written with [`write_flat_tree`] out of the
+/// segment's bytes, which it must fill exactly, running the full structural
+/// validation pass ([`crate::validate::validate_flat_structure`]) on the
+/// untrusted bytes: child blocks in the freeze's pre-order layout (in bounds,
+/// tiling the arena, every node reachable once), sibling ordering and
+/// leaf/meta-word consistency.
+pub fn read_flat_tree(segment: &[u8]) -> io::Result<FlatTree> {
+    let mut r = ByteReader::new(segment, "ERAFLAT1 segment");
+    if r.take(FLAT_MAGIC.len(), "magic")? != FLAT_MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "not an ERA flat tree file"));
     }
-    let text_len = read_u32(r)?;
-    let node_count = read_u32(r)? as usize;
+    let text_len = r.u32("text length")?;
+    let node_count = r.u32("node count")? as usize;
     if node_count == 0 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "flat tree without a root"));
     }
-    let mut nodes = Vec::with_capacity(node_count.min(MAX_PREALLOC));
-    // Records are read a buffer (at most 64 KiB) at a time and decoded from
-    // it; a short file fails the `read_exact` of its last buffer.
-    let mut buf = vec![0u8; node_count.min(RECORDS_PER_READ).saturating_mul(RECORD_BYTES)];
-    let mut left = node_count;
-    while left > 0 {
-        let take = left.min(RECORDS_PER_READ);
-        let bytes = buf.get_mut(..take.saturating_mul(RECORD_BYTES)).unwrap_or_default();
-        r.read_exact(bytes)?;
-        nodes.extend(bytes.as_chunks::<4>().0.as_chunks::<4>().0.iter().map(decode_record));
-        left = left.saturating_sub(take);
-    }
-    let tree = FlatTree::from_raw_parts(text_len, nodes);
+    // The records are bounds-checked against the segment before anything is
+    // allocated for them, then decoded where they lie.
+    let records = r.u32_records(node_count, "node records")?;
+    r.finish()?;
+    let nodes =
+        records.map(|[start, end, payload, meta]| FlatNode::from_raw(start, end, payload, meta));
+    let tree = FlatTree::from_raw_parts(text_len, nodes.collect());
     // The cheap structural subset of `validate_flat_tree` is always on for
     // untrusted bytes: a corrupt segment must error at load time, not
     // serve wrong answers (or panic) at query time. The text-backed deep
@@ -146,7 +105,7 @@ mod tests {
         let flat = FlatTree::freeze(&naive_suffix_tree(text));
         let mut buf = Vec::new();
         write_flat_tree(&mut buf, &flat).unwrap();
-        let back = read_flat_tree(&mut buf.as_slice()).unwrap();
+        let back = read_flat_tree(&buf).unwrap();
         assert_eq!(flat, back);
         assert_eq!(flat.serialized_size(), buf.len());
         validate_flat_tree(&back, &text[..], Some(text.len())).unwrap();
@@ -155,7 +114,18 @@ mod tests {
     #[test]
     fn rejects_bad_magic() {
         let data = b"NOTATREExxxxxxxxxxxx".to_vec();
-        assert!(read_flat_tree(&mut data.as_slice()).is_err());
+        assert!(read_flat_tree(&data).is_err());
+    }
+
+    #[test]
+    fn rejects_one_trailing_byte() {
+        let flat = FlatTree::freeze(&naive_suffix_tree(b"ab\0"));
+        let mut buf = Vec::new();
+        write_flat_tree(&mut buf, &flat).unwrap();
+        buf.push(0);
+        let err = read_flat_tree(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
     }
 
     #[test]
@@ -167,6 +137,6 @@ mod tests {
         // the arena.
         let meta_off = 8 + 4 + 4 + 12;
         buf[meta_off..meta_off + 4].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(read_flat_tree(&mut buf.as_slice()).is_err());
+        assert!(read_flat_tree(&buf).is_err());
     }
 }

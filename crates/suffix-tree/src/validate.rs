@@ -587,7 +587,7 @@ mod tests {
 
         let mut segment = Vec::new();
         write_flat_tree(&mut segment, &bfs).unwrap();
-        let err = read_flat_tree(&mut segment.as_slice()).unwrap_err();
+        let err = read_flat_tree(&segment).unwrap_err();
         assert!(err.to_string().contains("pre-order"), "{err}");
 
         let index = PartitionedSuffixTree::from_flat(

@@ -322,7 +322,7 @@ proptest! {
         let mut bytes = Vec::new();
         era_suffix_tree::serialize::write_flat_tree(&mut bytes, &flat).expect("write");
         prop_assert_eq!(bytes.len(), flat.serialized_size());
-        let back = era_suffix_tree::serialize::read_flat_tree(&mut bytes.as_slice()).expect("read");
+        let back = era_suffix_tree::serialize::read_flat_tree(&bytes).expect("read");
         prop_assert_eq!(back, flat);
     }
 }
